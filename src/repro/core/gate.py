@@ -12,7 +12,7 @@ segments into one packet or to split one segment into several chunks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..util.errors import ProtocolError
@@ -22,7 +22,7 @@ from .request import SendRequest
 __all__ = ["Gate", "Segment"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Segment:
     """One application send unit, queued for the strategy."""
 

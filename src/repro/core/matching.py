@@ -33,7 +33,7 @@ combined ordering semantics would be ambiguous); mixing raises
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Literal, Optional
 
 from ..util.errors import MatchingError
@@ -49,7 +49,7 @@ Key = tuple[int, int, int]  # (peer node, tag, seq)
 Chan = tuple[int, int]  # (peer node, tag)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PostOutcome:
     """Result of posting a receive.
 
@@ -64,7 +64,7 @@ class PostOutcome:
     rdv_src: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MatchAction:
     """One match produced by an arrival: complete/accept ``request``."""
 
@@ -75,7 +75,7 @@ class MatchAction:
     src: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _Arrival:
     """A message announcement waiting for its receive."""
 
@@ -177,14 +177,22 @@ class MatchingTable:
         arrival.consumed = True
         self._parked.pop(arrival.key, None)
 
-    def _action_for(self, arrival: _Arrival, request: RecvRequest) -> MatchAction:
+    @staticmethod
+    def _action_for(
+        request: RecvRequest,
+        peer: int,
+        seq: int,
+        kind: str,
+        payload: Optional[Payload],
+        rdv: Optional[RdvReq],
+    ) -> MatchAction:
         # a wildcard request learns its actual source and sequence
-        request.peer = arrival.peer
+        request.peer = peer
         if request.seq < 0:
-            request.seq = arrival.seq
-        if arrival.kind == "eager":
-            return MatchAction("deliver", request, payload=arrival.payload)
-        return MatchAction("rdv", request, rdv=arrival.rdv, src=arrival.peer)
+            request.seq = seq
+        if kind == "eager":
+            return MatchAction("deliver", request, payload)
+        return MatchAction("rdv", request, None, rdv, peer)
 
     def _drain_wildcards(self, tag: int) -> list[MatchAction]:
         actions = []
@@ -196,7 +204,12 @@ class MatchingTable:
             request = queue.popleft()
             self._consume(arrival)
             self.wildcard_hits += 1
-            actions.append(self._action_for(arrival, request))
+            actions.append(
+                self._action_for(
+                    request, arrival.peer, arrival.seq, arrival.kind,
+                    arrival.payload, arrival.rdv,
+                )
+            )
         return actions
 
     # ------------------------------------------------------------------ #
@@ -217,12 +230,14 @@ class MatchingTable:
         request.seq = seq
         key = (peer, tag, seq)
         arrival = self._parked.get(key)
-        if arrival is None:
+        stash = self._stash.get(chan)
+        if arrival is None and stash:
             # the arrival may still sit in the out-of-order stash
-            arrival = self._stash.get(chan, {}).get(seq)
+            arrival = stash.get(seq)
         if arrival is not None:
             self._consume(arrival)
-            self._stash.get(chan, {}).pop(seq, None)
+            if stash:
+                stash.pop(seq, None)
             self.unexpected_hits += 1
             if arrival.kind == "eager":
                 return PostOutcome("eager", payload=arrival.payload)
@@ -267,15 +282,17 @@ class MatchingTable:
         """
         key = (peer, tag, seq)
         chan = (peer, tag)
-        if key in self._parked or seq in self._stash.get(chan, {}):
+        stash = self._stash.get(chan)
+        if key in self._parked or (stash and seq in stash):
             raise MatchingError(f"duplicate arrival for {key}")
-        arrival = _Arrival(peer, tag, seq, kind, payload=payload, rdv=rdv)
-        # 1. exact posted receive wins immediately (any order of seqs)
+        # 1. exact posted receive wins immediately (any order of seqs) —
+        #    the common case, which never needs an _Arrival record
         request = self._posted.pop(key, None)
         if request is not None:
             self.posted_hits += 1
-            return [self._action_for(arrival, request)]
+            return [self._action_for(request, peer, seq, kind, payload, rdv)]
         # 2. in-order bookkeeping for the wildcard path
+        arrival = _Arrival(peer, tag, seq, kind, payload, rdv)
         cursor = self._cursor.get(chan, 0)
         if seq == cursor:
             self._advance_cursor(arrival)

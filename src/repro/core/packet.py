@@ -20,7 +20,7 @@ harness moves multi-megabyte messages without materializing them).
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from ..util.errors import ProtocolError
@@ -62,7 +62,7 @@ class Payload:
         if isinstance(source, Payload):
             return source
         if isinstance(source, int):
-            return cls.virtual(source)
+            return cls(source, None)
         if isinstance(source, (bytes, bytearray)):
             b = bytes(source)
             return cls(len(b), b)
@@ -103,7 +103,7 @@ class Payload:
         return f"<Payload {kind} {self.size}B>"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EagerEntry:
     """A whole segment carried inline in an eager packet."""
 
@@ -164,24 +164,74 @@ class RdvAck:
 Entry = Union[EagerEntry, RdvReq, RdvAck]
 
 
-@dataclass
 class PacketWrapper:
     """A unit of transmission produced by the optimizing scheduler.
 
-    A wrapper is bound to a destination gate; its ``rail_index`` is chosen
-    by the strategy at commit time (it is ``None`` while the wrapper sits
-    in the submission queue).  ``send_requests`` lists the application send
-    requests that complete once this wrapper is posted (eager segments).
+    A wrapper is made for one rail of one destination gate (see
+    :meth:`repro.drivers.base.Driver.new_wrapper`): ``header_bytes`` and
+    ``ctrl_bytes`` are that rail's per-entry framing, so :meth:`add` can
+    keep the running tallies every later stage reads instead of walking
+    the entries again —
+
+    * ``wire_bytes`` — total on-wire size (each entry's ``wire_size``);
+    * ``data_bytes`` / ``data_count`` — payload bytes / number of the
+      :class:`EagerEntry` entries (the aggregation-copy size and test).
+
+    All three are integer sums, so they equal a from-scratch walk over
+    ``entries`` exactly; entries must only ever be added through
+    :meth:`add`.  ``send_requests`` lists the application send requests
+    that complete once this wrapper is posted (eager segments).
     """
 
-    src_node: int
-    dst_node: int
-    entries: list[Entry] = field(default_factory=list)
-    rail_index: Optional[int] = None
-    send_requests: list = field(default_factory=list)
+    __slots__ = (
+        "src_node",
+        "dst_node",
+        "rail_index",
+        "header_bytes",
+        "ctrl_bytes",
+        "entries",
+        "send_requests",
+        "wire_bytes",
+        "data_bytes",
+        "data_count",
+    )
+
+    def __init__(
+        self,
+        src_node: int,
+        dst_node: int,
+        rail_index: Optional[int],
+        header_bytes: int,
+        ctrl_bytes: int,
+    ):
+        self.src_node = src_node
+        self.dst_node = dst_node
+        self.rail_index = rail_index
+        self.header_bytes = header_bytes
+        self.ctrl_bytes = ctrl_bytes
+        self.entries: list[Entry] = []
+        self.send_requests: list = []
+        self.wire_bytes = 0
+        self.data_bytes = 0
+        self.data_count = 0
 
     def add(self, entry: Entry) -> None:
         self.entries.append(entry)
+        if isinstance(entry, EagerEntry):
+            size = entry.payload.size
+            self.data_count += 1
+            self.data_bytes += size
+            self.wire_bytes += self.header_bytes + size
+        else:
+            self.wire_bytes += entry.wire_size(self.ctrl_bytes)
+
+    def wire_size_of(self, entry: Entry) -> int:
+        """On-wire bytes ``entry`` takes in a wrapper of this rail — what
+        :meth:`add` would add to ``wire_bytes`` (the fit test of callers
+        that must not overfill)."""
+        return entry.wire_size(
+            self.header_bytes if isinstance(entry, EagerEntry) else self.ctrl_bytes
+        )
 
     def identity_args(self) -> dict:
         """Span-args identifying every request riding this wrapper.
@@ -210,20 +260,6 @@ class PacketWrapper:
     @property
     def ctrl_entries(self) -> list[Entry]:
         return [e for e in self.entries if not isinstance(e, EagerEntry)]
-
-    @property
-    def data_bytes(self) -> int:
-        return sum(e.payload.size for e in self.data_entries)
-
-    def wire_size(self, header_bytes: int, ctrl_bytes: int) -> int:
-        """Total on-wire size of the wrapper."""
-        total = 0
-        for e in self.entries:
-            if isinstance(e, EagerEntry):
-                total += e.wire_size(header_bytes)
-            else:
-                total += e.wire_size(ctrl_bytes)
-        return total
 
     def __repr__(self) -> str:  # pragma: no cover
         kinds = ",".join(type(e).__name__ for e in self.entries)

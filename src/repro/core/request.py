@@ -3,7 +3,8 @@
 The collect layer turns every API call into a request object.  Requests
 complete asynchronously (the engine runs on NIC activity, not API calls);
 application processes wait on :attr:`Request.completion`, which is either a
-zero-delay timeout (already done) or the request's one-shot signal.
+zero-delay timeout (already done) or the request's one-shot signal — made
+on that first ask: a request nobody waits on never owns a signal.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from ..sim.engine import Simulator
-from ..sim.process import Signal, Timeout
+from ..sim.process import AllOf, Signal, Timeout
 from ..util.errors import ApiError
 from .packet import Payload
 
@@ -30,27 +31,39 @@ class Request:
         "submitted_at",
         "first_commit_at",
         "completed_at",
+        "payload",
         "_signal",
     )
 
-    def __init__(self, sim: Simulator, peer: int, tag: int, seq: int):
+    def __init__(
+        self,
+        sim: Simulator,
+        peer: int,
+        tag: int,
+        seq: int,
+        payload: Optional[Payload] = None,
+    ):
         self.sim = sim
         self.peer = peer
         self.tag = tag
         self.seq = seq
+        #: the segment sent, or the one received (None until delivered).
+        self.payload = payload
         self.done = False
         self.submitted_at = sim.now
         #: when the engine first PIO-posted a wrapper carrying this
         #: request (eager data or its RDV_REQ); feeds the lifecycle report.
         self.first_commit_at: Optional[float] = None
         self.completed_at: Optional[float] = None
-        self._signal = Signal(sim, name=f"req({peer},{tag},{seq})")
+        self._signal: Optional[Signal] = None
 
     @property
     def completion(self) -> Union[Timeout, Signal]:
         """A waitable: yield this from a process to block until done."""
         if self.done:
             return Timeout(0.0)
+        if self._signal is None:
+            self._signal = Signal(self.sim, name="request")
         return self._signal
 
     @property
@@ -65,7 +78,8 @@ class Request:
             raise ApiError(f"request completed twice: {self!r}")
         self.done = True
         self.completed_at = self.sim.now
-        self._signal.fire(self)
+        if self._signal is not None:
+            self._signal.fire(self)
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "done" if self.done else "pending"
@@ -79,21 +93,13 @@ class SendRequest(Request):
     for rendezvous segments it means every chunk's last byte drained.
     """
 
-    __slots__ = ("payload",)
-
-    def __init__(self, sim: Simulator, peer: int, tag: int, seq: int, payload: Payload):
-        super().__init__(sim, peer, tag, seq)
-        self.payload = payload
+    __slots__ = ()
 
 
 class RecvRequest(Request):
     """Tracks one posted receive until its matching segment arrived."""
 
-    __slots__ = ("payload",)
-
-    def __init__(self, sim: Simulator, peer: int, tag: int, seq: int):
-        super().__init__(sim, peer, tag, seq)
-        self.payload: Optional[Payload] = None
+    __slots__ = ()
 
     def _deliver(self, payload: Payload) -> None:
         if self.payload is not None:
@@ -124,8 +130,6 @@ class MultiRequest:
     @property
     def completion(self):
         """Waitable for "all sub-requests complete"."""
-        from ..sim.process import AllOf
-
         return AllOf([r.completion for r in self.requests])
 
     @property

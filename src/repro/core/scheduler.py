@@ -29,15 +29,15 @@ and the NICs are busy, requests therefore accumulate — the paper's
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
+from typing import TYPE_CHECKING, Any, Deque, Optional
 
 from ..drivers.registry import make_driver
 from ..obs.spans import TRACK_FAULTS, TRACK_PUMP, rail_track
-from ..sim.process import Process, Timeout, spawn
+from ..sim.process import Process, spawn
 from ..trace.tracer import Counters
 from ..util.errors import ApiError, ProtocolError
 from .gate import Gate, Segment
-from .matching import MatchingTable
+from .matching import ANY_SOURCE, MatchAction, MatchingTable
 from .packet import DmaChunk, EagerEntry, Payload, PacketWrapper, RdvAck, RdvReq
 from .rendezvous import RdvManager
 from .request import RecvRequest, SendRequest
@@ -145,27 +145,23 @@ class NodeEngine:
             raise ApiError(f"node {self.node_id}: send to self is not supported")
         if not 0 <= dst_node < self.platform.n_nodes:
             raise ApiError(f"no such node {dst_node}")
-        gate = self.gate(dst_node)
+        gate = self.gates.get(dst_node) or self.gate(dst_node)
         seq = gate.next_seq(tag)
+        size = payload.size
         request = SendRequest(self.sim, dst_node, tag, seq, payload)
-        segment = Segment(
-            dst_node=dst_node,
-            tag=tag,
-            seq=seq,
-            payload=payload,
-            request=request,
-            submitted_at=self.sim.now,
-        )
-        gate.note_submit(payload.size)
-        self.counters.add("segments_submitted")
-        self.counters.add("bytes_submitted", payload.size)
+        gate.note_submit(size)
+        counts = self.counters.counts
+        counts["segments_submitted"] += 1
+        counts["bytes_submitted"] += size
         if self.spans.enabled:
             self.sent_log.append(request)
             self.spans.instant(
-                self.node_id, TRACK_PUMP, "submit", "api", self.sim.now,
-                {"tag": tag, "seq": seq, "bytes": payload.size, "dst": dst_node},
+                self.node_id, TRACK_PUMP, "submit", "api", request.submitted_at,
+                {"tag": tag, "seq": seq, "bytes": size, "dst": dst_node},
             )
-        self.strategy.pack(self, segment)
+        self.strategy.pack(
+            self, Segment(dst_node, tag, seq, payload, request, request.submitted_at)
+        )
         self.host.wake()
         return request
 
@@ -174,13 +170,11 @@ class NodeEngine:
 
         ``src_node`` may be :data:`~repro.core.matching.ANY_SOURCE`.
         """
-        from .matching import ANY_SOURCE
-
         if src_node == self.node_id:
             raise ApiError(f"node {self.node_id}: receive from self is not supported")
         if src_node != ANY_SOURCE and not 0 <= src_node < self.platform.n_nodes:
             raise ApiError(f"no such node {src_node}")
-        request = RecvRequest(self.sim, src_node, tag, seq=-1)
+        request = RecvRequest(self.sim, src_node, tag, -1)
         outcome = self.matching.post_recv(src_node, tag, request)
         if outcome.kind == "eager":
             # Data already sat in the unexpected queue.
@@ -261,100 +255,81 @@ class NodeEngine:
         locally at first post; only delivery is still outstanding.
         """
         dst = self._retrans[0][0]
-        pw = PacketWrapper(
-            src_node=self.node_id, dst_node=dst, rail_index=driver.rail_index
-        )
+        pw = driver.new_wrapper(dst)
         while self._retrans:
             peer, entry = self._retrans[0]
             if peer != dst:
                 break
-            pw.add(entry)
-            if driver.wire_size(pw) > driver.max_eager_bytes:
-                pw.entries.pop()
+            if pw.wire_bytes + pw.wire_size_of(entry) > driver.max_eager_bytes:
                 break
+            pw.add(entry)
             self._retrans.popleft()
         return pw if pw.entries else None
 
     # ------------------------------------------------------------------ #
     # packet handling
     # ------------------------------------------------------------------ #
-    def _defer_actions(
-        self, actions: list, deferred: list[Callable[[], None]]
-    ) -> None:
-        """Queue match actions to run after the handling cost elapsed.
-
-        One arrival may enable several matches (a wildcard tag releasing a
-        chain of arrivals), and may enable rendezvous accepts even when
-        the arrival itself was eager data.
-        """
-        for action in actions:
-            if action.kind == "deliver":
-                deferred.append(
-                    lambda a=action: a.request._deliver(a.payload)
-                )
-            else:
-                deferred.append(
-                    lambda a=action: self.rdv.accept(a.src, a.rdv, a.request)
-                )
-
     def _handle_packet(
         self, driver: "Driver", pkt: Any
-    ) -> tuple[float, list[Callable[[], None]]]:
+    ) -> tuple[float, list[MatchAction]]:
         """Demultiplex one arrived packet.
 
-        Returns ``(cpu_cost_us, deferred)``: the pump charges the cost,
-        *then* runs the deferred completions/acceptances so that requests
-        complete at the correct simulated time.
+        Returns ``(cpu_cost_us, matches)``: the pump charges the cost,
+        *then* carries out the matches (and hands a DMA chunk on to
+        reassembly) so that requests complete at the correct simulated
+        time.  One arrival may enable several matches (a wildcard tag
+        releasing a chain of arrivals), and may enable rendezvous accepts
+        even when the arrival itself was eager data.
         """
-        deferred: list[Callable[[], None]] = []
         spec = driver.spec
+        counts = self.counters.counts
         if isinstance(pkt, PacketWrapper):
-            self.counters.add("packets_handled")
+            counts["packets_handled"] += 1
             cost = spec.handle_cost_us
             cost += max(0, len(pkt.entries) - 1) * spec.entry_cost_us
+            if pkt.data_count:
+                counts["eager_rx"] += pkt.data_count
+            matches: list[MatchAction] = []
+            src = pkt.src_node
+            arrive = self.matching.arrive
+            memcpy_us = self.host.memcpy_us
             for entry in pkt.entries:
                 if isinstance(entry, EagerEntry):
-                    self.counters.add("eager_rx")
-                    cost += self.host.memcpy_us(entry.payload.size)
-                    actions = self.matching.arrive(
-                        pkt.src_node, entry.tag, entry.seq, "eager", payload=entry.payload
-                    )
+                    payload = entry.payload
+                    cost += memcpy_us(payload.size)
+                    actions = arrive(src, entry.tag, entry.seq, "eager", payload)
                     if not actions:
-                        self.counters.add("unexpected_eager")
-                    self._defer_actions(actions, deferred)
+                        counts["unexpected_eager"] += 1
                 elif isinstance(entry, RdvReq):
-                    self.counters.add("rdv_req_rx")
-                    actions = self.matching.arrive(
-                        pkt.src_node, entry.tag, entry.seq, "rdv", rdv=entry
-                    )
+                    counts["rdv_req_rx"] += 1
+                    actions = arrive(src, entry.tag, entry.seq, "rdv", None, entry)
                     if not actions:
-                        self.counters.add("rdv_unexpected")
-                    self._defer_actions(actions, deferred)
+                        counts["rdv_unexpected"] += 1
                 elif isinstance(entry, RdvAck):
-                    self.counters.add("rdv_ack_rx")
+                    counts["rdv_ack_rx"] += 1
                     cost += self.rdv.on_ack(entry)
+                    continue
                 else:  # pragma: no cover - defensive
                     raise ProtocolError(f"unknown entry {entry!r}")
-            return cost, deferred
+                matches += actions
+            return cost, matches
         if isinstance(pkt, DmaChunk):
-            self.counters.add("dma_chunks_rx")
+            counts["dma_chunks_rx"] += 1
             cost = spec.handle_cost_us
             if not spec.zero_copy_recv:
                 cost += self.host.memcpy_us(pkt.length)
-            deferred.append(lambda c=pkt: self.rdv.on_chunk(c))
-            return cost, deferred
+            return cost, []
         raise ProtocolError(f"node {self.node_id}: unknown packet {pkt!r}")
 
     # ------------------------------------------------------------------ #
     # the pump
     # ------------------------------------------------------------------ #
-    def _stamp_first_commits(self, pw: PacketWrapper, rail_idx: int) -> None:
+    def _stamp_first_commits(self, pw: PacketWrapper, rail_idx: int, now: float) -> None:
         """Record submit→commit latency for every request riding ``pw``.
 
         Eager sends sit in ``pw.send_requests``; a rendezvous send's first
         commit is the wrapper carrying its RDV_REQ control entry.
         """
-        now = self.sim.now
         lat = self._m_commit_lat[rail_idx]
         for req in pw.send_requests:
             if req.first_commit_at is None:
@@ -368,93 +343,110 @@ class NodeEngine:
                     lat.observe(now - sreq.submitted_at)
 
     def _pump_loop(self):
+        # per-engine constants, read once; ``tracing`` cannot change while
+        # the pump runs (the recorder is fixed at session construction)
         spans = self.spans
+        tracing = spans.enabled
         node = self.node_id
         session = self.session
-        # --- initial park: active-set scheduling ----------------------
-        # A freshly started pump with nothing queued, nothing to retry
-        # and nothing arrived parks straight away, before its first
-        # sweep: the idle nodes of a large platform then cost zero
-        # events until something addresses them (a submit, a packet, a
-        # DMA release).  Once awake the loop body below is untouched —
-        # in particular the extra no-progress sweep after a busy one
-        # still runs, because its in-flight polls are what drain
-        # packets arriving mid-sweep at the historical timestamps.
-        if (
-            not self._stopped
-            and not self._retrans
-            and not getattr(self.strategy, "backlog", 0)
-            and not any(d.nic.rx_pending for d in self.drivers)
-        ):
-            self.counters.add("pump_parks")
-            session._pump_parked()
-            yield self.host.activity
-            session._pump_woke()
-            self.counters.add("pump_wakeups")
+        sim = self.sim
+        host = self.host
+        strategy = self.strategy
+        observer = self._observer
+        counts = self.counters.counts
+        rails = [(idx, self.drivers[idx], self.drivers[idx].nic) for idx in self._order]
+        n_rails = len(rails)
+        # --- parking: active-set scheduling ---------------------------
+        # An idle pump blocks on the host's activity signal, at zero
+        # cost in events, until a submit, a packet or a DMA release
+        # wakes it.  It is idle before its first sweep when nothing is
+        # queued, awaiting retransmission or arrived (the untouched
+        # nodes of a large platform), and after a sweep that made no
+        # progress.  The extra no-progress sweep after a busy one always
+        # runs: its in-flight polls are what drain packets arriving
+        # mid-sweep at the historical timestamps.
+        idle = not (self._retrans or strategy.backlog)
         while not self._stopped:
-            self.counters.add("sweeps")
-            self._m_sweeps.add()
+            if idle:
+                # park unless a packet is already waiting on some NIC
+                for _, _, nic in rails:
+                    if nic.rx_pending:
+                        break
+                else:
+                    counts["pump_parks"] += 1
+                    session._pump_parked()
+                    yield host.activity
+                    session._pump_woke()
+                    counts["pump_wakeups"] += 1
+                    if self._stopped:
+                        break
+            counts["sweeps"] += 1
+            counts["polls"] += n_rails
+            self._m_sweeps.value += 1
             progressed = False
-            sweep_t0 = self.sim.now
-            sweep = spans.begin(node, TRACK_PUMP, "sweep", "sweep", sweep_t0)
+            sweep_t0 = sim.now
+            if tracing:
+                sweep = spans.begin(node, TRACK_PUMP, "sweep", "sweep", sweep_t0)
             # --- poll phase -------------------------------------------
             arrived: list[tuple["Driver", Any]] = []
-            for idx in self._order:
-                driver = self.drivers[idx]
+            for idx, driver, _ in rails:
                 cost, pkts = driver.poll()
-                self.counters.add("polls")
-                self._m_poll_count[idx].add()
-                if not pkts:
-                    self._m_poll_idle_us[idx].add(cost)
-                if spans.enabled:
+                self._m_poll_count[idx].value += 1
+                if pkts:
+                    for pkt in pkts:
+                        arrived.append((driver, pkt))
+                else:
+                    self._m_poll_idle_us[idx].value += cost
+                if tracing:
                     span = spans.begin(
-                        node, TRACK_PUMP, "poll", "poll", self.sim.now,
+                        node, TRACK_PUMP, "poll", "poll", sim.now,
                         {"rail": driver.name, "pkts": len(pkts)},
                     )
-                    if cost > 0:
-                        yield Timeout(cost)
-                    spans.end(span, self.sim.now)
-                elif cost > 0:
-                    yield Timeout(cost)
-                for p in pkts:
-                    arrived.append((driver, p))
+                if cost > 0:
+                    yield cost
+                if tracing:
+                    spans.end(span, sim.now)
             # --- handle phase -----------------------------------------
             for driver, pkt in arrived:
-                cost, deferred = self._handle_packet(driver, pkt)
-                if spans.enabled:
+                cost, matches = self._handle_packet(driver, pkt)
+                if tracing:
                     span = spans.begin(
-                        node, TRACK_PUMP, "handle", "handle", self.sim.now,
+                        node, TRACK_PUMP, "handle", "handle", sim.now,
                         {"rail": driver.name, "kind": type(pkt).__name__},
                     )
-                    if cost > 0:
-                        yield Timeout(cost)
-                    spans.end(span, self.sim.now)
-                elif cost > 0:
-                    yield Timeout(cost)
-                for fn in deferred:
-                    fn()
+                if cost > 0:
+                    yield cost
+                if tracing:
+                    spans.end(span, sim.now)
+                # the cost has elapsed: what the packet enabled happens now
+                if isinstance(pkt, DmaChunk):
+                    self.rdv.on_chunk(pkt)
+                for match in matches:
+                    if match.kind == "deliver":
+                        match.request._deliver(match.payload)
+                    else:
+                        self.rdv.accept(match.src, match.rdv, match.request)
                 progressed = True
             # --- commit phase (one wrapper per driver per sweep) -------
-            for idx in self._order:
-                driver = self.drivers[idx]
+            for idx, driver, nic in rails:
                 if self._faults is not None and not driver.usable:
                     # detected-down rail: never consulted, never posted to
                     continue
-                if driver.nic.tx_busy_until > self.sim.now:
+                if nic.tx_busy_until > sim.now:
                     # an offloaded PIO copy still owns this NIC's eager
                     # path; revisit when it frees
-                    self.sim.at(driver.nic.tx_busy_until, self.host.wake)
+                    sim.at(nic.tx_busy_until, host.wake)
                     continue
-                backlog = getattr(self.strategy, "backlog", 0)
+                backlog = strategy.backlog
                 # failover retransmissions jump the strategy queue: these
                 # entries were already scheduled once and must reach the
                 # wire before fresh traffic widens the reorder window.
                 pw = self._build_retrans(driver) if self._retrans else None
                 if pw is None:
-                    pw = self.strategy.try_and_commit(self, driver)
-                    if spans.enabled:
+                    pw = strategy.try_and_commit(self, driver)
+                    if tracing:
                         spans.instant(
-                            node, TRACK_PUMP, "decision", "decision", self.sim.now,
+                            node, TRACK_PUMP, "decision", "decision", sim.now,
                             {
                                 "rail": driver.name,
                                 "backlog": backlog,
@@ -463,55 +455,51 @@ class NodeEngine:
                         )
                 if pw is None:
                     continue
-                commit_span = spans.begin(
-                    node, TRACK_PUMP, "commit", "commit", self.sim.now,
-                    {
-                        "rail": driver.name,
-                        "entries": len(pw.entries),
-                        "dst": pw.dst_node,
-                        **pw.identity_args(),
-                    }
-                    if spans.enabled
-                    else None,
-                )
-                data_entries = pw.data_entries
-                if len(data_entries) > 1:
+                if tracing:
+                    span = spans.begin(
+                        node, TRACK_PUMP, "commit", "commit", sim.now,
+                        {
+                            "rail": driver.name,
+                            "entries": len(pw.entries),
+                            "dst": pw.dst_node,
+                            **pw.identity_args(),
+                        },
+                    )
+                if pw.data_count > 1:
                     # aggregation copy into one contiguous buffer
-                    copy_us = self.host.memcpy_us(pw.data_bytes)
-                    self.counters.add("aggregated_packets")
-                    self.counters.add("aggregated_segments", len(data_entries))
-                    yield Timeout(copy_us)
+                    counts["aggregated_packets"] += 1
+                    counts["aggregated_segments"] += pw.data_count
+                    yield host.memcpy_us(pw.data_bytes)
                 # §4 future work: offload the PIO copy to a worker thread
                 post, copy = driver.eager_cost_parts(pw)
-                offloaded = self.host.has_pio_workers and self.host.try_claim_pio_worker(
-                    self.sim.now + post, copy
+                post_t0 = sim.now
+                offloaded = host.has_pio_workers and host.try_claim_pio_worker(
+                    post_t0 + post, copy
                 )
-                self._stamp_first_commits(pw, idx)
-                wire_bytes = driver.wire_size(pw)
-                self._m_commit_count[idx].add()
+                self._stamp_first_commits(pw, idx, post_t0)
+                wire_bytes = pw.wire_bytes
+                self._m_commit_count[idx].value += 1
                 self._m_wrapper_bytes[idx].observe(wire_bytes)
-                self._m_poll_gap.observe(self.sim.now - sweep_t0)
+                self._m_poll_gap.observe(post_t0 - sweep_t0)
                 self._m_window_depth.observe(backlog)
-                post_t0 = self.sim.now
                 cost = driver.post_eager(pw, copy_offloaded=offloaded)
-                self.counters.add("packets_committed")
+                counts["packets_committed"] += 1
                 if offloaded:
-                    self.counters.add("pio_offloads")
+                    counts["pio_offloads"] += 1
                 if self.tracer.enabled:
                     self.tracer.record(
-                        self.sim.now, self.node_id, "commit",
+                        post_t0, node, "commit",
                         f"rail={driver.name} entries={len(pw.entries)}"
                         + (" offloaded" if offloaded else ""),
                     )
-                yield Timeout(cost)
-                spans.end(commit_span, self.sim.now)
-                if self._observer is not None:
-                    self._observer.observe(
-                        idx, "pio", wire_bytes, post_t0, self.sim.now
-                    )
+                yield cost
+                if tracing:
+                    spans.end(span, sim.now)
+                if observer is not None:
+                    observer.observe(idx, "pio", wire_bytes, post_t0, sim.now)
                 if offloaded:
                     # requests complete when the worker finishes the copy
-                    self.sim.schedule(
+                    sim.schedule(
                         copy,
                         lambda reqs=tuple(pw.send_requests): [r._complete() for r in reqs],
                     )
@@ -519,15 +507,9 @@ class NodeEngine:
                     for req in pw.send_requests:
                         req._complete()
                 progressed = True
-            spans.end(sweep, self.sim.now)
-            # --- idle? --------------------------------------------------
-            rx_waiting = any(d.nic.rx_pending for d in self.drivers)
-            if not progressed and not rx_waiting and not self._stopped:
-                self.counters.add("pump_parks")
-                session._pump_parked()
-                yield self.host.activity
-                session._pump_woke()
-                self.counters.add("pump_wakeups")
+            if tracing:
+                spans.end(sweep, sim.now)
+            idle = not progressed
         session._pump_stopped()
 
     def __repr__(self) -> str:  # pragma: no cover

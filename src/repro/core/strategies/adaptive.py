@@ -464,7 +464,7 @@ class TournamentStrategy(Strategy):
         order = [self._active] + [
             i
             for i in range(len(self._candidates))
-            if i != self._active and getattr(self._candidates[i], "backlog", 0)
+            if i != self._active and self._candidates[i].backlog
         ]
         for i in order:
             pw = self._candidates[i].try_and_commit(engine, driver)
@@ -475,7 +475,4 @@ class TournamentStrategy(Strategy):
 
     @property
     def backlog(self) -> int:
-        total = sum(len(q) for q in self._ctrl.values())
-        for c in self._candidates:
-            total += getattr(c, "backlog", 0)
-        return total
+        return self._ctrl_pending + sum(c.backlog for c in self._candidates)

@@ -44,6 +44,9 @@ class AggregMultirailStrategy(Strategy):
         self._small: Deque[Segment] = deque()
         self._large: Deque[Segment] = deque()
         self._fastest_index: Optional[int] = None
+        #: largest payload that is "small" (eager-eligible on the fastest
+        #: rail); fixed at bind.
+        self._small_max = -1
 
     # ------------------------------------------------------------------ #
     def bind(self, engine: "NodeEngine") -> None:
@@ -51,7 +54,9 @@ class AggregMultirailStrategy(Strategy):
         drivers = engine.drivers
         if not drivers:
             raise StrategyError("no drivers to bind to")
-        self._fastest_index = min(drivers, key=lambda d: d.latency_us).rail_index
+        fastest = min(drivers, key=lambda d: d.latency_us)
+        self._fastest_index = fastest.rail_index
+        self._small_max = fastest.max_eager_payload
 
     @property
     def fastest_index(self) -> int:
@@ -59,13 +64,10 @@ class AggregMultirailStrategy(Strategy):
             raise StrategyError(f"strategy {self.name} not bound yet")
         return self._fastest_index
 
-    def _fastest_driver(self, engine: "NodeEngine") -> "Driver":
-        return engine.driver(self.fastest_index)
-
     # ------------------------------------------------------------------ #
     def pack(self, engine: "NodeEngine", segment: Segment) -> None:
         self.segments_packed += 1
-        if self._fastest_driver(engine).eager_eligible(segment.size):
+        if segment.payload.size <= self._small_max:
             self._small.append(segment)
         else:
             self._large.append(segment)
@@ -73,6 +75,8 @@ class AggregMultirailStrategy(Strategy):
     def try_and_commit(
         self, engine: "NodeEngine", driver: "Driver"
     ) -> Optional[PacketWrapper]:
+        if not (self._ctrl_pending or self._small or self._large):
+            return None
         pw = self.commit_ctrl(engine, driver)
         if pw is not None:
             return pw

@@ -58,6 +58,9 @@ class Strategy(ABC):
     def __init__(self) -> None:
         self.engine: Optional["NodeEngine"] = None
         self._ctrl: dict[int, Deque[Entry]] = {}
+        #: control entries queued and not yet emitted — lets a strategy
+        #: with nothing to send say so without scanning ``_ctrl``.
+        self._ctrl_pending = 0
         # statistics
         self.segments_packed = 0
         self.packets_committed = 0
@@ -82,6 +85,7 @@ class Strategy(ABC):
     def pack_ctrl(self, engine: "NodeEngine", dst_node: int, entry: Entry) -> None:
         """Queue a control entry (e.g. RDV_ACK) for ``dst_node``."""
         self._ctrl.setdefault(dst_node, deque()).append(entry)
+        self._ctrl_pending += 1
 
     def observe(
         self, rail_index: int, kind: str, nbytes: int, start_us: float, end_us: float
@@ -102,6 +106,12 @@ class Strategy(ABC):
         self, engine: "NodeEngine", driver: "Driver"
     ) -> Optional[PacketWrapper]:
         """Produce the next wrapper for ``driver``, or None."""
+
+    @property
+    @abstractmethod
+    def backlog(self) -> int:
+        """Segments collected and not yet committed — the depth of the
+        optimization window the pump observes before each consultation."""
 
     # ------------------------------------------------------------------ #
     # shared helpers
@@ -124,9 +134,7 @@ class Strategy(ABC):
         return preferred
 
     def make_pw(self, engine: "NodeEngine", dst_node: int, driver: "Driver") -> PacketWrapper:
-        return PacketWrapper(
-            src_node=engine.node_id, dst_node=dst_node, rail_index=driver.rail_index
-        )
+        return driver.new_wrapper(dst_node)
 
     def commit_ctrl(
         self, engine: "NodeEngine", driver: "Driver"
@@ -136,22 +144,22 @@ class Strategy(ABC):
         Control entries are tiny; all entries for one destination aggregate
         into a single wrapper.
         """
+        if not self._ctrl_pending:
+            return None
         for dst_node, queue in self._ctrl.items():
             if not queue:
                 continue
             pw = self.make_pw(engine, dst_node, driver)
+            self._ctrl_pending -= len(queue)
             while queue:
                 pw.add(queue.popleft())
             self.packets_committed += 1
             return pw
         return None
 
-    def ctrl_pending(self) -> bool:
-        return any(self._ctrl.values())
-
     def append_segment(self, pw: PacketWrapper, segment: Segment) -> None:
         """Embed a whole segment as an eager entry of ``pw``."""
-        pw.add(EagerEntry(tag=segment.tag, seq=segment.seq, payload=segment.payload))
+        pw.add(EagerEntry(segment.tag, segment.seq, segment.payload))
         pw.send_requests.append(segment.request)
 
     def fill_with_eager(
@@ -165,15 +173,18 @@ class Strategy(ABC):
         Takes consecutive head segments that (a) target ``pw``'s peer and
         (b) still fit the driver's eager packet limit; stops at the first
         segment that fails either test (FIFO order is never violated for a
-        given peer).  Returns the number of segments aggregated.
+        given peer).  Each taken segment is visited once — the fit test
+        reads the wrapper's running ``wire_bytes``.  Returns the number of
+        segments aggregated.
         """
         taken = 0
+        dst_node = pw.dst_node
+        room = driver.max_eager_payload
         while queue:
             seg = queue[0]
-            if seg.dst_node != pw.dst_node:
+            if seg.dst_node != dst_node:
                 break
-            entry_size = driver.spec.header_bytes + seg.size
-            if driver.wire_size(pw) + entry_size > driver.max_eager_bytes:
+            if pw.wire_bytes + seg.payload.size > room:
                 break
             queue.popleft()
             self.append_segment(pw, seg)

@@ -7,7 +7,9 @@ validated against the strategy contract of
 :mod:`repro.core.strategies.base`:
 
 * every committed wrapper is bound to the consulted driver's rail;
-* its wire size fits that driver's eager threshold;
+* its wire size fits that driver's eager threshold, and its running
+  ``wire_bytes`` tally equals a walk over its entries (entries must enter
+  through ``PacketWrapper.add``);
 * embedded send requests correspond to segments that were actually packed
   (each exactly once — no duplication, no invention);
 * control entries queued via ``pack_ctrl`` are eventually emitted;
@@ -41,7 +43,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from ...util.errors import StrategyError
 from ..gate import Segment
-from ..packet import EagerEntry, PacketWrapper
+from ..packet import EagerEntry, PacketWrapper, RdvReq
 from .base import Strategy
 from .registry import make_strategy
 
@@ -56,10 +58,10 @@ __all__ = ["CheckedStrategy", "Violation"]
 class Violation:
     """One broken strategy-contract invariant, with offending context."""
 
-    #: which invariant broke: "rail-binding", "oversize", "empty-wrapper",
-    #: "eager-eligibility", "unknown-segment", "send-request-mismatch",
-    #: "stranded-segments", "dropped-ctrl", "nonmonotone-observation" or
-    #: "mid-epoch-ratio-change".
+    #: which invariant broke: "rail-binding", "oversize", "tally-mismatch",
+    #: "empty-wrapper", "eager-eligibility", "unknown-segment",
+    #: "send-request-mismatch", "stranded-segments", "dropped-ctrl",
+    #: "nonmonotone-observation" or "mid-epoch-ratio-change".
     invariant: str
     message: str
     #: offending segment/rail details as sorted (key, value) pairs.
@@ -215,10 +217,14 @@ class CheckedStrategy(Strategy):
                 rail=driver.name,
                 dst=pw.dst_node,
             )
-        from ..packet import RdvReq
-
         eager_requests = []
+        walked = 0
         for entry in pw.entries:
+            walked += entry.wire_size(
+                driver.spec.header_bytes
+                if isinstance(entry, EagerEntry)
+                else driver.spec.ctrl_bytes
+            )
             if isinstance(entry, EagerEntry):
                 if not driver.eager_eligible(entry.payload.size):
                     self._fail(
@@ -247,6 +253,15 @@ class CheckedStrategy(Strategy):
                     eager_requests.append(request)
             else:
                 self._ctrl_emitted += 1
+        if walked != size:
+            self._fail(
+                "tally-mismatch",
+                f"{label} committed a wrapper whose {size}B tally disagrees"
+                f" with the {walked}B its entries occupy on {driver.name}",
+                tally=size,
+                walked=walked,
+                rail=driver.name,
+            )
         listed = list(pw.send_requests)
         if len(set(map(id, listed))) != len(listed):
             self._fail(
@@ -310,4 +325,4 @@ class CheckedStrategy(Strategy):
 
     @property
     def backlog(self) -> int:
-        return getattr(self.inner, "backlog", len(self._outstanding))
+        return self.inner.backlog

@@ -71,13 +71,18 @@ class SplitBalanceStrategy(Strategy):
         self._small: Deque[Segment] = deque()
         self._large: Deque[Segment] = deque()
         self._fastest_index: Optional[int] = None
+        #: largest payload that is "small" (eager-eligible on the fastest
+        #: rail); fixed at bind.
+        self._small_max = -1
         self.splits_done = 0
         self.whole_sends = 0
 
     # ------------------------------------------------------------------ #
     def bind(self, engine: "NodeEngine") -> None:
         super().bind(engine)
-        self._fastest_index = min(engine.drivers, key=lambda d: d.latency_us).rail_index
+        fastest = min(engine.drivers, key=lambda d: d.latency_us)
+        self._fastest_index = fastest.rail_index
+        self._small_max = fastest.max_eager_payload
         if self.ratio_mode == "sampled" and engine.session.samples is None:
             # Degrade explicitly rather than silently mis-split.
             self.ratio_mode = "spec"
@@ -159,7 +164,7 @@ class SplitBalanceStrategy(Strategy):
     # ------------------------------------------------------------------ #
     def pack(self, engine: "NodeEngine", segment: Segment) -> None:
         self.segments_packed += 1
-        if engine.driver(self.fastest_index).eager_eligible(segment.size):
+        if segment.payload.size <= self._small_max:
             self._small.append(segment)
         else:
             self._large.append(segment)
@@ -170,6 +175,8 @@ class SplitBalanceStrategy(Strategy):
     def try_and_commit(
         self, engine: "NodeEngine", driver: "Driver"
     ) -> Optional[PacketWrapper]:
+        if not (self._ctrl_pending or self._small or self._large):
+            return None
         pw = self.commit_ctrl(engine, driver)
         if pw is not None:
             return pw

@@ -96,6 +96,11 @@ class Driver:
         """Largest wrapper this driver sends via PIO (incl. headers)."""
         return self.spec.eager_threshold
 
+    @property
+    def max_eager_payload(self) -> int:
+        """Largest segment payload one eager packet can carry."""
+        return self.spec.eager_threshold - self.spec.header_bytes
+
     def eager_eligible(self, nbytes: int) -> bool:
         """Can a segment of ``nbytes`` payload ride an eager packet?"""
         return nbytes + self.spec.header_bytes <= self.spec.eager_threshold
@@ -125,8 +130,17 @@ class Driver:
     # ------------------------------------------------------------------ #
     # eager (PIO) path
     # ------------------------------------------------------------------ #
+    def new_wrapper(self, dst_node: int) -> PacketWrapper:
+        """An empty wrapper for ``dst_node`` on this rail, carrying the
+        rail's framing sizes so it can tally its own wire size."""
+        spec = self.spec
+        return PacketWrapper(
+            self.node_id, dst_node, self.rail_index, spec.header_bytes, spec.ctrl_bytes
+        )
+
     def wire_size(self, pw: PacketWrapper) -> int:
-        return pw.wire_size(self.spec.header_bytes, self.spec.ctrl_bytes)
+        """On-wire size of ``pw`` (the wrapper's running tally)."""
+        return pw.wire_bytes
 
     def eager_cost_parts(self, pw: PacketWrapper) -> tuple[float, float]:
         """``(post_cost, copy_cost)`` of emitting ``pw`` eagerly.
@@ -135,7 +149,7 @@ class Driver:
         the pump too unless a parallel-PIO worker takes it (§4 future
         work, see :meth:`repro.hardware.host.Host.try_claim_pio_worker`).
         """
-        return self.spec.post_cost_us, self.wire_size(pw) / self.spec.pio_MBps
+        return self.spec.post_cost_us, pw.wire_bytes / self.spec.pio_MBps
 
     def eager_cost(self, pw: PacketWrapper) -> float:
         """CPU cost of posting + PIO-copying ``pw`` (without sending)."""
@@ -152,7 +166,7 @@ class Driver:
         reaches the destination NIC one fabric latency after the copy
         completes, and the NIC's eager TX path is busy until then.
         """
-        size = self.wire_size(pw)
+        size = pw.wire_bytes
         if size > self.spec.eager_threshold:
             raise DriverError(
                 f"{self.name}: eager packet of {size}B exceeds threshold"

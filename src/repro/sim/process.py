@@ -5,8 +5,10 @@ written as *processes*: Python generators that ``yield`` waitable commands.
 
 Supported yield values
 ----------------------
-``Timeout(dt)``
-    Suspend for ``dt`` microseconds of simulated time.
+``Timeout(dt)`` or a bare number ``dt``
+    Suspend for ``dt`` microseconds of simulated time.  The bare form is
+    the same wait without the wrapper object (the pump yields its CPU
+    costs this way); both schedule one identical kernel event.
 ``Signal``
     Suspend until the signal is :meth:`Signal.fire`-d.  The value passed to
     ``fire`` is returned by the ``yield`` expression.
@@ -96,7 +98,10 @@ class Signal:
         The engine relies on this for precise accounting of wake-up costs.
         """
         self.fire_count += 1
-        waiters, self._waiters = self._waiters, []
+        waiters = self._waiters
+        if not waiters:
+            return 0
+        self._waiters = []
         for cb in waiters:
             cb(value)
         return len(waiters)
@@ -184,20 +189,32 @@ class Process:
         except StopIteration as stop:
             self._finish(stop.value)
             return
-        self._arm(yielded, self._advance)
+        cls = type(yielded)  # the two plain delays skip the _arm ladder
+        if cls is Timeout:
+            self.sim.schedule(yielded.dt, self._advance, None)
+        elif cls is float and yielded >= 0.0:
+            self.sim.schedule(yielded, self._advance, None)
+        else:
+            self._arm(yielded, self._advance)
 
     def _arm(self, yielded: Any, resume: Callable[[Any], None]) -> None:
         """Register ``resume`` to be called when ``yielded`` completes."""
-        if isinstance(yielded, Timeout):
-            self.sim.schedule(yielded.dt, resume, None)
-        elif isinstance(yielded, Signal):
+        if isinstance(yielded, Signal):
             yielded.wait(resume)
+        elif isinstance(yielded, Timeout):
+            self.sim.schedule(yielded.dt, resume, None)
         elif isinstance(yielded, Process):
             yielded.on_done(resume)
         elif isinstance(yielded, AllOf):
             self._arm_all(yielded, resume)
         elif isinstance(yielded, AnyOf):
             self._arm_any(yielded, resume)
+        elif isinstance(yielded, (float, int)):
+            # bare delays that missed the fast path: ints, combinator
+            # children, and the negative ones this rejects
+            if yielded < 0:
+                raise ProcessError(f"negative timeout {yielded!r}")
+            self.sim.schedule(yielded, resume, None)
         else:
             raise ProcessError(
                 f"process {self.name} yielded unsupported value {yielded!r}"

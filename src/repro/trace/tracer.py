@@ -1,11 +1,14 @@
 """Counters and structured event tracing.
 
-Every node engine owns a :class:`Counters` (always on — plain integer
-adds) and shares the session's :class:`Tracer` (off by default — recording
-every pump action of a bandwidth sweep would be large).  The figure
-runners read counters to report e.g. how many packets were aggregated or
-how bytes split across rails; tests use them to assert mechanisms ("the
-greedy run really used both NICs").
+Every node engine owns a :class:`Counters` (always on) and shares the
+session's :class:`Tracer` (off by default — recording every pump action of
+a bandwidth sweep would be large).  :meth:`Counters.add` is not a "plain
+integer add": each one is a Python method call plus a string-keyed
+``defaultdict`` update, which is why per-message and per-sweep code bumps
+:attr:`Counters.counts` directly and counts per packet, not per entry
+(DESIGN.md §6i).  The figure runners read counters to report e.g. how
+many packets were aggregated or how bytes split across rails; tests use
+them to assert mechanisms ("the greedy run really used both NICs").
 """
 
 from __future__ import annotations
@@ -21,24 +24,26 @@ class Counters:
     """A tiny named-counter bag."""
 
     def __init__(self) -> None:
-        self._values: dict[str, int] = defaultdict(int)
+        #: name → count; hot paths update it in place
+        #: (``counts[name] += n``) to skip the :meth:`add` call.
+        self.counts: dict[str, int] = defaultdict(int)
 
     def add(self, name: str, amount: int = 1) -> None:
-        self._values[name] += amount
+        self.counts[name] += amount
 
     def __getitem__(self, name: str) -> int:
-        return self._values.get(name, 0)
+        return self.counts.get(name, 0)
 
     def snapshot(self) -> dict[str, int]:
         """A plain-dict copy (stable for asserting / diffing)."""
-        return dict(self._values)
+        return dict(self.counts)
 
     def merge(self, other: "Counters") -> "Counters":
         """Return a new Counters with both contributions summed."""
         out = Counters()
         for src in (self, other):
-            for k, v in src._values.items():
-                out._values[k] += v
+            for k, v in src.counts.items():
+                out.counts[k] += v
         return out
 
     def merge_inplace(self, other: "Counters") -> "Counters":
@@ -48,18 +53,18 @@ class Counters:
         runners) fold many per-node bags into one accumulator — in place,
         so N nodes cost N dict walks instead of N copies.
         """
-        for k, v in other._values.items():
-            self._values[k] += v
+        for k, v in other.counts.items():
+            self.counts[k] += v
         return self
 
     def __iadd__(self, other: "Counters") -> "Counters":
         return self.merge_inplace(other)
 
     def __iter__(self) -> Iterator[tuple[str, int]]:
-        return iter(sorted(self._values.items()))
+        return iter(sorted(self.counts.items()))
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Counters({dict(sorted(self._values.items()))})"
+        return f"Counters({dict(sorted(self.counts.items()))})"
 
 
 @dataclass(frozen=True)

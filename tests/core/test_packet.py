@@ -108,21 +108,22 @@ class TestRdvReq:
 
 class TestPacketWrapper:
     def test_entry_classification(self):
-        pw = PacketWrapper(src_node=0, dst_node=1)
+        pw = PacketWrapper(0, 1, None, header_bytes=16, ctrl_bytes=32)
         e1 = EagerEntry(tag=1, seq=0, payload=Payload.of(b"abcd"))
         e2 = RdvAck(req_id=3)
         pw.add(e1)
         pw.add(e2)
         assert pw.data_entries == [e1]
         assert pw.ctrl_entries == [e2]
-        assert pw.data_bytes == 4
+        assert pw.data_bytes == 4 and pw.data_count == 1
 
     def test_wire_size(self):
-        pw = PacketWrapper(src_node=0, dst_node=1)
+        pw = PacketWrapper(0, 1, None, header_bytes=16, ctrl_bytes=32)
+        assert pw.wire_bytes == 0
         pw.add(EagerEntry(tag=1, seq=0, payload=Payload.virtual(100)))
         pw.add(RdvAck(req_id=1))
         pw.add(RdvReq(2, 0, 0, 50, chunks=((0, 0, 50),)))
-        assert pw.wire_size(header_bytes=16, ctrl_bytes=32) == (16 + 100) + 16 + 32
+        assert pw.wire_bytes == (16 + 100) + 16 + 32
 
     def test_eager_entry_wire_size(self):
         e = EagerEntry(tag=0, seq=0, payload=Payload.virtual(10))

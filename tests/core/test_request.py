@@ -118,3 +118,91 @@ class TestMultiRequest:
         sim.schedule(7.0, rs[1]._complete)
         sim.run()
         assert times == [7.0]
+
+
+class TestLazySignal:
+    """A request owns a Signal only if somebody asked to wait on it."""
+
+    def test_request_never_waited_on_allocates_no_signal(self, sim):
+        r = SendRequest(sim, 1, 0, 0, Payload.virtual(10))
+        assert r._signal is None
+        r._complete()
+        assert r.done and r._signal is None
+        # asking after completion takes the Timeout(0) path: still none
+        assert isinstance(r.completion, Timeout) and r._signal is None
+
+    def test_engine_requests_stay_signal_free_until_waited(self, session2):
+        a, b = session2.interface(0), session2.interface(1)
+        recvs = [b.irecv(0, 4) for _ in range(8)]
+        sends = [a.isend(1, 4, 64) for _ in range(8)]
+        session2.run_until_idle()
+        assert all(r.done and r._signal is None for r in sends + recvs)
+
+    def test_completion_hands_out_one_signal(self, sim):
+        r = RecvRequest(sim, 0, 1, -1)
+        assert r.completion is r.completion is r._signal
+
+    def test_wait_then_complete_passes_the_request(self, sim):
+        r = RecvRequest(sim, 0, 1, -1)
+        got = []
+
+        def proc():
+            got.append((yield r.completion))
+            got.append(sim.now)
+
+        spawn(sim, proc())
+        sim.schedule(4.0, r._deliver, Payload.of(b"x"))
+        sim.run()
+        assert got == [r, 4.0]
+
+    def test_several_waiters_all_resume_in_registration_order(self, sim):
+        r = SendRequest(sim, 1, 0, 0, Payload.virtual(1))
+        woke = []
+
+        def proc(name):
+            yield r.completion
+            woke.append((name, sim.now))
+
+        for name in "abc":
+            spawn(sim, proc(name))
+        sim.schedule(2.5, r._complete)
+        sim.run()
+        assert woke == [("a", 2.5), ("b", 2.5), ("c", 2.5)]
+        assert r._signal.waiter_count == 0
+
+    def test_double_completion_raises_with_and_without_signal(self, sim):
+        waited = SendRequest(sim, 1, 0, 0, Payload.virtual(1))
+        _ = waited.completion
+        for r in (waited, SendRequest(sim, 1, 0, 1, Payload.virtual(1))):
+            r._complete()
+            with pytest.raises(ApiError, match="completed twice"):
+                r._complete()
+
+    @pytest.mark.parametrize("combinator", ["allof", "anyof", "multi"])
+    def test_combinators_over_mixed_done_and_pending(self, sim, combinator):
+        from repro.sim import AllOf, AnyOf
+
+        rs = [SendRequest(sim, 1, 0, i, Payload.virtual(1)) for i in range(3)]
+        rs[0]._complete()  # done before anybody waits
+        out = []
+
+        def proc():
+            if combinator == "allof":
+                out.append((yield AllOf([r.completion for r in rs])))
+            elif combinator == "anyof":
+                out.append((yield AnyOf([r.completion for r in rs[1:]])))
+            else:
+                out.append((yield MultiRequest(rs).completion))
+            out.append(sim.now)
+
+        spawn(sim, proc())
+        sim.schedule(3.0, rs[2]._complete)
+        sim.schedule(6.0, rs[1]._complete)
+        sim.run()
+        if combinator == "anyof":
+            assert out == [(1, rs[2]), 3.0]
+        else:
+            assert out == [[None, rs[1], rs[2]], 6.0]
+        # only the requests somebody actually waited on grew a signal
+        assert rs[0]._signal is None
+        assert rs[1]._signal is not None and rs[2]._signal is not None

@@ -116,3 +116,112 @@ class TestLatencyAccounting:
         only = run_pingpong(Session(elan_plat, strategy="aggreg"), 4)
         gap = multi.one_way_us - only.one_way_us
         assert gap == pytest.approx(plat2.rails[0].poll_cost_us, abs=0.05)
+
+
+# ---------------------------------------------------------------------- #
+# accounting invariants of the batched counters — true of any fault-free
+# run, at idle and mid-run, independently of any recorded baseline
+# ---------------------------------------------------------------------- #
+def _pingpong_workload(session):
+    a, b = session.interface(0), session.interface(1)
+    recvs = []
+
+    def ping():
+        for _ in range(20):
+            a.isend(1, 1, 64)
+            r = a.irecv(1, 2)
+            recvs.append(r)
+            yield r.completion
+
+    def pong():
+        for _ in range(20):
+            r = b.irecv(0, 1)
+            recvs.append(r)
+            yield r.completion
+            b.isend(0, 2, 64)
+
+    session.spawn(ping())
+    session.spawn(pong())
+    return recvs
+
+
+def _flood_workload(session):
+    a, b = session.interface(0), session.interface(1)
+    recvs = [b.irecv(0, 3) for _ in range(300)]
+
+    def sender():
+        for i in range(300):
+            a.isend(1, 3, (8, 512, 4096)[i % 3])
+            if i % 25 == 24:
+                yield 5.0  # let the backlog drain in bursts
+
+    session.spawn(sender())
+    return recvs
+
+
+def _allreduce_workload(session):
+    from repro.mpi.collectives import multilane_allreduce
+    from repro.mpi.comm import Communicator
+
+    comm = Communicator(session)
+
+    def rank_body(rank):
+        for _ in range(3):
+            yield from multilane_allreduce(comm.endpoint(rank), [float(rank)] * 6)
+
+    for rank in range(comm.size):
+        session.spawn(rank_body(rank), name=f"rank{rank}")
+    return None  # receives are posted inside the collective
+
+
+def _check_accounting(session, recvs, at_idle):
+    n_rails = session.platform.n_rails
+    engines = list(session.engines.built())
+    for engine in engines:
+        c = engine.counters
+        announced, done = c["polls"], sum(d.polls for d in engine.drivers)
+        # polls are announced per sweep; a pump suspended inside its poll
+        # phase has announced polls it has not finished yet
+        assert announced == c["sweeps"] * n_rails
+        assert 0 <= announced - done < n_rails
+        assert c["pump_parks"] - c["pump_wakeups"] in (0, 1)  # 1 = parked now
+        if at_idle:
+            assert announced == done
+            assert c["pump_parks"] - c["pump_wakeups"] == 1
+    snap = session.metrics.snapshot()
+    for idx, spec in enumerate(session.platform.spec.rails):
+        assert snap[f"engine.poll.count{{rail={spec.name}}}"] == sum(
+            e.drivers[idx].polls for e in engines
+        )
+    assert snap["engine.sweeps"] == sum(e.counters["sweeps"] for e in engines)
+    health = session.active_health()
+    assert health["pump_parks"] == sum(e.counters["pump_parks"] for e in engines)
+    if recvs is not None:
+        # eager_rx is counted once per handled wrapper, for all its entries,
+        # just before their receives complete
+        delivered = sum(1 for r in recvs if r.done)
+        eager_rx = session.counters()["eager_rx"]
+        assert eager_rx >= delivered
+        if at_idle:
+            assert eager_rx == delivered == len(recvs)
+    if at_idle:  # every message of these workloads is eager-sized
+        total = session.counters()
+        assert total["eager_rx"] == total["segments_submitted"]
+
+
+@pytest.mark.parametrize(
+    "n_nodes, workload",
+    [(2, _pingpong_workload), (2, _flood_workload), (16, _allreduce_workload)],
+    ids=["pingpong", "flood", "allreduce16"],
+)
+def test_counter_accounting_holds_mid_run_and_at_idle(n_nodes, workload):
+    session = Session(paper_platform(n_nodes=n_nodes), strategy="aggreg_multirail")
+    recvs = workload(session)
+    checkpoints = 0
+    for until in (0.4, 1.0, 2.3, 5.15, 9.9, 17.0, 33.3, 61.0, 120.0):
+        session.run(until=until)
+        _check_accounting(session, recvs, at_idle=False)
+        checkpoints += session.sim.pending > 0
+    assert checkpoints >= 3, "workload finished before the mid-run checks"
+    session.run_until_idle()
+    _check_accounting(session, recvs, at_idle=True)

@@ -26,7 +26,8 @@ def elan(platform):
 
 
 def make_pw(payload_size, rail_index=0, dst=1):
-    pw = PacketWrapper(src_node=0, dst_node=dst, rail_index=rail_index)
+    # MX framing (rail 0): 16 B per eager entry, 32 B per control entry
+    pw = PacketWrapper(0, dst, rail_index, header_bytes=16, ctrl_bytes=32)
     pw.add(EagerEntry(tag=1, seq=0, payload=Payload.virtual(payload_size)))
     return pw
 

@@ -1,10 +1,12 @@
 """End-to-end failover tests: a killed rail must not lose the message."""
 
+import dataclasses
 import random
 
 import pytest
 
 from repro import FaultEvent, FaultPlan, Session, paper_platform
+from repro.core.packet import EagerEntry, Payload
 from repro.util.units import MB
 
 
@@ -100,3 +102,69 @@ def test_failover_trace_target_reports_retries():
     assert _counter(session, "fault.retries") > 0
     assert session.faults is not None
     assert all(h == "up" for h in session.faults.health_report().values())
+
+
+# --------------------------------------------------------------------- #
+# retransmission wrappers: the fit is tested before an entry is added,
+# so a wrapper's running tally can never disagree with its entries
+# --------------------------------------------------------------------- #
+def _small_survivor_platform(threshold):
+    """The paper platform with myri10g's eager limit cut to ``threshold``."""
+    plat = paper_platform()
+    rails = tuple(
+        dataclasses.replace(r, eager_threshold=threshold) if r.name == "myri10g" else r
+        for r in plat.rails
+    )
+    return dataclasses.replace(plat, rails=rails)
+
+
+def _walked_wire_bytes(pw, spec):
+    return sum(
+        e.wire_size(spec.header_bytes if isinstance(e, EagerEntry) else spec.ctrl_bytes)
+        for e in pw.entries
+    )
+
+
+def test_retransmission_too_big_for_the_surviving_rail_waits_for_recovery():
+    """An 8 KB eager segment dies on qsnet2; the survivor (myri10g, 4 KB
+    eager limit) cannot carry it, so it stays queued — untouched — until
+    qsnet2 is back, and is then delivered intact."""
+    plan = FaultPlan([FaultEvent("down", 0.0, "qsnet2", duration_us=500.0)])
+    session = Session(_small_survivor_platform(4096), strategy="aggreg_multirail", faults=plan)
+    data = random.Random(5).randbytes(8000)
+    req, rep = _transfer(session, data, tag=3)
+    assert req.done and rep.data == data
+    assert rep.completed_at >= 500.0  # not before the big-enough rail recovered
+    assert _counter(session, "fault.retries") == 1
+    # the same decision, seen at the builder: nothing built, nothing dequeued
+    engine = session.engine(0)
+    entry = EagerEntry(3, 1, Payload.virtual(8000))
+    engine._retrans.append((1, entry))
+    small = next(d for d in engine.drivers if d.name == "myri10g")
+    assert engine._build_retrans(small) is None
+    assert list(engine._retrans) == [(1, entry)]
+    big = next(d for d in engine.drivers if d.name == "qsnet2")
+    pw = engine._build_retrans(big)
+    assert pw.entries == [entry] and not engine._retrans
+    assert pw.wire_bytes == _walked_wire_bytes(pw, big.spec) == 8000 + big.spec.header_bytes
+
+
+def test_retransmission_fits_exactly_at_the_eager_limit():
+    session = Session(_small_survivor_platform(4096), strategy="aggreg_multirail")
+    engine = session.engine(0)
+    driver = next(d for d in engine.drivers if d.name == "myri10g")
+    limit, header = driver.max_eager_bytes, driver.spec.header_bytes
+    exact = EagerEntry(3, 0, Payload.virtual(limit - header))
+    empty = EagerEntry(3, 1, Payload.virtual(0))  # still needs a header: no room
+    engine._retrans.extend([(1, exact), (1, empty)])
+    pw = engine._build_retrans(driver)
+    assert pw.entries == [exact]
+    assert pw.wire_bytes == limit == _walked_wire_bytes(pw, driver.spec)
+    assert list(engine._retrans) == [(1, empty)]
+    driver.post_eager(pw)  # a wrapper exactly at the limit is postable
+    # one byte over the limit is not taken at all
+    engine._retrans.clear()
+    over = EagerEntry(3, 2, Payload.virtual(limit - header + 1))
+    engine._retrans.append((1, over))
+    assert engine._build_retrans(driver) is None
+    assert list(engine._retrans) == [(1, over)]

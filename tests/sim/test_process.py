@@ -249,3 +249,116 @@ def test_exception_in_process_propagates():
     spawn(sim, proc())
     with pytest.raises(ValueError, match="boom"):
         sim.run()
+
+
+# ---------------------------------------------------------------------- #
+# bare-number yields: the same wait as Timeout(dt), without the object
+# ---------------------------------------------------------------------- #
+def test_bare_float_yield_is_a_timeout():
+    sim = Simulator()
+    seen = []
+
+    def proc():
+        seen.append((yield 3.0))  # resumes with None, like Timeout
+        seen.append(sim.now)
+        sim.schedule(0.0, seen.append, "queued first")
+        yield 0.0  # zero delay: still one event, behind what is queued
+        seen.append(sim.now)
+        yield 2  # ints take the slow path to the same place
+        seen.append(sim.now)
+
+    spawn(sim, proc())
+    sim.run()
+    assert seen == [None, 3.0, "queued first", 3.0, 5.0]
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-9, -3, float("-inf")])
+def test_negative_bare_yield_raises(bad):
+    sim = Simulator()
+
+    def proc():
+        yield bad
+
+    spawn(sim, proc())
+    with pytest.raises(ProcessError, match="negative timeout"):
+        sim.run()
+
+
+def test_bare_float_inside_combinators():
+    sim = Simulator()
+    sig = Signal(sim)
+    out = []
+
+    def proc():
+        out.append((yield AnyOf([sig, 4.0])))
+        out.append((yield AllOf([1.0, Timeout(2.0)])))
+        out.append(sim.now)
+
+    spawn(sim, proc())
+    sim.run()
+    assert out == [(1, None), [None, None], 6.0]
+
+
+def _interleaving_trace(backend, delays, as_timeout):
+    """Run one process per delay list; ``as_timeout[i][j]`` picks the
+    spelling of each wait.  Returns the resume order and kernel stats."""
+    sim = Simulator(backend=backend)
+    trace = []
+
+    def proc(pid, waits, spellings):
+        for dt, wrapped in zip(waits, spellings):
+            yield Timeout(dt) if wrapped else dt
+            trace.append((pid, sim.now))
+
+    for pid, (waits, spellings) in enumerate(zip(delays, as_timeout)):
+        spawn(sim, proc(pid, waits, spellings))
+    sim.run()
+    return trace, sim.events_executed, sim.now
+
+
+def test_timeout_and_bare_float_interleave_identically_on_every_backend():
+    """Differential: any mix of the two spellings schedules the same
+    events in the same order, on heap, calendar and native alike."""
+    import random
+
+    from repro.sim.backend import available_backends
+
+    rng = random.Random(13)
+    # many equal delays, so ordering rests on scheduling sequence numbers
+    delays = [[rng.choice([0.0, 0.5, 0.5, 1.25]) for _ in range(12)] for _ in range(6)]
+    all_wrapped = [[True] * 12 for _ in delays]
+    all_bare = [[False] * 12 for _ in delays]
+    mixed = [[rng.random() < 0.5 for _ in range(12)] for _ in delays]
+    reference = _interleaving_trace("heap", delays, all_wrapped)
+    assert len(reference[0]) == 72
+    for backend in available_backends():
+        for spelling in (all_wrapped, all_bare, mixed):
+            assert _interleaving_trace(backend, delays, spelling) == reference
+
+
+# ---------------------------------------------------------------------- #
+# Signal.fire with nobody waiting (every Host.wake of a running pump)
+# ---------------------------------------------------------------------- #
+def test_fire_without_waiters_counts_and_keeps_later_waiters():
+    sim = Simulator()
+    sig = Signal(sim)
+    assert sig.fire("nobody") == 0 and sig.fire_count == 1
+    got = []
+    sig.wait(got.append)
+    assert sig.fire("first") == 1 and got == ["first"]
+    assert sig.fire("again") == 0 and got == ["first"]
+    assert sig.fire_count == 3 and sig.waiter_count == 0
+
+
+def test_waiter_registered_during_fire_waits_for_the_next_one():
+    sim = Simulator()
+    sig = Signal(sim)
+    got = []
+
+    def rearm(value):
+        got.append(value)
+        sig.wait(got.append)
+
+    sig.wait(rearm)
+    assert sig.fire(1) == 1 and got == [1] and sig.waiter_count == 1
+    assert sig.fire(2) == 1 and got == [1, 2]
