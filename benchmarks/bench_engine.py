@@ -14,7 +14,7 @@ import random
 
 from repro import Session, paper_platform, run_pingpong
 from repro.obs.perf import pingpong_point
-from repro.sim import Link, Simulator, make_flow_network
+from repro.sim import FlowNetwork, Link, Simulator
 from repro.util.units import MB
 
 
@@ -71,7 +71,7 @@ def test_event_kernel_mixed_100k(benchmark, record_wall):
 
 def _flow_reallocation(n_flows):
     sim = Simulator()
-    net = make_flow_network(sim)
+    net = FlowNetwork(sim)
     bus = Link("bus", 1000.0)
     rails = [Link(f"r{i}", 400.0) for i in range(8)]
     for i in range(n_flows):
@@ -88,7 +88,7 @@ def test_flow_reallocation(benchmark, record_wall):
 
 
 def test_flow_reallocation_1000(benchmark, record_wall):
-    """1000-flow variant — the size where vectorized max-min pays off."""
+    """1000-flow variant: one component far larger than any workload builds."""
 
     assert benchmark(lambda: _flow_reallocation(1000)) == 1000
     record_wall("engine.flow_reallocation_1000", benchmark)

@@ -286,11 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         " auto = native when a C toolchain is available, else calendar);"
         " exported to $REPRO_SIM_BACKEND so --jobs workers inherit it",
     )
-    br.add_argument(
-        "--flows", choices=("auto", "scalar", "vector"), default=None,
-        help="flow-allocator mode (default: $REPRO_SIM_FLOWS, then auto ="
-        " vector when numpy is available); exported to $REPRO_SIM_FLOWS",
-    )
     br.add_argument("--name", help="record name (default: derived from suites)")
     br.add_argument("-o", "--output", required=True, metavar="JSON")
     br.add_argument(
@@ -782,19 +777,16 @@ def _cmd_bench(args) -> int:
         from .obs.perf import BenchRecorder, run_engine_suite, run_figure_suite
 
         log = get_logger()
-        # Select the kernel backend / flows mode via the environment so
-        # that --jobs worker processes inherit the exact same kernel.
+        # Select the kernel backend via the environment so that --jobs
+        # worker processes inherit the exact same kernel.
         import os as _os
 
-        from .sim.backend import ENV_BACKEND, ENV_FLOWS, flows_mode, resolve_backend
+        from .sim.backend import ENV_BACKEND, resolve_backend
 
         if args.backend:
             _os.environ[ENV_BACKEND] = args.backend
-        if args.flows:
-            _os.environ[ENV_FLOWS] = args.flows
         try:
             backend = resolve_backend()
-            fmode = flows_mode()
         except (ValueError, RuntimeError) as exc:
             print(exc, file=sys.stderr)
             return 2
@@ -820,7 +812,7 @@ def _cmd_bench(args) -> int:
             run_id=log.bound.get("run_id"),
             backend=backend,
         )
-        print(f"kernel backend: {backend}, flows: {fmode}")
+        print(f"kernel backend: {backend}")
         log.info("run.start", command="bench run", record=recorder.name, suites=suites)
         server = None
         engine_publish = figure_publish = None

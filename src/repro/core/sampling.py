@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
-import numpy as np
-
 from ..util.errors import ConfigError
 from ..util.units import KB, MB
 
@@ -55,6 +53,10 @@ class RailSample:
         """Least-squares fit of ``t = overhead + size/bw``."""
         if len(points) < 2:
             raise ConfigError(f"rail {rail_name}: need >= 2 sample points")
+        # numpy's only user: imported here so that sessions which never
+        # sample (eager-only runs) do not pay its start-up time and memory.
+        import numpy as np
+
         sizes = np.array([p[0] for p in points], dtype=float)
         times = np.array([p[1] for p in points], dtype=float)
         slope, intercept = np.polyfit(sizes, times, 1)

@@ -189,9 +189,11 @@ class SplitBalanceStrategy(Strategy):
             self.packets_committed += 1
             return pw
         if self._large:
-            idle = [d for d in engine.drivers if d.dma_idle and d.usable]
-            if not idle or not driver.dma_idle:
+            if not driver.dma_idle:
                 # only plan bulk work when the consulted rail itself is free
+                return None
+            idle = [d for d in engine.drivers if d.dma_idle and d.usable]
+            if not idle:
                 return None
             seg = self._large[0]
             if len(self._large) > 1:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..sim.engine import Simulator
-from ..sim.flows import Link, make_flow_network
+from ..sim.flows import FlowNetwork, Link
 from ..util.errors import PlatformError
 from .host import Host
 from .nic import NIC
@@ -28,7 +28,7 @@ class Platform:
     def __init__(self, sim: Simulator, spec: PlatformSpec):
         self.sim = sim
         self.spec = spec
-        self.flownet = make_flow_network(sim)
+        self.flownet = FlowNetwork(sim)
         self.hosts: list[Host] = [
             Host(sim, node_id, spec.host) for node_id in range(spec.n_nodes)
         ]

@@ -406,10 +406,10 @@ def _wall_engine_events_100k() -> int:
 
 def _flow_reallocation(n_flows: int) -> int:
     from ..sim.engine import Simulator
-    from ..sim.flows import Link, make_flow_network
+    from ..sim.flows import FlowNetwork, Link
 
     sim = Simulator()
-    net = make_flow_network(sim)
+    net = FlowNetwork(sim)
     bus = Link("bus", 1000.0)
     rails = [Link(f"r{i}", 400.0) for i in range(8)]
     for i in range(n_flows):

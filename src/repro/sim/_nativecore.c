@@ -392,7 +392,7 @@ core_at_impl(CoreObject *core, PyObject *time_obj, PyObject *const *cb,
     double t = PyFloat_AsDouble(time_obj);
     if (t == -1.0 && PyErr_Occurred())
         return NULL;
-    if (t < core->now) {
+    if (!(t >= core->now)) {
         PyObject *now_obj = PyFloat_FromDouble(core->now);
         if (now_obj) {
             PyErr_Format(past_err(),
@@ -468,7 +468,7 @@ core_schedule(CoreObject *core, PyObject *const *args, Py_ssize_t nargs)
     double delay = PyFloat_AsDouble(args[0]);
     if (delay == -1.0 && PyErr_Occurred())
         return NULL;
-    if (delay < 0) {
+    if (!(delay >= 0)) { /* rejects NaN too */
         PyErr_Format(past_err(), "negative delay %R", args[0]);
         return NULL;
     }

@@ -45,17 +45,12 @@ __all__ = [
     "resolve_backend",
     "simulator_class",
     "flows_mode",
-    "FLOWS_MODES",
 ]
 
 #: selectable kernel backends (``auto`` resolves to one of these).
 BACKEND_NAMES = ("heap", "calendar", "native")
 
-#: selectable flow-allocator modes (see :mod:`repro.sim.flows_vec`).
-FLOWS_MODES = ("scalar", "vector")
-
 ENV_BACKEND = "REPRO_SIM_BACKEND"
-ENV_FLOWS = "REPRO_SIM_FLOWS"
 
 
 class BackendUnavailableError(RuntimeError):
@@ -121,31 +116,10 @@ def simulator_class(name: str):
     raise ValueError(f"unknown simulator backend {name!r}")
 
 
-def flows_mode(name: Optional[str] = None) -> str:
-    """Resolve the flow-allocator mode (``scalar`` or ``vector``).
+def flows_mode() -> str:
+    """Name of the flow allocator, for run headers and bench records.
 
-    ``None`` falls back to ``$REPRO_SIM_FLOWS``, then ``auto``.  ``auto``
-    selects ``vector`` when numpy is importable (the vector network
-    transparently uses the scalar algorithm for small components, so it
-    is never a pessimisation), else ``scalar``.
+    There is one (:class:`repro.sim.flows.FlowNetwork`, the scalar
+    incremental max-min allocator); nothing selects it.
     """
-    req = (name or os.environ.get(ENV_FLOWS, "") or "auto").strip().lower()
-    if req == "auto":
-        try:
-            import numpy  # noqa: F401
-
-            return "vector"
-        except ImportError:  # pragma: no cover - numpy is a core test dep
-            return "scalar"
-    if req not in FLOWS_MODES:
-        raise ValueError(
-            f"unknown flows mode {req!r}; choose from {('auto',) + FLOWS_MODES}"
-        )
-    if req == "vector":
-        try:
-            import numpy  # noqa: F401
-        except ImportError:  # pragma: no cover - numpy is a core test dep
-            raise BackendUnavailableError(
-                "vector flows requested but numpy is not importable"
-            ) from None
-    return req
+    return "scalar"

@@ -148,13 +148,13 @@ class CalendarSimulator(Simulator):
     # scheduling
     # ------------------------------------------------------------------ #
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
-        if delay < 0:
+        if not delay >= 0:  # spelled so that NaN is rejected too
             raise ScheduleInPastError(f"negative delay {delay!r}")
         return self.at(self._now + delay, fn, *args)
 
     def at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         now = self._now
-        if time < now:
+        if not time >= now:
             raise ScheduleInPastError(
                 f"cannot schedule at {time!r}, current time is {now!r}"
             )

@@ -227,14 +227,14 @@ class Simulator:
         ``delay`` must be >= 0; a zero delay runs after all events already
         queued at the current time (FIFO ordering).
         """
-        if delay < 0:
+        if not delay >= 0:  # spelled so that NaN is rejected too
             raise ScheduleInPastError(f"negative delay {delay!r}")
         return self.at(self._now + delay, fn, *args)
 
     def at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
         now = self._now
-        if time < now:
+        if not time >= now:
             raise ScheduleInPastError(
                 f"cannot schedule at {time!r}, current time is {now!r}"
             )

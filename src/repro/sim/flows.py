@@ -204,9 +204,6 @@ def max_min_rates(
 class FlowNetwork:
     """Manages active flows and keeps their completion events consistent."""
 
-    #: allocator mode label (``repro.sim.flows_vec`` overrides).
-    mode = "scalar"
-
     def __init__(self, sim: Simulator):
         self.sim = sim
         #: insertion-ordered so reallocation visits flows deterministically
@@ -241,9 +238,9 @@ class FlowNetwork:
         Zero-size flows complete after ``extra_latency`` without occupying
         the network.
         """
-        if size < 0:
-            raise FlowError(f"negative flow size {size}")
-        flow = self._new_flow(
+        if not 0 <= size < math.inf:  # also rejects NaN
+            raise FlowError(f"flow size must be finite and >= 0, got {size}")
+        flow = Flow(
             next(self._fid),
             path,
             size,
@@ -258,7 +255,13 @@ class FlowNetwork:
                 self.sim.schedule(0.0, on_drain, flow)
             self.sim.schedule(extra_latency, self._finish, flow)
             return flow
-        self._attach(flow)
+        if not flow.path:
+            raise FlowError(
+                f"flow {flow.fid} ({size} bytes, tag={tag!r}) has an empty path"
+            )
+        self._flows[flow] = None
+        for link in flow.path:
+            link.active_flows.add(flow)
         self._reallocate(flow)
         return flow
 
@@ -284,16 +287,6 @@ class FlowNetwork:
         self._reallocate(flow)
 
     # ------------------------------------------------------------------ #
-    # Subclass hooks: the vectorized network (``flows_vec``) overrides
-    # these to mirror flow state into persistent numpy arrays.
-    def _new_flow(self, *args) -> Flow:
-        return Flow(*args)
-
-    def _attach(self, flow: Flow) -> None:
-        self._flows[flow] = None
-        for link in flow.path:
-            link.active_flows.add(flow)
-
     def _detach(self, flow: Flow) -> None:
         self._flows.pop(flow, None)
         for link in flow.path:
@@ -394,18 +387,6 @@ class FlowNetwork:
         return f"<FlowNetwork active={len(self._flows)} done={self.completed_count}>"
 
 
-def make_flow_network(sim: Simulator, mode: Optional[str] = None) -> FlowNetwork:
-    """Construct a flow network with the selected allocator mode.
-
-    ``mode`` of ``None`` resolves via ``$REPRO_SIM_FLOWS`` (then
-    ``auto``, see :func:`repro.sim.backend.flows_mode`).  Both modes
-    produce bit-identical rates and event schedules; ``vector`` batches
-    the settle step and large max-min components through numpy.
-    """
-    from .backend import flows_mode
-
-    if flows_mode(mode) == "vector":
-        from .flows_vec import VectorFlowNetwork
-
-        return VectorFlowNetwork(sim)
+def make_flow_network(sim: Simulator) -> FlowNetwork:
+    """The flow network of ``sim`` (there is one allocator; DESIGN.md §6f)."""
     return FlowNetwork(sim)

@@ -105,3 +105,33 @@ class TestSampleRails:
     def test_too_few_sizes_rejected(self):
         with pytest.raises(ConfigError):
             sample_rails(paper_platform(), sizes=(65536,))
+
+
+def test_eager_only_session_never_imports_numpy():
+    """numpy's one user is ``RailSample.fit``; a session that never
+    samples must not pay its import (start-up time and resident memory)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    script = (
+        "import sys\n"
+        "from repro import Session, paper_platform, run_pingpong\n"
+        "session = Session(paper_platform(), strategy='aggreg_multirail')\n"
+        "res = run_pingpong(session, 64, segments=2, reps=3, warmup=1)\n"
+        "assert res.one_way_us > 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported without sampling'\n"
+        "from repro import sample_rails\n"
+        "sample_rails(paper_platform())\n"
+        "assert 'numpy' in sys.modules  # the check above can fail\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

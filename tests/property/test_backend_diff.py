@@ -1,14 +1,10 @@
-"""Differential property tests across kernel backends and flow allocators.
+"""Differential property tests across kernel backends.
 
 The multi-backend contract (DESIGN.md "Kernel backends") is *bit*
-identity, not approximate agreement:
-
-* every backend pops events in the exact same ``(time, seq)`` order for
-  any schedule/cancel program, including callbacks that schedule and
-  cancel further events while running;
-* the vectorized max-min allocator returns the same float bits as the
-  scalar reference, so figure digests cannot drift when numpy is
-  available.
+identity, not approximate agreement: every backend pops events in the
+exact same ``(time, seq)`` order for any schedule/cancel program,
+including callbacks that schedule and cancel further events while
+running.
 
 Random programs are interpreted against each implementation and the full
 observable trace is compared with ``==``.
@@ -17,9 +13,8 @@ observable trace is compared with ``==``.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Flow, FlowNetwork, Link, Simulator, max_min_rates
+from repro.sim import Simulator
 from repro.sim.backend import available_backends
-from repro.sim.flows_vec import VectorFlowNetwork, max_min_rates_vec
 
 # ---------------------------------------------------------------------- #
 # event-kernel pop order
@@ -70,97 +65,6 @@ def test_all_backends_pop_identically(ops):
     reference = _run_program("heap", ops)
     for backend in available_backends()[1:]:
         assert _run_program(backend, ops) == reference, backend
-
-
-# ---------------------------------------------------------------------- #
-# scalar vs vectorized max-min (standalone allocator)
-# ---------------------------------------------------------------------- #
-
-
-@st.composite
-def _flow_sets(draw):
-    n_links = draw(st.integers(min_value=1, max_value=6))
-    links = [
-        Link(f"l{i}", draw(st.floats(min_value=10.0, max_value=5000.0)))
-        for i in range(n_links)
-    ]
-    n_flows = draw(st.integers(min_value=1, max_value=12))
-    flows = []
-    for fid in range(n_flows):
-        path_idx = draw(
-            st.lists(
-                st.integers(min_value=0, max_value=n_links - 1),
-                min_size=1,
-                max_size=n_links + 2,  # duplicates allowed: multiplicity
-            )
-        )
-        flows.append(Flow(fid, [links[i] for i in path_idx], 1000.0, None, 0.0, 0.0))
-    return flows
-
-
-@given(_flow_sets())
-@settings(max_examples=200, deadline=None)
-def test_vector_allocator_is_bit_identical(flows):
-    scalar = max_min_rates(flows)
-    vector = max_min_rates_vec(flows)
-    # same mapping with exact float equality — the whole point of the
-    # vector design.  (Key order differs: scalar yields freeze order,
-    # vector input order; every consumer does keyed lookups.)
-    assert set(scalar) == set(vector)
-    for f in scalar:
-        assert scalar[f] == vector[f]
-
-
-# ---------------------------------------------------------------------- #
-# full network: scalar vs vector under start/complete churn
-# ---------------------------------------------------------------------- #
-
-_net_programs = st.lists(
-    st.tuples(
-        st.integers(min_value=1, max_value=3),  # path length
-        st.floats(min_value=10.0, max_value=4000.0),  # size
-        st.floats(min_value=0.0, max_value=5.0),  # run-ahead
-    ),
-    min_size=1,
-    max_size=25,
-)
-
-
-def _run_network(cls, program, cutover=None):
-    import repro.sim.flows_vec as fv
-
-    old = fv.SCALAR_CUTOVER
-    if cutover is not None:
-        fv.SCALAR_CUTOVER = cutover
-    try:
-        sim = Simulator(backend="heap")
-        net = cls(sim)
-        links = [Link(f"l{i}", 100.0 * (i + 1)) for i in range(4)]
-        trace = []
-        for i, (plen, size, ahead) in enumerate(program):
-            path = [links[(i + k) % 4] for k in range(plen)]
-            f = net.start_flow(path, size=size)
-            trace.append((f.fid, f.rate))
-            sim.run(until=sim.now + ahead)
-        sim.run_until_idle()
-        return (
-            trace,
-            net.completed_count,
-            net.reschedule_count,
-            sim.events_scheduled,
-            sim.now,
-        )
-    finally:
-        fv.SCALAR_CUTOVER = old
-
-
-@given(_net_programs)
-@settings(max_examples=75, deadline=None)
-def test_vector_network_matches_scalar_exactly(program):
-    reference = _run_network(FlowNetwork, program)
-    # adaptive cutover AND forced always-vector must both match
-    assert _run_network(VectorFlowNetwork, program) == reference
-    assert _run_network(VectorFlowNetwork, program, cutover=0) == reference
 
 
 # ---------------------------------------------------------------------- #

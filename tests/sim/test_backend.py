@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.session import Session
 from repro.hardware.presets import paper_platform
-from repro.sim import Simulator
+from repro.sim import FlowNetwork, ScheduleInPastError, Simulator, make_flow_network, spawn
 from repro.sim.backend import (
     BACKEND_NAMES,
     BackendUnavailableError,
@@ -90,21 +90,49 @@ class TestSimulatorDispatch:
             assert sim.events_executed == 2
 
 
+@pytest.mark.parametrize("backend", available_backends())
+class TestNanTimeRejected:
+    """NaN compares false with everything, so a ``delay < 0`` test lets it
+    through, and one NaN timestamp poisons the ``(time, seq)`` order."""
+
+    def test_schedule_and_at(self, backend):
+        sim = Simulator(backend=backend)
+        out = []
+        with pytest.raises(ScheduleInPastError):
+            sim.schedule(float("nan"), out.append, "x")
+        with pytest.raises(ScheduleInPastError):
+            sim.at(float("nan"), out.append, "x")
+        sim.schedule(1.0, out.append, "a")
+        sim.run_until_idle()
+        assert out == ["a"] and sim.now == 1.0 and sim.events_scheduled == 1
+
+    def test_process_yielding_bare_nan(self, backend):
+        sim = Simulator(backend=backend)
+
+        def proc():
+            yield float("nan")
+
+        spawn(sim, proc())
+        with pytest.raises(ScheduleInPastError):
+            sim.run_until_idle()
+        assert sim.now == 0.0
+
+
 class TestFlowsMode:
-    def test_auto_is_vector_with_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_FLOWS", raising=False)
-        assert flows_mode() == "vector"
+    """What ``hostbench`` reads from outside: there is one allocator."""
 
     def test_explicit_scalar(self):
-        assert flows_mode("scalar") == "scalar"
-
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_FLOWS", "scalar")
+        sim = Simulator()
         assert flows_mode() == "scalar"
+        assert type(make_flow_network(sim)) is FlowNetwork
+        assert type(Session(paper_platform()).platform.flownet) is FlowNetwork
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown flows mode"):
-            flows_mode("gpu")
+        # no mode argument, no option: nothing selects the allocator
+        with pytest.raises(TypeError):
+            flows_mode("vector")
+        with pytest.raises(TypeError):
+            make_flow_network(Simulator(), "vector")
 
 
 class TestSessionWiring:

@@ -132,6 +132,37 @@ class TestFlowNetwork:
         with pytest.raises(FlowError):
             net.start_flow([Link("l", 10.0)], -1.0)
 
+    @pytest.mark.parametrize("size", [float("nan"), float("inf")])
+    def test_non_finite_size_rejected(self, sim, size):
+        # an accepted nan "completes" the flow and leaves sim.now == nan
+        net = FlowNetwork(sim)
+        link = Link("l", 10.0)
+        with pytest.raises(FlowError, match="finite"):
+            net.start_flow([link], size)
+        assert not net.active_flows and not link.active_flows
+        sim.run_until_idle()
+        assert sim.now == 0.0
+
+    def test_empty_path_rejected_not_hung(self, sim):
+        # an attached flow without links gets rate 0 and no completion
+        # event: the run would end idle with the transfer undelivered
+        net = FlowNetwork(sim)
+        with pytest.raises(FlowError, match=r"flow 1 .*empty path"):
+            net.start_flow([], 100.0, tag="rdv-7")
+        assert not net.active_flows
+        # the network stays usable, and the rejected flow left no trace
+        done = []
+        net.start_flow([Link("l", 10.0)], 100.0, on_complete=done.append)
+        sim.run_until_idle()
+        assert len(done) == 1 and net.completed_count == 1
+
+    def test_zero_size_flow_needs_no_path(self, sim):
+        net = FlowNetwork(sim)
+        done = []
+        net.start_flow([], 0.0, on_complete=done.append, extra_latency=2.0)
+        sim.run_until_idle()
+        assert len(done) == 1 and sim.now == 2.0
+
     def test_cancel_flow(self, sim):
         net = FlowNetwork(sim)
         link = Link("l", 100.0)
