@@ -24,6 +24,7 @@ merge in task order — and is bit-identical to a serial run (CI's
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
@@ -220,7 +221,7 @@ def run_scale_suite(
     ``publish(cell, done, total)`` fires after each cell for the live
     endpoint's incremental snapshots.
     """
-    from ..obs.runner import _mp_context, resolve_jobs
+    from ..obs.runner import ordered_map, resolve_jobs
 
     for algo in algos:
         if algo not in SCALE_ALGOS:
@@ -229,26 +230,15 @@ def run_scale_suite(
     if not tasks:
         raise BenchError("no scale cells to run")
     n_procs = min(resolve_jobs(jobs), len(tasks)) or 1
+    done = itertools.count(1)
+
+    def on_cell(task: ScaleTask, _row: dict) -> None:
+        publish(f"scale.{task.algo}.P{task.n_nodes}", next(done), len(tasks))
+
     if publish:
         publish("", 0, len(tasks))
-    if n_procs <= 1:
-        rows = []
-        for done, task in enumerate(tasks, start=1):
-            rows.append(run_scale_task(task))
-            if publish:
-                publish(f"scale.{task.algo}.P{task.n_nodes}", done, len(tasks))
-    else:
-        with _mp_context().Pool(processes=n_procs) as pool:
-            rows = []
-            # chunksize=1: a P=1024 cell costs ~100x a P=16 cell, so
-            # fine-grained dealing keeps the pool balanced; imap keeps
-            # task order, so the merged record layout is serial-identical.
-            for done, (task, row) in enumerate(
-                zip(tasks, pool.imap(run_scale_task, tasks, chunksize=1)), start=1
-            ):
-                rows.append(row)
-                if publish:
-                    publish(f"scale.{task.algo}.P{task.n_nodes}", done, len(tasks))
+    # task-order merge: the record layout is serial-identical
+    rows = ordered_map(run_scale_task, tasks, n_procs, on_cell if publish else None)
 
     out = []
     scale_metrics: dict[str, float] = {}

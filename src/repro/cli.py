@@ -281,9 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--wall-reps", type=int, default=5, help="wall-clock repetitions (median kept)"
     )
     br.add_argument(
-        "--backend", choices=("auto", "heap", "calendar", "native"), default=None,
+        "--backend", default=None, metavar="{auto,heap,native}",
         help="simulation kernel backend (default: $REPRO_SIM_BACKEND, then"
-        " auto = native when a C toolchain is available, else calendar);"
+        " auto = native when the C core loads, else heap);"
         " exported to $REPRO_SIM_BACKEND so --jobs workers inherit it",
     )
     br.add_argument("--name", help="record name (default: derived from suites)")
@@ -783,13 +783,9 @@ def _cmd_bench(args) -> int:
 
         from .sim.backend import ENV_BACKEND, resolve_backend
 
+        backend = resolve_backend(args.backend)  # bad name: main() exits 2
         if args.backend:
             _os.environ[ENV_BACKEND] = args.backend
-        try:
-            backend = resolve_backend()
-        except (ValueError, RuntimeError) as exc:
-            print(exc, file=sys.stderr)
-            return 2
         run_figures = args.figures is not None
         run_scale = (
             args.scale or args.scale_points is not None or args.scale_algos is not None
@@ -1032,7 +1028,6 @@ def _cmd_chaos(args) -> int:
         run_chaos,
         save_failing_plans,
     )
-    from .util.errors import ConfigError
 
     server = None
     on_case = None
@@ -1061,9 +1056,6 @@ def _cmd_chaos(args) -> int:
             messages=args.messages if args.messages is not None else DEFAULT_MESSAGES,
             on_case=on_case,
         )
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 2
     finally:
         if server is not None:
             server.stop()
@@ -1204,16 +1196,11 @@ def _cmd_topo(args) -> int:
         describe_plan,
         topology_platform,
     )
-    from .util.errors import ConfigError
 
     kinds = [args.kind] if args.kind else sorted(TOPOLOGY_BUILDERS)
     out = []
     for kind in kinds:
-        try:
-            spec = topology_platform(kind, args.nodes)
-        except ConfigError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+        spec = topology_platform(kind, args.nodes)
         rails = []
         for rail in spec.rails:
             plan = build_plan(rail, spec.n_nodes)
@@ -1284,9 +1271,17 @@ def _configure_logging(args) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    from .util.errors import ConfigError
+
     args = build_parser().parse_args(argv)
     _configure_logging(args)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigError as exc:
+        # bad configuration from any command (an unknown or unavailable
+        # backend, a bad chaos or topology request): one line, no traceback
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -72,7 +72,6 @@ class NodeEngine:
         self.rdv = RdvManager(self)
         self.gates: dict[int, Gate] = {}
         self.counters = Counters()
-        self.tracer = session.tracer
         self.spans = session.spans
         #: completion-observation sink: adaptive strategies opt in via
         #: ``wants_observations`` and then see every finished PIO post and
@@ -82,7 +81,6 @@ class NodeEngine:
             strategy if getattr(strategy, "wants_observations", False) else None
         )
         for drv in self.drivers:
-            drv.tracer = self.tracer
             drv.spans = self.spans
             drv.observer = self._observer
         #: send requests issued by this node, kept only while span tracing
@@ -486,12 +484,6 @@ class NodeEngine:
                 counts["packets_committed"] += 1
                 if offloaded:
                     counts["pio_offloads"] += 1
-                if self.tracer.enabled:
-                    self.tracer.record(
-                        post_t0, node, "commit",
-                        f"rail={driver.name} entries={len(pw.entries)}"
-                        + (" offloaded" if offloaded else ""),
-                    )
                 yield cost
                 if tracing:
                     spans.end(span, sim.now)

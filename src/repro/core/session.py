@@ -27,7 +27,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.spans import SpanRecorder
 from ..sim.engine import Simulator
 from ..sim.process import Process, spawn
-from ..trace.tracer import NULL_TRACER, Counters, Tracer
+from ..trace.tracer import Counters
 from ..util.errors import ConfigError
 from .sampling import SampleTable
 from .scheduler import NodeEngine
@@ -95,8 +95,8 @@ class Session:
         if not isinstance(spec, PlatformSpec):
             raise ConfigError(f"spec must be a PlatformSpec, got {type(spec).__name__}")
         self.spec = spec
-        #: ``backend`` picks the kernel implementation (heap / calendar /
-        #: native); ``None`` defers to ``$REPRO_SIM_BACKEND`` then auto.
+        #: ``backend`` picks the kernel implementation (heap / native);
+        #: ``None`` defers to ``$REPRO_SIM_BACKEND`` then auto.
         self.sim = sim if sim is not None else Simulator(backend=backend)
         self.platform = Platform(self.sim, spec)
         self.samples = samples
@@ -109,9 +109,6 @@ class Session:
             self.spans = trace
         else:
             self.spans = SpanRecorder(enabled=bool(trace))
-        #: legacy flat event log — a shared no-op instance when tracing is
-        #: off, so hot paths pay nothing (not even a dead list append).
-        self.tracer = Tracer(True) if self.spans.enabled else NULL_TRACER
         #: always-on counters/gauges/histograms (schema: repro.obs.metrics).
         self.metrics = MetricsRegistry()
         from .strategies.base import Strategy

@@ -57,8 +57,6 @@ class Driver:
         self.eager_bytes = 0
         self.dma_started = 0
         self.dma_bytes = 0
-        #: set by the owning engine; busy intervals are traced through it.
-        self.tracer = None
         #: set by the owning engine; PIO/DMA activity becomes spans on
         #: this rail's track (see repro.obs.spans).
         self.spans = None
@@ -190,14 +188,6 @@ class Driver:
             self.fabric.transmit(self.node_id, pw.dst_node, pw, send_done_delay=post + copy)
         else:
             self.faults.transmit_eager(self, pw, send_done_delay=post + copy)
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.record(
-                now,
-                self.node_id,
-                "nic_busy",
-                f"pio {self.name} {size}B",
-                data={"rail": self.name, "kind": "pio", "start": now, "end": now + post + copy},
-            )
         if self.spans is not None and self.spans.enabled:
             self.spans.add(
                 self.node_id,
@@ -273,19 +263,6 @@ class Driver:
             def drained(flow: "Flow") -> None:
                 if faults is not None:
                     faults.untrack_flow(flow)
-                if self.tracer is not None and self.tracer.enabled:
-                    self.tracer.record(
-                        self.sim.now,
-                        self.node_id,
-                        "nic_busy",
-                        f"dma {self.name} {payload.size}B",
-                        data={
-                            "rail": self.name,
-                            "kind": "dma",
-                            "start": start,
-                            "end": self.sim.now,
-                        },
-                    )
                 if self.spans is not None and self.spans.enabled:
                     self.spans.add(
                         self.node_id,

@@ -43,7 +43,7 @@ from ..core.strategies.checker import CheckedStrategy
 from ..core.strategies.registry import available_strategies
 from ..hardware.presets import paper_platform
 from ..obs.log import get_logger
-from ..obs.runner import _mp_context, resolve_jobs
+from ..obs.runner import ordered_map, resolve_jobs
 from ..sim.process import Timeout
 from ..util.errors import ConfigError
 from ..util.units import KB
@@ -323,7 +323,7 @@ def run_chaos(
     ``jobs`` — each case is an isolated simulator.
 
     ``on_case(case, row)`` fires in the parent as each case's result
-    lands, in task order (``imap``), so the live endpoint can publish
+    lands, in task order (``ordered_map``), so the live endpoint can publish
     incremental snapshots; the report is identical with or without it.
     """
     log = get_logger()
@@ -337,20 +337,7 @@ def run_chaos(
     ]
     n_procs = min(resolve_jobs(jobs), len(tasks))
     log.info("chaos.start", cases=len(tasks), jobs=n_procs)
-    rows: list[dict] = []
-    if n_procs <= 1:
-        for task in tasks:
-            row = _run_case_task(task)
-            rows.append(row)
-            if on_case is not None:
-                on_case(task, row)
-    else:
-        with _mp_context().Pool(processes=n_procs) as pool:
-            # chunksize=1: case cost varies with the drawn message sizes
-            for task, row in zip(tasks, pool.imap(_run_case_task, tasks, chunksize=1)):
-                rows.append(row)
-                if on_case is not None:
-                    on_case(task, row)
+    rows: list[dict] = ordered_map(_run_case_task, tasks, n_procs, on_case)
     failed = sum(1 for r in rows if not r["ok"])
     log.info("chaos.done", cases=len(rows), failed=failed)
     return ChaosReport(rows, run_id=log.bound.get("run_id"))

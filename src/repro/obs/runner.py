@@ -29,10 +29,11 @@ re-import); override with ``REPRO_MP_START=spawn|forkserver|fork``.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from ..util.errors import BenchError
 
@@ -40,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..bench.figures import FigurePlan
     from ..bench.sweep import SweepResult
 
-__all__ = ["PointTask", "run_point", "run_sweep_parallel", "resolve_jobs"]
+__all__ = ["PointTask", "run_point", "run_sweep_parallel", "resolve_jobs", "ordered_map"]
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,37 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
+def ordered_map(
+    fn: Callable[[Any], Any],
+    tasks: Sequence[Any],
+    n_procs: int,
+    on_result: Optional[Callable[[Any, Any], None]] = None,
+) -> list:
+    """``[fn(t) for t in tasks]``, serially or over ``n_procs`` workers.
+
+    The one fan-out of the repo (figure sweeps, the chaos grid, the
+    scaling cells).  ``on_result(task, result)`` fires in the parent as
+    each result lands, **in task order** either way, so a live publisher
+    can stream progress and the merged list is the same with or without
+    workers.  ``chunksize=1``: tasks differ in cost by orders of
+    magnitude (4 B vs 8 MB points, P=16 vs P=1024 cells), so
+    fine-grained dealing keeps the pool balanced; ``imap`` (not ``map``)
+    so results stream back while later tasks still run.
+    """
+    results = []
+    with contextlib.ExitStack() as stack:
+        if n_procs <= 1:
+            landed = map(fn, tasks)
+        else:
+            pool = stack.enter_context(_mp_context().Pool(processes=n_procs))
+            landed = pool.imap(fn, tasks, chunksize=1)
+        for task, result in zip(tasks, landed):
+            results.append(result)
+            if on_result is not None:
+                on_result(task, result)
+    return results
+
+
 def run_sweep_parallel(
     plan: "FigurePlan",
     reps: int = 3,
@@ -143,7 +175,7 @@ def run_sweep_parallel(
     order.
 
     ``on_point(task, row)`` fires in the parent process as each point's
-    result lands, **in task order** (``imap`` preserves it), so a live
+    result lands, **in task order** (see :func:`ordered_map`), so a live
     publisher can stream incremental snapshots without touching the
     determinism contract: the merged result is bit-identical with or
     without the callback.
@@ -178,24 +210,7 @@ def run_sweep_parallel(
     log.info(
         "sweep.start", figure=plan.figure_id, points=len(tasks), jobs=n_procs
     )
-    if n_procs <= 1:
-        rows = []
-        for t in tasks:
-            row = run_point(t)
-            rows.append(row)
-            if on_point is not None:
-                on_point(t, row)
-    else:
-        with _mp_context().Pool(processes=n_procs) as pool:
-            # chunksize=1: points vary in cost by orders of magnitude
-            # (4 B vs 8 MB), so fine-grained dealing balances the pool.
-            # imap (not map) so results stream back as they land, still
-            # in task order — the live endpoint scrapes mid-sweep.
-            rows = []
-            for task, row in zip(tasks, pool.imap(run_point, tasks, chunksize=1)):
-                rows.append(row)
-                if on_point is not None:
-                    on_point(task, row)
+    rows = ordered_map(run_point, tasks, n_procs, on_point)
 
     out = SweepResult(sizes=sizes, curves=labels)
     for label in labels:

@@ -6,8 +6,8 @@ Public surface:
 * :mod:`~repro.sim.process` — generator processes, :class:`Signal`, combinators.
 * :mod:`~repro.sim.resources` — counted :class:`Resource` and FIFO :class:`Store`.
 * :mod:`~repro.sim.flows` — max-min fair flow-level bandwidth sharing.
-* :mod:`~repro.sim.backend` — pluggable kernel backends (heap / calendar /
-  native) selected via ``Simulator(backend=)`` or ``$REPRO_SIM_BACKEND``.
+* :mod:`~repro.sim.backend` — the two kernel backends (heap / native),
+  selected via ``Simulator(backend=)`` or ``$REPRO_SIM_BACKEND``.
 """
 
 from .backend import (

@@ -1,41 +1,35 @@
-"""Kernel backend selection: heap, calendar and native event cores.
+"""Kernel backend selection: the heap reference and the native C core.
 
-The simulation kernel has three co-resident implementations behind the
-one :class:`~repro.sim.engine.Simulator` API (see DESIGN.md "Kernel
+The simulation kernel has two implementations behind the one
+:class:`~repro.sim.engine.Simulator` API (see DESIGN.md "Kernel
 backends"):
 
 ``heap``
-    The original tombstoned binary heap (``engine.py``).  Pure Python,
-    battle-tested, kept unchanged as the differential-testing reference.
-``calendar``
-    A pure-Python calendar queue (``calendar_queue.py``): events are
-    binned into time windows, popped as batch-sorted windows instead of
-    per-event heap operations.  Wins on cancellation churn and widely
-    spread timestamps; a sorted-spine fallback keeps small queues (the
-    ladder's bottom rung) at heap speed.
+    The tombstoned binary heap (``engine.py``).  Pure Python, kept
+    unchanged as the differential-testing reference — and the core every
+    host without a C toolchain runs.
 ``native``
-    A hand-written CPython extension (``_nativecore.c``): the event heap
-    is a C array of structs and the run loop never re-enters Python
-    between events.  Built on demand with the system C compiler and
-    cached; unavailable when no compiler is present.
+    A hand-written CPython extension (``_nativecore.c``): a C array of
+    event structs and a run loop that never re-enters Python between
+    events.  Built on demand, cached; absent when no C compiler is.
 
 Selection (first match wins):
 
 1. ``Simulator(backend="...")`` / ``Session(backend="...")``;
-2. the ``REPRO_SIM_BACKEND`` environment variable (this is how
-   ``repro bench run --backend`` propagates the choice to ``--jobs``
-   worker processes — the env var is inherited on fork and spawn);
-3. ``auto``: ``native`` when a compiler is available, else ``calendar``.
+2. the ``REPRO_SIM_BACKEND`` environment variable (``repro bench run
+   --backend`` sets it, so ``--jobs`` workers inherit the choice);
+3. ``auto``: ``native`` when the C core loads, else ``heap``.
 
-Every backend preserves the exact ``(time, seq)`` pop order, so figure
-results are bit-identical across backends — CI gates on this with a
-``--sim-tol 0`` cross-backend compare.
+Both preserve the exact ``(time, seq)`` pop order, so figure results are
+bit-identical across backends; CI gates on it (``compare --sim-tol 0``).
 """
 
 from __future__ import annotations
 
 import os
 from typing import Optional
+
+from ..util.errors import ConfigError
 
 __all__ = [
     "BACKEND_NAMES",
@@ -48,12 +42,14 @@ __all__ = [
 ]
 
 #: selectable kernel backends (``auto`` resolves to one of these).
-BACKEND_NAMES = ("heap", "calendar", "native")
+BACKEND_NAMES = ("heap", "native")
 
 ENV_BACKEND = "REPRO_SIM_BACKEND"
 
+_CHOICES = ", ".join(("auto",) + BACKEND_NAMES)
 
-class BackendUnavailableError(RuntimeError):
+
+class BackendUnavailableError(ConfigError):
     """An explicitly requested backend cannot be provided on this host."""
 
 
@@ -66,35 +62,37 @@ def native_available() -> bool:
 
 
 def available_backends() -> list[str]:
-    """Backends usable on this host, in preference order."""
-    names = ["heap", "calendar"]
-    if native_available():
-        names.append("native")
-    return names
+    """Backends usable on this host, reference first."""
+    return ["heap", "native"] if native_available() else ["heap"]
 
 
 def resolve_backend(name: Optional[str] = None) -> str:
     """Resolve a backend request to a concrete backend name.
 
     ``name`` of ``None`` falls back to ``$REPRO_SIM_BACKEND``, then to
-    ``auto``.  ``auto`` prefers the native core and falls back to the
-    pure-Python calendar queue.  Explicitly requesting ``native`` on a
-    host without a C toolchain raises :class:`BackendUnavailableError`
-    (``auto`` never does).
+    ``auto``, which never fails: the native core, else the heap
+    reference.  An unknown name raises ``ConfigError``, an explicit
+    ``native`` where the C core does not load
+    :class:`BackendUnavailableError` (a ``ConfigError`` too); both
+    messages are one line and list the valid names.
     """
     req = (name or os.environ.get(ENV_BACKEND, "") or "auto").strip().lower()
     if req == "auto":
-        return "native" if native_available() else "calendar"
+        return "native" if native_available() else "heap"
     if req not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown simulator backend {req!r}; choose from "
-            f"{('auto',) + BACKEND_NAMES}"
+        removed = " (the calendar backend was removed; heap is the pure-Python core)"
+        raise ConfigError(
+            f"unknown simulator backend {req!r}{removed if req == 'calendar' else ''};"
+            f" choose from {_CHOICES}"
         )
     if req == "native" and not native_available():
+        from .native_build import build_error  # just set by the failed load
+
+        # first line only: a failed compile keeps the compiler's stderr
+        why = (build_error or "the C core did not load").splitlines()[0]
         raise BackendUnavailableError(
-            "native backend requested but no C compiler / python headers"
-            " are available on this host (set REPRO_SIM_BACKEND=calendar"
-            " or =heap, or install a C toolchain)"
+            f"simulator backend 'native' is unavailable on this host ({why});"
+            f" choose from {_CHOICES}"
         )
     return req
 
@@ -105,10 +103,6 @@ def simulator_class(name: str):
         from .engine import Simulator
 
         return Simulator
-    if name == "calendar":
-        from .calendar_queue import CalendarSimulator
-
-        return CalendarSimulator
     if name == "native":
         from .native import NativeSimulator
 

@@ -125,8 +125,8 @@ class Simulator:
     ``$REPRO_SIM_BACKEND`` / auto-detection (see :mod:`repro.sim.backend`).
     The class body below is the ``heap`` backend — the original
     tombstoned-binary-heap kernel, kept unchanged as the reference
-    implementation that the calendar and native backends are
-    differentially tested against.
+    implementation that the native backend is differentially tested
+    against, and the core ``auto`` falls back to.
 
     Example
     -------

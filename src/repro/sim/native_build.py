@@ -11,9 +11,9 @@ benignly via atomic ``os.replace``.
 Everything degrades softly: no compiler, no Python headers, a failed
 compile or a failed import all make :func:`load_native_core` return
 ``None`` (cached for the process), and backend auto-selection falls back
-to the pure-Python calendar queue.  Set ``$REPRO_NATIVE_DISABLE=1`` to
-skip the toolchain probe entirely (used by tests and CI matrix legs that
-must exercise the pure-Python backends).
+to the pure-Python heap core.  Set ``$REPRO_NATIVE_DISABLE=1`` to skip
+the toolchain probe entirely (used by tests and the CI leg that must
+exercise the pure-Python core).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
-"""Observability: counters, structured event tracing, usage summaries.
+"""Observability: counters and text-mode usage summaries.
 
-The richer span/metrics layer lives in :mod:`repro.obs`; this package
-keeps the always-on counter bag, the legacy flat event log and the
-text-mode summaries (tables, gantt) built on top of either.
+The span/metrics layer lives in :mod:`repro.obs`; this package keeps
+the always-on counter bag and the text-mode summaries (tables, commit
+timeline, gantt) read from driver statistics and recorded spans.
 """
 
 from .timeline import (
@@ -13,14 +13,10 @@ from .timeline import (
     rail_byte_shares,
     rail_usage_table,
 )
-from .tracer import NULL_TRACER, Counters, NullTracer, TraceEvent, Tracer
+from .tracer import Counters
 
 __all__ = [
     "Counters",
-    "Tracer",
-    "TraceEvent",
-    "NullTracer",
-    "NULL_TRACER",
     "rail_usage_table",
     "rail_byte_shares",
     "commit_timeline",

@@ -68,13 +68,16 @@ def rail_byte_shares(session: "Session", node_id: int = 0) -> dict[str, float]:
 
 
 def commit_timeline(session: "Session") -> list[tuple[float, int, str]]:
-    """Recorded commit events as ``(time_us, node, detail)`` rows.
+    """Recorded commits as ``(time_us, node, detail)`` rows.
 
-    Requires the session to have been built with ``trace=True``.
+    Read from the pump's ``commit`` spans: ``time_us`` is the span's
+    ``t0``, the instant the strategy handed the packet over (before the
+    aggregation copy and the NIC post).  Requires the session to have
+    been built with ``trace=True``; an untraced session has no rows.
     """
     return [
-        (ev.time_us, ev.node, ev.detail)
-        for ev in session.tracer.by_category("commit")
+        (s.t0, s.node, f"rail={s.args['rail']} entries={s.args['entries']}")
+        for s in session.spans.by_cat("commit")
     ]
 
 
@@ -106,21 +109,11 @@ def busy_intervals(session: "Session", node_id: int) -> dict[str, list[tuple[flo
     overlapping same-kind activity is merged into maximal intervals.
     """
     out: dict[str, list[tuple[float, float, str]]] = {}
-    spans = getattr(session, "spans", None)
-    if spans is not None and len(spans):
-        for span in spans.by_node(node_id):
-            if span.cat not in ("pio", "dma") or span.open:
-                continue
-            rail = (span.args or {}).get("rail", span.track.removeprefix("rail:"))
-            out.setdefault(rail, []).append((span.t0, span.t1, span.cat))
-    else:
-        # sessions that only carry the legacy flat event log
-        for ev in session.tracer.by_category("nic_busy"):
-            if ev.node != node_id or not ev.data:
-                continue
-            out.setdefault(ev.data["rail"], []).append(
-                (ev.data["start"], ev.data["end"], ev.data["kind"])
-            )
+    for span in session.spans.by_node(node_id):
+        if span.cat not in ("pio", "dma") or span.open:
+            continue
+        rail = (span.args or {}).get("rail", span.track.removeprefix("rail:"))
+        out.setdefault(rail, []).append((span.t0, span.t1, span.cat))
     return {rail: merge_intervals(ivs) for rail, ivs in out.items()}
 
 

@@ -125,6 +125,24 @@ class TestCompare:
         assert not report.failures
         assert "PASS" in report.summary()
 
+    def test_retired_backend_label_still_loads_and_compares(self, small_record, tmp_path):
+        # the label is a free string in records and the ledger: a record
+        # written when the calendar core existed stays a usable baseline
+        old = small_record.to_dict()
+        old["backend"] = "calendar"
+        path = tmp_path / "BENCH_old.json"
+        path.write_text(json.dumps(old))
+        loaded = load_record(str(path))
+        assert loaded.backend == "calendar"
+        report = compare_records(loaded, small_record)
+        assert report.ok and not report.failures
+        assert any("baseline=calendar" in note for note in report.notes)
+        from repro.obs.ledger import Ledger
+
+        with Ledger(str(tmp_path / "ledger.db")) as ledger:
+            rid = ledger.ingest_bench_record(str(path))
+            assert ledger.show(rid)["points"]
+
     def test_sim_drift_gates(self, small_record):
         drifted = BenchRecord.from_dict(small_record.to_dict())
         for p in drifted.points:

@@ -1,7 +1,7 @@
 """Unit tests for the native (C extension) event core.
 
 Skipped wholesale on hosts without a C toolchain — the native backend is
-an optional accelerator and ``auto`` falls back to the calendar queue.
+an optional accelerator and ``auto`` falls back to the heap reference.
 """
 
 import pytest

@@ -318,7 +318,7 @@ def _interleaving_trace(backend, delays, as_timeout):
 
 def test_timeout_and_bare_float_interleave_identically_on_every_backend():
     """Differential: any mix of the two spellings schedules the same
-    events in the same order, on heap, calendar and native alike."""
+    events in the same order, on heap and native alike."""
     import random
 
     from repro.sim.backend import available_backends

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Session, run_pingpong
-from repro.trace import Counters, Tracer, commit_timeline, rail_byte_shares, rail_usage_table
+from repro.trace import Counters, commit_timeline, rail_byte_shares, rail_usage_table
 from repro.util.units import MB
 
 
@@ -63,44 +63,6 @@ class TestCounters:
         assert merged["sweeps"] == sum(
             e.counters["sweeps"] for e in session.engines
         )
-
-
-class TestNullTracer:
-    def test_singleton_is_inert(self):
-        from repro.trace import NULL_TRACER
-
-        NULL_TRACER.record(1.0, 0, "commit", "x")
-        assert len(NULL_TRACER) == 0
-        assert not NULL_TRACER.enabled
-        assert NULL_TRACER.by_category("commit") == []
-        assert NULL_TRACER.by_node(0) == []
-        assert list(NULL_TRACER.events) == []
-        NULL_TRACER.clear()  # no-op, no raise
-
-    def test_untraced_session_gets_null_tracer(self, plat2):
-        from repro import Session
-        from repro.trace import NULL_TRACER, Tracer
-
-        assert Session(plat2).tracer is NULL_TRACER
-        assert isinstance(Session(plat2, trace=True).tracer, Tracer)
-
-
-class TestTracer:
-    def test_disabled_records_nothing(self):
-        t = Tracer(enabled=False)
-        t.record(1.0, 0, "cat", "detail")
-        assert len(t) == 0
-
-    def test_enabled_records_and_filters(self):
-        t = Tracer(enabled=True)
-        t.record(1.0, 0, "commit", "a")
-        t.record(2.0, 1, "poll", "b")
-        t.record(3.0, 0, "commit", "c")
-        assert len(t) == 3
-        assert [e.detail for e in t.by_category("commit")] == ["a", "c"]
-        assert [e.detail for e in t.by_node(1)] == ["b"]
-        t.clear()
-        assert len(t) == 0
 
 
 class TestUsageSummaries:
