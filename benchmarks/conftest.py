@@ -5,10 +5,12 @@ maps figures to files).  Tables are printed (visible with ``pytest -s``)
 and persisted under ``bench_results/`` as text + CSV.
 
 A session-scoped :class:`~repro.obs.perf.BenchRecorder` additionally
-collects every figure's curve points and the ``bench_engine`` wall-clock
-stats into ``bench_results/BENCH_pytest.json`` — the same run-record
-format ``repro bench run`` emits, so a pytest benchmark session can be
-diffed against a baseline with ``repro bench compare``.
+collects every figure's curve points (and the ``bench_engine`` /
+``bench_scale`` simulated points) into ``bench_results/BENCH_pytest.json``
+— the same run-record format ``repro bench run`` emits, so a pytest
+benchmark session can be diffed against a baseline with ``repro bench
+compare``.  Host time is not recorded here: ``python3 -m hostbench run``
+owns wall clock.
 """
 
 from __future__ import annotations
@@ -34,23 +36,8 @@ def recorder(report_dir):
     """Run-record accumulator; written once at session end."""
     rec = BenchRecorder("pytest")
     yield rec
-    if len(rec) or rec._wall:
+    if len(rec):
         rec.write(os.path.join(report_dir, "BENCH_pytest.json"))
-
-
-@pytest.fixture()
-def record_wall(recorder):
-    """Fold one pytest-benchmark fixture's raw timings into the record
-    (best-effort: stats internals differ across pytest-benchmark
-    versions, and are absent when benchmarking is disabled)."""
-
-    def _record(name: str, benchmark) -> None:
-        stats = getattr(getattr(benchmark, "stats", None), "stats", None)
-        data = list(getattr(stats, "data", None) or [])
-        if data:
-            recorder.record_wall_clock(name, data)
-
-    return _record
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ import numpy as np
 from repro import Session, paper_platform, sample_rails
 from repro.mpi import Communicator, allreduce
 from repro.sim.process import AllOf
-from repro.trace import rail_usage_table
+from repro.obs.timeline import rail_usage_table
 
 N_NODES = 4
 BLOCK = 16384  # cells per node (one float64 each)

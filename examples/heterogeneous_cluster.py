@@ -17,7 +17,7 @@ Run:  python examples/heterogeneous_cluster.py
 
 from repro import IB_DDR, GIGE_TCP, SCI_D33X, PlatformSpec, Session, run_pingpong, sample_rails
 from repro.hardware.presets import PAPER_HOST
-from repro.trace import rail_byte_shares
+from repro.obs.timeline import rail_byte_shares
 from repro.util.units import KB, MB, format_size
 
 

@@ -11,7 +11,7 @@ Run:  python examples/multirail_strategies.py
 """
 
 from repro import Session, paper_platform, run_pingpong, sample_rails
-from repro.trace import rail_byte_shares, rail_usage_table
+from repro.obs.timeline import rail_byte_shares, rail_usage_table
 from repro.util.tables import Table
 from repro.util.units import KB, MB, format_size
 

@@ -19,7 +19,7 @@ import sys
 
 from repro import Session, paper_platform, sample_rails
 from repro.obs import lifecycle_report, lifecycle_table, poll_tax_by_rail, write_chrome_trace
-from repro.trace import gantt, rail_usage_table
+from repro.obs.timeline import gantt, rail_usage_table
 from repro.util.units import KB, MB, format_size
 
 

@@ -12,7 +12,6 @@ records
   ``curve=<strategy>``) — the split ratios a strategy converges to feed
   straight into the chunk schedule, so any behaviour drift in the
   feedback loop moves this number and fails ``repro bench compare``;
-* the wall-clock seconds per strategy (noisy, report-only);
 * ``adaptive.steady_share.<strategy>`` / ``adaptive.switches.<strategy>``
   report-only metrics so the converged operating point is visible in the
   compare delta table.
@@ -25,7 +24,6 @@ records with ``--sim-tol 0``.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -75,8 +73,6 @@ class AdaptiveResult:
     resamples: int
     #: tournament switch count (None for plain strategies).
     switches: Optional[int]
-    #: wall seconds per rep (noisy; report-only).
-    wall_s: tuple[float, ...]
 
 
 def _workload(session) -> float:
@@ -117,8 +113,8 @@ def _workload(session) -> float:
 def run_adaptive_case(strategy: str, reps: int = 1) -> AdaptiveResult:
     """Run the degrade-recovery workload under ``strategy``.
 
-    The simulated latency and event count are identical across reps
-    (fresh simulator each time); only the wall clock varies.
+    The simulated latency and event count must be identical across reps
+    (fresh simulator each time) — a disagreement raises.
     """
     from ..core.session import Session
     from ..core.strategies.registry import available_strategies
@@ -137,9 +133,7 @@ def run_adaptive_case(strategy: str, reps: int = 1) -> AdaptiveResult:
     steady_share: Optional[float] = None
     resamples = 0
     switches: Optional[int] = None
-    walls = []
     for _ in range(reps):
-        t0 = time.perf_counter()
         spec = paper_platform()
         plan = FaultPlan(
             [
@@ -154,7 +148,6 @@ def run_adaptive_case(strategy: str, reps: int = 1) -> AdaptiveResult:
         )
         session = Session(spec, strategy=strategy, faults=plan)
         workload_done_us = _workload(session)
-        walls.append(time.perf_counter() - t0)
 
         strat = session.engine(0).strategy
         ratios = (
@@ -183,7 +176,6 @@ def run_adaptive_case(strategy: str, reps: int = 1) -> AdaptiveResult:
         steady_share=steady_share,
         resamples=resamples,
         switches=switches,
-        wall_s=tuple(walls),
     )
 
 
@@ -220,14 +212,11 @@ def run_adaptive_suite(
         r = run_adaptive_case(name, reps=reps)
         out.append(r)
         recorder.record_point(adaptive_point(r))
-        recorder.record_wall_clock(
-            f"adaptive.degrade_recovery.{r.strategy}", list(r.wall_s)
-        )
         if publish:
             publish(f"adaptive.degrade_recovery.{r.strategy}", done, len(strategies))
 
     # merge (don't replace) the metrics snapshot: earlier suites may have
-    # recorded the probe + events_per_sec headline already.
+    # recorded the probe already.
     snap = dict(getattr(recorder, "_metrics", {}) or {})
     for r in out:
         if r.steady_share is not None:

@@ -10,10 +10,9 @@ rail-optimized platform at each P in ``DEFAULT_POINTS`` and records:
   (``kind="collective"``, ``bench="scale.<algo>"``, ``curve="P<n>"``),
   which is deterministic and therefore gated by ``repro bench compare``
   exactly like a figure point;
-* the wall-clock seconds per P (noisy, report-only);
-* ``scale.events_per_sec.P<n>`` / ``scale.events.P<n>`` report-only
-  metrics, so a kernel-backend regression at scale shows up in the
-  compare delta table even though wall time itself is not gated.
+* ``scale.events.<algo>.P<n>`` report-only metrics (kernel events the
+  cell executed, deterministic), so a change in event count at scale
+  shows up in the compare delta table.
 
 Every (algo, P) task is an isolated :class:`~repro.sim.engine.Simulator`,
 so the suite is embarrassingly parallel; ``run_scale_suite(jobs=...)``
@@ -25,8 +24,7 @@ merge in task order — and is bit-identical to a serial run (CI's
 from __future__ import annotations
 
 import itertools
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from ..util.errors import BenchError
@@ -75,16 +73,10 @@ class ScaleResult:
     elapsed_us: float
     #: kernel events the run executed (deterministic).
     events: int
-    #: wall seconds per rep (noisy; report-only).
-    wall_s: tuple[float, ...]
     #: active-set health snapshot of the last rep.
     peak_active_nodes: int
     engines_built: int
     idle_skip_ratio: float
-
-    @property
-    def events_per_sec(self) -> float:
-        return self.events / min(self.wall_s) if self.wall_s else 0.0
 
 
 def _rank_body(algo: str, ep, results: dict):
@@ -107,8 +99,8 @@ def _rank_body(algo: str, ep, results: dict):
 def run_collective(algo: str, n_nodes: int, reps: int = 1) -> ScaleResult:
     """Run ``algo`` once per rep on a fresh rail-optimized platform.
 
-    The simulated latency and event count are identical across reps
-    (fresh simulator each time); only the wall clock varies.
+    The simulated latency and event count must be identical across reps
+    (fresh simulator each time) — a disagreement raises.
     """
     if algo not in SCALE_ALGOS:
         raise BenchError(f"unknown scale algo {algo!r}; have {SCALE_ALGOS}")
@@ -119,10 +111,8 @@ def run_collective(algo: str, n_nodes: int, reps: int = 1) -> ScaleResult:
     from ..mpi.comm import Communicator
 
     elapsed_us = events = None
-    walls = []
     health: dict[str, Any] = {}
     for _ in range(reps):
-        t0 = time.perf_counter()
         spec = rail_optimized_platform(n_nodes)
         session = Session(spec, strategy=_STRATEGY)
         comm = Communicator(session, name=f"scale.{algo}")
@@ -135,7 +125,6 @@ def run_collective(algo: str, n_nodes: int, reps: int = 1) -> ScaleResult:
             session.spawn(wrapper(r), name=f"scale.r{r}") for r in range(n_nodes)
         ]
         session.run_until_idle()
-        walls.append(time.perf_counter() - t0)
         if not all(p.done for p in procs):
             raise BenchError(f"scale.{algo} P{n_nodes}: collective deadlocked")
         _check_results(algo, n_nodes, results)
@@ -154,7 +143,6 @@ def run_collective(algo: str, n_nodes: int, reps: int = 1) -> ScaleResult:
         n_nodes=n_nodes,
         elapsed_us=float(elapsed_us),
         events=int(events),
-        wall_s=tuple(walls),
         peak_active_nodes=int(health.get("peak_active_nodes", 0)),
         engines_built=int(health.get("engines_built", 0)),
         idle_skip_ratio=float(health.get("idle_skip_ratio", 0.0)),
@@ -191,17 +179,7 @@ def scale_point(result: ScaleResult) -> dict[str, Any]:
 
 def run_scale_task(task: ScaleTask) -> dict[str, Any]:
     """Pool worker body: run one cell, return a primitive payload."""
-    r = run_collective(task.algo, task.n_nodes, reps=task.reps)
-    return {
-        "algo": r.algo,
-        "n_nodes": r.n_nodes,
-        "elapsed_us": r.elapsed_us,
-        "events": r.events,
-        "wall_s": list(r.wall_s),
-        "peak_active_nodes": r.peak_active_nodes,
-        "engines_built": r.engines_built,
-        "idle_skip_ratio": r.idle_skip_ratio,
-    }
+    return asdict(run_collective(task.algo, task.n_nodes, reps=task.reps))
 
 
 def run_scale_suite(
@@ -243,26 +221,12 @@ def run_scale_suite(
     out = []
     scale_metrics: dict[str, float] = {}
     for row in rows:
-        r = ScaleResult(
-            algo=row["algo"],
-            n_nodes=row["n_nodes"],
-            elapsed_us=row["elapsed_us"],
-            events=row["events"],
-            wall_s=tuple(row["wall_s"]),
-            peak_active_nodes=row["peak_active_nodes"],
-            engines_built=row["engines_built"],
-            idle_skip_ratio=row["idle_skip_ratio"],
-        )
+        r = ScaleResult(**row)
         out.append(r)
         recorder.record_point(scale_point(r))
-        recorder.record_wall_clock(f"scale.{r.algo}.P{r.n_nodes}", list(r.wall_s))
-        scale_metrics[f"scale.events_per_sec.P{r.n_nodes}"] = max(
-            scale_metrics.get(f"scale.events_per_sec.P{r.n_nodes}", 0.0),
-            r.events_per_sec,
-        )
         scale_metrics[f"scale.events.{r.algo}.P{r.n_nodes}"] = float(r.events)
     # merge (don't replace) the metrics snapshot: the engine suite may
-    # already have recorded the probe + events_per_sec headline.
+    # already have recorded the probe.
     snap = dict(getattr(recorder, "_metrics", {}) or {})
     snap.update(scale_metrics)
     recorder.record_metrics(snap)

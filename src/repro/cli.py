@@ -17,7 +17,6 @@ Commands
 ``bench run``    record a benchmark run as a self-describing BENCH_*.json
                  (``--serve`` exposes a live OpenMetrics endpoint)
 ``bench compare``diff two run records / gate on simulated-result drift
-``bench history``cross-run trend / step-change analytics over BENCH_*.json
 ``metrics``      run the canonical probe workload and print its metrics
                  (OpenMetrics or JSON)
 ``ledger``       queryable SQLite run ledger: ingest bench records, chaos
@@ -238,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     br.add_argument(
         "--engine",
         action="store_true",
-        help="run the substrate micro-benchmarks (wall-clock + simulated)",
+        help="record the two simulated engine ping-pong points and the"
+        " metrics probe (host time: python3 -m hostbench run)",
     )
     br.add_argument(
         "--figures",
@@ -278,9 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         " --jobs 1)",
     )
     br.add_argument(
-        "--wall-reps", type=int, default=5, help="wall-clock repetitions (median kept)"
-    )
-    br.add_argument(
         "--backend", default=None, metavar="{auto,heap,native}",
         help="simulation kernel backend (default: $REPRO_SIM_BACKEND, then"
         " auto = native when the C core loads, else heap);"
@@ -310,38 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     bc.add_argument(
         "--gate",
         action="store_true",
-        help="exit non-zero on simulated-result drift (wall-clock stays report-only)",
+        help="exit non-zero on simulated-result drift",
     )
     bc.add_argument(
         "--sim-tol", type=float, default=None,
         help="relative tolerance for deterministic simulated results",
     )
     bc.add_argument(
-        "--wall-tol", type=float, default=None,
-        help="report-only relative threshold for wall-clock medians",
-    )
-    bc.add_argument(
         "--all-rows", action="store_true", help="show every delta row, not only regressions"
-    )
-
-    bh = bsub.add_parser(
-        "history",
-        help="cross-run analytics: trends and step changes over BENCH_*.json",
-    )
-    bh.add_argument(
-        "paths", nargs="+",
-        help="record files and/or directories to scan for BENCH_*.json",
-    )
-    bh.add_argument(
-        "--sim-step-tol", type=float, default=None,
-        help="step threshold for deterministic simulated quantities",
-    )
-    bh.add_argument(
-        "--wall-step-tol", type=float, default=None,
-        help="step threshold for noisy wall-clock medians",
-    )
-    bh.add_argument(
-        "--json", action="store_true", help="emit the full history as JSON"
     )
 
     c = sub.add_parser(
@@ -830,10 +803,8 @@ def _cmd_bench(args) -> int:
             print(f"live metrics: {server.url}/metrics")
         try:
             if run_engine:
-                print("running engine micro-benchmarks ...")
-                run_engine_suite(
-                    recorder, wall_reps=args.wall_reps, publish=engine_publish
-                )
+                print("running engine points ...")
+                run_engine_suite(recorder, publish=engine_publish)
             if run_figures:
                 run_figure_suite(
                     recorder,
@@ -856,7 +827,6 @@ def _cmd_bench(args) -> int:
                     recorder,
                     algos=args.scale_algos or scale_mod.SCALE_ALGOS,
                     points=args.scale_points or scale_mod.DEFAULT_POINTS,
-                    reps=max(1, args.wall_reps // 2),
                     jobs=args.jobs,
                     publish=scale_publish,
                 )
@@ -864,7 +834,6 @@ def _cmd_bench(args) -> int:
                     print(
                         f"  scale.{r.algo} P{r.n_nodes}: {r.elapsed_us:.2f} us"
                         f" simulated, {r.events} events,"
-                        f" {r.events_per_sec:,.0f} ev/s,"
                         f" peak active {r.peak_active_nodes}"
                     )
             if run_adaptive:
@@ -876,11 +845,7 @@ def _cmd_bench(args) -> int:
                     def adaptive_publish(cell, done, total):  # noqa: F811
                         server.publisher.publish_progress("adaptive", done, total)
 
-                results = run_adaptive_suite(
-                    recorder,
-                    reps=max(1, args.wall_reps // 2),
-                    publish=adaptive_publish,
-                )
+                results = run_adaptive_suite(recorder, publish=adaptive_publish)
                 for r in results:
                     share = (
                         "n/a" if r.steady_share is None
@@ -907,9 +872,9 @@ def _cmd_bench(args) -> int:
                 server.stop()
         log.info(
             "run.done", command="bench run", record=recorder.name,
-            points=len(recorder), wall_clocks=len(recorder._wall), path=path,
+            points=len(recorder), path=path,
         )
-        print(f"{path}: {len(recorder)} points, {len(recorder._wall)} wall-clock benches")
+        print(f"{path}: {len(recorder)} points")
         if args.ledger:
             rid = _ledger_ingest_run(
                 args.ledger, record_path=path, log_file=args.log_file
@@ -932,9 +897,6 @@ def _cmd_bench(args) -> int:
             baseline,
             current,
             sim_rel_tol=args.sim_tol if args.sim_tol is not None else compare_mod.SIM_REL_TOL,
-            wall_rel_tol=(
-                args.wall_tol if args.wall_tol is not None else compare_mod.WALL_REL_TOL
-            ),
         )
         show_all = args.all_rows or not report.ok
         table = delta_table(report, only_regressions=not args.all_rows and not report.ok)
@@ -944,41 +906,6 @@ def _cmd_bench(args) -> int:
         print(report.summary())
         if args.gate:
             return 0 if report.ok else 1
-        return 0
-
-    if args.bench_command == "history":
-        import json
-
-        from .obs import history as history_mod
-        from .obs.history import build_history, history_table, load_history, step_table
-
-        try:
-            records = load_history(args.paths)
-            report = build_history(
-                records,
-                sim_step_threshold=(
-                    args.sim_step_tol
-                    if args.sim_step_tol is not None
-                    else history_mod.SIM_STEP_THRESHOLD
-                ),
-                wall_step_threshold=(
-                    args.wall_step_tol
-                    if args.wall_step_tol is not None
-                    else history_mod.WALL_STEP_THRESHOLD
-                ),
-            )
-        except BenchError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
-            return 0
-        print(history_table(report).render())
-        if report.step_changes:
-            print()
-            print(step_table(report).render())
-        print()
-        print(report.summary())
         return 0
 
     raise AssertionError(f"unhandled bench command {args.bench_command!r}")
@@ -1152,8 +1079,6 @@ def _cmd_ledger(args) -> int:
                 cells = [f"{r['run_id']}", f"{r['kind']:<12}", f"{sha8:<9}"]
                 if r["n_points"]:
                     cells.append(f"points={r['n_points']}")
-                if r["n_wall_clocks"]:
-                    cells.append(f"wall={r['n_wall_clocks']}")
                 if r["n_chaos_cases"]:
                     verdict = (
                         f" (FAIL {r['n_chaos_failures']})"

@@ -32,9 +32,9 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Optional
 
 from ..drivers.registry import make_driver
+from ..obs.metrics import Counters
 from ..obs.spans import TRACK_FAULTS, TRACK_PUMP, rail_track
 from ..sim.process import Process, spawn
-from ..trace.tracer import Counters
 from ..util.errors import ApiError, ProtocolError
 from .gate import Gate, Segment
 from .matching import ANY_SOURCE, MatchAction, MatchingTable
@@ -86,17 +86,13 @@ class NodeEngine:
         #: send requests issued by this node, kept only while span tracing
         #: is on (feeds the per-request lifecycle report).
         self.sent_log: list[SendRequest] = []
-        # hot-path instruments, resolved once (see obs.metrics.SCHEMA)
+        # hot-path instruments, resolved once (see obs.metrics.SCHEMA);
+        # sweeps, polls, commits and parks are counted by their owners —
+        # the bag above and the drivers — and published from those by
+        # Session.sync_kernel_metrics, not restated here
         metrics = session.metrics
-        self._m_sweeps = metrics.counter("engine.sweeps")
-        self._m_poll_count = [
-            metrics.counter("engine.poll.count", rail=d.name) for d in self.drivers
-        ]
         self._m_poll_idle_us = [
             metrics.counter("engine.poll.idle_us", rail=d.name) for d in self.drivers
-        ]
-        self._m_commit_count = [
-            metrics.counter("engine.commit.count", rail=d.name) for d in self.drivers
         ]
         self._m_commit_lat = [
             metrics.histogram("engine.commit.latency_us", rail=d.name)
@@ -380,7 +376,6 @@ class NodeEngine:
                         break
             counts["sweeps"] += 1
             counts["polls"] += n_rails
-            self._m_sweeps.value += 1
             progressed = False
             sweep_t0 = sim.now
             if tracing:
@@ -389,7 +384,6 @@ class NodeEngine:
             arrived: list[tuple["Driver", Any]] = []
             for idx, driver, _ in rails:
                 cost, pkts = driver.poll()
-                self._m_poll_count[idx].value += 1
                 if pkts:
                     for pkt in pkts:
                         arrived.append((driver, pkt))
@@ -476,7 +470,6 @@ class NodeEngine:
                 )
                 self._stamp_first_commits(pw, idx, post_t0)
                 wire_bytes = pw.wire_bytes
-                self._m_commit_count[idx].value += 1
                 self._m_wrapper_bytes[idx].observe(wire_bytes)
                 self._m_poll_gap.observe(post_t0 - sweep_t0)
                 self._m_window_depth.observe(backlog)

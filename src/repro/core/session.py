@@ -23,11 +23,10 @@ from typing import Any, Generator, Mapping, Optional
 
 from ..hardware.platform import Platform
 from ..hardware.spec import PlatformSpec
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import Counters, MetricsRegistry
 from ..obs.spans import SpanRecorder
 from ..sim.engine import Simulator
 from ..sim.process import Process, spawn
-from ..trace.tracer import Counters
 from ..util.errors import ConfigError
 from .sampling import SampleTable
 from .scheduler import NodeEngine
@@ -123,8 +122,6 @@ class Session:
         # runnable right now, and the high-water mark of that number.
         self._active_pumps = 0
         self._peak_active = 0
-        self._pump_parks = 0
-        self._pump_wakeups = 0
 
         self._session_stopped = False
 
@@ -196,21 +193,34 @@ class Session:
         self.sync_kernel_metrics()
 
     def sync_kernel_metrics(self) -> None:
-        """Publish the kernel's heap-health stats into the registry.
+        """Publish what the owners counted into the registry.
 
-        Called automatically after :meth:`run` / :meth:`run_until_idle`;
-        cheap enough to call again at any probe point.
+        One owner increments, this publishes: the kernel's heap stats,
+        the per-node counter bags and the per-driver tallies are *set*
+        here — never accumulated — so the pump pays for each count once
+        and calling this again changes nothing.  Runs automatically
+        after :meth:`run` / :meth:`run_until_idle`; cheap enough to call
+        at any probe point.
         """
         sim = self.sim
-        compactions = self.metrics.counter("engine.heap_compactions")
-        compactions.add(sim.heap_compactions - compactions.value)
-        self.metrics.gauge("engine.tombstone_ratio").set(sim.tombstone_ratio)
+        metrics = self.metrics
+        metrics.counter("engine.heap_compactions").value = sim.heap_compactions
+        metrics.gauge("engine.tombstone_ratio").set(sim.tombstone_ratio)
         health = self.active_health()
-        self.metrics.gauge("active.peak_nodes").set(health["peak_active_nodes"])
-        self.metrics.gauge("active.engines_built").set(health["engines_built"])
-        self.metrics.gauge("active.pump_parks").set(health["pump_parks"])
-        self.metrics.gauge("active.pump_wakeups").set(health["pump_wakeups"])
-        self.metrics.gauge("active.idle_skip_ratio").set(health["idle_skip_ratio"])
+        metrics.counter("engine.sweeps").value = health["total_sweeps"]
+        engines = list(self.engines.built())
+        for idx, rail in enumerate(self.spec.rails):
+            metrics.counter("engine.poll.count", rail=rail.name).value = sum(
+                e.drivers[idx].polls for e in engines
+            )
+            metrics.counter("engine.commit.count", rail=rail.name).value = (
+                metrics.histogram("engine.commit.wrapper_bytes", rail=rail.name).count
+            )
+        metrics.gauge("active.peak_nodes").set(health["peak_active_nodes"])
+        metrics.gauge("active.engines_built").set(health["engines_built"])
+        metrics.gauge("active.pump_parks").set(health["pump_parks"])
+        metrics.gauge("active.pump_wakeups").set(health["pump_wakeups"])
+        metrics.gauge("active.idle_skip_ratio").set(health["idle_skip_ratio"])
 
     # -- active-set accounting (called by the engine pumps) ---------------
     def _pump_started(self) -> None:
@@ -220,11 +230,9 @@ class Session:
 
     def _pump_parked(self) -> None:
         self._active_pumps -= 1
-        self._pump_parks += 1
 
     def _pump_woke(self) -> None:
         self._active_pumps += 1
-        self._pump_wakeups += 1
         if self._active_pumps > self._peak_active:
             self._peak_active = self._active_pumps
 
@@ -241,9 +249,11 @@ class Session:
         1.0 on a mostly-idle large platform, 0.0 when every node is as
         busy as the busiest.
         """
-        sweeps = [e.counters["sweeps"] for e in self.engines.built()]
+        bags = [e.counters for e in self.engines.built()]
+        sweeps = [c["sweeps"] for c in bags]
         total_sweeps = sum(sweeps)
         max_sweeps = max(sweeps, default=0)
+        pump_wakeups = sum(c["pump_wakeups"] for c in bags)
         n = self.spec.n_nodes
         events = self.sim.events_executed
         return {
@@ -251,9 +261,9 @@ class Session:
             "engines_built": self.engines.built_count,
             "peak_active_nodes": self._peak_active,
             "active_nodes_now": self._active_pumps,
-            "pump_parks": self._pump_parks,
-            "pump_wakeups": self._pump_wakeups,
-            "wakeups_per_event": self._pump_wakeups / events if events else 0.0,
+            "pump_parks": sum(c["pump_parks"] for c in bags),
+            "pump_wakeups": pump_wakeups,
+            "wakeups_per_event": pump_wakeups / events if events else 0.0,
             "total_sweeps": total_sweeps,
             "idle_skip_ratio": (
                 1.0 - total_sweeps / (n * max_sweeps) if max_sweeps else 0.0

@@ -2,17 +2,22 @@
 
 The three pieces compose (see README "Observability"):
 
-* :mod:`repro.obs.metrics` — always-on counters/gauges/histograms behind a
-  documented schema; one :class:`MetricsRegistry` per session;
+* :mod:`repro.obs.metrics` — the per-node :class:`Counters` bag the pump
+  increments, and always-on counters/gauges/histograms behind a
+  documented schema; one :class:`MetricsRegistry` per session, published
+  from the owners of each count by ``Session.sync_kernel_metrics``;
 * :mod:`repro.obs.spans` — opt-in (``Session(..., trace=True)``) nested
   spans of the pump's poll/handle/commit phases, per-rail PIO/DMA activity
   and rendezvous handshakes;
+* :mod:`repro.obs.timeline` — text-mode summaries read from driver
+  tallies and recorded spans (rail usage table, commit timeline, gantt);
 * :mod:`repro.obs.export` / :mod:`repro.obs.report` — Chrome-trace /
   Perfetto JSON and JSONL serialization, plus the per-request latency
   decomposition (queueing / idle-poll tax / wire time);
 * :mod:`repro.obs.perf` / :mod:`repro.obs.compare` — the *across-run*
-  layer: self-describing ``BENCH_*.json`` run records and the
-  regression gate that diffs them against committed baselines;
+  layer: self-describing ``BENCH_*.json`` records of deterministic
+  simulated results and the identity gate that diffs them against
+  committed baselines (host time is ``hostbench/``'s, not recorded here);
 * :mod:`repro.obs.openmetrics` — OpenMetrics/Prometheus text exposition
   of any metrics snapshot;
 * :mod:`repro.obs.runner` — parallel sweep runner fanning figure points
@@ -23,8 +28,6 @@ The three pieces compose (see README "Observability"):
 * :mod:`repro.obs.server` — stdlib live HTTP endpoint serving the
   OpenMetrics exposition (plus ``critpath.*``/``live.*`` gauges) while a
   sweep is in flight;
-* :mod:`repro.obs.history` — cross-run trend and step-change analytics
-  over accumulated ``BENCH_*.json`` records, keyed by git SHA;
 * :mod:`repro.obs.streaming` — bounded-memory :class:`StreamingTracer`
   that spills closed spans to a JSONL stream on disk, with deterministic
   seeded span sampling (:class:`SpanSampler`);
@@ -50,13 +53,6 @@ from .critical_path import (
     critical_path_trace_events,
     rail_timeline,
     timeline_table,
-)
-from .history import (
-    HistoryReport,
-    build_history,
-    history_table,
-    load_history,
-    step_table,
 )
 from .export import (
     load_chrome_trace,
@@ -158,11 +154,6 @@ __all__ = [
     "MetricsPublisher",
     "LiveMetricsServer",
     "OPENMETRICS_CONTENT_TYPE",
-    "HistoryReport",
-    "build_history",
-    "history_table",
-    "load_history",
-    "step_table",
     "StreamingTracer",
     "SpanSampler",
     "load_span_stream",

@@ -9,10 +9,8 @@ The regression policy mirrors what the record stores (see
   ``sim_rel_tol``) and **gate** the verdict.  Missing or extra points
   gate too: a curve that silently loses a size is a regression in
   coverage;
-* **wall-clock costs** are noisy (machine, load, CPU scaling), so they
-  compare median-of-N against a generous ``wall_rel_tol`` and are
-  **report-only** — a slowdown shows up in the delta table and the
-  summary but never flips the verdict;
+* **host time** is not in a record at all: wall clock is measured from
+  outside by ``hostbench/``, never compared here;
 * **metrics snapshots** (idle-poll tax, sweep counts …) are
   deterministic but refactor-sensitive, so headline counters are
   reported for context and excluded from the gate;
@@ -34,8 +32,6 @@ __all__ = ["Delta", "CompareReport", "compare_records", "delta_table"]
 #: default relative tolerance for deterministic simulated results —
 #: allows float re-formatting, not behaviour change.
 SIM_REL_TOL = 1e-9
-#: default report-only threshold for wall-clock medians.
-WALL_REL_TOL = 0.25
 
 
 @dataclass(frozen=True)
@@ -44,7 +40,7 @@ class Delta:
 
     bench: str
     label: str  # curve / sub-series, "" when not applicable
-    quantity: str  # e.g. "bandwidth_MBps", "wall median (s)"
+    quantity: str  # e.g. "bandwidth_MBps", a metrics-snapshot name
     baseline: Optional[float]
     current: Optional[float]
     gated: bool  # participates in the pass/fail verdict
@@ -133,7 +129,6 @@ def compare_records(
     baseline: BenchRecord,
     current: BenchRecord,
     sim_rel_tol: float = SIM_REL_TOL,
-    wall_rel_tol: float = WALL_REL_TOL,
 ) -> CompareReport:
     """Compare ``current`` against ``baseline`` point by point."""
     report = CompareReport(
@@ -143,12 +138,11 @@ def compare_records(
     )
     if baseline.backend != current.backend and (baseline.backend or current.backend):
         # Simulated results must still match bit-for-bit (backends are
-        # pop-order identical); wall clocks are expected to differ.
+        # pop-order identical).
         report.notes.append(
             "kernel backend differs: baseline="
             f"{baseline.backend or 'unrecorded'}"
             f" current={current.backend or 'unrecorded'}"
-            " (wall-clock deltas reflect the backend change)"
         )
 
     # -- simulated points (gated) -------------------------------------------
@@ -192,42 +186,6 @@ def compare_records(
                     current=c,
                     gated=True,
                     ok=_within(b, c, sim_rel_tol),
-                )
-            )
-
-    # -- wall-clock medians (report-only) -----------------------------------
-    for bench in sorted(set(baseline.wall_clock_s) | set(current.wall_clock_s)):
-        bw = baseline.wall_clock_s.get(bench)
-        cw = current.wall_clock_s.get(bench)
-        b = None if bw is None else float(bw["median"])
-        c = None if cw is None else float(cw["median"])
-        ok = b is not None and c is not None and _within(b, c, wall_rel_tol)
-        report.deltas.append(
-            Delta(
-                bench=bench,
-                label="",
-                quantity="wall median (s)",
-                baseline=b,
-                current=c,
-                gated=False,
-                ok=ok,
-            )
-        )
-        # dispersion context: IQR rows never warn — a wide spread is a
-        # measurement-quality note, not a regression.  Older records
-        # predate the iqr key, so tolerate its absence on either side.
-        bi = None if bw is None or "iqr" not in bw else float(bw["iqr"])
-        ci = None if cw is None or "iqr" not in cw else float(cw["iqr"])
-        if bi is not None or ci is not None:
-            report.deltas.append(
-                Delta(
-                    bench=bench,
-                    label="",
-                    quantity="wall iqr (s)",
-                    baseline=bi,
-                    current=ci,
-                    gated=False,
-                    ok=True,
                 )
             )
 

@@ -12,8 +12,6 @@ run, with what results, and where are the artifacts":
   provenance strings;
 * ``points`` — every figure/engine point of a bench record (simulated
   quantities as JSON, identity columns split out for SQL filtering);
-* ``wall_clocks`` — the noisy wall-clock medians/IQRs, report-only as
-  ever;
 * ``chaos_cases`` — per (strategy, seed) verdicts, violations and the
   replayable fault plan JSON;
 * ``events`` — the structured event log (:mod:`repro.obs.log`), one row
@@ -40,7 +38,7 @@ from .log import EVENT_SCHEMA_VERSION, new_run_id
 __all__ = ["LEDGER_SCHEMA_VERSION", "Ledger", "DEFAULT_LEDGER_PATH"]
 
 #: bump when the table layout changes incompatibly.
-LEDGER_SCHEMA_VERSION = 1
+LEDGER_SCHEMA_VERSION = 2
 
 #: where the CLI looks when ``--db`` is not given.
 DEFAULT_LEDGER_PATH = os.path.join("bench_results", "ledger.db")
@@ -75,16 +73,6 @@ CREATE TABLE IF NOT EXISTS points (
     segments  INTEGER,
     values_json TEXT NOT NULL,
     PRIMARY KEY (run_id, point_id)
-);
-CREATE TABLE IF NOT EXISTS wall_clocks (
-    run_id  TEXT NOT NULL,
-    bench   TEXT NOT NULL,
-    median  REAL,
-    p25     REAL,
-    p75     REAL,
-    reps    INTEGER,
-    all_json TEXT,
-    PRIMARY KEY (run_id, bench)
 );
 CREATE TABLE IF NOT EXISTS chaos_cases (
     run_id    TEXT NOT NULL,
@@ -231,7 +219,6 @@ class Ledger:
             platform=record.platform_info,
         )
         self._db.execute("DELETE FROM points WHERE run_id = ?", (run_id,))
-        self._db.execute("DELETE FROM wall_clocks WHERE run_id = ?", (run_id,))
         for i, point in enumerate(record.points):
             values = {
                 k: v for k, v in point.items() if k in SIM_FIELDS
@@ -245,16 +232,6 @@ class Ledger:
                     point.get("curve"), point.get("strategy"),
                     point.get("size"), point.get("segments"),
                     json.dumps(values, sort_keys=True),
-                ),
-            )
-        for bench, wall in record.wall_clock_s.items():
-            self._db.execute(
-                "INSERT INTO wall_clocks (run_id, bench, median, p25, p75,"
-                " reps, all_json) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (
-                    run_id, bench, wall.get("median"), wall.get("p25"),
-                    wall.get("p75"), wall.get("reps"),
-                    json.dumps(wall.get("all", [])),
                 ),
             )
         self._db.commit()
@@ -442,7 +419,6 @@ class Ledger:
             rid = d["run_id"]
             for table, key in (
                 ("points", "n_points"),
-                ("wall_clocks", "n_wall_clocks"),
                 ("chaos_cases", "n_chaos_cases"),
                 ("events", "n_events"),
                 ("artifacts", "n_artifacts"),
@@ -471,15 +447,6 @@ class Ledger:
         ]
         for p in d["points"]:
             p.pop("values_json")
-        d["wall_clocks"] = {
-            r["bench"]: {
-                "median": r["median"], "p25": r["p25"], "p75": r["p75"],
-                "reps": r["reps"],
-            }
-            for r in self._db.execute(
-                "SELECT * FROM wall_clocks WHERE run_id = ?", (run_id,)
-            ).fetchall()
-        }
         d["chaos_cases"] = [
             {
                 "strategy": r["strategy"], "seed": r["seed"], "ok": bool(r["ok"]),
@@ -536,8 +503,7 @@ class Ledger:
             ).fetchall()[keep:]
         ]
         for rid in doomed:
-            for table in ("points", "wall_clocks", "chaos_cases", "events",
-                          "artifacts", "runs"):
+            for table in ("points", "chaos_cases", "events", "artifacts", "runs"):
                 self._db.execute(f"DELETE FROM {table} WHERE run_id = ?", (rid,))
         self._db.commit()
         if doomed:

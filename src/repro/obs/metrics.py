@@ -5,11 +5,17 @@ Every :class:`~repro.core.session.Session` owns one
 construction time (``registry.histogram(...)`` is get-or-create) so the
 hot paths only pay a method call and an increment per observation.
 
-Unlike the per-node :class:`~repro.trace.tracer.Counters` bag — which is
-free-form and kept for backward compatibility — every metric name used by
-the engine is declared in :data:`SCHEMA`.  Tests assert that the engine
-never emits an undeclared name, which is what keeps dashboards and the
-exporters honest as the system grows.
+Every metric name used by the engine is declared in :data:`SCHEMA`, and
+every name of the per-node :class:`Counters` bag in
+:data:`ENGINE_COUNTER_NAMES`.  Tests assert that the engine never emits
+an undeclared name, which is what keeps dashboards and the exporters
+honest as the system grows.
+
+One owner per count: the pump increments its node's :class:`Counters` bag
+and the per-driver tallies, nothing else; the registry instruments that
+restate them (``engine.sweeps``, ``engine.poll.count``,
+``engine.commit.count``, the ``active.*`` gauges) are *set* from those
+owners by ``Session.sync_kernel_metrics`` after every run (DESIGN.md §6i).
 
 Naming convention
 -----------------
@@ -21,10 +27,12 @@ microseconds of *simulated* time.
 from __future__ import annotations
 
 import bisect
+from collections import defaultdict
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "Counter",
+    "Counters",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -168,12 +176,6 @@ SCHEMA: dict[str, MetricSpec] = {
             " total_sweeps / (n_nodes * busiest node's sweeps); ~1.0 means"
             " idle nodes cost nothing (the O(active) claim)",
         ),
-        MetricSpec(
-            "engine.events_per_sec", "gauge", "1/s",
-            "kernel event throughput headline: executed events per"
-            " wall-clock second on the 100k mixed micro-benchmark"
-            " (best rep; backend-dependent, see BENCH record 'backend')",
-        ),
         # fault-injection subsystem (registered only when a FaultPlan is
         # active; a fault-free session emits none of these)
         MetricSpec(
@@ -283,9 +285,8 @@ SCHEMA: dict[str, MetricSpec] = {
     )
 }
 
-#: Names the legacy per-node :class:`~repro.trace.tracer.Counters` bag may
-#: use (kept for backward compatibility; the registry above is the
-#: documented surface).  ``tests/obs`` asserts engine runs stay inside it.
+#: Every name an engine may put into its :class:`Counters` bag;
+#: ``tests/obs/test_metrics.py`` asserts engine runs stay inside it.
 ENGINE_COUNTER_NAMES = frozenset(
     {
         "sweeps",
@@ -308,6 +309,50 @@ ENGINE_COUNTER_NAMES = frozenset(
         "pump_wakeups",
     }
 )
+
+
+class Counters:
+    """The per-node named-counter bag: what the pump increments.
+
+    Every node engine owns one.  :meth:`add` is not a "plain integer
+    add" — it is a method call plus a string-keyed dict update — so
+    per-message and per-sweep code bumps :attr:`counts` in place
+    (``counts[name] += n``) and counts per packet, not per entry
+    (DESIGN.md §6i).  Figure runners read it to report e.g. how many
+    packets were aggregated; tests use it to assert mechanisms ("the
+    greedy run really used both NICs").
+    """
+
+    def __init__(self) -> None:
+        self.counts: dict[str, int] = defaultdict(int)
+
+    def add(self, name: str, amount: int = 1) -> None:
+        self.counts[name] += amount
+
+    def __getitem__(self, name: str) -> int:
+        return self.counts.get(name, 0)
+
+    def snapshot(self) -> dict[str, int]:
+        """A plain-dict copy (stable for asserting / diffing)."""
+        return dict(self.counts)
+
+    def merge_inplace(self, other: "Counters") -> "Counters":
+        """Fold ``other``'s counts into this bag; returns ``self``."""
+        for k, v in other.counts.items():
+            self.counts[k] += v
+        return self
+
+    __iadd__ = merge_inplace
+
+    def merge(self, other: "Counters") -> "Counters":
+        """A new bag with both contributions summed."""
+        return Counters().merge_inplace(self).merge_inplace(other)
+
+    def __iter__(self) -> Iterator[tuple[str, int]]:
+        return iter(sorted(self.counts.items()))
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"Counters({dict(sorted(self.counts.items()))})"
 
 
 class Counter:

@@ -7,9 +7,6 @@ across time*.  A :class:`BenchRecorder` collects
   (one-way latency, bandwidth).  The simulation is deterministic, so two
   runs of the same code must agree bit-for-bit; any drift is a real
   behavioural change and :mod:`repro.obs.compare` gates on it;
-* **wall-clock costs** — wall seconds of the substrate micro-benchmarks
-  (event kernel, flow reallocation, full ping-pong).  Noisy by nature,
-  recorded as all reps + median, and *report-only* in the gate;
 * **a metrics snapshot** — the PR 1 registry counters (idle-poll tax,
   wrapper sizes, optimization-window depth) from a canonical probe
   workload, so a perf number always travels with the counters that
@@ -20,7 +17,9 @@ across time*.  A :class:`BenchRecorder` collects
 
 Records are plain JSON (:meth:`BenchRecord.to_dict` /
 :meth:`BenchRecord.from_dict`); committed baselines live under
-``bench_results/baselines/``.
+``bench_results/baselines/``.  A record holds no host time: wall clock
+belongs to ``hostbench/`` (``python3 -m hostbench run``), which measures
+it from outside with its own probes.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import hashlib
 import json
 import os
 import platform as _platform_mod
-import statistics
 import subprocess
 import sys
 import time
@@ -148,6 +146,10 @@ SIM_FIELDS = (
 )
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class BenchRecord:
     """One benchmark run, ready to serialize / compare."""
@@ -161,7 +163,6 @@ class BenchRecord:
     spec: dict[str, Any]
     spec_sha256: str
     points: list[dict[str, Any]] = field(default_factory=list)
-    wall_clock_s: dict[str, dict[str, Any]] = field(default_factory=dict)
     metrics: dict[str, Any] = field(default_factory=dict)
     #: event-log correlation id of the producing invocation (optional —
     #: the run ledger links a record to its events/chaos cases by it).
@@ -182,7 +183,6 @@ class BenchRecord:
             "spec": self.spec,
             "spec_sha256": self.spec_sha256,
             "points": self.points,
-            "wall_clock_s": self.wall_clock_s,
             "metrics": self.metrics,
         }
         if self.run_id is not None:
@@ -193,22 +193,46 @@ class BenchRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "BenchRecord":
+        """Build a record from parsed JSON, rejecting a malformed shape
+        with a one-line :class:`BenchError` naming the field.  Unknown
+        keys (older records carry some) are ignored."""
+        if not isinstance(data, Mapping):
+            raise BenchError(
+                f"bench record must be a JSON object, got {type(data).__name__}"
+            )
         schema = data.get("schema")
         if schema != SCHEMA_VERSION:
             raise BenchError(
                 f"unsupported bench record schema {schema!r} (want {SCHEMA_VERSION!r})"
             )
+        created = data.get("created_unix", 0.0)
+        if not _is_number(created):
+            raise BenchError(f"field 'created_unix' must be a number, got {created!r}")
+        for name in ("spec", "metrics"):
+            if not isinstance(data.get(name, {}), Mapping):
+                raise BenchError(f"field {name!r} must be an object")
+        points = data.get("points", [])
+        if not isinstance(points, list):
+            raise BenchError("field 'points' must be a list")
+        for i, point in enumerate(points):
+            if not isinstance(point, Mapping):
+                raise BenchError(f"field 'points[{i}]' must be an object, got {point!r}")
+            for fname in SIM_FIELDS:
+                if fname in point and not _is_number(point[fname]):
+                    raise BenchError(
+                        f"field 'points[{i}].{fname}' must be a number,"
+                        f" got {point[fname]!r}"
+                    )
         return cls(
             name=data.get("name", "?"),
-            created_unix=float(data.get("created_unix", 0.0)),
+            created_unix=float(created),
             git_sha=data.get("git_sha"),
             git_dirty=bool(data.get("git_dirty", False)),
             python=data.get("python", "?"),
             platform_info=data.get("platform_info", "?"),
             spec=copy.deepcopy(dict(data.get("spec", {}))),
             spec_sha256=data.get("spec_sha256", ""),
-            points=copy.deepcopy(list(data.get("points", []))),
-            wall_clock_s=copy.deepcopy(dict(data.get("wall_clock_s", {}))),
+            points=copy.deepcopy(points),
             metrics=copy.deepcopy(dict(data.get("metrics", {}))),
             run_id=data.get("run_id"),
             backend=data.get("backend"),
@@ -231,11 +255,14 @@ def load_record(path: str) -> BenchRecord:
         raise BenchError(f"cannot read bench record {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise BenchError(f"bench record {path} is not valid JSON: {exc}") from exc
-    return BenchRecord.from_dict(data)
+    try:
+        return BenchRecord.from_dict(data)
+    except BenchError as exc:
+        raise BenchError(f"{path}: {exc}") from None
 
 
 class BenchRecorder:
-    """Accumulates one run's points / wall-clocks / metrics into a record.
+    """Accumulates one run's points / metrics into a record.
 
     The recorder is deliberately passive — benchmarks push into it —
     so the same instance serves the CLI runner, the pytest-benchmark
@@ -256,7 +283,6 @@ class BenchRecorder:
         self.backend = backend
         self._spec = spec if spec is not None else paper_platform()
         self._points: list[dict[str, Any]] = []
-        self._wall: dict[str, dict[str, Any]] = {}
         self._metrics: dict[str, Any] = {}
 
     # -- collection ----------------------------------------------------------
@@ -273,26 +299,6 @@ class BenchRecorder:
                 )
                 n += 1
         return n
-
-    def record_wall_clock(self, bench: str, seconds: Sequence[float]) -> None:
-        """All reps of one wall-clock micro-benchmark (median + IQR)."""
-        secs = [float(s) for s in seconds]
-        if not secs:
-            raise BenchError(f"no wall-clock samples for {bench!r}")
-        if len(secs) >= 2:
-            p25, _p50, p75 = statistics.quantiles(secs, n=4, method="inclusive")
-        else:
-            p25 = p75 = secs[0]
-        self._wall[bench] = {
-            "reps": len(secs),
-            "median": statistics.median(secs),
-            "min": min(secs),
-            "max": max(secs),
-            "p25": p25,
-            "p75": p75,
-            "iqr": p75 - p25,
-            "all": secs,
-        }
 
     def record_metrics(self, registry_or_snapshot) -> None:
         """Attach the explanatory metrics snapshot (replaces previous)."""
@@ -314,7 +320,6 @@ class BenchRecorder:
             spec=self._spec.to_dict(),
             spec_sha256=platform_hash(self._spec),
             points=list(self._points),
-            wall_clock_s=dict(self._wall),
             metrics=dict(self._metrics),
             run_id=self.run_id,
             backend=self.backend,
@@ -359,74 +364,6 @@ def metrics_probe(spec=None) -> dict[str, Any]:
     return merged.snapshot()
 
 
-def _wall_engine_events() -> int:
-    from ..sim.engine import Simulator
-
-    sim = Simulator()
-    count = [0]
-
-    def tick():
-        count[0] += 1
-        if count[0] < 10_000:
-            sim.schedule(1.0, tick)
-
-    sim.schedule(1.0, tick)
-    sim.run_until_idle()
-    return count[0]
-
-
-def _wall_engine_events_100k() -> int:
-    """100k-event mixed kernel workload: spread timers plus cancellation
-    churn, far more resident events (peak ~100k) than any recorded
-    workload keeps (peak 3 071 at P=1024).  Deterministic (seeded
-    Mersenne Twister, stable across CPython versions), so both backends
-    execute the identical event sequence."""
-    import random
-
-    from ..sim.engine import Simulator
-
-    sim = Simulator()
-    rng = random.Random(20260807)
-    count = [0]
-    pending: list = []
-
-    def tick():
-        count[0] += 1
-        if count[0] < 100_000:
-            pending.append(sim.schedule(rng.random() * 200.0, tick))
-            if count[0] % 3 == 0:
-                pending.append(sim.schedule(rng.random() * 200.0, tick))
-            if len(pending) > 64:
-                pending.pop(rng.randrange(len(pending))).cancel()
-
-    for _ in range(512):
-        sim.schedule(rng.random() * 200.0, tick)
-    sim.run_until_idle(max_events=400_000)
-    return count[0]
-
-
-def _flow_reallocation(n_flows: int) -> int:
-    from ..sim.engine import Simulator
-    from ..sim.flows import FlowNetwork, Link
-
-    sim = Simulator()
-    net = FlowNetwork(sim)
-    bus = Link("bus", 1000.0)
-    rails = [Link(f"r{i}", 400.0) for i in range(8)]
-    for i in range(n_flows):
-        net.start_flow([bus, rails[i % 8]], size=10_000.0 + i)
-    sim.run_until_idle()
-    return net.completed_count
-
-
-def _wall_flow_reallocation() -> int:
-    return _flow_reallocation(200)
-
-
-def _wall_flow_reallocation_1000() -> int:
-    return _flow_reallocation(1000)
-
-
 def _sim_pingpong(strategy: str, size: int, segments: int, reps: int, warmup: int):
     from ..bench.pingpong import run_pingpong
     from ..core.session import Session
@@ -436,65 +373,33 @@ def _sim_pingpong(strategy: str, size: int, segments: int, reps: int, warmup: in
     return run_pingpong(session, size, segments=segments, reps=reps, warmup=warmup)
 
 
-#: the substrate micro-benchmarks: name -> zero-arg callable.  Workloads
-#: (and names) mirror ``benchmarks/bench_engine.py`` exactly, so a CLI
-#: engine record and a pytest-benchmark record are directly comparable.
+#: the engine suite's simulated ping-pong points: name -> zero-arg
+#: callable returning a :class:`PingPongResult` (a rendezvous/DMA point
+#: and a latency-regime aggregation point, gated like any figure point).
 ENGINE_BENCHES: dict[str, Callable[[], Any]] = {
-    "event_kernel_10k": _wall_engine_events,
-    "event_kernel_100k": _wall_engine_events_100k,
-    "flow_reallocation_200": _wall_flow_reallocation,
-    "flow_reallocation_1000": _wall_flow_reallocation_1000,
     "pingpong_1MB_greedy": lambda: _sim_pingpong("greedy", 1024 * 1024, 2, 2, 1),
     "pingpong_64B_aggreg_multirail": lambda: _sim_pingpong(
         "aggreg_multirail", 64, 4, 10, 2
     ),
 }
 
-#: benches whose return value is an executed-event count; the best rep
-#: yields the ``engine.events_per_sec`` headline metric.
-_EVENT_RATE_BENCH = "event_kernel_100k"
-
 
 def run_engine_suite(
     recorder: BenchRecorder,
-    wall_reps: int = 5,
     publish: Optional[Callable[[str, int, int], None]] = None,
 ) -> None:
-    """Run the substrate micro-benchmarks: wall-clock (noisy, report-only)
-    plus the deterministic simulated results of the ping-pong workloads.
+    """Record the simulated engine ping-pong points and the metrics probe.
 
-    ``publish(bench, done, total)`` fires after each micro-benchmark for
-    the live endpoint's incremental snapshots."""
-    from ..bench.pingpong import PingPongResult
-
-    if wall_reps < 1:
-        raise BenchError(f"wall_reps must be >= 1, got {wall_reps}")
+    ``publish(bench, done, total)`` fires after each point for the live
+    endpoint's incremental snapshots."""
     total = len(ENGINE_BENCHES)
     if publish:
         publish("", 0, total)
-    events_per_sec = None
     for done, (bench, fn) in enumerate(ENGINE_BENCHES.items(), start=1):
-        secs = []
-        result = None
-        for _ in range(wall_reps):
-            t0 = time.perf_counter()
-            result = fn()
-            secs.append(time.perf_counter() - t0)
-        recorder.record_wall_clock(f"engine.{bench}", secs)
-        if bench == _EVENT_RATE_BENCH and isinstance(result, int) and result:
-            events_per_sec = result / min(secs)
-        if isinstance(result, PingPongResult):
-            recorder.record_point(
-                pingpong_point(result, bench=f"engine.{bench}")
-            )
+        recorder.record_point(pingpong_point(fn(), bench=f"engine.{bench}"))
         if publish:
             publish(bench, done, total)
-    snap = metrics_probe()
-    if events_per_sec is not None:
-        # Headline kernel throughput (best rep of the 100k mixed
-        # workload); flows into the compare delta table's metrics rows.
-        snap["engine.events_per_sec"] = events_per_sec
-    recorder.record_metrics(snap)
+    recorder.record_metrics(metrics_probe())
 
 
 def run_figure_suite(
@@ -505,8 +410,8 @@ def run_figure_suite(
     progress: Optional[Callable[[str], None]] = None,
     publish: Optional[Callable[[str, int, int], None]] = None,
 ) -> None:
-    """Run paper figures, recording every curve point and per-figure wall
-    seconds; attaches the metrics probe if nothing recorded one yet.
+    """Run paper figures, recording every curve point; attaches the
+    metrics probe if nothing recorded one yet.
 
     ``jobs`` > 1 fans each figure's points over a worker pool
     (:mod:`repro.obs.runner`); the simulated results — and therefore the
@@ -526,10 +431,7 @@ def run_figure_suite(
     for done, figure_id in enumerate(ids, start=1):
         if progress:
             progress(figure_id)
-        t0 = time.perf_counter()
-        result = run_figure(figure_id, reps=reps, jobs=jobs)
-        recorder.record_wall_clock(f"figure.{figure_id}", [time.perf_counter() - t0])
-        recorder.record_figure(result)
+        recorder.record_figure(run_figure(figure_id, reps=reps, jobs=jobs))
         if publish:
             publish(figure_id, done, len(ids))
     if not recorder._metrics:

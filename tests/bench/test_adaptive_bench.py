@@ -18,14 +18,10 @@ class _Recorder:
 
     def __init__(self):
         self.points = []
-        self.wall = {}
         self._metrics = {}
 
     def record_point(self, point):
         self.points.append(dict(point))
-
-    def record_wall_clock(self, bench, seconds):
-        self.wall[bench] = list(seconds)
 
     def record_metrics(self, snapshot):
         self._metrics = dict(snapshot)
@@ -63,9 +59,6 @@ def test_suite_records_gateable_points_and_metrics():
         assert point["kind"] == "adaptive"
         assert point["bench"] == "adaptive.degrade_recovery"
         assert point["elapsed_us"] == result.elapsed_us
-    assert set(rec.wall) == {
-        f"adaptive.degrade_recovery.{s}" for s in ADAPTIVE_STRATEGIES
-    }
     assert rec._metrics["adaptive.steady_share.feedback"] > 0.0
     assert rec._metrics["adaptive.resamples.feedback"] == 0.0
     assert "adaptive.switches.tournament" in rec._metrics

@@ -188,14 +188,30 @@ def _check_accounting(session, recvs, at_idle):
         if at_idle:
             assert announced == done
             assert c["pump_parks"] - c["pump_wakeups"] == 1
+    # the registry restates none of this on the hot path: it is set from
+    # the owners (bags, drivers, histograms) by sync_kernel_metrics, which
+    # run()/run_until_idle() already called
     snap = session.metrics.snapshot()
     for idx, spec in enumerate(session.platform.spec.rails):
         assert snap[f"engine.poll.count{{rail={spec.name}}}"] == sum(
             e.drivers[idx].polls for e in engines
         )
+        assert (
+            snap[f"engine.commit.count{{rail={spec.name}}}"]
+            == snap[f"engine.commit.wrapper_bytes{{rail={spec.name}}}"]["count"]
+            == sum(e.drivers[idx].eager_posted for e in engines)
+        )
     assert snap["engine.sweeps"] == sum(e.counters["sweeps"] for e in engines)
     health = session.active_health()
-    assert health["pump_parks"] == sum(e.counters["pump_parks"] for e in engines)
+    for key in ("pump_parks", "pump_wakeups"):
+        assert snap[f"active.{key}"] == health[key] == sum(
+            e.counters[key] for e in engines
+        )
+    # published values are set, not accumulated: syncing again (and again
+    # after the next partial run) never double-adds
+    session.sync_kernel_metrics()
+    session.sync_kernel_metrics()
+    assert session.metrics.snapshot() == snap
     if recvs is not None:
         # eager_rx is counted once per handled wrapper, for all its entries,
         # just before their receives complete

@@ -20,7 +20,6 @@ def _bench_record(run_id=None):
     session = Session(paper_platform(), strategy="greedy")
     pp = run_pingpong(session, 4096, segments=2, reps=1, warmup=1)
     rec.record_point(pingpong_point(pp, bench="unit.pp", curve="greedy"))
-    rec.record_wall_clock("unit.wall", [0.5, 0.1, 0.3])
     return rec.finish()
 
 
@@ -40,18 +39,17 @@ def restore_global_logger():
 
 
 class TestIngest:
-    def test_bench_record_points_and_wall_clocks(self, ledger):
+    def test_bench_record_points(self, ledger):
         record = _bench_record(run_id="r-bench")
         rid = ledger.ingest_bench_record(record)
         assert rid == "r-bench"
         (run,) = ledger.runs()
         assert run["kind"] == "bench" and run["git_sha"] == record.git_sha
-        assert run["n_points"] == 1 and run["n_wall_clocks"] == 1
+        assert run["n_points"] == 1
         detail = ledger.show(rid)
         point = detail["points"][0]
         assert point["bench"] == "unit.pp" and point["curve"] == "greedy"
         assert point["values"]["one_way_us"] > 0
-        assert detail["wall_clocks"]["unit.wall"]["median"] == 0.3
 
     def test_reingest_replaces_not_duplicates(self, ledger):
         record = _bench_record(run_id="r-bench")

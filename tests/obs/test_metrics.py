@@ -163,6 +163,32 @@ class TestEngineMetrics:
         assert session.metrics.undeclared() == set()
         assert session.metrics.names() <= set(SCHEMA)
 
+    def test_engine_bags_use_only_declared_counter_names(self, plat2):
+        from repro import paper_platform, random_plan
+        from repro.bench.flood import run_flood
+        from repro.mpi.collectives import multilane_allreduce
+        from repro.mpi.comm import Communicator
+        from repro.obs.metrics import ENGINE_COUNTER_NAMES
+
+        eager = Session(plat2, strategy="aggreg_multirail")
+        run_pingpong(eager, 64, segments=4, reps=3)
+        rdv = Session(plat2, strategy="split_balance")
+        run_flood(rdv, 256 * 1024, count=16, window=4)
+        coll = Session(paper_platform(n_nodes=16), strategy="aggreg_multirail")
+        comm = Communicator(coll)
+        for rank in range(16):
+            coll.spawn(multilane_allreduce(comm.endpoint(rank), [float(rank)] * 4))
+        coll.run_until_idle()
+        faulted = Session(
+            plat2, strategy="greedy", faults=random_plan(3, plat2, horizon_us=2000.0)
+        )
+        run_flood(faulted, 64 * 1024, count=16, window=4)
+        assert faulted.metrics.counter("fault.events").value > 0
+        for session in (eager, rdv, coll, faulted):
+            for engine in session.engines.built():
+                assert engine.counters["sweeps"] > 0
+                assert set(engine.counters.counts) <= ENGINE_COUNTER_NAMES
+
     def test_poll_tax_counters_per_rail(self, session2):
         run_pingpong(session2, 64, reps=2)
         m = session2.metrics

@@ -35,7 +35,6 @@ def small_record(tmp_path):
     rec.record_point(pingpong_point(pp, bench="unit.pp", curve="greedy"))
     fl = run_flood(Session(paper_platform(), strategy="greedy"), 4096, count=4, window=2)
     rec.record_point(flood_point(fl, bench="unit.flood"))
-    rec.record_wall_clock("unit.wall", [0.5, 0.1, 0.3])
     rec.record_metrics(session.metrics)
     return rec.finish()
 
@@ -46,27 +45,6 @@ class TestRecord:
         assert small_record.platform_info
         assert small_record.spec_sha256 == platform_hash(paper_platform())
         assert small_record.spec == paper_platform().to_dict()
-
-    def test_wall_clock_median(self, small_record):
-        w = small_record.wall_clock_s["unit.wall"]
-        assert w["median"] == 0.3 and w["reps"] == 3
-        assert w["min"] == 0.1 and w["max"] == 0.5
-
-    def test_wall_clock_iqr(self, small_record):
-        import statistics
-
-        w = small_record.wall_clock_s["unit.wall"]
-        p25, _, p75 = statistics.quantiles(
-            [0.5, 0.1, 0.3], n=4, method="inclusive"
-        )
-        assert w["p25"] == p25 and w["p75"] == p75
-        assert w["iqr"] == pytest.approx(p75 - p25)
-
-    def test_wall_clock_single_rep_iqr_zero(self):
-        rec = BenchRecorder("unit")
-        rec.record_wall_clock("one", [0.25])
-        w = rec.finish().wall_clock_s["one"]
-        assert w["p25"] == w["p75"] == 0.25 and w["iqr"] == 0.0
 
     def test_json_round_trip(self, small_record, tmp_path):
         path = small_record.write(str(tmp_path / "BENCH_unit.json"))
@@ -97,24 +75,20 @@ class TestRecord:
 
 
 class TestEngineSuite:
-    def test_records_points_wall_and_metrics(self):
+    def test_records_points_and_metrics(self):
         rec = BenchRecorder("engine")
-        run_engine_suite(rec, wall_reps=1)
+        run_engine_suite(rec)
         record = rec.finish()
         benches = {p["bench"] for p in record.points}
         assert "engine.pingpong_1MB_greedy" in benches
         assert "engine.pingpong_64B_aggreg_multirail" in benches
-        assert set(record.wall_clock_s) >= {
-            "engine.event_kernel_10k",
-            "engine.flow_reallocation_200",
-        }
         assert record.metrics  # probe snapshot attached
         assert any(k.startswith("engine.poll.idle_us") for k in record.metrics)
 
     def test_engine_suite_is_deterministic_in_sim(self):
         a, b = BenchRecorder("a"), BenchRecorder("b")
-        run_engine_suite(a, wall_reps=1)
-        run_engine_suite(b, wall_reps=1)
+        run_engine_suite(a)
+        run_engine_suite(b)
         assert a.finish().points == b.finish().points
 
 
@@ -154,41 +128,6 @@ class TestCompare:
         assert ("unit.pp", "bandwidth_MBps") in fails
         assert any(d.rel_delta == pytest.approx(-0.1) for d in report.failures)
 
-    def test_wall_clock_is_report_only(self, small_record):
-        slow = BenchRecord.from_dict(small_record.to_dict())
-        slow.wall_clock_s["unit.wall"]["median"] *= 10
-        report = compare_records(small_record, slow)
-        assert report.ok  # never gates
-        assert any(not d.gated and not d.ok for d in report.deltas)
-
-    def test_iqr_surfaced_as_pure_context(self, small_record):
-        """IQR rows appear in the delta table but can never warn or gate —
-        dispersion is a measurement-quality note, not a regression."""
-        wide = BenchRecord.from_dict(small_record.to_dict())
-        w = wide.wall_clock_s["unit.wall"]
-        w["p25"], w["p75"], w["iqr"] = 0.0, 10.0, 10.0
-        report = compare_records(small_record, wide)
-        iqr_rows = [d for d in report.deltas if d.quantity == "wall iqr (s)"]
-        assert len(iqr_rows) == 1
-        row = iqr_rows[0]
-        assert not row.gated and row.ok  # even a 50x spread never flags
-        assert row.current == 10.0
-        assert "wall iqr (s)" in delta_table(report).render()
-
-    def test_baseline_without_iqr_tolerated(self, small_record):
-        """Records written before the iqr key existed still compare."""
-        old = BenchRecord.from_dict(small_record.to_dict())
-        for w in old.wall_clock_s.values():
-            for key in ("p25", "p75", "iqr"):
-                w.pop(key, None)
-        report = compare_records(old, small_record)
-        assert report.ok
-        row = next(d for d in report.deltas if d.quantity == "wall iqr (s)")
-        assert row.baseline is None and row.current is not None and row.ok
-        # neither side has it -> no iqr row at all
-        report2 = compare_records(old, old)
-        assert not any(d.quantity == "wall iqr (s)" for d in report2.deltas)
-
     def test_missing_point_gates(self, small_record):
         shrunk = BenchRecord.from_dict(small_record.to_dict())
         shrunk.points = shrunk.points[:1]
@@ -211,21 +150,21 @@ class TestCompare:
         report = compare_records(small_record, drifted)
         text = delta_table(report, only_regressions=True).render()
         assert "one_way_us" in text and "FAIL" in text
-        assert "wall median" not in text  # unchanged rows filtered out
+        assert "bandwidth_MBps" not in text  # unchanged rows filtered out
 
 
 class TestCli:
     def test_bench_run_engine_and_self_gate(self, tmp_path, capsys):
         out = str(tmp_path / "BENCH_cli.json")
-        assert main(["bench", "run", "--engine", "--wall-reps", "1", "-o", out]) == 0
+        assert main(["bench", "run", "--engine", "-o", out]) == 0
         record = load_record(out)
-        assert record.points and record.wall_clock_s and record.metrics
+        assert record.points and record.metrics
         assert main(["bench", "compare", out, out, "--gate"]) == 0
         assert "verdict: PASS" in capsys.readouterr().out
 
     def test_bench_gate_fails_on_synthetic_drop(self, tmp_path, capsys):
         out = str(tmp_path / "a.json")
-        main(["bench", "run", "--engine", "--wall-reps", "1", "-o", out])
+        main(["bench", "run", "--engine", "-o", out])
         data = json.load(open(out))
         for p in data["points"]:
             if "bandwidth_MBps" in p:
@@ -246,12 +185,42 @@ class TestCli:
         ) == 0
         record = load_record(out)
         assert {p["bench"] for p in record.points} == {"fig6"}
-        assert "figure.fig6" in record.wall_clock_s
 
     def test_bench_run_unknown_figure(self, tmp_path, capsys):
         out = str(tmp_path / "x.json")
         assert main(["bench", "run", "--figures", "fig99", "-o", out]) == 2
         assert "unknown figures" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda d: [1, 2], "JSON object"),
+            (lambda d: {**d, "created_unix": "x"}, "created_unix"),
+            (lambda d: {**d, "points": [1]}, "points[0]"),
+            (lambda d: {**d, "points": {"a": 1}}, "points"),
+            (lambda d: {**d, "points": [{"one_way_us": "fast"}]}, "points[0].one_way_us"),
+            (lambda d: {**d, "spec": []}, "spec"),
+            (lambda d: {**d, "metrics": "none"}, "metrics"),
+        ],
+        ids=["list", "created_unix", "point", "points", "sim_field", "spec", "metrics"],
+    )
+    def test_bench_compare_malformed_record_is_one_line_error(
+        self, tmp_path, capsys, small_record, mutate, field
+    ):
+        path = tmp_path / "BENCH_bad.json"
+        path.write_text(json.dumps(mutate(small_record.to_dict())))
+        assert main(["bench", "compare", str(path), str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert str(path) in captured.err and field in captured.err
+
+    def test_bench_compare_ignores_unknown_record_keys(self, tmp_path, small_record):
+        # the committed baseline carries a key this version no longer reads
+        path = tmp_path / "BENCH_old.json"
+        old = {**small_record.to_dict(), "retired_key": {"x": {"median": 1.0}}}
+        path.write_text(json.dumps(old))
+        assert load_record(str(path)).to_dict() == small_record.to_dict()
+        assert main(["bench", "compare", str(path), str(path), "--gate"]) == 0
 
     def test_metrics_openmetrics_round_trip(self, capsys):
         from repro.obs.openmetrics import validate_openmetrics
@@ -270,38 +239,11 @@ class TestCli:
         """--serve 0 starts the live endpoint for the duration of the run."""
         out = str(tmp_path / "BENCH_live.json")
         assert main(
-            ["bench", "run", "--engine", "--wall-reps", "1", "--serve", "0",
-             "-o", out]
+            ["bench", "run", "--engine", "--serve", "0", "-o", out]
         ) == 0
         printed = capsys.readouterr().out
         assert "live metrics: http://127.0.0.1:" in printed
         assert load_record(out).points  # the record still lands
-
-    def test_bench_history_cli(self, tmp_path, capsys, small_record):
-        drifted = BenchRecord.from_dict(small_record.to_dict())
-        drifted.created_unix += 100.0
-        drifted.git_sha = "f" * 40
-        for p in drifted.points:
-            if "one_way_us" in p:
-                p["one_way_us"] *= 1.5
-        small_record.write(str(tmp_path / "BENCH_old.json"))
-        drifted.write(str(tmp_path / "BENCH_new.json"))
-        assert main(["bench", "history", str(tmp_path)]) == 0
-        printed = capsys.readouterr().out
-        assert "Bench history" in printed
-        assert "Step changes" in printed  # the 1.5x sim drift is a step
-        assert "history: 2 runs" in printed
-
-    def test_bench_history_json(self, tmp_path, capsys, small_record):
-        small_record.write(str(tmp_path / "BENCH_one.json"))
-        assert main(["bench", "history", str(tmp_path), "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert len(doc["runs"]) == 1
-        assert any(s["quantity"] == "wall iqr (s)" for s in doc["series"])
-
-    def test_bench_history_no_records(self, tmp_path, capsys):
-        assert main(["bench", "history", str(tmp_path)]) == 2
-        assert "no BENCH_" in capsys.readouterr().err
 
     def test_pingpong_json_point(self, capsys):
         assert main(["pingpong", "--size", "4K", "--strategy", "greedy", "--json"]) == 0

@@ -3,7 +3,8 @@
 import pytest
 
 from repro import Session, run_pingpong
-from repro.trace import Counters, commit_timeline, rail_byte_shares, rail_usage_table
+from repro.obs.metrics import Counters
+from repro.obs.timeline import commit_timeline, rail_byte_shares, rail_usage_table
 from repro.util.units import MB
 
 
@@ -101,7 +102,7 @@ class TestUsageSummaries:
 
 class TestGantt:
     def test_busy_intervals_recorded(self, plat2):
-        from repro.trace import busy_intervals
+        from repro.obs.timeline import busy_intervals
 
         session = Session(plat2, strategy="greedy", trace=True)
         run_pingpong(session, 256 * 1024, segments=2, reps=1, warmup=0)
@@ -116,7 +117,7 @@ class TestGantt:
         assert "dma" in kinds and "pio" in kinds  # pio = rdv control packets
 
     def test_gantt_renders_lanes(self, plat2):
-        from repro.trace import gantt
+        from repro.obs.timeline import gantt
 
         session = Session(plat2, strategy="greedy", trace=True)
         run_pingpong(session, 512 * 1024, segments=2, reps=1, warmup=0)
@@ -127,14 +128,14 @@ class TestGantt:
         assert "us" in lines[-1]
 
     def test_gantt_without_trace(self, plat2):
-        from repro.trace import gantt
+        from repro.obs.timeline import gantt
 
         session = Session(plat2, strategy="greedy")
         run_pingpong(session, 1024, reps=1, warmup=0)
         assert "trace=True" in gantt(session, 0)
 
     def test_pio_intervals_only_below_threshold(self, mx_plat):
-        from repro.trace import busy_intervals
+        from repro.obs.timeline import busy_intervals
 
         session = Session(mx_plat, strategy="single_rail", trace=True)
         run_pingpong(session, 100, reps=1, warmup=0)
@@ -143,7 +144,7 @@ class TestGantt:
         assert kinds == {"pio"}
 
     def test_busy_intervals_are_merged(self, plat2):
-        from repro.trace import busy_intervals
+        from repro.obs.timeline import busy_intervals
 
         session = Session(plat2, strategy="greedy", trace=True)
         run_pingpong(session, 512 * 1024, segments=4, reps=2, warmup=0)
@@ -157,32 +158,32 @@ class TestGantt:
 
 class TestMergeIntervals:
     def test_overlapping_same_kind_coalesce(self):
-        from repro.trace import merge_intervals
+        from repro.obs.timeline import merge_intervals
 
         ivs = [(0.0, 2.0, "pio"), (1.0, 3.0, "pio"), (5.0, 6.0, "pio")]
         assert merge_intervals(ivs) == [(0.0, 3.0, "pio"), (5.0, 6.0, "pio")]
 
     def test_adjacent_same_kind_coalesce(self):
-        from repro.trace import merge_intervals
+        from repro.obs.timeline import merge_intervals
 
         assert merge_intervals([(0.0, 1.0, "dma"), (1.0, 2.0, "dma")]) == [
             (0.0, 2.0, "dma")
         ]
 
     def test_different_kinds_never_merge(self):
-        from repro.trace import merge_intervals
+        from repro.obs.timeline import merge_intervals
 
         ivs = [(0.0, 2.0, "pio"), (1.0, 3.0, "dma")]
         assert merge_intervals(ivs) == [(0.0, 2.0, "pio"), (1.0, 3.0, "dma")]
 
     def test_unsorted_input_and_containment(self):
-        from repro.trace import merge_intervals
+        from repro.obs.timeline import merge_intervals
 
         ivs = [(4.0, 5.0, "pio"), (0.0, 10.0, "pio"), (2.0, 3.0, "pio")]
         assert merge_intervals(ivs) == [(0.0, 10.0, "pio")]
 
     def test_empty(self):
-        from repro.trace import merge_intervals
+        from repro.obs.timeline import merge_intervals
 
         assert merge_intervals([]) == []
 
@@ -201,14 +202,14 @@ class TestGanttFooter:
             assert footer[plus + 1 :].startswith("0.0us")
 
     def test_footer_aligned_default_width(self, plat2):
-        from repro.trace import gantt
+        from repro.obs.timeline import gantt
 
         session = Session(plat2, strategy="greedy", trace=True)
         run_pingpong(session, 512 * 1024, segments=2, reps=1, warmup=0)
         self._footer_checks(gantt(session, 0), 72)
 
     def test_footer_aligned_narrow_width(self, plat2):
-        from repro.trace import gantt
+        from repro.obs.timeline import gantt
 
         session = Session(plat2, strategy="greedy", trace=True)
         run_pingpong(session, 512 * 1024, segments=2, reps=1, warmup=0)

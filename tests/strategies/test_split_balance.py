@@ -4,7 +4,7 @@
 import pytest
 
 from repro import Session, run_pingpong
-from repro.trace import rail_byte_shares
+from repro.obs.timeline import rail_byte_shares
 from repro.util.errors import StrategyError
 from repro.util.units import KB, MB
 
