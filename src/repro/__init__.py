@@ -25,49 +25,36 @@ Quickstart::
     print(run_pingpong(session, size=8, segments=2).one_way_us)
 """
 
-from .bench.pingpong import PingPongResult, run_pingpong
-from .core.sampling import SampleTable, sample_rails
-from .core.matching import ANY_SOURCE
-from .core.session import Session
-from .core.strategies import available_strategies, make_strategy, register_strategy
-from .faults.plan import FaultEvent, FaultPlan, random_plan
-from .hardware.presets import (
-    GIGE_TCP,
-    IB_DDR,
-    MYRI_10G,
-    QUADRICS_QM500,
-    SCI_D33X,
-    paper_platform,
-    single_rail_platform,
-)
-from .hardware.spec import HostSpec, PlatformSpec, RailSpec
-from .util.errors import ReproError
+from .util.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Session",
-    "ANY_SOURCE",
-    "PlatformSpec",
-    "RailSpec",
-    "HostSpec",
-    "paper_platform",
-    "single_rail_platform",
-    "MYRI_10G",
-    "QUADRICS_QM500",
-    "SCI_D33X",
-    "GIGE_TCP",
-    "IB_DDR",
-    "run_pingpong",
-    "PingPongResult",
-    "sample_rails",
-    "SampleTable",
-    "available_strategies",
-    "make_strategy",
-    "register_strategy",
-    "FaultEvent",
-    "FaultPlan",
-    "random_plan",
-    "ReproError",
-    "__version__",
-]
+# resolved on first use: ``import repro.core.session`` loads what a session
+# needs, not the benchmark harness and the fault layer
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".core.session": ("Session",),
+        ".core.matching": ("ANY_SOURCE",),
+        ".hardware.spec": ("PlatformSpec", "RailSpec", "HostSpec"),
+        ".hardware.presets": (
+            "paper_platform",
+            "single_rail_platform",
+            "MYRI_10G",
+            "QUADRICS_QM500",
+            "SCI_D33X",
+            "GIGE_TCP",
+            "IB_DDR",
+        ),
+        ".bench.pingpong": ("run_pingpong", "PingPongResult"),
+        ".core.sampling": ("sample_rails", "SampleTable"),
+        ".core.strategies": (
+            "available_strategies",
+            "make_strategy",
+            "register_strategy",
+        ),
+        ".faults.plan": ("FaultEvent", "FaultPlan", "random_plan"),
+        ".util.errors": ("ReproError",),
+    },
+)
+__all__.append("__version__")

@@ -8,6 +8,11 @@ processes block by yielding ``request.completion``::
     rep = iface.irecv(1, tag=7)
     yield AllOf([req.completion, rep.completion])
 
+A pending request *is* its completion (a one-shot waitable: the ``yield``
+returns the request) and a finished one answers a zero-delay timeout, so
+waiting costs the heap nothing that outlives the wait; an application may
+keep every handle it was given and pay for the handles only.
+
 Multi-segment messages (the paper's "incremental message construction")
 are built with :mod:`repro.api.pack` or the ``send_msg``/``recv_msg``
 helpers.
@@ -47,7 +52,8 @@ class Interface:
     def isend(self, dst_node: int, tag: int, data: Sendable) -> SendRequest:
         """Submit one segment to ``dst_node`` on logical channel ``tag``.
 
-        ``data`` may be real bytes or an int size (virtual payload).
+        ``data`` may be real bytes or an int size (a virtual payload;
+        those of one size are one shared immutable object).
         """
         if tag < 0:
             raise ApiError(f"negative tag {tag}")

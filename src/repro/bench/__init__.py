@@ -1,61 +1,40 @@
 """Benchmark harness: ping-pong, sweeps, and one runner per paper figure."""
 
-from .ablations import (
-    ablation_bus_capacity,
-    ablation_eager_threshold,
-    ablation_parallel_pio,
-    ablation_poll_cost,
-    ablation_split_ratio,
-    ablation_window,
-)
-from .extensions import ext_heterogeneous_mix, ext_parallel_pio_latency, ext_rail_scaling
-from .figures import FIGURES, FigureResult, run_figure
-from .flood import FloodResult, run_flood
-from .pingpong import BENCH_TAG, PingPongResult, run_pingpong, split_even
-from .reporting import report_figure, report_table, write_reports
-from .scale import (
-    DEFAULT_POINTS,
-    SCALE_ALGOS,
-    ScaleResult,
-    run_collective,
-    run_scale_suite,
-)
-from .sweep import Curve, SweepResult, run_sweep, sweep_table
-from .tracing import TRACE_TARGETS, TraceTarget, resolve_trace_target, run_traced
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "run_pingpong",
-    "run_flood",
-    "FloodResult",
-    "PingPongResult",
-    "split_even",
-    "BENCH_TAG",
-    "Curve",
-    "SweepResult",
-    "run_sweep",
-    "sweep_table",
-    "FigureResult",
-    "FIGURES",
-    "run_figure",
-    "report_figure",
-    "report_table",
-    "write_reports",
-    "ablation_poll_cost",
-    "ablation_eager_threshold",
-    "ablation_bus_capacity",
-    "ablation_window",
-    "ablation_split_ratio",
-    "ablation_parallel_pio",
-    "ext_rail_scaling",
-    "ext_heterogeneous_mix",
-    "ext_parallel_pio_latency",
-    "TraceTarget",
-    "TRACE_TARGETS",
-    "resolve_trace_target",
-    "run_traced",
-    "SCALE_ALGOS",
-    "DEFAULT_POINTS",
-    "ScaleResult",
-    "run_collective",
-    "run_scale_suite",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".pingpong": ("run_pingpong", "PingPongResult", "split_even", "BENCH_TAG"),
+        ".flood": ("run_flood", "FloodResult"),
+        ".sweep": ("Curve", "SweepResult", "run_sweep", "sweep_table"),
+        ".figures": ("FigureResult", "FIGURES", "run_figure"),
+        ".reporting": ("report_figure", "report_table", "write_reports"),
+        ".ablations": (
+            "ablation_poll_cost",
+            "ablation_eager_threshold",
+            "ablation_bus_capacity",
+            "ablation_window",
+            "ablation_split_ratio",
+            "ablation_parallel_pio",
+        ),
+        ".extensions": (
+            "ext_rail_scaling",
+            "ext_heterogeneous_mix",
+            "ext_parallel_pio_latency",
+        ),
+        ".tracing": (
+            "TraceTarget",
+            "TRACE_TARGETS",
+            "resolve_trace_target",
+            "run_traced",
+        ),
+        ".scale": (
+            "SCALE_ALGOS",
+            "DEFAULT_POINTS",
+            "ScaleResult",
+            "run_collective",
+            "run_scale_suite",
+        ),
+    },
+)

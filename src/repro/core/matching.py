@@ -100,7 +100,8 @@ class MatchingTable:
         self._recv_seq: dict[Chan, int] = {}
         #: unconsumed arrivals by exact key (the unexpected queue)
         self._parked: dict[Key, _Arrival] = {}
-        #: arrivals eligible for wildcard matching, per tag, FIFO
+        #: arrivals eligible for wildcard matching, per tag, FIFO (kept
+        #: for wildcard tags and tags with no posted receive yet)
         self._ready: dict[int, Deque[_Arrival]] = {}
         #: out-of-order arrivals held until their channel cursor catches up
         self._stash: dict[Chan, dict[int, _Arrival]] = {}
@@ -141,16 +142,24 @@ class MatchingTable:
     # internals
     # ------------------------------------------------------------------ #
     def _set_mode(self, tag: int, mode: str) -> None:
-        current = self._mode.setdefault(tag, mode)
-        if current != mode:
+        current = self._mode.get(tag)
+        if current is None:
+            self._mode[tag] = mode
+            if mode == "exact":
+                # only wildcard receives pop the ready queue and this tag will
+                # never post one: kept, it would hold every consumed arrival
+                self._ready.pop(tag, None)
+        elif current != mode:
             raise MatchingError(
                 f"tag {tag}: cannot mix ANY_SOURCE and specific-source receives"
             )
 
     def _park(self, arrival: _Arrival) -> None:
-        """An in-order arrival becomes visible to both matching paths."""
+        """An in-order arrival becomes visible to both matching paths (the
+        wildcard one unless the tag's first receive ruled wildcards out)."""
         self._parked[arrival.key] = arrival
-        self._ready.setdefault(arrival.tag, deque()).append(arrival)
+        if self._mode.get(arrival.tag) != "exact":
+            self._ready.setdefault(arrival.tag, deque()).append(arrival)
 
     def _advance_cursor(self, arrival: _Arrival) -> None:
         """Record an in-order arrival and release any stashed successors."""

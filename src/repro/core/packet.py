@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from ..util.errors import ProtocolError
@@ -38,6 +39,10 @@ __all__ = [
 
 class Payload:
     """A contiguous application buffer, real or virtual.
+
+    A payload is an immutable value: nothing may assign to ``size`` or
+    ``data`` after construction, and nothing may rely on two payloads being
+    distinct objects — virtual payloads of one size are one shared object.
 
     >>> p = Payload.of(b"abcdef")
     >>> p.slice(2, 3).data
@@ -62,15 +67,15 @@ class Payload:
         if isinstance(source, Payload):
             return source
         if isinstance(source, int):
-            return cls(source, None)
+            return _virtual(source)
         if isinstance(source, (bytes, bytearray)):
             b = bytes(source)
             return cls(len(b), b)
         raise ProtocolError(f"cannot build a payload from {type(source).__name__}")
 
-    @classmethod
-    def virtual(cls, size: int) -> "Payload":
-        return cls(size, None)
+    @staticmethod
+    def virtual(size: int) -> "Payload":
+        return _virtual(size)
 
     @property
     def is_virtual(self) -> bool:
@@ -83,7 +88,7 @@ class Payload:
                 f"bad slice [{offset}, {offset + length}) of payload size {self.size}"
             )
         if self.data is None:
-            return Payload.virtual(length)
+            return _virtual(length)
         return Payload(length, self.data[offset : offset + length])
 
     def checksum(self) -> int:
@@ -101,6 +106,13 @@ class Payload:
     def __repr__(self) -> str:  # pragma: no cover
         kind = "virtual" if self.data is None else "real"
         return f"<Payload {kind} {self.size}B>"
+
+
+@lru_cache(maxsize=256)
+def _virtual(size: int) -> Payload:
+    """The shared virtual payload of ``size`` bytes: a flood of a few
+    message sizes keeps a few payloads, not one per message."""
+    return Payload(size, None)
 
 
 @dataclass(slots=True)

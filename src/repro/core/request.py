@@ -2,21 +2,26 @@
 
 The collect layer turns every API call into a request object.  Requests
 complete asynchronously (the engine runs on NIC activity, not API calls);
-application processes wait on :attr:`Request.completion`, which is either a
-zero-delay timeout (already done) or the request's one-shot signal — made
-on that first ask: a request nobody waits on never owns a signal.
+application processes wait on :attr:`Request.completion`: the request
+itself while it is pending — a request is its own one-shot *waitable* (see
+:mod:`repro.sim.process`) — and one shared zero-delay timeout once done.
+A completed message costs the heap the handle its caller keeps, nothing
+else: completion empties the waiter slot before it calls the waiters, so a
+finished request references no callback, list or signal.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from ..sim.engine import Simulator
-from ..sim.process import AllOf, Signal, Timeout
+from ..sim.process import AllOf, Timeout
 from ..util.errors import ApiError
 from .packet import Payload
 
 __all__ = ["Request", "SendRequest", "RecvRequest", "MultiRequest"]
+
+_ALREADY_DONE = Timeout(0.0)  #: every finished request's ``completion``
 
 
 class Request:
@@ -32,7 +37,7 @@ class Request:
         "first_commit_at",
         "completed_at",
         "payload",
-        "_signal",
+        "_waiter",
     )
 
     def __init__(
@@ -55,16 +60,34 @@ class Request:
         #: request (eager data or its RDV_REQ); feeds the lifecycle report.
         self.first_commit_at: Optional[float] = None
         self.completed_at: Optional[float] = None
-        self._signal: Optional[Signal] = None
+        #: None, the one waiting callback, or a list once a second registers.
+        self._waiter: Any = None
 
     @property
-    def completion(self) -> Union[Timeout, Signal]:
+    def completion(self) -> Union[Timeout, "Request"]:
         """A waitable: yield this from a process to block until done."""
+        return _ALREADY_DONE if self.done else self
+
+    def wait(self, callback: Callable[[Any], None]) -> None:
+        """Run ``callback(self)`` at completion; on a finished request, run it
+        with ``None`` from a zero-delay event (never synchronously)."""
+        waiter = self._waiter
         if self.done:
-            return Timeout(0.0)
-        if self._signal is None:
-            self._signal = Signal(self.sim, name="request")
-        return self._signal
+            self.sim.schedule(0.0, callback, None)
+        elif waiter is None:
+            self._waiter = callback
+        elif type(waiter) is list:
+            waiter.append(callback)
+        else:
+            self._waiter = [waiter, callback]
+
+    def unwait(self, callback: Callable[[Any], None]) -> None:
+        """Withdraw a :meth:`wait` callback (no-op if absent)."""
+        waiter = self._waiter
+        if waiter == callback:  # bound methods are equal, not identical
+            self._waiter = None
+        elif type(waiter) is list and callback in waiter:
+            waiter.remove(callback)
 
     @property
     def elapsed_us(self) -> float:
@@ -78,8 +101,14 @@ class Request:
             raise ApiError(f"request completed twice: {self!r}")
         self.done = True
         self.completed_at = self.sim.now
-        if self._signal is not None:
-            self._signal.fire(self)
+        waiter = self._waiter
+        if waiter is not None:
+            self._waiter = None
+            if type(waiter) is list:
+                for callback in waiter:  # registration order
+                    callback(self)
+            else:
+                waiter(self)
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "done" if self.done else "pending"

@@ -39,132 +39,82 @@ The three pieces compose (see README "Observability"):
   ``run_id`` + git SHA (``repro ledger`` CLI).
 """
 
-from .compare import CompareReport, Delta, compare_records, delta_table
-from .critical_path import (
-    CriticalPathReport,
-    RequestAttribution,
-    analyze_session,
-    attribute_requests,
-    attribution_table,
-    blame_by_rail,
-    blame_table,
-    build_graph,
-    category_totals,
-    critical_path_trace_events,
-    rail_timeline,
-    timeline_table,
-)
-from .export import (
-    load_chrome_trace,
-    to_chrome_trace,
-    to_jsonl,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from .metrics import (
-    SCHEMA,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricSpec,
-)
-from .openmetrics import parse_openmetrics, render_openmetrics, validate_openmetrics
-from .perf import (
-    BenchRecord,
-    BenchRecorder,
-    flood_point,
-    load_record,
-    metrics_probe,
-    pingpong_point,
-    platform_hash,
-)
-from .report import RequestLifecycle, lifecycle_report, lifecycle_table, poll_tax_by_rail
-from .runner import PointTask, resolve_jobs, run_point, run_sweep_parallel
-from .ledger import DEFAULT_LEDGER_PATH, LEDGER_SCHEMA_VERSION, Ledger
-from .log import (
-    EVENT_SCHEMA_VERSION,
-    EventLogger,
-    configure,
-    get_logger,
-    new_run_id,
-    parse_events,
-)
-from .server import OPENMETRICS_CONTENT_TYPE, LiveMetricsServer, MetricsPublisher
-from .spans import NULL_SPAN, Span, SpanError, SpanRecorder
-from .streaming import (
-    STREAM_SCHEMA_VERSION,
-    SpanSampler,
-    StreamingTracer,
-    load_span_stream,
-)
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "BenchRecord",
-    "BenchRecorder",
-    "CompareReport",
-    "Delta",
-    "compare_records",
-    "delta_table",
-    "load_record",
-    "pingpong_point",
-    "flood_point",
-    "metrics_probe",
-    "platform_hash",
-    "render_openmetrics",
-    "parse_openmetrics",
-    "validate_openmetrics",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "MetricSpec",
-    "SCHEMA",
-    "Span",
-    "SpanError",
-    "SpanRecorder",
-    "NULL_SPAN",
-    "to_chrome_trace",
-    "write_chrome_trace",
-    "load_chrome_trace",
-    "validate_chrome_trace",
-    "to_jsonl",
-    "write_jsonl",
-    "RequestLifecycle",
-    "lifecycle_report",
-    "lifecycle_table",
-    "poll_tax_by_rail",
-    "PointTask",
-    "resolve_jobs",
-    "run_point",
-    "run_sweep_parallel",
-    "CriticalPathReport",
-    "RequestAttribution",
-    "analyze_session",
-    "attribute_requests",
-    "attribution_table",
-    "blame_by_rail",
-    "blame_table",
-    "build_graph",
-    "category_totals",
-    "critical_path_trace_events",
-    "rail_timeline",
-    "timeline_table",
-    "MetricsPublisher",
-    "LiveMetricsServer",
-    "OPENMETRICS_CONTENT_TYPE",
-    "StreamingTracer",
-    "SpanSampler",
-    "load_span_stream",
-    "STREAM_SCHEMA_VERSION",
-    "EventLogger",
-    "configure",
-    "get_logger",
-    "new_run_id",
-    "parse_events",
-    "EVENT_SCHEMA_VERSION",
-    "Ledger",
-    "DEFAULT_LEDGER_PATH",
-    "LEDGER_SCHEMA_VERSION",
-]
+# a session imports ``.metrics`` and ``.spans`` only; everything else —
+# the ledger's sqlite3, the endpoint's http.server, the runner's
+# multiprocessing — loads when one of its names is first used
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".perf": (
+            "BenchRecord",
+            "BenchRecorder",
+            "load_record",
+            "pingpong_point",
+            "flood_point",
+            "metrics_probe",
+            "platform_hash",
+        ),
+        ".compare": ("CompareReport", "Delta", "compare_records", "delta_table"),
+        ".openmetrics": (
+            "render_openmetrics",
+            "parse_openmetrics",
+            "validate_openmetrics",
+        ),
+        ".metrics": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "MetricSpec",
+            "SCHEMA",
+        ),
+        ".spans": ("Span", "SpanError", "SpanRecorder", "NULL_SPAN"),
+        ".export": (
+            "to_chrome_trace",
+            "write_chrome_trace",
+            "load_chrome_trace",
+            "validate_chrome_trace",
+            "to_jsonl",
+            "write_jsonl",
+        ),
+        ".report": (
+            "RequestLifecycle",
+            "lifecycle_report",
+            "lifecycle_table",
+            "poll_tax_by_rail",
+        ),
+        ".runner": ("PointTask", "resolve_jobs", "run_point", "run_sweep_parallel"),
+        ".critical_path": (
+            "CriticalPathReport",
+            "RequestAttribution",
+            "analyze_session",
+            "attribute_requests",
+            "attribution_table",
+            "blame_by_rail",
+            "blame_table",
+            "build_graph",
+            "category_totals",
+            "critical_path_trace_events",
+            "rail_timeline",
+            "timeline_table",
+        ),
+        ".server": ("MetricsPublisher", "LiveMetricsServer", "OPENMETRICS_CONTENT_TYPE"),
+        ".streaming": (
+            "StreamingTracer",
+            "SpanSampler",
+            "load_span_stream",
+            "STREAM_SCHEMA_VERSION",
+        ),
+        ".log": (
+            "EventLogger",
+            "configure",
+            "get_logger",
+            "new_run_id",
+            "parse_events",
+            "EVENT_SCHEMA_VERSION",
+        ),
+        ".ledger": ("Ledger", "DEFAULT_LEDGER_PATH", "LEDGER_SCHEMA_VERSION"),
+    },
+)

@@ -9,14 +9,15 @@ Supported yield values
     Suspend for ``dt`` microseconds of simulated time.  The bare form is
     the same wait without the wrapper object (the pump yields its CPU
     costs this way); both schedule one identical kernel event.
-``Signal``
-    Suspend until the signal is :meth:`Signal.fire`-d.  The value passed to
-    ``fire`` is returned by the ``yield`` expression.
-``Process``
-    Suspend until the child process terminates; its return value (via
-    ``return`` inside the generator) is returned by the ``yield``.
-``AllOf([waitables])`` / ``AnyOf([waitables])``
-    Barrier / first-completion combinators over signals and processes.
+a *waitable* — any object with ``wait(callback)`` / ``unwait(callback)``
+    Suspend until it calls ``callback(value)``; the ``yield`` expression
+    returns ``value``.  ``unwait`` withdraws a callback that has not run
+    (no-op otherwise).  :meth:`Process._arm` knows nothing else; three
+    classes speak it: :class:`Signal` (the value given to ``fire``),
+    :class:`Process` (the child's ``return`` value; ``wait`` is ``on_done``)
+    and :class:`repro.core.request.Request` (the request itself).
+``AllOf([...])`` / ``AnyOf([...])``
+    Barrier / first-completion combinators over any of the above.
 
 This is deliberately a small subset of what e.g. SimPy provides: only what
 the engine needs, implemented deterministically and with explicit failure
@@ -82,10 +83,8 @@ class Signal:
 
     def unwait(self, callback: Callable[[Any], None]) -> None:
         """Remove a previously registered callback (no-op if absent)."""
-        try:
+        if callback in self._waiters:
             self._waiters.remove(callback)
-        except ValueError:
-            pass
 
     @property
     def waiter_count(self) -> int:
@@ -133,8 +132,8 @@ class AnyOf:
     """Waitable combinator: resume when the *first* child completes.
 
     The yield expression evaluates to ``(index, value)`` of the first child
-    to complete.  Remaining waits are abandoned (signals simply lose a
-    waiter; child processes keep running but no longer notify).
+    to complete.  Remaining waits are withdrawn with ``unwait`` (child
+    processes keep running; a lost timeout's kernel event runs to no effect).
     """
 
     __slots__ = ("children",)
@@ -176,6 +175,13 @@ class Process:
         else:
             self._watchers.append(callback)
 
+    wait = on_done  # a process is a waitable (see the module docstring)
+
+    def unwait(self, callback: Callable[[Any], None]) -> None:
+        """Withdraw an :meth:`on_done` callback (no-op if absent)."""
+        if callback in self._watchers:
+            self._watchers.remove(callback)
+
     # -- machinery ---------------------------------------------------------
     def _start(self) -> None:
         if self._started:
@@ -199,19 +205,17 @@ class Process:
 
     def _arm(self, yielded: Any, resume: Callable[[Any], None]) -> None:
         """Register ``resume`` to be called when ``yielded`` completes."""
-        if isinstance(yielded, Signal):
-            yielded.wait(resume)
+        wait = getattr(yielded, "wait", None)
+        if wait is not None:
+            wait(resume)
         elif isinstance(yielded, Timeout):
             self.sim.schedule(yielded.dt, resume, None)
-        elif isinstance(yielded, Process):
-            yielded.on_done(resume)
         elif isinstance(yielded, AllOf):
             self._arm_all(yielded, resume)
         elif isinstance(yielded, AnyOf):
             self._arm_any(yielded, resume)
         elif isinstance(yielded, (float, int)):
-            # bare delays that missed the fast path: ints, combinator
-            # children, and the negative ones this rejects
+            # bare delays off the fast path: ints, combinator children, negatives
             if yielded < 0:
                 raise ProcessError(f"negative timeout {yielded!r}")
             self.sim.schedule(yielded, resume, None)
@@ -237,19 +241,25 @@ class Process:
             self._arm(child, make_cb(i))
 
     def _arm_any(self, anyof: AnyOf, resume: Callable[[Any], None]) -> None:
-        fired = [False]
+        armed: list = []  # (child, callback) registered so far; the winner empties it
 
         def make_cb(i: int) -> Callable[[Any], None]:
             def cb(value: Any) -> None:
-                if fired[0]:
-                    return
-                fired[0] = True
-                resume((i, value))
+                if armed:  # else it lost: a timeout's kernel event cannot be withdrawn
+                    for j, (child, loser) in enumerate(armed):
+                        if j != i and hasattr(child, "unwait"):
+                            child.unwait(loser)
+                    armed.clear()  # unties callbacks <-> list: nothing for the GC
+                    resume((i, value))
 
             return cb
 
         for i, child in enumerate(anyof.children):
-            self._arm(child, make_cb(i))
+            cb = make_cb(i)
+            armed.append((child, cb))
+            self._arm(child, cb)
+            if not armed:  # the child had already finished and resumed us
+                break
 
     def _finish(self, value: Any) -> None:
         self._done = True

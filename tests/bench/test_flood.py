@@ -69,3 +69,26 @@ def test_bad_parameters(mx_plat):
         run_flood(session, size=10, count=1, window=0)
     with pytest.raises(BenchError):
         run_flood(session, size=-1)
+
+
+def test_window_rearm_leaves_one_callback_per_completion(plat2, monkeypatch):
+    """``run_flood`` re-arms ``AnyOf`` over its whole window each turn.
+    The winner withdraws the losers, so a completing request finds the one
+    live waiter — not one dead callback per earlier turn (16 per
+    completion at window 32 when ``AnyOf`` abandoned its losers)."""
+    from repro.core.request import Request
+
+    completions = callbacks = 0
+    complete = Request._complete
+
+    def counting_complete(self):
+        nonlocal completions, callbacks
+        waiter = self._waiter
+        completions += 1
+        callbacks += len(waiter) if type(waiter) is list else waiter is not None
+        complete(self)
+
+    monkeypatch.setattr(Request, "_complete", counting_complete)
+    run_flood(Session(plat2, strategy="aggreg_multirail"), 512, count=2000, window=32)
+    assert completions == 4000  # every send and every receive
+    assert 0 < callbacks <= 2 * completions

@@ -1,8 +1,10 @@
 """Unit tests for receive-side matching."""
 
+from collections import deque
+
 import pytest
 
-from repro.core.matching import MatchingTable
+from repro.core.matching import ANY_SOURCE, MatchingTable, _Arrival
 from repro.core.packet import Payload, RdvReq
 from repro.core.request import RecvRequest
 from repro.sim import Simulator
@@ -96,6 +98,54 @@ class TestArriveFirst:
         table.match_rdv(0, rdv(req_id=1))
         with pytest.raises(MatchingError):
             table.match_rdv(0, rdv(req_id=2))  # same (peer, tag, seq)
+
+
+def arrivals_held(table):
+    """Every arrival record reachable through the table's containers."""
+    found, stack = [], list(vars(table).values())
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, _Arrival):
+            found.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, deque)):
+            stack.extend(obj)
+    return found
+
+
+class TestConsumedArrivalsAreDropped:
+    def test_exact_tag_keeps_no_consumed_arrival(self, sim):
+        """Arrive-then-post on a specific-source tag used to leave every
+        arrival in the wildcard ready queue, which nothing ever popped."""
+        table = MatchingTable()
+        for seq in range(1000):
+            assert table.arrive(0, 2, seq, "eager", Payload.virtual(8)) == []
+            assert table.post_recv(0, 2, req(sim, tag=2)).kind == "eager"
+        assert arrivals_held(table) == []
+        assert table.unexpected_count == 0 and table.unexpected_hits == 1000
+
+    def test_arrivals_before_the_first_post_serve_either_discipline(self, sim):
+        exact, wild = MatchingTable(), MatchingTable()
+        for table in (exact, wild):
+            for seq in range(3):
+                table.arrive(0, 2, seq, "eager", Payload.of(bytes([seq])))
+            assert len(arrivals_held(table)) > 0 and table.unexpected_count == 3
+        for seq in range(3):  # the tag's first receive fixes its discipline
+            assert exact.post_recv(0, 2, req(sim, tag=2)).payload.data == bytes([seq])
+            assert wild.post_recv(ANY_SOURCE, 2, req(sim, tag=2)).payload.data == bytes([seq])
+        assert arrivals_held(exact) == [] and arrivals_held(wild) == []
+
+    def test_out_of_order_arrivals_on_an_exact_tag_are_dropped_too(self, sim):
+        table = MatchingTable()
+        table.post_recv(0, 2, req(sim, tag=2))
+        table.arrive(0, 2, 0, "eager", Payload.virtual(1))  # matches the post
+        for seq in (3, 2, 1):  # stashed, then released in order by seq 1
+            table.arrive(0, 2, seq, "eager", Payload.virtual(1))
+        assert table.unexpected_count == 3
+        for _ in range(3):
+            assert table.post_recv(0, 2, req(sim, tag=2)).kind == "eager"
+        assert arrivals_held(table) == [] and table.unexpected_count == 0
 
 
 class TestStatistics:

@@ -33,6 +33,26 @@ class TestPayload:
         with pytest.raises(ProtocolError):
             Payload.of(3.14)
 
+    def test_virtual_payloads_of_one_size_are_one_object(self):
+        p = Payload.virtual(4096)
+        assert Payload.virtual(4096) is p and Payload.of(4096) is p
+        assert Payload.virtual(8192).slice(1024, 4096) is p
+        assert Payload.virtual(4097) is not p
+        # real payloads are never shared, equal or not
+        assert Payload.of(b"ab") is not Payload.of(b"ab")
+
+    def test_shared_payload_table_is_bounded(self):
+        from repro.core.packet import _virtual
+
+        sizes = range(10_000, 10_000 + 4 * _virtual.cache_info().maxsize)
+        assert [Payload.virtual(n).size for n in sizes] == list(sizes)
+        info = _virtual.cache_info()
+        assert info.currsize <= info.maxsize == 256
+        with pytest.raises(ProtocolError):
+            Payload.virtual(-1)  # a rejected size is not remembered either
+        with pytest.raises(ProtocolError):
+            Payload.of(-1)
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(ProtocolError):
             Payload(3, b"toolong!")

@@ -108,8 +108,11 @@ class TestSampleRails:
 
 
 def test_eager_only_session_never_imports_numpy():
-    """numpy's one user is ``RailSample.fit``; a session that never
-    samples must not pay its import (start-up time and resident memory)."""
+    """The import-set guard.  numpy's one user is ``RailSample.fit``; the
+    ledger, the live endpoint, the pool runner and the CLI have users of
+    their own.  A session that samples nothing and records nothing must
+    pay for none of them (start-up time and resident memory): the package
+    façades resolve their re-exports on first use."""
     import os
     import subprocess
     import sys
@@ -124,9 +127,19 @@ def test_eager_only_session_never_imports_numpy():
         "res = run_pingpong(session, 64, segments=2, reps=3, warmup=1)\n"
         "assert res.one_way_us > 0\n"
         "assert 'numpy' not in sys.modules, 'numpy imported without sampling'\n"
+        "heavy = {'sqlite3', 'http.server', 'multiprocessing', 'argparse', 'repro.cli'}\n"
+        "assert not heavy & set(sys.modules), sorted(heavy & set(sys.modules))\n"
+        "ours = sorted(m for m in sys.modules if m.startswith('repro.'))\n"
+        "allowed = {'repro.obs.metrics', 'repro.obs.spans', 'repro.bench.pingpong'}\n"
+        "extra = [m for m in ours if m.startswith(('repro.obs.', 'repro.bench.'))\n"
+        "         and m not in allowed]\n"
+        "assert not extra, extra\n"
+        "assert len(ours) <= 60, (len(ours), ours)\n"
         "from repro import sample_rails\n"
         "sample_rails(paper_platform())\n"
         "assert 'numpy' in sys.modules  # the check above can fail\n"
+        "from repro.obs import Ledger\n"
+        "assert 'sqlite3' in sys.modules  # so can these\n"
     )
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

@@ -183,6 +183,103 @@ def test_anyof_ignores_later_completions():
     assert p.value == (1, None)
 
 
+def test_anyof_winner_withdraws_the_losing_waits():
+    sim = Simulator()
+    won, lost = Signal(sim), Signal(sim)
+    resumed = []
+
+    def child():
+        yield Timeout(50.0)
+
+    kid = spawn(sim, child())
+
+    def proc():
+        resumed.append((yield AnyOf([lost, kid, won, Timeout(7.0)])))
+        # the losers carry no dead callback; the winner was cleared by fire()
+        assert lost.waiter_count == 0 and won.waiter_count == 0
+        assert kid._watchers == []
+        yield Timeout(20.0)  # the lost Timeout(7) event runs, to no effect
+
+    p = spawn(sim, proc())
+    won.fire_later(3.0, "first")
+    sim.run()
+    assert resumed == [(2, "first")] and p.done and kid.done
+    assert lost.fire("nobody") == 0
+
+
+def test_anyof_stops_arming_once_a_finished_child_has_won():
+    sim = Simulator()
+    later = Signal(sim)
+
+    def child():
+        return "early"
+        yield  # pragma: no cover
+
+    def proc():
+        kid = spawn(sim, child())
+        yield Timeout(1.0)
+        got = yield AnyOf([kid, later, Timeout(30.0)])
+        return (got, sim.now)
+
+    p = spawn(sim, proc())
+    sim.run()
+    assert p.value == ((0, "early"), 1.0)
+    assert later.waiter_count == 0
+    assert sim.now == 1.0  # no stray Timeout(30) event was scheduled
+
+
+def test_process_unwait_withdraws_an_on_done_callback():
+    sim = Simulator()
+
+    def proc():
+        yield Timeout(1.0)
+
+    p = spawn(sim, proc())
+    got = []
+    p.wait(got.append)  # the waitable protocol's name for on_done
+    p.on_done(got.append)
+    p.unwait(got.append)  # removes one registration
+    p.unwait(print)  # no-op when absent
+    sim.run()
+    assert got == [None]
+
+
+def test_any_object_with_wait_and_unwait_is_yieldable():
+    """The yield contract is the protocol, not a list of classes."""
+    sim = Simulator()
+
+    class Latch:
+        def __init__(self):
+            self.callbacks = []
+
+        def wait(self, callback):
+            self.callbacks.append(callback)
+
+        def unwait(self, callback):
+            self.callbacks.remove(callback)
+
+        def release(self, value):
+            callbacks, self.callbacks = self.callbacks, []
+            for cb in callbacks:
+                cb(value)
+
+    first, second = Latch(), Latch()
+
+    def proc():
+        a = yield first
+        b = yield AnyOf([first, second])
+        c = yield AllOf([first, second])
+        return (a, b, c, sim.now)
+
+    p = spawn(sim, proc())
+    sim.schedule(1.0, first.release, "a")
+    sim.schedule(2.0, second.release, "b")
+    sim.schedule(2.5, lambda: (first.release("c1"), second.release("c2")))
+    sim.run()
+    assert p.value == ("a", (1, "b"), ["c1", "c2"], 2.5)
+    assert first.callbacks == [] and second.callbacks == []
+
+
 def test_empty_combinators_rejected():
     with pytest.raises(ProcessError):
         AllOf([])
