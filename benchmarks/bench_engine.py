@@ -1,38 +1,34 @@
 """The engine suite's two simulated ping-pong points, under pytest-benchmark.
 
-Workloads (and record names) mirror ``repro.obs.perf.ENGINE_BENCHES`` so
-the ``BENCH_pytest.json`` this session writes can be compared against a
-``repro bench run --engine`` record.  The bare event-kernel and
-flow-reallocation loops are ``hostbench``'s ``sim.engine.probe_events_per_s``
-and ``sim.flows.probe_reallocs_per_s`` probes.
+The workloads (and record names) are the rows of
+``repro.bench.suites.ENGINE_CELLS``, so the ``BENCH_pytest.json`` this
+session writes can be compared against a ``repro bench run --engine``
+record.  The bare event-kernel and flow-reallocation loops are
+``hostbench``'s ``sim.engine.probe_events_per_s`` and
+``sim.flows.probe_reallocs_per_s`` probes.
 """
 
-from repro import Session, paper_platform, run_pingpong
-from repro.obs.perf import pingpong_point
-from repro.util.units import MB
+import pytest
+
+from repro.bench.pingpong import PingPongResult
+from repro.bench.suites import ENGINE_CELLS, SUITES, run_engine_cell
+
+#: what each engine point must show, by bench name: the 1 MB greedy
+#: ping-pong is in the bandwidth regime (build + simulate a full 2-rail
+#: split), the 64 B aggregated one in the latency regime (many sweeps, no
+#: flows)
+EXPECT = {
+    "pingpong_1MB_greedy": lambda result: result.bandwidth_MBps > 1000,
+    "pingpong_64B_aggreg_multirail": lambda result: result.one_way_us < 10,
+}
 
 
-def test_pingpong_simulation_cost(benchmark, recorder):
-    """Full 2-rail split ping-pong at 1 MB: build + simulate."""
-
-    def run():
-        session = Session(paper_platform(), strategy="greedy")
-        return run_pingpong(session, 1 * MB, segments=2, reps=2, warmup=1)
-
-    result = benchmark(run)
-    assert result.bandwidth_MBps > 1000
-    recorder.record_point(pingpong_point(result, bench="engine.pingpong_1MB_greedy"))
+def test_every_engine_cell_has_an_expectation():
+    assert {cell.bench for cell in ENGINE_CELLS} == set(EXPECT)
 
 
-def test_small_message_simulation_cost(benchmark, recorder):
-    """Latency-regime ping-pong: many sweeps, no flows."""
-
-    def run():
-        session = Session(paper_platform(), strategy="aggreg_multirail")
-        return run_pingpong(session, 64, segments=4, reps=10, warmup=2)
-
-    result = benchmark(run)
-    assert result.one_way_us < 10
-    recorder.record_point(
-        pingpong_point(result, bench="engine.pingpong_64B_aggreg_multirail")
-    )
+@pytest.mark.parametrize("cell", ENGINE_CELLS, ids=lambda cell: cell.bench)
+def test_engine_point_simulation_cost(benchmark, recorder, cell):
+    row = benchmark(run_engine_cell, cell)
+    assert EXPECT[cell.bench](PingPongResult(**row))
+    recorder.record_point(SUITES["engine"].point(cell, row))

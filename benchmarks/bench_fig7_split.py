@@ -6,8 +6,7 @@ hetero split must beat the iso split which must beat the best single
 rail at large sizes.
 """
 
-from repro.bench import report_figure, write_reports
-from repro.bench.figures import fig7
+from repro.bench import report_figure, run_figure, write_reports
 from repro.util.units import MB
 
 
@@ -16,7 +15,7 @@ def test_fig7_split_bandwidth(benchmark, report_dir, samples, recorder, bench_jo
     # `samples` fixture; letting it sample keeps the plan portable so
     # the sweep can fan out when REPRO_BENCH_JOBS > 1.
     result = benchmark.pedantic(
-        lambda: fig7(reps=2, jobs=bench_jobs), rounds=1, iterations=1
+        lambda: run_figure("fig7", reps=2, jobs=bench_jobs), rounds=1, iterations=1
     )
     report_figure(result)
     write_reports([result], report_dir)

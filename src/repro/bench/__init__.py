@@ -1,4 +1,5 @@
-"""Benchmark harness: ping-pong, sweeps, and one runner per paper figure."""
+"""Benchmark harness: ping-pong, sweeps, the paper's figure table and the
+bench suites of a run record."""
 
 from ..util.lazy import lazy_exports
 
@@ -11,6 +12,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".figures": ("FigureResult", "FIGURES", "run_figure"),
         ".reporting": ("report_figure", "report_table", "write_reports"),
         ".ablations": (
+            "ABLATIONS",
             "ablation_poll_cost",
             "ablation_eager_threshold",
             "ablation_bus_capacity",
@@ -19,6 +21,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "ablation_parallel_pio",
         ),
         ".extensions": (
+            "EXTENSIONS",
             "ext_rail_scaling",
             "ext_heterogeneous_mix",
             "ext_parallel_pio_latency",
@@ -34,7 +37,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "DEFAULT_POINTS",
             "ScaleResult",
             "run_collective",
-            "run_scale_suite",
         ),
+        ".suites": ("SUITES", "run_suites"),
     },
 )

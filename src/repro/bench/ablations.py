@@ -34,6 +34,7 @@ from ..util.units import KB, MB, format_size
 from .pingpong import run_pingpong
 
 __all__ = [
+    "ABLATIONS",
     "ablation_poll_cost",
     "ablation_eager_threshold",
     "ablation_bus_capacity",
@@ -237,3 +238,15 @@ def ablation_split_ratio(
         )
         table.add_row(ratio, res.bandwidth_MBps)
     return table
+
+
+#: name -> (function, takes init-time ``samples``), in EXPERIMENTS.md order;
+#: what ``repro ablations`` and the EXPERIMENTS.md generator iterate.
+ABLATIONS = {
+    "poll_cost": (ablation_poll_cost, False),
+    "eager_threshold": (ablation_eager_threshold, False),
+    "window": (ablation_window, False),
+    "parallel_pio": (ablation_parallel_pio, False),
+    "bus_capacity": (ablation_bus_capacity, True),
+    "split_ratio": (ablation_split_ratio, True),
+}

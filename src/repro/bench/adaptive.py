@@ -24,19 +24,24 @@ records with ``--sim-tol 0``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Any, Optional, Sequence
 
 from ..util.errors import BenchError
 from ..util.units import MB
+from .scale import identical_reps
 
 __all__ = [
     "ADAPTIVE_STRATEGIES",
     "DEGRADE_AT_US",
     "AdaptiveResult",
+    "AdaptiveCell",
     "run_adaptive_case",
     "adaptive_point",
-    "run_adaptive_suite",
+    "adaptive_cells",
+    "run_adaptive_cell",
+    "adaptive_metrics",
+    "adaptive_line",
 ]
 
 #: the strategies this suite races through the degrade-recovery workload.
@@ -53,6 +58,15 @@ DEGRADE_FOR_US = 1_000_000.0
 N_SENDS = 8
 SIZE = 2 * MB
 POLL_US = 25.0
+
+
+@dataclass(frozen=True)
+class AdaptiveCell:
+    """One (strategy, reps) cell, addressed by value so it can cross
+    processes."""
+
+    strategy: str
+    reps: int
 
 
 @dataclass(frozen=True)
@@ -111,11 +125,8 @@ def _workload(session) -> float:
 
 
 def run_adaptive_case(strategy: str, reps: int = 1) -> AdaptiveResult:
-    """Run the degrade-recovery workload under ``strategy``.
-
-    The simulated latency and event count must be identical across reps
-    (fresh simulator each time) — a disagreement raises.
-    """
+    """Run the degrade-recovery workload under ``strategy``, once per rep
+    on a fresh simulator (see :func:`~repro.bench.scale.identical_reps`)."""
     from ..core.session import Session
     from ..core.strategies.registry import available_strategies
     from ..faults.plan import FaultEvent, FaultPlan
@@ -126,14 +137,8 @@ def run_adaptive_case(strategy: str, reps: int = 1) -> AdaptiveResult:
             f"unknown adaptive bench strategy {strategy!r};"
             f" registered: {available_strategies()}"
         )
-    if reps < 1:
-        raise BenchError(f"reps must be >= 1, got {reps}")
 
-    elapsed_us = events = None
-    steady_share: Optional[float] = None
-    resamples = 0
-    switches: Optional[int] = None
-    for _ in range(reps):
+    def once() -> AdaptiveResult:
         spec = paper_platform()
         plan = FaultPlan(
             [
@@ -153,30 +158,16 @@ def run_adaptive_case(strategy: str, reps: int = 1) -> AdaptiveResult:
         ratios = (
             strat.current_ratios() if hasattr(strat, "current_ratios") else None
         )
-        rep_share = None if ratios is None else float(ratios[0])
-        rep_switches = (
-            len(strat.switches) if hasattr(strat, "switches") else None
+        return AdaptiveResult(
+            strategy=strategy,
+            elapsed_us=workload_done_us,
+            events=int(session.sim.events_executed),
+            steady_share=None if ratios is None else float(ratios[0]),
+            resamples=int(session.metrics.snapshot().get("fault.resamples", 0)),
+            switches=len(strat.switches) if hasattr(strat, "switches") else None,
         )
-        rep_elapsed = workload_done_us
-        rep_events = int(session.sim.events_executed)
-        if elapsed_us is not None and (
-            rep_elapsed != elapsed_us or rep_events != events
-        ):  # pragma: no cover - determinism guard
-            raise BenchError(
-                f"adaptive.degrade_recovery {strategy}: reps disagree on"
-                " simulated results"
-            )
-        elapsed_us, events = rep_elapsed, rep_events
-        steady_share, switches = rep_share, rep_switches
-        resamples = int(session.metrics.snapshot().get("fault.resamples", 0))
-    return AdaptiveResult(
-        strategy=strategy,
-        elapsed_us=elapsed_us,
-        events=events,
-        steady_share=steady_share,
-        resamples=resamples,
-        switches=switches,
-    )
+
+    return identical_reps(once, reps, f"adaptive.degrade_recovery {strategy}")
 
 
 def adaptive_point(result: AdaptiveResult) -> dict[str, Any]:
@@ -192,37 +183,36 @@ def adaptive_point(result: AdaptiveResult) -> dict[str, Any]:
     }
 
 
-def run_adaptive_suite(
-    recorder,
-    strategies: Sequence[str] = ADAPTIVE_STRATEGIES,
-    reps: int = 1,
-    publish: Optional[Callable[[str, int, int], None]] = None,
-) -> list[AdaptiveResult]:
-    """Run the degrade-recovery cell per strategy and record everything.
-
-    ``publish(cell, done, total)`` fires after each cell for the live
-    endpoint's incremental snapshots.
-    """
+def adaptive_cells(
+    strategies: Sequence[str] = ADAPTIVE_STRATEGIES, reps: int = 1
+) -> list[AdaptiveCell]:
+    """The suite's cells: one degrade-recovery run per adaptive strategy."""
     if not strategies:
         raise BenchError("no adaptive strategies to run")
-    if publish:
-        publish("", 0, len(strategies))
-    out = []
-    for done, name in enumerate(strategies, start=1):
-        r = run_adaptive_case(name, reps=reps)
-        out.append(r)
-        recorder.record_point(adaptive_point(r))
-        if publish:
-            publish(f"adaptive.degrade_recovery.{r.strategy}", done, len(strategies))
+    return [AdaptiveCell(name, reps) for name in strategies]
 
-    # merge (don't replace) the metrics snapshot: earlier suites may have
-    # recorded the probe already.
-    snap = dict(getattr(recorder, "_metrics", {}) or {})
-    for r in out:
-        if r.steady_share is not None:
-            snap[f"adaptive.steady_share.{r.strategy}"] = r.steady_share
-        if r.switches is not None:
-            snap[f"adaptive.switches.{r.strategy}"] = float(r.switches)
-        snap[f"adaptive.resamples.{r.strategy}"] = float(r.resamples)
-    recorder.record_metrics(snap)
+
+def run_adaptive_cell(cell: AdaptiveCell) -> dict[str, Any]:
+    """Pool worker body: run one cell, return a primitive payload."""
+    return asdict(run_adaptive_case(cell.strategy, reps=cell.reps))
+
+
+def adaptive_metrics(cell: AdaptiveCell, row: dict[str, Any]) -> dict[str, float]:
+    """Report-only metrics of one cell: the converged operating point."""
+    out = {f"adaptive.resamples.{cell.strategy}": float(row["resamples"])}
+    if row["steady_share"] is not None:
+        out[f"adaptive.steady_share.{cell.strategy}"] = row["steady_share"]
+    if row["switches"] is not None:
+        out[f"adaptive.switches.{cell.strategy}"] = float(row["switches"])
     return out
+
+
+def adaptive_line(cell: AdaptiveCell, row: dict[str, Any]) -> str:
+    share = "n/a" if row["steady_share"] is None else f"{row['steady_share']:.3f}"
+    return (
+        f"  adaptive.degrade_recovery {cell.strategy}:"
+        f" {row['elapsed_us']:.2f} us simulated,"
+        f" steady share {share},"
+        f" resamples {row['resamples']}"
+        + ("" if row["switches"] is None else f", switches {row['switches']}")
+    )

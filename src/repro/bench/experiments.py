@@ -18,8 +18,8 @@ from typing import Callable, Optional
 from ..core.sampling import SampleTable, sample_rails
 from ..hardware.presets import paper_platform
 from ..util.units import KB, MB, format_size
-from . import ablations
-from .figures import FIGURES, FigureResult
+from .ablations import ABLATIONS
+from .figures import FIGURES, FigureResult, run_figure
 from .stats import find_crossover, peak, value_at
 
 __all__ = ["Claim", "ClaimOutcome", "PAPER_CLAIMS", "run_experiments", "write_experiments_md"]
@@ -200,12 +200,12 @@ def run_experiments(
 ) -> tuple[dict[str, FigureResult], list[ClaimOutcome]]:
     """Reproduce every figure and evaluate every paper claim."""
     table = samples if samples is not None else sample_rails(paper_platform())
-    results: dict[str, FigureResult] = {}
-    for figure_id, runner in FIGURES.items():
-        kwargs = {"reps": reps}
-        if figure_id == "fig7":
-            kwargs["samples"] = table
-        results[figure_id] = runner(**kwargs)
+    results = {
+        figure_id: run_figure(
+            figure_id, reps=reps, samples=table if figure.takes_samples else None
+        )
+        for figure_id, figure in FIGURES.items()
+    }
     outcomes = []
     for claim in PAPER_CLAIMS:
         measured, ok = claim.evaluate(results[claim.figure_id])
@@ -267,36 +267,19 @@ def write_experiments_md(
         lines.append(result.plot())
         lines.append("```")
     if include_ablations:
-        lines.append("")
-        lines.append("## Extensions (beyond the paper)")
-        from . import extensions
+        from .extensions import EXTENSIONS
 
-        for fn in (
-            extensions.ext_rail_scaling,
-            extensions.ext_heterogeneous_mix,
-            extensions.ext_parallel_pio_latency,
+        for heading, studies in (
+            ("## Extensions (beyond the paper)", EXTENSIONS),
+            ("## Ablations (mechanisms behind the claims)", ABLATIONS),
         ):
             lines.append("")
-            lines.append("```")
-            lines.append(fn().render())
-            lines.append("```")
-        lines.append("")
-        lines.append("## Ablations (mechanisms behind the claims)")
-        for fn in (
-            ablations.ablation_poll_cost,
-            ablations.ablation_eager_threshold,
-            ablations.ablation_window,
-            ablations.ablation_parallel_pio,
-        ):
-            lines.append("")
-            lines.append("```")
-            lines.append(fn().render())
-            lines.append("```")
-        for fn in (ablations.ablation_bus_capacity, ablations.ablation_split_ratio):
-            lines.append("")
-            lines.append("```")
-            lines.append(fn(samples=table).render())
-            lines.append("```")
+            lines.append(heading)
+            for fn, takes_samples in studies.values():
+                lines.append("")
+                lines.append("```")
+                lines.append((fn(samples=table) if takes_samples else fn()).render())
+                lines.append("```")
     lines.append("")
     with open(path, "w") as fh:
         fh.write("\n".join(lines))

@@ -29,7 +29,12 @@ from ..util.tables import Table
 from ..util.units import KB, MB, format_size
 from .pingpong import run_pingpong
 
-__all__ = ["ext_rail_scaling", "ext_heterogeneous_mix", "ext_parallel_pio_latency"]
+__all__ = [
+    "EXTENSIONS",
+    "ext_rail_scaling",
+    "ext_heterogeneous_mix",
+    "ext_parallel_pio_latency",
+]
 
 
 def ext_rail_scaling(
@@ -127,3 +132,12 @@ def ext_parallel_pio_latency(
         g2 = run_pingpong(Session(mt, strategy="greedy"), size, segments=2, reps=reps)
         table.add_row(format_size(size), best, g1.one_way_us, g2.one_way_us)
     return table
+
+
+#: name -> (function, takes init-time ``samples``), in EXPERIMENTS.md order;
+#: what ``repro extensions`` and the EXPERIMENTS.md generator iterate.
+EXTENSIONS = {
+    "rail_scaling": (ext_rail_scaling, False),
+    "heterogeneous_mix": (ext_heterogeneous_mix, False),
+    "parallel_pio_latency": (ext_parallel_pio_latency, False),
+}

@@ -1,7 +1,8 @@
-"""One runner per figure of the paper's evaluation (Figs 2-7).
+"""The paper's evaluation (Figs 2-7) as one table, :data:`FIGURES`.
 
-Every runner returns a :class:`FigureResult` whose table prints the same
-rows/series the paper plots.  Session construction policy (see DESIGN.md):
+:func:`run_figure` returns a :class:`FigureResult` whose table prints the
+same rows/series the paper plots.  Session construction policy (see
+DESIGN.md):
 
 * Figures 2-3 (raw single-network performance) run on a *single-rail*
   platform — the library is loaded with one driver only;
@@ -17,13 +18,13 @@ rows/series the paper plots.  Session construction policy (see DESIGN.md):
   hetero-stripped transfers on the two-rail platform, with stripping
   ratios taken from init-time sampling.
 
-Figures are described by a :class:`FigurePlan` (curves + sizes) that is
-*rebuildable from its id alone*: the parallel sweep runner
-(:mod:`repro.obs.runner`) ships only ``(figure_id, label, size)`` tuples
-to worker processes, which reconstruct the plan locally — session
-factories hold simulator closures and are deliberately never pickled.
-A plan built with a caller-supplied :class:`SampleTable` is marked
-non-portable and always runs serially.
+A figure is measured from a :class:`FigurePlan` (curves + sizes) that is
+*rebuildable from its id alone*: a :class:`PointTask` ships only
+``(figure_id, label, size)`` to a worker process, which reconstructs the
+plan locally — session factories hold simulator closures and are
+deliberately never pickled.  A plan built with a caller-supplied
+:class:`SampleTable` is marked non-portable and is measured in the
+calling process.
 
 Absolute values are simulation-calibrated, not testbed measurements; the
 assertions that accompany each figure live in
@@ -32,35 +33,45 @@ assertions that accompany each figure live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Literal, Optional, Sequence
+from dataclasses import asdict, dataclass
+from functools import lru_cache, partial
+from typing import Any, Callable, Literal, Optional, Sequence
 
 from ..core.sampling import SampleTable, sample_rails
 from ..core.session import Session
-from ..hardware.presets import paper_platform, single_rail_platform
+from ..hardware.presets import (
+    MYRI_10G,
+    QUADRICS_QM500,
+    paper_platform,
+    single_rail_platform,
+)
 from ..hardware.spec import PlatformSpec, RailSpec
 from ..util.errors import BenchError
 from ..util.tables import Table
 from ..util.units import KB, PAPER_BANDWIDTH_SIZES, PAPER_LATENCY_SIZES, geometric_sizes
-from .sweep import Curve, SweepResult, run_sweep, sweep_table
+from .pingpong import PingPongResult
+from .sweep import (
+    Curve,
+    SweepResult,
+    collect_sweep,
+    measure_point,
+    sweep_points,
+    sweep_table,
+)
 
 __all__ = [
+    "Figure",
+    "FIGURES",
     "FigurePlan",
     "FigureResult",
+    "PointTask",
     "figure_plan",
+    "figure_ids",
+    "default_plan",
+    "figure_cells",
+    "run_point",
     "run_plan",
-    "fig2a",
-    "fig2b",
-    "fig3a",
-    "fig3b",
-    "fig4a",
-    "fig4b",
-    "fig5a",
-    "fig5b",
-    "fig6",
-    "fig7",
     "run_figure",
-    "FIGURES",
 ]
 
 
@@ -70,7 +81,7 @@ class FigurePlan:
 
     ``portable`` means a worker process can rebuild an identical plan
     from ``figure_id`` alone (all inputs are deterministic defaults);
-    only portable plans may be fanned out by the parallel runner.
+    only portable plans are fanned out over workers.
     """
 
     figure_id: str
@@ -163,107 +174,13 @@ def _greedy_curves(segments: int, spec: Optional[PlatformSpec] = None) -> tuple[
     )
 
 
-# --------------------------------------------------------------------- #
-# Figures 2-3: raw single-network performance, multi-segment messages
-# --------------------------------------------------------------------- #
-def _plan_fig2a(sizes: Optional[Sequence[int]] = None) -> FigurePlan:
-    from ..hardware.presets import MYRI_10G
-
-    return FigurePlan(
-        "fig2a",
-        "Myri-10G latency, regular vs multi-segment (+aggregation)",
-        "latency",
-        _single_platform_curves(MYRI_10G),
-        tuple(sizes or PAPER_LATENCY_SIZES),
-    )
-
-
-def _plan_fig2b(sizes: Optional[Sequence[int]] = None) -> FigurePlan:
-    from ..hardware.presets import MYRI_10G
-
-    return FigurePlan(
-        "fig2b",
-        "Myri-10G bandwidth, regular vs multi-segment (+aggregation)",
-        "bandwidth",
-        _single_platform_curves(MYRI_10G),
-        tuple(sizes or PAPER_BANDWIDTH_SIZES),
-    )
-
-
-def _plan_fig3a(sizes: Optional[Sequence[int]] = None) -> FigurePlan:
-    from ..hardware.presets import QUADRICS_QM500
-
-    return FigurePlan(
-        "fig3a",
-        "Quadrics latency, regular vs multi-segment (+aggregation)",
-        "latency",
-        _single_platform_curves(QUADRICS_QM500),
-        tuple(sizes or PAPER_LATENCY_SIZES),
-    )
-
-
-def _plan_fig3b(sizes: Optional[Sequence[int]] = None) -> FigurePlan:
-    from ..hardware.presets import QUADRICS_QM500
-
-    return FigurePlan(
-        "fig3b",
-        "Quadrics bandwidth, regular vs multi-segment (+aggregation)",
-        "bandwidth",
-        _single_platform_curves(QUADRICS_QM500),
-        tuple(sizes or PAPER_BANDWIDTH_SIZES),
-    )
-
-
-# --------------------------------------------------------------------- #
-# Figures 4-5: greedy balancing
-# --------------------------------------------------------------------- #
-def _plan_fig4a(sizes: Optional[Sequence[int]] = None) -> FigurePlan:
-    return FigurePlan(
-        "fig4a",
-        "Greedy balancing with 2-segment messages — latency",
-        "latency",
-        _greedy_curves(2),
-        tuple(sizes or geometric_sizes(4, 16 * KB)),
-    )
-
-
-def _plan_fig4b(sizes: Optional[Sequence[int]] = None) -> FigurePlan:
-    return FigurePlan(
-        "fig4b",
-        "Greedy balancing with 2-segment messages — bandwidth",
-        "bandwidth",
-        _greedy_curves(2),
-        tuple(sizes or PAPER_BANDWIDTH_SIZES),
-    )
-
-
-def _plan_fig5a(sizes: Optional[Sequence[int]] = None) -> FigurePlan:
-    return FigurePlan(
-        "fig5a",
-        "Greedy balancing with 4-segment messages — latency",
-        "latency",
-        _greedy_curves(4),
-        tuple(sizes or geometric_sizes(16, 16 * KB)),
-    )
-
-
-def _plan_fig5b(sizes: Optional[Sequence[int]] = None) -> FigurePlan:
-    return FigurePlan(
-        "fig5b",
-        "Greedy balancing with 4-segment messages — bandwidth",
-        "bandwidth",
-        _greedy_curves(4),
-        tuple(sizes or PAPER_BANDWIDTH_SIZES),
-    )
-
-
-# --------------------------------------------------------------------- #
-# Figure 6: aggregation on the fastest NIC + balanced large messages
-# --------------------------------------------------------------------- #
-def _plan_fig6(sizes: Optional[Sequence[int]] = None) -> FigurePlan:
+# Figure 6: references are NIC-only sessions; the "dynamically balanced"
+# curve is ``aggreg_multirail`` on the two-rail platform and sits a
+# constant idle-NIC poll above the Quadrics-only curve.
+def _fig6_curves() -> tuple[Curve, ...]:
     plat = paper_platform()
     mx, elan = plat.rails[0], plat.rails[1]
-    curves = (
+    return (
         Curve(
             "2-seg aggregated over Myri-10G (NIC-only)",
             lambda: Session(single_rail_platform(mx), strategy="aggreg"),
@@ -280,30 +197,16 @@ def _plan_fig6(sizes: Optional[Sequence[int]] = None) -> FigurePlan:
             segments=2,
         ),
     )
-    return FigurePlan(
-        "fig6",
-        "Aggregated eager on fastest NIC, balanced large — latency",
-        "latency",
-        curves,
-        tuple(sizes or PAPER_LATENCY_SIZES),
-    )
 
 
-# --------------------------------------------------------------------- #
-# Figure 7: packet stripping with adaptive threshold
-# --------------------------------------------------------------------- #
-def _plan_fig7(
-    sizes: Optional[Sequence[int]] = None,
-    samples: Optional[SampleTable] = None,
-) -> FigurePlan:
+# Figure 7: the hetero-split ratios come from init-time sampling (run
+# once per plan and shared across the sweep, like NewMadeleine samples
+# once at initialization); the iso-split curve forces a 50/50 ratio.
+def _fig7_curves(samples: Optional[SampleTable] = None) -> tuple[Curve, ...]:
     plat = paper_platform()
     mx, elan = plat.rails[0], plat.rails[1]
-    # Default sampling is deterministic (same table in every process), so
-    # the plan stays portable; an externally built table cannot be
-    # reconstructed by a worker and pins the plan to serial execution.
-    portable = samples is None
     table = samples if samples is not None else sample_rails(plat)
-    curves = (
+    return (
         Curve(
             "1 segment over Myri-10G",
             lambda: Session(single_rail_platform(mx), strategy="single_rail"),
@@ -326,28 +229,70 @@ def _plan_fig7(
             lambda: Session(plat, strategy="split_balance", samples=table),
         ),
     )
-    return FigurePlan(
-        "fig7",
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One row of the figure table: what the paper plots, before any
+    session exists."""
+
+    title: str
+    metric: Literal["latency", "bandwidth"]
+    #: builds the figure's curves (``curves(samples)`` when ``takes_samples``)
+    curves: Callable[..., tuple[Curve, ...]]
+    #: the paper's x axis, used when the caller names no sizes
+    sizes: Sequence[int]
+    takes_samples: bool = False
+
+
+#: the paper's evaluation, one row per figure; everything that names a
+#: figure (``figure_plan``, ``run_figure``, the CLI, the bench suites,
+#: EXPERIMENTS.md) reads this table.
+FIGURES: dict[str, Figure] = {
+    # Figures 2-3: raw single-network performance, multi-segment messages
+    "fig2a": Figure(
+        "Myri-10G latency, regular vs multi-segment (+aggregation)",
+        "latency", partial(_single_platform_curves, MYRI_10G), PAPER_LATENCY_SIZES,
+    ),
+    "fig2b": Figure(
+        "Myri-10G bandwidth, regular vs multi-segment (+aggregation)",
+        "bandwidth", partial(_single_platform_curves, MYRI_10G), PAPER_BANDWIDTH_SIZES,
+    ),
+    "fig3a": Figure(
+        "Quadrics latency, regular vs multi-segment (+aggregation)",
+        "latency", partial(_single_platform_curves, QUADRICS_QM500), PAPER_LATENCY_SIZES,
+    ),
+    "fig3b": Figure(
+        "Quadrics bandwidth, regular vs multi-segment (+aggregation)",
+        "bandwidth", partial(_single_platform_curves, QUADRICS_QM500), PAPER_BANDWIDTH_SIZES,
+    ),
+    # Figures 4-5: greedy balancing
+    "fig4a": Figure(
+        "Greedy balancing with 2-segment messages — latency",
+        "latency", partial(_greedy_curves, 2), geometric_sizes(4, 16 * KB),
+    ),
+    "fig4b": Figure(
+        "Greedy balancing with 2-segment messages — bandwidth",
+        "bandwidth", partial(_greedy_curves, 2), PAPER_BANDWIDTH_SIZES,
+    ),
+    "fig5a": Figure(
+        "Greedy balancing with 4-segment messages — latency",
+        "latency", partial(_greedy_curves, 4), geometric_sizes(16, 16 * KB),
+    ),
+    "fig5b": Figure(
+        "Greedy balancing with 4-segment messages — bandwidth",
+        "bandwidth", partial(_greedy_curves, 4), PAPER_BANDWIDTH_SIZES,
+    ),
+    # Figure 6: aggregation on the fastest NIC + balanced large messages
+    "fig6": Figure(
+        "Aggregated eager on fastest NIC, balanced large — latency",
+        "latency", _fig6_curves, PAPER_LATENCY_SIZES,
+    ),
+    # Figure 7: packet stripping with adaptive threshold
+    "fig7": Figure(
         "Packet stripping with adaptive threshold — bandwidth",
-        "bandwidth",
-        curves,
-        tuple(sizes or PAPER_BANDWIDTH_SIZES),
-        portable=portable,
-    )
-
-
-#: plan builders, keyed by figure id (fig7 additionally takes ``samples``).
-_PLANS: dict[str, Callable[..., FigurePlan]] = {
-    "fig2a": _plan_fig2a,
-    "fig2b": _plan_fig2b,
-    "fig3a": _plan_fig3a,
-    "fig3b": _plan_fig3b,
-    "fig4a": _plan_fig4a,
-    "fig4b": _plan_fig4b,
-    "fig5a": _plan_fig5a,
-    "fig5b": _plan_fig5b,
-    "fig6": _plan_fig6,
-    "fig7": _plan_fig7,
+        "bandwidth", _fig7_curves, PAPER_BANDWIDTH_SIZES, takes_samples=True,
+    ),
 }
 
 
@@ -358,16 +303,98 @@ def figure_plan(
 ) -> FigurePlan:
     """Build the measurement plan for one paper figure by id."""
     try:
-        builder = _PLANS[figure_id]
+        figure = FIGURES[figure_id]
     except KeyError:
         raise BenchError(
-            f"unknown figure {figure_id!r}; available: {sorted(_PLANS)}"
+            f"unknown figure {figure_id!r}; available: {sorted(FIGURES)}"
         ) from None
-    if figure_id == "fig7":
-        return builder(sizes=sizes, samples=samples)
-    if samples is not None:
+    if samples is not None and not figure.takes_samples:
         raise BenchError(f"{figure_id} does not take init-time samples")
-    return builder(sizes=sizes)
+    return FigurePlan(
+        figure_id,
+        figure.title,
+        figure.metric,
+        figure.curves(samples) if figure.takes_samples else figure.curves(),
+        tuple(sizes or figure.sizes),
+        # Default sampling is deterministic (same table in every process),
+        # so the plan stays portable; an externally built table cannot be
+        # reconstructed by a worker and pins the plan to this process.
+        portable=samples is None,
+    )
+
+
+@dataclass(frozen=True)
+class PointTask:
+    """One figure point, addressed by name so it can cross processes
+    (session factories are closures over platform objects and are
+    deliberately never pickled)."""
+
+    figure_id: str
+    label: str
+    size: int
+    reps: int
+    warmup: int
+
+
+def figure_ids(ids: Optional[Sequence[str]] = None) -> list[str]:
+    """``ids`` checked against the table; every figure when none is named."""
+    ids = list(ids) if ids else sorted(FIGURES)
+    unknown = [i for i in ids if i not in FIGURES]
+    if unknown:
+        raise BenchError(f"unknown figures {unknown}; available: {sorted(FIGURES)}")
+    return ids
+
+
+@lru_cache(maxsize=None)
+def default_plan(figure_id: str) -> FigurePlan:
+    """The plan a bare id names, built once per process: a worker serving
+    many points of one figure rebuilds (and, for fig7, samples) once."""
+    return figure_plan(figure_id)
+
+
+def figure_cells(
+    figures: Optional[Sequence[str]] = None, reps: int = 2, warmup: int = 1
+) -> list[PointTask]:
+    """Every point of the named figures' default plans, figure-major —
+    the cells of the ``figures`` bench suite."""
+    cells = []
+    for figure_id in figure_ids(figures):
+        plan = default_plan(figure_id)
+        cells += [
+            PointTask(figure_id, curve.label, size, reps, warmup)
+            for curve, size in sweep_points(plan.curves, plan.sizes)
+        ]
+    return cells
+
+
+def run_point(task: PointTask, curve: Optional[Curve] = None) -> dict[str, Any]:
+    """Measure one point in the current process (the pool worker body).
+
+    ``curve`` defaults to the one ``task`` names in the figure's default
+    plan.  Returns a plain dict (not a :class:`PingPongResult`) so the
+    payload crossing the process boundary is primitive and version-stable.
+    """
+    from ..obs.log import get_logger
+
+    if curve is None:
+        by_label = {c.label: c for c in default_plan(task.figure_id).curves}
+        try:
+            curve = by_label[task.label]
+        except KeyError:
+            raise BenchError(
+                f"figure {task.figure_id!r} has no curve {task.label!r}"
+            ) from None
+    log = get_logger(point_id=f"{task.figure_id}/{task.label}/{task.size}")
+    log.debug("point.start", figure=task.figure_id, curve=task.label, size=task.size)
+    result = measure_point(curve, task.size, task.reps, task.warmup)
+    log.debug(
+        "point.done",
+        figure=task.figure_id,
+        curve=task.label,
+        size=task.size,
+        one_way_us=result.one_way_us,
+    )
+    return asdict(result)
 
 
 def run_plan(
@@ -378,135 +405,49 @@ def run_plan(
 ) -> FigureResult:
     """Measure a plan, optionally fanning points out over worker processes.
 
-    ``jobs=None`` or ``1`` runs in-process; anything larger uses
-    :func:`repro.obs.runner.run_sweep_parallel` when the plan is portable
-    (results are bit-identical either way — each point is an isolated
-    simulator).  Non-portable plans silently run serially.
+    ``jobs=None`` or ``1`` measures in this process, anything larger over
+    that many workers (:func:`repro.obs.runner.ordered_map` either way);
+    results are bit-identical — each point is an isolated simulator whose
+    event order depends only on insertion order, and rows merge in task
+    order.  Workers rebuild the curves from the plan's id, so a
+    non-portable plan stays in this process, which uses the plan's own.
     """
-    from ..obs.runner import resolve_jobs
+    from ..obs.log import get_logger
+    from ..obs.runner import ordered_map, resolve_jobs
 
-    n_jobs = resolve_jobs(jobs)
-    if n_jobs > 1 and plan.portable:
-        from ..obs.runner import run_sweep_parallel
-
-        sweep = run_sweep_parallel(plan, reps=reps, warmup=warmup, jobs=n_jobs)
-    else:
-        sweep = run_sweep(plan.curves, plan.sizes, reps=reps, warmup=warmup)
+    points = sweep_points(plan.curves, plan.sizes)
+    tasks = [
+        PointTask(plan.figure_id, curve.label, size, reps, warmup) for curve, size in points
+    ]
+    n_procs = min(resolve_jobs(jobs), len(tasks))
+    if not plan.portable:
+        n_procs = 1
+    own = dict(zip(tasks, (curve for curve, _ in points)))
+    log = get_logger()
+    announce = log.info if n_procs > 1 else log.debug  # a fan-out is news
+    announce("sweep.start", figure=plan.figure_id, points=len(tasks), jobs=n_procs)
+    rows = ordered_map(
+        run_point if n_procs > 1 else lambda task: run_point(task, own[task]),
+        tasks,
+        n_procs,
+    )
+    announce("sweep.done", figure=plan.figure_id, points=len(rows))
+    sweep = collect_sweep(
+        plan.curves, plan.sizes, points, (PingPongResult(**row) for row in rows)
+    )
     table = sweep_table(sweep, plan.metric, title=f"{plan.figure_id}: {plan.title}")
     return FigureResult(plan.figure_id, plan.title, plan.metric, sweep, table)
 
 
-# --------------------------------------------------------------------- #
-# per-figure entry points (thin wrappers over plans, kept for callers)
-# --------------------------------------------------------------------- #
-def fig2a(
-    sizes: Optional[Sequence[int]] = None, reps: int = 3, jobs: Optional[int] = None
-) -> FigureResult:
-    """Fig 2(a): NewMadeleine over Myri-10G — latency."""
-    return run_plan(figure_plan("fig2a", sizes=sizes), reps=reps, jobs=jobs)
-
-
-def fig2b(
-    sizes: Optional[Sequence[int]] = None, reps: int = 3, jobs: Optional[int] = None
-) -> FigureResult:
-    """Fig 2(b): NewMadeleine over Myri-10G — bandwidth."""
-    return run_plan(figure_plan("fig2b", sizes=sizes), reps=reps, jobs=jobs)
-
-
-def fig3a(
-    sizes: Optional[Sequence[int]] = None, reps: int = 3, jobs: Optional[int] = None
-) -> FigureResult:
-    """Fig 3(a): NewMadeleine over Quadrics — latency."""
-    return run_plan(figure_plan("fig3a", sizes=sizes), reps=reps, jobs=jobs)
-
-
-def fig3b(
-    sizes: Optional[Sequence[int]] = None, reps: int = 3, jobs: Optional[int] = None
-) -> FigureResult:
-    """Fig 3(b): NewMadeleine over Quadrics — bandwidth."""
-    return run_plan(figure_plan("fig3b", sizes=sizes), reps=reps, jobs=jobs)
-
-
-def fig4a(
-    sizes: Optional[Sequence[int]] = None, reps: int = 3, jobs: Optional[int] = None
-) -> FigureResult:
-    """Fig 4(a): greedy balancing, 2-segment messages — latency."""
-    return run_plan(figure_plan("fig4a", sizes=sizes), reps=reps, jobs=jobs)
-
-
-def fig4b(
-    sizes: Optional[Sequence[int]] = None, reps: int = 3, jobs: Optional[int] = None
-) -> FigureResult:
-    """Fig 4(b): greedy balancing, 2-segment messages — bandwidth."""
-    return run_plan(figure_plan("fig4b", sizes=sizes), reps=reps, jobs=jobs)
-
-
-def fig5a(
-    sizes: Optional[Sequence[int]] = None, reps: int = 3, jobs: Optional[int] = None
-) -> FigureResult:
-    """Fig 5(a): greedy balancing, 4-segment messages — latency."""
-    return run_plan(figure_plan("fig5a", sizes=sizes), reps=reps, jobs=jobs)
-
-
-def fig5b(
-    sizes: Optional[Sequence[int]] = None, reps: int = 3, jobs: Optional[int] = None
-) -> FigureResult:
-    """Fig 5(b): greedy balancing, 4-segment messages — bandwidth."""
-    return run_plan(figure_plan("fig5b", sizes=sizes), reps=reps, jobs=jobs)
-
-
-def fig6(
-    sizes: Optional[Sequence[int]] = None, reps: int = 3, jobs: Optional[int] = None
-) -> FigureResult:
-    """Fig 6: aggregated eager messages on the fastest NIC — latency.
-
-    References are NIC-only sessions; the "dynamically balanced" curve is
-    ``aggreg_multirail`` on the two-rail platform and sits a constant
-    idle-NIC poll above the Quadrics-only curve.
-    """
-    return run_plan(figure_plan("fig6", sizes=sizes), reps=reps, jobs=jobs)
-
-
-def fig7(
+def run_figure(
+    figure_id: str,
     sizes: Optional[Sequence[int]] = None,
     reps: int = 3,
     samples: Optional[SampleTable] = None,
     jobs: Optional[int] = None,
 ) -> FigureResult:
-    """Fig 7: packet stripping with adaptive threshold — bandwidth.
-
-    The hetero-split ratios come from init-time sampling (run once here
-    and shared across the sweep, like NewMadeleine samples once at
-    initialization); the iso-split curve forces a 50/50 ratio.
-    """
-    return run_plan(figure_plan("fig7", sizes=sizes, samples=samples), reps=reps, jobs=jobs)
-
-
-#: registry used by ``run_figure`` and the benchmark files.
-FIGURES: dict[str, Callable[..., FigureResult]] = {
-    "fig2a": fig2a,
-    "fig2b": fig2b,
-    "fig3a": fig3a,
-    "fig3b": fig3b,
-    "fig4a": fig4a,
-    "fig4b": fig4b,
-    "fig5a": fig5a,
-    "fig5b": fig5b,
-    "fig6": fig6,
-    "fig7": fig7,
-}
-
-
-def run_figure(figure_id: str, **kwargs) -> FigureResult:
-    """Run one paper figure by id (``"fig2a"`` ... ``"fig7"``).
-
-    Accepts the figure runner's keyword arguments (``sizes``, ``reps``,
-    ``jobs``; ``samples`` for fig7).
-    """
-    try:
-        runner = FIGURES[figure_id]
-    except KeyError:
-        raise BenchError(
-            f"unknown figure {figure_id!r}; available: {sorted(FIGURES)}"
-        ) from None
-    return runner(**kwargs)
+    """Run one paper figure by id (``"fig2a"`` ... ``"fig7"``);
+    ``samples`` only for figures that take init-time samples (fig7)."""
+    return run_plan(
+        figure_plan(figure_id, sizes=sizes, samples=samples), reps=reps, jobs=jobs
+    )

@@ -14,16 +14,14 @@ rail-optimized platform at each P in ``DEFAULT_POINTS`` and records:
   cell executed, deterministic), so a change in event count at scale
   shows up in the compare delta table.
 
-Every (algo, P) task is an isolated :class:`~repro.sim.engine.Simulator`,
-so the suite is embarrassingly parallel; ``run_scale_suite(jobs=...)``
-mirrors :mod:`repro.obs.runner` — tasks are shipped by value, results
-merge in task order — and is bit-identical to a serial run (CI's
-``scale-smoke`` job compares the two with ``--sim-tol 0``).
+Every (algo, P) cell is an isolated :class:`~repro.sim.engine.Simulator`
+addressed by value, so :func:`repro.bench.suites.run_suites` fans the
+suite out like any other and the record is bit-identical to a serial run
+(CI's ``scale-smoke`` job compares the two with ``--sim-tol 0``).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -34,10 +32,13 @@ __all__ = [
     "DEFAULT_POINTS",
     "ScaleTask",
     "ScaleResult",
+    "identical_reps",
     "run_collective",
-    "run_scale_task",
     "scale_point",
-    "run_scale_suite",
+    "scale_cells",
+    "run_scale_cell",
+    "scale_metrics",
+    "scale_line",
 ]
 
 #: collective algorithms the suite knows how to run.
@@ -73,7 +74,7 @@ class ScaleResult:
     elapsed_us: float
     #: kernel events the run executed (deterministic).
     events: int
-    #: active-set health snapshot of the last rep.
+    #: active-set health snapshot of the run.
     peak_active_nodes: int
     engines_built: int
     idle_skip_ratio: float
@@ -96,23 +97,29 @@ def _rank_body(algo: str, ep, results: dict):
         raise BenchError(f"unknown scale algo {algo!r}")
 
 
-def run_collective(algo: str, n_nodes: int, reps: int = 1) -> ScaleResult:
-    """Run ``algo`` once per rep on a fresh rail-optimized platform.
-
-    The simulated latency and event count must be identical across reps
-    (fresh simulator each time) — a disagreement raises.
-    """
-    if algo not in SCALE_ALGOS:
-        raise BenchError(f"unknown scale algo {algo!r}; have {SCALE_ALGOS}")
+def identical_reps(once: Callable[[], Any], reps: int, what: str) -> Any:
+    """``once()`` on ``reps`` fresh simulators.  Simulated results are
+    deterministic, so every rep must return the same — a disagreement
+    raises."""
     if reps < 1:
         raise BenchError(f"reps must be >= 1, got {reps}")
+    first = once()
+    for _ in range(reps - 1):
+        if once() != first:  # pragma: no cover - determinism guard
+            raise BenchError(f"{what}: reps disagree on simulated results")
+    return first
+
+
+def run_collective(algo: str, n_nodes: int, reps: int = 1) -> ScaleResult:
+    """Run ``algo`` once per rep on a fresh rail-optimized platform
+    (see :func:`identical_reps`)."""
+    if algo not in SCALE_ALGOS:
+        raise BenchError(f"unknown scale algo {algo!r}; have {SCALE_ALGOS}")
     from ..core.session import Session
     from ..hardware.topology import rail_optimized_platform
     from ..mpi.comm import Communicator
 
-    elapsed_us = events = None
-    health: dict[str, Any] = {}
-    for _ in range(reps):
+    def once() -> ScaleResult:
         spec = rail_optimized_platform(n_nodes)
         session = Session(spec, strategy=_STRATEGY)
         comm = Communicator(session, name=f"scale.{algo}")
@@ -128,25 +135,18 @@ def run_collective(algo: str, n_nodes: int, reps: int = 1) -> ScaleResult:
         if not all(p.done for p in procs):
             raise BenchError(f"scale.{algo} P{n_nodes}: collective deadlocked")
         _check_results(algo, n_nodes, results)
-        rep_elapsed = session.sim.now
-        rep_events = session.sim.events_executed
-        if elapsed_us is not None and (
-            rep_elapsed != elapsed_us or rep_events != events
-        ):  # pragma: no cover - determinism guard
-            raise BenchError(
-                f"scale.{algo} P{n_nodes}: reps disagree on simulated results"
-            )
-        elapsed_us, events = rep_elapsed, rep_events
         health = session.active_health()
-    return ScaleResult(
-        algo=algo,
-        n_nodes=n_nodes,
-        elapsed_us=float(elapsed_us),
-        events=int(events),
-        peak_active_nodes=int(health.get("peak_active_nodes", 0)),
-        engines_built=int(health.get("engines_built", 0)),
-        idle_skip_ratio=float(health.get("idle_skip_ratio", 0.0)),
-    )
+        return ScaleResult(
+            algo=algo,
+            n_nodes=n_nodes,
+            elapsed_us=float(session.sim.now),
+            events=int(session.sim.events_executed),
+            peak_active_nodes=int(health.get("peak_active_nodes", 0)),
+            engines_built=int(health.get("engines_built", 0)),
+            idle_skip_ratio=float(health.get("idle_skip_ratio", 0.0)),
+        )
+
+    return identical_reps(once, reps, f"scale.{algo} P{n_nodes}")
 
 
 def _check_results(algo: str, n_nodes: int, results: dict) -> None:
@@ -177,57 +177,33 @@ def scale_point(result: ScaleResult) -> dict[str, Any]:
     }
 
 
-def run_scale_task(task: ScaleTask) -> dict[str, Any]:
-    """Pool worker body: run one cell, return a primitive payload."""
-    return asdict(run_collective(task.algo, task.n_nodes, reps=task.reps))
-
-
-def run_scale_suite(
-    recorder,
-    algos: Sequence[str] = SCALE_ALGOS,
-    points: Sequence[int] = DEFAULT_POINTS,
+def scale_cells(
+    algos: Optional[Sequence[str]] = None,
+    points: Optional[Sequence[int]] = None,
     reps: int = 2,
-    jobs: Optional[int] = None,
-    publish: Optional[Callable[[str, int, int], None]] = None,
-) -> list[ScaleResult]:
-    """Run the scaling curve and push it into ``recorder``.
+) -> list[ScaleTask]:
+    """The suite's cells, algo-major (default: every algo at every
+    ``DEFAULT_POINTS`` node count)."""
+    return [
+        ScaleTask(algo, int(n), reps)
+        for algo in algos or SCALE_ALGOS
+        for n in points or DEFAULT_POINTS
+    ]
 
-    ``jobs`` > 1 fans the (algo, P) cells over a process pool; simulated
-    results — and the record's ``points`` section — are bit-identical to
-    a serial run (fresh simulator per cell, task-order merge).
 
-    ``publish(cell, done, total)`` fires after each cell for the live
-    endpoint's incremental snapshots.
-    """
-    from ..obs.runner import ordered_map, resolve_jobs
+def run_scale_cell(cell: ScaleTask) -> dict[str, Any]:
+    """Pool worker body: run one cell, return a primitive payload."""
+    return asdict(run_collective(cell.algo, cell.n_nodes, reps=cell.reps))
 
-    for algo in algos:
-        if algo not in SCALE_ALGOS:
-            raise BenchError(f"unknown scale algo {algo!r}; have {SCALE_ALGOS}")
-    tasks = [ScaleTask(algo, int(n), reps) for algo in algos for n in points]
-    if not tasks:
-        raise BenchError("no scale cells to run")
-    n_procs = min(resolve_jobs(jobs), len(tasks)) or 1
-    done = itertools.count(1)
 
-    def on_cell(task: ScaleTask, _row: dict) -> None:
-        publish(f"scale.{task.algo}.P{task.n_nodes}", next(done), len(tasks))
+def scale_metrics(cell: ScaleTask, row: dict[str, Any]) -> dict[str, float]:
+    """Report-only metrics of one cell (deterministic kernel event count)."""
+    return {f"scale.events.{cell.algo}.P{cell.n_nodes}": float(row["events"])}
 
-    if publish:
-        publish("", 0, len(tasks))
-    # task-order merge: the record layout is serial-identical
-    rows = ordered_map(run_scale_task, tasks, n_procs, on_cell if publish else None)
 
-    out = []
-    scale_metrics: dict[str, float] = {}
-    for row in rows:
-        r = ScaleResult(**row)
-        out.append(r)
-        recorder.record_point(scale_point(r))
-        scale_metrics[f"scale.events.{r.algo}.P{r.n_nodes}"] = float(r.events)
-    # merge (don't replace) the metrics snapshot: the engine suite may
-    # already have recorded the probe.
-    snap = dict(getattr(recorder, "_metrics", {}) or {})
-    snap.update(scale_metrics)
-    recorder.record_metrics(snap)
-    return out
+def scale_line(cell: ScaleTask, row: dict[str, Any]) -> str:
+    return (
+        f"  scale.{cell.algo} P{cell.n_nodes}: {row['elapsed_us']:.2f} us"
+        f" simulated, {row['events']} events,"
+        f" peak active {row['peak_active_nodes']}"
+    )

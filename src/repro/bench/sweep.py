@@ -9,7 +9,7 @@ exact structure of the paper's figures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Literal, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Literal, Sequence
 
 from ..util.errors import BenchError
 from ..util.tables import Table
@@ -19,7 +19,15 @@ from .pingpong import PingPongResult, run_pingpong
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.session import Session
 
-__all__ = ["Curve", "SweepResult", "run_sweep", "sweep_table"]
+__all__ = [
+    "Curve",
+    "SweepResult",
+    "sweep_points",
+    "measure_point",
+    "collect_sweep",
+    "run_sweep",
+    "sweep_table",
+]
 
 
 @dataclass(frozen=True)
@@ -55,13 +63,11 @@ class SweepResult:
         return self.results[label][size]
 
 
-def run_sweep(
-    curves: Sequence[Curve],
-    sizes: Sequence[int],
-    reps: int = 3,
-    warmup: int = 1,
-) -> SweepResult:
-    """Measure every curve at every size (fresh session per point)."""
+def sweep_points(
+    curves: Sequence[Curve], sizes: Sequence[int]
+) -> list[tuple[Curve, int]]:
+    """The (curve, size) points of a sweep, curve-major — the one place
+    that validates a sweep's inputs and decides which pairs are points."""
     if not curves:
         raise BenchError("no curves to sweep")
     if not sizes:
@@ -69,22 +75,47 @@ def run_sweep(
     labels = [c.label for c in curves]
     if len(set(labels)) != len(labels):
         raise BenchError(f"duplicate curve labels: {labels}")
+    # e.g. a 4-byte total cannot form 8 non-empty segments; the paper's
+    # 4-segment curves likewise start later.
+    return [
+        (curve, size) for curve in curves for size in sizes if size >= curve.segments
+    ]
+
+
+def measure_point(curve: Curve, size: int, reps: int, warmup: int) -> PingPongResult:
+    """One point: a fresh session from the curve's factory, one ping-pong."""
+    return run_pingpong(
+        curve.session_factory(), size, segments=curve.segments, reps=reps, warmup=warmup
+    )
+
+
+def collect_sweep(
+    curves: Sequence[Curve],
+    sizes: Sequence[int],
+    points: Sequence[tuple[Curve, int]],
+    results: Iterable[PingPongResult],
+) -> SweepResult:
+    """The sweep whose ``points`` measured as ``results`` (same order)."""
+    labels = [c.label for c in curves]
     out = SweepResult(sizes=list(sizes), curves=labels)
-    for curve in curves:
-        points: dict[int, PingPongResult] = {}
-        for size in sizes:
-            if size < curve.segments:
-                # e.g. 4-byte total cannot form 8 non-empty segments;
-                # the paper's 4-segment curves likewise start later.
-                continue
-            session = curve.session_factory()
-            points[size] = run_pingpong(
-                session, size, segments=curve.segments, reps=reps, warmup=warmup
-            )
-        out.results[curve.label] = points
+    out.results = {label: {} for label in labels}
+    for (curve, size), result in zip(points, results):
+        out.results[curve.label][size] = result
     # drop sizes skipped by every curve; keep ragged starts otherwise
     out.sizes = [s for s in out.sizes if any(s in out.results[l] for l in labels)]
     return out
+
+
+def run_sweep(
+    curves: Sequence[Curve],
+    sizes: Sequence[int],
+    reps: int = 3,
+    warmup: int = 1,
+) -> SweepResult:
+    """Measure every curve at every size (fresh session per point)."""
+    points = sweep_points(curves, sizes)
+    measured = [measure_point(curve, size, reps, warmup) for curve, size in points]
+    return collect_sweep(curves, sizes, points, measured)
 
 
 def sweep_table(

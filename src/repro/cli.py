@@ -37,11 +37,15 @@ into every event and artifact they produce.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .bench import (
+    ABLATIONS,
+    EXTENSIONS,
     FIGURES,
     TRACE_TARGETS,
     report_figure,
@@ -50,7 +54,6 @@ from .bench import (
     run_traced,
     write_reports,
 )
-from .bench import ablations as ablations_mod
 from .bench import scale as scale_mod
 from .core.sampling import sample_rails
 from .core.session import Session
@@ -59,26 +62,10 @@ from .drivers import available_drivers
 from .hardware.presets import PRESET_RAILS, paper_platform
 from .hardware.spec import PlatformSpec
 from .util.config import platform_from_json
+from .util.errors import BenchError, ConfigError
 from .util.units import format_size, parse_size
 
 __all__ = ["main", "build_parser"]
-
-from .bench import extensions as extensions_mod
-
-EXTENSIONS = {
-    "rail_scaling": extensions_mod.ext_rail_scaling,
-    "heterogeneous_mix": extensions_mod.ext_heterogeneous_mix,
-    "parallel_pio_latency": extensions_mod.ext_parallel_pio_latency,
-}
-
-ABLATIONS = {
-    "poll_cost": ablations_mod.ablation_poll_cost,
-    "eager_threshold": ablations_mod.ablation_eager_threshold,
-    "bus_capacity": ablations_mod.ablation_bus_capacity,
-    "window": ablations_mod.ablation_window,
-    "split_ratio": ablations_mod.ablation_split_ratio,
-    "parallel_pio": ablations_mod.ablation_parallel_pio,
-}
 
 
 def _add_stream_flags(p: argparse.ArgumentParser) -> None:
@@ -482,13 +469,10 @@ def _cmd_flood(args) -> int:
 
 
 def _cmd_figures(args) -> int:
-    ids = args.ids or sorted(FIGURES)
-    unknown = [i for i in ids if i not in FIGURES]
-    if unknown:
-        print(f"unknown figures {unknown}; available: {sorted(FIGURES)}", file=sys.stderr)
-        return 2
+    from .bench.figures import figure_ids
+
     results = []
-    for figure_id in ids:
+    for figure_id in figure_ids(args.ids):
         result = run_figure(figure_id, reps=args.reps, jobs=args.jobs)
         report_figure(result)
         if args.plot:
@@ -501,26 +485,19 @@ def _cmd_figures(args) -> int:
     return 0
 
 
-def _cmd_ablations(args) -> int:
-    names = args.names or sorted(ABLATIONS)
-    unknown = [n for n in names if n not in ABLATIONS]
+def _cmd_studies(args) -> int:
+    """``ablations`` and ``extensions``: render the named studies of the
+    command's table."""
+    studies = {"ablations": ABLATIONS, "extensions": EXTENSIONS}[args.command]
+    names = args.names or sorted(studies)
+    unknown = [n for n in names if n not in studies]
     if unknown:
-        print(f"unknown ablations {unknown}; available: {sorted(ABLATIONS)}", file=sys.stderr)
-        return 2
+        raise BenchError(
+            f"unknown {args.command} {unknown}; available: {sorted(studies)}"
+        )
     for name in names:
-        print(ABLATIONS[name]().render())
-        print()
-    return 0
-
-
-def _cmd_extensions(args) -> int:
-    names = args.names or sorted(EXTENSIONS)
-    unknown = [n for n in names if n not in EXTENSIONS]
-    if unknown:
-        print(f"unknown extensions {unknown}; available: {sorted(EXTENSIONS)}", file=sys.stderr)
-        return 2
-    for name in names:
-        print(EXTENSIONS[name]().render())
+        fn, _takes_samples = studies[name]
+        print(fn().render())
         print()
     return 0
 
@@ -549,18 +526,31 @@ def _cmd_experiments(args) -> int:
     return 0 if ok == len(outcomes) else 1
 
 
-def _make_tracer(args):
-    """``True`` (unbounded in-memory recorder) or a StreamingTracer."""
-    if args.stream is None:
-        if args.sample_rate != 1.0 or args.sample_head is not None:
-            raise ValueError("--sample-rate/--sample-head require --stream FILE")
-        return True
-    from .obs.streaming import SpanSampler, StreamingTracer
+def _run_traced(args):
+    """What ``trace`` and ``analyze`` start with: the tracer the
+    ``--stream``/``--sample-*`` flags ask for (``True`` = unbounded
+    in-memory recorder) and the finished traced session of the target."""
+    try:
+        if args.stream is not None:
+            from .obs.streaming import SpanSampler, StreamingTracer
 
-    sampler = SpanSampler(
-        rate=args.sample_rate, head=args.sample_head, seed=args.sample_seed
-    )
-    return StreamingTracer(args.stream, window=args.stream_window, sampler=sampler)
+            sampler = SpanSampler(
+                rate=args.sample_rate, head=args.sample_head, seed=args.sample_seed
+            )
+            tracer = StreamingTracer(
+                args.stream, window=args.stream_window, sampler=sampler
+            )
+        elif args.sample_rate != 1.0 or args.sample_head is not None:
+            raise ValueError("--sample-rate/--sample-head require --stream FILE")
+        else:
+            tracer = True
+        session = run_traced(
+            args.target, _load_platform(args) if args.platform else None, trace=tracer
+        )
+    except (ValueError, OSError) as exc:
+        # a bad flag value or an unwritable stream file: main()'s one line
+        raise BenchError(str(exc)) from exc
+    return tracer, session
 
 
 def _stream_summary(tracer) -> str:
@@ -580,16 +570,8 @@ def _cmd_trace(args) -> int:
         write_chrome_trace,
         write_jsonl,
     )
-    from .util.errors import BenchError
 
-    try:
-        tracer = _make_tracer(args)
-        session = run_traced(
-            args.target, _load_platform(args) if args.platform else None, trace=tracer
-        )
-    except (BenchError, ValueError, OSError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    tracer, session = _run_traced(args)
     try:
         n_events = write_chrome_trace(session, args.output)
         n_lines = write_jsonl(session, args.jsonl) if args.jsonl else None
@@ -688,16 +670,8 @@ def _cmd_analyze(args) -> int:
         timeline_table,
     )
     from .obs.export import to_chrome_trace
-    from .util.errors import BenchError
 
-    try:
-        tracer = _make_tracer(args)
-        session = run_traced(
-            args.target, _load_platform(args) if args.platform else None, trace=tracer
-        )
-    except (BenchError, ValueError, OSError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    tracer, session = _run_traced(args)
     if tracer is not True:
         tracer.close()
     report = analyze_session(session, node_id=args.node, bins=args.bins)
@@ -742,173 +716,129 @@ def _cmd_analyze(args) -> int:
     return 1 if violations else 0
 
 
-def _cmd_bench(args) -> int:
-    from .util.errors import BenchError
+@contextlib.contextmanager
+def _produced_run(args, command: str, **meta):
+    """What ``bench run`` and ``chaos`` share around their body: the live
+    OpenMetrics endpoint for as long as it runs (``--serve``;
+    ``run.publisher`` is ``None`` without it) and, once it has finished,
+    ingest of the artifacts it named on ``run`` into the run ledger
+    (``--ledger``) under the invocation's run id (``--run-id``, bound by
+    :func:`_configure_logging`)."""
+    run = SimpleNamespace(publisher=None, record_path=None, report=None, plan_paths=())
+    server = None
+    if args.serve is not None:
+        from .obs.server import LiveMetricsServer
 
-    if args.bench_command == "run":
-        from .obs.log import get_logger
-        from .obs.perf import BenchRecorder, run_engine_suite, run_figure_suite
+        server = LiveMetricsServer(port=args.serve).start()
+        run.publisher = server.publisher
+        run.publisher.set_meta(command=command, **meta)
+        print(f"live metrics: {server.url}/metrics")
+    try:
+        yield run
+    finally:
+        if server is not None:
+            server.stop()
+    if not args.ledger or (run.record_path is None and run.report is None):
+        return
+    from .obs.ledger import Ledger
+    from .obs.log import get_logger
 
-        log = get_logger()
-        # Select the kernel backend via the environment so that --jobs
-        # worker processes inherit the exact same kernel.
-        import os as _os
+    rid = get_logger().bound.get("run_id")
+    with Ledger(args.ledger) as ledger:
+        if run.record_path is not None:
+            rid = ledger.ingest_bench_record(run.record_path, run_id=rid)
+            ledger.add_artifact(rid, "bench_record", run.record_path)
+        if run.report is not None:
+            rid = ledger.ingest_chaos_report(run.report, run_id=rid)
+        for path in run.plan_paths:
+            ledger.add_artifact(rid, "fault_plan", path)
+        if args.log_file is not None:
+            ledger.ingest_events(args.log_file, run_id=rid)
+            ledger.add_artifact(rid, "event_log", args.log_file)
+    print(f"ledger {args.ledger}: run {rid}")
 
-        from .sim.backend import ENV_BACKEND, resolve_backend
 
-        backend = resolve_backend(args.backend)  # bad name: main() exits 2
-        if args.backend:
-            _os.environ[ENV_BACKEND] = args.backend
-        run_figures = args.figures is not None
-        run_scale = (
-            args.scale or args.scale_points is not None or args.scale_algos is not None
-        )
-        run_adaptive = args.adaptive
-        run_engine = args.engine or not (run_figures or run_scale or run_adaptive)
-        suites = [
-            s
-            for s, on in (
-                ("engine", run_engine),
-                ("figures", run_figures),
-                ("scale", run_scale),
-                ("adaptive", run_adaptive),
-            )
-            if on
-        ]
-        recorder = BenchRecorder(
-            args.name or "+".join(suites),
-            spec=_load_platform(args),
-            run_id=log.bound.get("run_id"),
-            backend=backend,
-        )
-        print(f"kernel backend: {backend}")
-        log.info("run.start", command="bench run", record=recorder.name, suites=suites)
-        server = None
-        engine_publish = figure_publish = None
-        if args.serve is not None:
-            from .obs.server import LiveMetricsServer
+def _bench_run(args) -> int:
+    from .bench.suites import run_suites
+    from .obs.log import get_logger
+    from .obs.perf import BenchRecorder
+    from .sim.backend import ENV_BACKEND, resolve_backend
 
-            server = LiveMetricsServer(port=args.serve).start()
-            publisher = server.publisher
-            publisher.set_meta(command="bench run", record=recorder.name)
+    log = get_logger()
+    # Select the kernel backend via the environment so that --jobs
+    # worker processes inherit the exact same kernel.
+    backend = resolve_backend(args.backend)  # bad name: main() exits 2
+    if args.backend:
+        os.environ[ENV_BACKEND] = args.backend
+    flags = {
+        "engine": (args.engine, {}),
+        "figures": (
+            args.figures is not None,
+            {"figures": args.figures, "reps": args.reps},
+        ),
+        "scale": (
+            args.scale or args.scale_points is not None or args.scale_algos is not None,
+            {"algos": args.scale_algos, "points": args.scale_points},
+        ),
+        "adaptive": (args.adaptive, {}),
+    }
+    selected = {name: opts for name, (on, opts) in flags.items() if on} or {"engine": {}}
+    recorder = BenchRecorder(
+        args.name or "+".join(selected),
+        spec=_load_platform(args),
+        run_id=log.bound.get("run_id"),
+        backend=backend,
+    )
+    print(f"kernel backend: {backend}")
+    log.info("run.start", command="bench run", record=recorder.name, suites=list(selected))
+    with _produced_run(args, "bench run", record=recorder.name) as run:
 
-            def engine_publish(bench, done, total):  # noqa: F811
-                publisher.publish_progress("engine", done, total)
-                if recorder._metrics:
-                    publisher.publish_metrics(recorder._metrics)
+        def on_cell(suite: str, lines: list[str], done: int, total: int) -> None:
+            for line in lines:
+                print(line)
+            if run.publisher is not None:
+                run.publisher.publish_progress(suite, done, total)
 
-            def figure_publish(fid, done, total):  # noqa: F811
-                publisher.publish_progress("figures", done, total)
-
-            print(f"live metrics: {server.url}/metrics")
+        run_suites(recorder, selected, jobs=args.jobs, on_cell=on_cell)
+        if run.publisher is not None:
+            run.publisher.publish_metrics(recorder.metrics)
         try:
-            if run_engine:
-                print("running engine points ...")
-                run_engine_suite(recorder, publish=engine_publish)
-            if run_figures:
-                run_figure_suite(
-                    recorder,
-                    figures=args.figures or None,
-                    reps=args.reps,
-                    jobs=args.jobs,
-                    progress=lambda fid: print(f"running {fid} ..."),
-                    publish=figure_publish,
-                )
-            if run_scale:
-                from .bench.scale import run_scale_suite
-
-                print("running collectives scaling suite ...")
-                scale_publish = None
-                if server is not None:
-                    def scale_publish(cell, done, total):  # noqa: F811
-                        server.publisher.publish_progress("scale", done, total)
-
-                results = run_scale_suite(
-                    recorder,
-                    algos=args.scale_algos or scale_mod.SCALE_ALGOS,
-                    points=args.scale_points or scale_mod.DEFAULT_POINTS,
-                    jobs=args.jobs,
-                    publish=scale_publish,
-                )
-                for r in results:
-                    print(
-                        f"  scale.{r.algo} P{r.n_nodes}: {r.elapsed_us:.2f} us"
-                        f" simulated, {r.events} events,"
-                        f" peak active {r.peak_active_nodes}"
-                    )
-            if run_adaptive:
-                from .bench.adaptive import run_adaptive_suite
-
-                print("running adaptive degrade-recovery suite ...")
-                adaptive_publish = None
-                if server is not None:
-                    def adaptive_publish(cell, done, total):  # noqa: F811
-                        server.publisher.publish_progress("adaptive", done, total)
-
-                results = run_adaptive_suite(recorder, publish=adaptive_publish)
-                for r in results:
-                    share = (
-                        "n/a" if r.steady_share is None
-                        else f"{r.steady_share:.3f}"
-                    )
-                    print(
-                        f"  adaptive.degrade_recovery {r.strategy}:"
-                        f" {r.elapsed_us:.2f} us simulated,"
-                        f" steady share {share},"
-                        f" resamples {r.resamples}"
-                        + ("" if r.switches is None else f", switches {r.switches}")
-                    )
-            if server is not None and recorder._metrics:
-                server.publisher.publish_metrics(recorder._metrics)
             path = recorder.write(args.output)
-        except BenchError as exc:
-            print(exc, file=sys.stderr)
-            return 2
         except OSError as exc:
             print(f"cannot write record: {exc}", file=sys.stderr)
             return 1
-        finally:
-            if server is not None:
-                server.stop()
+        run.record_path = path
         log.info(
             "run.done", command="bench run", record=recorder.name,
             points=len(recorder), path=path,
         )
         print(f"{path}: {len(recorder)} points")
-        if args.ledger:
-            rid = _ledger_ingest_run(
-                args.ledger, record_path=path, log_file=args.log_file
-            )
-            print(f"ledger {args.ledger}: run {rid}")
-        return 0
+    return 0
 
-    if args.bench_command == "compare":
-        from .obs import compare as compare_mod
-        from .obs.compare import compare_records, delta_table
-        from .obs.perf import load_record
 
-        try:
-            baseline = load_record(args.baseline)
-            current = load_record(args.current)
-        except BenchError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        report = compare_records(
-            baseline,
-            current,
-            sim_rel_tol=args.sim_tol if args.sim_tol is not None else compare_mod.SIM_REL_TOL,
-        )
-        show_all = args.all_rows or not report.ok
-        table = delta_table(report, only_regressions=not args.all_rows and not report.ok)
-        if show_all and report.deltas:
-            print(table.render())
-            print()
-        print(report.summary())
-        if args.gate:
-            return 0 if report.ok else 1
-        return 0
+def _bench_compare(args) -> int:
+    from .obs import compare as compare_mod
+    from .obs.compare import compare_records, delta_table
+    from .obs.perf import load_record
 
-    raise AssertionError(f"unhandled bench command {args.bench_command!r}")
+    report = compare_records(
+        load_record(args.baseline),
+        load_record(args.current),
+        sim_rel_tol=args.sim_tol if args.sim_tol is not None else compare_mod.SIM_REL_TOL,
+    )
+    show_all = args.all_rows or not report.ok
+    table = delta_table(report, only_regressions=not args.all_rows and not report.ok)
+    if show_all and report.deltas:
+        print(table.render())
+        print()
+    print(report.summary())
+    if args.gate:
+        return 0 if report.ok else 1
+    return 0
+
+
+def _cmd_bench(args) -> int:
+    return {"run": _bench_run, "compare": _bench_compare}[args.bench_command](args)
 
 
 def _cmd_metrics(args) -> int:
@@ -956,16 +886,11 @@ def _cmd_chaos(args) -> int:
         save_failing_plans,
     )
 
-    server = None
-    on_case = None
-    try:
-        if args.serve is not None:
-            from .obs.server import LiveMetricsServer
-
-            total = len(chaos_strategies(args.strategies)) * args.seeds
-            server = LiveMetricsServer(port=args.serve).start()
-            publisher = server.publisher
-            publisher.set_meta(command="chaos", cases=total)
+    total = len(chaos_strategies(args.strategies)) * args.seeds
+    with _produced_run(args, "chaos", cases=total) as run:
+        on_case = None
+        if run.publisher is not None:
+            publisher = run.publisher
             publisher.publish_progress("chaos", 0, total)
             done = [0]
 
@@ -974,7 +899,6 @@ def _cmd_chaos(args) -> int:
                 publisher.publish_metrics(row["digest"]["metrics"])
                 publisher.publish_progress("chaos", done[0], total)
 
-            print(f"live metrics: {server.url}/metrics")
         report = run_chaos(
             seeds=args.seeds,
             strategies=args.strategies,
@@ -983,47 +907,13 @@ def _cmd_chaos(args) -> int:
             messages=args.messages if args.messages is not None else DEFAULT_MESSAGES,
             on_case=on_case,
         )
-    finally:
-        if server is not None:
-            server.stop()
-    print(report.summary())
-    plan_paths: list[str] = []
-    if not report.ok and args.save_failing:
-        plan_paths = save_failing_plans(report, args.save_failing)
-        for path in plan_paths:
-            print(f"replay artifact: {path}")
-    if args.ledger:
-        rid = _ledger_ingest_run(
-            args.ledger, report=report, plan_paths=plan_paths, log_file=args.log_file
-        )
-        print(f"ledger {args.ledger}: run {rid}")
+        print(report.summary())
+        run.report = report
+        if not report.ok and args.save_failing:
+            run.plan_paths = save_failing_plans(report, args.save_failing)
+            for path in run.plan_paths:
+                print(f"replay artifact: {path}")
     return 0 if report.ok else 1
-
-
-def _ledger_ingest_run(
-    db: str,
-    record_path: Optional[str] = None,
-    report=None,
-    plan_paths: Sequence[str] = (),
-    log_file: Optional[str] = None,
-) -> str:
-    """Ingest one CLI invocation's artifacts under its bound run_id."""
-    from .obs.ledger import Ledger
-    from .obs.log import get_logger
-
-    rid = get_logger().bound.get("run_id")
-    with Ledger(db) as ledger:
-        if record_path is not None:
-            rid = ledger.ingest_bench_record(record_path, run_id=rid)
-            ledger.add_artifact(rid, "bench_record", record_path)
-        if report is not None:
-            rid = ledger.ingest_chaos_report(report, run_id=rid)
-        for path in plan_paths:
-            ledger.add_artifact(rid, "fault_plan", path)
-        if log_file is not None:
-            ledger.ingest_events(log_file, run_id=rid)
-            ledger.add_artifact(rid, "event_log", log_file)
-    return rid
 
 
 def _resolve_sha(ref: str) -> str:
@@ -1046,15 +936,13 @@ def _cmd_ledger(args) -> int:
     import json
 
     from .obs.ledger import DEFAULT_LEDGER_PATH, Ledger
-    from .util.errors import BenchError
 
     db = args.db or DEFAULT_LEDGER_PATH
     try:
         ledger = Ledger(db)
-    except (BenchError, OSError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    try:
+    except OSError as exc:
+        raise BenchError(str(exc)) from exc
+    with ledger:
         if args.ledger_command == "ingest":
             for path in args.paths:
                 rids = ledger.ingest_path(path, run_id=args.run_id)
@@ -1104,11 +992,6 @@ def _cmd_ledger(args) -> int:
             doomed = ledger.gc(args.keep)
             print(f"{db}: dropped {len(doomed)} runs, kept newest {args.keep}")
             return 0
-    except BenchError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    finally:
-        ledger.close()
     raise AssertionError(f"unhandled ledger command {args.ledger_command!r}")
 
 
@@ -1156,8 +1039,8 @@ _COMMANDS = {
     "pingpong": _cmd_pingpong,
     "flood": _cmd_flood,
     "figures": _cmd_figures,
-    "ablations": _cmd_ablations,
-    "extensions": _cmd_extensions,
+    "ablations": _cmd_studies,
+    "extensions": _cmd_studies,
     "sample": _cmd_sample,
     "experiments": _cmd_experiments,
     "trace": _cmd_trace,
@@ -1196,15 +1079,15 @@ def _configure_logging(args) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    from .util.errors import ConfigError
-
     args = build_parser().parse_args(argv)
     _configure_logging(args)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        # bad configuration from any command (an unknown or unavailable
-        # backend, a bad chaos or topology request): one line, no traceback
+    except (ConfigError, BenchError) as exc:
+        # the CLI's one error boundary: the harness' own complaints about
+        # what it was asked to do (a bad backend, platform file, figure id,
+        # trace target, repetition count, bench record, ...) are one line,
+        # never a traceback
         print(exc, file=sys.stderr)
         return 2
 

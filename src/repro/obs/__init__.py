@@ -20,8 +20,8 @@ The three pieces compose (see README "Observability"):
   committed baselines (host time is ``hostbench/``'s, not recorded here);
 * :mod:`repro.obs.openmetrics` — OpenMetrics/Prometheus text exposition
   of any metrics snapshot;
-* :mod:`repro.obs.runner` — parallel sweep runner fanning figure points
-  over worker processes with a deterministic ordered merge;
+* :mod:`repro.obs.runner` — the one fan-out (``ordered_map``): tasks
+  dealt to worker processes, results merged in task order;
 * :mod:`repro.obs.critical_path` — causal event graph and per-request
   critical-path attribution (every microsecond charged to a category,
   summing exactly to the request's latency);
@@ -85,7 +85,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "lifecycle_table",
             "poll_tax_by_rail",
         ),
-        ".runner": ("PointTask", "resolve_jobs", "run_point", "run_sweep_parallel"),
+        ".runner": ("resolve_jobs", "ordered_map"),
         ".critical_path": (
             "CriticalPathReport",
             "RequestAttribution",

@@ -700,6 +700,8 @@ def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, 
 
 def rail_timeline(session: "Session", bins: int = 24) -> RailTimeline:
     """Busy-fraction timeline per rail (PIO + DMA, all nodes merged)."""
+    if bins < 1:
+        raise BenchError(f"bins must be >= 1, got {bins}")
     busy: dict[str, list[tuple[float, float]]] = {}
     t1 = 0.0
     for span in session.spans:

@@ -33,7 +33,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional
 
 from ..util.errors import BenchError
 
@@ -47,9 +47,6 @@ __all__ = [
     "pingpong_point",
     "flood_point",
     "metrics_probe",
-    "run_engine_suite",
-    "run_figure_suite",
-    "ENGINE_BENCHES",
 ]
 
 #: bump when the record layout changes incompatibly.
@@ -301,11 +298,16 @@ class BenchRecorder:
         return n
 
     def record_metrics(self, registry_or_snapshot) -> None:
-        """Attach the explanatory metrics snapshot (replaces previous)."""
+        """Attach explanatory metrics (merged into those already attached)."""
         snap = registry_or_snapshot
         if hasattr(snap, "snapshot"):
             snap = snap.snapshot()
-        self._metrics = dict(snap)
+        self._metrics.update(snap)
+
+    @property
+    def metrics(self) -> dict[str, Any]:
+        """A copy of the metrics attached so far."""
+        return dict(self._metrics)
 
     # -- finish --------------------------------------------------------------
     def finish(self) -> BenchRecord:
@@ -333,7 +335,8 @@ class BenchRecorder:
 
 
 # --------------------------------------------------------------------- #
-# canonical suites (used by `repro bench run` and the CI gate)
+# the canonical metrics probe (`repro metrics`, and every record that
+# holds engine or figure points)
 # --------------------------------------------------------------------- #
 def metrics_probe(spec=None) -> dict[str, Any]:
     """Merged metrics snapshot of a canonical 2-rail probe workload.
@@ -362,77 +365,3 @@ def metrics_probe(spec=None) -> dict[str, Any]:
     run_flood(s3, 64 * 1024, count=32, window=8)
     merged.merge_inplace(s3.metrics)
     return merged.snapshot()
-
-
-def _sim_pingpong(strategy: str, size: int, segments: int, reps: int, warmup: int):
-    from ..bench.pingpong import run_pingpong
-    from ..core.session import Session
-    from ..hardware.presets import paper_platform
-
-    session = Session(paper_platform(), strategy=strategy)
-    return run_pingpong(session, size, segments=segments, reps=reps, warmup=warmup)
-
-
-#: the engine suite's simulated ping-pong points: name -> zero-arg
-#: callable returning a :class:`PingPongResult` (a rendezvous/DMA point
-#: and a latency-regime aggregation point, gated like any figure point).
-ENGINE_BENCHES: dict[str, Callable[[], Any]] = {
-    "pingpong_1MB_greedy": lambda: _sim_pingpong("greedy", 1024 * 1024, 2, 2, 1),
-    "pingpong_64B_aggreg_multirail": lambda: _sim_pingpong(
-        "aggreg_multirail", 64, 4, 10, 2
-    ),
-}
-
-
-def run_engine_suite(
-    recorder: BenchRecorder,
-    publish: Optional[Callable[[str, int, int], None]] = None,
-) -> None:
-    """Record the simulated engine ping-pong points and the metrics probe.
-
-    ``publish(bench, done, total)`` fires after each point for the live
-    endpoint's incremental snapshots."""
-    total = len(ENGINE_BENCHES)
-    if publish:
-        publish("", 0, total)
-    for done, (bench, fn) in enumerate(ENGINE_BENCHES.items(), start=1):
-        recorder.record_point(pingpong_point(fn(), bench=f"engine.{bench}"))
-        if publish:
-            publish(bench, done, total)
-    recorder.record_metrics(metrics_probe())
-
-
-def run_figure_suite(
-    recorder: BenchRecorder,
-    figures: Optional[Sequence[str]] = None,
-    reps: int = 2,
-    jobs: Optional[int] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    publish: Optional[Callable[[str, int, int], None]] = None,
-) -> None:
-    """Run paper figures, recording every curve point; attaches the
-    metrics probe if nothing recorded one yet.
-
-    ``jobs`` > 1 fans each figure's points over a worker pool
-    (:mod:`repro.obs.runner`); the simulated results — and therefore the
-    record's ``points`` section — are bit-identical to a serial run.
-
-    ``publish(figure_id, done, total)`` fires after each figure finishes
-    (and once with ``done=0`` before the first), feeding the live
-    endpoint's incremental snapshots (:mod:`repro.obs.server`)."""
-    from ..bench.figures import FIGURES, run_figure
-
-    ids = list(figures) if figures else sorted(FIGURES)
-    unknown = [i for i in ids if i not in FIGURES]
-    if unknown:
-        raise BenchError(f"unknown figures {unknown}; available: {sorted(FIGURES)}")
-    if publish:
-        publish("", 0, len(ids))
-    for done, figure_id in enumerate(ids, start=1):
-        if progress:
-            progress(figure_id)
-        recorder.record_figure(run_figure(figure_id, reps=reps, jobs=jobs))
-        if publish:
-            publish(figure_id, done, len(ids))
-    if not recorder._metrics:
-        recorder.record_metrics(metrics_probe())

@@ -64,11 +64,13 @@ def platform_from_dict(data: Mapping[str, Any]) -> PlatformSpec:
 
 def platform_from_json(path: str) -> PlatformSpec:
     """Load a platform config from a JSON file."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read platform config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return platform_from_dict(data)
 
 

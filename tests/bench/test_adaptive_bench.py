@@ -6,25 +6,13 @@ import pytest
 
 from repro.bench.adaptive import (
     ADAPTIVE_STRATEGIES,
+    adaptive_cells,
     adaptive_point,
     run_adaptive_case,
-    run_adaptive_suite,
 )
+from repro.bench.suites import run_suites
+from repro.obs.perf import BenchRecorder
 from repro.util.errors import BenchError
-
-
-class _Recorder:
-    """Minimal stand-in exposing the BenchRecorder surface the suite uses."""
-
-    def __init__(self):
-        self.points = []
-        self._metrics = {}
-
-    def record_point(self, point):
-        self.points.append(dict(point))
-
-    def record_metrics(self, snapshot):
-        self._metrics = dict(snapshot)
 
 
 def test_case_rejects_unknown_strategy_and_bad_reps():
@@ -36,7 +24,9 @@ def test_case_rejects_unknown_strategy_and_bad_reps():
 
 def test_suite_rejects_empty_strategy_list():
     with pytest.raises(BenchError, match="no adaptive strategies"):
-        run_adaptive_suite(_Recorder(), strategies=())
+        adaptive_cells(strategies=())
+    with pytest.raises(BenchError, match="no adaptive strategies"):
+        run_suites(BenchRecorder("empty"), {"adaptive": {"strategies": ()}})
 
 
 def test_feedback_case_is_deterministic_and_never_resamples():
@@ -50,18 +40,21 @@ def test_feedback_case_is_deterministic_and_never_resamples():
 
 
 def test_suite_records_gateable_points_and_metrics():
-    rec = _Recorder()
-    results = run_adaptive_suite(rec)
-    assert [r.strategy for r in results] == list(ADAPTIVE_STRATEGIES)
-    assert [p["curve"] for p in rec.points] == list(ADAPTIVE_STRATEGIES)
-    for point, result in zip(rec.points, results):
+    rec = BenchRecorder("adaptive")
+    run_suites(rec, {"adaptive": {}})
+    points = rec.finish().points
+    results = [run_adaptive_case(name) for name in ADAPTIVE_STRATEGIES]
+    assert [p["curve"] for p in points] == list(ADAPTIVE_STRATEGIES)
+    for point, result in zip(points, results):
         assert point == adaptive_point(result)
         assert point["kind"] == "adaptive"
         assert point["bench"] == "adaptive.degrade_recovery"
         assert point["elapsed_us"] == result.elapsed_us
-    assert rec._metrics["adaptive.steady_share.feedback"] > 0.0
-    assert rec._metrics["adaptive.resamples.feedback"] == 0.0
-    assert "adaptive.switches.tournament" in rec._metrics
+    assert rec.metrics["adaptive.steady_share.feedback"] > 0.0
+    assert rec.metrics["adaptive.resamples.feedback"] == 0.0
+    assert "adaptive.switches.tournament" in rec.metrics
+    # a suite that is neither engine nor figures carries no probe
+    assert all(k.startswith("adaptive.") for k in rec.metrics)
 
 
 def test_bench_cli_adaptive_flag(tmp_path, capsys):

@@ -1,8 +1,56 @@
 """Tests for the command-line interface."""
 
+import argparse
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.cli import ABLATIONS, build_parser, main
+from repro.cli import build_parser, main
+
+SURFACE = Path(__file__).parent / "data" / "cli_surface.json"
+
+
+def parser_surface(parser: argparse.ArgumentParser) -> dict:
+    """Everything a user can type or read in ``--help``, as plain data
+    (no rendered help text, so it is the same on every interpreter)."""
+    actions, commands = [], {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            helps = {a.dest: a.help for a in action._choices_actions}
+            commands = {
+                name: {"help": helps.get(name), **parser_surface(sub)}
+                for name, sub in action.choices.items()
+            }
+            actions.append({"dest": action.dest, "required": action.required,
+                            "subcommands": sorted(commands)})
+            continue
+        actions.append(
+            {
+                "option_strings": list(action.option_strings),
+                "dest": action.dest,
+                "default": action.default,
+                "type": getattr(action.type, "__name__", action.type),
+                "nargs": action.nargs,
+                "choices": None if action.choices is None else list(action.choices),
+                "required": action.required,
+                "metavar": action.metavar,
+                "help": action.help,
+            }
+        )
+    return {
+        "prog": parser.prog,
+        "description": parser.description,
+        "actions": actions,
+        "commands": commands,
+    }
+
+
+def test_parser_surface_is_pinned():
+    """No flag added, none lost, no help string edited: the snapshot was
+    generated from the parent commit's parser (PR 17) and is only ever
+    regenerated by a PR whose issue asks for a CLI change."""
+    assert parser_surface(build_parser()) == json.loads(SURFACE.read_text())
 
 
 def test_parser_rejects_missing_command():
@@ -59,11 +107,63 @@ def test_ablations_unknown(capsys):
     assert main(["ablations", "quantum"]) == 2
 
 
-def test_ablations_registry_matches_module():
-    from repro.bench import ablations as mod
+@pytest.mark.parametrize("command", ["ablations", "extensions"])
+def test_every_registered_study_reaches_every_consumer(
+    command, capsys, tmp_path, monkeypatch
+):
+    """A study added to ``ABLATIONS``/``EXTENSIONS`` cannot be forgotten:
+    the command and the EXPERIMENTS.md generator iterate the table, so each
+    registered study appears exactly once in both (and the generator hands
+    it the shared ``samples`` exactly when its entry says so)."""
+    from repro.bench import experiments
+    from repro.bench.ablations import ABLATIONS
+    from repro.bench.extensions import EXTENSIONS
+    from repro.util.tables import Table
 
-    for name, fn in ABLATIONS.items():
-        assert fn is getattr(mod, f"ablation_{name}")
+    studies = {"ablations": ABLATIONS, "extensions": EXTENSIONS}[command]
+    assert studies
+    got_samples = {}
+    for name, (fn, takes_samples) in studies.items():
+        assert callable(fn) and fn.__name__.endswith(name)
+
+        def stub(samples=None, _name=name):
+            got_samples[_name] = samples is not None
+            return Table(["x"], title=f"<<study {_name}>>")
+
+        monkeypatch.setitem(studies, name, (stub, takes_samples))
+    monkeypatch.setattr(experiments, "run_experiments", lambda **kw: ({}, []))
+
+    assert main([command]) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "X.md"
+    experiments.write_experiments_md(str(path), include_ablations=True)
+    for name in studies:
+        assert printed.count(f"<<study {name}>>") == 1
+        assert path.read_text().count(f"<<study {name}>>") == 1
+        assert got_samples[name] == studies[name][1]
+
+
+#: the harness' own complaints: one line on stderr, exit 2, no traceback
+BAD_COMMAND_LINES = [
+    ["pingpong", "--reps", "0"],
+    ["pingpong", "--segments", "0"],
+    ["flood", "--count", "0"],
+    ["flood", "--window", "0"],
+    ["figures", "fig4a", "--jobs", "-1"],
+    ["figures", "fig4a", "--reps", "0"],
+    ["--platform", "/nonexistent/platform.json", "pingpong"],
+    ["analyze", "fig6", "--bins", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_COMMAND_LINES, ids=" ".join)
+def test_harness_errors_are_one_line_and_exit_2(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())  # nothing written
 
 
 def test_sample_command(capsys):

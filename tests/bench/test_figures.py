@@ -7,7 +7,7 @@ The full-size figure reproductions (and their shape assertions) live in
 import pytest
 
 from repro.bench import FIGURES, run_figure
-from repro.bench.figures import fig7
+from repro.bench.figures import figure_plan
 from repro.util.errors import BenchError
 from repro.util.units import KB, MB
 
@@ -30,6 +30,18 @@ EXPECTED_KIND = {
 
 def test_registry_covers_every_paper_figure():
     assert set(FIGURES) == set(EXPECTED_KIND)
+    for figure_id, kind in EXPECTED_KIND.items():
+        plan = figure_plan(figure_id)
+        assert (plan.figure_id, plan.metric) == (figure_id, kind)
+        assert plan.title == FIGURES[figure_id].title
+        assert plan.sizes == tuple(FIGURES[figure_id].sizes) and plan.portable
+
+
+def test_samples_only_for_figures_that_take_them(samples):
+    assert [f for f, row in FIGURES.items() if row.takes_samples] == ["fig7"]
+    assert not figure_plan("fig7", samples=samples).portable
+    with pytest.raises(BenchError, match="does not take init-time samples"):
+        figure_plan("fig4a", samples=samples)
 
 
 @pytest.mark.parametrize("figure_id", sorted(EXPECTED_KIND))
@@ -58,7 +70,7 @@ def test_unknown_figure_rejected():
 
 
 def test_fig7_uses_provided_samples(samples):
-    result = fig7(sizes=[1 * MB], reps=1, samples=samples)
+    result = run_figure("fig7", sizes=[1 * MB], reps=1, samples=samples)
     het = result.sweep.point("hetero-split over both", 1 * MB)
     iso = result.sweep.point("iso-split over both", 1 * MB)
     assert het.bandwidth_MBps > iso.bandwidth_MBps

@@ -107,12 +107,7 @@ class TestSampleRails:
             sample_rails(paper_platform(), sizes=(65536,))
 
 
-def test_eager_only_session_never_imports_numpy():
-    """The import-set guard.  numpy's one user is ``RailSample.fit``; the
-    ledger, the live endpoint, the pool runner and the CLI have users of
-    their own.  A session that samples nothing and records nothing must
-    pay for none of them (start-up time and resident memory): the package
-    façades resolve their re-exports on first use."""
+def _run_in_fresh_interpreter(script: str) -> None:
     import os
     import subprocess
     import sys
@@ -120,7 +115,22 @@ def test_eager_only_session_never_imports_numpy():
 
     import repro
 
-    script = (
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_eager_only_session_never_imports_numpy():
+    """The import-set guard.  numpy's one user is ``RailSample.fit``; the
+    ledger, the live endpoint, the pool runner and the CLI have users of
+    their own.  A session that samples nothing and records nothing must
+    pay for none of them (start-up time and resident memory): the package
+    façades resolve their re-exports on first use."""
+    _run_in_fresh_interpreter(
         "import sys\n"
         "from repro import Session, paper_platform, run_pingpong\n"
         "session = Session(paper_platform(), strategy='aggreg_multirail')\n"
@@ -141,10 +151,23 @@ def test_eager_only_session_never_imports_numpy():
         "from repro.obs import Ledger\n"
         "assert 'sqlite3' in sys.modules  # so can these\n"
     )
-    src = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
-        timeout=120,
+
+
+def test_figure_harness_import_set_is_bounded():
+    """The same guard for hostbench's ``figures`` import line, whose cost
+    is the ``setup_s`` BENCHMARK.json bounds: the figure table, the sweep
+    walk and the claims load no pool, CLI, ledger or endpoint machinery,
+    and a serial figure run still makes no pool."""
+    _run_in_fresh_interpreter(
+        "import sys\n"
+        "from repro.bench import experiments, figures, pingpong, sweep\n"
+        "heavy = {'multiprocessing', 'argparse', 'sqlite3', 'http.server', 'json',\n"
+        "         'subprocess'}\n"
+        "assert not heavy & set(sys.modules), sorted(heavy & set(sys.modules))\n"
+        "ours = sorted(m for m in sys.modules if m.split('.')[0] == 'repro')\n"
+        "assert len(ours) <= 58, (len(ours), ours)\n"
+        "figures.run_figure('fig4a', sizes=[64], reps=1)\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+        "figures.run_figure('fig4a', sizes=[64, 128], reps=1, jobs=2)\n"
+        "assert 'multiprocessing' in sys.modules  # the check above can fail\n"
     )
-    assert proc.returncode == 0, proc.stderr

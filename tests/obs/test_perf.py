@@ -6,6 +6,7 @@ import pytest
 
 from repro.bench.flood import run_flood
 from repro.bench.pingpong import run_pingpong
+from repro.bench.suites import run_suites
 from repro.cli import main
 from repro.core.session import Session
 from repro.hardware.presets import paper_platform, single_rail_platform
@@ -21,7 +22,6 @@ from repro.obs.perf import (
     pingpong_point,
     platform_hash,
     point_key,
-    run_engine_suite,
 )
 from repro.util.errors import BenchError
 
@@ -77,7 +77,7 @@ class TestRecord:
 class TestEngineSuite:
     def test_records_points_and_metrics(self):
         rec = BenchRecorder("engine")
-        run_engine_suite(rec)
+        run_suites(rec, {"engine": {}})
         record = rec.finish()
         benches = {p["bench"] for p in record.points}
         assert "engine.pingpong_1MB_greedy" in benches
@@ -87,8 +87,8 @@ class TestEngineSuite:
 
     def test_engine_suite_is_deterministic_in_sim(self):
         a, b = BenchRecorder("a"), BenchRecorder("b")
-        run_engine_suite(a)
-        run_engine_suite(b)
+        run_suites(a, {"engine": {}})
+        run_suites(b, {"engine": {}})
         assert a.finish().points == b.finish().points
 
 

@@ -1,19 +1,22 @@
-"""Determinism and plumbing tests for the parallel sweep runner.
+"""Determinism and plumbing tests for the one fan-out and its users.
 
-The contract under test: fanning figure points over worker processes
-produces results **bit-identical** to the serial sweep — same floats,
-same record layout — because every point is an isolated deterministic
-simulator and the merge is ordered.
+The contract under test: dealing figure points, bench-suite cells or
+chaos cases to worker processes produces results **bit-identical** to a
+serial run — same floats, same record layout — because every unit is an
+isolated deterministic simulator and the merge is ordered.
 """
 
 import json
+import pickle
 
 import pytest
 
 from repro import paper_platform, sample_rails
-from repro.bench.figures import figure_plan, run_plan
-from repro.obs.perf import BenchRecorder, run_figure_suite
-from repro.obs.runner import PointTask, resolve_jobs, run_point, run_sweep_parallel
+from repro.bench.figures import PointTask, figure_plan, run_plan, run_point
+from repro.bench.suites import SUITES, run_suites
+from repro.bench.sweep import sweep_points
+from repro.obs.perf import BenchRecorder
+from repro.obs.runner import resolve_jobs
 from repro.util.errors import BenchError
 
 SIZES = [4, 1024, 65536]
@@ -37,16 +40,81 @@ def test_parallel_sweep_is_bit_identical(figure_id):
     assert _points(serial) == _points(parallel)
 
 
+#: all four suites, small: 2 engine points, fig4a, three P=16 cells, two
+#: adaptive cells
+SMALL_SELECTION = {
+    "engine": {},
+    "figures": {"figures": ["fig4a"], "reps": 1},
+    "scale": {"points": [16]},
+    "adaptive": {},
+}
+
+
 def test_record_results_identical_serial_vs_parallel():
-    rec_serial = BenchRecorder("serial")
-    rec_parallel = BenchRecorder("parallel")
-    run_figure_suite(rec_serial, figures=["fig4a"], reps=1, jobs=1)
-    run_figure_suite(rec_parallel, figures=["fig4a"], reps=1, jobs=2)
-    serial_points = rec_serial.finish().points
-    parallel_points = rec_parallel.finish().points
-    assert json.dumps(serial_points, sort_keys=True) == json.dumps(
-        parallel_points, sort_keys=True
+    """One record holding every suite: ``jobs`` changes neither the points
+    (order and every field) nor the metrics."""
+    records = {}
+    for jobs in (1, 3):
+        rec = BenchRecorder(f"jobs{jobs}")
+        run_suites(rec, SMALL_SELECTION, jobs=jobs)
+        records[jobs] = rec.finish()
+    assert records[1].points == records[3].points
+    assert records[1].metrics == records[3].metrics
+    benches = [p["bench"] for p in records[1].points]
+    assert benches[:2] == [
+        "engine.pingpong_1MB_greedy", "engine.pingpong_64B_aggreg_multirail",
+    ]
+    # fixed suite order: engine, figures, scale, adaptive
+    assert list(dict.fromkeys(b.split(".")[0] for b in benches)) == [
+        "engine", "fig4a", "scale", "adaptive",
+    ]
+    assert "scale.events.nic_barrier.P16" in records[1].metrics
+    assert "adaptive.resamples.feedback" in records[1].metrics
+    assert any(k.startswith("engine.poll.idle_us") for k in records[1].metrics)
+
+
+def test_on_cell_reports_lines_and_progress_in_task_order():
+    calls = []
+    rec = BenchRecorder("cb")
+    run_suites(
+        rec,
+        {"engine": {}, "scale": {"algos": ["nic_barrier"], "points": [16]}},
+        jobs=2,
+        on_cell=lambda *call: calls.append(call),
     )
+    assert calls[:2] == [("engine", [], 0, 2), ("scale", [], 0, 1)]
+    assert calls[2:4] == [
+        ("engine", ["running engine points ..."], 1, 2),
+        ("engine", [], 2, 2),
+    ]
+    suite, lines, done, total = calls[4]
+    assert (suite, done, total) == ("scale", 1, 1)
+    assert lines[0] == "running collectives scaling suite ..."
+    assert lines[1].startswith("  scale.nic_barrier P16: ")
+    assert len(calls) == 5 and len(rec) == 3
+
+
+def test_probe_attached_only_with_engine_or_figures():
+    rec = BenchRecorder("scale-only")
+    run_suites(rec, {"scale": {"algos": ["nic_barrier"], "points": [16]}})
+    assert set(rec.metrics) == {"scale.events.nic_barrier.P16"}
+
+
+def test_unknown_suite_rejected():
+    with pytest.raises(BenchError, match="unknown suites"):
+        run_suites(BenchRecorder("x"), {"warp": {}})
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suite_cells_pickle_and_run_is_module_level(name):
+    """What lets ``REPRO_MP_START=spawn``/``forkserver`` work: a cell
+    travels by value and the worker body is importable by name."""
+    suite = SUITES[name]
+    cells = list(suite.cells(**SMALL_SELECTION[name]))
+    assert cells and pickle.loads(pickle.dumps(cells)) == cells
+    assert pickle.loads(pickle.dumps(suite.run)) is suite.run
+    assert "<locals>" not in suite.run.__qualname__
+    assert "<lambda>" not in suite.run.__qualname__
 
 
 def test_run_point_matches_in_process_pingpong():
@@ -60,6 +128,10 @@ def test_run_point_matches_in_process_pingpong():
     )
     assert row["one_way_us"] == direct.one_way_us
     assert row["segments"] == curve.segments
+    # the same point through the plan runner, in-process and over workers
+    for jobs in (1, 2):
+        result = run_plan(figure_plan("fig4a", sizes=[1024]), reps=2, jobs=jobs)
+        assert result.sweep.point(curve.label, 1024) == direct
 
 
 def test_ragged_sizes_skip_like_serial():
@@ -67,8 +139,12 @@ def test_ragged_sizes_skip_like_serial():
     plan = figure_plan("fig5a", sizes=[2, 64])
     serial = run_plan(plan, reps=1, jobs=1)
     parallel = run_plan(plan, reps=1, jobs=2)
-    assert serial.sweep.sizes == parallel.sweep.sizes
+    assert serial.sweep.sizes == parallel.sweep.sizes == [64]
     assert _points(serial) == _points(parallel)
+    # both walk the points the shared enumerator names
+    assert sorted(_points(serial)) == sorted(
+        (curve.label, size) for curve, size in sweep_points(plan.curves, plan.sizes)
+    )
 
 
 def test_resolve_jobs():
@@ -80,14 +156,20 @@ def test_resolve_jobs():
         resolve_jobs(-1)
 
 
-def test_non_portable_plan_rejected_by_runner_but_runs_serially():
+def test_non_portable_plan_runs_in_process_with_its_own_samples(monkeypatch):
     table = sample_rails(paper_platform())
     plan = figure_plan("fig7", sizes=[1024], samples=table)
     assert not plan.portable
-    with pytest.raises(BenchError):
-        run_sweep_parallel(plan, reps=1, jobs=2)
-    result = run_plan(plan, reps=1, jobs=2)  # falls back to serial
-    assert _points(result)
+    serial = run_plan(plan, reps=1, jobs=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a non-portable plan must not reach a worker pool")
+
+    monkeypatch.setattr("repro.obs.runner._mp_context", no_pool)
+    result = run_plan(plan, reps=1, jobs=2)  # stays in this process
+    assert _points(result) == _points(serial)
+    # default sampling is deterministic, so the portable plan agrees too
+    assert _points(result) == _points(run_plan(figure_plan("fig7", sizes=[1024]), reps=1))
 
 
 def test_unknown_curve_label_rejected():
