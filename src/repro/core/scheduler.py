@@ -16,7 +16,10 @@ per-node pump process runs in relationship with **NIC activity**:
    what makes a backlog spread across NICs ("each time a NIC becomes
    idle ... sends the first available segment on the corresponding
    network") while still letting aggregation pack many segments into that
-   single wrapper.
+   single wrapper.  A strategy that has said it holds nothing
+   (``Strategy.quiet``) is not asked again until something is packed:
+   the paper queries the scheduler when a NIC becomes idle *and there is
+   something to send*, not on every turn of the loop.
 
 When a sweep neither received, handled, nor committed anything and no
 packet is waiting, the pump blocks on the host's activity signal; every
@@ -350,6 +353,8 @@ class NodeEngine:
         counts = self.counters.counts
         rails = [(idx, self.drivers[idx], self.drivers[idx].nic) for idx in self._order]
         n_rails = len(rails)
+        retrans = self._retrans
+        poll_idle_us = self._m_poll_idle_us
         # --- parking: active-set scheduling ---------------------------
         # An idle pump blocks on the host's activity signal, at zero
         # cost in events, until a submit, a packet or a DMA release
@@ -359,12 +364,12 @@ class NodeEngine:
         # progress.  The extra no-progress sweep after a busy one always
         # runs: its in-flight polls are what drain packets arriving
         # mid-sweep at the historical timestamps.
-        idle = not (self._retrans or strategy.backlog)
+        idle = not (retrans or strategy.backlog)
         while not self._stopped:
             if idle:
                 # park unless a packet is already waiting on some NIC
                 for _, _, nic in rails:
-                    if nic.rx_pending:
+                    if nic.rx_queue:
                         break
                 else:
                     counts["pump_parks"] += 1
@@ -388,7 +393,7 @@ class NodeEngine:
                     for pkt in pkts:
                         arrived.append((driver, pkt))
                 else:
-                    self._m_poll_idle_us[idx].value += cost
+                    poll_idle_us[idx].value += cost
                 if tracing:
                     span = spans.begin(
                         node, TRACK_PUMP, "poll", "poll", sim.now,
@@ -429,13 +434,18 @@ class NodeEngine:
                     # path; revisit when it frees
                     sim.at(nic.tx_busy_until, host.wake)
                     continue
-                backlog = strategy.backlog
+                # a quiet strategy found every queue empty when last
+                # consulted and nothing was packed since: its answer is
+                # still None, so it is not asked (the decision is recorded)
+                quiet = strategy.quiet and not retrans
+                backlog = 0 if quiet else strategy.backlog
                 # failover retransmissions jump the strategy queue: these
                 # entries were already scheduled once and must reach the
                 # wire before fresh traffic widens the reorder window.
-                pw = self._build_retrans(driver) if self._retrans else None
+                pw = self._build_retrans(driver) if retrans else None
                 if pw is None:
-                    pw = strategy.try_and_commit(self, driver)
+                    if not quiet:
+                        pw = strategy.try_and_commit(self, driver)
                     if tracing:
                         spans.instant(
                             node, TRACK_PUMP, "decision", "decision", sim.now,

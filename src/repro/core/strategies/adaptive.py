@@ -282,7 +282,10 @@ class FeedbackStrategy(SplitBalanceStrategy):
         self, engine: "NodeEngine", driver: "Driver"
     ) -> Optional[PacketWrapper]:
         self._advance_epochs(engine.sim.now)
-        return super().try_and_commit(engine, driver)
+        pw = super().try_and_commit(engine, driver)
+        # a consultation also turns the epoch clock: never skip one
+        self.quiet = False
+        return pw
 
 
 class TournamentStrategy(Strategy):

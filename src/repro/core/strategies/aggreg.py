@@ -6,7 +6,9 @@ up to the driver's eager packet limit.  This is the "copy the segments
 into a contiguous memory area and send them as a single chunk" behaviour
 whose memcpy overhead the paper measures to be very low: the aggregation
 copy is charged at host memcpy bandwidth by the engine when the packet is
-posted (see :meth:`repro.core.scheduler.NodeEngine._commit_one`).
+posted (the commit phase of :meth:`repro.core.scheduler.NodeEngine._pump_loop`).
+Queue handling, and with it the ``quiet`` flag of the strategy contract,
+is inherited unchanged.
 
 The aggregation is *opportunistic*: only segments already in the backlog
 when the NIC becomes idle are merged; the strategy never waits for more

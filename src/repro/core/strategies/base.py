@@ -13,11 +13,23 @@ Contract for ``try_and_commit(engine, driver)``:
   rail (``rail_index`` set) whose wire size fits the driver's eager
   threshold — the pump will post it and charge the PIO cost; or ``None``
   if nothing should be emitted on this driver right now;
-* the pump keeps calling until ``None``, for every driver, fastest rail
-  first, on every sweep;
+* the pump asks for **at most one wrapper per driver per sweep**, fastest
+  rail first (that is what spreads a backlog across NICs), and only for
+  a driver that is usable and whose eager path is free — so a strategy
+  cannot count on being consulted for every driver on every sweep, and a
+  ``None`` answer must leave the strategy exactly as it was;
 * large segments are not emitted directly: the strategy picks a chunking,
   calls :meth:`RdvManager.initiate` (which reserves the DMA engines), and
-  emits the returned RDV_REQ as a control entry.
+  emits the returned RDV_REQ as a control entry;
+* **the quiet clause** — a strategy may set :attr:`Strategy.quiet` when a
+  consultation finds *every* queue it owns empty (control included).
+  While the flag reads true the pump does not consult it for any driver;
+  whoever accepts work (:meth:`Strategy.pack`, :meth:`Strategy.pack_ctrl`,
+  and any override of them) must reset it.  The flag is optional: a
+  strategy that never sets it is consulted as described above, and one
+  whose consultations do more than look (an epoch clock, a candidate
+  race) must not set it.  :class:`~.checker.CheckedStrategy` verifies the
+  clause (``quiet-with-work``).
 
 Control entries (RDV_ACKs queued by the engine) are kept in a per-peer
 queue here in the base class; every concrete strategy emits pending
@@ -55,6 +67,10 @@ class Strategy(ABC):
     #: strategies leave it False and the hooks cost nothing.
     wants_observations = False
 
+    #: "every queue was empty when last consulted and nothing has been
+    #: packed since" — see the quiet clause in the module docstring.
+    quiet = False
+
     def __init__(self) -> None:
         self.engine: Optional["NodeEngine"] = None
         self._ctrl: dict[int, Deque[Entry]] = {}
@@ -86,6 +102,7 @@ class Strategy(ABC):
         """Queue a control entry (e.g. RDV_ACK) for ``dst_node``."""
         self._ctrl.setdefault(dst_node, deque()).append(entry)
         self._ctrl_pending += 1
+        self.quiet = False
 
     def observe(
         self, rail_index: int, kind: str, nbytes: int, start_us: float, end_us: float

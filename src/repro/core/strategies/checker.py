@@ -15,6 +15,9 @@ validated against the strategy contract of
 * control entries queued via ``pack_ctrl`` are eventually emitted;
 * a large segment is never embedded as eager data on a driver where it is
   not eager-eligible;
+* a strategy that reads ``quiet`` has nothing to send: the pump would not
+  have consulted it, so the checker does, and the consultation must
+  return ``None`` and change nothing;
 * for adaptive strategies (:mod:`repro.core.strategies.adaptive`):
   completion observations arrive monotonically in sim time, and split
   ratios only change when the strategy's epoch index advances — a
@@ -61,7 +64,8 @@ class Violation:
     #: which invariant broke: "rail-binding", "oversize", "tally-mismatch",
     #: "empty-wrapper", "eager-eligibility", "unknown-segment",
     #: "send-request-mismatch", "stranded-segments", "dropped-ctrl",
-    #: "nonmonotone-observation" or "mid-epoch-ratio-change".
+    #: "nonmonotone-observation", "mid-epoch-ratio-change" or
+    #: "quiet-with-work".
     invariant: str
     message: str
     #: offending segment/rail details as sorted (key, value) pairs.
@@ -181,12 +185,50 @@ class CheckedStrategy(Strategy):
         self, engine: "NodeEngine", driver: "Driver"
     ) -> Optional[PacketWrapper]:
         self._check_epoch_ratios("before commit")
-        pw = self.inner.try_and_commit(engine, driver)
+        inner = self.inner
+        # the checker itself never reads quiet, so the pump always asks;
+        # a quiet inner strategy is held to what the pump would assume
+        before = self._work_state() if inner.quiet else None
+        pw = inner.try_and_commit(engine, driver)
+        if before is not None and (pw is not None or self._work_state() != before):
+            self._fail_quiet(driver, pw, before)
         self._check_epoch_ratios("after commit")
         if pw is None:
             return None
         self._validate(driver, pw)
         return pw
+
+    def _work_state(self) -> dict[str, int]:
+        """What consulting a quiet strategy must leave untouched."""
+        inner = self.inner
+        return {
+            "ctrl_pending": inner._ctrl_pending,
+            "backlog": inner.backlog,
+            "packets_committed": inner.packets_committed,
+        }
+
+    def _fail_quiet(
+        self, driver: "Driver", pw: Optional[PacketWrapper], before: dict[str, int]
+    ) -> None:
+        context: dict[str, Any] = {"rail": driver.name}
+        if pw is not None and pw.entries:
+            head = pw.entries[0]
+            context.update(
+                dst=pw.dst_node,
+                entry=type(head).__name__,
+                tag=getattr(head, "tag", None),
+                seq=getattr(head, "seq", None),
+            )
+        for key, now in self._work_state().items():
+            if now != before[key]:
+                context[key] = f"{before[key]}->{now}"
+        self._fail(
+            "quiet-with-work",
+            f"strategy {self.inner.name!r} read quiet when consulted for"
+            f" {driver.name} — the pump would have skipped it — yet it "
+            + ("returned a wrapper" if pw is not None else "changed its queues"),
+            **context,
+        )
 
     # ------------------------------------------------------------------ #
     def _validate(self, driver: "Driver", pw: PacketWrapper) -> None:

@@ -44,14 +44,17 @@ class GreedyStrategy(Strategy):
     def pack(self, engine: "NodeEngine", segment: Segment) -> None:
         self.segments_packed += 1
         self._queue.append(segment)
+        self.quiet = False
 
     def try_and_commit(
         self, engine: "NodeEngine", driver: "Driver"
     ) -> Optional[PacketWrapper]:
-        pw = self.commit_ctrl(engine, driver)
-        if pw is not None:
-            return pw
+        if self._ctrl_pending:
+            pw = self.commit_ctrl(engine, driver)
+            if pw is not None:
+                return pw
         if not self._queue:
+            self.quiet = not self._ctrl_pending
             return None
         seg = self._queue[0]
         if driver.eager_eligible(seg.size):

@@ -64,15 +64,20 @@ class SingleRailStrategy(Strategy):
     def pack(self, engine: "NodeEngine", segment: Segment) -> None:
         self.segments_packed += 1
         self._queue.append(segment)
+        self.quiet = False
 
     def try_and_commit(
         self, engine: "NodeEngine", driver: "Driver"
     ) -> Optional[PacketWrapper]:
+        if not (self._ctrl_pending or self._queue):
+            self.quiet = True
+            return None
         if driver.rail_index != self.rail_index:
             return None
-        pw = self.commit_ctrl(engine, driver)
-        if pw is not None:
-            return pw
+        if self._ctrl_pending:
+            pw = self.commit_ctrl(engine, driver)
+            if pw is not None:
+                return pw
         if not self._queue:
             return None
         seg = self._queue[0]

@@ -168,6 +168,7 @@ class SplitBalanceStrategy(Strategy):
             self._small.append(segment)
         else:
             self._large.append(segment)
+        self.quiet = False
 
     # ------------------------------------------------------------------ #
     # scheduling side
@@ -175,12 +176,16 @@ class SplitBalanceStrategy(Strategy):
     def try_and_commit(
         self, engine: "NodeEngine", driver: "Driver"
     ) -> Optional[PacketWrapper]:
-        if not (self._ctrl_pending or self._small or self._large):
+        if self._ctrl_pending:
+            pw = self.commit_ctrl(engine, driver)
+            if pw is not None:
+                return pw
+        elif not (self._small or self._large):
+            self.quiet = True
             return None
-        pw = self.commit_ctrl(engine, driver)
-        if pw is not None:
-            return pw
-        if driver.rail_index == self.usable_rail_index(engine, self.fastest_index) and self._small:
+        if self._small and driver.rail_index == self.usable_rail_index(
+            engine, self.fastest_index
+        ):
             seg = self._small[0]
             pw = self.make_pw(engine, seg.dst_node, driver)
             if self.fill_with_eager(pw, driver, self._small) == 0:

@@ -77,11 +77,19 @@ class Host:
         return False
 
     def wake(self) -> None:
-        """Fire the activity signal (idempotent if nobody is waiting)."""
+        """Fire the activity signal (idempotent if nobody is waiting).
+
+        Half of all wakes find the pump already running; those count the
+        fire and skip the call — :meth:`Signal.fire` would do the same.
+        """
         if self.engine_hook is not None:
             hook, self.engine_hook = self.engine_hook, None
             hook()
-        self.activity.fire()
+        activity = self.activity
+        if activity._waiters:
+            activity.fire()
+        else:
+            activity.fire_count += 1
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Host {self.node_id} nics={len(self.nics)}>"

@@ -42,8 +42,13 @@ class NIC:
         self.name = name
         self.tx_link = Link(f"{name}.tx", rail.bw_MBps)
         self.rx_link = Link(f"{name}.rx", rail.bw_MBps)
-        self._rx_queue: Deque[Any] = deque()
-        self._dma_busy = False
+        #: arrived packets, oldest first.  The driver's poll and the
+        #: pump's park test read its truth value directly — most polls
+        #: find it empty — and call :meth:`drain_rx` only when it is not.
+        self.rx_queue: Deque[Any] = deque()
+        #: True while a bulk transmission is in flight from this NIC;
+        #: written only by :meth:`reserve_dma` / :meth:`release_dma`.
+        self.dma_busy = False
         #: simulated time until which the eager TX path is occupied by an
         #: in-flight PIO copy.  Only binding when copies are offloaded to
         #: a PIO worker; with the single-threaded pump the copy itself
@@ -60,26 +65,21 @@ class NIC:
     # -- receive side ----------------------------------------------------
     def deliver(self, packet: Any) -> None:
         """Called by the fabric/flow completion: a packet landed here."""
-        self._rx_queue.append(packet)
+        self.rx_queue.append(packet)
         self.rx_packets += 1
         self.host.wake()
 
     def drain_rx(self) -> list[Any]:
         """Remove and return all queued received packets (driver poll)."""
-        out = list(self._rx_queue)
-        self._rx_queue.clear()
+        out = list(self.rx_queue)
+        self.rx_queue.clear()
         return out
 
     @property
     def rx_pending(self) -> int:
-        return len(self._rx_queue)
+        return len(self.rx_queue)
 
     # -- send-side DMA engine ---------------------------------------------
-    @property
-    def dma_busy(self) -> bool:
-        """True while a bulk transmission is in flight from this NIC."""
-        return self._dma_busy
-
     def reserve_dma(self) -> None:
         """Claim the DMA engine (from rendezvous commit until drain).
 
@@ -87,19 +87,19 @@ class NIC:
         to this NIC — before the handshake completes — so that no second
         large transfer is scheduled onto a rail that is already spoken for.
         """
-        if self._dma_busy:
+        if self.dma_busy:
             raise DriverError(f"{self.name}: DMA engine already busy")
-        self._dma_busy = True
+        self.dma_busy = True
 
     def release_dma(self) -> None:
         """Free the DMA engine (last byte drained, or rendezvous aborted)."""
-        if not self._dma_busy:
+        if not self.dma_busy:
             raise DriverError(f"{self.name}: releasing idle DMA engine")
-        self._dma_busy = False
+        self.dma_busy = False
         # A freed DMA engine is a scheduling opportunity: wake the pump so
         # the strategy is consulted again ("when some NICs become idle ...
         # the optimizing scheduler is queried for some new packet").
         self.host.wake()
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<NIC {self.name} rx={len(self._rx_queue)} dma_busy={self._dma_busy}>"
+        return f"<NIC {self.name} rx={len(self.rx_queue)} dma_busy={self.dma_busy}>"

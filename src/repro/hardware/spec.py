@@ -27,6 +27,7 @@ The parameter semantics follow DESIGN.md §5:
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -37,6 +38,22 @@ __all__ = ["TopologySpec", "RailSpec", "HostSpec", "PlatformSpec"]
 #: upper bound on cluster size — far above any workload here; catches the
 #: obvious misconfiguration (a byte count passed where a node count goes).
 MAX_NODES = 1 << 16
+
+
+def _require_finite(spec: Any, label: str) -> None:
+    """Reject NaN and infinities in every float field of ``spec``.
+
+    ``json.loads`` accepts ``NaN``/``Infinity``, and NaN fails no ``<``
+    test, so the range checks below let it through to a silent wrong
+    answer; the flow network also remembers allocations on the premise
+    that capacities are finite constants.
+    """
+    for f in dataclasses.fields(spec):
+        if f.type == "float" and not math.isfinite(getattr(spec, f.name)):
+            raise ConfigError(
+                f"{label}: {f.name} must be a finite number,"
+                f" got {getattr(spec, f.name)!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -76,6 +93,7 @@ class TopologySpec:
             raise ConfigError(
                 f"unknown topology kind {self.kind!r}; have {list(self.KINDS)}"
             )
+        _require_finite(self, f"topology {self.kind}")
         if self.link_MBps <= 0:
             raise ConfigError(f"topology {self.kind}: link_MBps must be positive")
         if self.hop_us < 0:
@@ -128,6 +146,7 @@ class RailSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("rail name must be non-empty")
+        _require_finite(self, f"rail {self.name}")
         if self.lat_us < 0:
             raise ConfigError(f"rail {self.name}: negative latency")
         for attr in ("bw_MBps", "pio_MBps"):
@@ -184,6 +203,7 @@ class HostSpec:
     pio_workers: int = 0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "host")
         if self.memcpy_MBps <= 0 or self.bus_MBps <= 0:
             raise ConfigError("host bandwidths must be positive")
         if self.pio_workers < 0:

@@ -65,6 +65,14 @@ __all__ = [
 
 _EPS = 1e-9
 
+#: entries a network's allocation table may hold before it is cleared
+#: wholesale (P ranks of DMA traffic have O(P^2) component shapes).
+_RATE_TABLE_MAX = 1024
+#: largest component the table remembers.  A longer one almost never
+#: repeats flow for flow, and its key would cost a tuple and a hash as
+#: long as the component on every reallocation, hit or miss.
+_RATE_TABLE_FLOWS = 8
+
 
 class FlowError(SimulationError):
     """Raised on flow-network misuse."""
@@ -82,8 +90,11 @@ class Link:
     __slots__ = ("name", "capacity", "active_flows")
 
     def __init__(self, name: str, capacity_MBps: float):
-        if capacity_MBps <= 0:
-            raise FlowError(f"link {name!r} capacity must be positive")
+        if not 0 < capacity_MBps < math.inf:  # also rejects NaN
+            raise FlowError(
+                f"link {name!r} capacity must be finite and positive,"
+                f" got {capacity_MBps}"
+            )
         self.name = name
         self.capacity = float(capacity_MBps)
         self.active_flows: set["Flow"] = set()
@@ -215,6 +226,10 @@ class FlowNetwork:
         #: completion events actually (re)scheduled — the regression
         #: counter for the incremental-reallocation fast path.
         self.reschedule_count = 0
+        #: allocations already computed, by component *shape*: the ordered
+        #: tuple of the affected flows' paths -> the rates max_min_rates
+        #: gave them, in the same order (see _reallocate).
+        self._rate_table: dict[tuple, tuple[float, ...]] = {}
 
     @property
     def active_flows(self) -> frozenset[Flow]:
@@ -270,8 +285,11 @@ class FlowNetwork:
 
         Capacities are normally constant for the life of a network; the
         fault injector mutates them when a rail degrades or recovers and
-        must then resynchronize every affected completion event.
+        must then resynchronize every affected completion event.  Every
+        remembered allocation was computed from the old capacities, so
+        the table goes first.
         """
+        self._rate_table.clear()
         if self._flows:
             self._reallocate(None)
 
@@ -311,8 +329,12 @@ class FlowNetwork:
         list follows ``_flows`` insertion order so event scheduling stays
         deterministic regardless of traversal order; fids are assigned in
         insertion order, so sorting the component by fid reproduces that
-        order in O(k log k) — the cost of a reallocation depends on the
-        size of the affected shard, never on the total flow count.
+        order in O(k log k).  The walk and the allocation depend only on
+        the size of the affected shard; the reallocation as a whole does
+        not, because :meth:`_settle` first brings *every* active flow up
+        to now — and must: a flow settled in fewer, longer steps reaches
+        a ``remaining`` that differs in the last ulp, and with it every
+        completion time downstream.
         """
         seen_links: set[Link] = set(origin.path)
         member: set[Flow] = set()
@@ -340,15 +362,37 @@ class FlowNetwork:
         bit-identical keeps its already-scheduled completion event: the
         event encodes the same completion time, so cancelling and
         re-pushing it would only grow the heap with a tombstone.
+
+        An allocation is a function of the component's *shape* alone —
+        which links each flow crosses, in which flow order — and of the
+        link capacities, which only change under :meth:`refresh`.  Traffic
+        repeats a handful of shapes (a flood alternates between one and
+        two DMA streams), so :func:`max_min_rates` runs once per shape of
+        up to ``_RATE_TABLE_FLOWS`` flows and its answer is kept under the
+        ordered tuple of paths.  Order is part of the key because it
+        fixes the order of the float updates inside the allocator:
+        ``[A, B]`` and ``[B, A]`` may differ in the last ulp, so each
+        keeps the floats its own computation returned.
         """
         self._settle()
         affected = self._component(origin) if origin is not None else list(self._flows)
-        rates = max_min_rates(affected)
+        table = self._rate_table
+        rates = shape = None
+        if len(affected) <= _RATE_TABLE_FLOWS:
+            shape = tuple([f.path for f in affected])
+            rates = table.get(shape)
+        if rates is None:
+            by_flow = max_min_rates(affected)
+            rates = tuple([by_flow[f] for f in affected])
+            for f, new_rate in zip(affected, rates):
+                if new_rate <= _EPS:  # pragma: no cover - defensive
+                    raise FlowError(f"flow {f.fid} allocated zero rate")
+            if shape is not None:
+                if len(table) >= _RATE_TABLE_MAX:
+                    table.clear()
+                table[shape] = rates
         schedule = self.sim.schedule
-        for f in affected:
-            new_rate = rates.get(f, 0.0)
-            if new_rate <= _EPS:  # pragma: no cover - defensive
-                raise FlowError(f"flow {f.fid} allocated zero rate")
+        for f, new_rate in zip(affected, rates):
             ev = f._completion_ev
             if new_rate == f.rate and ev is not None and ev.alive:
                 continue

@@ -166,6 +166,25 @@ def test_harness_errors_are_one_line_and_exit_2(argv, capsys, tmp_path, monkeypa
     assert not list(tmp_path.iterdir())  # nothing written
 
 
+@pytest.mark.parametrize(
+    "override", ['{"bw_MBps": NaN}', '{"bw_MBps": Infinity}', '{"poll_cost_us": NaN}']
+)
+def test_non_finite_platform_value_is_one_line_and_exit_2(override, capsys, tmp_path):
+    """``json.loads`` accepts NaN/Infinity; the spec must not (the parent
+    printed ``one-way 577.56 us`` for the first case and exited 0)."""
+    config = tmp_path / "platform.json"
+    config.write_text(
+        '{"n_nodes": 2, "rails": [{"preset": "myri10g", "overrides": %s},'
+        ' {"preset": "qsnet2"}]}' % override
+    )
+    argv = ["--platform", str(config), "pingpong", "--size", "1M",
+            "--strategy", "split_balance"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert "must be a finite number" in captured.err and captured.out == ""
+
+
 def test_sample_command(capsys):
     assert main(["sample"]) == 0
     out = capsys.readouterr().out

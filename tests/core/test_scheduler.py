@@ -1,10 +1,20 @@
 """Unit/behaviour tests for the NIC-driven core scheduler (pump)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro import Session, paper_platform, run_pingpong
 from repro.core.packet import Payload
+from repro.core.strategies import strategy_class
+from repro.core.strategies.base import Strategy
+from repro.drivers.base import Driver
+from repro.hardware.nic import NIC
+from repro.sim.process import Signal
 from repro.util.errors import ApiError, ProtocolError
+
+from . import ask_first_capture as ask_first
 
 
 @pytest.fixture()
@@ -241,3 +251,145 @@ def test_counter_accounting_holds_mid_run_and_at_idle(n_nodes, workload):
     assert checkpoints >= 3, "workload finished before the mid-run checks"
     session.run_until_idle()
     _check_accounting(session, recvs, at_idle=True)
+
+
+# ---------------------------------------------------------------------- #
+# ask before you look: the pump skips a consultation, a queue drain and a
+# signal fire whose outcome it already knows — counted, never timed, and
+# compared against a capture made at the parent commit
+# ---------------------------------------------------------------------- #
+PARENT = json.loads(
+    (Path(__file__).parents[1] / "obs" / "data" / "ask_first_parent.json").read_text()
+)
+STATIC_STRATEGIES = ("single_rail", "aggreg", "greedy", "aggreg_multirail", "split_balance")
+
+
+@pytest.fixture()
+def tally(monkeypatch):
+    """Counts, from outside, the calls the fast paths are meant to avoid."""
+    ask_first.samples()  # sampling runs sessions of its own: not counted
+    seen = {
+        "consults": 0, "consults_while_quiet": 0, "found_empty": 0, "quiet_spells": 0,
+        "drains": 0, "polls": 0, "polls_with_packets": 0, "activity_fires": 0,
+    }
+
+    def watch_consults(cls):
+        inner = cls.try_and_commit
+
+        def try_and_commit(self, engine, driver):
+            was_quiet = self.quiet
+            empty = not (self._ctrl_pending or self.backlog)
+            seen["consults"] += 1
+            seen["consults_while_quiet"] += was_quiet
+            seen["found_empty"] += empty
+            pw = inner(self, engine, driver)
+            seen["quiet_spells"] += self.quiet and not was_quiet
+            assert not (empty and pw is not None)
+            return pw
+
+        monkeypatch.setattr(cls, "try_and_commit", try_and_commit)
+
+    for cls in {strategy_class(name) for name in STATIC_STRATEGIES}:
+        if "try_and_commit" in vars(cls):
+            watch_consults(cls)
+
+    drain_rx, poll, fire = NIC.drain_rx, Driver.poll, Signal.fire
+
+    def counted_drain(self):
+        seen["drains"] += 1
+        return drain_rx(self)
+
+    def counted_poll(self):
+        cost, pkts = poll(self)
+        seen["polls"] += 1
+        seen["polls_with_packets"] += bool(pkts)
+        return cost, pkts
+
+    def counted_fire(self, value=None):
+        seen["activity_fires"] += self.name.endswith(".activity")
+        return fire(self, value)
+
+    monkeypatch.setattr(NIC, "drain_rx", counted_drain)
+    monkeypatch.setattr(Driver, "poll", counted_poll)
+    monkeypatch.setattr(Signal, "fire", counted_fire)
+    return seen
+
+
+@pytest.mark.parametrize("scenario", sorted(ask_first.SCENARIOS))
+def test_skipped_work_is_counted_exactly_as_at_the_parent(scenario, tally):
+    session = ask_first.SCENARIOS[scenario]()
+    # every counter a user can read: driver.polls, Session.counters(),
+    # active_health(), the metrics snapshot (idle-poll microseconds too)
+    assert ask_first.counted(session) == PARENT[scenario]["counted"]
+    # an empty queue is not drained, yet every poll is still a poll
+    assert tally["drains"] == tally["polls_with_packets"] < tally["polls"]
+    assert tally["polls"] == sum(sum(row) for row in PARENT[scenario]["counted"]["driver_polls"])
+    # Signal.fire runs only when a pump is parked; fire_count says all wakes
+    wakeups = session.active_health()["pump_wakeups"]
+    assert tally["activity_fires"] == wakeups
+    assert wakeups < sum(PARENT[scenario]["counted"]["fire_counts"])
+    # a quiet strategy is never consulted, so only the first consultation
+    # of a quiet spell finds every queue empty
+    assert tally["consults_while_quiet"] == 0
+    assert 0 < tally["found_empty"] == tally["quiet_spells"]
+
+
+@pytest.mark.parametrize("scenario", sorted(ask_first.SCENARIOS))
+def test_traced_span_stream_equals_the_parents(scenario):
+    """Name, track, t0, t1 and arguments of every span — including one
+    ``decision`` instant per usable rail per sweep, consulted or not."""
+    digest = ask_first.span_digest(ask_first.SCENARIOS[scenario](trace=True))
+    assert digest == PARENT[scenario]["traced"]
+    assert digest["spans"]["decision"] == digest["spans"]["poll"]
+
+
+def test_metrics_probe_equals_the_parents():
+    from repro.obs.perf import metrics_probe
+
+    assert json.loads(json.dumps(metrics_probe())) == PARENT["metrics_probe"]
+
+
+@pytest.mark.parametrize("strategy", STATIC_STRATEGIES)
+@pytest.mark.parametrize("scenario", ["rdv_flood", "eager_flood"])
+def test_each_static_strategy_goes_quiet_and_is_left_alone(scenario, strategy, tally):
+    session = ask_first.SCENARIOS[scenario](strategy=strategy)
+    assert all(e.strategy.quiet for e in session.engines.built())
+    assert tally["consults_while_quiet"] == 0
+    assert 0 < tally["found_empty"] == tally["quiet_spells"]
+    # the unconsulted sweeps are real: the parent asked on every one
+    polls = sum(d.polls for e in session.engines.built() for d in e.drivers)
+    assert tally["consults"] < polls
+
+
+def test_strategies_that_never_go_quiet_are_consulted_on_every_sweep(plat2):
+    """`feedback` turns its epoch clock on every consultation, and a user
+    strategy written before the flag existed never sets it."""
+
+    class Plain(Strategy):
+        name = "plain"
+
+        def __init__(self):
+            super().__init__()
+            self.queue, self.consults = [], 0
+
+        def pack(self, engine, segment):
+            self.queue.append(segment)
+
+        def try_and_commit(self, engine, driver):
+            self.consults += 1
+            if not self.queue:
+                return None
+            seg = self.queue.pop(0)
+            pw = self.make_pw(engine, seg.dst_node, driver)
+            self.append_segment(pw, seg)
+            return pw
+
+        backlog = property(lambda self: len(self.queue))
+
+    for strategy in (Plain, "feedback"):
+        session = Session(plat2, strategy=strategy)
+        run_pingpong(session, 64, reps=3, warmup=0)
+        for engine in session.engines.built():
+            assert not engine.strategy.quiet
+            if strategy is Plain:  # one consultation per rail per sweep
+                assert engine.strategy.consults == engine.counters["polls"]

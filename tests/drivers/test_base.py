@@ -55,7 +55,11 @@ class TestPoll:
         assert pkts == ["pkt"]
         assert mx.polls == 1
         cost, pkts = mx.poll()
-        assert pkts == []
+        # an empty poll still costs and still counts; it hands back one
+        # shared empty sequence instead of draining the queue
+        assert cost == mx.spec.poll_cost_us
+        assert len(pkts) == 0 and pkts is mx.poll()[1]
+        assert mx.polls == 3
 
 
 class TestEager:

@@ -149,3 +149,37 @@ def test_custom_detect_us_honoured():
     assert drv.health == "up"
     session.run(until=151.0)
     assert drv.health == "down"
+
+
+#: completion times of the ten receives below, generated at the parent of
+#: the PR that made the flow network remember allocations (PR 20)
+_DEGRADE_RECOVER_TIMES = [
+    629.98738538206, 1584.3749433293979, 2478.0824750830566, 2204.692044733044,
+    3148.070268004721, 5001.177564784053, 3610.8144862914833, 4679.717181818178,
+    6157.009836275772, 5629.9982358804,
+]
+
+
+@pytest.mark.parametrize("backend", ["heap", "native"])
+def test_degrade_and_recover_mid_transfer_keeps_every_completion_time(backend):
+    """Two rails degrade and recover while DMA flows of repeating shapes
+    are in flight: every ``refresh()`` must drop the remembered rates, or
+    the flows after it run at the bandwidth of before."""
+    from repro.sim.backend import available_backends
+
+    if backend not in available_backends():
+        pytest.skip(f"{backend} core not available")
+    plan = FaultPlan(
+        [
+            FaultEvent("degrade", 300.0, "myri10g", duration_us=1500.0, factor=0.5),
+            FaultEvent("degrade", 2600.0, "qsnet2", duration_us=900.0, factor=0.25),
+        ]
+    )
+    session = Session(paper_platform(), strategy="greedy", faults=plan, backend=backend)
+    a, b = session.interface(0), session.interface(1)
+    recvs = [b.irecv(0, 3) for _ in range(10)]
+    for i in range(10):
+        a.isend(1, 3, (1 + i % 3) * MB // 2)
+    session.run_until_idle()
+    assert [r.completed_at for r in recvs] == _DEGRADE_RECOVER_TIMES
+    assert session.sim.events_executed == 272

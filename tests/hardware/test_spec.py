@@ -1,8 +1,11 @@
 """Unit tests for hardware specifications."""
 
+import dataclasses
+import math
+
 import pytest
 
-from repro.hardware import HostSpec, PlatformSpec, RailSpec
+from repro.hardware import HostSpec, PlatformSpec, RailSpec, TopologySpec
 from repro.hardware.presets import MYRI_10G, QUADRICS_QM500
 from repro.util.errors import ConfigError
 
@@ -11,6 +14,33 @@ def rail(**kw):
     base = dict(name="r", driver="mx", lat_us=1.0, bw_MBps=100.0, pio_MBps=50.0)
     base.update(kw)
     return RailSpec(**base)
+
+
+#: a valid instance of every spec class that holds float fields
+_VALID = {
+    RailSpec: dict(name="r", driver="mx", lat_us=1.0, bw_MBps=100.0, pio_MBps=50.0),
+    HostSpec: {},
+    TopologySpec: dict(kind="rail_opt", hosts=4, link_MBps=100.0),
+}
+
+
+@pytest.mark.parametrize(
+    "cls,field,bad",
+    [
+        pytest.param(cls, f.name, bad, id=f"{cls.__name__}.{f.name}={bad}")
+        for cls in _VALID
+        for f in dataclasses.fields(cls)
+        if f.type == "float"
+        for bad in (math.nan, math.inf, -math.inf)
+    ],
+)
+def test_non_finite_float_fields_rejected_by_name(cls, field, bad):
+    """NaN fails no ``<`` test and ``json.loads`` accepts it: every float
+    field is checked with ``isfinite``, and the error names the field."""
+    cls(**_VALID[cls])  # the base case is valid
+    with pytest.raises(ConfigError, match=rf"{field} must be a finite number") as err:
+        cls(**{**_VALID[cls], field: bad})
+    assert "\n" not in str(err.value)
 
 
 class TestRailSpec:

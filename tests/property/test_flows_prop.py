@@ -130,3 +130,99 @@ def test_staggered_starts_all_complete(sizes, data):
     sim.run_until_idle()
     assert len(done) == len(sizes)
     assert math.isclose(net.total_bytes_completed, sum(sizes))
+
+
+# --------------------------------------------------------------------- #
+# the allocation table (FlowNetwork._rate_table) against the pure function
+# --------------------------------------------------------------------- #
+class _AuditedNetwork(FlowNetwork):
+    """Checks every reallocation against a fresh ``max_min_rates``."""
+
+    def _reallocate(self, origin=None):
+        super()._reallocate(origin)
+        affected = self._component(origin) if origin is not None else list(self._flows)
+        fresh = max_min_rates(affected)
+        assert [f.rate for f in affected] == [fresh[f] for f in affected]
+
+
+class _ForgetfulNetwork(FlowNetwork):
+    """The reference run: the table is emptied before each reallocation."""
+
+    def _reallocate(self, origin=None):
+        self._rate_table.clear()
+        super()._reallocate(origin)
+
+
+@st.composite
+def flow_histories(draw):
+    """Link capacities plus a start / cancel / advance script over them.
+
+    Paths come from a small pool, so component shapes repeat and the
+    table is hit as well as filled.
+    """
+    n_links = draw(st.integers(min_value=1, max_value=6))
+    capacities = draw(
+        st.lists(
+            st.floats(min_value=10.0, max_value=5000.0),
+            min_size=n_links, max_size=n_links,
+        )
+    )
+    pool = draw(
+        st.lists(
+            st.lists(
+                st.integers(min_value=0, max_value=n_links - 1),
+                min_size=1, max_size=3, unique=True,
+            ),
+            min_size=1, max_size=4,
+        )
+    )
+    step = st.one_of(
+        st.tuples(
+            st.just("start"),
+            st.sampled_from(pool),
+            st.floats(min_value=1.0, max_value=1e6),
+        ),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40)),
+        st.tuples(st.just("advance"), st.floats(min_value=0.0, max_value=500.0)),
+    )
+    return capacities, draw(st.lists(step, min_size=1, max_size=40))
+
+
+def _replay(network_cls, capacities, script):
+    """Run ``script``; returns per-flow (drain time, completion time)."""
+    sim = Simulator()
+    net = network_cls(sim)
+    links = [Link(f"l{i}", c) for i, c in enumerate(capacities)]
+    started, log = [], {}
+    for op, *args in script:
+        if op == "start":
+            path_idx, size = args
+            index = len(started)
+            started.append(
+                net.start_flow(
+                    [links[i] for i in path_idx],
+                    size,
+                    on_complete=lambda f, k=index: log.setdefault(("done", k), sim.now),
+                    on_drain=lambda f, k=index: log.setdefault(("drain", k), sim.now),
+                )
+            )
+        elif op == "cancel":
+            if started:
+                net.cancel_flow(started[args[0] % len(started)])
+        else:
+            sim.run(until=sim.now + args[0])
+        log[("rates", len(log))] = [f.rate for f in net._flows]
+    sim.run_until_idle()
+    log["end"] = sim.now
+    return log
+
+
+@given(flow_histories())
+@settings(max_examples=150, deadline=None)
+def test_remembered_rates_equal_recomputed_rates(history):
+    """After every step each active flow's rate is what the pure function
+    returns for its component, and every drain and completion time equals
+    that of a run that never reuses an allocation — exactly."""
+    capacities, script = history
+    audited = _replay(_AuditedNetwork, capacities, script)
+    assert audited == _replay(_ForgetfulNetwork, capacities, script)

@@ -1,8 +1,11 @@
 """Unit tests for the max-min fair flow network."""
 
+import itertools
+
 import pytest
 
 from repro.sim import Flow, FlowError, FlowNetwork, Link, Simulator, max_min_rates
+from repro.sim import flows as flows_module
 
 
 @pytest.fixture()
@@ -203,6 +206,13 @@ class TestFlowNetwork:
         with pytest.raises(FlowError):
             Link("bad", 0.0)
 
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_link_capacity_rejected(self, capacity):
+        # NaN is neither <= 0 nor > 0; at the parent it constructed, and
+        # the first flow over it died with "no bottleneck found"
+        with pytest.raises(FlowError, match="'bad' capacity must be finite and positive"):
+            Link("bad", capacity)
+
     def test_paper_bus_contention_end_to_end(self, sim):
         """Two DMA streams on one bus: aggregate bounded by the bus."""
         net = FlowNetwork(sim)
@@ -285,3 +295,79 @@ class TestIncrementalReallocation:
         assert len(done) == 8
         # invariant check: every completion respects link capacities
         assert max(done.values()) >= 8 * 10_000.0 / 1000.0
+
+
+class TestRateTable:
+    """Allocations are remembered per component shape (the ordered tuple
+    of paths); a hit must hand back the very floats a recomputation
+    would — every comparison below is exact."""
+
+    def test_repeated_shape_is_computed_once(self, sim, monkeypatch):
+        calls = []
+        real = flows_module.max_min_rates
+        monkeypatch.setattr(
+            flows_module, "max_min_rates", lambda flows: calls.append(1) or real(flows)
+        )
+        net = FlowNetwork(sim)
+        bus, mx = Link("bus", 1850.0), Link("mx", 1210.0)
+        for _ in range(5):
+            flow = net.start_flow([bus, mx], 4096.0)
+            assert flow.rate == 1210.0
+            sim.run_until_idle()
+        # one computation; the other four starts are table hits
+        assert len(calls) == 1 and net.completed_count == 5
+
+    def test_flow_order_is_part_of_the_key(self, sim):
+        net = FlowNetwork(sim)
+        bus = Link("bus", 1850.0)
+        mx, elan = Link("mx", 1210.0), Link("elan", 860.0)
+        pa, pb = (bus, mx), (bus, elan)
+        fa, fb = net.start_flow(pa, 1e6), net.start_flow(pb, 1e6)
+        assert net._rate_table[(pa, pb)] == (fa.rate, fb.rate)
+        sim.run_until_idle()
+        fb, fa = net.start_flow(pb, 1e6), net.start_flow(pa, 1e6)
+        assert net._rate_table[(pb, pa)] == (fb.rate, fa.rate)
+        # two entries, each holding what its own computation returned
+        assert {(pa, pb), (pb, pa)} <= set(net._rate_table)
+        for shape in ((pa, pb), (pb, pa)):
+            flows = [mkflow(i, *path) for i, path in enumerate(shape)]
+            fresh = max_min_rates(flows)
+            assert net._rate_table[shape] == tuple(fresh[f] for f in flows)
+
+    def test_table_is_bounded_and_survives_its_own_clearing(self, sim):
+        bound = flows_module._RATE_TABLE_MAX
+        net = FlowNetwork(sim)
+        links = [Link(f"l{i}", 100.0 + 7 * i) for i in range(10)]
+        shapes = list(itertools.islice(itertools.permutations(links, 4), 5000))
+        assert len(set(shapes)) == 5000 > bound
+        for _pass in range(2):
+            for path in shapes:
+                flow = net.start_flow(path, 1e6)
+                assert flow.rate == min(link.capacity for link in path)
+                net.cancel_flow(flow)
+                assert len(net._rate_table) <= bound
+        assert not net.active_flows
+
+    def test_long_components_are_computed_every_time(self, sim):
+        longest = flows_module._RATE_TABLE_FLOWS
+        net = FlowNetwork(sim)
+        link = Link("shared", 1000.0)
+        flows = [net.start_flow([link], 1e6) for _ in range(longest + 3)]
+        assert {len(shape) for shape in net._rate_table} == set(range(1, longest + 1))
+        assert all(f.rate == 1000.0 / len(flows) for f in flows)
+
+    def test_refresh_forgets_rates_computed_from_old_capacities(self, sim):
+        net = FlowNetwork(sim)
+        link = Link("l", 100.0)
+        first = net.start_flow([link], 1000.0)
+        assert first.rate == 100.0
+        sim.run_until_idle()
+        link.capacity = 40.0
+        net.refresh()  # nothing active: still has to drop the table
+        again = net.start_flow([link], 1000.0)
+        assert again.rate == 40.0
+        link.capacity = 80.0
+        net.refresh()  # mid-transfer: the live flow is re-rated as well
+        assert again.rate == 80.0
+        sim.run_until_idle()
+        assert net.completed_count == 2

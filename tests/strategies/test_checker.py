@@ -95,6 +95,50 @@ def test_checker_catches_dropped_segments(plat2):
         session.engine(0).strategy.assert_drained()
 
 
+class _FalselyQuiet(GreedyStrategy):
+    """Claims to hold nothing the moment a segment is queued."""
+
+    name = "falsely_quiet"
+
+    def pack(self, engine, segment):
+        super().pack(engine, segment)
+        self.quiet = True
+
+
+def test_checker_catches_quiet_with_work(plat2):
+    """The pump skips a strategy that reads ``quiet``; the checker consults
+    it anyway and reports what the pump would have left unsent."""
+    session = Session(
+        plat2, strategy=CheckedStrategy.wrapping(_FalselyQuiet, record_only=True)
+    )
+    send = session.interface(0).isend(1, 7, b"x")
+    session.run_until_idle()
+    assert send.done  # under the checker the segment still leaves
+    [violation] = session.engine(0).strategy.violations
+    assert violation.invariant == "quiet-with-work"
+    assert "returned a wrapper" in violation.message
+    assert dict(violation.context) == {
+        "rail": "qsnet2", "dst": 1, "entry": "EagerEntry", "tag": 7, "seq": 0,
+        "backlog": "1->0", "packets_committed": "0->1",
+    }
+
+
+def test_quiet_with_work_raises_at_the_consultation(plat2):
+    session = Session(plat2, strategy=CheckedStrategy.wrapping(_FalselyQuiet))
+    session.interface(0).isend(1, 7, b"x")
+    with pytest.raises(StrategyError, match=r"quiet-with-work.*rail=qsnet2.*tag=7"):
+        session.run_until_idle()
+
+
+def test_unchecked_quiet_strategy_is_not_consulted(plat2):
+    """What the clause guards against: without the checker the pump takes
+    the flag at its word and the segment never leaves."""
+    session = Session(plat2, strategy=_FalselyQuiet)
+    send = session.interface(0).isend(1, 7, b"x")
+    session.run_until_idle()
+    assert not send.done and session.engine(0).strategy.backlog == 1
+
+
 def test_factory_returning_non_strategy_rejected():
     from repro.core.strategies import make_strategy
 
