@@ -6,7 +6,7 @@ latency-regime ping-pong (eager/PIO traffic) followed by a bulk transfer
 (rendezvous/DMA) — so the exported timeline shows both phases on every
 relevant rail.  The returned session is finished and ready for
 :func:`repro.obs.export.write_chrome_trace` /
-:func:`repro.obs.report.lifecycle_report`.
+:func:`repro.obs.critical_path.lifecycle_report`.
 """
 
 from __future__ import annotations

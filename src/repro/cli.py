@@ -690,12 +690,6 @@ def _cmd_analyze(args) -> int:
             print("idle-poll tax on the critical path, by rail:")
             for rail, us in sorted(tax.items()):
                 print(f"  {rail:>10}: {us:8.2f} us")
-        g = report.graph
-        print()
-        print(
-            f"causal graph: {len(g.events)} events, {len(g.edges)} edges,"
-            f" {len(g.requests)} requests"
-        )
         if tracer is not True:
             print(_stream_summary(tracer))
     if args.output:

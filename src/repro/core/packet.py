@@ -250,8 +250,8 @@ class PacketWrapper:
 
         ``reqs`` lists eager segments as ``[tag, seq]`` pairs, ``rdv``
         lists rendezvous requests as ``[req_id, tag, seq]`` triples;
-        together with the wrapper's ``dst`` they key the causal event
-        graph (see :mod:`repro.obs.critical_path`).  Only built when span
+        together with the wrapper's ``dst`` they key the request index
+        (see :mod:`repro.obs.critical_path`).  Only built when span
         tracing is on — never on the untraced hot path.
         """
         out: dict = {}

@@ -293,7 +293,7 @@ class Session:
 
     def lifecycle_report(self, node_id: Optional[int] = None):
         """Per-request latency decomposition (requires ``trace=True``)."""
-        from ..obs.report import lifecycle_report
+        from ..obs.critical_path import lifecycle_report
 
         return lifecycle_report(self, node_id)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..util.errors import ConfigError
@@ -38,6 +38,45 @@ __all__ = ["TopologySpec", "RailSpec", "HostSpec", "PlatformSpec"]
 #: upper bound on cluster size — far above any workload here; catches the
 #: obvious misconfiguration (a byte count passed where a node count goes).
 MAX_NODES = 1 << 16
+
+
+#: field annotation → the JSON values it takes, and what to call them.
+_JSON_TYPES = {
+    "float": ((int, float), "a number"),
+    "int": (int, "an integer"),
+    "str": (str, "a string"),
+    "bool": (bool, "true or false"),
+}
+
+
+def _checked(cls: type, data: Any, label: str) -> dict[str, Any]:
+    """The one door for hand-written spec documents (every ``from_dict``).
+
+    ``data`` must be a mapping of ``cls``'s field names, holding every
+    field without a default, with a number where a number goes (a string
+    or a ``bool`` is not one, and an ``int`` field takes no ``2.7``).
+    Ranges stay with ``__post_init__``; nested specs with their own
+    ``from_dict``.
+    """
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"{label} must be a mapping, got {type(data).__name__}")
+    if isinstance(data.get("name"), str):
+        label = f"{label} {data['name']}"
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(fields), key=str)
+    if unknown:
+        raise ConfigError(f"{label}: unknown field {unknown[0]!r}; have {sorted(fields)}")
+    for name, f in fields.items():
+        no_default = f.default is MISSING and f.default_factory is MISSING
+        if no_default and name not in data:
+            raise ConfigError(f"{label}: missing required field {name!r}")
+    for name, value in data.items():
+        if fields[name].type not in _JSON_TYPES:
+            continue  # a nested spec: its own from_dict judges it
+        want, words = _JSON_TYPES[fields[name].type]
+        if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
+            raise ConfigError(f"{label}: {name} must be {words}, got {value!r}")
+    return dict(data)
 
 
 def _require_finite(spec: Any, label: str) -> None:
@@ -113,7 +152,7 @@ class TopologySpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TopologySpec":
-        return cls(**dict(data))
+        return cls(**_checked(cls, data, "topology"))
 
 
 @dataclass(frozen=True)
@@ -178,9 +217,9 @@ class RailSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RailSpec":
-        data = dict(data)
+        data = _checked(cls, data, "rail")
         topo = data.get("topology")
-        if isinstance(topo, Mapping):
+        if topo is not None and not isinstance(topo, TopologySpec):
             data["topology"] = TopologySpec.from_dict(topo)
         return cls(**data)
 
@@ -217,7 +256,7 @@ class HostSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "HostSpec":
-        return cls(**dict(data))
+        return cls(**_checked(cls, data, "host"))
 
     def memcpy_us(self, nbytes: int) -> float:
         """Time to copy ``nbytes`` through host memory."""
@@ -281,8 +320,9 @@ class PlatformSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PlatformSpec":
-        return cls(
-            rails=tuple(RailSpec.from_dict(r) for r in data["rails"]),
-            n_nodes=int(data.get("n_nodes", 2)),
-            host=HostSpec.from_dict(data.get("host", {})),
-        )
+        data = _checked(cls, data, "platform")
+        if not isinstance(data["rails"], (list, tuple)):
+            raise ConfigError("platform: rails must be a list of rail entries")
+        data["rails"] = tuple(RailSpec.from_dict(r) for r in data["rails"])
+        data["host"] = HostSpec.from_dict(data.get("host", {}))
+        return cls(**data)

@@ -11,9 +11,8 @@ The three pieces compose (see README "Observability"):
   and rendezvous handshakes;
 * :mod:`repro.obs.timeline` — text-mode summaries read from driver
   tallies and recorded spans (rail usage table, commit timeline, gantt);
-* :mod:`repro.obs.export` / :mod:`repro.obs.report` — Chrome-trace /
-  Perfetto JSON and JSONL serialization, plus the per-request latency
-  decomposition (queueing / idle-poll tax / wire time);
+* :mod:`repro.obs.export` — Chrome-trace / Perfetto JSON and JSONL
+  serialization;
 * :mod:`repro.obs.perf` / :mod:`repro.obs.compare` — the *across-run*
   layer: self-describing ``BENCH_*.json`` records of deterministic
   simulated results and the identity gate that diffs them against
@@ -22,12 +21,13 @@ The three pieces compose (see README "Observability"):
   of any metrics snapshot;
 * :mod:`repro.obs.runner` — the one fan-out (``ordered_map``): tasks
   dealt to worker processes, results merged in task order;
-* :mod:`repro.obs.critical_path` — causal event graph and per-request
-  critical-path attribution (every microsecond charged to a category,
-  summing exactly to the request's latency);
+* :mod:`repro.obs.critical_path` — one pass over the spans, then per
+  request: the critical-path attribution (every microsecond charged to a
+  category, summing exactly to the request's latency) and its coarse
+  view, the lifecycle report (queueing / wire time / idle-poll tax);
 * :mod:`repro.obs.server` — stdlib live HTTP endpoint serving the
-  OpenMetrics exposition (plus ``critpath.*``/``live.*`` gauges) while a
-  sweep is in flight;
+  OpenMetrics exposition (plus ``live.*`` gauges) while a sweep is in
+  flight;
 * :mod:`repro.obs.streaming` — bounded-memory :class:`StreamingTracer`
   that spills closed spans to a JSONL stream on disk, with deterministic
   seeded span sampling (:class:`SpanSampler`);
@@ -79,12 +79,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "to_jsonl",
             "write_jsonl",
         ),
-        ".report": (
-            "RequestLifecycle",
-            "lifecycle_report",
-            "lifecycle_table",
-            "poll_tax_by_rail",
-        ),
         ".runner": ("resolve_jobs", "ordered_map"),
         ".critical_path": (
             "CriticalPathReport",
@@ -94,9 +88,11 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "attribution_table",
             "blame_by_rail",
             "blame_table",
-            "build_graph",
             "category_totals",
             "critical_path_trace_events",
+            "lifecycle_report",
+            "lifecycle_table",
+            "poll_tax_by_rail",
             "rail_timeline",
             "timeline_table",
         ),

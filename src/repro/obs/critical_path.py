@@ -1,12 +1,12 @@
-"""Critical-path extraction: every microsecond of a send, attributed.
+"""Critical-path attribution: every microsecond of a send, charged once.
 
-The lifecycle report (:mod:`repro.obs.report`) buckets a request into
-queue/wire time; this module goes one level deeper.  From the span stream
-of a traced session it builds a **causal event graph** per send request —
-submit → commit(s) → PIO post(s) → (rendezvous: DMA chunk drains) →
-completion, with loss-detection and retry edges when faults fired — and
-partitions the request's entire ``[submitted_at, completed_at]`` interval
-into a closed set of categories:
+One pass over a traced session's spans (:func:`index_spans`) buckets them
+per node — wrapper spans by the requests they carry, DMA chunks and chunk
+losses by rendezvous id, and the pump-side kinds (PIO copy, commit, packet
+handling, idle poll) in lanes that answer "what overlaps ``[t0, t1]``" by
+bisection.  From that index each completed send's
+``[submitted_at, completed_at]`` interval is partitioned into a closed
+set of categories:
 
 ================== ======================================================
 ``queueing``       nothing else is chargeable: optimization-window
@@ -24,24 +24,35 @@ into a closed set of categories:
 ================== ======================================================
 
 Overlaps are resolved by fixed priority (own wire activity beats its
-causes beats background noise), and the partition is built from the
-elementary slices between *all* window boundaries, so two invariants hold
-**by construction**: the per-category attributions sum exactly to
-``RequestLifecycle.total_us``, and the critical path is one connected,
-contiguous chain of segments from submit to completion.  The idle-poll
-overlap formula is byte-for-byte the lifecycle report's, so the Fig 6
-poll-tax totals reconcile exactly (``repro analyze`` asserts it).
+causes beats background noise; span-id order within a category), and the
+partition is built from the elementary slices between *all* window
+boundaries, so two invariants hold **by construction**: the per-category
+attributions sum exactly to the request's ``total_us``, and the critical
+path is one connected, contiguous chain of segments from submit to
+completion.
+
+The **lifecycle report** (:func:`lifecycle_report`, ``repro trace``) is
+the coarse view of the same rows: ``queue_us`` (submit → first commit,
+stamped by the pump), ``wire_us`` (first commit → completion) and the
+idle-poll tax per rail — CPU time the *sending* pump spent polling rails
+that returned nothing while the request was in flight.  The tax overlaps
+the other components (polling happens while a request queues and
+drains), so it is reported alongside, never summed.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..util.errors import BenchError
 from ..util.tables import Table
 from .spans import TRACK_FAULTS, TRACK_PUMP
+from .timeline import merge_intervals
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.session import Session
@@ -50,11 +61,12 @@ __all__ = [
     "CATEGORIES",
     "PathSegment",
     "RequestAttribution",
-    "CausalEvent",
-    "CausalGraph",
     "CriticalPathReport",
-    "build_graph",
+    "index_spans",
     "attribute_requests",
+    "lifecycle_report",
+    "lifecycle_table",
+    "poll_tax_by_rail",
     "analyze_session",
     "category_totals",
     "blame_by_rail",
@@ -119,16 +131,37 @@ class RequestAttribution:
     seq: int
     size: int
     submitted_at: float
+    #: when the wrapper carrying it (or its rendezvous request) was first
+    #: PIO-posted — stamped by the pump, not derived from spans.
+    first_commit_at: Optional[float]
     completed_at: float
     segments: list[PathSegment] = field(default_factory=list)
-    #: idle-poll overlap per rail, same formula as the lifecycle report's
-    #: ``poll_tax_by_rail`` (reconciliation hook; overlaps other
-    #: categories, so it is reported alongside, never summed).
+    #: idle-poll overlap per rail (overlaps other categories, so it is
+    #: reported alongside, never summed).
     poll_tax_by_rail: dict[str, float] = field(default_factory=dict)
 
     @property
     def total_us(self) -> float:
         return self.completed_at - self.submitted_at
+
+    @property
+    def queue_us(self) -> float:
+        """Submit → first commit (optimization-window residence)."""
+        if self.first_commit_at is None:
+            return self.total_us
+        return self.first_commit_at - self.submitted_at
+
+    @property
+    def wire_us(self) -> float:
+        """First commit → completion (PIO copy / DMA drain)."""
+        if self.first_commit_at is None:
+            return 0.0
+        return self.completed_at - self.first_commit_at
+
+    @property
+    def poll_tax_us(self) -> float:
+        """Idle-poll CPU time on the sending node during this request."""
+        return sum(self.poll_tax_by_rail.values())
 
     @property
     def attributed_us(self) -> float:
@@ -167,245 +200,106 @@ class RequestAttribution:
 
 
 # --------------------------------------------------------------------------- #
-# causal event graph
+# the one pass: spans bucketed by request and by overlap
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class CausalEvent:
-    """One node of the causal graph (a span endpoint or an instant)."""
+class _Lane:
+    """Closed spans of one pump-side kind on one node, queried by overlap."""
 
-    eid: int
-    kind: str  # submit|commit|pio|dma|rdv_done|eager_lost|chunk_lost|chunk_retry|complete
-    t0: float
-    t1: float
-    node: int
-    rail: str = ""
-    args: dict[str, Any] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.spans: list[Any] = []
+        self._starts: list[float] = []
+        self._ends: list[float] = []
+
+    def seal(self) -> None:
+        # a recorder hands spans over in start order already; the stable
+        # sort keeps span-id order among equal starts and makes a
+        # hand-filled recorder safe
+        self.spans.sort(key=lambda s: s.t0)
+        self._starts = [s.t0 for s in self.spans]
+        # PIO copies offloaded to a worker overlap, so an early span may
+        # outlast later ones: the lower bound bisects the running maximum
+        self._ends = list(accumulate((s.t1 for s in self.spans), max))
+
+    def overlapping(self, t0: float, t1: float) -> list[Any]:
+        """Spans sharing more than an instant with ``[t0, t1]``, in
+        span-id order (``_partition``'s clip test, applied early)."""
+        lo = bisect_right(self._ends, t0)
+        hi = bisect_left(self._starts, t1)
+        hits = [s for s in self.spans[lo:hi] if min(s.t1, t1) > max(s.t0, t0)]
+        hits.sort(key=lambda s: s.sid)
+        return hits
 
 
-@dataclass
-class CausalGraph:
-    """Per-request causal chains over one traced session's spans."""
-
-    events: list[CausalEvent] = field(default_factory=list)
-    #: (src_eid, dst_eid, label) — labels name the causal step.
-    edges: list[tuple[int, int, str]] = field(default_factory=list)
-    #: request key (node, peer, tag, seq) → its event ids, time-ordered.
-    requests: dict[tuple[int, int, int, int], list[int]] = field(default_factory=dict)
-
-    def add_event(self, kind: str, t0: float, t1: float, node: int,
-                  rail: str = "", **args: Any) -> int:
-        eid = len(self.events)
-        self.events.append(CausalEvent(eid, kind, t0, t1, node, rail, args))
-        return eid
-
-    def add_edge(self, src: int, dst: int, label: str) -> None:
-        self.edges.append((src, dst, label))
-
-    def successors(self, eid: int) -> list[int]:
-        return [d for s, d, _l in self.edges if s == eid]
-
-    def reachable(self, key: tuple[int, int, int, int]) -> bool:
-        """Every event of the request is reachable from its submit."""
-        eids = self.requests.get(key, [])
-        if not eids:
-            return False
-        todo, seen = [eids[0]], {eids[0]}
-        members = set(eids)
-        while todo:
-            cur = todo.pop()
-            for nxt in self.successors(cur):
-                if nxt in members and nxt not in seen:
-                    seen.add(nxt)
-                    todo.append(nxt)
-        return seen == members
+def _carried(args: dict) -> dict[tuple[int, int, int], int]:
+    """``(dst, tag, seq)`` of every request a wrapper span carries → its
+    rendezvous req_id when it rides as a control entry, -1 as eager data."""
+    dst = args.get("dst", -1)
+    out = {(dst, tag, seq): -1 for tag, seq in args.get("reqs", [])}
+    for rid, tag, seq in args.get("rdv", []):
+        out.setdefault((dst, tag, seq), rid)
+    return out
 
 
 class _NodeIndex:
-    """One pass over a node's spans, bucketed for request assembly."""
+    """One node's closed spans: keyed by request where a span names its
+    requests, in a :class:`_Lane` where it only occupies the pump."""
 
-    def __init__(self, session: "Session", node: int):
-        self.node = node
-        # (span, eager {(tag,seq)}, rdv {req_id: (tag,seq)}, dst)
-        self.commits: list[tuple[Any, set, dict, int]] = []
-        self.pios: list[tuple[Any, set, dict, int]] = []
-        self.dmas: dict[int, list[Any]] = {}
-        self.rdv_done: dict[int, Any] = {}
-        self.eager_losses: list[tuple[Any, set, int]] = []
-        self.chunk_losses: dict[int, list[Any]] = {}
-        self.chunk_retries: dict[int, list[Any]] = {}
-        self.idle_polls: list[tuple[float, float, str]] = []
-        self.handles: list[Any] = []
-        for span in session.spans.by_node(node):
-            if span.open:
-                continue
-            args = span.args or {}
-            if span.name == "poll" and span.track == TRACK_PUMP:
-                if args.get("pkts", 0) == 0:
-                    self.idle_polls.append((span.t0, span.t1, args.get("rail", "?")))
-            elif span.name == "handle":
-                self.handles.append(span)
-            elif span.name == "commit":
-                self.commits.append(
-                    (span, _eager_keys(args), _rdv_map(args), args.get("dst", -1))
-                )
-            elif span.name == "pio":
-                self.pios.append(
-                    (span, _eager_keys(args), _rdv_map(args), args.get("dst", -1))
-                )
-            elif span.name == "dma":
-                self.dmas.setdefault(args.get("req_id", -1), []).append(span)
-            elif span.track == "rdv" and "req_id" in args:
-                self.rdv_done[args["req_id"]] = span
-            elif span.track == TRACK_FAULTS and span.name == "eager_lost":
-                self.eager_losses.append((span, _eager_keys(args), args.get("dst", -1)))
-            elif span.track == TRACK_FAULTS and span.name == "chunk_lost":
-                self.chunk_losses.setdefault(args.get("req_id", -1), []).append(span)
-            elif span.track == TRACK_FAULTS and span.name in ("chunk_retry", "chunk_park"):
-                self.chunk_retries.setdefault(args.get("req_id", -1), []).append(span)
+    def __init__(self) -> None:
+        #: the pump-side kinds; ``poll`` holds idle polls only.
+        self.lanes = {name: _Lane() for name in ("pio", "commit", "handle", "poll")}
+        #: ``commit`` / ``pio`` → (dst, tag, seq) → [(span, rid)], span-id order
+        self.carriers: dict[str, dict[tuple, list]] = defaultdict(
+            lambda: defaultdict(list)
+        )
+        self.eager_losses: dict[tuple, list[Any]] = defaultdict(list)
+        # rendezvous req_id → spans
+        self.dmas: dict[int, list[Any]] = defaultdict(list)
+        self.chunk_losses: dict[int, list[Any]] = defaultdict(list)
+
+    def add(self, span) -> None:
+        args = span.args or {}
+        if span.name == "poll" and span.track == TRACK_PUMP:
+            if args.get("pkts", 0) == 0:
+                self.lanes["poll"].spans.append(span)
+        elif span.name in ("handle", "commit", "pio"):
+            self.lanes[span.name].spans.append(span)
+            for key, rid in _carried(args).items():  # a handle carries nothing
+                self.carriers[span.name][key].append((span, rid))
+        elif span.name == "dma":
+            self.dmas[args.get("req_id", -1)].append(span)
+        elif span.track == TRACK_FAULTS and span.name == "eager_lost":
+            dst = args.get("dst", -1)  # control entries are not data lost
+            for tag, seq in {(t, s) for t, s in args.get("reqs", [])}:
+                self.eager_losses[(dst, tag, seq)].append(span)
+        elif span.track == TRACK_FAULTS and span.name == "chunk_lost":
+            self.chunk_losses[args.get("req_id", -1)].append(span)
 
 
-def _eager_keys(args: dict) -> set:
-    return {(t, s) for t, s in args.get("reqs", [])}
+class SpanIndex:
+    """What :func:`index_spans` returns: per-node request indexes and the
+    per-rail busy intervals of the whole run."""
+
+    def __init__(self) -> None:
+        self.nodes: dict[int, _NodeIndex] = defaultdict(_NodeIndex)
+        #: rail → ``(t0, t1, rail)`` of every PIO/DMA span, all nodes merged.
+        self.busy: dict[str, list[tuple[float, float, str]]] = defaultdict(list)
 
 
-def _rdv_map(args: dict) -> dict:
-    return {rid: (t, s) for rid, t, s in args.get("rdv", [])}
-
-
-def _carries(entry: tuple, tag: int, seq: int, peer: int) -> Optional[int]:
-    """Does an indexed commit/pio carry request (tag, seq) → peer?
-
-    Returns the rendezvous req_id when it rides as a control entry, -1
-    when it rides as eager data, None when it is someone else's wrapper.
-    """
-    _span, eager, rdv, dst = entry
-    if dst != peer:
-        return None
-    if (tag, seq) in eager:
-        return -1
-    for rid, (t, s) in rdv.items():
-        if (t, s) == (tag, seq):
-            return rid
-    return None
-
-
-def build_graph(session: "Session", node_id: Optional[int] = None) -> CausalGraph:
-    """The causal event graph of every completed send of a session.
-
-    Requires ``trace=True`` — without spans there is nothing to connect.
-    Semantic edges (``queue``, ``post``, ``wire``, ``handshake``,
-    ``drain``, ``loss``, ``backoff``, ``relaunch``) capture *why* each
-    event happened; any event left without a cause is chained to its
-    latest predecessor with a ``follows`` edge so every request's events
-    stay reachable from its submit.
-    """
-    graph = CausalGraph()
-    engines = session.engines if node_id is None else [session.engine(node_id)]
-    for engine in engines:
-        idx = _NodeIndex(session, engine.node_id)
-        for req in engine.sent_log:
-            if not req.done:
-                continue
-            _assemble_request(graph, idx, engine.node_id, req)
-    return graph
-
-
-def _assemble_request(graph: CausalGraph, idx: _NodeIndex, node: int, req) -> None:
-    key = (node, req.peer, req.tag, req.seq)
-    submit = graph.add_event(
-        "submit", req.submitted_at, req.submitted_at, node,
-        tag=req.tag, seq=req.seq, bytes=req.payload.size, dst=req.peer,
-    )
-    eids = [submit]
-    caused: set[int] = set()
-
-    def _event(kind: str, span, rail: str = "", **args) -> int:
-        eid = graph.add_event(kind, span.t0, span.t1, node, rail, **args)
-        eids.append(eid)
-        return eid
-
-    rdv_id: Optional[int] = None
-    pio_eids: list[tuple[Any, int]] = []
-    for entry in idx.commits:
-        rid = _carries(entry, req.tag, req.seq, req.peer)
-        if rid is None:
+def index_spans(session: "Session") -> SpanIndex:
+    """Walk the session's recorder **once** (one replay of a spilled
+    stream) and bucket every closed span for the analyses below."""
+    index = SpanIndex()
+    for span in session.spans:
+        if span.open:
             continue
-        span = entry[0]
-        ceid = _event("commit", span, (span.args or {}).get("rail", ""))
-        graph.add_edge(submit, ceid, "queue")
-        caused.add(ceid)
-        if rid >= 0:
-            rdv_id = rid
-    for entry in idx.pios:
-        rid = _carries(entry, req.tag, req.seq, req.peer)
-        if rid is None:
-            continue
-        span = entry[0]
-        peid = _event("pio", span, (span.args or {}).get("rail", ""))
-        pio_eids.append((span, peid))
-        if rid >= 0:
-            rdv_id = rid
-    dma_eids: list[tuple[Any, int]] = []
-    if rdv_id is not None:
-        for span in idx.dmas.get(rdv_id, []):
-            deid = _event("dma", span, (span.args or {}).get("rail", ""))
-            dma_eids.append((span, deid))
-            for pspan, peid in pio_eids:
-                if pspan.t1 <= span.t0:
-                    graph.add_edge(peid, deid, "handshake")
-                    caused.add(deid)
-                    break
-        for span in idx.chunk_losses.get(rdv_id, []):
-            leid = _event("chunk_lost", span, (span.args or {}).get("rail", ""))
-            for dspan, deid in dma_eids:
-                graph.add_edge(deid, leid, "loss")
-                caused.add(leid)
-                break
-        for span in idx.chunk_retries.get(rdv_id, []):
-            _event(span.name, span, (span.args or {}).get("rail", ""))
-    for span, leids, dst in idx.eager_losses:
-        if dst == req.peer and (req.tag, req.seq) in leids:
-            leid = _event("eager_lost", span, (span.args or {}).get("rail", ""))
-            for pspan, peid in pio_eids:
-                if pspan.t1 <= span.t1:
-                    graph.add_edge(peid, leid, "loss")
-                    caused.add(leid)
-    complete = graph.add_event(
-        "complete", req.completed_at, req.completed_at, node, dst=req.peer
-    )
-    eids.append(complete)
-    last_wire = dma_eids[-1][1] if dma_eids else (
-        pio_eids[-1][1] if pio_eids else submit
-    )
-    graph.add_edge(last_wire, complete, "drain" if dma_eids else "wire")
-    caused.add(complete)
-    # commit → its pio ("post"), loss → next relaunch ("backoff"/"relaunch")
-    for pspan, peid in pio_eids:
-        best = None
-        for entry in idx.commits:
-            if _carries(entry, req.tag, req.seq, req.peer) is None:
-                continue
-            cspan = entry[0]
-            if cspan.t0 <= pspan.t0 and (best is None or cspan.t0 > best[0].t0):
-                best = entry
-        if best is not None:
-            ceid = next(
-                e for e in eids
-                if graph.events[e].kind == "commit"
-                and graph.events[e].t0 == best[0].t0
-            )
-            graph.add_edge(ceid, peid, "post")
-            caused.add(peid)
-    # any event still uncaused chains to its latest predecessor
-    ordered = sorted(eids, key=lambda e: (graph.events[e].t0, e))
-    for pos, eid in enumerate(ordered):
-        if eid == submit or eid in caused:
-            continue
-        prev = ordered[pos - 1] if pos > 0 else submit
-        if prev == eid:  # pragma: no cover - defensive
-            prev = submit
-        graph.add_edge(prev, eid, "follows")
-    graph.requests[key] = ordered
+        index.nodes[span.node].add(span)
+        if span.name in ("pio", "dma"):
+            rail = (span.args or {}).get("rail", "?")
+            index.busy[rail].append((span.t0, span.t1, rail))
+    for node in index.nodes.values():
+        for lane in node.lanes.values():
+            lane.seal()
+    return index
 
 
 # --------------------------------------------------------------------------- #
@@ -477,106 +371,126 @@ def attribute_requests(
     sends clearly happened (nothing to attribute is indistinguishable
     from nothing sent only in the no-traffic case).
     """
+    return _attribute(session, index_spans(session), node_id)
+
+
+def _attribute(
+    session: "Session", index: SpanIndex, node_id: Optional[int]
+) -> list[RequestAttribution]:
     engines = session.engines if node_id is None else [session.engine(node_id)]
     if not session.spans.enabled and any(
         e.counters["segments_submitted"] for e in engines
     ):
         raise BenchError("critical-path attribution needs a trace=True session")
-    out: list[RequestAttribution] = []
-    for engine in engines:
-        idx = _NodeIndex(session, engine.node_id)
-        for req in engine.sent_log:
-            if not req.done:
-                continue
-            out.append(_attribute_one(idx, engine.node_id, req))
+    out = [
+        _attribute_one(index.nodes[engine.node_id], engine.node_id, req)
+        for engine in engines
+        for req in engine.sent_log
+        if req.done
+    ]
     out.sort(key=lambda a: (a.submitted_at, a.node, a.seq))
     return out
 
 
 def _attribute_one(idx: _NodeIndex, node: int, req) -> RequestAttribution:
+    """Windows are built only from what names or overlaps the request, in
+    a fixed category order and span-id order within a category: ``order``
+    breaks priority ties, so that order decides blamed rails."""
     t0, t1 = req.submitted_at, req.completed_at
+    key = (req.peer, req.tag, req.seq)
     windows: list[_Window] = []
-    order = 0
 
-    def _add(w0: float, w1: float, category: str, rail: str, detail: str = "") -> None:
-        nonlocal order
-        windows.append(_Window(w0, w1, category, rail, order, detail))
-        order += 1
+    def _add(
+        w0: float, w1: float, category: str, span, detail: str = "", no_rail: str = ""
+    ) -> str:
+        rail = (span.args or {}).get("rail", no_rail)
+        windows.append(_Window(w0, w1, category, rail, len(windows), detail))
+        return rail
 
+    own_commits = idx.carriers["commit"].get(key, ())
+    own_pios = idx.carriers["pio"].get(key, ())
     rdv_id: Optional[int] = None
-    own_pios: list[Any] = []
-    own_commits: list[Any] = []
-    for entry in idx.commits:
-        rid = _carries(entry, req.tag, req.seq, req.peer)
-        if rid is None:
-            continue
-        own_commits.append(entry[0])
+    for _span, rid in (*own_commits, *own_pios):
         if rid >= 0:
             rdv_id = rid
-    for entry in idx.pios:
-        rid = _carries(entry, req.tag, req.seq, req.peer)
-        if rid is None:
-            args = entry[0].args or {}
-            _add(
-                entry[0].t0, entry[0].t1, "rail_contention",
-                args.get("rail", ""), "other pio",
-            )
-            continue
-        own_pios.append(entry[0])
-        args = entry[0].args or {}
-        _add(entry[0].t0, entry[0].t1, "pio_copy", args.get("rail", ""))
-        if rid >= 0:
-            rdv_id = rid
-    own_dmas: list[Any] = []
-    if rdv_id is not None:
-        for span in idx.dmas.get(rdv_id, []):
-            own_dmas.append(span)
-            args = span.args or {}
-            _add(span.t0, span.t1, "dma", args.get("rail", ""))
+    own = {span for span, _rid in (*own_commits, *own_pios)}
+    for span, _rid in own_pios:
+        _add(span.t0, span.t1, "pio_copy", span)
+    for span in idx.lanes["pio"].overlapping(t0, t1):
+        if span not in own:
+            _add(span.t0, span.t1, "rail_contention", span, "other pio")
+    own_dmas = idx.dmas.get(rdv_id, ())
+    for span in own_dmas:
+        _add(span.t0, span.t1, "dma", span)
     # aggregation wait: committing sweep reached this wrapper, wire not yet
-    for cspan in own_commits:
+    for cspan, _rid in own_commits:
         pio_t0 = min(
-            (p.t0 for p in own_pios if p.t0 >= cspan.t0), default=cspan.t1
+            (p.t0 for p, _rid in own_pios if p.t0 >= cspan.t0), default=cspan.t1
         )
         if pio_t0 > cspan.t0:
-            args = cspan.args or {}
-            _add(cspan.t0, pio_t0, "aggregation_wait", args.get("rail", ""))
+            _add(cspan.t0, pio_t0, "aggregation_wait", cspan)
     # failover: detected loss → relaunch of this request's data
-    if rdv_id is not None:
-        for span in idx.chunk_losses.get(rdv_id, []):
-            nxt = min((d.t0 for d in own_dmas if d.t0 >= span.t1), default=t1)
-            args = span.args or {}
-            _add(span.t1, nxt, "failover_retry", args.get("rail", ""), "chunk")
-    for span, leids, dst in idx.eager_losses:
-        if dst == req.peer and (req.tag, req.seq) in leids:
-            nxt = min((p.t0 for p in own_pios if p.t0 >= span.t1), default=t1)
-            args = span.args or {}
-            _add(span.t1, nxt, "failover_retry", args.get("rail", ""), "eager")
+    for span in idx.chunk_losses.get(rdv_id, ()):
+        nxt = min((d.t0 for d in own_dmas if d.t0 >= span.t1), default=t1)
+        _add(span.t1, nxt, "failover_retry", span, "chunk")
+    for span in idx.eager_losses.get(key, ()):
+        nxt = min((p.t0 for p, _rid in own_pios if p.t0 >= span.t1), default=t1)
+        _add(span.t1, nxt, "failover_retry", span, "eager")
     # background noise: other wrappers' commits, packet handling, idle polls
-    own_commit_ids = {id(c) for c in own_commits}
-    for entry in idx.commits:
-        if id(entry[0]) not in own_commit_ids:
-            args = entry[0].args or {}
-            _add(
-                entry[0].t0, entry[0].t1, "rail_contention",
-                args.get("rail", ""), "other commit",
-            )
-    for span in idx.handles:
-        args = span.args or {}
-        _add(span.t0, span.t1, "rail_contention", args.get("rail", ""), "handle")
+    for span in idx.lanes["commit"].overlapping(t0, t1):
+        if span not in own:
+            _add(span.t0, span.t1, "rail_contention", span, "other commit")
+    for span in idx.lanes["handle"].overlapping(t0, t1):
+        _add(span.t0, span.t1, "rail_contention", span, "handle")
     attribution = RequestAttribution(
         node=node, peer=req.peer, tag=req.tag, seq=req.seq,
-        size=req.payload.size, submitted_at=t0, completed_at=t1,
+        size=req.payload.size, submitted_at=t0,
+        first_commit_at=req.first_commit_at, completed_at=t1,
     )
-    for p0, p1, rail in idx.idle_polls:
-        _add(p0, p1, "idle_poll", rail)
-        d = max(0.0, min(p1, t1) - max(p0, t0))
-        if d > 0.0:
-            attribution.poll_tax_by_rail[rail] = (
-                attribution.poll_tax_by_rail.get(rail, 0.0) + d
-            )
+    tax = attribution.poll_tax_by_rail
+    for span in idx.lanes["poll"].overlapping(t0, t1):
+        rail = _add(span.t0, span.t1, "idle_poll", span, no_rail="?")
+        tax[rail] = tax.get(rail, 0.0) + (min(span.t1, t1) - max(span.t0, t0))
     attribution.segments = _partition(t0, t1, windows)
     return attribution
+
+
+def lifecycle_report(
+    session: "Session", node_id: Optional[int] = None
+) -> list[RequestAttribution]:
+    """The rows ``repro trace`` tabulates: :func:`attribute_requests`,
+    and ``[]`` for an untraced session (engines keep their request log —
+    and the poll spans the tax is computed from — only while tracing)."""
+    return attribute_requests(session, node_id) if session.spans.enabled else []
+
+
+def poll_tax_by_rail(rows: list[RequestAttribution]) -> dict[str, float]:
+    """Total idle-poll time attributed per rail across a report."""
+    out: dict[str, float] = {}
+    for row in rows:
+        for rail, us in row.poll_tax_by_rail.items():
+            out[rail] = out.get(rail, 0.0) + us
+    return out
+
+
+def lifecycle_table(
+    rows: list[RequestAttribution], title: str = "Request lifecycle"
+) -> Table:
+    """The coarse per-request view: total = queue + wire, poll tax per rail."""
+    rails = sorted({rail for r in rows for rail in r.poll_tax_by_rail})
+    table = Table(
+        ["node", "peer", "tag#seq", "bytes", "total us", "queue us", "wire us"]
+        + [f"poll {r} (us)" for r in rails],
+        title=title,
+        precision=2,
+    )
+    for r in rows:
+        table.add_row(
+            r.node, r.peer, f"{r.tag}#{r.seq}", r.size,
+            r.total_us, r.queue_us, r.wire_us,
+            *[r.poll_tax_by_rail.get(rail, 0.0) for rail in rails],
+        )
+    return table
 
 
 # --------------------------------------------------------------------------- #
@@ -688,39 +602,28 @@ class RailTimeline:
         }
 
 
-def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    merged: list[tuple[float, float]] = []
-    for a, b in sorted(intervals):
-        if merged and a <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-        else:
-            merged.append((a, b))
-    return merged
-
-
 def rail_timeline(session: "Session", bins: int = 24) -> RailTimeline:
     """Busy-fraction timeline per rail (PIO + DMA, all nodes merged)."""
+    return _bin_busy(index_spans(session).busy, bins)
+
+
+def _bin_busy(
+    busy: dict[str, list[tuple[float, float, str]]], bins: int
+) -> RailTimeline:
     if bins < 1:
         raise BenchError(f"bins must be >= 1, got {bins}")
-    busy: dict[str, list[tuple[float, float]]] = {}
-    t1 = 0.0
-    for span in session.spans:
-        if span.open or span.name not in ("pio", "dma"):
-            continue
-        rail = (span.args or {}).get("rail", "?")
-        busy.setdefault(rail, []).append((span.t0, span.t1))
-        t1 = max(t1, span.t1)
+    t1 = max((b for ivs in busy.values() for _a, b, _rail in ivs), default=0.0)
     timeline = RailTimeline(t0=0.0, t1=t1, bin_us=(t1 / bins) if t1 > 0 else 0.0)
     if t1 <= 0.0:
         return timeline
     width = t1 / bins
     for rail, intervals in busy.items():
-        merged = _merge_intervals(intervals)
+        merged = merge_intervals(intervals)
         util = []
         for i in range(bins):
             b0, b1 = i * width, (i + 1) * width
             occupied = sum(
-                max(0.0, min(b, b1) - max(a, b0)) for a, b in merged
+                max(0.0, min(b, b1) - max(a, b0)) for a, b, _rail in merged
             )
             util.append(occupied / width)
         timeline.utilization[rail] = util
@@ -795,7 +698,6 @@ class CriticalPathReport:
 
     attributions: list[RequestAttribution]
     timeline: RailTimeline
-    graph: CausalGraph
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -828,11 +730,7 @@ class CriticalPathReport:
         }
 
     def poll_tax_totals(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for attr in self.attributions:
-            for rail, us in attr.poll_tax_by_rail.items():
-                out[rail] = out.get(rail, 0.0) + us
-        return out
+        return poll_tax_by_rail(self.attributions)
 
     def verify(self, rel_tol: float = 1e-9) -> list[str]:
         """Invariant check: sum-to-total and connectivity, per request.
@@ -851,9 +749,6 @@ class CriticalPathReport:
                 )
             if not attr.connected():
                 problems.append(f"{label}: critical path is not a connected chain")
-            key = (attr.node, attr.peer, attr.tag, attr.seq)
-            if not self.graph.reachable(key):
-                problems.append(f"{label}: causal graph not reachable from submit")
         return problems
 
 
@@ -861,8 +756,8 @@ def analyze_session(
     session: "Session", node_id: Optional[int] = None, bins: int = 24
 ) -> CriticalPathReport:
     """Full critical-path analysis of one traced, finished session."""
+    index = index_spans(session)
     return CriticalPathReport(
-        attributions=attribute_requests(session, node_id),
-        timeline=rail_timeline(session, bins=bins),
-        graph=build_graph(session, node_id),
+        attributions=_attribute(session, index, node_id),
+        timeline=_bin_busy(index.busy, bins),
     )

@@ -268,20 +268,6 @@ SCHEMA: dict[str, MetricSpec] = {
             "live.total", "gauge", "1",
             "total units of the in-flight sweep, labelled by kind",
         ),
-        # critical-path attribution gauges (repro.obs.critical_path)
-        MetricSpec(
-            "critpath.category_us", "gauge", "us",
-            "critical-path microseconds attributed per category across the"
-            " analyzed requests, labelled by category",
-        ),
-        MetricSpec(
-            "critpath.rail_us", "gauge", "us",
-            "critical-path microseconds blamed on one rail, labelled per rail",
-        ),
-        MetricSpec(
-            "critpath.requests", "gauge", "1",
-            "send requests covered by the critical-path attribution",
-        ),
     )
 }
 

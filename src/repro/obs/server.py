@@ -3,12 +3,11 @@
 A :class:`MetricsPublisher` is the thread-safe mailbox between a running
 sweep (``repro bench run --serve`` / ``repro chaos --serve``) and HTTP
 scrapers: the runner publishes incremental snapshots — a metrics
-exposition, critical-path gauges, and ``live.*`` progress — and a
-:class:`LiveMetricsServer` (stdlib ``ThreadingHTTPServer``, no
-dependencies) serves the merged view:
+exposition and ``live.*`` progress — and a :class:`LiveMetricsServer`
+(stdlib ``ThreadingHTTPServer``, no dependencies) serves the merged view:
 
-* ``GET /metrics`` — OpenMetrics text (the PR 5 exposition plus
-  ``critpath.*`` and ``live.*`` families), always validator-clean;
+* ``GET /metrics`` — OpenMetrics text (the PR 5 exposition plus the
+  ``live.*`` families), always validator-clean;
 * ``GET /metrics.json`` — the raw snapshot plus run metadata;
 * ``GET /healthz`` — liveness probe.
 
@@ -23,13 +22,10 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 from .metrics import MetricsRegistry
 from .openmetrics import render_openmetrics
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .critical_path import CriticalPathReport
 
 __all__ = ["MetricsPublisher", "LiveMetricsServer", "OPENMETRICS_CONTENT_TYPE"]
 
@@ -63,23 +59,6 @@ class MetricsPublisher:
             self._live.gauge("live.total", kind=kind).set(total)
             self._updates.add()
 
-    def publish_critical_path(self, report: "CriticalPathReport") -> None:
-        """Expose a critical-path analysis as ``critpath.*`` gauges."""
-        from .critical_path import blame_by_rail, category_totals
-
-        totals = category_totals(report.attributions)
-        blame = {
-            rail: row["us"]
-            for rail, row in blame_by_rail(report.attributions).items()
-        }
-        with self._lock:
-            for cat, us in totals.items():
-                self._live.gauge("critpath.category_us", category=cat).set(us)
-            for rail, us in blame.items():
-                self._live.gauge("critpath.rail_us", rail=rail).set(us)
-            self._live.gauge("critpath.requests").set(len(report.attributions))
-            self._updates.add()
-
     def set_meta(self, **meta: Any) -> None:
         """Attach run metadata served on ``/metrics.json`` (merged)."""
         with self._lock:
@@ -87,7 +66,7 @@ class MetricsPublisher:
 
     # -- scraping (called from handler threads) ----------------------------
     def snapshot(self) -> dict[str, Any]:
-        """The merged base + live/critpath snapshot (a fresh copy)."""
+        """The merged base + live snapshot (a fresh copy)."""
         with self._lock:
             merged = dict(self._base)
             merged.update(self._live.snapshot())

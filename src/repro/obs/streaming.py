@@ -22,8 +22,8 @@ bounding record-time memory:
   for offline analysis.
 
 Sampling drops whole sweep subtrees coherently, and the critical-path
-attribution invariants (sum-to-total, contiguous chain, causal
-reachability — see :meth:`CriticalPathReport.verify
+attribution invariants (sum-to-total, contiguous chain — see
+:meth:`CriticalPathReport.verify
 <repro.obs.critical_path.CriticalPathReport.verify>`) hold for any span
 subset by construction, so a sampled trace still verifies clean; the
 property suite in ``tests/property/test_streaming_prop.py`` pins both

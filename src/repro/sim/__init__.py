@@ -4,7 +4,6 @@ Public surface:
 
 * :class:`~repro.sim.engine.Simulator` — deterministic event loop (time in µs).
 * :mod:`~repro.sim.process` — generator processes, :class:`Signal`, combinators.
-* :mod:`~repro.sim.resources` — counted :class:`Resource` and FIFO :class:`Store`.
 * :mod:`~repro.sim.flows` — max-min fair flow-level bandwidth sharing.
 * :mod:`~repro.sim.backend` — the two kernel backends (heap / native),
   selected via ``Simulator(backend=)`` or ``$REPRO_SIM_BACKEND``.
@@ -21,7 +20,6 @@ from .backend import (
 from .engine import EventHandle, ScheduleInPastError, SimulationError, Simulator
 from .flows import Flow, FlowError, FlowNetwork, Link, make_flow_network, max_min_rates
 from .process import AllOf, AnyOf, Process, ProcessError, Signal, Timeout, spawn
-from .resources import Resource, ResourceError, Store
 
 __all__ = [
     "Simulator",
@@ -35,9 +33,6 @@ __all__ = [
     "AnyOf",
     "ProcessError",
     "spawn",
-    "Resource",
-    "Store",
-    "ResourceError",
     "Link",
     "Flow",
     "FlowNetwork",

@@ -24,42 +24,40 @@ import json
 from typing import Any, Mapping
 
 from ..hardware.presets import PRESET_RAILS
-from ..hardware.spec import HostSpec, PlatformSpec, RailSpec
+from ..hardware.spec import PlatformSpec
 from .errors import ConfigError
 
 __all__ = ["platform_from_dict", "platform_from_json", "platform_to_json"]
 
 
-def _rail_from_dict(data: Mapping[str, Any]) -> RailSpec:
-    if "preset" in data:
-        preset_name = data["preset"]
-        base = PRESET_RAILS.get(preset_name)
-        if base is None:
-            raise ConfigError(
-                f"unknown rail preset {preset_name!r}; have {sorted(PRESET_RAILS)}"
-            )
-        overrides = dict(data.get("overrides", {}))
-        unknown = set(data) - {"preset", "overrides"}
-        if unknown:
-            raise ConfigError(
-                f"preset rail entry has unexpected keys {sorted(unknown)};"
-                " put spec fields under 'overrides'"
-            )
-        return base.replace(**overrides) if overrides else base
-    return RailSpec.from_dict(data)
+def _expand_preset(entry: Any) -> Any:
+    """A ``preset`` rail entry as the full rail dict it stands for (any
+    other entry as it is: :meth:`RailSpec.from_dict` judges it)."""
+    if not isinstance(entry, Mapping) or "preset" not in entry:
+        return entry
+    base = PRESET_RAILS.get(entry["preset"]) if isinstance(entry["preset"], str) else None
+    if base is None:
+        raise ConfigError(
+            f"unknown rail preset {entry['preset']!r}; have {sorted(PRESET_RAILS)}"
+        )
+    unknown = set(entry) - {"preset", "overrides"}
+    if unknown:
+        raise ConfigError(
+            f"preset rail entry has unexpected keys {sorted(unknown, key=str)};"
+            " put spec fields under 'overrides'"
+        )
+    overrides = entry.get("overrides", {})
+    if not isinstance(overrides, Mapping):
+        raise ConfigError(f"preset {entry['preset']}: 'overrides' must be a mapping")
+    return {**base.to_dict(), **overrides}
 
 
 def platform_from_dict(data: Mapping[str, Any]) -> PlatformSpec:
-    """Build a :class:`PlatformSpec` from a plain dict."""
-    try:
-        rails_data = data["rails"]
-    except KeyError:
-        raise ConfigError("platform config needs a 'rails' list") from None
-    if not isinstance(rails_data, (list, tuple)) or not rails_data:
-        raise ConfigError("'rails' must be a non-empty list")
-    rails = tuple(_rail_from_dict(r) for r in rails_data)
-    host = HostSpec.from_dict(data.get("host", {}))
-    return PlatformSpec(rails=rails, n_nodes=int(data.get("n_nodes", 2)), host=host)
+    """Build a :class:`PlatformSpec` from a plain dict: presets expanded
+    here, everything else parsed (and validated) by the spec itself."""
+    if isinstance(data, Mapping) and isinstance(data.get("rails"), (list, tuple)):
+        data = {**data, "rails": [_expand_preset(r) for r in data["rails"]]}
+    return PlatformSpec.from_dict(data)
 
 
 def platform_from_json(path: str) -> PlatformSpec:

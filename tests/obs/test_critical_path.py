@@ -1,20 +1,29 @@
-"""Critical-path attribution: invariants, Fig 6 reconciliation, overlay.
+"""Critical-path attribution: invariants, identity with the parent, scale.
 
 The central contract under test: every microsecond between a request's
 submit and its completion is charged to exactly one category, the charges
-sum to the request's total latency (no float drift beyond tolerance), the
-segments form one gap-free chain, and the causal graph that backs them is
-reachable from the submit event.  On the Fig 6 workload the idle-poll
-attribution must reproduce the lifecycle report's poll-tax numbers
-*exactly* — same spans, same overlap formula, so not even float slack.
+sum to the request's total latency (no float drift beyond tolerance) and
+the segments form one gap-free chain.  PR 21 rebuilt the analysis around
+one pass over the spans; ``TestParentIdentity`` holds every answer to the
+digests captured at the parent commit, ``TestOnePass`` shows by counting
+(windows per request, stream replays) that the work no longer grows with
+the length of the run; the partition's arithmetic on hand-built spans,
+no simulator in the loop, is in ``test_report.py``.
 """
 
+import json
 import math
+import pathlib
+import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro import Session, paper_platform
 from repro.bench import run_traced
-from repro.obs import to_chrome_trace, validate_chrome_trace
+from repro.obs import critical_path, to_chrome_trace, validate_chrome_trace
 from repro.obs.critical_path import (
     CATEGORIES,
     OVERLAY_TID,
@@ -23,13 +32,20 @@ from repro.obs.critical_path import (
     attribution_table,
     blame_by_rail,
     blame_table,
-    build_graph,
     category_totals,
     critical_path_trace_events,
     rail_timeline,
     timeline_table,
 )
-from repro.obs.report import lifecycle_report, poll_tax_by_rail
+from repro.obs.spans import SpanRecorder
+from repro.obs.streaming import StreamingTracer
+from repro.sim.backend import available_backends
+from tests.core.ask_first_capture import _flood
+from tests.obs import analysis_capture
+
+PARENT = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "analysis_parent.json").read_text()
+)
 
 
 @pytest.fixture(scope="module")
@@ -90,27 +106,80 @@ class TestInvariants:
         assert {a.node for a in both} == {0, 1}
 
 
+class TestParentIdentity:
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_every_answer_matches_the_parent_capture(self, backend, monkeypatch):
+        """``to_dict()``, the Chrome overlay and node 0's lifecycle table
+        (which the parent computed in a module of its own) of all eight
+        trace targets and four larger runs, byte for byte, on both kernels."""
+        monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
+        assert analysis_capture.capture() == PARENT
+
+
+def _flood_session(count):
+    sizes = random.Random(20).choices((8, 64, 512, 2048, 4096), k=count)
+    session = Session(paper_platform(), strategy="aggreg_multirail", trace=True)
+    _flood(session, sizes, window=32)
+    return session
+
+
+class TestOnePass:
+    """Linear, shown by counts: no clock in these tests."""
+
+    def test_windows_per_request_do_not_grow_with_the_run(self, monkeypatch):
+        partition, seen = critical_path._partition, []
+
+        def counting(t0, t1, windows):
+            seen.append(len(windows))
+            return partition(t0, t1, windows)
+
+        monkeypatch.setattr(critical_path, "_partition", counting)
+        means = []
+        for count in (500, 2000):
+            seen.clear()
+            assert len(attribute_requests(_flood_session(count))) == count
+            assert max(seen) < 32  # parent: 182 and 750, every span of the node
+            means.append(sum(seen) / len(seen))
+        assert means[1] == pytest.approx(means[0], rel=0.10)
+
+    def test_a_spilled_stream_is_replayed_once(self, tmp_path, monkeypatch):
+        replay, calls = StreamingTracer._replay, []
+
+        def counting(self):
+            calls.append(1)
+            return replay(self)
+
+        tracer = StreamingTracer(str(tmp_path / "spans.jsonl"), window=64)
+        session = run_traced("fig6", trace=tracer)
+        tracer.close()
+        monkeypatch.setattr(StreamingTracer, "_replay", counting)
+        streamed = analyze_session(session)
+        assert len(calls) == 1  # parent: 2 * nodes + 1
+        assert tracer.spilled > 0 and streamed.verify() == []
+        assert streamed.to_dict() == analyze_session(run_traced("fig6")).to_dict()
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, 12)), min_size=1, max_size=30
+        ),
+        st.integers(0, 50),
+        st.integers(0, 12),
+    )
+    def test_lane_returns_exactly_the_brute_force_overlap(self, spans, q0, length):
+        """Offloaded PIO copies overlap (an early span may outlast later
+        ones), and a hand-filled recorder need not be in start order."""
+        recorder = SpanRecorder(enabled=True)
+        for t0, dur in spans:
+            recorder.add(0, "rail:myri10g", "pio", "pio", float(t0), float(t0 + dur))
+        index = critical_path.index_spans(SimpleNamespace(spans=recorder))
+        lane = index.nodes[0].lanes["pio"]
+        q1 = q0 + length
+        assert lane.overlapping(q0, q1) == [
+            s for s in recorder if min(s.t1, q1) > max(s.t0, q0)
+        ]
+
+
 class TestFig6Reconciliation:
-    """The acceptance criterion: critical-path idle-poll attribution
-    reproduces the lifecycle report's Fig 6 poll-tax numbers exactly."""
-
-    def test_poll_tax_totals_match_lifecycle_exactly(
-        self, fig6_session, fig6_report
-    ):
-        lifecycle = lifecycle_report(fig6_session)
-        assert fig6_report.poll_tax_totals() == poll_tax_by_rail(lifecycle)
-
-    def test_poll_tax_matches_per_request(self, fig6_session, fig6_report):
-        rows = {
-            (r.node, r.peer, r.tag, r.seq): r for r in lifecycle_report(fig6_session)
-        }
-        assert len(rows) == len(fig6_report.attributions)
-        for attr in fig6_report.attributions:
-            row = rows[(attr.node, attr.peer, attr.tag, attr.seq)]
-            assert attr.poll_tax_by_rail == row.poll_tax_by_rail  # bit-exact
-            assert attr.total_us == row.total_us
-            assert attr.size == row.size
-
     def test_multirail_pays_idle_poll_on_both_rails(self, fig6_report):
         """Fig 6's point: with two rails, the idle NIC's mandatory polls
         tax the critical path even for requests that never touch it."""
@@ -118,32 +187,6 @@ class TestFig6Reconciliation:
         assert set(tax) == {"myri10g", "qsnet2"}
         assert all(us > 0.0 for us in tax.values())
         assert category_totals(fig6_report.attributions)["idle_poll"] > 0.0
-
-
-class TestCausalGraph:
-    def test_every_request_reachable_from_submit(self, fig6_session):
-        graph = build_graph(fig6_session)
-        assert graph.requests
-        for key in graph.requests:
-            assert graph.reachable(key)
-
-    def test_request_chain_has_expected_stages(self, fig6_session):
-        graph = build_graph(fig6_session)
-        kinds = {e.kind for e in graph.events}
-        assert {"submit", "commit", "pio", "complete"} <= kinds
-        for eids in graph.requests.values():
-            ordered = [graph.events[e] for e in eids]
-            assert ordered[0].kind == "submit"
-            assert ordered[-1].kind == "complete"
-            assert ordered == sorted(ordered, key=lambda e: (e.t0, e.eid))
-
-    def test_failover_graph_records_loss_and_retry(self, failover_session):
-        graph = build_graph(failover_session)
-        kinds = {e.kind for e in graph.events}
-        assert "chunk_lost" in kinds
-        assert "chunk_retry" in kinds
-        for key in graph.requests:
-            assert graph.reachable(key)
 
 
 class TestFailoverAttribution:

@@ -1,13 +1,19 @@
-"""Per-request lifecycle report: latency decomposition and the Fig 6
-idle-poll regression test."""
+"""Per-request lifecycle report — the coarse view of the attribution:
+latency decomposition, the Fig 6 idle-poll regression test, and the
+partition's arithmetic on hand-built spans."""
 
 from types import SimpleNamespace
 
 import pytest
 
 from repro import Session, run_pingpong
-from repro.obs import lifecycle_report, lifecycle_table, poll_tax_by_rail
-from repro.obs.spans import Span
+from repro.obs import (
+    attribute_requests,
+    lifecycle_report,
+    lifecycle_table,
+    poll_tax_by_rail,
+)
+from repro.obs.spans import SpanRecorder
 from repro.util.units import MB
 
 
@@ -83,11 +89,8 @@ class TestLifecycle:
 # --------------------------------------------------------------------- #
 # hand-built session: the Fig 6 idle-poll decomposition on known windows
 # --------------------------------------------------------------------- #
-def _idle_poll(sid, node, rail, t0, t1, pkts=0):
-    return Span(
-        sid, None, node, "pump", "poll", "pump",
-        t0, t1, args={"rail": rail, "pkts": pkts},
-    )
+def _poll(spans, node, rail, t0, t1, pkts=0):
+    spans.add(node, "pump", "poll", "poll", t0, t1, {"rail": rail, "pkts": pkts})
 
 
 def _request(seq, submitted_at, first_commit_at, completed_at, size=1024):
@@ -103,19 +106,12 @@ def _request(seq, submitted_at, first_commit_at, completed_at, size=1024):
     )
 
 
-class _FakeSpans:
-    def __init__(self, spans):
-        self._spans = list(spans)
-
-    def by_node(self, node):
-        return [s for s in self._spans if s.node == node]
-
-
 class _FakeSession:
-    """Just enough Session surface for lifecycle_report."""
+    """Just enough Session surface for the analysis: a real recorder
+    filled by hand, and the engines' request logs."""
 
     def __init__(self, spans, sent_logs_by_node):
-        self.spans = _FakeSpans(spans)
+        self.spans = spans
         self.engines = [
             SimpleNamespace(node_id=node, sent_log=log)
             for node, log in sorted(sent_logs_by_node.items())
@@ -126,23 +122,21 @@ class _FakeSession:
 
 
 class TestHandBuiltOverlap:
-    """Exact poll-tax arithmetic on fabricated windows — the numbers the
-    Fig 6 decomposition rests on, with no simulator in the loop."""
+    """Exact arithmetic on fabricated windows — the numbers the Fig 6
+    decomposition rests on, with no simulator in the loop."""
 
     def make_session(self):
         # request alive [10, 30]; polls overlap 2us (clipped head), 3us
         # (contained), 2us (clipped tail); one poll fully outside, one
         # poll that returned a packet (not idle) and must not count.
-        spans = [
-            _idle_poll(1, 0, "myri10g", 5.0, 12.0),   # overlap [10,12] = 2
-            _idle_poll(2, 0, "qsnet2", 15.0, 18.0),   # overlap = 3
-            _idle_poll(3, 0, "myri10g", 28.0, 35.0),  # overlap [28,30] = 2
-            _idle_poll(4, 0, "myri10g", 40.0, 45.0),  # outside -> 0
-            _idle_poll(5, 0, "qsnet2", 11.0, 13.0, pkts=1),  # busy poll -> 0
-            _idle_poll(6, 1, "myri10g", 10.0, 30.0),  # other node -> 0
-        ]
-        reqs = {0: [_request(0, 10.0, 14.0, 30.0)], 1: []}
-        return _FakeSession(spans, reqs)
+        spans = SpanRecorder(enabled=True)
+        _poll(spans, 0, "myri10g", 5.0, 12.0)   # overlap [10,12] = 2
+        _poll(spans, 0, "qsnet2", 15.0, 18.0)   # overlap = 3
+        _poll(spans, 0, "myri10g", 28.0, 35.0)  # overlap [28,30] = 2
+        _poll(spans, 0, "myri10g", 40.0, 45.0)  # outside -> 0
+        _poll(spans, 0, "qsnet2", 11.0, 13.0, pkts=1)  # busy poll -> 0
+        _poll(spans, 1, "myri10g", 10.0, 30.0)  # other node -> 0
+        return _FakeSession(spans, {0: [_request(0, 10.0, 14.0, 30.0)], 1: []})
 
     def test_poll_tax_exact_per_rail(self):
         rows = lifecycle_report(self.make_session(), node_id=0)
@@ -165,7 +159,8 @@ class TestHandBuiltOverlap:
         assert tax == pytest.approx({"myri10g": 7.0, "qsnet2": 3.0})
 
     def test_zero_width_overlap_not_charged(self):
-        spans = [_idle_poll(1, 0, "myri10g", 0.0, 10.0)]
+        spans = SpanRecorder(enabled=True)
+        _poll(spans, 0, "myri10g", 0.0, 10.0)
         reqs = {0: [_request(0, 10.0, 11.0, 12.0)]}  # poll ends as it starts
         rows = lifecycle_report(_FakeSession(spans, reqs), node_id=0)
         assert rows[0].poll_tax_by_rail == {}
@@ -181,3 +176,42 @@ class TestHandBuiltOverlap:
         assert table.rows == [[0, 1, "7#0", 1024, 20.0, 4.0, 16.0, 4.0, 3.0]]
         text = table.render()
         assert "poll myri10g (us)" in text and "7#0" in text
+
+    def test_partition_exact_chain(self):
+        """Known pio / other-pio / handle / idle-poll windows in, the
+        exact chain out: priorities, clipping at both ends, queueing as
+        the fallback, and two same-priority ties decided by span order."""
+        spans = SpanRecorder(enabled=True)
+        mine = {"dst": 1, "reqs": [[7, 0]]}
+        _poll(spans, 0, "myri10g", 5.0, 11.0)  # clipped head
+        spans.add(0, "pump", "commit", "commit", 11.0, 14.0, {"rail": "myri10g", **mine})
+        spans.add(0, "rail:myri10g", "pio", "pio", 12.0, 14.0, {"rail": "myri10g", **mine})
+        # someone else's copy, offloaded: in flight under and past ours
+        spans.add(
+            0, "rail:qsnet2", "pio", "pio", 13.0, 17.0,
+            {"rail": "qsnet2", "dst": 1, "reqs": [[7, 1]]},
+        )
+        # the later handle has the lower span id and wins [18, 19]
+        spans.add(0, "pump", "handle", "handle", 18.0, 21.0, {"rail": "qsnet2"})
+        spans.add(0, "pump", "handle", "handle", 16.0, 19.0, {"rail": "myri10g"})
+        _poll(spans, 0, "qsnet2", 21.0, 23.0)
+        _poll(spans, 0, "myri10g", 22.0, 24.0)  # loses [22, 23] to the poll above
+        _poll(spans, 0, "myri10g", 28.0, 35.0)  # clipped tail
+        _poll(spans, 0, "qsnet2", 40.0, 45.0)   # outside
+        session = _FakeSession(spans, {0: [_request(0, 10.0, 12.0, 30.0)]})
+        (attr,) = attribute_requests(session)
+        assert [(s.t0, s.t1, s.category, s.rail) for s in attr.segments] == [
+            (10.0, 11.0, "idle_poll", "myri10g"),
+            (11.0, 12.0, "aggregation_wait", "myri10g"),
+            (12.0, 14.0, "pio_copy", "myri10g"),
+            (14.0, 17.0, "rail_contention", "qsnet2"),   # other pio beats handle
+            (17.0, 18.0, "rail_contention", "myri10g"),
+            (18.0, 21.0, "rail_contention", "qsnet2"),
+            (21.0, 23.0, "idle_poll", "qsnet2"),
+            (23.0, 24.0, "idle_poll", "myri10g"),
+            (24.0, 28.0, "queueing", ""),
+            (28.0, 30.0, "idle_poll", "myri10g"),
+        ]
+        assert attr.attributed_us == attr.total_us == 20.0 and attr.connected()
+        # the tax counts every idle poll in flight, covered or not
+        assert attr.poll_tax_by_rail == {"myri10g": 5.0, "qsnet2": 2.0}

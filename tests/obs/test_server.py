@@ -5,9 +5,7 @@ import urllib.request
 
 import pytest
 
-from repro.bench import run_traced
 from repro.obs import MetricsRegistry
-from repro.obs.critical_path import analyze_session, category_totals
 from repro.obs.openmetrics import validate_openmetrics
 from repro.obs.server import (
     OPENMETRICS_CONTENT_TYPE,
@@ -54,18 +52,6 @@ class TestPublisher:
         snap = pub.snapshot()
         assert snap["engine.sweeps"] == 2
         assert "stale.key" not in snap
-
-    def test_publish_critical_path_exposes_gauges(self):
-        session = run_traced("fig6")
-        report = analyze_session(session)
-        pub = MetricsPublisher()
-        pub.publish_critical_path(report)
-        snap = pub.snapshot()
-        totals = category_totals(report.attributions)
-        for cat, us in totals.items():
-            assert snap[f"critpath.category_us{{category={cat}}}"] == us
-        assert snap["critpath.requests"] == len(report.attributions)
-        assert any(k.startswith("critpath.rail_us{") for k in snap)
 
     def test_meta_merges(self):
         pub = MetricsPublisher()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hardware.presets import MYRI_10G, paper_platform
+from repro.hardware.spec import TopologySpec
 from repro.util.config import platform_from_dict, platform_from_json, platform_to_json
 from repro.util.errors import ConfigError
 
@@ -31,6 +32,16 @@ def test_preset_with_overrides():
     )
     assert spec.rails[0].poll_cost_us == 1.5
     assert spec.rails[0].bw_MBps == MYRI_10G.bw_MBps
+
+
+def test_preset_override_takes_a_nested_topology():
+    """Overrides go through the same parser as a full rail (the parent
+    handed the dict to ``replace`` and died on ``topology.kind``)."""
+    topology = {"kind": "fat_tree", "radix": 4, "hosts": 2, "link_MBps": 1000.0}
+    spec = platform_from_dict(
+        {"n_nodes": 8, "rails": [{"preset": "myri10g", "overrides": {"topology": topology}}]}
+    )
+    assert spec.rails[0] == MYRI_10G.replace(topology=TopologySpec(**topology))
 
 
 def test_unknown_preset():
