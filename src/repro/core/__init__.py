@@ -1,7 +1,7 @@
 """The NewMadeleine engine: packets, matching, rendezvous, strategies,
 the NIC-driven core scheduler, and the session façade."""
 
-from .gate import Gate, Segment
+from .gate import Segment
 from .matching import ANY_SOURCE, MatchAction, MatchingTable, PostOutcome
 from .packet import DmaChunk, EagerEntry, PacketWrapper, Payload, RdvAck, RdvReq
 from .reassembly import ReassemblyBuffer
@@ -14,7 +14,6 @@ from .session import Session
 __all__ = [
     "Session",
     "NodeEngine",
-    "Gate",
     "Segment",
     "Payload",
     "PacketWrapper",

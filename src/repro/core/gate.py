@@ -1,9 +1,12 @@
-"""Gates and segments.
+"""Segments and the channels they are numbered on.
 
-A **gate** is NewMadeleine's name for a connection to one peer node; it
-owns the per-tag send sequence counters (the receiver reconstructs message
-order per ``(gate, tag)`` from these, which is what makes out-of-order
-multi-rail delivery safe).
+A **gate** — NewMadeleine's connection to one peer — has no object here:
+all it must remember is one counter per **channel**, a ``(peer, tag)``
+pair, on each side.  ``NodeEngine._seq_out`` numbers segments in submission
+order, :class:`~repro.core.matching.MatchingTable` numbers receives in
+posting order, and the nth send on a channel matches the nth receive —
+which is what makes out-of-order multi-rail delivery safe.  A channel is
+one table entry from its first use, nothing before.
 
 A **segment** is the scheduling unit: each ``pack()``/``isend()`` call
 submits one segment; the optimizing scheduler is free to aggregate several
@@ -13,13 +16,11 @@ segments into one packet or to split one segment into several chunks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from ..util.errors import ProtocolError
 from .packet import Payload
 from .request import SendRequest
 
-__all__ = ["Gate", "Segment"]
+__all__ = ["Segment"]
 
 
 @dataclass(slots=True)
@@ -39,31 +40,3 @@ class Segment:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Segment ->{self.dst_node} tag={self.tag} seq={self.seq} {self.size}B>"
-
-
-class Gate:
-    """Per-peer connection state on the sending side."""
-
-    __slots__ = ("local_node", "peer_node", "_seq_out", "segments_submitted", "bytes_submitted")
-
-    def __init__(self, local_node: int, peer_node: int):
-        if local_node == peer_node:
-            raise ProtocolError(f"gate to self (node {local_node})")
-        self.local_node = local_node
-        self.peer_node = peer_node
-        self._seq_out: dict[int, int] = {}
-        self.segments_submitted = 0
-        self.bytes_submitted = 0
-
-    def next_seq(self, tag: int) -> int:
-        """Allocate the next send sequence number for ``tag``."""
-        seq = self._seq_out.get(tag, 0)
-        self._seq_out[tag] = seq + 1
-        return seq
-
-    def note_submit(self, nbytes: int) -> None:
-        self.segments_submitted += 1
-        self.bytes_submitted += nbytes
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Gate {self.local_node}->{self.peer_node} segs={self.segments_submitted}>"

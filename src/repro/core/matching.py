@@ -1,7 +1,7 @@
 """Receive-side matching: (peer, tag, sequence) → posted receive.
 
 Sequence numbers are allocated independently on both sides — the sender
-numbers segments per ``(gate, tag)`` in submission order, the receiver
+numbers segments per ``(peer, tag)`` in submission order, the receiver
 numbers posted receives per ``(peer, tag)`` in posting order — so the nth
 send on a logical channel always matches the nth receive, no matter how
 packets were aggregated, split, reordered across rails, or delivered out

@@ -57,6 +57,9 @@ RETRY_CAP_US = 160.0
 #: re-probe interval while no usable rail has an idle DMA engine.
 RETRY_PARK_US = 25.0
 
+#: ``RdvManager._done_in`` before anything was retained (shared, immutable).
+_NO_KEYS: frozenset = frozenset()
+
 
 class RdvSendState:
     """Sender-side bookkeeping for one rendezvous."""
@@ -120,8 +123,8 @@ class RdvManager:
         self._out_done: dict[int, RdvSendState] = {}
         #: finished receive keys, retained only while faults are active so
         #: late/duplicate chunks are recognized and dropped.
-        self._done_in: set[tuple[int, int]] = set()
-        self._m_handshake = engine.session.metrics.histogram("engine.rdv.handshake_us")
+        self._done_in: "set[tuple[int, int]] | frozenset" = _NO_KEYS
+        self._m_handshake = engine.session.instruments.handshake_us
         self._m_rx_dropped = None  # fault.rx_dropped, resolved on first drop
         # statistics
         self.initiated = 0
@@ -334,6 +337,8 @@ class RdvManager:
         if state.buffer.complete:
             del self._in[key]
             if self.engine._faults is not None:
+                if self._done_in is _NO_KEYS:
+                    self._done_in = set()
                 self._done_in.add(key)
             state.request._deliver(state.buffer.assemble())
             return state.request

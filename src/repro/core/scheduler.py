@@ -39,7 +39,7 @@ from ..obs.metrics import Counters
 from ..obs.spans import TRACK_FAULTS, TRACK_PUMP, rail_track
 from ..sim.process import Process, spawn
 from ..util.errors import ApiError, ProtocolError
-from .gate import Gate, Segment
+from .gate import Segment
 from .matching import ANY_SOURCE, MatchAction, MatchingTable
 from .packet import DmaChunk, EagerEntry, Payload, PacketWrapper, RdvAck, RdvReq
 from .rendezvous import RdvManager
@@ -50,6 +50,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from .session import Session
 
 __all__ = ["NodeEngine"]
+
+#: ``NodeEngine._retrans`` of an engine that never lost a wrapper (shared,
+#: hence immutable; the pump only reads its truth value).
+_NO_RETRANS: Any = ()
 
 
 class NodeEngine:
@@ -73,8 +77,13 @@ class NodeEngine:
         self.strategy = strategy
         self.matching = MatchingTable()
         self.rdv = RdvManager(self)
-        self.gates: dict[int, Gate] = {}
+        #: next send sequence number per ``(peer, tag)`` channel, from its
+        #: first submit (the mirror of ``MatchingTable._recv_seq``)
+        self._seq_out: dict[tuple[int, int], int] = {}
         self.counters = Counters()
+        #: hot-path instruments, one set per session (sweeps, polls, commits
+        #: and parks are counted by their owners, the bag and the drivers)
+        self._inst = session.instruments
         self.spans = session.spans
         #: completion-observation sink: adaptive strategies opt in via
         #: ``wants_observations`` and then see every finished PIO post and
@@ -89,30 +98,13 @@ class NodeEngine:
         #: send requests issued by this node, kept only while span tracing
         #: is on (feeds the per-request lifecycle report).
         self.sent_log: list[SendRequest] = []
-        # hot-path instruments, resolved once (see obs.metrics.SCHEMA);
-        # sweeps, polls, commits and parks are counted by their owners —
-        # the bag above and the drivers — and published from those by
-        # Session.sync_kernel_metrics, not restated here
-        metrics = session.metrics
-        self._m_poll_idle_us = [
-            metrics.counter("engine.poll.idle_us", rail=d.name) for d in self.drivers
-        ]
-        self._m_commit_lat = [
-            metrics.histogram("engine.commit.latency_us", rail=d.name)
-            for d in self.drivers
-        ]
-        self._m_wrapper_bytes = [
-            metrics.histogram("engine.commit.wrapper_bytes", rail=d.name)
-            for d in self.drivers
-        ]
-        self._m_poll_gap = metrics.histogram("engine.commit.poll_gap_us")
-        self._m_window_depth = metrics.histogram("engine.window.depth")
         #: fault injector (set by FaultInjector; None = no faults active).
         self._faults = None
         #: entries from lost eager wrappers awaiting re-emission, FIFO:
         #: ``(dst_node, entry)`` pairs.  Served before the strategy is
-        #: consulted, on any usable rail the head entry fits.
-        self._retrans: Deque[tuple[int, Any]] = deque()
+        #: consulted, on any usable rail the head entry fits (made on
+        #: the first loss).
+        self._retrans: Deque[tuple[int, Any]] = _NO_RETRANS
         #: fault.retries instruments, resolved on first loss only so a
         #: fault-free session registers no fault metrics at all.
         self._m_fault_retries: Optional[list] = None
@@ -127,12 +119,6 @@ class NodeEngine:
     def driver(self, rail_index: int) -> "Driver":
         return self.drivers[rail_index]
 
-    def gate(self, peer_node: int) -> Gate:
-        gate = self.gates.get(peer_node)
-        if gate is None:
-            gate = self.gates[peer_node] = Gate(self.node_id, peer_node)
-        return gate
-
     # ------------------------------------------------------------------ #
     # collect layer entry points (called from application processes)
     # ------------------------------------------------------------------ #
@@ -142,11 +128,11 @@ class NodeEngine:
             raise ApiError(f"node {self.node_id}: send to self is not supported")
         if not 0 <= dst_node < self.platform.n_nodes:
             raise ApiError(f"no such node {dst_node}")
-        gate = self.gates.get(dst_node) or self.gate(dst_node)
-        seq = gate.next_seq(tag)
+        chan = (dst_node, tag)
+        seq = self._seq_out.get(chan, 0)
+        self._seq_out[chan] = seq + 1
         size = payload.size
         request = SendRequest(self.sim, dst_node, tag, seq, payload)
-        gate.note_submit(size)
         counts = self.counters.counts
         counts["segments_submitted"] += 1
         counts["bytes_submitted"] += size
@@ -238,6 +224,8 @@ class NodeEngine:
                     **pw.identity_args(),
                 },
             )
+        if self._retrans is _NO_RETRANS:
+            self._retrans = deque()
         for entry in pw.entries:
             self._retrans.append((pw.dst_node, entry))
         self.host.wake()
@@ -327,7 +315,7 @@ class NodeEngine:
         Eager sends sit in ``pw.send_requests``; a rendezvous send's first
         commit is the wrapper carrying its RDV_REQ control entry.
         """
-        lat = self._m_commit_lat[rail_idx]
+        lat = self._inst.commit_latency_us[rail_idx]
         for req in pw.send_requests:
             if req.first_commit_at is None:
                 req.first_commit_at = now
@@ -353,8 +341,8 @@ class NodeEngine:
         counts = self.counters.counts
         rails = [(idx, self.drivers[idx], self.drivers[idx].nic) for idx in self._order]
         n_rails = len(rails)
-        retrans = self._retrans
-        poll_idle_us = self._m_poll_idle_us
+        inst = self._inst
+        poll_idle_us = inst.poll_idle_us
         # --- parking: active-set scheduling ---------------------------
         # An idle pump blocks on the host's activity signal, at zero
         # cost in events, until a submit, a packet or a DMA release
@@ -364,7 +352,7 @@ class NodeEngine:
         # progress.  The extra no-progress sweep after a busy one always
         # runs: its in-flight polls are what drain packets arriving
         # mid-sweep at the historical timestamps.
-        idle = not (retrans or strategy.backlog)
+        idle = not (self._retrans or strategy.backlog)
         while not self._stopped:
             if idle:
                 # park unless a packet is already waiting on some NIC
@@ -437,6 +425,7 @@ class NodeEngine:
                 # a quiet strategy found every queue empty when last
                 # consulted and nothing was packed since: its answer is
                 # still None, so it is not asked (the decision is recorded)
+                retrans = self._retrans
                 quiet = strategy.quiet and not retrans
                 backlog = 0 if quiet else strategy.backlog
                 # failover retransmissions jump the strategy queue: these
@@ -480,9 +469,9 @@ class NodeEngine:
                 )
                 self._stamp_first_commits(pw, idx, post_t0)
                 wire_bytes = pw.wire_bytes
-                self._m_wrapper_bytes[idx].observe(wire_bytes)
-                self._m_poll_gap.observe(post_t0 - sweep_t0)
-                self._m_window_depth.observe(backlog)
+                inst.wrapper_bytes[idx].observe(wire_bytes)
+                inst.poll_gap_us.observe(post_t0 - sweep_t0)
+                inst.window_depth.observe(backlog)
                 cost = driver.post_eager(pw, copy_offloaded=offloaded)
                 counts["packets_committed"] += 1
                 if offloaded:

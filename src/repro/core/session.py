@@ -23,7 +23,7 @@ from typing import Any, Generator, Mapping, Optional
 
 from ..hardware.platform import Platform
 from ..hardware.spec import PlatformSpec
-from ..obs.metrics import Counters, MetricsRegistry
+from ..obs.metrics import Counters, EngineInstruments, MetricsRegistry
 from ..obs.spans import SpanRecorder
 from ..sim.engine import Simulator
 from ..sim.process import Process, spawn
@@ -110,6 +110,8 @@ class Session:
             self.spans = SpanRecorder(enabled=bool(trace))
         #: always-on counters/gauges/histograms (schema: repro.obs.metrics).
         self.metrics = MetricsRegistry()
+        #: what the pumps and :meth:`sync_kernel_metrics` write, resolved once
+        self.instruments = EngineInstruments(self.metrics, spec.rails)
         from .strategies.base import Strategy
 
         if isinstance(strategy, Strategy):
@@ -159,10 +161,11 @@ class Session:
     # access
     # ------------------------------------------------------------------ #
     def engine(self, node_id: int) -> NodeEngine:
-        try:
-            return self.engines[node_id]
-        except IndexError:
-            raise ConfigError(f"no node {node_id} (have {len(self.engines)})") from None
+        """One node's engine.  ``interface`` and ``counters`` come through
+        here, so this is where a negative id is refused, not wrapped."""
+        if not 0 <= node_id < len(self.engines):
+            raise ConfigError(f"no node {node_id} (have {len(self.engines)})")
+        return self.engines[node_id]
 
     def interface(self, node_id: int):
         """The collect-layer API of one node (cached per node)."""
@@ -203,24 +206,17 @@ class Session:
         at any probe point.
         """
         sim = self.sim
-        metrics = self.metrics
-        metrics.counter("engine.heap_compactions").value = sim.heap_compactions
-        metrics.gauge("engine.tombstone_ratio").set(sim.tombstone_ratio)
+        inst = self.instruments
+        inst.heap_compactions.value = sim.heap_compactions
+        inst.tombstone_ratio.set(sim.tombstone_ratio)
         health = self.active_health()
-        metrics.counter("engine.sweeps").value = health["total_sweeps"]
+        inst.sweeps.value = health["total_sweeps"]
         engines = list(self.engines.built())
-        for idx, rail in enumerate(self.spec.rails):
-            metrics.counter("engine.poll.count", rail=rail.name).value = sum(
-                e.drivers[idx].polls for e in engines
-            )
-            metrics.counter("engine.commit.count", rail=rail.name).value = (
-                metrics.histogram("engine.commit.wrapper_bytes", rail=rail.name).count
-            )
-        metrics.gauge("active.peak_nodes").set(health["peak_active_nodes"])
-        metrics.gauge("active.engines_built").set(health["engines_built"])
-        metrics.gauge("active.pump_parks").set(health["pump_parks"])
-        metrics.gauge("active.pump_wakeups").set(health["pump_wakeups"])
-        metrics.gauge("active.idle_skip_ratio").set(health["idle_skip_ratio"])
+        for idx, (polls, commits) in enumerate(zip(inst.poll_count, inst.commit_count)):
+            polls.value = sum(e.drivers[idx].polls for e in engines)
+            commits.value = inst.wrapper_bytes[idx].count
+        for gauge, field in inst.active:
+            gauge.set(health[field])
 
     # -- active-set accounting (called by the engine pumps) ---------------
     def _pump_started(self) -> None:

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Deque, Optional
 from ...util.errors import StrategyError
 from ..gate import Segment
 from ..packet import PacketWrapper
-from .base import Strategy
+from .base import NO_SEGMENTS, Strategy
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...drivers.base import Driver
@@ -41,8 +41,8 @@ class AggregMultirailStrategy(Strategy):
 
     def __init__(self) -> None:
         super().__init__()
-        self._small: Deque[Segment] = deque()
-        self._large: Deque[Segment] = deque()
+        self._small: Deque[Segment] = NO_SEGMENTS
+        self._large: Deque[Segment] = NO_SEGMENTS
         self._fastest_index: Optional[int] = None
         #: largest payload that is "small" (eager-eligible on the fastest
         #: rail); fixed at bind.
@@ -68,8 +68,12 @@ class AggregMultirailStrategy(Strategy):
     def pack(self, engine: "NodeEngine", segment: Segment) -> None:
         self.segments_packed += 1
         if segment.payload.size <= self._small_max:
+            if self._small is NO_SEGMENTS:
+                self._small = deque()
             self._small.append(segment)
         else:
+            if self._large is NO_SEGMENTS:
+                self._large = deque()
             self._large.append(segment)
         self.quiet = False
 

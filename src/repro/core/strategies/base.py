@@ -52,7 +52,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from ...drivers.base import Driver
     from ..scheduler import NodeEngine
 
-__all__ = ["Strategy"]
+__all__ = ["Strategy", "NO_SEGMENTS"]
+
+#: a submission queue nothing was packed into yet (shared, hence
+#: immutable): ``pack`` replaces it with a deque on first use, so an
+#: engine that never sends large segments never owns a large queue.
+NO_SEGMENTS: Deque[Segment] = ()  # type: ignore[assignment]
 
 
 class Strategy(ABC):

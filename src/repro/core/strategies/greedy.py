@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Deque, Optional
 
 from ..gate import Segment
 from ..packet import PacketWrapper
-from .base import Strategy
+from .base import NO_SEGMENTS, Strategy
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...drivers.base import Driver
@@ -39,10 +39,12 @@ class GreedyStrategy(Strategy):
 
     def __init__(self) -> None:
         super().__init__()
-        self._queue: Deque[Segment] = deque()
+        self._queue: Deque[Segment] = NO_SEGMENTS
 
     def pack(self, engine: "NodeEngine", segment: Segment) -> None:
         self.segments_packed += 1
+        if self._queue is NO_SEGMENTS:
+            self._queue = deque()
         self._queue.append(segment)
         self.quiet = False
 

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Deque, Optional, Union
 from ...util.errors import StrategyError
 from ..gate import Segment
 from ..packet import PacketWrapper
-from .base import Strategy
+from .base import NO_SEGMENTS, Strategy
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...drivers.base import Driver
@@ -39,7 +39,7 @@ class SingleRailStrategy(Strategy):
         super().__init__()
         self._rail_opt = rail
         self._rail_index: Optional[int] = None
-        self._queue: Deque[Segment] = deque()
+        self._queue: Deque[Segment] = NO_SEGMENTS
 
     # ------------------------------------------------------------------ #
     def bind(self, engine: "NodeEngine") -> None:
@@ -63,6 +63,8 @@ class SingleRailStrategy(Strategy):
     # ------------------------------------------------------------------ #
     def pack(self, engine: "NodeEngine", segment: Segment) -> None:
         self.segments_packed += 1
+        if self._queue is NO_SEGMENTS:
+            self._queue = deque()
         self._queue.append(segment)
         self.quiet = False
 

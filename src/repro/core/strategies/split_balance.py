@@ -9,8 +9,9 @@ over the first free one."
 
 Behaviour:
 
-* **small** segments — aggregated onto the lowest-latency rail, exactly
-  like :class:`~repro.core.strategies.aggreg_multirail.AggregMultirailStrategy`;
+* **small** segments — aggregated onto the lowest-latency rail: the
+  queues, the size cut and ``pack`` are inherited from
+  :class:`~repro.core.strategies.aggreg_multirail.AggregMultirailStrategy`;
 * **large** segments — when several DMA engines are idle, the segment is
   *stripped* into per-rail chunks sized by the sampling-derived bandwidth
   ratios (``ratio_mode="sampled"``), by a forced 50/50 split
@@ -26,13 +27,11 @@ Behaviour:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Deque, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from ...util.errors import StrategyError
-from ..gate import Segment
 from ..packet import PacketWrapper
-from .base import Strategy
+from .aggreg_multirail import AggregMultirailStrategy
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...drivers.base import Driver
@@ -44,7 +43,7 @@ __all__ = ["SplitBalanceStrategy"]
 _RATIO_MODES = ("sampled", "iso", "spec")
 
 
-class SplitBalanceStrategy(Strategy):
+class SplitBalanceStrategy(AggregMultirailStrategy):
     """Aggregate small on fastest rail; strip large across idle rails."""
 
     name = "split_balance"
@@ -68,30 +67,15 @@ class SplitBalanceStrategy(Strategy):
         self.ratio_mode = ratio_mode
         self.split_decision = split_decision
         self.min_chunk = min_chunk
-        self._small: Deque[Segment] = deque()
-        self._large: Deque[Segment] = deque()
-        self._fastest_index: Optional[int] = None
-        #: largest payload that is "small" (eager-eligible on the fastest
-        #: rail); fixed at bind.
-        self._small_max = -1
         self.splits_done = 0
         self.whole_sends = 0
 
     # ------------------------------------------------------------------ #
     def bind(self, engine: "NodeEngine") -> None:
         super().bind(engine)
-        fastest = min(engine.drivers, key=lambda d: d.latency_us)
-        self._fastest_index = fastest.rail_index
-        self._small_max = fastest.max_eager_payload
         if self.ratio_mode == "sampled" and engine.session.samples is None:
             # Degrade explicitly rather than silently mis-split.
             self.ratio_mode = "spec"
-
-    @property
-    def fastest_index(self) -> int:
-        if self._fastest_index is None:
-            raise StrategyError(f"strategy {self.name} not bound yet")
-        return self._fastest_index
 
     # -- transfer-time model ------------------------------------------------
     def _model(self, engine: "NodeEngine", driver: "Driver") -> tuple[float, float]:
@@ -160,17 +144,6 @@ class SplitBalanceStrategy(Strategy):
         return chunks
 
     # ------------------------------------------------------------------ #
-    # collect side
-    # ------------------------------------------------------------------ #
-    def pack(self, engine: "NodeEngine", segment: Segment) -> None:
-        self.segments_packed += 1
-        if segment.payload.size <= self._small_max:
-            self._small.append(segment)
-        else:
-            self._large.append(segment)
-        self.quiet = False
-
-    # ------------------------------------------------------------------ #
     # scheduling side
     # ------------------------------------------------------------------ #
     def try_and_commit(
@@ -221,7 +194,3 @@ class SplitBalanceStrategy(Strategy):
             self.packets_committed += 1
             return pw
         return None
-
-    @property
-    def backlog(self) -> int:
-        return len(self._small) + len(self._large)

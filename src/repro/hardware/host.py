@@ -8,8 +8,8 @@ PIO copy it performs naturally serializes with every other pump action on
 the same node — including PIO sends on *other* NICs, which is exactly why
 greedy multi-rail balancing does not help below the eager threshold.
 
-The I/O bus is modelled as one capacitated :class:`~repro.sim.flows.Link`
-per direction, shared by all NICs of the node; DMA flows cross it.
+The I/O bus is one capacitated :class:`~repro.sim.flows.Link` per direction,
+made on first use and shared by all NICs of the node; DMA flows cross it.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ class Host:
         self.sim = sim
         self.node_id = node_id
         self.spec = spec
-        #: I/O bus, one link per direction (DMA reads for TX, writes for RX).
-        self.bus_tx = Link(f"node{node_id}.bus.tx", spec.bus_MBps)
-        self.bus_rx = Link(f"node{node_id}.bus.rx", spec.bus_MBps)
+        self._bus_tx = self._bus_rx = None  # made on first read, like NIC links
         #: Fired whenever something happened that may let the engine make
         #: progress: a packet arrived on any local NIC, a local DMA drained,
         #: or the application submitted a request.
@@ -49,6 +47,21 @@ class Host:
         #: uses it to build the node's engine on demand (lazy engines),
         #: so a packet landing on a never-touched node still finds a pump.
         self.engine_hook = None
+
+    # -- I/O bus, one link per direction (DMA reads for TX, writes for RX)
+    @property
+    def bus_tx(self) -> Link:
+        link = self._bus_tx
+        if link is None:
+            link = self._bus_tx = Link(f"node{self.node_id}.bus.tx", self.spec.bus_MBps)
+        return link
+
+    @property
+    def bus_rx(self) -> Link:
+        link = self._bus_rx
+        if link is None:
+            link = self._bus_rx = Link(f"node{self.node_id}.bus.rx", self.spec.bus_MBps)
+        return link
 
     def attach_nic(self, nic: "NIC") -> None:
         self.nics.append(nic)

@@ -3,7 +3,7 @@
 A NIC owns:
 
 * one full-duplex pair of :class:`~repro.sim.flows.Link`\\ s (``tx_link`` /
-  ``rx_link``) capped at the rail's DMA bandwidth — DMA flows cross them;
+  ``rx_link``, made on first use) capped at the rail's DMA bandwidth;
 * a receive queue drained by the driver's ``poll()``;
 * a send-side **DMA engine** flag: one outstanding bulk (rendezvous)
   transmission at a time.  Eager/PIO sends do not use the DMA engine —
@@ -16,8 +16,7 @@ put/get track of Figure 1.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Any, Deque
+from typing import TYPE_CHECKING, Any
 
 from ..sim.engine import Simulator
 from ..sim.flows import Link
@@ -40,12 +39,14 @@ class NIC:
         self.rail_index = rail_index
         name = f"node{host.node_id}.{rail.name}"
         self.name = name
-        self.tx_link = Link(f"{name}.tx", rail.bw_MBps)
-        self.rx_link = Link(f"{name}.rx", rail.bw_MBps)
         #: arrived packets, oldest first.  The driver's poll and the
         #: pump's park test read its truth value directly — most polls
         #: find it empty — and call :meth:`drain_rx` only when it is not.
-        self.rx_queue: Deque[Any] = deque()
+        self.rx_queue: list[Any] = []
+        #: made by the first read of ``tx_link`` / ``rx_link``.  (Declared
+        #: here, not cached into ``__dict__`` later: touching an instance's
+        #: ``__dict__`` makes every later attribute read on it 3x slower.)
+        self._tx_link = self._rx_link = None
         #: True while a bulk transmission is in flight from this NIC;
         #: written only by :meth:`reserve_dma` / :meth:`release_dma`.
         self.dma_busy = False
@@ -62,6 +63,20 @@ class NIC:
         self.tx_dma_bytes = 0
         host.attach_nic(self)
 
+    @property
+    def tx_link(self) -> Link:
+        link = self._tx_link
+        if link is None:
+            link = self._tx_link = Link(f"{self.name}.tx", self.rail.bw_MBps)
+        return link
+
+    @property
+    def rx_link(self) -> Link:
+        link = self._rx_link
+        if link is None:
+            link = self._rx_link = Link(f"{self.name}.rx", self.rail.bw_MBps)
+        return link
+
     # -- receive side ----------------------------------------------------
     def deliver(self, packet: Any) -> None:
         """Called by the fabric/flow completion: a packet landed here."""
@@ -71,8 +86,7 @@ class NIC:
 
     def drain_rx(self) -> list[Any]:
         """Remove and return all queued received packets (driver poll)."""
-        out = list(self.rx_queue)
-        self.rx_queue.clear()
+        out, self.rx_queue = self.rx_queue, []
         return out
 
     @property

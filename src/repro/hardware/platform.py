@@ -53,19 +53,20 @@ class Platform:
     def n_rails(self) -> int:
         return self.spec.n_rails
 
+    def _node(self, node_id: int) -> int:
+        """``node_id``, checked — a negative one must not index from the end."""
+        if not 0 <= node_id < self.spec.n_nodes:
+            raise PlatformError(f"no node {node_id} (have {self.n_nodes})")
+        return node_id
+
     def host(self, node_id: int) -> Host:
-        try:
-            return self.hosts[node_id]
-        except IndexError:
-            raise PlatformError(f"no node {node_id} (have {self.n_nodes})") from None
+        return self.hosts[self._node(node_id)]
 
     def nic(self, rail_index: int, node_id: int) -> NIC:
         try:
-            return self._nics[rail_index][node_id]
+            return self._nics[rail_index][self._node(node_id)]
         except IndexError:
-            raise PlatformError(
-                f"no NIC for rail {rail_index}, node {node_id}"
-            ) from None
+            raise PlatformError(f"no rail {rail_index} (have {self.n_rails})") from None
 
     def fabric(self, rail_index: int) -> Fabric:
         try:
@@ -85,18 +86,19 @@ class Platform:
         """
         src_nic = self.nic(rail_index, src_node)
         dst_nic = self.nic(rail_index, dst_node)
-        path = [self.host(src_node).bus_tx, src_nic.tx_link]
+        path = [self.hosts[src_node].bus_tx, src_nic.tx_link]  # ids checked by nic()
         plan = self.topologies[rail_index]
         if plan is not None:
             links, _hops = plan.route(src_node, dst_node)
             path.extend(links)
         path.append(dst_nic.rx_link)
-        path.append(self.host(dst_node).bus_rx)
+        path.append(self.hosts[dst_node].bus_rx)
         return path
 
     def wire_latency_us(self, rail_index: int, src_node: int, dst_node: int) -> float:
         """One-way wire latency between two nodes on a rail: the rail's
         base ``lat_us`` plus any extra switch hops of its topology."""
+        src_node, dst_node = self._node(src_node), self._node(dst_node)
         rail = self.spec.rails[rail_index]
         plan = self.topologies[rail_index]
         if plan is None:

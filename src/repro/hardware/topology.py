@@ -13,8 +13,9 @@ is built.  A plan is deliberately lazy — O(active) in the scale-out sense:
 * inter-switch :class:`~repro.sim.flows.Link` objects are created on first
   use and shared by every route that crosses them (that sharing is what
   models uplink contention / oversubscription);
-* routes are computed on demand and cached per (src, dst) pair, so a
-  1024-node platform where only 8 pairs talk builds 8 routes, not ~10^6.
+* routes are computed on demand and cached per ordered pair of
+  *attachment switches* (every plan routes as a function of those), so a
+  1024-node platform where only 8 pairs talk builds ≤ 8 routes, not ~10^6.
 
 Routing is deterministic (pure arithmetic on node ids), which keeps event
 schedules — and therefore simulated results — reproducible across
@@ -61,6 +62,9 @@ class TopologyPlan:
     """Runtime routing/link state of one rail's switch topology."""
 
     kind = "?"
+    #: node ``i`` hangs off attachment switch ``i // hosts_per_switch`` (a
+    #: fat-tree edge, dragonfly router or rail-opt leaf); each plan sets it.
+    hosts_per_switch = 1
 
     def __init__(self, rail_name: str, topo: TopologySpec, n_nodes: int):
         self.rail_name = rail_name
@@ -68,7 +72,7 @@ class TopologyPlan:
         self.n_nodes = n_nodes
         #: lazily created inter-switch links, keyed by a route-stable name.
         self._links: dict[str, Link] = {}
-        #: (src, dst) -> (switch links crossed, switch-hop count).
+        #: (src switch, dst switch) -> (switch links crossed, hop count).
         self._routes: dict[tuple[int, int], tuple[tuple[Link, ...], int]] = {}
 
     # -- shared machinery --------------------------------------------------
@@ -85,9 +89,10 @@ class TopologyPlan:
 
         The returned links slot between the source NIC's TX link and the
         destination NIC's RX link in a DMA path; the hop count feeds
-        :meth:`extra_latency_us`.  Cached per ordered pair.
+        :meth:`extra_latency_us`.  Cached per ordered switch pair.
         """
-        key = (src, dst)
+        per = self.hosts_per_switch
+        key = (src // per, dst // per)
         out = self._routes.get(key)
         if out is None:
             out = self._routes[key] = self._route(src, dst)
@@ -132,7 +137,7 @@ class FatTreePlan(TopologyPlan):
 
     def __init__(self, rail_name: str, topo: TopologySpec, n_nodes: int):
         super().__init__(rail_name, topo, n_nodes)
-        self.hosts_per_edge = max(1, min(topo.hosts, topo.radix // 2))
+        self.hosts_per_switch = self.hosts_per_edge = max(1, min(topo.hosts, topo.radix // 2))
         self.n_edges = -(-n_nodes // self.hosts_per_edge)  # ceil
         self.n_spines = max(1, topo.radix // 2)
 
@@ -158,7 +163,7 @@ class DragonflyPlan(TopologyPlan):
 
     def __init__(self, rail_name: str, topo: TopologySpec, n_nodes: int):
         super().__init__(rail_name, topo, n_nodes)
-        self.hosts_per_router = topo.hosts
+        self.hosts_per_switch = self.hosts_per_router = topo.hosts
         self.routers_per_group = topo.routers
         per_group = self.hosts_per_router * self.routers_per_group
         need = -(-n_nodes // per_group)
@@ -212,7 +217,7 @@ class RailOptPlan(TopologyPlan):
 
     def __init__(self, rail_name: str, topo: TopologySpec, n_nodes: int):
         super().__init__(rail_name, topo, n_nodes)
-        self.hosts_per_leaf = topo.hosts
+        self.hosts_per_switch = self.hosts_per_leaf = topo.hosts
         self.n_leaves = -(-n_nodes // self.hosts_per_leaf)
 
     def _route(self, src: int, dst: int) -> tuple[tuple[Link, ...], int]:

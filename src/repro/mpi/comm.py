@@ -5,7 +5,7 @@ multi-rail engine (§4); this module is the reproduction's stand-in: ranks,
 communicators with isolated tag spaces, blocking generator helpers, and
 (in :mod:`repro.mpi.collectives`) tree/dissemination collectives.
 
-Because every communicator maps onto the *same* gates, segments from
+Because every communicator maps onto the *same* engines, segments from
 different communicators interleave in the engine's submission queues and
 can be aggregated into one physical packet — the paper's "data segments
 can be aggregated ... even if they belong to different logical channels
@@ -43,6 +43,9 @@ class Communicator:
         self.name = name
         self.comm_id = next(_comm_ids)
         self._endpoints: dict[int, CommEndpoint] = {}
+        #: user tag -> core tag, one int object per tag: every rank's
+        #: channel keys then share it instead of each keeping an equal copy
+        self._core_tags: dict[int, int] = {}
 
     @property
     def size(self) -> int:
@@ -62,9 +65,12 @@ class Communicator:
         return Communicator(self.session, name=name or f"{self.name}.dup")
 
     def _core_tag(self, user_tag: int) -> int:
-        if not 0 <= user_tag <= MAX_USER_TAG:
-            raise ApiError(f"tag {user_tag} out of range [0,{MAX_USER_TAG}]")
-        return (self.comm_id << TAG_BITS) | user_tag
+        tag = self._core_tags.get(user_tag)
+        if tag is None:
+            if not 0 <= user_tag <= MAX_USER_TAG:
+                raise ApiError(f"tag {user_tag} out of range [0,{MAX_USER_TAG}]")
+            tag = self._core_tags[user_tag] = (self.comm_id << TAG_BITS) | user_tag
+        return tag
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Communicator {self.name} size={self.size}>"

@@ -482,6 +482,50 @@ class Histogram:
         return f"<Histogram {self.full_name} n={self.count} mean={self.mean:.2f}>"
 
 
+class EngineInstruments:
+    """Every instrument the pumps and ``sync_kernel_metrics`` write,
+    resolved once per session.
+
+    All engines of a session report into the same per-rail instruments
+    (the registry keys them by name and labels), so one bundle serves
+    them all: an engine constructor does no registry look-up, and
+    publishing after a run does none either.  Per-rail lists are indexed
+    by rail index.
+    """
+
+    __slots__ = (
+        "poll_idle_us", "commit_latency_us", "wrapper_bytes", "poll_gap_us",
+        "window_depth", "handshake_us", "poll_count", "commit_count",
+        "heap_compactions", "tombstone_ratio", "sweeps", "active",
+    )
+
+    #: ``active.*`` gauge -> the ``Session.active_health`` field it shows
+    _ACTIVE = (
+        ("active.peak_nodes", "peak_active_nodes"),
+        ("active.engines_built", "engines_built"),
+        ("active.pump_parks", "pump_parks"),
+        ("active.pump_wakeups", "pump_wakeups"),
+        ("active.idle_skip_ratio", "idle_skip_ratio"),
+    )
+
+    def __init__(self, metrics: "MetricsRegistry", rails: Sequence):
+        def per_rail(make, name):
+            return [make(name, rail=rail.name) for rail in rails]
+
+        self.poll_idle_us = per_rail(metrics.counter, "engine.poll.idle_us")
+        self.commit_latency_us = per_rail(metrics.histogram, "engine.commit.latency_us")
+        self.wrapper_bytes = per_rail(metrics.histogram, "engine.commit.wrapper_bytes")
+        self.poll_gap_us = metrics.histogram("engine.commit.poll_gap_us")
+        self.window_depth = metrics.histogram("engine.window.depth")
+        self.handshake_us = metrics.histogram("engine.rdv.handshake_us")
+        self.poll_count = per_rail(metrics.counter, "engine.poll.count")
+        self.commit_count = per_rail(metrics.counter, "engine.commit.count")
+        self.heap_compactions = metrics.counter("engine.heap_compactions")
+        self.tombstone_ratio = metrics.gauge("engine.tombstone_ratio")
+        self.sweeps = metrics.counter("engine.sweeps")
+        self.active = [(metrics.gauge(name), field) for name, field in self._ACTIVE]
+
+
 def _label_key(labels: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 

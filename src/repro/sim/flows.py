@@ -78,6 +78,11 @@ class FlowError(SimulationError):
     """Raised on flow-network misuse."""
 
 
+#: ``Link.active_flows`` of a link no flow has crossed yet (shared, hence
+#: immutable); :meth:`FlowNetwork.start_flow` replaces it with a set.
+_NO_FLOWS: frozenset = frozenset()
+
+
 class Link:
     """A capacitated, work-conserving link.
 
@@ -97,7 +102,7 @@ class Link:
             )
         self.name = name
         self.capacity = float(capacity_MBps)
-        self.active_flows: set["Flow"] = set()
+        self.active_flows: "set[Flow] | frozenset[Flow]" = _NO_FLOWS
 
     @property
     def utilization(self) -> float:
@@ -276,7 +281,10 @@ class FlowNetwork:
             )
         self._flows[flow] = None
         for link in flow.path:
-            link.active_flows.add(flow)
+            if link.active_flows is _NO_FLOWS:
+                link.active_flows = {flow}
+            else:
+                link.active_flows.add(flow)
         self._reallocate(flow)
         return flow
 

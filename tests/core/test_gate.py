@@ -1,32 +1,24 @@
-"""Unit tests for gates and segments."""
+"""Unit tests for segments and the send side of the channel table."""
 
-import pytest
-
-from repro.core.gate import Gate, Segment
+from repro import Session, paper_platform
+from repro.core.gate import Segment
 from repro.core.packet import Payload
 from repro.core.request import SendRequest
 from repro.sim import Simulator
-from repro.util.errors import ProtocolError
 
 
 def test_seq_monotonic_per_tag():
-    gate = Gate(0, 1)
-    assert [gate.next_seq(5) for _ in range(3)] == [0, 1, 2]
-    assert gate.next_seq(6) == 0  # independent channel
-    assert gate.next_seq(5) == 3
+    """Send sequence numbers count per (peer, tag) channel, from zero."""
+    engine = Session(paper_platform(n_nodes=3), strategy="aggreg").engine(0)
 
+    def submit(peer, tag):
+        return engine.submit(peer, tag, Payload.virtual(1)).seq
 
-def test_gate_to_self_rejected():
-    with pytest.raises(ProtocolError):
-        Gate(2, 2)
-
-
-def test_note_submit_statistics():
-    gate = Gate(0, 1)
-    gate.note_submit(100)
-    gate.note_submit(50)
-    assert gate.segments_submitted == 2
-    assert gate.bytes_submitted == 150
+    assert [submit(1, 5) for _ in range(3)] == [0, 1, 2]
+    assert submit(1, 6) == 0  # independent channel: another tag
+    assert submit(2, 5) == 0  # independent channel: another peer
+    assert submit(1, 5) == 3
+    assert engine._seq_out == {(1, 5): 4, (1, 6): 1, (2, 5): 1}
 
 
 def test_segment_size():

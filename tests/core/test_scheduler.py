@@ -39,12 +39,12 @@ class TestSubmissionApi:
         with pytest.raises(ApiError):
             session.engine(0).post_recv(0, 1)
 
-    def test_gates_created_lazily_per_peer(self, session):
+    def test_channels_created_on_first_submit(self, session):
         engine = session.engine(0)
-        assert engine.gates == {}
+        assert engine._seq_out == {}
         engine.submit(1, 0, Payload.virtual(1))
-        assert list(engine.gates) == [1]
-        assert engine.gates[1].segments_submitted == 1
+        assert engine._seq_out == {(1, 0): 1}
+        assert engine.counters["segments_submitted"] == 1
 
 
 class TestPumpBehaviour:

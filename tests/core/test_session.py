@@ -25,6 +25,17 @@ def test_engine_accessor_error(plat2):
         Session(plat2).engine(7)
 
 
+def test_negative_node_ids_are_refused_not_wrapped():
+    """``-1`` used to answer with the last node — and cache a second
+    ``Interface`` for its engine under the key -1."""
+    session = Session(paper_platform(n_nodes=4))
+    for door in (session.engine, session.interface, session.counters):
+        with pytest.raises(ConfigError, match=r"^no node -1 \(have 4\)$"):
+            door(-1)
+    assert session.engines.built_count == 1 and session._interfaces == {}
+    assert session.engines[-1].node_id == 3  # the list keeps list semantics
+
+
 def test_interface_cached(plat2):
     session = Session(plat2)
     assert session.interface(0) is session.interface(0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from collections import deque
 
 import pytest
 
@@ -156,7 +157,7 @@ def test_retransmission_fits_exactly_at_the_eager_limit():
     limit, header = driver.max_eager_bytes, driver.spec.header_bytes
     exact = EagerEntry(3, 0, Payload.virtual(limit - header))
     empty = EagerEntry(3, 1, Payload.virtual(0))  # still needs a header: no room
-    engine._retrans.extend([(1, exact), (1, empty)])
+    engine._retrans = deque([(1, exact), (1, empty)])  # made on first loss
     pw = engine._build_retrans(driver)
     assert pw.entries == [exact]
     assert pw.wire_bytes == limit == _walked_wire_bytes(pw, driver.spec)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.hardware import Platform
 from repro.hardware.presets import paper_platform
+from repro.hardware.topology import rail_optimized_platform
 from repro.sim import Simulator
 from repro.util.errors import DriverError, PlatformError
 
@@ -31,6 +32,24 @@ class TestPlatform:
             platform.nic(5, 0)
         with pytest.raises(PlatformError):
             platform.fabric(7)
+
+    def test_negative_node_ids_are_refused_not_wrapped(self):
+        """``-1`` used to mean the last node: its host, its NIC, a phantom
+        uplink ``up.l-1`` made on the spot, a cached route for a node that
+        does not exist."""
+        platform = Platform(Simulator(), rail_optimized_platform(64))
+        for call in (
+            lambda: platform.host(-1),
+            lambda: platform.nic(0, -1),
+            lambda: platform.dma_path(0, -1, 40),
+            lambda: platform.dma_path(0, 40, -1),
+            lambda: platform.wire_latency_us(0, 0, 5000),
+            lambda: platform.wire_latency_us(0, -1, 3),
+        ):
+            with pytest.raises(PlatformError, match=r"^no node (-1|5000) \(have 64\)$"):
+                call()
+        assert platform.topologies[0].links_created == 0
+        assert platform.topologies[0].routes_cached == 0
 
     def test_dma_path_structure(self, platform):
         path = platform.dma_path(1, 0, 2)

@@ -85,6 +85,47 @@ def test_lazy_link_creation():
     assert plan.links_created == 2  # only the touched up/down pair
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        fat_tree_platform(64, radix=8),
+        fat_tree_platform(50, radix=32),
+        dragonfly_platform(64, routers_per_group=4, hosts_per_router=2),
+        dragonfly_platform(37),
+        rail_optimized_platform(64, group=8),
+        rail_optimized_platform(30, group=4),
+    ],
+    ids=lambda spec: f"{spec.rails[0].topology.kind}{spec.n_nodes}",
+)
+def test_switch_pair_cache_answers_like_a_direct_route(spec):
+    """Routes are cached per (switch of src, switch of dst); every ordered
+    node pair must still get the links and hop count its own ``_route``
+    computes — same names, same order, the very same link objects."""
+    cached, direct = _plan(spec), _plan(spec)
+    n = spec.n_nodes
+    for src in range(n):
+        for dst in range(n):
+            if src == dst:
+                continue
+            links, hops = cached.route(src, dst)
+            want_links, want_hops = direct._route(src, dst)
+            assert hops == want_hops
+            assert [l.name for l in links] == [l.name for l in want_links]
+            assert all(link is cached._links[link.name.split(".", 1)[1]] for link in links)
+    per = cached.hosts_per_switch
+    switches = -(-n // per)
+    assert cached.routes_cached <= switches * switches < n * (n - 1)
+    assert cached.links_created == direct.links_created
+
+
+def test_one_cross_leaf_pair_makes_two_links_and_one_route():
+    plan = _plan(rail_optimized_platform(64, group=8))
+    first = plan.route(0, 63)
+    assert plan.links_created == 2 and plan.routes_cached == 1
+    assert plan.route(7, 56) is first  # same two leaves: the identical answer
+    assert plan.links_created == 2 and plan.routes_cached == 1
+
+
 def test_oversubscription_shrinks_uplinks():
     fair = rail_optimized_platform(16, group=4, oversubscription=1.0)
     tight = rail_optimized_platform(16, group=4, oversubscription=4.0)

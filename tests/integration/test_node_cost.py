@@ -1,0 +1,110 @@
+"""What a node holds, as counts and bytes, not seconds.
+
+The rule (DESIGN.md §6 "What a node costs"): per-node state is *made on
+first use, shared when identical* — a node costs what it did, not what it
+might do.  Two deterministic measures of a finished collectives run, the
+session still alive: collector-tracked objects per node and
+``tracemalloc`` bytes per node.
+
+Eight ``multilane_allreduce`` + one ``multilane_barrier`` on
+``rail_optimized_platform(P)``, per node (objects / KB):
+
+    ======  ==============  ===========
+    P       parent (PR 21)  this tree
+    ======  ==============  ===========
+    64      85.6 / 22.1     51.1 / 12.7
+    256     90.3 / 23.4     50.3 / 13.1
+    1024    96.1 / 27.0     50.5 / 15.9
+    ======  ==============  ===========
+
+(native core; the heap core reads within 0.5 KB.)  The step at P = 1024 is
+one dict resize: 26 channels per node outgrow a 32-slot table.  The
+ceilings sit 10 % above the P = 256 row.
+"""
+
+import gc
+import tracemalloc
+
+import pytest
+
+from repro import Session
+from repro.core import rendezvous, scheduler
+from repro.core.strategies.base import NO_SEGMENTS
+from repro.hardware.topology import rail_optimized_platform
+from repro.mpi.collectives import multilane_allreduce, multilane_barrier
+from repro.mpi.comm import Communicator
+from repro.sim import flows
+from repro.sim.backend import available_backends
+
+OBJECTS_PER_NODE = 55.5
+BYTES_PER_NODE = 14_500
+
+
+def _collectives(n_nodes, backend):
+    """Run the workload; ``(session, tracked objects, traced bytes)`` per node."""
+    gc.collect()
+    tracemalloc.start()
+    objects_before = len(gc.get_objects())
+    bytes_before = tracemalloc.get_traced_memory()[0]
+    session = Session(
+        rail_optimized_platform(n_nodes), strategy="aggreg_multirail", backend=backend
+    )
+    comm = Communicator(session)
+    expected = [float(n_nodes * (n_nodes - 1) // 2)] * 8
+
+    def rank_body(rank):
+        ep = comm.endpoint(rank)
+        for _ in range(8):
+            assert (yield from multilane_allreduce(ep, [float(rank)] * 8)) == expected
+        yield from multilane_barrier(ep)
+
+    procs = [session.spawn(rank_body(r)) for r in range(n_nodes)]
+    session.run_until_idle()
+    assert all(p.done for p in procs)
+    del procs
+    gc.collect()
+    grown_bytes = tracemalloc.get_traced_memory()[0] - bytes_before
+    tracemalloc.stop()
+    grown_objects = len(gc.get_objects()) - objects_before
+    return session, grown_objects / n_nodes, grown_bytes / n_nodes
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_a_node_stays_under_its_object_and_byte_ceilings(backend):
+    _small, _objects64, bytes64 = _collectives(64, backend)
+    del _small
+    session, objects256, bytes256 = _collectives(256, backend)
+    assert session.engines.built_count == 256
+    assert objects256 <= OBJECTS_PER_NODE, f"{objects256:.1f} tracked objects per node"
+    assert bytes256 <= BYTES_PER_NODE, f"{bytes256:.0f} traced bytes per node"
+    # a per-node cost that grows with P is a per-pair table come back
+    assert abs(bytes256 - bytes64) <= 0.10 * bytes64, (
+        f"{bytes64:.0f} -> {bytes256:.0f} bytes per node"
+    )
+
+
+def test_a_node_nothing_talked_to_owns_no_container():
+    """Made on first use: an idle node has no flow set, no queue and no
+    ``Link`` — asserted by identity with the shared sentinels, so the next
+    eager ``deque()`` in a constructor fails here."""
+    session = Session(rail_optimized_platform(16), strategy="split_balance")
+    platform = session.platform
+    for node in range(16):
+        host = platform.host(node)
+        assert host._bus_tx is None and host._bus_rx is None
+        for rail in range(platform.n_rails):
+            nic = platform.nic(rail, node)
+            assert nic._tx_link is None and nic._rx_link is None
+            assert nic.rx_queue == [] and type(nic.rx_queue) is list
+    assert all(plan.links_created == 0 for plan in platform.topologies)
+    assert session.engines.built_count == 1  # node 0, built to validate the strategy
+    engine = session.engine(5)
+    assert engine._seq_out == {}
+    assert engine._retrans is scheduler._NO_RETRANS
+    assert engine.rdv._done_in is rendezvous._NO_KEYS
+    assert engine.strategy._small is NO_SEGMENTS and engine.strategy._large is NO_SEGMENTS
+    assert vars(engine.matching)["_recv_seq"] == {}
+    # ... and a link a path was built over, but no flow crossed, has no set
+    path = platform.dma_path(0, 5, 6)
+    assert all(link.active_flows is flows._NO_FLOWS for link in path)
+    assert path[1] is platform.nic(0, 5).tx_link is platform.nic(0, 5)._tx_link

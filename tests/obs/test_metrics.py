@@ -1,11 +1,16 @@
 """Unit tests for the metrics registry (counters, gauges, histograms)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro import Session, run_pingpong
 from repro.obs import SCHEMA, Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.metrics import render_labels
 from repro.util.units import MB
+
+from . import instruments_capture
 
 
 class TestHistogram:
@@ -227,3 +232,32 @@ class TestEngineMetrics:
         g.set(5)
         g.add(-2)
         assert g.value == 3
+
+
+class TestSessionInstruments:
+    """One bundle per session resolves every engine-side instrument."""
+
+    @pytest.mark.parametrize("scenario", sorted(instruments_capture.SCENARIOS))
+    def test_snapshot_equals_the_parent_capture(self, scenario):
+        """Same names, same values, same set as when every engine and every
+        ``sync_kernel_metrics`` looked its instruments up for itself."""
+        parent = json.loads(
+            (Path(__file__).parent / "data" / "instruments_parent.json").read_text()
+        )
+        session = instruments_capture.SCENARIOS[scenario]()
+        assert json.loads(json.dumps(session.metrics.snapshot())) == parent[scenario]
+
+    def test_engines_and_sync_do_no_registry_lookup(self, plat2, monkeypatch):
+        session = Session(plat2, strategy="aggreg_multirail")
+        lookups = []
+        monkeypatch.setattr(
+            MetricsRegistry, "_get",
+            lambda self, cls, name, labels, *args: lookups.append(name),
+        )
+        session.engine(1)
+        run_pingpong(session, 64, reps=2)
+        session.sync_kernel_metrics()
+        assert lookups == []
+        inst = session.instruments
+        assert session.engine(0)._inst is session.engine(1)._inst is inst
+        assert inst.commit_count[1].value == inst.wrapper_bytes[1].count > 0

@@ -187,6 +187,30 @@ class TestFlowNetwork:
         net.cancel_flow(flow)  # no exception
         assert flow.done
 
+    def test_link_flow_set_is_made_by_the_first_flow(self, sim):
+        """A link no flow crossed holds the shared empty sentinel; the first
+        flow gets the rate any other would, and leaves a real, empty set."""
+        net = FlowNetwork(sim)
+        fresh, shared = Link("fresh", 100.0), Link("shared", 300.0)
+        assert fresh.active_flows is shared.active_flows is flows_module._NO_FLOWS
+        assert fresh.utilization == 0.0
+        flow = net.start_flow([fresh, shared], 1000.0)
+        assert fresh.active_flows == {flow} and flow.rate == 100.0
+        other = net.start_flow([shared], 1000.0)
+        assert shared.active_flows == {flow, other} and other.rate == 200.0
+        sim.run_until_idle()
+        assert sim.now == pytest.approx(10.0)
+        assert fresh.active_flows == set() and type(fresh.active_flows) is set
+
+    def test_cancel_on_a_never_used_link_is_a_noop(self, sim):
+        net = FlowNetwork(sim)
+        link = Link("l", 100.0)
+        flow = net.start_flow([link], 0.0)  # zero bytes: never attached
+        net.cancel_flow(flow)
+        assert link.active_flows is flows_module._NO_FLOWS
+        sim.run_until_idle()
+        assert flow.done and net.completed_count == 1
+
     def test_transferred_accounting(self, sim):
         net = FlowNetwork(sim)
         link = Link("l", 100.0)
