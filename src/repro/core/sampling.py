@@ -24,6 +24,7 @@ whatever rails the platform declares, which is what makes the strategy
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
@@ -50,25 +51,25 @@ class RailSample:
 
     @classmethod
     def fit(cls, rail_name: str, points: Sequence[tuple[int, float]]) -> "RailSample":
-        """Least-squares fit of ``t = overhead + size/bw``."""
-        if len(points) < 2:
+        """Least-squares fit of ``t = overhead + size/bw`` (closed form about
+        the means; ``fsum`` makes it independent of the order of the points)."""
+        n = len(points)
+        if n < 2:
             raise ConfigError(f"rail {rail_name}: need >= 2 sample points")
-        # numpy's only user: imported here so that sessions which never
-        # sample (eager-only runs) do not pay its start-up time and memory.
-        import numpy as np
-
-        sizes = np.array([p[0] for p in points], dtype=float)
-        times = np.array([p[1] for p in points], dtype=float)
-        slope, intercept = np.polyfit(sizes, times, 1)
-        if slope <= 0:
-            raise ConfigError(
-                f"rail {rail_name}: non-increasing transfer times {points}"
-            )
+        mean_size = math.fsum(s for s, _ in points) / n
+        mean_time = math.fsum(t for _, t in points) / n
+        spread = math.fsum((s - mean_size) ** 2 for s, _ in points)
+        if spread == 0:
+            raise ConfigError(f"rail {rail_name}: all sample sizes are equal in {points}")
+        slope = math.fsum((s - mean_size) * (t - mean_time) for s, t in points) / spread
+        if not (slope > 0 and math.isfinite(slope)):
+            raise ConfigError(f"rail {rail_name}: times do not grow with size in {points}")
+        intercept = mean_time - slope * mean_size
         return cls(
             rail_name=rail_name,
             points=tuple((int(s), float(t)) for s, t in points),
-            overhead_us=float(max(intercept, 0.0)),
-            bw_MBps=float(1.0 / slope),
+            overhead_us=max(intercept, 0.0),
+            bw_MBps=1.0 / slope,
         )
 
     def predict_us(self, size: int) -> float:

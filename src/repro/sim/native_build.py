@@ -3,30 +3,27 @@
 ``_nativecore.c`` ships as source; this module compiles it with the host
 C toolchain the first time the native backend is requested and caches the
 shared object under ``~/.cache/repro-native/`` (override with
-``$REPRO_NATIVE_CACHE``) keyed by a hash of the source, the interpreter
-version and the compiler — a source edit or interpreter upgrade triggers
-a transparent rebuild, and concurrent builders (``--jobs`` workers) race
-benignly via atomic ``os.replace``.
+``$REPRO_NATIVE_CACHE``) keyed by the source and the interpreter version
+— a source edit or interpreter upgrade triggers a transparent rebuild,
+and concurrent builders (``--jobs`` workers) race benignly via atomic
+``os.replace``.  The cached file is looked for first: a warm load is a
+key, a ``stat`` and a ``dlopen``; only a build looks for a compiler and
+imports ``subprocess``, ``tempfile`` and ``sysconfig``.
 
 Everything degrades softly: no compiler, no Python headers, a failed
 compile or a failed import all make :func:`load_native_core` return
 ``None`` (cached for the process), and backend auto-selection falls back
 to the pure-Python heap core.  Set ``$REPRO_NATIVE_DISABLE=1`` to skip
-the toolchain probe entirely (used by tests and the CI leg that must
+the native core entirely (used by tests and the CI leg that must
 exercise the pure-Python core).
 """
 
 from __future__ import annotations
 
-import hashlib
-import importlib.util
 import os
-import shutil
-import subprocess
 import sys
-import sysconfig
-import tempfile
-from pathlib import Path
+import zlib
+from importlib.machinery import ExtensionFileLoader, ModuleSpec
 from typing import Optional
 
 __all__ = ["load_native_core", "native_cache_dir", "build_error"]
@@ -34,7 +31,7 @@ __all__ = ["load_native_core", "native_cache_dir", "build_error"]
 ENV_DISABLE = "REPRO_NATIVE_DISABLE"
 ENV_CACHE = "REPRO_NATIVE_CACHE"
 
-_SOURCE = Path(__file__).with_name("_nativecore.c")
+_SOURCE = os.path.join(os.path.dirname(__file__), "_nativecore.c")
 
 # Process-level memo: module object, or False after a failed attempt.
 _loaded: object = None
@@ -42,44 +39,50 @@ _loaded: object = None
 build_error: Optional[str] = None
 
 
-def native_cache_dir() -> Path:
-    env = os.environ.get(ENV_CACHE)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro-native"
+def native_cache_dir() -> str:
+    return os.environ.get(ENV_CACHE) or os.path.join(
+        os.path.expanduser("~"), ".cache", "repro-native"
+    )
+
+
+def _cache_key() -> str:
+    # the extension's ABI is the interpreter's: which compiler built it is
+    # not part of its identity, so a warm start does not look for one
+    with open(_SOURCE, "rb") as f:
+        source = f.read()
+    return f"{zlib.crc32(source + sys.version.encode()):08x}{len(source):08x}"
+
+
+def _load_from(path: str):
+    # the name must match the extension's PyInit__nativecore export
+    loader = ExtensionFileLoader("_nativecore", path)
+    mod = loader.create_module(ModuleSpec("_nativecore", loader, origin=path))
+    loader.exec_module(mod)
+    return mod
 
 
 def _find_cc() -> Optional[str]:
+    import shutil
+
     for cand in (os.environ.get("CC"), "cc", "gcc", "clang"):
         if cand and shutil.which(cand):
             return cand
     return None
 
 
-def _cache_key(cc: str) -> str:
-    h = hashlib.sha256()
-    h.update(_SOURCE.read_bytes())
-    h.update(sys.version.encode())
-    h.update(cc.encode())
-    return h.hexdigest()[:16]
+def _build(out: str) -> None:
+    cc = _find_cc()
+    if cc is None:
+        raise RuntimeError("no C compiler (cc/gcc/clang) on PATH")
+    import subprocess
+    import sysconfig
+    import tempfile
 
-
-def _load_from(path: Path):
-    # the name must match the extension's PyInit__nativecore export
-    spec = importlib.util.spec_from_file_location("_nativecore", path)
-    if spec is None or spec.loader is None:  # pragma: no cover - defensive
-        raise ImportError(f"cannot load {path}")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-def _build(cc: str, out: Path) -> None:
     include = sysconfig.get_path("include")
-    if not include or not (Path(include) / "Python.h").exists():
+    if not include or not os.path.exists(os.path.join(include, "Python.h")):
         raise RuntimeError(f"Python.h not found under {include!r}")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(out.parent), suffix=".so")
+    os.makedirs(os.path.dirname(out), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out), suffix=".so")
     os.close(fd)
     try:
         cmd = [
@@ -88,7 +91,7 @@ def _build(cc: str, out: Path) -> None:
             "-shared",
             "-fPIC",
             f"-I{include}",
-            str(_SOURCE),
+            _SOURCE,
             "-o",
             tmp,
         ]
@@ -118,14 +121,9 @@ def load_native_core():
         _loaded = False
         return None
     try:
-        if not _SOURCE.exists():
-            raise RuntimeError(f"{_SOURCE} missing")
-        cc = _find_cc()
-        if cc is None:
-            raise RuntimeError("no C compiler (cc/gcc/clang) on PATH")
-        so = native_cache_dir() / f"_nativecore-{_cache_key(cc)}.so"
-        if not so.exists():
-            _build(cc, so)
+        so = os.path.join(native_cache_dir(), f"_nativecore-{_cache_key()}.so")
+        if not os.path.exists(so):
+            _build(so)
         mod = _load_from(so)
         from .engine import ScheduleInPastError, SimulationError
 

@@ -35,6 +35,27 @@ class TestRailSampleFit:
         with pytest.raises(ConfigError):
             RailSample.fit("r", [(1000, 5.0), (2000, 4.0)])
 
+    @pytest.mark.parametrize("sizes", [(65536, 65536), (65536, 65536, 65536)])
+    def test_equal_sizes_rejected(self, sizes):
+        """No line goes through points of one size; numpy's minimum-norm
+        answer to that was a silently wrong table (1984 MB/s for a
+        1210 MB/s rail) and a ``RankWarning``."""
+        with pytest.raises(ConfigError, match="rail r: all sample sizes are equal"):
+            RailSample.fit("r", [(s, 66.0) for s in sizes])
+
+    def test_two_distinct_sizes_among_duplicates_still_fit(self):
+        points = linear_points(7.0, 500.0, sizes=(1000, 1000, 4000, 4000, 1000))
+        sample = RailSample.fit("r", points)
+        assert sample.overhead_us == pytest.approx(7.0)
+        assert sample.bw_MBps == pytest.approx(500.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_rejected(self, bad):
+        """``nan <= 0`` is false: a NaN point used to come back as a model
+        with ``overhead_us=nan, bw_MBps=nan``."""
+        with pytest.raises(ConfigError, match="rail x: .*nan|rail x: .*inf"):
+            RailSample.fit("x", [(10, bad), (20, 2.0)])
+
 
 class TestSampleTable:
     @pytest.fixture()
@@ -106,8 +127,26 @@ class TestSampleRails:
         with pytest.raises(ConfigError):
             sample_rails(paper_platform(), sizes=(65536,))
 
+    def test_one_size_twice_rejected(self):
+        with pytest.raises(ConfigError, match="myri10g: all sample sizes are equal"):
+            sample_rails(paper_platform(), sizes=(65536, 65536))
 
-def _run_in_fresh_interpreter(script: str) -> None:
+    def test_fitted_floats_within_1e12_of_the_numpy_fit(self, samples):
+        """The closed form replaced ``np.polyfit`` (PR 23); these are the
+        four floats numpy gave.  The move is in the last place and no
+        simulated result depends on it (``--sim-tol 0`` gate)."""
+        golden = {
+            "myri10g": (1210.000000000001, 11.898223140496114),
+            "qsnet2": (860.0000000000003, 18.750176079734057),
+        }
+        for rail, (bw, overhead) in golden.items():
+            assert samples.get(rail).bw_MBps == pytest.approx(bw, rel=1e-12, abs=0)
+            assert samples.get(rail).overhead_us == pytest.approx(
+                overhead, rel=1e-12, abs=0
+            )
+
+
+def _run_in_fresh_interpreter(script: str, **env_overrides: str) -> str:
     import os
     import subprocess
     import sys
@@ -116,40 +155,51 @@ def _run_in_fresh_interpreter(script: str) -> None:
     import repro
 
     src = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, **env_overrides)
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
-def test_eager_only_session_never_imports_numpy():
-    """The import-set guard.  numpy's one user is ``RailSample.fit``; the
-    ledger, the live endpoint, the pool runner and the CLI have users of
-    their own.  A session that samples nothing and records nothing must
-    pay for none of them (start-up time and resident memory): the package
-    façades resolve their re-exports on first use."""
+def test_a_run_loads_what_it_uses():
+    """The import-set guard.  Nothing under ``src/`` imports numpy (the
+    four-point line fit is arithmetic); the ledger, the live endpoint, the
+    pool runner and the CLI have users of their own, and the compiler
+    driver's standard library is needed only when the C core is not in the
+    cache yet.  A session — sampled or not — that records nothing pays for
+    none of them (start-up time and resident memory)."""
+    from repro.sim.backend import native_available
+
+    native_available()  # the cache is warm from here on
     _run_in_fresh_interpreter(
         "import sys\n"
-        "from repro import Session, paper_platform, run_pingpong\n"
+        "before = set(sys.modules)\n"
+        "import repro.core.session\n"
+        "ours = sorted(m for m in sys.modules if m.split('.')[0] == 'repro')\n"
+        "assert len(ours) <= 50, (len(ours), ours)\n"
+        "from repro import Session, paper_platform, run_pingpong, sample_rails\n"
         "session = Session(paper_platform(), strategy='aggreg_multirail')\n"
         "res = run_pingpong(session, 64, segments=2, reps=3, warmup=1)\n"
         "assert res.one_way_us > 0\n"
-        "assert 'numpy' not in sys.modules, 'numpy imported without sampling'\n"
-        "heavy = {'sqlite3', 'http.server', 'multiprocessing', 'argparse', 'repro.cli'}\n"
-        "assert not heavy & set(sys.modules), sorted(heavy & set(sys.modules))\n"
+        "sample_rails(paper_platform())\n"
+        "heavy = {'numpy', 'sqlite3', 'http.server', 'multiprocessing', 'argparse',\n"
+        "         'repro.cli',\n"
+        # what only a *build* of the C core needs; a warm load touches none
+        "         'hashlib', '_hashlib', 'subprocess', 'shutil', 'tempfile',\n"
+        "         'sysconfig', 'bz2', 'lzma', 'importlib.util', 'pathlib'}\n"
+        "loaded = heavy & (set(sys.modules) - before)\n"
+        "assert not loaded, sorted(loaded)\n"
         "ours = sorted(m for m in sys.modules if m.startswith('repro.'))\n"
         "allowed = {'repro.obs.metrics', 'repro.obs.spans', 'repro.bench.pingpong'}\n"
         "extra = [m for m in ours if m.startswith(('repro.obs.', 'repro.bench.'))\n"
         "         and m not in allowed]\n"
         "assert not extra, extra\n"
         "assert len(ours) <= 60, (len(ours), ours)\n"
-        "from repro import sample_rails\n"
-        "sample_rails(paper_platform())\n"
-        "assert 'numpy' in sys.modules  # the check above can fail\n"
         "from repro.obs import Ledger\n"
-        "assert 'sqlite3' in sys.modules  # so can these\n"
+        "assert 'sqlite3' in sys.modules  # the checks above can fail\n"
     )
 
 
