@@ -8,7 +8,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         ".pingpong": ("run_pingpong", "PingPongResult", "split_even", "BENCH_TAG"),
         ".flood": ("run_flood", "FloodResult"),
-        ".sweep": ("Curve", "SweepResult", "run_sweep", "sweep_table"),
+        ".sweep": ("Curve", "SweepResult", "sweep_table"),
         ".figures": ("FigureResult", "FIGURES", "run_figure"),
         ".reporting": ("report_figure", "report_table", "write_reports"),
         ".ablations": (

@@ -47,10 +47,6 @@ class PingPongResult:
     def bandwidth_MBps(self) -> float:
         return bandwidth_MBps(self.total_size, self.one_way_us)
 
-    @property
-    def rtt_us(self) -> float:
-        return 2.0 * self.one_way_us
-
 
 def split_even(total: int, parts: int) -> list[int]:
     """Split ``total`` bytes into ``parts`` near-equal segment sizes.

@@ -14,7 +14,7 @@ from typing import Literal, Optional
 from ..util.errors import BenchError
 from .sweep import SweepResult
 
-__all__ = ["peak", "value_at", "speedup_series", "find_crossover", "dominance_share"]
+__all__ = ["peak", "value_at", "speedup_series", "find_crossover"]
 
 Metric = Literal["latency", "bandwidth"]
 
@@ -87,11 +87,3 @@ def find_crossover(
         if all(g > margin for _s, g in series[i:]):
             return size
     return None
-
-
-def dominance_share(
-    sweep: SweepResult, subject: str, baseline: str, metric: Metric = "bandwidth"
-) -> float:
-    """Fraction of measured sizes at which the subject wins."""
-    series = speedup_series(sweep, subject, baseline, metric)
-    return sum(1 for _s, g in series if g > 1.0) / len(series)

@@ -25,7 +25,6 @@ __all__ = [
     "sweep_points",
     "measure_point",
     "collect_sweep",
-    "run_sweep",
     "sweep_table",
 ]
 
@@ -104,18 +103,6 @@ def collect_sweep(
     # drop sizes skipped by every curve; keep ragged starts otherwise
     out.sizes = [s for s in out.sizes if any(s in out.results[l] for l in labels)]
     return out
-
-
-def run_sweep(
-    curves: Sequence[Curve],
-    sizes: Sequence[int],
-    reps: int = 3,
-    warmup: int = 1,
-) -> SweepResult:
-    """Measure every curve at every size (fresh session per point)."""
-    points = sweep_points(curves, sizes)
-    measured = [measure_point(curve, size, reps, warmup) for curve, size in points]
-    return collect_sweep(curves, sizes, points, measured)
 
 
 def sweep_table(

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Optional
 from ..obs.spans import TRACK_FAULTS
 from ..util.errors import ProtocolError
 from .gate import Segment
-from .packet import DmaChunk, Payload, RdvAck, RdvReq
+from .packet import DmaChunk, RdvAck, RdvReq
 from .reassembly import ReassemblyBuffer
 from .request import RecvRequest
 
@@ -171,14 +171,11 @@ class RdvManager:
             raise ProtocolError(f"duplicate RDV_ACK for request {ack.req_id}")
         state.acked = True
         seg = state.segment
-        faults = self.engine._faults
+        faulted = self.engine.session.faults is not None
         cost = 0.0
         for rail_index, offset, length in state.chunks:
             drv = self.engine.driver(rail_index)
             chunk_payload = seg.payload.slice(offset, length)
-            on_lost = None
-            if faults is not None:
-                on_lost = self._make_on_lost(state, rail_index, offset, length)
             cost += drv.start_dma(
                 dst_node=seg.dst_node,
                 req_id=state.req_id,
@@ -186,7 +183,7 @@ class RdvManager:
                 payload=chunk_payload,
                 delay=cost,
                 on_drain=lambda _f, s=state, r=rail_index, o=offset: self._chunk_drained(s, r, o),
-                on_lost=on_lost,
+                on_lost=self._make_on_lost(state, rail_index, offset, length) if faulted else None,
             )
         return cost
 
@@ -206,7 +203,7 @@ class RdvManager:
             return
         state.completed = True
         del self._out[state.req_id]
-        if self.engine._faults is not None:
+        if self.engine.session.faults is not None:
             self._out_done[state.req_id] = state
         now = self.engine.sim.now
         self._m_handshake.observe(now - state.started_at)
@@ -336,7 +333,7 @@ class RdvManager:
             return None
         if state.buffer.complete:
             del self._in[key]
-            if self.engine._faults is not None:
+            if self.engine.session.faults is not None:
                 if self._done_in is _NO_KEYS:
                     self._done_in = set()
                 self._done_in.add(key)

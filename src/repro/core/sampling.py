@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..util.errors import ConfigError
 from ..util.units import KB, MB
@@ -118,17 +118,6 @@ class SampleTable:
         if not names:
             raise ConfigError("best_rail over an empty rail set")
         return min(names, key=lambda n: self.predict_us(n, size))
-
-    def split_predict_us(
-        self, rail_names: Sequence[str], size: int, ratios: Optional[Mapping[str, float]] = None
-    ) -> float:
-        """Predicted completion of ``size`` bytes stripped across rails.
-
-        Completion is the slowest chunk: ``max_i(O_i + r_i*size/B_i)``.
-        """
-        names = list(rail_names)
-        r = dict(ratios) if ratios is not None else self.ratios(names)
-        return max(self.predict_us(n, int(round(r[n] * size))) for n in names)
 
     def __repr__(self) -> str:  # pragma: no cover
         parts = ", ".join(

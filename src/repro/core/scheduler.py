@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Any, Deque, Optional
 
 from ..drivers.registry import make_driver
 from ..obs.metrics import Counters
-from ..obs.spans import TRACK_FAULTS, TRACK_PUMP, rail_track
+from ..obs.spans import TRACK_FAULTS, TRACK_PUMP
 from ..sim.process import Process, spawn
 from ..util.errors import ApiError, ProtocolError
 from .gate import Segment
@@ -92,14 +92,16 @@ class NodeEngine:
         self._observer = (
             strategy if getattr(strategy, "wants_observations", False) else None
         )
+        faults = session.faults
         for drv in self.drivers:
             drv.spans = self.spans
             drv.observer = self._observer
+            if faults is not None:
+                drv.faults = faults
+                drv.health = faults.detected_health(drv.rail_index)
         #: send requests issued by this node, kept only while span tracing
         #: is on (feeds the per-request lifecycle report).
         self.sent_log: list[SendRequest] = []
-        #: fault injector (set by FaultInjector; None = no faults active).
-        self._faults = None
         #: entries from lost eager wrappers awaiting re-emission, FIFO:
         #: ``(dst_node, entry)`` pairs.  Served before the strategy is
         #: consulted, on any usable rail the head entry fits (made on
@@ -338,6 +340,7 @@ class NodeEngine:
         host = self.host
         strategy = self.strategy
         observer = self._observer
+        faulted = session.faults is not None
         counts = self.counters.counts
         rails = [(idx, self.drivers[idx], self.drivers[idx].nic) for idx in self._order]
         n_rails = len(rails)
@@ -414,7 +417,7 @@ class NodeEngine:
                 progressed = True
             # --- commit phase (one wrapper per driver per sweep) -------
             for idx, driver, nic in rails:
-                if self._faults is not None and not driver.usable:
+                if faulted and not driver.usable:
                     # detected-down rail: never consulted, never posted to
                     continue
                 if nic.tx_busy_until > sim.now:

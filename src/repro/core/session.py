@@ -134,6 +134,14 @@ class Session:
                 engine.stop()
             return engine
 
+        #: the fault injector, or None (no plan, or an empty one): the one
+        #: handle of the fault layer.  It exists before any engine does — an
+        #: engine reads it, and each rail's detected health, when it is built.
+        self.faults = None
+        if faults is not None and not faults.empty:
+            from ..faults.injector import FaultInjector
+
+            self.faults = FaultInjector(self, faults)
         #: engines are built lazily: touching ``engines[i]`` (or asking
         #: for an interface) constructs node *i*'s engine; a packet
         #: landing on a never-touched node builds it via the host's
@@ -146,16 +154,6 @@ class Session:
         # the constructor, not the first lazy touch.
         self.engines[0]
         self._interfaces: dict[int, Any] = {}
-        #: fault injector, or None — the only state the fault subsystem
-        #: adds to a fault-free session (hot paths check engine/driver
-        #: attributes the injector sets when attaching).
-        self.faults = None
-        if faults is not None and not faults.empty:
-            from ..faults.injector import FaultInjector
-
-            # the injector walks every engine to attach its hooks, which
-            # materializes the whole list — fault runs are small shapes.
-            self.faults = FaultInjector(self, faults)
 
     # ------------------------------------------------------------------ #
     # access

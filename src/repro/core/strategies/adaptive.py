@@ -105,17 +105,6 @@ class RailEstimator:
             self.n_pio_obs += 1
         return rate
 
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "n_obs": self.n_obs,
-            "n_pio_obs": self.n_pio_obs,
-            "bw_MBps": self.bw_MBps,
-            "bw_min": self.bw_min,
-            "bw_max": self.bw_max,
-            "pio_MBps": self.pio_MBps,
-            "last_end_us": self.last_end_us,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<RailEstimator n={self.n_obs} bw={self.bw_MBps}>"
 
@@ -244,10 +233,6 @@ class FeedbackStrategy(SplitBalanceStrategy):
             return tuple(1.0 / len(weights) for _ in weights)
         return tuple(w / total for w in weights)
 
-    def window_stats(self) -> dict[int, dict[str, Any]]:
-        """Per-rail estimator windows (introspection / adaptive.* docs)."""
-        return {idx: est.snapshot() for idx, est in sorted(self._est.items())}
-
     # -- observation sink --------------------------------------------------
     def observe(
         self, rail_index: int, kind: str, nbytes: int, start_us: float, end_us: float
@@ -368,9 +353,6 @@ class TournamentStrategy(Strategy):
     @property
     def active_strategy(self) -> Strategy:
         return self._candidates[self._active]
-
-    def candidate_names(self) -> list[str]:
-        return [c.name for c in self._candidates]
 
     def scores(self) -> dict[str, Optional[float]]:
         return {c.name: s for c, s in zip(self._candidates, self._scores)}

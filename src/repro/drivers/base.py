@@ -15,9 +15,19 @@ tracks):
   flow across the I/O bus and NIC links.  Costs only the descriptor post
   plus DMA setup; the transfer itself overlaps with everything.
 
+There is one wire of each kind, for faulted and fault-free runs alike:
+:meth:`post_eager` hands every wrapper to
+:meth:`Fabric.transmit <repro.hardware.wire.Fabric.transmit>` and
+:meth:`start_dma` starts every chunk with ``FlowNetwork.start_flow`` —
+route, latency (rail, switch hops, the rail's current degradation) and
+destination NIC are decided there.  A fault injector (``Driver.faults``,
+the session's one handle, given by the engine that builds the driver
+along with the rail's detected ``health``) adds only its verdict on the
+packet when it leaves and when it lands; without one that is a single
+``is None`` test per post and per launch.
+
 Concrete drivers (:mod:`repro.drivers.mx`, ``elan``, ``sisci``, ``tcp``)
-give each network API its personality via their default
-:class:`~repro.hardware.spec.RailSpec` and small behavioural overrides.
+name the network API each preset rail speaks.
 """
 
 from __future__ import annotations
@@ -67,13 +77,14 @@ class Driver:
         #: ``wants_observations``, else None — static strategies pay one
         #: ``is None`` check per DMA drain and nothing more).
         self.observer = None
-        #: fault injector of the owning session; None when no faults are
-        #: scheduled (the common case — every hook below is one ``is
-        #: None`` check, keeping the fault layer zero-cost when inactive).
+        #: the session's fault injector (``Session.faults``), given by the
+        #: owning engine when it builds this driver; None when no faults
+        #: are scheduled — one ``is None`` test per post and per launch.
         self.faults = None
         #: *detected* health of this rail: "up" | "degraded" | "down".
-        #: Driven by the fault injector's detection events, which trail
-        #: the physical state by the plan's detection delay.
+        #: Starts at what the injector has detected when the driver is
+        #: built, then follows its detection events, which trail the
+        #: physical state by the plan's detection delay.
         self.health = "up"
 
     # ------------------------------------------------------------------ #
@@ -159,11 +170,6 @@ class Driver:
         """
         return self.spec.post_cost_us, pw.wire_bytes / self.spec.pio_MBps
 
-    def eager_cost(self, pw: PacketWrapper) -> float:
-        """CPU cost of posting + PIO-copying ``pw`` (without sending)."""
-        post, copy = self.eager_cost_parts(pw)
-        return post + copy
-
     def post_eager(self, pw: PacketWrapper, copy_offloaded: bool = False) -> float:
         """Emit ``pw``; returns the CPU cost the pump must charge.
 
@@ -194,10 +200,12 @@ class Driver:
         self.nic.tx_eager_packets += 1
         self.nic.tx_eager_bytes += size
         self.nic.tx_busy_until = now + post + copy
-        if self.faults is None:
-            self.fabric.transmit(self.node_id, pw.dst_node, pw, send_done_delay=post + copy)
-        else:
-            self.faults.transmit_eager(self, pw, send_done_delay=post + copy)
+        # one wire.  An injector's verdict at the post is the guard the
+        # fabric calls at the far end, or None: lost here, nothing to carry
+        faults = self.faults
+        lands = None
+        if faults is None or (lands := faults.eager_leaves(pw, post + copy)):
+            self.fabric.transmit(self.node_id, pw.dst_node, pw, post + copy, lands)
         if self.spans is not None and self.spans.enabled:
             self.spans.add(
                 self.node_id,
@@ -254,7 +262,6 @@ class Driver:
         chunk = DmaChunk(req_id=req_id, src_node=self.node_id, offset=offset, payload=payload)
         dst_nic = self.platform.nic(self.rail_index, dst_node)
         path = self.platform.dma_path(self.rail_index, self.node_id, dst_node)
-        wire_lat = self.platform.wire_latency_us(self.rail_index, self.node_id, dst_node)
         self.dma_started += 1
         self.dma_bytes += payload.size
         self.nic.tx_dma_transfers += 1
@@ -262,17 +269,16 @@ class Driver:
 
         def launch() -> None:
             faults = self.faults
-            if faults is not None and faults.is_down(self.rail_index):
-                # posted into a dead NIC during the detection window: the
-                # chunk never leaves and the DMA engine stays claimed
-                # until the recovery path releases it.
-                faults.chunk_lost(self.rail_index, on_lost, engine_reserved=True)
-                return
+            if faults is None:
+                landed = lambda _f: dst_nic.deliver(chunk)  # noqa: E731
+            else:
+                # the injector rules on the chunk now and when it lands
+                landed = faults.chunk_leaves(self.rail_index, dst_nic, chunk, on_lost)
+                if landed is None:
+                    return
             start = self.sim.now
 
             def drained(flow: "Flow") -> None:
-                if faults is not None:
-                    faults.untrack_flow(flow)
                 if self.spans is not None and self.spans.enabled:
                     self.spans.add(
                         self.node_id,
@@ -296,27 +302,17 @@ class Driver:
                 if on_drain is not None:
                     on_drain(flow)
 
-            if faults is None:
-                self.platform.flownet.start_flow(
-                    path=path,
-                    size=wire_bytes,
-                    on_complete=lambda _f: dst_nic.deliver(chunk),
-                    extra_latency=wire_lat,
-                    tag=(self.name, req_id, offset),
-                    on_drain=drained,
-                )
-            else:
-                flow = self.platform.flownet.start_flow(
-                    path=path,
-                    size=wire_bytes,
-                    on_complete=lambda _f: faults.deliver_chunk(
-                        self, dst_nic, chunk, on_lost
-                    ),
-                    extra_latency=wire_lat * faults.lat_factor(self.rail_index),
-                    tag=(self.name, req_id, offset),
-                    on_drain=drained,
-                )
-                faults.track_flow(self.rail_index, flow, on_lost)
+            self.platform.flownet.start_flow(
+                path=path,
+                size=wire_bytes,
+                on_complete=landed,
+                # read at the launch: the wire as it is when the chunk leaves
+                extra_latency=self.platform.wire_latency_us(
+                    self.rail_index, self.node_id, dst_node
+                ),
+                tag=(self.name, req_id, offset),
+                on_drain=drained,
+            )
 
         self.sim.schedule(delay + cost, launch)
         return cost

@@ -10,8 +10,6 @@ Myri-10G.
 
 from __future__ import annotations
 
-from ..hardware.presets import QUADRICS_QM500
-from ..hardware.spec import RailSpec
 from .base import Driver
 
 __all__ = ["ElanDriver"]
@@ -21,7 +19,3 @@ class ElanDriver(Driver):
     """Quadrics Elan over QsNetII."""
 
     api_name = "elan"
-
-    @classmethod
-    def default_spec(cls) -> RailSpec:
-        return QUADRICS_QM500

@@ -11,8 +11,7 @@ Myri-10G one).
 
 from __future__ import annotations
 
-from ..hardware.presets import MYRINET_2000
-from ..hardware.spec import RailSpec
+from ..hardware.presets import MYRINET_2000  # re-exported
 from .base import Driver
 
 __all__ = ["GMDriver", "MYRINET_2000"]
@@ -22,7 +21,3 @@ class GMDriver(Driver):
     """Myricom GM-2 over Myrinet-2000."""
 
     api_name = "gm"
-
-    @classmethod
-    def default_spec(cls) -> RailSpec:
-        return MYRINET_2000

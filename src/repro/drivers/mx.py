@@ -3,13 +3,11 @@
 The paper's fastest-bandwidth rail: ~1200 MB/s, 2.8 µs end-to-end latency
 (§3.1).  MX distinguishes small sends (PIO'd into the NIC) from large
 sends (rendezvous + DMA); both are modelled in the base driver, so this
-class only pins the API name and the calibrated default spec.
+class only pins the API name (the calibrated rail is ``presets.MYRI_10G``).
 """
 
 from __future__ import annotations
 
-from ..hardware.presets import MYRI_10G
-from ..hardware.spec import RailSpec
 from .base import Driver
 
 __all__ = ["MXDriver"]
@@ -19,7 +17,3 @@ class MXDriver(Driver):
     """Myricom MX over Myri-10G."""
 
     api_name = "mx"
-
-    @classmethod
-    def default_spec(cls) -> RailSpec:
-        return MYRI_10G

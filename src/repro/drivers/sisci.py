@@ -9,8 +9,6 @@ fabric: very low latency shared-segment writes, modest streaming bandwidth.
 
 from __future__ import annotations
 
-from ..hardware.presets import SCI_D33X
-from ..hardware.spec import RailSpec
 from .base import Driver
 
 __all__ = ["SisciDriver"]
@@ -20,7 +18,3 @@ class SisciDriver(Driver):
     """Dolphinics SiSCI."""
 
     api_name = "sisci"
-
-    @classmethod
-    def default_spec(cls) -> RailSpec:
-        return SCI_D33X

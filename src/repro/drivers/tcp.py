@@ -9,8 +9,6 @@ check that the strategies degrade gracefully on commodity networks.
 
 from __future__ import annotations
 
-from ..hardware.presets import GIGE_TCP
-from ..hardware.spec import RailSpec
 from .base import Driver
 
 __all__ = ["TCPDriver"]
@@ -20,7 +18,3 @@ class TCPDriver(Driver):
     """BSD sockets over (gigabit) Ethernet."""
 
     api_name = "tcp"
-
-    @classmethod
-    def default_spec(cls) -> RailSpec:
-        return GIGE_TCP

@@ -15,7 +15,7 @@ simulation drains, delivery invariants are checked:
   checkers drained clean (nothing packed was stranded, no control entry
   dropped);
 * **stranded** — no retransmission left queued, no rendezvous open on
-  either side, no DMA flow still tracked by the injector;
+  either side, no DMA flow still in flight;
 * **accounting** — ``fault.retries`` equals ``fault.lost.eager +
   fault.lost.chunks`` (every loss retried exactly once per loss event)
   and ``fault.rx_dropped`` equals ``fault.dup_injected`` (every injected
@@ -53,6 +53,7 @@ __all__ = [
     "ChaosCase",
     "ChaosReport",
     "run_case",
+    "session_violations",
     "run_chaos",
     "chaos_strategies",
     "save_failing_plans",
@@ -113,6 +114,62 @@ def _sender(iface, sim, plan: Sequence[tuple]):
         iface.isend(dst, tag, data)
 
 
+def session_violations(session: Session) -> list[str]:
+    """The invariants any drained faulted session must satisfy, whatever
+    its traffic was: checker, stranded, accounting and schema (see the
+    module docstring).  Needs :class:`CheckedStrategy`-wrapped strategies."""
+    violations: list[str] = []
+    # checker: contract violations recorded during the run + drain state
+    for engine in session.engines.built():
+        checker = engine.strategy
+        assert isinstance(checker, CheckedStrategy)
+        checker.check_drained()
+        violations.extend(f"node{engine.node_id} {v}" for v in checker.violations)
+    # stranded: nothing waiting on a rail that will never carry it
+    for engine in session.engines.built():
+        if engine._retrans:
+            violations.append(
+                f"stranded: node{engine.node_id} still queues"
+                f" {len(engine._retrans)} retransmission entries"
+            )
+        if engine.rdv.outstanding_out or engine.rdv.outstanding_in:
+            violations.append(
+                f"stranded: node{engine.node_id} rendezvous open"
+                f" (out={engine.rdv.outstanding_out}, in={engine.rdv.outstanding_in})"
+            )
+    in_flight = session.platform.flownet.active_flows
+    if in_flight:
+        violations.append(f"stranded: {len(in_flight)} DMA flows still in flight")
+    # accounting: the fault counters must balance
+    snap = session.metrics.snapshot()
+
+    def total(prefix: str) -> float:
+        return sum(
+            v for k, v in snap.items()
+            if isinstance(v, (int, float)) and (k == prefix or k.startswith(prefix + "{"))
+        )
+
+    retries = total("fault.retries")
+    losses = total("fault.lost.eager") + total("fault.lost.chunks")
+    if retries != losses:
+        violations.append(
+            f"accounting: fault.retries={retries:g} but losses={losses:g}"
+            " (each loss must be retried exactly once)"
+        )
+    dropped = total("fault.rx_dropped")
+    dups = total("fault.dup_injected")
+    if dropped != dups:
+        violations.append(
+            f"accounting: fault.rx_dropped={dropped:g} but"
+            f" fault.dup_injected={dups:g} (only injected duplicates may"
+            " be dropped, and all of them must be)"
+        )
+    undeclared = session.metrics.undeclared()
+    if undeclared:
+        violations.append(f"schema: undeclared metrics {sorted(undeclared)}")
+    return violations
+
+
 def run_case(case: ChaosCase, plan: Optional[FaultPlan] = None) -> dict[str, Any]:
     """Run one chaos case; returns a primitive result dict.
 
@@ -157,56 +214,8 @@ def run_case(case: ChaosCase, plan: Optional[FaultPlan] = None) -> dict[str, Any
                 f"delivery: message #{i} on {chan} corrupted"
                 f" ({req.payload.size}B vs {len(data)}B sent)"
             )
-    # checker: contract violations recorded during the run + drain state
-    for engine in session.engines:
-        checker = engine.strategy
-        assert isinstance(checker, CheckedStrategy)
-        checker.check_drained()
-        violations.extend(f"node{engine.node_id} {v}" for v in checker.violations)
-    # stranded: nothing waiting on a rail that will never carry it
-    for engine in session.engines:
-        if engine._retrans:
-            violations.append(
-                f"stranded: node{engine.node_id} still queues"
-                f" {len(engine._retrans)} retransmission entries"
-            )
-        if engine.rdv.outstanding_out or engine.rdv.outstanding_in:
-            violations.append(
-                f"stranded: node{engine.node_id} rendezvous open"
-                f" (out={engine.rdv.outstanding_out}, in={engine.rdv.outstanding_in})"
-            )
-    assert session.faults is not None
-    if session.faults._tracked:
-        violations.append(
-            f"stranded: injector still tracks {len(session.faults._tracked)} DMA flows"
-        )
-    # accounting: the fault counters must balance
+    violations += session_violations(session)
     snap = session.metrics.snapshot()
-
-    def total(prefix: str) -> float:
-        return sum(
-            v for k, v in snap.items()
-            if isinstance(v, (int, float)) and (k == prefix or k.startswith(prefix + "{"))
-        )
-
-    retries = total("fault.retries")
-    losses = total("fault.lost.eager") + total("fault.lost.chunks")
-    if retries != losses:
-        violations.append(
-            f"accounting: fault.retries={retries:g} but losses={losses:g}"
-            " (each loss must be retried exactly once)"
-        )
-    dropped = total("fault.rx_dropped")
-    dups = total("fault.dup_injected")
-    if dropped != dups:
-        violations.append(
-            f"accounting: fault.rx_dropped={dropped:g} but"
-            f" fault.dup_injected={dups:g} (only injected duplicates may"
-            " be dropped, and all of them must be)"
-        )
-    undeclared = session.metrics.undeclared()
-    if undeclared:
-        violations.append(f"schema: undeclared metrics {sorted(undeclared)}")
 
     # stable, fully primitive digest for bit-identity comparisons
     digest = {

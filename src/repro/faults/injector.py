@@ -1,20 +1,45 @@
 """Fault injector: executes a :class:`~repro.faults.plan.FaultPlan`
 against a live session's simulation clock.
 
-Failure model (DESIGN.md "Fault injection & failover")
-------------------------------------------------------
+Failure model (DESIGN.md §6c "Fault injection & failover")
+----------------------------------------------------------
 The injector keeps two views of every rail:
 
 * **physical** state — what the wire actually does.  Applied exactly at
   the plan's timestamps: a ``down`` rail loses every eager packet and DMA
   chunk that is in flight or is sent while the outage lasts; a
-  ``degrade`` scales the rail's DMA link capacities and one-way latency.
+  ``degrade`` is put on the rail's :class:`~repro.hardware.wire.Fabric`,
+  which scales the NIC links that exist (later ones are born scaled) and
+  every one-way latency, eager and bulk alike.
 * **detected** state — what the drivers' up/degraded/down health state
   machine believes, trailing every physical transition by the plan's
   ``detect_us``.  The engine only reacts to *detected* state: the window
   between failure and detection is exactly where traffic is silently
   lost, like a real NIC whose completion queue goes quiet before the
   watchdog fires.
+
+One wire, one handle, O(active)
+-------------------------------
+The injector moves no byte.  A faulted run sends every eager wrapper
+through :meth:`Fabric.transmit <repro.hardware.wire.Fabric.transmit>`
+and every DMA chunk through ``FlowNetwork.start_flow`` in
+:meth:`Driver.start_dma <repro.drivers.base.Driver.start_dma>`, exactly
+like a fault-free one: route, latency, destination NIC and link
+capacities are the wire's.  What the injector adds is the *verdict* on a
+packet — when it leaves (:meth:`FaultInjector.eager_leaves`,
+:meth:`FaultInjector.chunk_leaves`: drop budget, dead rail) and when it
+lands (:meth:`FaultInjector.eager_lands`, :class:`_ChunkInFlight`: died
+in flight, duplicate) — plus its counters, spans and the delayed loss
+notice to the sender.  It keeps no second book of what is in flight: a
+cut rail asks the flow network for the flows still draining.
+
+``Session.faults`` is the only handle.  The session makes the injector
+before its first engine; an engine reads the handle when it is built and
+gives it to its drivers together with each rail's *currently detected*
+health, so a node first touched during an outage starts with that rail
+unusable.  Nothing here walks the nodes: detection wakes the engines
+that exist, a degrade touches the links that exist, and a plan that
+never fires costs its own events and nothing else — at 2 nodes or 1024.
 
 Loss is tracked with ground truth: the simulation knows precisely which
 wrappers and chunks died, so the recovery path retransmits *only*
@@ -32,8 +57,8 @@ sampling on the *effective* platform spec, replacing
 ratios from the degraded bandwidth (the Fig 7 loop, closed at runtime).
 
 The injector is only constructed for a non-empty plan; with no plan the
-whole subsystem is a handful of ``is None`` checks on the hot paths and
-simulated results are bit-identical to a fault-free build.
+whole subsystem is one ``is None`` test per eager post and per DMA
+launch and simulated results are bit-identical to a fault-free build.
 """
 
 from __future__ import annotations
@@ -44,12 +69,11 @@ from ..core.sampling import sample_rails
 from ..obs.spans import TRACK_FAULTS
 from ..util.errors import ConfigError
 from ..util.units import KB, MB
-from .plan import FaultEvent, FaultPlan
+from .plan import FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.packet import DmaChunk, PacketWrapper
     from ..core.session import Session
-    from ..drivers.base import Driver
     from ..hardware.nic import NIC
     from ..hardware.spec import PlatformSpec
     from ..sim.flows import Flow
@@ -73,11 +97,10 @@ class RailFaultState:
         "degrades",
         "drop_budget",
         "dup_budget",
-        "base_bw",
         "down_since",
     )
 
-    def __init__(self, index: int, name: str, base_bw: float):
+    def __init__(self, index: int, name: str):
         self.index = index
         self.name = name
         #: physical: True while the wire is cut.
@@ -89,7 +112,6 @@ class RailFaultState:
         self.degrades: list[tuple[float, float]] = []
         self.drop_budget = 0
         self.dup_budget = 0
-        self.base_bw = base_bw
         self.down_since: Optional[float] = None
 
     @property
@@ -116,6 +138,33 @@ class RailFaultState:
         return f"<RailFaultState {self.name} phys={self.physical_health} det={self.detected}>"
 
 
+class _ChunkInFlight:
+    """The ``on_complete`` of a DMA flow launched under a fault plan: the
+    verdict at the far end, and — while the flow drains — what
+    :meth:`FaultInjector._apply_down` needs to lose it mid-transfer."""
+
+    __slots__ = ("injector", "rail", "dst_nic", "chunk", "on_lost")
+
+    def __init__(self, injector, rail, dst_nic, chunk, on_lost):
+        self.injector = injector
+        self.rail = rail
+        self.dst_nic = dst_nic
+        self.chunk = chunk
+        self.on_lost = on_lost
+
+    def __call__(self, _flow: "Flow") -> None:
+        rail, inj = self.rail, self.injector
+        if rail.down:
+            # lost in the propagation window after the sender drained it
+            inj._chunk_lost(rail, self.on_lost, engine_reserved=False)
+            return
+        if rail.dup_budget > 0:
+            rail.dup_budget -= 1
+            inj._m_dup[rail.index].add()
+            inj.sim.schedule(0.0, self.dst_nic.deliver, self.chunk)
+        self.dst_nic.deliver(self.chunk)
+
+
 class FaultInjector:
     """Schedules a plan's faults and owns the loss/recovery bookkeeping."""
 
@@ -128,13 +177,8 @@ class FaultInjector:
         self.detect_us = plan.detect_us
         spec = session.spec
         plan.validate(spec)
-        self._rails = [
-            RailFaultState(i, r.name, r.bw_MBps) for i, r in enumerate(spec.rails)
-        ]
+        self._rails = [RailFaultState(i, r.name) for i, r in enumerate(spec.rails)]
         self._by_name = {st.name: st for st in self._rails}
-        #: in-flight DMA flows per rail, insertion-ordered for determinism:
-        #: flow -> (rail_index, on_lost callback).
-        self._tracked: dict["Flow", tuple[int, Callable[[bool], None]]] = {}
         # fault.* instruments (registered only when faults are active)
         metrics = session.metrics
         self._m_events = metrics.counter("fault.events")
@@ -176,34 +220,18 @@ class FaultInjector:
                 self.sim.at(event.at_us, self._apply_budget, rail, "dup_budget", event.count)
             else:  # pragma: no cover - normalized() leaves no flaps
                 raise ConfigError(f"unexpected fault kind {event.kind!r}")
-        self._attach()
 
     # ------------------------------------------------------------------ #
-    # wiring
-    # ------------------------------------------------------------------ #
-    def _attach(self) -> None:
-        """Hook every engine and driver of the session to this injector."""
-        for engine in self.session.engines:
-            engine._faults = self
-            for drv in engine.drivers:
-                drv.faults = self
-
-    # ------------------------------------------------------------------ #
-    # state queries (hot paths)
+    # state queries
     # ------------------------------------------------------------------ #
     def is_down(self, rail_index: int) -> bool:
         """Physical outage state of one rail."""
         return self._rails[rail_index].down
 
-    def lat_factor(self, rail_index: int) -> float:
-        """Current physical latency multiplier of one rail (>= 1)."""
-        return self._rails[rail_index].lat_factor
-
     def detected_health(self, rail_index: int) -> str:
+        """What a driver of this rail believes — an engine built mid-run
+        starts its drivers from here, not from "up"."""
         return self._rails[rail_index].detected
-
-    def rail_state(self, rail_index: int) -> RailFaultState:
-        return self._rails[rail_index]
 
     # ------------------------------------------------------------------ #
     # plan execution
@@ -215,18 +243,15 @@ class FaultInjector:
         rail.down = True
         rail.down_since = self.sim.now
         self._span(rail, "down")
-        # every in-flight DMA chunk on this rail is lost mid-transfer
-        lost = [
-            (flow, on_lost)
-            for flow, (idx, on_lost) in self._tracked.items()
-            if idx == rail.index
-        ]
+        # every DMA chunk still draining on this rail is lost mid-transfer
+        # (the flow network knows which: their landing is ours), oldest first
         flownet = self.session.platform.flownet
-        for flow, on_lost in lost:
-            del self._tracked[flow]
-            flownet.cancel_flow(flow)
-            # the sender's DMA engine is still reserved (never drained)
-            self.chunk_lost(rail.index, on_lost, engine_reserved=True)
+        for flow in sorted(flownet.active_flows, key=lambda f: f.fid):
+            chunk = flow.on_complete
+            if isinstance(chunk, _ChunkInFlight) and chunk.rail is rail:
+                flownet.cancel_flow(flow)
+                # the sender's DMA engine is still reserved (never drained)
+                self._chunk_lost(rail, chunk.on_lost, engine_reserved=True)
         self.sim.schedule(self.detect_us, self._detect, rail)
 
     def _apply_up(self, rail: RailFaultState) -> None:
@@ -258,13 +283,9 @@ class FaultInjector:
         setattr(rail, attr, getattr(rail, attr) + count)
 
     def _rescale_links(self, rail: RailFaultState) -> None:
-        """Scale the rail's NIC link capacities to the effective bandwidth."""
+        """Put the rail's effective bandwidth and latency on its fabric."""
         platform = self.session.platform
-        bw = rail.base_bw * rail.bw_factor
-        for node_id in range(platform.n_nodes):
-            nic = platform.nic(rail.index, node_id)
-            nic.tx_link.capacity = bw
-            nic.rx_link.capacity = bw
+        platform.fabric(rail.index).degrade(rail.bw_factor, rail.lat_factor)
         platform.flownet.refresh()
 
     # ------------------------------------------------------------------ #
@@ -278,7 +299,7 @@ class FaultInjector:
         was = rail.detected
         rail.detected = health
         self._m_state[rail.index].set({"up": 0, "degraded": 1, "down": 2}[health])
-        for engine in self.session.engines:
+        for engine in self.session.engines.built():
             engine.drivers[rail.index].health = health
             # every health transition is a scheduling opportunity: a
             # recovered rail can take parked traffic, a dead one must be
@@ -320,86 +341,67 @@ class FaultInjector:
             log.debug("fault.resample", t_us=self.sim.now)
 
     # ------------------------------------------------------------------ #
-    # eager (PIO) path
+    # eager (PIO) path: the verdicts on a wrapper the one wire carries
     # ------------------------------------------------------------------ #
-    def transmit_eager(
-        self, driver: "Driver", pw: "PacketWrapper", send_done_delay: float
-    ) -> None:
-        """Faults-aware replacement for ``Fabric.transmit``."""
-        rail = self._rails[driver.rail_index]
+    def eager_leaves(self, pw: "PacketWrapper", send_done_delay: float):
+        """Verdict at the post: :meth:`eager_lands` for the fabric to call
+        at the far end, or None when the wrapper never leaves."""
+        rail = self._rails[pw.rail_index]
         if rail.drop_budget > 0:
             # transient send error: the driver reports the failed
             # completion as soon as the post finishes.
             rail.drop_budget -= 1
-            self._m_lost_eager[rail.index].add()
-            self._loss_span(driver, rail, pw, "drop")
-            self.sim.schedule(send_done_delay, self._notify_eager_lost, driver, pw)
-            return
-        if rail.down:
+            self._eager_lost(rail, pw, "drop", send_done_delay)
+        elif rail.down:
             # sent into a dead wire; noticed one detection delay later.
-            self._m_lost_eager[rail.index].add()
-            self._loss_span(driver, rail, pw, "dead_rail")
-            self.sim.schedule(
-                send_done_delay + self.detect_us, self._notify_eager_lost, driver, pw
-            )
-            return
-        latency = driver.spec.lat_us * rail.lat_factor
-        self.sim.schedule(
-            send_done_delay + latency, self._deliver_eager, driver, rail, pw
-        )
+            self._eager_lost(rail, pw, "dead_rail", send_done_delay + self.detect_us)
+        else:
+            return self.eager_lands
+        return None
 
-    def _deliver_eager(
-        self, driver: "Driver", rail: RailFaultState, pw: "PacketWrapper"
-    ) -> None:
+    def eager_lands(self, dst_nic: "NIC", pw: "PacketWrapper") -> None:
+        """Verdict at the far end: delivered unless the rail died meanwhile."""
+        rail = self._rails[pw.rail_index]
         if rail.down:
-            # the rail died while the packet was in flight
-            self._m_lost_eager[rail.index].add()
-            self._loss_span(driver, rail, pw, "in_flight")
-            self.sim.schedule(self.detect_us, self._notify_eager_lost, driver, pw)
-            return
-        driver.fabric.packets_carried += 1
-        driver.platform.nic(rail.index, pw.dst_node).deliver(pw)
+            self._eager_lost(rail, pw, "in_flight", self.detect_us)
+        else:
+            dst_nic.deliver(pw)
 
-    def _notify_eager_lost(self, driver: "Driver", pw: "PacketWrapper") -> None:
-        self.session.engines[driver.node_id].on_wrapper_lost(pw, driver.rail_index)
-
-    # ------------------------------------------------------------------ #
-    # bulk (DMA) path
-    # ------------------------------------------------------------------ #
-    def track_flow(
-        self, rail_index: int, flow: "Flow", on_lost: Callable[[bool], None]
+    def _eager_lost(
+        self, rail: RailFaultState, pw: "PacketWrapper", why: str, notice_us: float
     ) -> None:
-        """Register an in-flight chunk so a ``down`` can cancel it."""
-        self._tracked[flow] = (rail_index, on_lost)
+        """Count and mark one lost wrapper; its sender hears ``notice_us`` on."""
+        self._m_lost_eager[rail.index].add()
+        self._loss_span(rail, pw, why)
+        sender = self.session.engines[pw.src_node]
+        self.sim.schedule(notice_us, sender.on_wrapper_lost, pw, pw.rail_index)
 
-    def untrack_flow(self, flow: "Flow") -> None:
-        self._tracked.pop(flow, None)
+    # ------------------------------------------------------------------ #
+    # bulk (DMA) path: the verdicts on a chunk the one flow carries
+    # ------------------------------------------------------------------ #
+    def chunk_leaves(
+        self, rail_index: int, dst_nic: "NIC", chunk: "DmaChunk",
+        on_lost: Callable[[bool], None],
+    ) -> Optional["_ChunkInFlight"]:
+        """Verdict at the launch: the flow's ``on_complete``, or None when
+        the chunk was posted into a dead NIC during the detection window —
+        it never leaves and the DMA engine stays claimed until the
+        recovery path releases it."""
+        rail = self._rails[rail_index]
+        if rail.down:
+            self._chunk_lost(rail, on_lost, engine_reserved=True)
+            return None
+        return _ChunkInFlight(self, rail, dst_nic, chunk, on_lost)
 
-    def chunk_lost(
-        self, rail_index: int, on_lost: Callable[[bool], None], engine_reserved: bool
+    def _chunk_lost(
+        self, rail: RailFaultState, on_lost: Callable[[bool], None], engine_reserved: bool
     ) -> None:
         """Account one lost DMA chunk and notify the sender after the
         detection delay.  ``engine_reserved`` says whether the sending
         NIC's DMA engine is still held by the dead transfer (lost before
         drain) and must be released by the recovery path."""
-        self._m_lost_chunks[rail_index].add()
+        self._m_lost_chunks[rail.index].add()
         self.sim.schedule(self.detect_us, on_lost, engine_reserved)
-
-    def deliver_chunk(
-        self, driver: "Driver", dst_nic: "NIC", chunk: "DmaChunk",
-        on_lost: Callable[[bool], None],
-    ) -> None:
-        """Guarded delivery of one drained chunk (plus dup injection)."""
-        rail = self._rails[driver.rail_index]
-        if rail.down:
-            # lost in the propagation window after the sender drained it
-            self.chunk_lost(rail.index, on_lost, engine_reserved=False)
-            return
-        if rail.dup_budget > 0:
-            rail.dup_budget -= 1
-            self._m_dup[rail.index].add()
-            self.sim.schedule(0.0, dst_nic.deliver, chunk)
-        dst_nic.deliver(chunk)
 
     # ------------------------------------------------------------------ #
     # observability
@@ -417,15 +419,13 @@ class FaultInjector:
         if log.enabled_for("debug"):
             log.debug("fault.inject", kind=kind, rail=rail.name, t_us=self.sim.now)
 
-    def _loss_span(
-        self, driver: "Driver", rail: RailFaultState, pw: "PacketWrapper", why: str
-    ) -> None:
+    def _loss_span(self, rail: RailFaultState, pw: "PacketWrapper", why: str) -> None:
         """Ground-truth loss marker (the physical event; the *detected*
         ``eager_lost`` instant on the engine trails it by ``detect_us``)."""
         spans = self.session.spans
         if spans.enabled:
             spans.instant(
-                driver.node_id, TRACK_FAULTS, "eager_drop", "fault", self.sim.now,
+                pw.src_node, TRACK_FAULTS, "eager_drop", "fault", self.sim.now,
                 {
                     "rail": rail.name,
                     "why": why,
@@ -438,7 +438,7 @@ class FaultInjector:
         log = get_logger()
         if log.enabled_for("debug"):
             log.debug(
-                "fault.loss", rail=rail.name, why=why, node=driver.node_id,
+                "fault.loss", rail=rail.name, why=why, node=pw.src_node,
                 dst=pw.dst_node, t_us=self.sim.now,
             )
 

@@ -3,7 +3,8 @@
 A NIC owns:
 
 * one full-duplex pair of :class:`~repro.sim.flows.Link`\\ s (``tx_link`` /
-  ``rx_link``, made on first use) capped at the rail's DMA bandwidth;
+  ``rx_link``, made on first use by the rail's fabric) capped at the rail's
+  DMA bandwidth as it is at that moment;
 * a receive queue drained by the driver's ``poll()``;
 * a send-side **DMA engine** flag: one outstanding bulk (rendezvous)
   transmission at a time.  Eager/PIO sends do not use the DMA engine —
@@ -25,6 +26,7 @@ from .spec import RailSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from .host import Host
+    from .wire import Fabric
 
 __all__ = ["NIC"]
 
@@ -47,6 +49,8 @@ class NIC:
         #: here, not cached into ``__dict__`` later: touching an instance's
         #: ``__dict__`` makes every later attribute read on it 3x slower.)
         self._tx_link = self._rx_link = None
+        #: the rail's fabric (set by it): what the links' capacity is now.
+        self.fabric: "Fabric" = None  # type: ignore[assignment]
         #: True while a bulk transmission is in flight from this NIC;
         #: written only by :meth:`reserve_dma` / :meth:`release_dma`.
         self.dma_busy = False
@@ -67,14 +71,14 @@ class NIC:
     def tx_link(self) -> Link:
         link = self._tx_link
         if link is None:
-            link = self._tx_link = Link(f"{self.name}.tx", self.rail.bw_MBps)
+            link = self._tx_link = self.fabric.nic_link(f"{self.name}.tx")
         return link
 
     @property
     def rx_link(self) -> Link:
         link = self._rx_link
         if link is None:
-            link = self._rx_link = Link(f"{self.name}.rx", self.rail.bw_MBps)
+            link = self._rx_link = self.fabric.nic_link(f"{self.name}.rx")
         return link
 
     # -- receive side ----------------------------------------------------
@@ -88,10 +92,6 @@ class NIC:
         """Remove and return all queued received packets (driver poll)."""
         out, self.rx_queue = self.rx_queue, []
         return out
-
-    @property
-    def rx_pending(self) -> int:
-        return len(self.rx_queue)
 
     # -- send-side DMA engine ---------------------------------------------
     def reserve_dma(self) -> None:

@@ -96,14 +96,11 @@ class Platform:
         return path
 
     def wire_latency_us(self, rail_index: int, src_node: int, dst_node: int) -> float:
-        """One-way wire latency between two nodes on a rail: the rail's
-        base ``lat_us`` plus any extra switch hops of its topology."""
-        src_node, dst_node = self._node(src_node), self._node(dst_node)
-        rail = self.spec.rails[rail_index]
-        plan = self.topologies[rail_index]
-        if plan is None:
-            return rail.lat_us
-        return rail.lat_us + plan.extra_latency_us(src_node, dst_node)
+        """One-way wire latency between two nodes on a rail, ids checked
+        (see :meth:`Fabric.latency_us`, which eager packets pay too)."""
+        return self.fabrics[rail_index].latency_us(
+            self._node(src_node), self._node(dst_node)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover
         rails = ",".join(r.name for r in self.spec.rails)

@@ -74,7 +74,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".export": (
             "to_chrome_trace",
             "write_chrome_trace",
-            "load_chrome_trace",
             "validate_chrome_trace",
             "to_jsonl",
             "write_jsonl",

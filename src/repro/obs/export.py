@@ -29,7 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
-    "load_chrome_trace",
     "validate_chrome_trace",
     "to_jsonl",
     "write_jsonl",
@@ -138,16 +137,6 @@ def write_chrome_trace(
     with open(path, "w") as fh:
         json.dump(doc, fh)
     return sum(1 for e in doc["traceEvents"] if e["ph"] == "X")
-
-
-def load_chrome_trace(path: str) -> dict[str, Any]:
-    """Load a previously exported trace (round-trip helper)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    problems = validate_chrome_trace(doc)
-    if problems:
-        raise ValueError(f"{path}: invalid Chrome trace: {problems[:3]}")
-    return doc
 
 
 def validate_chrome_trace(doc: Any) -> list[str]:

@@ -33,7 +33,7 @@ import time
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from ..util.errors import BenchError
-from .log import EVENT_SCHEMA_VERSION, new_run_id
+from .log import EVENT_SCHEMA_VERSION, new_run_id, parse_events, read_json_objects
 
 __all__ = ["LEDGER_SCHEMA_VERSION", "Ledger", "DEFAULT_LEDGER_PATH"]
 
@@ -119,10 +119,14 @@ class Ledger:
         os.makedirs(parent, exist_ok=True)
         self._db = sqlite3.connect(path)
         self._db.row_factory = sqlite3.Row
-        self._db.executescript(_TABLES)
-        row = self._db.execute(
-            "SELECT value FROM ledger_meta WHERE key = 'schema_version'"
-        ).fetchone()
+        try:
+            self._db.executescript(_TABLES)
+            row = self._db.execute(
+                "SELECT value FROM ledger_meta WHERE key = 'schema_version'"
+            ).fetchone()
+        except sqlite3.DatabaseError as exc:
+            self._db.close()
+            raise BenchError(f"{path}: not a ledger database: {exc}") from None
         if row is None:
             self._db.execute(
                 "INSERT INTO ledger_meta (key, value) VALUES (?, ?)",
@@ -248,9 +252,14 @@ class Ledger:
         """Ingest a :class:`~repro.faults.chaos.ChaosReport` (or raw case
         dicts, or a saved report JSON path)."""
         if isinstance(report_or_cases, str):
-            with open(report_or_cases) as fh:
-                doc = json.load(fh)
+            ((_, doc),) = read_json_objects(report_or_cases)
             cases = doc.get("cases", [])
+            if not isinstance(cases, list) or not all(
+                isinstance(c, dict) and isinstance(c.get("digest", {}), dict) for c in cases
+            ):
+                raise BenchError(
+                    f"{report_or_cases}: 'cases' must be a list of case objects"
+                )
             run_id = run_id or doc.get("run_id")
             git_sha = git_sha or doc.get("git_sha")
             git_dirty = git_dirty or bool(doc.get("git_dirty", False))
@@ -295,8 +304,6 @@ class Ledger:
         Events carry their own ``run_id``; ``run_id=`` overrides for
         records that lack one.  Returns the run ids touched.
         """
-        from .log import parse_events
-
         records = parse_events(source) if isinstance(source, str) else list(source)
         by_run: dict[str, list[Mapping[str, Any]]] = {}
         for record in records:
@@ -358,27 +365,22 @@ class Ledger:
         """
         try:
             with open(path) as fh:
-                head = fh.read(4096)
-        except OSError as exc:
-            raise BenchError(f"cannot read {path}: {exc}") from exc
-        stripped = head.lstrip()
-        if stripped.startswith("{"):
-            try:
-                doc = json.loads(open(path).read())
-            except json.JSONDecodeError:
-                doc = None
-            if isinstance(doc, dict):
-                if doc.get("schema", "").startswith("repro.bench_record"):
-                    return [self.ingest_bench_record(path, run_id=run_id)]
-                if "cases" in doc:
-                    return [self.ingest_chaos_report(path, run_id=run_id)]
-                if "events" in doc and "schema" in doc:  # fault plan
-                    rid = run_id or new_run_id()
-                    self._upsert_run(rid, "events")
-                    self.add_artifact(rid, "fault_plan", path)
-                    return [rid]
-        if f'"{EVENT_SCHEMA_VERSION}"' in head.split("\n", 1)[0]:
+                first_line = fh.readline(4096)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise BenchError(f"cannot read {path}: {exc}") from None
+        if f'"{EVENT_SCHEMA_VERSION}"' in first_line:
             return self.ingest_events(path, run_id=run_id)
+        ((_, doc),) = read_json_objects(path)
+        schema = doc.get("schema")
+        if isinstance(schema, str) and schema.startswith("repro.bench_record"):
+            return [self.ingest_bench_record(path, run_id=run_id)]
+        if "cases" in doc:
+            return [self.ingest_chaos_report(path, run_id=run_id)]
+        if isinstance(schema, str) and "events" in doc:  # fault plan
+            rid = run_id or new_run_id()
+            self._upsert_run(rid, "events")
+            self.add_artifact(rid, "fault_plan", path)
+            return [rid]
         raise BenchError(
             f"{path}: not a bench record, chaos report, fault plan or event log"
         )
@@ -478,17 +480,6 @@ class Ledger:
             ).fetchall()
         ]
         return d
-
-    def failing_plan(self, run_id: str, strategy: str, seed: int) -> Optional[dict]:
-        """The replayable fault plan of one chaos case, if stored."""
-        row = self._db.execute(
-            "SELECT plan_json FROM chaos_cases WHERE run_id = ? AND"
-            " strategy = ? AND seed = ?",
-            (run_id, strategy, seed),
-        ).fetchone()
-        if row is None or row["plan_json"] is None:
-            return None
-        return json.loads(row["plan_json"])
 
     # -- maintenance ---------------------------------------------------------
     def gc(self, keep: int) -> list[str]:

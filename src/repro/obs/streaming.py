@@ -254,11 +254,6 @@ class StreamingTracer(SpanRecorder):
     def __len__(self) -> int:
         return self.spilled + len(self.spans)
 
-    @property
-    def kept_count(self) -> int:
-        """Closed spans kept (spilled + still buffered)."""
-        return self.spilled + len(self.spans)
-
     def stats(self) -> dict[str, Any]:
         """Record-time accounting, for reports and the event log."""
         return {

@@ -158,10 +158,6 @@ class Flow:
         self.extra_latency = extra_latency
         self.tag = tag
 
-    @property
-    def transferred(self) -> float:
-        return self.size - self.remaining
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<Flow {self.fid} size={self.size:.0f} rem={self.remaining:.0f}"

@@ -86,10 +86,6 @@ class Signal:
         if callback in self._waiters:
             self._waiters.remove(callback)
 
-    @property
-    def waiter_count(self) -> int:
-        return len(self._waiters)
-
     def fire(self, value: Any = None) -> int:
         """Wake all current waiters; returns the number of waiters woken.
 
@@ -104,10 +100,6 @@ class Signal:
         for cb in waiters:
             cb(value)
         return len(waiters)
-
-    def fire_later(self, delay: float, value: Any = None) -> None:
-        """Schedule a fire ``delay`` microseconds from now."""
-        self.sim.schedule(delay, self.fire, value)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Signal {self.name} waiters={len(self._waiters)}>"

@@ -27,7 +27,7 @@ from ..hardware.presets import PRESET_RAILS
 from ..hardware.spec import PlatformSpec
 from .errors import ConfigError
 
-__all__ = ["platform_from_dict", "platform_from_json", "platform_to_json"]
+__all__ = ["platform_from_dict", "platform_from_json"]
 
 
 def _expand_preset(entry: Any) -> Any:
@@ -70,10 +70,3 @@ def platform_from_json(path: str) -> PlatformSpec:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return platform_from_dict(data)
-
-
-def platform_to_json(spec: PlatformSpec, path: str) -> None:
-    """Persist a platform spec as JSON (full rail dicts, no presets)."""
-    with open(path, "w") as fh:
-        json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -13,7 +13,7 @@ The paper's figures use binary size labels (4K, 32K, 1M, ...) on the x axis;
 from __future__ import annotations
 
 import re
-from typing import Iterable, List
+from typing import List
 
 from .errors import ConfigError
 
@@ -118,11 +118,3 @@ PAPER_LATENCY_SIZES: List[int] = geometric_sizes(4, 32 * KB)
 
 #: x-axis of the paper's bandwidth plots (Figs 2b-7): 32 KB .. 8 MB.
 PAPER_BANDWIDTH_SIZES: List[int] = geometric_sizes(32 * KB, 8 * MB)
-
-
-def sizes_label(sizes: Iterable[int]) -> str:
-    """Compact label for a size sweep, e.g. ``"4..32K"``."""
-    sizes = list(sizes)
-    if not sizes:
-        return "(empty)"
-    return f"{format_size(sizes[0])}..{format_size(sizes[-1])}"

@@ -11,6 +11,14 @@ from repro.cli import build_parser, main
 SURFACE = Path(__file__).parent / "data" / "cli_surface.json"
 
 
+def _valid_chrome_trace(path) -> dict:
+    from repro.obs import validate_chrome_trace
+
+    doc = json.loads(Path(path).read_text())
+    assert validate_chrome_trace(doc) == []
+    return doc
+
+
 def parser_surface(parser: argparse.ArgumentParser) -> dict:
     """Everything a user can type or read in ``--help``, as plain data
     (no rendered help text, so it is the same on every interpreter)."""
@@ -223,10 +231,9 @@ def test_sample_command(capsys):
 
 def test_custom_platform_file(capsys, tmp_path):
     from repro.hardware.presets import paper_platform
-    from repro.util.config import platform_to_json
 
     path = tmp_path / "plat.json"
-    platform_to_json(paper_platform(), str(path))
+    path.write_text(json.dumps(paper_platform().to_dict()))
     assert main(["--platform", str(path), "pingpong", "--size", "1K", "--strategy", "greedy", "--reps", "1"]) == 0
 
 
@@ -237,8 +244,6 @@ def test_flood_command(capsys):
 
 
 def test_trace_command(capsys, tmp_path):
-    from repro.obs import load_chrome_trace
-
     trace = tmp_path / "fig6.json"
     jsonl = tmp_path / "fig6.jsonl"
     assert main(
@@ -248,7 +253,7 @@ def test_trace_command(capsys, tmp_path):
     assert "span events" in out
     assert "Request lifecycle" in out
     assert "idle-poll tax" in out and "myri10g" in out
-    doc = load_chrome_trace(str(trace))  # validates the schema
+    doc = _valid_chrome_trace(trace)
     assert any(e["ph"] == "X" for e in doc["traceEvents"])
     assert jsonl.read_text().strip()
 
@@ -301,7 +306,6 @@ def test_trace_json_without_faults(capsys, tmp_path):
 
 
 def test_analyze_command(capsys, tmp_path):
-    from repro.obs import load_chrome_trace
     from repro.obs.critical_path import OVERLAY_TID
 
     overlay = tmp_path / "overlay.json"
@@ -309,7 +313,7 @@ def test_analyze_command(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "Critical-path" in out or "blame" in out.lower()
     assert "idle-poll tax on the critical path" in out
-    doc = load_chrome_trace(str(overlay))  # schema-validates
+    doc = _valid_chrome_trace(overlay)
     assert any(e.get("tid") == OVERLAY_TID for e in doc["traceEvents"])
 
 

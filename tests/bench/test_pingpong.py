@@ -40,7 +40,6 @@ class TestRunPingpong:
         res = run_pingpong(Session(mx_plat, strategy="single_rail"), 1024, segments=2, reps=3)
         assert res.total_size == 1024 and res.segments == 2 and res.reps == 3
         assert res.one_way_us > 0
-        assert res.rtt_us == pytest.approx(2 * res.one_way_us)
         assert res.bandwidth_MBps == pytest.approx(1024 / res.one_way_us)
 
     def test_deterministic_across_fresh_sessions(self, plat2):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.bench.pingpong import PingPongResult
 from repro.bench.stats import (
-    dominance_share,
     find_crossover,
     peak,
     speedup_series,
@@ -92,10 +91,6 @@ def test_crossover_requires_durable_win():
         }
     )
     assert find_crossover(sweep, "a", "b") == 4
-
-
-def test_dominance_share(sweep):
-    assert dominance_share(sweep, "multi", "single") == pytest.approx(0.5)
 
 
 def test_no_common_sizes():

@@ -3,8 +3,15 @@
 import pytest
 
 from repro import Session
-from repro.bench.sweep import Curve, run_sweep, sweep_table
+from repro.bench.sweep import Curve, collect_sweep, measure_point, sweep_points, sweep_table
 from repro.util.errors import BenchError
+
+
+def run_sweep(curves, sizes, reps=3, warmup=1):
+    """The three steps every figure runs, in one process."""
+    points = sweep_points(curves, sizes)
+    measured = [measure_point(curve, size, reps, warmup) for curve, size in points]
+    return collect_sweep(curves, sizes, points, measured)
 
 
 def curves(mx_plat):

@@ -87,11 +87,6 @@ class TestSampleTable:
         assert table.best_rail(["lowlat", "highbw"], 100) == "lowlat"
         assert table.best_rail(["lowlat", "highbw"], 100_000) == "highbw"
 
-    def test_split_predict(self, table):
-        t = table.split_predict_us(["fast", "slow"], 200_000)
-        # balanced chunks finish together: 5+0.6*200000/1200 vs 8+0.4*200000/800
-        assert t == pytest.approx(max(5 + 100.0, 8 + 100.0))
-
     def test_unknown_rail(self, table):
         with pytest.raises(ConfigError):
             table.get("nope")

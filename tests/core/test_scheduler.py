@@ -84,7 +84,7 @@ class TestPumpBehaviour:
         session.interface(0).isend(1, 1, b"into the void")
         session.run_until_idle()
         # delivered to the NIC but never handled
-        assert any(d.nic.rx_pending for d in session.engine(1).drivers)
+        assert any(d.nic.rx_queue for d in session.engine(1).drivers)
 
     def test_unknown_packet_rejected(self, session):
         engine = session.engine(0)

@@ -66,7 +66,7 @@ class TestEager:
     def test_cost_is_post_plus_pio(self, mx):
         pw = make_pw(1000)
         expected = mx.spec.post_cost_us + (1000 + 16) / mx.spec.pio_MBps
-        assert mx.eager_cost(pw) == pytest.approx(expected)
+        assert sum(mx.eager_cost_parts(pw)) == pytest.approx(expected)
 
     def test_post_eager_delivers_after_cost_plus_latency(self, platform, mx):
         pw = make_pw(100)

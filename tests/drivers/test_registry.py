@@ -47,10 +47,10 @@ def test_make_driver_resolves_by_rail_spec():
 
 
 def test_default_specs_have_matching_driver_names():
-    assert MXDriver.default_spec().driver == "mx"
-    assert ElanDriver.default_spec().driver == "elan"
-    assert SisciDriver.default_spec().driver == "sisci"
-    assert TCPDriver.default_spec().driver == "tcp"
+    assert driver_class(MYRI_10G.driver) is MXDriver
+    assert driver_class(QUADRICS_QM500.driver) is ElanDriver
+    assert driver_class(SCI_D33X.driver) is SisciDriver
+    assert driver_class(GIGE_TCP.driver) is TCPDriver
 
 
 def test_register_duplicate_rejected():
@@ -83,7 +83,6 @@ def test_gm_driver_registered():
     from repro.drivers import GMDriver, MYRINET_2000
 
     assert driver_class("gm") is GMDriver
-    assert GMDriver.default_spec() is MYRINET_2000
     assert MYRINET_2000.driver == "gm"
 
 

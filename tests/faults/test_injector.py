@@ -21,7 +21,6 @@ def test_empty_plan_builds_no_injector():
     session = Session(paper_platform(), faults=FaultPlan())
     assert session.faults is None
     for engine in session.engines:
-        assert engine._faults is None
         assert all(d.faults is None for d in engine.drivers)
 
 
@@ -77,12 +76,12 @@ def test_degrade_scales_links_then_restores():
 
     session.run(until=150.0)
     assert nic.tx_link.capacity == pytest.approx(base_bw * 0.5)
-    assert session.faults.lat_factor(0) == 1.5
+    assert session.platform.fabric(0).lat_factor == 1.5
     assert session.engines[0].drivers[0].health == "degraded"
 
     session.run(until=400.0)
     assert nic.tx_link.capacity == pytest.approx(base_bw)
-    assert session.faults.lat_factor(0) == 1.0
+    assert session.platform.fabric(0).lat_factor == 1.0
     assert session.engines[0].drivers[0].health == "up"
 
 

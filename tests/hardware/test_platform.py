@@ -77,10 +77,10 @@ class TestNIC:
         woken = []
         nic.host.activity.wait(lambda v: woken.append(v))
         nic.deliver("pkt")
-        assert nic.rx_pending == 1
+        assert len(nic.rx_queue) == 1
         assert len(woken) == 1
         assert nic.drain_rx() == ["pkt"]
-        assert nic.rx_pending == 0
+        assert len(nic.rx_queue) == 0
 
     def test_drain_preserves_order(self, platform):
         nic = platform.nic(0, 1)
@@ -115,7 +115,7 @@ class TestFabric:
         fabric = platform.fabric(0)
         dst = platform.nic(0, 1)
         fabric.transmit(0, 1, "hello", send_done_delay=2.0)
-        assert dst.rx_pending == 0
+        assert len(dst.rx_queue) == 0
         sim.run()
         assert sim.now == pytest.approx(2.0 + platform.spec.rails[0].lat_us)
         assert dst.drain_rx() == ["hello"]

@@ -108,3 +108,63 @@ def test_a_node_nothing_talked_to_owns_no_container():
     path = platform.dma_path(0, 5, 6)
     assert all(link.active_flows is flows._NO_FLOWS for link in path)
     assert path[1] is platform.nic(0, 5).tx_link is platform.nic(0, 5)._tx_link
+
+
+def test_a_faulted_idle_node_costs_nothing():
+    """O(active) for the fault layer too: a degrade — applied, detected,
+    cleared, detected again — on an idle P=1024 platform builds no engine
+    beyond node 0, makes no ``Link`` and runs its own handful of events
+    (1024 engines, 2048 links and 5 124 events before the injector stopped
+    walking the nodes)."""
+    from repro.faults.plan import FaultEvent, FaultPlan
+
+    spec = rail_optimized_platform(1024)
+    plan = FaultPlan(
+        [FaultEvent("degrade", 100.0, spec.rails[0].name, duration_us=200.0,
+                    factor=0.5, lat_factor=2.0)]
+    )
+    session = Session(spec, faults=plan)
+    session.run_until_idle()
+    assert session.sim.now >= 300.0 + plan.detect_us
+    assert session.engines.built_count == 1
+    platform = session.platform
+    assert all(f._links == [] for f in platform.fabrics)
+    assert all(
+        nic._tx_link is None and nic._rx_link is None
+        for rail in range(platform.n_rails)
+        for nic in (platform.nic(rail, node) for node in range(1024))
+    )
+    assert session.sim.events_executed <= 20
+    # ... and a link made while the rail is degraded is born at what the rail has now
+    session = Session(spec, faults=plan)
+    session.run(until=150.0)
+    assert session.platform.nic(0, 7).tx_link.capacity == spec.rails[0].bw_MBps * 0.5
+    assert session.platform.nic(1, 7).tx_link.capacity == spec.rails[1].bw_MBps
+    session.run(until=400.0)
+    assert session.platform.nic(0, 7).tx_link.capacity == spec.rails[0].bw_MBps
+    assert session.platform.nic(0, 8).rx_link.capacity == spec.rails[0].bw_MBps
+
+
+def test_an_engine_first_touched_during_an_outage_starts_with_that_rail_unusable():
+    from repro.faults.plan import FaultEvent, FaultPlan
+
+    spec = rail_optimized_platform(64)
+    plan = FaultPlan([FaultEvent("down", 50.0, spec.rails[1].name, duration_us=500.0)])
+    session = Session(spec, strategy="aggreg_multirail", faults=plan)
+    session.run(until=50.0 + plan.detect_us / 2)
+    early = session.engine(3)  # the outage is physical, not yet detected
+    assert [d.usable for d in early.drivers] == [True, True]
+    session.run(until=100.0)
+    assert [d.usable for d in early.drivers] == [True, False]  # ... and follows detection
+    late = session.engine(9)
+    assert [d.health for d in late.drivers] == ["up", "down"]
+    assert late.drivers[1].faults is session.faults
+    # what it sends goes around the dead rail; a node it reaches builds the same way
+    recv = session.interface(40).irecv(9, 1)
+    session.interface(9).isend(40, 1, b"around the outage")
+    session.run(until=200.0)
+    assert recv.done and recv.data == b"around the outage"
+    assert [d.eager_posted for d in late.drivers] == [1, 0]
+    assert session.metrics.snapshot()["fault.lost.eager{rail=qsnet2}"] == 0
+    session.run_until_idle()
+    assert [d.usable for d in late.drivers] == [True, True]

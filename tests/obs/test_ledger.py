@@ -66,7 +66,10 @@ class TestIngest:
         assert {c["strategy"] for c in detail["chaos_cases"]} == {"greedy"}
         assert all(c["events_executed"] > 0 for c in detail["chaos_cases"])
         # the replayable plan is stored per case
-        assert ledger.failing_plan(rid, "greedy", 0) is not None
+        (plan,) = ledger._db.execute(
+            "SELECT plan_json FROM chaos_cases WHERE run_id = ? AND seed = 0", (rid,)
+        ).fetchone()
+        assert json.loads(plan)["events"]
 
     def test_events_grouped_by_run_id(self, ledger, tmp_path):
         path = str(tmp_path / "e.jsonl")
@@ -206,3 +209,42 @@ class TestCli:
         first = json.loads(open(ev).readline())
         assert first["v"] == EVENT_SCHEMA_VERSION
         assert first["run_id"]
+
+
+#: hand-written files that were tracebacks: (name, content, what the one line says)
+_HOSTILE = [
+    (
+        "bad_line.jsonl",
+        json.dumps({"v": EVENT_SCHEMA_VERSION, "ts": 1.0, "level": "info",
+                    "event": "x", "run_id": "r"}) + "\n{oops\n",
+        "bad_line.jsonl:2: invalid JSON",
+    ),
+    ("schema3.json", '{"schema": 3, "events": []}', "schema3.json: not a bench record"),
+    ("cases_str.json", '{"cases": "zzz"}', "cases_str.json: 'cases' must be a list"),
+    ("cases_int.json", '{"cases": [1]}', "cases_int.json: 'cases' must be a list"),
+]
+
+
+class TestHostileInputs:
+    """Every ledger ingress answers in one line: exit 2, the file named."""
+
+    @pytest.mark.parametrize("name,content,says", _HOSTILE, ids=[h[0] for h in _HOSTILE])
+    def test_ingest_of_a_malformed_file_is_one_line(self, tmp_path, capsys, name, content, says):
+        path = tmp_path / name
+        path.write_text(content)
+        assert main(["ledger", "--db", str(tmp_path / "l.db"), "ingest", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert says in err and "Traceback" not in err and len(err.splitlines()) == 1
+
+    def test_a_db_that_is_not_sqlite_is_one_line(self, tmp_path, capsys):
+        db = tmp_path / "notes.db"
+        db.write_text("definitely not a SQLite file, and long enough to have a header\n" * 4)
+        assert main(["ledger", "--db", str(db), "query"]) == 2
+        err = capsys.readouterr().err
+        assert "notes.db: not a ledger database" in err and len(err.splitlines()) == 1
+
+    def test_a_chaos_report_that_is_not_json_names_the_file(self, ledger, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("{not json")
+        with pytest.raises(BenchError, match="report.json: invalid JSON"):
+            ledger.ingest_chaos_report(str(path))

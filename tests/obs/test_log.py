@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from repro.util.errors import BenchError
+
 from repro.obs import log as obs_log
 from repro.obs.log import (
     EVENT_SCHEMA_VERSION,
@@ -121,7 +123,17 @@ class TestParsing:
     def test_parse_rejects_foreign_schema(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"v": "other/3", "event": "x"}\n')
-        with pytest.raises(ValueError, match="schema"):
+        with pytest.raises(BenchError, match="bad.jsonl:1: unsupported event schema"):
+            parse_events(str(path))
+
+    def test_parse_names_the_malformed_line(self, tmp_path):
+        path = tmp_path / "torn.jsonl"
+        good = json.dumps({"v": EVENT_SCHEMA_VERSION, "ts": 1.0, "level": "info", "event": "x"})
+        path.write_text(good + "\n\n" + good[:20] + "\n")
+        with pytest.raises(BenchError, match=r"torn\.jsonl:3: invalid JSON"):
+            parse_events(str(path))
+        path.write_text(good + "\n[1, 2]\n")
+        with pytest.raises(BenchError, match=r"torn\.jsonl:2: expected a JSON object, got list"):
             parse_events(str(path))
 
     def test_parse_skips_blank_lines(self, tmp_path):

@@ -8,6 +8,10 @@ from repro.obs.spans import TRACK_PUMP, rail_track
 from repro.util.units import MB
 
 
+def _on_track(traced, track, node):
+    return [s for s in traced.spans if s.track == track and s.node == node]
+
+
 class TestRecorder:
     def test_begin_end_nesting(self):
         rec = SpanRecorder(enabled=True)
@@ -102,7 +106,7 @@ class TestEngineSpans:
         sweeps = traced.spans.by_name("sweep", node=0)
         assert sweeps
         sweep_ids = {s.sid for s in sweeps}
-        for span in traced.spans.by_track(TRACK_PUMP, node=0):
+        for span in _on_track(traced, TRACK_PUMP, 0):
             if span.name in ("poll", "handle", "commit"):
                 assert span.parent in sweep_ids
                 parent = next(s for s in sweeps if s.sid == span.parent)
@@ -112,13 +116,13 @@ class TestEngineSpans:
         """Synchronous pump spans start in record order (async rail/rdv
         spans are recorded at completion, so only sid order holds there)."""
         for node in (0, 1):
-            t0s = [s.t0 for s in traced.spans.by_track(TRACK_PUMP, node=node)]
+            t0s = [s.t0 for s in _on_track(traced, TRACK_PUMP, node)]
             assert t0s == sorted(t0s)
         sids = [s.sid for s in traced.spans]
         assert sids == sorted(sids)
 
     def test_rail_tracks_carry_pio_and_dma(self, traced):
-        cats = {s.cat for s in traced.spans.by_track(rail_track("myri10g"), node=0)}
+        cats = {s.cat for s in _on_track(traced, rail_track("myri10g"), 0)}
         assert "pio" in cats and "dma" in cats
 
     def test_poll_spans_record_rail_and_pkts(self, traced):

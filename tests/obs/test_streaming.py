@@ -27,7 +27,7 @@ class TestWindow:
         run_traced("fig6", trace=tracer)
         assert tracer.peak_buffered <= 16
         assert tracer.spilled > 0  # the workload overflows a 16-span window
-        assert tracer.kept_count == tracer.spilled + len(tracer.spans)
+        assert len(tracer) == tracer.spilled + len(tracer.spans)
 
     def test_replay_identical_to_unbounded_recorder(self, tmp_path):
         full = run_traced("fig6", trace=True).spans

@@ -16,9 +16,9 @@ from repro import Session, paper_platform
 from repro.core.gate import Segment
 from repro.core.packet import EagerEntry, PacketWrapper, Payload, RdvAck, RdvReq
 from repro.core.request import SendRequest
-from repro.drivers.registry import available_drivers, driver_class
+from repro.hardware.presets import GIGE_TCP, MYRI_10G, MYRINET_2000, QUADRICS_QM500, SCI_D33X
 
-DRIVER_SPECS = [driver_class(name).default_spec() for name in available_drivers()]
+DRIVER_SPECS = [QUADRICS_QM500, MYRINET_2000, MYRI_10G, SCI_D33X, GIGE_TCP]  # one per driver, by name
 
 
 def _walk(entries, header_bytes, ctrl_bytes):

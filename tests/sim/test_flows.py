@@ -217,7 +217,7 @@ class TestFlowNetwork:
         flow = net.start_flow([link], 1000.0)
         sim.run(until=4.0)
         net._settle()
-        assert flow.transferred == pytest.approx(400.0)
+        assert flow.size - flow.remaining == pytest.approx(400.0)
         assert flow.remaining == pytest.approx(600.0)
 
     def test_utilization(self, sim):

@@ -70,11 +70,11 @@ def test_signal_wakes_all_waiters_once():
 
     spawn(sim, proc("a"))
     spawn(sim, proc("b"))
-    sig.fire_later(4.0, "payload")
+    sig.sim.schedule(4.0, sig.fire, "payload")
     sim.run()
     assert woken == [("a", "payload", 4.0), ("b", "payload", 4.0)]
     assert sig.fire_count == 1
-    assert sig.waiter_count == 0
+    assert len(sig._waiters) == 0
 
 
 def test_signal_late_waiter_misses_past_fire():
@@ -87,7 +87,7 @@ def test_signal_late_waiter_misses_past_fire():
         got.append((yield sig))
 
     spawn(sim, proc())
-    sig.fire_later(2.0, "second")
+    sig.sim.schedule(2.0, sig.fire, "second")
     sim.run()
     assert got == ["second"]
 
@@ -150,7 +150,7 @@ def test_allof_gathers_results_in_order():
         return results
 
     p = spawn(sim, proc())
-    sig.fire_later(3.0, "sig-value")
+    sig.sim.schedule(3.0, sig.fire, "sig-value")
     sim.run()
     assert p.value == [None, "sig-value", None]
     assert sim.now == 5.0
@@ -178,7 +178,7 @@ def test_anyof_ignores_later_completions():
         return got
 
     p = spawn(sim, proc())
-    sig.fire_later(5.0, "late")  # fires after the timeout already won
+    sig.sim.schedule(5.0, sig.fire, "late")  # fires after the timeout already won
     sim.run()
     assert p.value == (1, None)
 
@@ -196,12 +196,12 @@ def test_anyof_winner_withdraws_the_losing_waits():
     def proc():
         resumed.append((yield AnyOf([lost, kid, won, Timeout(7.0)])))
         # the losers carry no dead callback; the winner was cleared by fire()
-        assert lost.waiter_count == 0 and won.waiter_count == 0
+        assert len(lost._waiters) == 0 and len(won._waiters) == 0
         assert kid._watchers == []
         yield Timeout(20.0)  # the lost Timeout(7) event runs, to no effect
 
     p = spawn(sim, proc())
-    won.fire_later(3.0, "first")
+    won.sim.schedule(3.0, won.fire, "first")
     sim.run()
     assert resumed == [(2, "first")] and p.done and kid.done
     assert lost.fire("nobody") == 0
@@ -224,7 +224,7 @@ def test_anyof_stops_arming_once_a_finished_child_has_won():
     p = spawn(sim, proc())
     sim.run()
     assert p.value == ((0, "early"), 1.0)
-    assert later.waiter_count == 0
+    assert len(later._waiters) == 0
     assert sim.now == 1.0  # no stray Timeout(30) event was scheduled
 
 
@@ -444,7 +444,7 @@ def test_fire_without_waiters_counts_and_keeps_later_waiters():
     sig.wait(got.append)
     assert sig.fire("first") == 1 and got == ["first"]
     assert sig.fire("again") == 0 and got == ["first"]
-    assert sig.fire_count == 3 and sig.waiter_count == 0
+    assert sig.fire_count == 3 and len(sig._waiters) == 0
 
 
 def test_waiter_registered_during_fire_waits_for_the_next_one():
@@ -457,5 +457,5 @@ def test_waiter_registered_during_fire_waits_for_the_next_one():
         sig.wait(got.append)
 
     sig.wait(rearm)
-    assert sig.fire(1) == 1 and got == [1] and sig.waiter_count == 1
+    assert sig.fire(1) == 1 and got == [1] and len(sig._waiters) == 1
     assert sig.fire(2) == 1 and got == [1, 2]

@@ -83,7 +83,7 @@ def test_feedback_observes_and_serves_normalized_ratios(plat2):
     assert len(ratios) == plat2.n_rails
     assert all(r >= 0.0 for r in ratios)
     assert abs(sum(ratios) - 1.0) < 1e-9
-    assert any(s["n_obs"] > 0 for s in strat.window_stats().values())
+    assert any(est.n_obs > 0 for est in strat._est.values())
     snap = session.metrics.snapshot()
     assert snap["adaptive.epochs"] > 0
     assert any(k.startswith("adaptive.observations") for k in snap)
@@ -118,9 +118,8 @@ def test_tournament_races_and_scores_candidates(plat2):
     session = Session(plat2, strategy="tournament")
     run_pingpong(session, 2 * MB, segments=2, reps=4)
     strat = session.engine(0).strategy
-    assert strat.candidate_names() == list(DEFAULT_CANDIDATES)
     scores = strat.scores()
-    assert set(scores) == set(DEFAULT_CANDIDATES)
+    assert list(scores) == list(DEFAULT_CANDIDATES)
     assert any(s is not None for s in scores.values())
     assert strat.active_strategy.name in DEFAULT_CANDIDATES
     snap = session.metrics.snapshot()
