@@ -11,8 +11,11 @@ the contract checker, and races it against the paper's strategies.
 Round-robin looks plausible ("use all the rails!") but loses to the
 sampled hetero-split everywhere and even to greedy at large sizes: it
 gives the slow rail exactly half the bytes.  Which is the paper's point:
-the scheduling *policy* is where the performance lives, and the engine
-makes policies ~60 lines of code.
+the scheduling *policy* is where the performance lives.  Everything else
+is the base class's: ``commit_ctrl`` sends queued handshakes,
+``append_segment`` embeds an eager segment in a wrapper the driver made,
+``commit_rdv`` starts a rendezvous over a chunk plan, and the engine
+counts what was committed — a strategy keeps no statistics of its own.
 
 Run:  python examples/custom_strategy.py
 """
@@ -36,32 +39,26 @@ class RoundRobinStrategy(Strategy):
         self._next_rail = 0
 
     def pack(self, engine, segment):
-        self.segments_packed += 1
         self._queue.append(segment)
 
     def try_and_commit(self, engine, driver):
         pw = self.commit_ctrl(engine, driver)
         if pw is not None:
             return pw
-        if not self._queue:
-            return None
         # strict rotation: only the rail whose turn it is may take work
-        if driver.rail_index != self._next_rail:
+        if not self._queue or driver.rail_index != self._next_rail:
             return None
         seg = self._queue[0]
         if driver.eager_eligible(seg.size):
             self._queue.popleft()
-            pw = self.make_pw(engine, seg.dst_node, driver)
+            pw = driver.new_wrapper(seg.dst_node)
             self.append_segment(pw, seg)
         elif driver.dma_idle:
             self._queue.popleft()
-            rdv = engine.rdv.initiate(seg, [(driver.rail_index, 0, seg.size)])
-            pw = self.make_pw(engine, seg.dst_node, driver)
-            pw.add(rdv)
+            pw = self.commit_rdv(engine, driver, seg, [(driver.rail_index, 0, seg.size)])
         else:
             return None
         self._next_rail = (self._next_rail + 1) % engine.platform.n_rails
-        self.packets_committed += 1
         return pw
 
     @property

@@ -1,18 +1,16 @@
 """Optimizing schedulers ("strategies") — the paper's pluggable modules."""
 
 from .adaptive import FeedbackStrategy, TournamentStrategy
-from .aggreg import AggregStrategy
 from .aggreg_multirail import AggregMultirailStrategy
 from .base import Strategy
 from .checker import CheckedStrategy
-from .greedy import GreedyStrategy
 from .registry import (
     available_strategies,
     make_strategy,
     register_strategy,
     strategy_class,
 )
-from .single_rail import SingleRailStrategy
+from .single_rail import AggregStrategy, GreedyStrategy, SingleRailStrategy
 from .split_balance import SplitBalanceStrategy
 
 __all__ = [

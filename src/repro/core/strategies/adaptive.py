@@ -436,7 +436,6 @@ class TournamentStrategy(Strategy):
     # -- engine entry points -----------------------------------------------
     def pack(self, engine: "NodeEngine", segment: Segment) -> None:
         self._advance_epochs(engine.sim.now)
-        self.segments_packed += 1
         self.active_strategy.pack(engine, segment)
 
     def try_and_commit(
@@ -454,7 +453,6 @@ class TournamentStrategy(Strategy):
         for i in order:
             pw = self._candidates[i].try_and_commit(engine, driver)
             if pw is not None:
-                self.packets_committed += 1
                 return pw
         return None
 

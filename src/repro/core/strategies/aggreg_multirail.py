@@ -12,6 +12,11 @@ is, Quadrics) and proceeding afterward in a greedy fashion".
   a free DMA engine takes the head of the large queue as a single-chunk
   rendezvous (one over MX/Myri-10G, one over Elan/Quadrics, ...).
 
+That is the two-queue discipline of the whole aggregate-on-fastest family;
+how a large segment is chunked is its one policy hook,
+:meth:`AggregMultirailStrategy.large_chunks`, which ``split_balance``
+overrides to strip the segment across idle rails.
+
 The Fig 6 gap versus a Quadrics-only configuration comes from the engine,
 not from this strategy: the Myri-10G NIC still has to be polled on every
 progress sweep.
@@ -66,7 +71,6 @@ class AggregMultirailStrategy(Strategy):
 
     # ------------------------------------------------------------------ #
     def pack(self, engine: "NodeEngine", segment: Segment) -> None:
-        self.segments_packed += 1
         if segment.payload.size <= self._small_max:
             if self._small is NO_SEGMENTS:
                 self._small = deque()
@@ -81,33 +85,36 @@ class AggregMultirailStrategy(Strategy):
         self, engine: "NodeEngine", driver: "Driver"
     ) -> Optional[PacketWrapper]:
         if self._ctrl_pending:
-            pw = self.commit_ctrl(engine, driver)
-            if pw is not None:
-                return pw
-        elif not (self._small or self._large):
+            return self.commit_ctrl(engine, driver)
+        if not (self._small or self._large):
             self.quiet = True
             return None
         # small messages: only on the fastest usable rail, aggregated
         if self._small and driver.rail_index == self.usable_rail_index(
             engine, self.fastest_index
         ):
-            seg = self._small[0]
-            pw = self.make_pw(engine, seg.dst_node, driver)
+            pw = driver.new_wrapper(self._small[0].dst_node)
             if self.fill_with_eager(pw, driver, self._small) == 0:
                 # failover rail with a smaller eager limit than the head
                 # segment needs: wait for a rail that can carry it
                 return None
-            self.packets_committed += 1
             return pw
-        # large messages: greedy over DMA-idle rails
+        # large messages: only planned when the consulted rail's DMA is free
         if self._large and driver.dma_idle:
-            seg = self._large.popleft()
-            req = engine.rdv.initiate(seg, [(driver.rail_index, 0, seg.size)])
-            pw = self.make_pw(engine, seg.dst_node, driver)
-            pw.add(req)
-            self.packets_committed += 1
-            return pw
+            seg = self._large[0]
+            chunks = self.large_chunks(engine, driver, seg)
+            self._large.popleft()
+            return self.commit_rdv(engine, driver, seg, chunks)
         return None
+
+    def large_chunks(
+        self, engine: "NodeEngine", driver: "Driver", seg: Segment
+    ) -> list[tuple[int, int, int]]:
+        """The chunk plan of the large queue's head ``seg`` (still queued),
+        consulted for the usable, DMA-idle ``driver``: ``[(rail_index,
+        offset, length), ...]``.  Greedy: the whole segment on ``driver``.
+        """
+        return [(driver.rail_index, 0, seg.size)]
 
     @property
     def backlog(self) -> int:

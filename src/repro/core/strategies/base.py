@@ -18,9 +18,9 @@ Contract for ``try_and_commit(engine, driver)``:
   a driver that is usable and whose eager path is free — so a strategy
   cannot count on being consulted for every driver on every sweep, and a
   ``None`` answer must leave the strategy exactly as it was;
-* large segments are not emitted directly: the strategy picks a chunking,
-  calls :meth:`RdvManager.initiate` (which reserves the DMA engines), and
-  emits the returned RDV_REQ as a control entry;
+* large segments are not emitted directly: the strategy picks a chunking
+  and hands it to :meth:`Strategy.commit_rdv`, which initiates the
+  rendezvous (reserving the DMA engines) and returns the RDV_REQ wrapper;
 * **the quiet clause** — a strategy may set :attr:`Strategy.quiet` when a
   consultation finds *every* queue it owns empty (control included).
   While the flag reads true the pump does not consult it for any driver;
@@ -36,6 +36,11 @@ queue here in the base class; every concrete strategy emits pending
 control before data, on the first driver consulted — which, given the
 pump's fastest-first commit order, puts handshakes on the lowest-latency
 rail, like NewMadeleine does.
+
+A strategy keeps no statistics of its own: what it committed is counted
+once, by the engine (``Counters``: ``segments_submitted``,
+``packets_committed``, ``aggregated_segments``) and by the rendezvous
+manager (``RdvManager.initiated`` / ``split_count``).
 """
 
 from __future__ import annotations
@@ -82,10 +87,6 @@ class Strategy(ABC):
         #: control entries queued and not yet emitted — lets a strategy
         #: with nothing to send say so without scanning ``_ctrl``.
         self._ctrl_pending = 0
-        # statistics
-        self.segments_packed = 0
-        self.packets_committed = 0
-        self.aggregated_segments = 0
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -155,9 +156,6 @@ class Strategy(ABC):
                 return idx
         return preferred
 
-    def make_pw(self, engine: "NodeEngine", dst_node: int, driver: "Driver") -> PacketWrapper:
-        return driver.new_wrapper(dst_node)
-
     def commit_ctrl(
         self, engine: "NodeEngine", driver: "Driver"
     ) -> Optional[PacketWrapper]:
@@ -171,13 +169,30 @@ class Strategy(ABC):
         for dst_node, queue in self._ctrl.items():
             if not queue:
                 continue
-            pw = self.make_pw(engine, dst_node, driver)
+            pw = driver.new_wrapper(dst_node)
             self._ctrl_pending -= len(queue)
             while queue:
                 pw.add(queue.popleft())
-            self.packets_committed += 1
             return pw
         return None
+
+    def commit_rdv(
+        self,
+        engine: "NodeEngine",
+        driver: "Driver",
+        seg: Segment,
+        chunks: list[tuple[int, int, int]],
+    ) -> PacketWrapper:
+        """Start the rendezvous of ``seg`` over ``chunks`` (``[(rail_index,
+        offset, length), ...]``) and wrap its RDV_REQ for ``driver``.
+
+        The one place a strategy initiates a rendezvous; the caller has
+        already taken ``seg`` off its queue.
+        """
+        req = engine.rdv.initiate(seg, chunks)
+        pw = driver.new_wrapper(seg.dst_node)
+        pw.add(req)
+        return pw
 
     def append_segment(self, pw: PacketWrapper, segment: Segment) -> None:
         """Embed a whole segment as an eager entry of ``pw``."""
@@ -211,8 +226,6 @@ class Strategy(ABC):
             queue.popleft()
             self.append_segment(pw, seg)
             taken += 1
-        if taken > 1:
-            self.aggregated_segments += taken
         return taken
 
     def __repr__(self) -> str:  # pragma: no cover

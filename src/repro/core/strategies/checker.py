@@ -204,7 +204,6 @@ class CheckedStrategy(Strategy):
         return {
             "ctrl_pending": inner._ctrl_pending,
             "backlog": inner.backlog,
-            "packets_committed": inner.packets_committed,
         }
 
     def _fail_quiet(
@@ -323,7 +322,6 @@ class CheckedStrategy(Strategy):
                 rail=driver.name,
                 dst=pw.dst_node,
             )
-        self.packets_committed += 1
 
     # ------------------------------------------------------------------ #
     def drain_violations(self) -> list[Violation]:

@@ -11,11 +11,9 @@ from typing import Any, Callable, Type
 
 from ...util.errors import StrategyError
 from .adaptive import FeedbackStrategy, TournamentStrategy
-from .aggreg import AggregStrategy
 from .aggreg_multirail import AggregMultirailStrategy
 from .base import Strategy
-from .greedy import GreedyStrategy
-from .single_rail import SingleRailStrategy
+from .single_rail import AggregStrategy, GreedyStrategy, SingleRailStrategy
 from .split_balance import SplitBalanceStrategy
 
 __all__ = [

@@ -10,8 +10,9 @@ over the first free one."
 Behaviour:
 
 * **small** segments — aggregated onto the lowest-latency rail: the
-  queues, the size cut and ``pack`` are inherited from
+  queues, the size cut, ``pack`` and ``try_and_commit`` are inherited from
   :class:`~repro.core.strategies.aggreg_multirail.AggregMultirailStrategy`;
+  this class only answers its ``large_chunks`` hook;
 * **large** segments — when several DMA engines are idle, the segment is
   *stripped* into per-rail chunks sized by the sampling-derived bandwidth
   ratios (``ratio_mode="sampled"``), by a forced 50/50 split
@@ -30,7 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from ...util.errors import StrategyError
-from ..packet import PacketWrapper
+from ..gate import Segment
 from .aggreg_multirail import AggregMultirailStrategy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,8 +68,6 @@ class SplitBalanceStrategy(AggregMultirailStrategy):
         self.ratio_mode = ratio_mode
         self.split_decision = split_decision
         self.min_chunk = min_chunk
-        self.splits_done = 0
-        self.whole_sends = 0
 
     # ------------------------------------------------------------------ #
     def bind(self, engine: "NodeEngine") -> None:
@@ -143,54 +142,18 @@ class SplitBalanceStrategy(AggregMultirailStrategy):
             offset += ln
         return chunks
 
-    # ------------------------------------------------------------------ #
-    # scheduling side
-    # ------------------------------------------------------------------ #
-    def try_and_commit(
-        self, engine: "NodeEngine", driver: "Driver"
-    ) -> Optional[PacketWrapper]:
-        if self._ctrl_pending:
-            pw = self.commit_ctrl(engine, driver)
-            if pw is not None:
-                return pw
-        elif not (self._small or self._large):
-            self.quiet = True
-            return None
-        if self._small and driver.rail_index == self.usable_rail_index(
-            engine, self.fastest_index
-        ):
-            seg = self._small[0]
-            pw = self.make_pw(engine, seg.dst_node, driver)
-            if self.fill_with_eager(pw, driver, self._small) == 0:
-                # failover rail too small for the head segment: hold it
-                return None
-            self.packets_committed += 1
-            return pw
-        if self._large:
-            if not driver.dma_idle:
-                # only plan bulk work when the consulted rail itself is free
-                return None
-            idle = [d for d in engine.drivers if d.dma_idle and d.usable]
-            if not idle:
-                return None
-            seg = self._large[0]
-            if len(self._large) > 1:
-                # A backlog of large segments already parallelizes across
-                # rails greedily (one whole segment per idle NIC); stripping
-                # the head would hog every DMA engine and starve the rest.
-                chunks = None
-            else:
-                chunks = self._plan_chunks(engine, idle, seg.size)
-            if chunks is None:
-                best = min(idle, key=lambda d: self._predict_whole(engine, d, seg.size))
-                chunks = [(best.rail_index, 0, seg.size)]
-                self.whole_sends += 1
-            else:
-                self.splits_done += 1
-            self._large.popleft()
-            req = engine.rdv.initiate(seg, chunks)
-            pw = self.make_pw(engine, seg.dst_node, driver)
-            pw.add(req)
-            self.packets_committed += 1
-            return pw
-        return None
+    # -- the large-segment policy -------------------------------------------
+    def large_chunks(
+        self, engine: "NodeEngine", driver: "Driver", seg: Segment
+    ) -> list[tuple[int, int, int]]:
+        # never empty: the consulted driver is usable and DMA-idle
+        idle = [d for d in engine.drivers if d.dma_idle and d.usable]
+        # A backlog of large segments already parallelizes across rails
+        # greedily (one whole segment per idle NIC); stripping the head
+        # would hog every DMA engine and starve the rest.
+        if len(self._large) == 1:
+            chunks = self._plan_chunks(engine, idle, seg.size)
+            if chunks is not None:
+                return chunks
+        best = min(idle, key=lambda d: self._predict_whole(engine, d, seg.size))
+        return [(best.rail_index, 0, seg.size)]

@@ -199,11 +199,19 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
-        return cls(
-            events=[FaultEvent.from_dict(e) for e in data.get("events", ())],
-            seed=data.get("seed"),
-            detect_us=data.get("detect_us"),
-        )
+        events = data.get("events", ())
+        if not isinstance(events, (list, tuple)) or not all(
+            isinstance(e, Mapping) for e in events
+        ):
+            raise ConfigError("fault-plan 'events' must be a list of objects")
+        try:
+            return cls(
+                events=[FaultEvent.from_dict(e) for e in events],
+                seed=data.get("seed"),
+                detect_us=data.get("detect_us"),
+            )
+        except (TypeError, ValueError) as exc:  # a missing or mistyped field
+            raise ConfigError(f"malformed fault plan: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":

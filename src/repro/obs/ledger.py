@@ -32,16 +32,20 @@ import sqlite3
 import time
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
-from ..util.errors import BenchError
+from ..util.errors import BenchError, ConfigError
 from .log import EVENT_SCHEMA_VERSION, new_run_id, parse_events, read_json_objects
+from .perf import POINT_KEY_FIELDS, SIM_FIELDS, point_key
 
 __all__ = ["LEDGER_SCHEMA_VERSION", "Ledger", "DEFAULT_LEDGER_PATH"]
 
 #: bump when the table layout changes incompatibly.
-LEDGER_SCHEMA_VERSION = 2
+LEDGER_SCHEMA_VERSION = 3
 
 #: where the CLI looks when ``--db`` is not given.
 DEFAULT_LEDGER_PATH = os.path.join("bench_results", "ledger.db")
+
+#: a point's identity columns: the fields of :func:`~.perf.point_key`.
+_POINT_COLUMNS = tuple(name for name, _ in POINT_KEY_FIELDS)
 
 _TABLES = """
 CREATE TABLE IF NOT EXISTS ledger_meta (
@@ -65,12 +69,7 @@ CREATE INDEX IF NOT EXISTS runs_git_sha ON runs (git_sha);
 CREATE TABLE IF NOT EXISTS points (
     run_id    TEXT NOT NULL,
     point_id  INTEGER NOT NULL,
-    kind      TEXT,
-    bench     TEXT,
-    curve     TEXT,
-    strategy  TEXT,
-    size      INTEGER,
-    segments  INTEGER,
+    %s,
     values_json TEXT NOT NULL,
     PRIMARY KEY (run_id, point_id)
 );
@@ -104,7 +103,10 @@ CREATE TABLE IF NOT EXISTS artifacts (
     path   TEXT NOT NULL,
     PRIMARY KEY (run_id, kind, path)
 );
-"""
+""" % ",\n    ".join(
+    f"{name} {'TEXT' if isinstance(default, str) else 'INTEGER'}"
+    for name, default in POINT_KEY_FIELDS
+)
 
 #: event fields split into their own columns (the rest goes to JSON).
 _EVENT_COLUMNS = ("v", "ts", "level", "event", "run_id", "point_id", "case_id", "pid")
@@ -206,7 +208,7 @@ class Ledger:
 
     def ingest_bench_record(self, record, run_id: Optional[str] = None) -> str:
         """Ingest a :class:`~repro.obs.perf.BenchRecord` (or its path)."""
-        from .perf import SIM_FIELDS, load_record
+        from .perf import load_record
 
         if isinstance(record, str):
             record = load_record(record)
@@ -223,20 +225,15 @@ class Ledger:
             platform=record.platform_info,
         )
         self._db.execute("DELETE FROM points WHERE run_id = ?", (run_id,))
+        insert = (
+            f"INSERT INTO points (run_id, point_id, {', '.join(_POINT_COLUMNS)},"
+            f" values_json) VALUES ({', '.join('?' * (len(_POINT_COLUMNS) + 3))})"
+        )
         for i, point in enumerate(record.points):
-            values = {
-                k: v for k, v in point.items() if k in SIM_FIELDS
-            }
+            values = {k: v for k, v in point.items() if k in SIM_FIELDS}
             self._db.execute(
-                "INSERT INTO points (run_id, point_id, kind, bench, curve,"
-                " strategy, size, segments, values_json)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    run_id, i, point.get("kind"), point.get("bench"),
-                    point.get("curve"), point.get("strategy"),
-                    point.get("size"), point.get("segments"),
-                    json.dumps(values, sort_keys=True),
-                ),
+                insert,
+                (run_id, i, *point_key(point), json.dumps(values, sort_keys=True)),
             )
         self._db.commit()
         return run_id
@@ -376,7 +373,13 @@ class Ledger:
             return [self.ingest_bench_record(path, run_id=run_id)]
         if "cases" in doc:
             return [self.ingest_chaos_report(path, run_id=run_id)]
-        if isinstance(schema, str) and "events" in doc:  # fault plan
+        if schema is None and isinstance(doc.get("events"), list):  # FaultPlan.save
+            from ..faults.plan import FaultPlan
+
+            try:
+                FaultPlan.from_dict(doc)
+            except ConfigError as exc:
+                raise BenchError(f"{path}: {exc}") from None
             rid = run_id or new_run_id()
             self._upsert_run(rid, "events")
             self.add_artifact(rid, "fault_plan", path)

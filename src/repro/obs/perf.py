@@ -119,18 +119,23 @@ def flood_point(
     }
 
 
+#: a point's identity fields and their defaults, in key order — what
+#: :func:`point_key` matches on and the ledger's ``points`` columns.
+POINT_KEY_FIELDS = (
+    ("kind", "?"),
+    ("bench", "?"),
+    ("curve", ""),
+    ("strategy", ""),
+    ("size", 0),
+    ("segments", 1),
+    ("count", 0),
+    ("window", 0),
+)
+
+
 def point_key(point: Mapping[str, Any]) -> tuple:
     """Identity of a point for cross-run matching (not its values)."""
-    return (
-        point.get("kind", "?"),
-        point.get("bench", "?"),
-        point.get("curve", ""),
-        point.get("strategy", ""),
-        point.get("size", 0),
-        point.get("segments", 1),
-        point.get("count", 0),
-        point.get("window", 0),
-    )
+    return tuple(point.get(name, default) for name, default in POINT_KEY_FIELDS)
 
 
 #: point fields that are deterministic simulated results (gateable).

@@ -380,7 +380,7 @@ def test_strategies_that_never_go_quiet_are_consulted_on_every_sweep(plat2):
             if not self.queue:
                 return None
             seg = self.queue.pop(0)
-            pw = self.make_pw(engine, seg.dst_node, driver)
+            pw = driver.new_wrapper(seg.dst_node)
             self.append_segment(pw, seg)
             return pw
 

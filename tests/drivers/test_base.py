@@ -25,7 +25,7 @@ def elan(platform):
     return make_driver(platform, 1, 0)
 
 
-def make_pw(payload_size, rail_index=0, dst=1):
+def wrapper(payload_size, rail_index=0, dst=1):
     # MX framing (rail 0): 16 B per eager entry, 32 B per control entry
     pw = PacketWrapper(0, dst, rail_index, header_bytes=16, ctrl_bytes=32)
     pw.add(EagerEntry(tag=1, seq=0, payload=Payload.virtual(payload_size)))
@@ -64,12 +64,12 @@ class TestPoll:
 
 class TestEager:
     def test_cost_is_post_plus_pio(self, mx):
-        pw = make_pw(1000)
+        pw = wrapper(1000)
         expected = mx.spec.post_cost_us + (1000 + 16) / mx.spec.pio_MBps
         assert sum(mx.eager_cost_parts(pw)) == pytest.approx(expected)
 
     def test_post_eager_delivers_after_cost_plus_latency(self, platform, mx):
-        pw = make_pw(100)
+        pw = wrapper(100)
         cost = mx.post_eager(pw)
         platform.sim.run()
         dst = platform.nic(0, 1)
@@ -78,14 +78,14 @@ class TestEager:
 
     def test_oversized_packet_rejected(self, mx):
         with pytest.raises(DriverError, match="exceeds"):
-            mx.post_eager(make_pw(mx.spec.eager_threshold + 1))
+            mx.post_eager(wrapper(mx.spec.eager_threshold + 1))
 
     def test_wrong_rail_binding_rejected(self, mx):
         with pytest.raises(DriverError, match="bound to rail"):
-            mx.post_eager(make_pw(100, rail_index=1))
+            mx.post_eager(wrapper(100, rail_index=1))
 
     def test_statistics(self, mx):
-        mx.post_eager(make_pw(100))
+        mx.post_eager(wrapper(100))
         assert mx.eager_posted == 1
         assert mx.eager_bytes == 116
         assert mx.nic.tx_eager_packets == 1

@@ -81,7 +81,7 @@ def test_split_chunk_reassembly_bytes_exact(plat2, samples):
     recv = session.interface(1).irecv(0, 1)
     session.interface(0).isend(1, 1, data)
     session.run_until_idle()
-    assert session.engine(0).strategy.splits_done == 1
+    assert session.engine(0).rdv.split_count == 1
     assert recv.data == data
 
 

@@ -4,14 +4,22 @@ import json
 
 import pytest
 
+from repro.bench.flood import run_flood
 from repro.bench.pingpong import run_pingpong
 from repro.cli import main
 from repro.core.session import Session
 from repro.faults.chaos import run_chaos
+from repro.faults.plan import random_plan
 from repro.hardware.presets import paper_platform
 from repro.obs.ledger import LEDGER_SCHEMA_VERSION, Ledger
 from repro.obs.log import EVENT_SCHEMA_VERSION, EventLogger
-from repro.obs.perf import BenchRecorder, pingpong_point
+from repro.obs.perf import (
+    POINT_KEY_FIELDS,
+    BenchRecorder,
+    flood_point,
+    pingpong_point,
+    point_key,
+)
 from repro.util.errors import BenchError
 
 
@@ -50,6 +58,24 @@ class TestIngest:
         point = detail["points"][0]
         assert point["bench"] == "unit.pp" and point["curve"] == "greedy"
         assert point["values"]["one_way_us"] > 0
+
+    def test_points_keep_their_identity(self, ledger):
+        """Two floods that differ only in their window are two points."""
+        rec = BenchRecorder("unit")
+        for window in (1, 8):
+            session = Session(paper_platform(), strategy="greedy")
+            result = run_flood(session, 64 * 1024, count=4, window=window)
+            rec.record_point(flood_point(result, bench="unit.flood", strategy="greedy"))
+        record = rec.finish()
+        points = ledger.show(ledger.ingest_bench_record(record))["points"]
+        stored = [tuple(p[name] for name, _ in POINT_KEY_FIELDS) for p in points]
+        assert stored == [point_key(p) for p in record.points]
+        assert len(set(stored)) == 2
+
+    def test_a_saved_fault_plan_ingests_as_an_artifact(self, ledger, tmp_path):
+        path = random_plan(3, paper_platform()).save(str(tmp_path / "plan.json"))
+        (rid,) = ledger.ingest_path(path)
+        assert ledger.show(rid)["artifacts"] == [{"kind": "fault_plan", "path": path}]
 
     def test_reingest_replaces_not_duplicates(self, ledger):
         record = _bench_record(run_id="r-bench")
@@ -222,6 +248,7 @@ _HOSTILE = [
     ("schema3.json", '{"schema": 3, "events": []}', "schema3.json: not a bench record"),
     ("cases_str.json", '{"cases": "zzz"}', "cases_str.json: 'cases' must be a list"),
     ("cases_int.json", '{"cases": [1]}', "cases_int.json: 'cases' must be a list"),
+    ("plan.json", '{"events": [{"kind": "down"}]}', "plan.json: malformed fault plan"),
 ]
 
 

@@ -106,7 +106,7 @@ def test_fill_with_eager_visits_each_taken_segment_once(backlog):
         Segment(1, 5, seq, p, SendRequest(session.sim, 1, 5, seq, p), 0.0)
         for seq, p in enumerate(payloads)
     )
-    pw = strategy.make_pw(engine, 1, driver)
+    pw = driver.new_wrapper(1)
     taken = strategy.fill_with_eager(pw, driver, queue)
     assert taken == backlog and not queue  # 256 x (8+16) B fits one 16 KB packet
     assert pw.data_count == backlog and pw.data_bytes == 8 * backlog

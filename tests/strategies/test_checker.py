@@ -119,7 +119,7 @@ def test_checker_catches_quiet_with_work(plat2):
     assert "returned a wrapper" in violation.message
     assert dict(violation.context) == {
         "rail": "qsnet2", "dst": 1, "entry": "EagerEntry", "tag": 7, "seq": 0,
-        "backlog": "1->0", "packets_committed": "0->1",
+        "backlog": "1->0",
     }
 
 

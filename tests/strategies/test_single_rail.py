@@ -47,7 +47,7 @@ def test_no_aggregation_ever(plat2):
     run_pingpong(session, 1024, segments=4, reps=3)
     assert session.counters()["aggregated_packets"] == 0
     # one eager packet per segment per direction
-    assert session.engine(0).strategy.packets_committed >= 4
+    assert session.engine(0).counters["packets_committed"] >= 4
 
 
 def test_large_segment_goes_rendezvous(mx_plat):

@@ -18,10 +18,9 @@ class TestSplitting:
         session = make(plat2, samples)
         run_pingpong(session, 4 * MB, reps=1, warmup=0)
         eng = session.engine(0)
-        assert eng.strategy.splits_done == 1
+        assert eng.rdv.split_count == 1
         assert eng.drivers[0].dma_started == 1
         assert eng.drivers[1].dma_started == 1
-        assert eng.rdv.split_count == 1
 
     def test_sampled_ratio_drives_byte_shares(self, plat2, samples):
         session = make(plat2, samples)
@@ -77,13 +76,13 @@ class TestAdaptiveThreshold:
         session = make(plat2, self.forged_table())
         run_pingpong(session, 32 * KB, reps=1, warmup=0)
         eng = session.engine(0)
-        assert eng.strategy.splits_done == 0
-        assert eng.strategy.whole_sends == 1
+        assert eng.rdv.split_count == 0
+        assert eng.rdv.initiated - eng.rdv.split_count == 1
 
     def test_split_resumes_above_threshold(self, plat2):
         session = make(plat2, self.forged_table())
         run_pingpong(session, 128 * KB, reps=1, warmup=0)
-        assert session.engine(0).strategy.splits_done == 1
+        assert session.engine(0).rdv.split_count == 1
 
     def test_whole_send_picks_predicted_best_rail(self, plat2):
         session = make(plat2, self.forged_table())
@@ -96,12 +95,12 @@ class TestAdaptiveThreshold:
     def test_fixed_threshold_mode(self, plat2, samples):
         session = make(plat2, samples, split_decision=16 * KB)
         run_pingpong(session, 32 * KB, reps=1, warmup=0)
-        assert session.engine(0).strategy.splits_done == 1
+        assert session.engine(0).rdv.split_count == 1
 
     def test_min_chunk_prevents_degenerate_split(self, plat2, samples):
         session = make(plat2, samples, split_decision=1, min_chunk=64 * KB)
         run_pingpong(session, 48 * KB, reps=1, warmup=0)
-        assert session.engine(0).strategy.splits_done == 0
+        assert session.engine(0).rdv.split_count == 0
 
     def test_backlog_disables_splitting(self, plat2, samples):
         """Multiple queued large segments balance greedily instead."""
@@ -112,7 +111,7 @@ class TestAdaptiveThreshold:
         session.run_until_idle()
         assert all(r.done for r in recvs)
         eng = session.engine(0)
-        assert eng.strategy.splits_done == 0
+        assert eng.rdv.split_count == 0
         assert eng.drivers[0].dma_started == 1
         assert eng.drivers[1].dma_started == 1
 
@@ -129,16 +128,16 @@ class TestSmallMessages:
 class TestFallbacks:
     def test_spec_fallback_without_samples(self, plat2):
         session = Session(plat2, strategy="split_balance")  # samples=None
-        strategy = session.engine(0).strategy
-        assert strategy.ratio_mode == "spec"
+        eng = session.engine(0)
+        assert eng.strategy.ratio_mode == "spec"
         run_pingpong(session, 4 * MB, reps=1, warmup=0)
-        assert strategy.splits_done == 1
+        assert eng.rdv.split_count == 1
 
     def test_single_rail_platform_never_splits(self, mx_plat):
         session = Session(mx_plat, strategy="split_balance")
         run_pingpong(session, 8 * MB, reps=1, warmup=0)
         eng = session.engine(0)
-        assert eng.strategy.splits_done == 0
+        assert eng.rdv.split_count == 0
         assert eng.drivers[0].dma_started == 1
 
 
