@@ -64,6 +64,11 @@ class PostOutcome:
     rdv_src: Optional[int] = None
 
 
+#: the outcome of every receive that found nothing waiting (shared: never
+#: mutated, so a plain post allocates no record)
+_POSTED = PostOutcome("posted")
+
+
 @dataclass(slots=True)
 class MatchAction:
     """One match produced by an arrival: complete/accept ``request``."""
@@ -254,7 +259,7 @@ class MatchingTable:
         if key in self._posted:  # pragma: no cover - counter makes this impossible
             raise MatchingError(f"duplicate posted receive for {key}")
         self._posted[key] = request
-        return PostOutcome("posted")
+        return _POSTED
 
     def _post_wildcard(self, tag: int, request: RecvRequest) -> PostOutcome:
         self._set_mode(tag, "any")
@@ -269,7 +274,7 @@ class MatchingTable:
                 return PostOutcome("eager", payload=arrival.payload)
             return PostOutcome("rdv", rdv=arrival.rdv, rdv_src=arrival.peer)
         self._any_posted.setdefault(tag, deque()).append(request)
-        return PostOutcome("posted")
+        return _POSTED
 
     # ------------------------------------------------------------------ #
     # arrivals

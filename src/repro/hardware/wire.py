@@ -24,10 +24,10 @@ from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 from ..sim.engine import Simulator
 from ..sim.flows import Link
 from ..util.errors import PlatformError
+from .nic import NIC
 from .spec import RailSpec
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .nic import NIC
     from .topology import TopologyPlan
 
 __all__ = ["Fabric"]
@@ -40,7 +40,7 @@ class Fabric:
         self,
         sim: Simulator,
         rail: RailSpec,
-        nics: Sequence["NIC"],
+        nics: Sequence[NIC],
         plan: "Optional[TopologyPlan]" = None,
     ):
         if len(nics) < 2:
@@ -62,7 +62,7 @@ class Fabric:
         for nic in self._nics:
             nic.fabric = self
 
-    def nic_of(self, node_id: int) -> "NIC":
+    def nic_of(self, node_id: int) -> NIC:
         try:
             return self._nics[node_id]
         except IndexError:
@@ -98,7 +98,7 @@ class Fabric:
         dst_node: int,
         packet: Any,
         send_done_delay: float,
-        lands: Optional[Callable[["NIC", Any], None]] = None,
+        lands: Optional[Callable[[NIC, Any], None]] = None,
     ) -> None:
         """Deliver ``packet`` to ``dst_node`` one latency after the sender
         finishes emitting it (``send_done_delay`` from now).
@@ -110,8 +110,8 @@ class Fabric:
         dst = self.nic_of(dst_node)
         self.packets_carried += 1
         when = send_done_delay + self.latency_us(src_node, dst_node)
-        if lands is None:
-            self.sim.schedule(when, dst.deliver, packet)
+        if lands is None:  # the class's function: no bound method per packet
+            self.sim.schedule(when, NIC.deliver, dst, packet)
         else:
             self.sim.schedule(when, lands, dst, packet)
 

@@ -21,6 +21,11 @@ vectors as packed double arrays (:func:`encode_vector`); byte payloads
 travel verbatim.  Collectives use reserved tags near the top of the user
 tag space so they never collide with application point-to-point traffic
 on the same communicator; each lane gets its own tag plane.
+
+Every message is one request yielded as it is (a request is its own
+waitable), not an ``ep.send`` / ``ep.recv`` generator: a rank in flight
+holds its collective's frames and its pending requests, nothing per
+message besides.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import struct
 from typing import Callable, Optional, Sequence
 
 from ..core.packet import Payload
+from ..sim.process import AllOf, spawn
 from ..util.errors import ApiError
 from .comm import CommEndpoint, MAX_USER_TAG
 
@@ -100,22 +106,12 @@ def barrier(ep: CommEndpoint):
         return
     k = 1
     while k < size:
-        dst = (rank + k) % size
-        src = (rank - k) % size
-        if dst == src:
-            yield from ep.sendrecv(b"\x00", peer=dst, send_tag=TAG_BARRIER)
-        else:
-            yield from _xchg(ep, dst, src)
+        # send a token to rank + k, await one from rank - k (one peer at P=2)
+        yield AllOf([
+            ep.isend(b"\x00", (rank + k) % size, TAG_BARRIER),
+            ep.irecv((rank - k) % size, TAG_BARRIER),
+        ])
         k *= 2
-
-
-def _xchg(ep: CommEndpoint, dst: int, src: int):
-    """Send a token to ``dst`` and await one from ``src`` (distinct peers)."""
-    from ..sim.process import AllOf
-
-    sreq = ep.isend(b"\x00", dst, TAG_BARRIER)
-    rreq = ep.irecv(src, TAG_BARRIER)
-    yield AllOf([sreq.completion, rreq.completion])
 
 
 def bcast(
@@ -140,7 +136,9 @@ def bcast(
     else:
         # receive from the parent: clear the lowest set bit of vrank
         parent = (vrank & (vrank - 1)) % size
-        payload = yield from ep.recv((parent + root) % size, tag)
+        req = ep.irecv((parent + root) % size, tag)
+        yield req
+        payload = req.payload
     # forward to children: set bits above our lowest set bit
     k = 1
     while k < size:
@@ -148,7 +146,7 @@ def bcast(
             child = vrank | k
             if child < size:
                 assert payload is not None
-                yield from ep.send(payload, (child + root) % size, tag)
+                yield ep.isend(payload, (child + root) % size, tag)
         if vrank & k:
             break
         k *= 2
@@ -163,11 +161,11 @@ def gather(ep: CommEndpoint, data: bytes, root: int = 0):
             r: ep.irecv(r, TAG_GATHER) for r in range(ep.size) if r != root
         }
         for r, req in reqs.items():
-            yield req.completion
+            yield req
             assert req.payload is not None
             out[r] = req.payload
         return out
-    yield from ep.send(data, root, TAG_GATHER)
+    yield ep.isend(data, root, TAG_GATHER)
     return None
 
 
@@ -185,13 +183,12 @@ def scatter(ep: CommEndpoint, data_per_rank=None, root: int = 0):
             for r in range(ep.size)
             if r != root
         ]
-        from ..sim.process import AllOf
-
         if sends:
-            yield AllOf([s.completion for s in sends])
+            yield AllOf(sends)
         return Payload.of(data_per_rank[root])
-    payload = yield from ep.recv(root, TAG_SCATTER)
-    return payload
+    req = ep.irecv(root, TAG_SCATTER)
+    yield req
+    return req.payload
 
 
 def alltoall(ep: CommEndpoint, data_per_peer):
@@ -204,17 +201,14 @@ def alltoall(ep: CommEndpoint, data_per_peer):
     """
     if len(data_per_peer) != ep.size:
         raise ApiError(f"alltoall needs {ep.size} entries, got {len(data_per_peer)}")
-    from ..sim.process import AllOf
-
     sends = [
         ep.isend(data_per_peer[peer], peer, TAG_ALLTOALL)
         for peer in range(ep.size)
         if peer != ep.rank
     ]
     recvs = {peer: ep.irecv(peer, TAG_ALLTOALL) for peer in range(ep.size) if peer != ep.rank}
-    waits = [s.completion for s in sends] + [r.completion for r in recvs.values()]
-    if waits:
-        yield AllOf(waits)
+    if sends:
+        yield AllOf(sends + list(recvs.values()))
     return {peer: req.payload for peer, req in recvs.items()}
 
 
@@ -231,10 +225,11 @@ def scan(
     """
     acc = float(value)
     if ep.rank > 0:
-        payload = yield from ep.recv(ep.rank - 1, TAG_SCAN)
-        acc = op(decode_value(payload), acc)
+        req = ep.irecv(ep.rank - 1, TAG_SCAN)
+        yield req
+        acc = op(decode_value(req.payload), acc)
     if ep.rank + 1 < ep.size:
-        yield from ep.send(encode_value(acc), ep.rank + 1, TAG_SCAN)
+        yield ep.isend(encode_value(acc), ep.rank + 1, TAG_SCAN)
     return acc
 
 
@@ -253,12 +248,13 @@ def reduce(
         if vrank & k:
             # send partial result to the parent and leave the tree
             parent = vrank & ~k
-            yield from ep.send(encode_value(acc), (parent + root) % size, TAG_REDUCE)
+            yield ep.isend(encode_value(acc), (parent + root) % size, TAG_REDUCE)
             return None
         child = vrank | k
         if child < size:
-            payload = yield from ep.recv((child + root) % size, TAG_REDUCE)
-            acc = op(acc, decode_value(payload))
+            req = ep.irecv((child + root) % size, TAG_REDUCE)
+            yield req
+            acc = op(acc, decode_value(req.payload))
         k *= 2
     return acc
 
@@ -317,17 +313,18 @@ def _vec_reduce(
     while k < size:
         if vrank & k:
             parent = vrank & ~k
-            yield from ep.send(encode_vector(acc), (parent + root) % size, tag)
+            yield ep.isend(encode_vector(acc), (parent + root) % size, tag)
             return None
         child = vrank | k
         if child < size:
-            payload = yield from ep.recv((child + root) % size, tag)
-            other = decode_vector(payload)
+            req = ep.irecv((child + root) % size, tag)
+            yield req
+            other = decode_vector(req.payload)
             if len(other) != len(acc):
                 raise ApiError(
                     f"lane length mismatch: {len(other)} vs {len(acc)}"
                 )
-            acc = [op(a, b) for a, b in zip(acc, other)]
+            acc = list(map(op, acc, other))  # no comprehension: no cell for op
         k *= 2
     return acc
 
@@ -373,17 +370,15 @@ def multilane_allreduce(
     if lanes == 1:
         yield from _lane_allreduce(ep, values, op, 0, out)
     else:
-        from ..sim.process import AllOf, spawn
-
+        # a loop, not a comprehension: one would cost a cell per local it reads
         sim = ep.iface.engine.sim
-        children = [
-            spawn(
+        children = []
+        for lane, (lo, hi) in enumerate(_lane_bounds(len(values), lanes)):
+            children.append(spawn(
                 sim,
                 _lane_allreduce(ep, values[lo:hi], op, lane, out),
                 name=f"allreduce.lane{lane}.r{ep.rank}",
-            )
-            for lane, (lo, hi) in enumerate(_lane_bounds(len(values), lanes))
-        ]
+            ))
         yield AllOf(children)
     result: list[float] = []
     for chunk in out:
@@ -394,20 +389,14 @@ def multilane_allreduce(
 
 def _lane_barrier(ep: CommEndpoint, lane: int):
     """One dissemination-barrier round set on lane ``lane``'s tag plane."""
-    from ..sim.process import AllOf
-
     size, rank = ep.size, ep.rank
     tag = TAG_LANE_BARRIER - lane
     k = 1
     while k < size:
-        dst = (rank + k) % size
-        src = (rank - k) % size
-        if dst == src:
-            yield from ep.sendrecv(b"\x00", peer=dst, send_tag=tag)
-        else:
-            sreq = ep.isend(b"\x00", dst, tag)
-            rreq = ep.irecv(src, tag)
-            yield AllOf([sreq.completion, rreq.completion])
+        yield AllOf([
+            ep.isend(b"\x00", (rank + k) % size, tag),
+            ep.irecv((rank - k) % size, tag),
+        ])
         k *= 2
 
 
@@ -426,13 +415,12 @@ def multilane_barrier(ep: CommEndpoint, lanes: Optional[int] = None):
     if lanes == 1:
         yield from _lane_barrier(ep, 0)
         return
-    from ..sim.process import AllOf, spawn
-
     sim = ep.iface.engine.sim
-    children = [
-        spawn(sim, _lane_barrier(ep, lane), name=f"barrier.lane{lane}.r{ep.rank}")
-        for lane in range(lanes)
-    ]
+    children = []
+    for lane in range(lanes):
+        children.append(
+            spawn(sim, _lane_barrier(ep, lane), name=f"barrier.lane{lane}.r{ep.rank}")
+        )
     yield AllOf(children)
 
 
@@ -455,11 +443,11 @@ def nic_barrier(ep: CommEndpoint, arity: int = 4):
     children = range(first_child, min(first_child + arity, size))
     # combine: wait for every child's token, then signal the parent
     for child in children:
-        yield from ep.recv(child, TAG_NIC_BARRIER)
+        yield ep.irecv(child, TAG_NIC_BARRIER)
     if rank != 0:
         parent = (rank - 1) // arity
-        yield from ep.send(b"\x00", parent, TAG_NIC_BARRIER)
-        yield from ep.recv(parent, TAG_NIC_BARRIER)
+        yield ep.isend(b"\x00", parent, TAG_NIC_BARRIER)
+        yield ep.irecv(parent, TAG_NIC_BARRIER)
     # release: wake the children back down the tree
     for child in children:
-        yield from ep.send(b"\x00", child, TAG_NIC_BARRIER)
+        yield ep.isend(b"\x00", child, TAG_NIC_BARRIER)

@@ -15,9 +15,16 @@ a *waitable* — any object with ``wait(callback)`` / ``unwait(callback)``
     (no-op otherwise).  :meth:`Process._arm` knows nothing else; three
     classes speak it: :class:`Signal` (the value given to ``fire``),
     :class:`Process` (the child's ``return`` value; ``wait`` is ``on_done``)
-    and :class:`repro.core.request.Request` (the request itself).
+    and :class:`repro.core.request.Request` (the request itself).  A
+    waitable may call back at once, inside ``wait`` (a finished process
+    does): the process then resumes at the same instant, in the same frame.
 ``AllOf([...])`` / ``AnyOf([...])``
     Barrier / first-completion combinators over any of the above.
+
+A wait allocates nothing that outlives it but what it must: a process
+registers and schedules one resume callable, made once, and all three
+waitables hold their waiters as ``None``, the one callback, or a list
+only once a second one registers.
 
 This is deliberately a small subset of what e.g. SimPy provides: only what
 the engine needs, implemented deterministically and with explicit failure
@@ -45,6 +52,11 @@ class ProcessError(SimulationError):
     """Raised when a process is misused (e.g. bad yield value)."""
 
 
+#: the two markers of ``Process._sync`` (never a value a waitable sends)
+_IDLE = object()
+_ARMING = object()
+
+
 class Timeout:
     """Suspend the yielding process for ``dt`` simulated microseconds."""
 
@@ -63,8 +75,8 @@ class Signal:
     """A broadcast one-shot-per-fire wake-up condition.
 
     Multiple processes (and plain callbacks) may wait on a signal; a call to
-    :meth:`fire` wakes *all* current waiters exactly once and clears the
-    waiter list.  Signals can be fired repeatedly; waiters registered after a
+    :meth:`fire` wakes *all* current waiters exactly once and forgets
+    them.  Signals can be fired repeatedly; waiters registered after a
     fire wait for the next one.  This matches the "NIC activity" wake-up
     semantics the engine needs: late subscribers do not see past fires.
     """
@@ -74,17 +86,28 @@ class Signal:
     def __init__(self, sim: Simulator, name: str = "signal"):
         self.sim = sim
         self.name = name
-        self._waiters: list[Callable[[Any], None]] = []
+        #: None, the one waiting callback, or a list once a second registers
+        #: (false whenever nobody waits: ``Host.wake`` tests it).
+        self._waiters: Any = None
         self.fire_count = 0
 
     def wait(self, callback: Callable[[Any], None]) -> None:
         """Register ``callback(value)`` to run on the next fire."""
-        self._waiters.append(callback)
+        waiters = self._waiters
+        if waiters is None:
+            self._waiters = callback
+        elif type(waiters) is list:
+            waiters.append(callback)
+        else:
+            self._waiters = [waiters, callback]
 
     def unwait(self, callback: Callable[[Any], None]) -> None:
         """Remove a previously registered callback (no-op if absent)."""
-        if callback in self._waiters:
-            self._waiters.remove(callback)
+        waiters = self._waiters
+        if waiters == callback:  # bound methods are equal, not identical
+            self._waiters = None
+        elif type(waiters) is list and callback in waiters:
+            waiters.remove(callback)
 
     def fire(self, value: Any = None) -> int:
         """Wake all current waiters; returns the number of waiters woken.
@@ -94,15 +117,18 @@ class Signal:
         """
         self.fire_count += 1
         waiters = self._waiters
-        if not waiters:
+        if waiters is None:
             return 0
-        self._waiters = []
-        for cb in waiters:
-            cb(value)
-        return len(waiters)
+        self._waiters = None
+        if type(waiters) is list:
+            for cb in waiters:
+                cb(value)
+            return len(waiters)
+        waiters(value)
+        return 1
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Signal {self.name} waiters={len(self._waiters)}>"
+        return f"<Signal {self.name} waiters={self._waiters!r}>"
 
 
 class AllOf:
@@ -118,6 +144,35 @@ class AllOf:
         self.children = list(children)
         if not self.children:
             raise ProcessError("AllOf requires at least one child")
+
+
+class _Join:
+    """An armed :class:`AllOf`: the results so far, how many children are
+    still pending, and the callback to run once none is."""
+
+    __slots__ = ("results", "pending", "resume")
+
+    def __init__(self, n: int, resume: Callable[[Any], None]):
+        self.results: list[Any] = [None] * n
+        self.pending = n
+        self.resume = resume
+
+
+class _Arm:
+    """Child ``index``'s callback into its :class:`_Join`."""
+
+    __slots__ = ("join", "index")
+
+    def __init__(self, join: _Join, index: int):
+        self.join = join
+        self.index = index
+
+    def __call__(self, value: Any) -> None:
+        join = self.join
+        join.results[self.index] = value
+        join.pending -= 1
+        if not join.pending:
+            join.resume(join.results)
 
 
 class AnyOf:
@@ -144,7 +199,10 @@ class Process:
     loop (they are programming errors, not simulated failures).
     """
 
-    __slots__ = ("sim", "name", "_gen", "_done", "value", "_watchers", "_started")
+    __slots__ = (
+        "sim", "name", "_gen", "_done", "value", "_watchers", "_started",
+        "_resume", "_sync",
+    )
 
     def __init__(self, sim: Simulator, gen: Generator, name: str = "proc"):
         self.sim = sim
@@ -152,8 +210,16 @@ class Process:
         self._gen = gen
         self._done = False
         self.value: Any = None
-        self._watchers: list[Callable[[Any], None]] = []
+        #: None, the one on_done callback, or a list once a second registers
+        self._watchers: Any = None
         self._started = False
+        #: the one callable every wait registers and every delay schedules
+        #: (``_advance`` as the class has it now, so a wrapper installed on
+        #: the class sees every resume); ``_finish`` drops it.
+        self._resume: Optional[Callable[[Any], None]] = self._advance
+        #: ``_IDLE``; ``_ARMING`` while ``_arm`` runs; the value of a resume
+        #: that arrived during ``_arm``, until ``_advance`` sends it.
+        self._sync: Any = _IDLE
 
     # -- public ----------------------------------------------------------
     @property
@@ -162,17 +228,25 @@ class Process:
 
     def on_done(self, callback: Callable[[Any], None]) -> None:
         """Run ``callback(return_value)`` when the process terminates."""
+        watchers = self._watchers
         if self._done:
             callback(self.value)
+        elif watchers is None:
+            self._watchers = callback
+        elif type(watchers) is list:
+            watchers.append(callback)
         else:
-            self._watchers.append(callback)
+            self._watchers = [watchers, callback]
 
     wait = on_done  # a process is a waitable (see the module docstring)
 
     def unwait(self, callback: Callable[[Any], None]) -> None:
         """Withdraw an :meth:`on_done` callback (no-op if absent)."""
-        if callback in self._watchers:
-            self._watchers.remove(callback)
+        watchers = self._watchers
+        if watchers == callback:
+            self._watchers = None
+        elif type(watchers) is list and callback in watchers:
+            watchers.remove(callback)
 
     # -- machinery ---------------------------------------------------------
     def _start(self) -> None:
@@ -182,18 +256,30 @@ class Process:
         self._advance(None)
 
     def _advance(self, send_value: Any) -> None:
-        try:
-            yielded = self._gen.send(send_value)
-        except StopIteration as stop:
-            self._finish(stop.value)
+        if self._sync is not _IDLE:
+            # called back from inside _arm (a finished child): the loop
+            # below sends the value, so a run of such yields stays flat
+            self._sync = send_value
             return
-        cls = type(yielded)  # the two plain delays skip the _arm ladder
-        if cls is Timeout:
-            self.sim.schedule(yielded.dt, self._advance, None)
-        elif cls is float and yielded >= 0.0:
-            self.sim.schedule(yielded, self._advance, None)
-        else:
-            self._arm(yielded, self._advance)
+        gen = self._gen
+        while True:
+            try:
+                yielded = gen.send(send_value)
+            except StopIteration as stop:
+                self._finish(stop.value)
+                return
+            cls = type(yielded)  # the two plain delays skip the _arm ladder
+            if cls is float and yielded >= 0.0:
+                self.sim.schedule(yielded, self._resume, None)
+                return
+            if cls is Timeout:
+                self.sim.schedule(yielded.dt, self._resume, None)
+                return
+            self._sync = _ARMING
+            self._arm(yielded, self._resume)
+            send_value, self._sync = self._sync, _IDLE
+            if send_value is _ARMING:  # armed: a later callback resumes us
+                return
 
     def _arm(self, yielded: Any, resume: Callable[[Any], None]) -> None:
         """Register ``resume`` to be called when ``yielded`` completes."""
@@ -217,20 +303,10 @@ class Process:
             )
 
     def _arm_all(self, allof: AllOf, resume: Callable[[Any], None]) -> None:
-        results: list[Any] = [None] * len(allof.children)
-        remaining = [len(allof.children)]
-
-        def make_cb(i: int) -> Callable[[Any], None]:
-            def cb(value: Any) -> None:
-                results[i] = value
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    resume(results)
-
-            return cb
-
-        for i, child in enumerate(allof.children):
-            self._arm(child, make_cb(i))
+        children = allof.children
+        join = _Join(len(children), resume)
+        for i, child in enumerate(children):
+            self._arm(child, _Arm(join, i))
 
     def _arm_any(self, anyof: AnyOf, resume: Callable[[Any], None]) -> None:
         armed: list = []  # (child, callback) registered so far; the winner empties it
@@ -256,9 +332,16 @@ class Process:
     def _finish(self, value: Any) -> None:
         self._done = True
         self.value = value
-        watchers, self._watchers = self._watchers, []
-        for cb in watchers:
-            cb(value)
+        self._resume = None  # the bound method was a cycle through self
+        watchers = self._watchers
+        if watchers is None:
+            return
+        self._watchers = None
+        if type(watchers) is list:
+            for cb in watchers:
+                cb(value)
+        else:
+            watchers(value)
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "done" if self._done else "running"

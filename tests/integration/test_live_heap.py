@@ -7,12 +7,14 @@ for nothing.  Both halves are deterministic object counts, not timings.
 """
 
 import gc
+import sys
 from collections import deque
 
 import pytest
 
 from repro import Session, paper_platform
 from repro.bench.flood import run_flood
+from repro.hardware.topology import rail_optimized_platform
 from repro.mpi.collectives import multilane_allreduce
 from repro.mpi.comm import Communicator
 from repro.sim.backend import available_backends
@@ -123,3 +125,54 @@ def test_the_message_path_makes_no_cyclic_garbage(workload, backend, samples):
     assert reclaimed.collections >= 1
     assert reclaimed.objects == 0
     assert session.sim.events_executed > 0
+
+
+#: tracked objects a rank holds a quarter and half of the way through a
+#: P=256 rail_opt allreduce (``_held_per_rank``).  Before one resume callable
+#: per process, a join object per AllOf and requests yielded as they are,
+#: the same run held 85.0 / 79.6 (3.11), 78.0 / 73.5 (3.12) and 105.0 / 98.4
+#: (3.10, where every generator frame is an object of its own); after,
+#: 65.0 / 62.4, 64.0 / 61.3 and 83.0 / 79.5.
+IN_FLIGHT_CEILING = (86.0, 82.0) if sys.version_info < (3, 11) else (68.0, 65.0)
+
+
+def _held_per_rank(backend):
+    """Tracked objects per rank at 1/4 and 1/2 of the run's simulated time."""
+    p = 256
+
+    def build():
+        session = Session(
+            rail_optimized_platform(p), strategy="aggreg_multirail", backend=backend
+        )
+        comm = Communicator(session)
+        procs = [
+            session.spawn(multilane_allreduce(comm.endpoint(r), [float(r)] * 8))
+            for r in range(p)
+        ]
+        return session, procs
+
+    session, procs = build()
+    session.run_until_idle()
+    assert all(proc.done for proc in procs)
+    end = session.sim.now
+    del session, procs
+    gc.collect()
+    before = len(gc.get_objects())
+    session, procs = build()
+    held = []
+    for fraction in (0.25, 0.5):
+        session.sim.run(until=end * fraction)
+        gc.collect()
+        held.append((len(gc.get_objects()) - before) / p)
+    assert not all(proc.done for proc in procs)
+    return held
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_a_rank_in_flight_holds_its_frames_and_requests_only(backend):
+    """The in-flight rule: a wait allocates nothing the collector has to
+    walk beyond the request itself — no bound method, closure, cell or
+    per-message generator."""
+    quarter, half = _held_per_rank(backend)
+    assert quarter <= IN_FLIGHT_CEILING[0], f"{quarter:.1f} tracked objects per rank at 1/4"
+    assert half <= IN_FLIGHT_CEILING[1], f"{half:.1f} tracked objects per rank at 1/2"

@@ -1,0 +1,96 @@
+"""hostbench's calling contract: every resume passes its value explicitly.
+
+hostbench's tracer (``hostbench/tracer.py``) times process resumptions by
+replacing ``Process._advance`` on the class with ``traced(proc, value)``,
+a function of exactly two positional parameters.  A resume that leaned on
+a defaulted argument would raise ``TypeError`` in every traced pass; one
+that bypassed the class attribute would go uncounted.  Each workload runs
+twice: under a strict wrapper of that shape, and unwrapped with a profile
+hook counting ``_advance`` frames.  Same run, same resumes.
+"""
+
+import sys
+
+import pytest
+
+from repro import Session, paper_platform
+from repro.bench.flood import run_flood
+from repro.bench.pingpong import run_pingpong
+from repro.mpi.collectives import multilane_allreduce
+from repro.mpi.comm import Communicator
+from repro.sim.backend import available_backends
+from repro.sim.process import Process
+
+
+def _pingpong(backend, samples):
+    session = Session(paper_platform(), backend=backend)
+    run_pingpong(session, 4096, reps=3, warmup=1)
+    return session
+
+
+def _rdv_flood(backend, samples):
+    session = Session(
+        paper_platform(), strategy="split_balance", samples=samples, backend=backend
+    )
+    run_flood(session, 256 * 1024, count=40, window=8)
+    return session
+
+
+def _allreduce_p16(backend, samples):
+    session = Session(
+        paper_platform(n_nodes=16), strategy="aggreg_multirail", backend=backend
+    )
+    comm = Communicator(session)
+    procs = [
+        session.spawn(multilane_allreduce(comm.endpoint(r), [float(r)] * 8))
+        for r in range(16)
+    ]
+    session.run_until_idle()
+    assert all(p.done and p.value == [120.0] * 8 for p in procs)
+    return session
+
+
+def _unwrapped(workload, backend, samples):
+    code = vars(Process)["_advance"].__code__
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        session = workload(backend, samples)
+    finally:
+        sys.setprofile(None)
+    return calls, session
+
+
+def _strictly_wrapped(workload, backend, samples):
+    original = vars(Process)["_advance"]
+    calls = 0
+
+    def traced(proc, value):  # the shape of hostbench's resume wrapper
+        nonlocal calls
+        calls += 1
+        return original(proc, value)
+
+    Process._advance = traced
+    try:
+        session = workload(backend, samples)
+    finally:
+        Process._advance = original
+    return calls, session
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("workload", [_pingpong, _rdv_flood, _allreduce_p16])
+def test_a_strict_resume_wrapper_sees_every_resume(workload, backend, samples):
+    expected, plain = _unwrapped(workload, backend, samples)
+    calls, wrapped = _strictly_wrapped(workload, backend, samples)
+    assert expected > 0
+    assert calls == expected
+    assert (wrapped.sim.now, wrapped.sim.events_executed) == (
+        plain.sim.now, plain.sim.events_executed
+    )

@@ -1,5 +1,7 @@
 """Unit tests for generator processes, signals and combinators."""
 
+import gc
+
 import pytest
 
 from repro.sim import (
@@ -74,7 +76,7 @@ def test_signal_wakes_all_waiters_once():
     sim.run()
     assert woken == [("a", "payload", 4.0), ("b", "payload", 4.0)]
     assert sig.fire_count == 1
-    assert len(sig._waiters) == 0
+    assert sig.fire("again") == 0 and len(woken) == 2  # the fire emptied it
 
 
 def test_signal_late_waiter_misses_past_fire():
@@ -196,15 +198,14 @@ def test_anyof_winner_withdraws_the_losing_waits():
     def proc():
         resumed.append((yield AnyOf([lost, kid, won, Timeout(7.0)])))
         # the losers carry no dead callback; the winner was cleared by fire()
-        assert len(lost._waiters) == 0 and len(won._waiters) == 0
-        assert kid._watchers == []
+        assert lost.fire("nobody") == 0 and won.fire("again") == 0
+        assert not kid._watchers
         yield Timeout(20.0)  # the lost Timeout(7) event runs, to no effect
 
     p = spawn(sim, proc())
     won.sim.schedule(3.0, won.fire, "first")
     sim.run()
     assert resumed == [(2, "first")] and p.done and kid.done
-    assert lost.fire("nobody") == 0
 
 
 def test_anyof_stops_arming_once_a_finished_child_has_won():
@@ -224,7 +225,7 @@ def test_anyof_stops_arming_once_a_finished_child_has_won():
     p = spawn(sim, proc())
     sim.run()
     assert p.value == ((0, "early"), 1.0)
-    assert len(later._waiters) == 0
+    assert later.fire("nobody") == 0
     assert sim.now == 1.0  # no stray Timeout(30) event was scheduled
 
 
@@ -444,7 +445,7 @@ def test_fire_without_waiters_counts_and_keeps_later_waiters():
     sig.wait(got.append)
     assert sig.fire("first") == 1 and got == ["first"]
     assert sig.fire("again") == 0 and got == ["first"]
-    assert sig.fire_count == 3 and len(sig._waiters) == 0
+    assert sig.fire_count == 3
 
 
 def test_waiter_registered_during_fire_waits_for_the_next_one():
@@ -457,5 +458,112 @@ def test_waiter_registered_during_fire_waits_for_the_next_one():
         sig.wait(got.append)
 
     sig.wait(rearm)
-    assert sig.fire(1) == 1 and got == [1] and len(sig._waiters) == 1
-    assert sig.fire(2) == 1 and got == [1, 2]
+    assert sig.fire(1) == 1 and got == [1]
+    assert sig.fire(2) == 1 and got == [1, 2]  # the waiter rearmed inside fire
+
+
+# ---------------------------------------------------------------------- #
+# what a wait allocates: one resume callable per process, no closures
+# ---------------------------------------------------------------------- #
+def test_delays_of_one_process_schedule_one_callable():
+    sim = Simulator()
+    scheduled = []
+    schedule = sim.schedule
+
+    def spy(delay, fn, *args):
+        scheduled.append(fn)
+        return schedule(delay, fn, *args)
+
+    def proc():
+        yield 1.0
+        yield Timeout(2.0)
+
+    p = spawn(sim, proc())
+    sim.schedule = spy  # after spawn: only the two delays are seen
+    sim.run()
+    assert p.done and sim.now == 3.0
+    assert len(scheduled) == 2 and scheduled[0] is scheduled[1]
+
+
+def _closures():
+    """Live functions and cells (what a closure-per-wait would leave)."""
+    return sum(1 for o in gc.get_objects() if type(o).__name__ in ("function", "cell"))
+
+
+def test_allof_over_two_pending_requests_registers_no_function_or_cell():
+    from repro.core.request import RecvRequest
+
+    sim = Simulator()
+    reqs = [RecvRequest(sim, 1, 0, seq) for seq in range(2)]
+
+    def proc():
+        return (yield AllOf(reqs))
+
+    p = spawn(sim, proc())
+    gc.collect()
+    before = _closures()
+    sim.run()  # the process starts and arms its AllOf
+    assert not p.done and all(r._waiter is not None for r in reqs)
+    assert _closures() == before
+    for r in reqs:
+        r._complete()
+    assert p.value == reqs and all(r._waiter is None for r in reqs)
+
+
+def test_a_finished_process_holds_no_callable():
+    sim = Simulator()
+
+    def child():
+        yield 1.0
+        return "kid"
+
+    def proc():
+        kid = spawn(sim, child())
+        yield AllOf([kid, Timeout(2.0)])
+        yield kid
+        return "parent"
+
+    p = spawn(sim, proc())
+    sim.run()
+    assert p.done and p.value == "parent"
+    held = [r for r in gc.get_referents(p) if r is not Process]
+    assert held and not any(callable(r) for r in held)
+
+
+# ---------------------------------------------------------------------- #
+# a finished child resumes its waiter at once, without nesting a frame
+# ---------------------------------------------------------------------- #
+_FINISHED_CHILDREN = 3_000  # 332 overflowed the stack while each one nested
+
+
+@pytest.mark.parametrize("shape", ["alone", "allof", "anyof"])
+@pytest.mark.parametrize("backend", ["heap", "native"])
+def test_many_finished_children_resume_flat(backend, shape):
+    from repro.sim.backend import available_backends
+
+    if backend not in available_backends():
+        pytest.skip(f"{backend} kernel unavailable")
+    sim = Simulator(backend=backend)
+
+    def child(i):
+        return i
+        yield  # pragma: no cover
+
+    def proc():
+        kids = [spawn(sim, child(i)) for i in range(_FINISHED_CHILDREN)]
+        yield 1.0  # every child finishes first
+        got = []
+        for kid in kids:
+            if shape == "alone":
+                got.append((yield kid))
+            elif shape == "allof":
+                got.extend((yield AllOf([kid])))
+            else:
+                got.append((yield AnyOf([kid, Timeout(5.0)]))[1])
+        return got, sim.now
+
+    p = spawn(sim, proc())
+    sim.run()
+    assert p.value == (list(range(_FINISHED_CHILDREN)), 1.0)
+    # the children, the parent and its one delay: a resume adds no event
+    assert sim.events_executed == _FINISHED_CHILDREN + 2
