@@ -38,8 +38,10 @@ class RoundRobinStrategy(Strategy):
         self._queue = deque()
         self._next_rail = 0
 
-    def pack(self, engine, segment):
-        self._queue.append(segment)
+    def pack(self, engine, request):
+        # a segment is the send request its isend returned: peer, tag,
+        # seq and payload, queued as it is
+        self._queue.append(request)
 
     def try_and_commit(self, engine, driver):
         pw = self.commit_ctrl(engine, driver)
@@ -48,14 +50,15 @@ class RoundRobinStrategy(Strategy):
         # strict rotation: only the rail whose turn it is may take work
         if not self._queue or driver.rail_index != self._next_rail:
             return None
-        seg = self._queue[0]
-        if driver.eager_eligible(seg.size):
+        request = self._queue[0]
+        size = request.payload.size
+        if driver.eager_eligible(size):
             self._queue.popleft()
-            pw = driver.new_wrapper(seg.dst_node)
-            self.append_segment(pw, seg)
+            pw = driver.new_wrapper(request.peer)
+            self.append_segment(pw, request)
         elif driver.dma_idle:
             self._queue.popleft()
-            pw = self.commit_rdv(engine, driver, seg, [(driver.rail_index, 0, seg.size)])
+            pw = self.commit_rdv(engine, driver, request, [(driver.rail_index, 0, size)])
         else:
             return None
         self._next_rail = (self._next_rail + 1) % engine.platform.n_rails

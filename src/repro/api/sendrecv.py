@@ -53,16 +53,23 @@ class Interface:
         """Submit one segment to ``dst_node`` on logical channel ``tag``.
 
         ``data`` may be real bytes or an int size (a virtual payload;
-        those of one size are one shared immutable object).
+        those of one size are one shared immutable object).  Node ids and
+        tags are checked by the engine, the data here: anything else — a
+        bool or a float size included — is an :class:`ApiError`.
         """
-        if tag < 0:
-            raise ApiError(f"negative tag {tag}")
-        return self.engine.submit(dst_node, tag, Payload.of(data))
+        if type(data) is int:
+            payload = Payload.virtual(data)
+        elif isinstance(data, (bytes, bytearray, Payload)):
+            payload = Payload.of(data)
+        else:
+            raise ApiError(
+                "data must be bytes, a Payload or an int size,"
+                f" got {type(data).__name__}"
+            )
+        return self.engine.submit(dst_node, tag, payload)
 
     def irecv(self, src_node: int, tag: int) -> RecvRequest:
         """Post a receive for the next segment from ``src_node``/``tag``."""
-        if tag < 0:
-            raise ApiError(f"negative tag {tag}")
         return self.engine.post_recv(src_node, tag)
 
     # ------------------------------------------------------------------ #

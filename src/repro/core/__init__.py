@@ -1,8 +1,7 @@
 """The NewMadeleine engine: packets, matching, rendezvous, strategies,
 the NIC-driven core scheduler, and the session façade."""
 
-from .gate import Segment
-from .matching import ANY_SOURCE, MatchAction, MatchingTable, PostOutcome
+from .matching import ANY_SOURCE, MatchingTable, PostOutcome
 from .packet import DmaChunk, EagerEntry, PacketWrapper, Payload, RdvAck, RdvReq
 from .reassembly import ReassemblyBuffer
 from .rendezvous import RdvManager
@@ -14,7 +13,6 @@ from .session import Session
 __all__ = [
     "Session",
     "NodeEngine",
-    "Segment",
     "Payload",
     "PacketWrapper",
     "EagerEntry",
@@ -23,7 +21,6 @@ __all__ = [
     "DmaChunk",
     "MatchingTable",
     "PostOutcome",
-    "MatchAction",
     "ANY_SOURCE",
     "ReassemblyBuffer",
     "RdvManager",

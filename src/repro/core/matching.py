@@ -40,13 +40,18 @@ from ..util.errors import MatchingError
 from .packet import Payload, RdvReq
 from .request import RecvRequest
 
-__all__ = ["MatchingTable", "PostOutcome", "MatchAction", "ANY_SOURCE"]
+__all__ = ["MatchingTable", "PostOutcome", "ANY_SOURCE"]
 
 #: wildcard peer for :meth:`MatchingTable.post_recv` / ``Interface.irecv``.
 ANY_SOURCE = -1
 
 Key = tuple[int, int, int]  # (peer node, tag, seq)
 Chan = tuple[int, int]  # (peer node, tag)
+#: one match an arrival produced, a plain tuple ``(request, payload, rdv)``:
+#: deliver ``payload`` to ``request`` when ``rdv`` is None, else accept the
+#: rendezvous ``rdv`` from ``request.peer`` (the request's ``peer`` and
+#: ``seq`` are final by then — a wildcard learns them at match time)
+Match = tuple[RecvRequest, Optional[Payload], Optional[RdvReq]]
 
 
 @dataclass(slots=True)
@@ -67,17 +72,6 @@ class PostOutcome:
 #: the outcome of every receive that found nothing waiting (shared: never
 #: mutated, so a plain post allocates no record)
 _POSTED = PostOutcome("posted")
-
-
-@dataclass(slots=True)
-class MatchAction:
-    """One match produced by an arrival: complete/accept ``request``."""
-
-    kind: Literal["deliver", "rdv"]
-    request: RecvRequest
-    payload: Optional[Payload] = None
-    rdv: Optional[RdvReq] = None
-    src: Optional[int] = None
 
 
 @dataclass(slots=True)
@@ -147,6 +141,8 @@ class MatchingTable:
     # internals
     # ------------------------------------------------------------------ #
     def _set_mode(self, tag: int, mode: str) -> None:
+        """Fix or check ``tag``'s discipline (callers skip the call when
+        one dict read shows it is already ``mode``)."""
         current = self._mode.get(tag)
         if current is None:
             self._mode[tag] = mode
@@ -191,25 +187,8 @@ class MatchingTable:
         arrival.consumed = True
         self._parked.pop(arrival.key, None)
 
-    @staticmethod
-    def _action_for(
-        request: RecvRequest,
-        peer: int,
-        seq: int,
-        kind: str,
-        payload: Optional[Payload],
-        rdv: Optional[RdvReq],
-    ) -> MatchAction:
-        # a wildcard request learns its actual source and sequence
-        request.peer = peer
-        if request.seq < 0:
-            request.seq = seq
-        if kind == "eager":
-            return MatchAction("deliver", request, payload)
-        return MatchAction("rdv", request, None, rdv, peer)
-
-    def _drain_wildcards(self, tag: int) -> list[MatchAction]:
-        actions = []
+    def _drain_wildcards(self, tag: int) -> list[Match]:
+        matches = []
         queue = self._any_posted.get(tag)
         while queue:
             arrival = self._pop_ready(tag)
@@ -218,13 +197,11 @@ class MatchingTable:
             request = queue.popleft()
             self._consume(arrival)
             self.wildcard_hits += 1
-            actions.append(
-                self._action_for(
-                    request, arrival.peer, arrival.seq, arrival.kind,
-                    arrival.payload, arrival.rdv,
-                )
-            )
-        return actions
+            # a wildcard request learns its actual source and sequence
+            request.peer = arrival.peer
+            request.seq = arrival.seq
+            matches.append((request, arrival.payload, arrival.rdv))
+        return matches
 
     # ------------------------------------------------------------------ #
     # posting receives
@@ -237,7 +214,8 @@ class MatchingTable:
         """
         if peer == ANY_SOURCE:
             return self._post_wildcard(tag, request)
-        self._set_mode(tag, "exact")
+        if self._mode.get(tag) != "exact":
+            self._set_mode(tag, "exact")
         chan = (peer, tag)
         seq = self._recv_seq.get(chan, 0)
         self._recv_seq[chan] = seq + 1
@@ -262,7 +240,8 @@ class MatchingTable:
         return _POSTED
 
     def _post_wildcard(self, tag: int, request: RecvRequest) -> PostOutcome:
-        self._set_mode(tag, "any")
+        if self._mode.get(tag) != "any":
+            self._set_mode(tag, "any")
         arrival = self._pop_ready(tag)
         if arrival is not None:
             self._consume(arrival)
@@ -287,8 +266,9 @@ class MatchingTable:
         kind: Literal["eager", "rdv"],
         payload: Optional[Payload] = None,
         rdv: Optional[RdvReq] = None,
-    ) -> list[MatchAction]:
-        """Process one arrival; returns every match it enables.
+    ) -> list[Match]:
+        """Process one arrival; returns every match it enables, each a
+        plain :data:`Match` tuple.
 
         With specific-source receives the list has zero (parked) or one
         entry; a wildcard tag may release a whole chain when this arrival
@@ -303,8 +283,9 @@ class MatchingTable:
         #    the common case, which never needs an _Arrival record
         request = self._posted.pop(key, None)
         if request is not None:
+            # posted for exactly this key: peer and seq are already right
             self.posted_hits += 1
-            return [self._action_for(request, peer, seq, kind, payload, rdv)]
+            return [(request, payload, rdv)]
         # 2. in-order bookkeeping for the wildcard path
         arrival = _Arrival(peer, tag, seq, kind, payload, rdv)
         cursor = self._cursor.get(chan, 0)
@@ -324,13 +305,13 @@ class MatchingTable:
         self, peer: int, tag: int, seq: int, payload: Payload
     ) -> Optional[RecvRequest]:
         """Match arriving eager data; parks it as unexpected if unmatched."""
-        actions = self.arrive(peer, tag, seq, "eager", payload=payload)
-        return actions[0].request if actions else None
+        matches = self.arrive(peer, tag, seq, "eager", payload=payload)
+        return matches[0][0] if matches else None
 
     def match_rdv(self, src: int, rdv: RdvReq) -> Optional[RecvRequest]:
         """Match an arriving rendezvous request; parks it if unmatched."""
-        actions = self.arrive(src, rdv.tag, rdv.seq, "rdv", rdv=rdv)
-        return actions[0].request if actions else None
+        matches = self.arrive(src, rdv.tag, rdv.seq, "rdv", rdv=rdv)
+        return matches[0][0] if matches else None
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

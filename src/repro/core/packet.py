@@ -22,9 +22,12 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from ..util.errors import ProtocolError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .request import SendRequest
 
 __all__ = [
     "Payload",
@@ -35,6 +38,13 @@ __all__ = [
     "DmaChunk",
     "Entry",
 ]
+
+
+@lru_cache(maxsize=256)
+def _virtual(size: int) -> "Payload":
+    """The shared virtual payload of ``size`` bytes: a flood of a few
+    message sizes keeps a few payloads, not one per message."""
+    return Payload(size, None)
 
 
 class Payload:
@@ -66,16 +76,16 @@ class Payload:
         """Coerce bytes (real) or an int size (virtual) into a payload."""
         if isinstance(source, Payload):
             return source
-        if isinstance(source, int):
+        if type(source) is int:  # not a bool
             return _virtual(source)
         if isinstance(source, (bytes, bytearray)):
             b = bytes(source)
             return cls(len(b), b)
         raise ProtocolError(f"cannot build a payload from {type(source).__name__}")
 
-    @staticmethod
-    def virtual(size: int) -> "Payload":
-        return _virtual(size)
+    #: the shared virtual payload of ``size`` bytes — the cache itself, so
+    #: a hit runs no Python frame
+    virtual = staticmethod(_virtual)
 
     @property
     def is_virtual(self) -> bool:
@@ -106,13 +116,6 @@ class Payload:
     def __repr__(self) -> str:  # pragma: no cover
         kind = "virtual" if self.data is None else "real"
         return f"<Payload {kind} {self.size}B>"
-
-
-@lru_cache(maxsize=256)
-def _virtual(size: int) -> Payload:
-    """The shared virtual payload of ``size`` bytes: a flood of a few
-    message sizes keeps a few payloads, not one per message."""
-    return Payload(size, None)
 
 
 @dataclass(slots=True)
@@ -191,8 +194,9 @@ class PacketWrapper:
 
     All three are integer sums, so they equal a from-scratch walk over
     ``entries`` exactly; entries must only ever be added through
-    :meth:`add`.  ``send_requests`` lists the application send requests
-    that complete once this wrapper is posted (eager segments).
+    :meth:`add` or :meth:`embed`.  ``send_requests`` lists the application
+    send requests that complete once this wrapper is posted (eager
+    segments, each put there by :meth:`embed`).
     """
 
     __slots__ = (
@@ -236,6 +240,19 @@ class PacketWrapper:
             self.wire_bytes += self.header_bytes + size
         else:
             self.wire_bytes += entry.wire_size(self.ctrl_bytes)
+
+    def embed(self, request: "SendRequest") -> None:
+        """Carry the whole send ``request`` as an eager entry — the one way
+        a send request enters a wrapper; it completes when the wrapper is
+        posted.  (A retransmitted entry re-enters through :meth:`add`,
+        without its request: that completed at the first post.)"""
+        payload = request.payload
+        size = payload.size
+        self.entries.append(EagerEntry(request.tag, request.seq, payload))
+        self.send_requests.append(request)
+        self.data_count += 1
+        self.data_bytes += size
+        self.wire_bytes += self.header_bytes + size
 
     def wire_size_of(self, entry: Entry) -> int:
         """On-wire bytes ``entry`` takes in a wrapper of this rail — what

@@ -41,10 +41,9 @@ from typing import TYPE_CHECKING, Optional
 
 from ..obs.spans import TRACK_FAULTS
 from ..util.errors import ProtocolError
-from .gate import Segment
 from .packet import DmaChunk, RdvAck, RdvReq
 from .reassembly import ReassemblyBuffer
-from .request import RecvRequest
+from .request import RecvRequest, SendRequest
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scheduler import NodeEngine
@@ -66,7 +65,7 @@ class RdvSendState:
 
     __slots__ = (
         "req_id",
-        "segment",
+        "request",
         "chunks",
         "acked",
         "drained_offsets",
@@ -75,9 +74,10 @@ class RdvSendState:
         "started_at",
     )
 
-    def __init__(self, req_id: int, segment: Segment, chunks: tuple[tuple[int, int, int], ...], now: float):
+    def __init__(self, req_id: int, request: SendRequest, chunks: tuple[tuple[int, int, int], ...], now: float):
         self.req_id = req_id
-        self.segment = segment
+        #: the send request — the segment — this rendezvous moves
+        self.request = request
         self.chunks = chunks
         self.acked = False
         #: chunk offsets whose first drain has been counted (a retry of a
@@ -132,7 +132,7 @@ class RdvManager:
         self.bytes_by_rail: dict[int, int] = {}
 
     # -- sender side -------------------------------------------------------
-    def initiate(self, segment: Segment, chunks: list[tuple[int, int, int]]) -> RdvReq:
+    def initiate(self, request: SendRequest, chunks: list[tuple[int, int, int]]) -> RdvReq:
         """Reserve rails and build the RDV_REQ control entry.
 
         ``chunks`` is ``[(rail_index, offset, length), ...]``; rails must be
@@ -143,14 +143,14 @@ class RdvManager:
             raise ProtocolError(f"rendezvous uses a rail twice: {rails}")
         req = RdvReq(
             req_id=next(self._req_ids),
-            tag=segment.tag,
-            seq=segment.seq,
-            total_length=segment.size,
+            tag=request.tag,
+            seq=request.seq,
+            total_length=request.payload.size,
             chunks=tuple(chunks),
         )
         for rail_index in rails:
             self.engine.driver(rail_index).nic.reserve_dma()
-        self._out[req.req_id] = RdvSendState(req.req_id, segment, req.chunks, self.engine.sim.now)
+        self._out[req.req_id] = RdvSendState(req.req_id, request, req.chunks, self.engine.sim.now)
         self.initiated += 1
         if len(chunks) > 1:
             self.split_count += 1
@@ -170,14 +170,14 @@ class RdvManager:
         if state.acked:
             raise ProtocolError(f"duplicate RDV_ACK for request {ack.req_id}")
         state.acked = True
-        seg = state.segment
+        request = state.request
         faulted = self.engine.session.faults is not None
         cost = 0.0
         for rail_index, offset, length in state.chunks:
             drv = self.engine.driver(rail_index)
-            chunk_payload = seg.payload.slice(offset, length)
+            chunk_payload = request.payload.slice(offset, length)
             cost += drv.start_dma(
-                dst_node=seg.dst_node,
+                dst_node=request.peer,
                 req_id=state.req_id,
                 offset=offset,
                 payload=chunk_payload,
@@ -218,15 +218,15 @@ class RdvManager:
                 now,
                 {
                     "req_id": state.req_id,
-                    "tag": state.segment.tag,
-                    "seq": state.segment.seq,
-                    "bytes": state.segment.size,
+                    "tag": state.request.tag,
+                    "seq": state.request.seq,
+                    "bytes": state.request.payload.size,
                     "chunks": len(state.chunks),
                     "rails": [c[0] for c in state.chunks],
-                    "dst": state.segment.dst_node,
+                    "dst": state.request.peer,
                 },
             )
-        state.segment.request._complete()
+        state.request._complete()
 
     # -- failover ----------------------------------------------------------
     def on_chunk_lost(
@@ -258,7 +258,7 @@ class RdvManager:
                     "rail": self.engine.driver(rail_index).name,
                     "attempt": attempt + 1,
                     "backoff_us": delay,
-                    "dst": state.segment.dst_node,
+                    "dst": state.request.peer,
                 },
             )
         self.engine.sim.schedule(delay, self._retry_chunk, state, offset, length)
@@ -283,10 +283,10 @@ class RdvManager:
                         {"req_id": state.req_id, "offset": offset, "rail": drv.name},
                     )
                 drv.start_dma(
-                    dst_node=state.segment.dst_node,
+                    dst_node=state.request.peer,
                     req_id=state.req_id,
                     offset=offset,
-                    payload=state.segment.payload.slice(offset, length),
+                    payload=state.request.payload.slice(offset, length),
                     delay=0.0,
                     on_drain=lambda _f, s=state, r=idx, o=offset: self._chunk_drained(s, r, o),
                     on_lost=self._make_on_lost(state, idx, offset, length),
@@ -302,7 +302,7 @@ class RdvManager:
     def send_request(self, req_id: int):
         """The outstanding send request behind one RDV_REQ id (or None)."""
         state = self._out.get(req_id)
-        return None if state is None else state.segment.request
+        return None if state is None else state.request
 
     # -- receiver side -----------------------------------------------------
     def accept(self, src_node: int, rdv: RdvReq, request: RecvRequest) -> None:

@@ -116,7 +116,20 @@ class Request:
 
 
 class SendRequest(Request):
-    """Tracks one submitted segment until it has fully left this node.
+    """One submitted segment, from ``isend`` until it has fully left this node.
+
+    A send request *is* the segment — the scheduling unit: each
+    ``pack()``/``isend()`` call submits one, the strategy queues the
+    request itself (:meth:`Strategy.pack
+    <repro.core.strategies.base.Strategy.pack>`), and the optimizing
+    scheduler is free to aggregate several into one packet or to split one
+    into several chunks.  ``peer`` is the destination node and ``seq`` the
+    segment's number on its ``(peer, tag)`` channel: a **gate** —
+    NewMadeleine's connection to one peer — has no object here, only one
+    counter per channel on each side (``NodeEngine._seq_out`` for sends,
+    :class:`~repro.core.matching.MatchingTable` for receives), and the nth
+    send on a channel matches the nth receive, which is what makes
+    out-of-order multi-rail delivery safe.
 
     For eager segments completion means the packet was handed to the NIC;
     for rendezvous segments it means every chunk's last byte drained.

@@ -39,8 +39,7 @@ from ..obs.metrics import Counters
 from ..obs.spans import TRACK_FAULTS, TRACK_PUMP
 from ..sim.process import Process, spawn
 from ..util.errors import ApiError, ProtocolError
-from .gate import Segment
-from .matching import ANY_SOURCE, MatchAction, MatchingTable
+from .matching import ANY_SOURCE, Match, MatchingTable
 from .packet import DmaChunk, EagerEntry, Payload, PacketWrapper, RdvAck, RdvReq
 from .rendezvous import RdvManager
 from .request import RecvRequest, SendRequest
@@ -64,7 +63,12 @@ class NodeEngine:
         self.sim = session.sim
         self.platform = session.platform
         self.node_id = node_id
+        #: read once: every submit and post checks a node id against it
+        self._n_nodes = self.platform.n_nodes
         self.host = self.platform.host(node_id)
+        #: the host's copy rate, read once: receive and aggregation copies
+        #: cost ``bytes / memcpy_MBps`` µs
+        self._memcpy_MBps = self.host.spec.memcpy_MBps
         self.drivers: list["Driver"] = [
             make_driver(self.platform, rail_index, node_id)
             for rail_index in range(self.platform.n_rails)
@@ -125,10 +129,15 @@ class NodeEngine:
     # collect layer entry points (called from application processes)
     # ------------------------------------------------------------------ #
     def submit(self, dst_node: int, tag: int, payload: Payload) -> SendRequest:
-        """Queue one segment for ``dst_node``; returns its send request."""
+        """Queue one segment for ``dst_node``; returns its send request —
+        the segment itself, which the strategy queues as it is."""
+        if type(dst_node) is not int:  # a bool or a float too: not a node id
+            raise ApiError(f"node id must be an int, got {dst_node!r}")
+        if type(tag) is not int or tag < 0:
+            raise ApiError(f"tag must be a non-negative int, got {tag!r}")
         if dst_node == self.node_id:
             raise ApiError(f"node {self.node_id}: send to self is not supported")
-        if not 0 <= dst_node < self.platform.n_nodes:
+        if not 0 <= dst_node < self._n_nodes:
             raise ApiError(f"no such node {dst_node}")
         chan = (dst_node, tag)
         seq = self._seq_out.get(chan, 0)
@@ -144,9 +153,7 @@ class NodeEngine:
                 self.node_id, TRACK_PUMP, "submit", "api", request.submitted_at,
                 {"tag": tag, "seq": seq, "bytes": size, "dst": dst_node},
             )
-        self.strategy.pack(
-            self, Segment(dst_node, tag, seq, payload, request, request.submitted_at)
-        )
+        self.strategy.pack(self, request)
         self.host.wake()
         return request
 
@@ -155,9 +162,13 @@ class NodeEngine:
 
         ``src_node`` may be :data:`~repro.core.matching.ANY_SOURCE`.
         """
+        if type(src_node) is not int:
+            raise ApiError(f"node id must be an int, got {src_node!r}")
+        if type(tag) is not int or tag < 0:
+            raise ApiError(f"tag must be a non-negative int, got {tag!r}")
         if src_node == self.node_id:
             raise ApiError(f"node {self.node_id}: receive from self is not supported")
-        if src_node != ANY_SOURCE and not 0 <= src_node < self.platform.n_nodes:
+        if src_node != ANY_SOURCE and not 0 <= src_node < self._n_nodes:
             raise ApiError(f"no such node {src_node}")
         request = RecvRequest(self.sim, src_node, tag, -1)
         outcome = self.matching.post_recv(src_node, tag, request)
@@ -258,11 +269,12 @@ class NodeEngine:
     # ------------------------------------------------------------------ #
     def _handle_packet(
         self, driver: "Driver", pkt: Any
-    ) -> tuple[float, list[MatchAction]]:
+    ) -> tuple[float, list[Match]]:
         """Demultiplex one arrived packet.
 
         Returns ``(cpu_cost_us, matches)``: the pump charges the cost,
-        *then* carries out the matches (and hands a DMA chunk on to
+        *then* carries out the matches — plain ``(request, payload, rdv)``
+        tuples from the matching table — (and hands a DMA chunk on to
         reassembly) so that requests complete at the correct simulated
         time.  One arrival may enable several matches (a wildcard tag
         releasing a chain of arrivals), and may enable rendezvous accepts
@@ -276,21 +288,21 @@ class NodeEngine:
             cost += max(0, len(pkt.entries) - 1) * spec.entry_cost_us
             if pkt.data_count:
                 counts["eager_rx"] += pkt.data_count
-            matches: list[MatchAction] = []
+            matches: list[Match] = []
             src = pkt.src_node
             arrive = self.matching.arrive
-            memcpy_us = self.host.memcpy_us
+            memcpy_MBps = self._memcpy_MBps
             for entry in pkt.entries:
                 if isinstance(entry, EagerEntry):
                     payload = entry.payload
-                    cost += memcpy_us(payload.size)
-                    actions = arrive(src, entry.tag, entry.seq, "eager", payload)
-                    if not actions:
+                    cost += payload.size / memcpy_MBps
+                    found = arrive(src, entry.tag, entry.seq, "eager", payload)
+                    if not found:
                         counts["unexpected_eager"] += 1
                 elif isinstance(entry, RdvReq):
                     counts["rdv_req_rx"] += 1
-                    actions = arrive(src, entry.tag, entry.seq, "rdv", None, entry)
-                    if not actions:
+                    found = arrive(src, entry.tag, entry.seq, "rdv", None, entry)
+                    if not found:
                         counts["rdv_unexpected"] += 1
                 elif isinstance(entry, RdvAck):
                     counts["rdv_ack_rx"] += 1
@@ -298,13 +310,13 @@ class NodeEngine:
                     continue
                 else:  # pragma: no cover - defensive
                     raise ProtocolError(f"unknown entry {entry!r}")
-                matches += actions
+                matches += found
             return cost, matches
         if isinstance(pkt, DmaChunk):
             counts["dma_chunks_rx"] += 1
             cost = spec.handle_cost_us
             if not spec.zero_copy_recv:
-                cost += self.host.memcpy_us(pkt.length)
+                cost += pkt.payload.size / self._memcpy_MBps
             return cost, []
         raise ProtocolError(f"node {self.node_id}: unknown packet {pkt!r}")
 
@@ -315,13 +327,16 @@ class NodeEngine:
         """Record submit→commit latency for every request riding ``pw``.
 
         Eager sends sit in ``pw.send_requests``; a rendezvous send's first
-        commit is the wrapper carrying its RDV_REQ control entry.
+        commit is the wrapper carrying its RDV_REQ control entry (none
+        rides a wrapper of eager data only).
         """
         lat = self._inst.commit_latency_us[rail_idx]
         for req in pw.send_requests:
             if req.first_commit_at is None:
                 req.first_commit_at = now
                 lat.observe(now - req.submitted_at)
+        if pw.data_count == len(pw.entries):
+            return
         for entry in pw.entries:
             if isinstance(entry, RdvReq):
                 sreq = self.rdv.send_request(entry.req_id)
@@ -340,6 +355,7 @@ class NodeEngine:
         host = self.host
         strategy = self.strategy
         observer = self._observer
+        memcpy_MBps = self._memcpy_MBps
         faulted = session.faults is not None
         counts = self.counters.counts
         rails = [(idx, self.drivers[idx], self.drivers[idx].nic) for idx in self._order]
@@ -409,11 +425,11 @@ class NodeEngine:
                 # the cost has elapsed: what the packet enabled happens now
                 if isinstance(pkt, DmaChunk):
                     self.rdv.on_chunk(pkt)
-                for match in matches:
-                    if match.kind == "deliver":
-                        match.request._deliver(match.payload)
+                for request, payload, rdv in matches:
+                    if rdv is None:
+                        request._deliver(payload)
                     else:
-                        self.rdv.accept(match.src, match.rdv, match.request)
+                        self.rdv.accept(request.peer, rdv, request)
                 progressed = True
             # --- commit phase (one wrapper per driver per sweep) -------
             for idx, driver, nic in rails:
@@ -463,7 +479,7 @@ class NodeEngine:
                     # aggregation copy into one contiguous buffer
                     counts["aggregated_packets"] += 1
                     counts["aggregated_segments"] += pw.data_count
-                    yield host.memcpy_us(pw.data_bytes)
+                    yield pw.data_bytes / memcpy_MBps
                 # §4 future work: offload the PIO copy to a worker thread
                 post, copy = driver.eager_cost_parts(pw)
                 post_t0 = sim.now

@@ -35,8 +35,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from ...util.errors import StrategyError
-from ..gate import Segment
 from ..packet import PacketWrapper
+from ..request import SendRequest
 from .base import Strategy
 from .split_balance import SplitBalanceStrategy
 
@@ -259,9 +259,9 @@ class FeedbackStrategy(SplitBalanceStrategy):
         return super()._model(engine, driver)  # pragma: no cover - pre-bind
 
     # -- engine entry points: lazy epoch advancement -----------------------
-    def pack(self, engine: "NodeEngine", segment: Segment) -> None:
+    def pack(self, engine: "NodeEngine", request: SendRequest) -> None:
         self._advance_epochs(engine.sim.now)
-        super().pack(engine, segment)
+        super().pack(engine, request)
 
     def try_and_commit(
         self, engine: "NodeEngine", driver: "Driver"
@@ -434,9 +434,9 @@ class TournamentStrategy(Strategy):
                 c.observe(rail_index, kind, nbytes, start_us, end_us)
 
     # -- engine entry points -----------------------------------------------
-    def pack(self, engine: "NodeEngine", segment: Segment) -> None:
+    def pack(self, engine: "NodeEngine", request: SendRequest) -> None:
         self._advance_epochs(engine.sim.now)
-        self.active_strategy.pack(engine, segment)
+        self.active_strategy.pack(engine, request)
 
     def try_and_commit(
         self, engine: "NodeEngine", driver: "Driver"

@@ -28,8 +28,8 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional
 
 from ...util.errors import StrategyError
-from ..gate import Segment
 from ..packet import PacketWrapper
+from ..request import SendRequest
 from .base import NO_SEGMENTS, Strategy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,8 +46,8 @@ class AggregMultirailStrategy(Strategy):
 
     def __init__(self) -> None:
         super().__init__()
-        self._small: Deque[Segment] = NO_SEGMENTS
-        self._large: Deque[Segment] = NO_SEGMENTS
+        self._small: Deque[SendRequest] = NO_SEGMENTS
+        self._large: Deque[SendRequest] = NO_SEGMENTS
         self._fastest_index: Optional[int] = None
         #: largest payload that is "small" (eager-eligible on the fastest
         #: rail); fixed at bind.
@@ -70,15 +70,15 @@ class AggregMultirailStrategy(Strategy):
         return self._fastest_index
 
     # ------------------------------------------------------------------ #
-    def pack(self, engine: "NodeEngine", segment: Segment) -> None:
-        if segment.payload.size <= self._small_max:
+    def pack(self, engine: "NodeEngine", request: SendRequest) -> None:
+        if request.payload.size <= self._small_max:
             if self._small is NO_SEGMENTS:
                 self._small = deque()
-            self._small.append(segment)
+            self._small.append(request)
         else:
             if self._large is NO_SEGMENTS:
                 self._large = deque()
-            self._large.append(segment)
+            self._large.append(request)
         self.quiet = False
 
     def try_and_commit(
@@ -93,7 +93,7 @@ class AggregMultirailStrategy(Strategy):
         if self._small and driver.rail_index == self.usable_rail_index(
             engine, self.fastest_index
         ):
-            pw = driver.new_wrapper(self._small[0].dst_node)
+            pw = driver.new_wrapper(self._small[0].peer)
             if self.fill_with_eager(pw, driver, self._small) == 0:
                 # failover rail with a smaller eager limit than the head
                 # segment needs: wait for a rail that can carry it
@@ -101,20 +101,21 @@ class AggregMultirailStrategy(Strategy):
             return pw
         # large messages: only planned when the consulted rail's DMA is free
         if self._large and driver.dma_idle:
-            seg = self._large[0]
-            chunks = self.large_chunks(engine, driver, seg)
+            request = self._large[0]
+            chunks = self.large_chunks(engine, driver, request)
             self._large.popleft()
-            return self.commit_rdv(engine, driver, seg, chunks)
+            return self.commit_rdv(engine, driver, request, chunks)
         return None
 
     def large_chunks(
-        self, engine: "NodeEngine", driver: "Driver", seg: Segment
+        self, engine: "NodeEngine", driver: "Driver", request: SendRequest
     ) -> list[tuple[int, int, int]]:
-        """The chunk plan of the large queue's head ``seg`` (still queued),
-        consulted for the usable, DMA-idle ``driver``: ``[(rail_index,
-        offset, length), ...]``.  Greedy: the whole segment on ``driver``.
+        """The chunk plan of the large queue's head ``request`` (still
+        queued), consulted for the usable, DMA-idle ``driver``:
+        ``[(rail_index, offset, length), ...]``.  Greedy: the whole segment
+        on ``driver``.
         """
-        return [(driver.rail_index, 0, seg.size)]
+        return [(driver.rail_index, 0, request.payload.size)]
 
     @property
     def backlog(self) -> int:

@@ -1,7 +1,9 @@
 """Strategy (optimizing scheduler) interface.
 
 A strategy is the interchangeable middle-layer module of Figure 1: it
-*collects* application segments (:meth:`Strategy.pack`) and is *consulted
+*collects* application segments — each one the
+:class:`~repro.core.request.SendRequest` its ``isend`` returned — through
+:meth:`Strategy.pack`, and is *consulted
 just-in-time* whenever the engine's pump finds a NIC able to emit
 (:meth:`Strategy.try_and_commit`).  Between those two moments requests
 accumulate — that backlog is the paper's "optimization window", and it is
@@ -50,8 +52,8 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional
 
 from ...util.errors import StrategyError
-from ..gate import Segment
-from ..packet import EagerEntry, Entry, PacketWrapper
+from ..packet import Entry, PacketWrapper
+from ..request import SendRequest
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...drivers.base import Driver
@@ -62,7 +64,7 @@ __all__ = ["Strategy", "NO_SEGMENTS"]
 #: a submission queue nothing was packed into yet (shared, hence
 #: immutable): ``pack`` replaces it with a deque on first use, so an
 #: engine that never sends large segments never owns a large queue.
-NO_SEGMENTS: Deque[Segment] = ()  # type: ignore[assignment]
+NO_SEGMENTS: Deque[SendRequest] = ()  # type: ignore[assignment]
 
 
 class Strategy(ABC):
@@ -101,8 +103,9 @@ class Strategy(ABC):
     # collect side
     # ------------------------------------------------------------------ #
     @abstractmethod
-    def pack(self, engine: "NodeEngine", segment: Segment) -> None:
-        """Accept one application segment into the submission queues."""
+    def pack(self, engine: "NodeEngine", request: SendRequest) -> None:
+        """Accept one application segment — its send request, queued as
+        it is — into the submission queues."""
 
     def pack_ctrl(self, engine: "NodeEngine", dst_node: int, entry: Entry) -> None:
         """Queue a control entry (e.g. RDV_ACK) for ``dst_node``."""
@@ -180,30 +183,29 @@ class Strategy(ABC):
         self,
         engine: "NodeEngine",
         driver: "Driver",
-        seg: Segment,
+        request: SendRequest,
         chunks: list[tuple[int, int, int]],
     ) -> PacketWrapper:
-        """Start the rendezvous of ``seg`` over ``chunks`` (``[(rail_index,
-        offset, length), ...]``) and wrap its RDV_REQ for ``driver``.
+        """Start the rendezvous of ``request`` over ``chunks``
+        (``[(rail_index, offset, length), ...]``) and wrap its RDV_REQ for
+        ``driver``.
 
         The one place a strategy initiates a rendezvous; the caller has
-        already taken ``seg`` off its queue.
+        already taken ``request`` off its queue.
         """
-        req = engine.rdv.initiate(seg, chunks)
-        pw = driver.new_wrapper(seg.dst_node)
-        pw.add(req)
+        pw = driver.new_wrapper(request.peer)
+        pw.add(engine.rdv.initiate(request, chunks))
         return pw
 
-    def append_segment(self, pw: PacketWrapper, segment: Segment) -> None:
+    def append_segment(self, pw: PacketWrapper, request: SendRequest) -> None:
         """Embed a whole segment as an eager entry of ``pw``."""
-        pw.add(EagerEntry(segment.tag, segment.seq, segment.payload))
-        pw.send_requests.append(segment.request)
+        pw.embed(request)
 
     def fill_with_eager(
         self,
         pw: PacketWrapper,
         driver: "Driver",
-        queue: Deque[Segment],
+        queue: Deque[SendRequest],
     ) -> int:
         """Opportunistic aggregation: move queue-head segments into ``pw``.
 
@@ -217,14 +219,15 @@ class Strategy(ABC):
         taken = 0
         dst_node = pw.dst_node
         room = driver.max_eager_payload
+        embed = pw.embed
         while queue:
-            seg = queue[0]
-            if seg.dst_node != dst_node:
+            request = queue[0]
+            if request.peer != dst_node:
                 break
-            if pw.wire_bytes + seg.payload.size > room:
+            if pw.wire_bytes + request.payload.size > room:
                 break
             queue.popleft()
-            self.append_segment(pw, seg)
+            embed(request)
             taken += 1
         return taken
 

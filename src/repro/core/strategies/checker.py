@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
 from ...util.errors import StrategyError
-from ..gate import Segment
 from ..packet import EagerEntry, PacketWrapper, RdvReq
+from ..request import SendRequest
 from .base import Strategy
 from .registry import make_strategy
 
@@ -117,10 +117,10 @@ class CheckedStrategy(Strategy):
         super().bind(engine)
         self.inner.bind(engine)
 
-    def pack(self, engine: "NodeEngine", segment: Segment) -> None:
-        self._outstanding[(segment.dst_node, segment.tag, segment.seq)] = segment.request
+    def pack(self, engine: "NodeEngine", request: SendRequest) -> None:
+        self._outstanding[(request.peer, request.tag, request.seq)] = request
         self._packed_total += 1
-        self.inner.pack(engine, segment)
+        self.inner.pack(engine, request)
 
     def pack_ctrl(self, engine: "NodeEngine", dst_node: int, entry) -> None:
         self._ctrl_queued += 1

@@ -36,8 +36,8 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional, Union
 
 from ...util.errors import StrategyError
-from ..gate import Segment
 from ..packet import PacketWrapper
+from ..request import SendRequest
 from .base import NO_SEGMENTS, Strategy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,7 +59,7 @@ class SingleRailStrategy(Strategy):
         self._rail_opt = rail
         #: the pinned rail; None consults every rail (``greedy``).
         self._rail_index: Optional[int] = None
-        self._queue: Deque[Segment] = NO_SEGMENTS
+        self._queue: Deque[SendRequest] = NO_SEGMENTS
 
     # ------------------------------------------------------------------ #
     def bind(self, engine: "NodeEngine") -> None:
@@ -81,10 +81,10 @@ class SingleRailStrategy(Strategy):
         return self._rail_index
 
     # ------------------------------------------------------------------ #
-    def pack(self, engine: "NodeEngine", segment: Segment) -> None:
+    def pack(self, engine: "NodeEngine", request: SendRequest) -> None:
         if self._queue is NO_SEGMENTS:
             self._queue = deque()
-        self._queue.append(segment)
+        self._queue.append(request)
         self.quiet = False
 
     def try_and_commit(
@@ -98,18 +98,19 @@ class SingleRailStrategy(Strategy):
             return None
         if self._ctrl_pending:
             return self.commit_ctrl(engine, driver)
-        seg = self._queue[0]
-        if driver.eager_eligible(seg.size):
-            pw = driver.new_wrapper(seg.dst_node)
+        request = self._queue[0]
+        size = request.payload.size
+        if driver.eager_eligible(size):
+            pw = driver.new_wrapper(request.peer)
             if self.aggregate:
                 self.fill_with_eager(pw, driver, self._queue)
             else:
                 self._queue.popleft()
-                self.append_segment(pw, seg)
+                self.append_segment(pw, request)
             return pw
         if driver.dma_idle:
             self._queue.popleft()
-            return self.commit_rdv(engine, driver, seg, [(driver.rail_index, 0, seg.size)])
+            return self.commit_rdv(engine, driver, request, [(driver.rail_index, 0, size)])
         # Large segment, DMA engine still busy: wait to be consulted again.
         return None
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from ...util.errors import StrategyError
-from ..gate import Segment
+from ..request import SendRequest
 from .aggreg_multirail import AggregMultirailStrategy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -144,16 +144,17 @@ class SplitBalanceStrategy(AggregMultirailStrategy):
 
     # -- the large-segment policy -------------------------------------------
     def large_chunks(
-        self, engine: "NodeEngine", driver: "Driver", seg: Segment
+        self, engine: "NodeEngine", driver: "Driver", request: SendRequest
     ) -> list[tuple[int, int, int]]:
         # never empty: the consulted driver is usable and DMA-idle
         idle = [d for d in engine.drivers if d.dma_idle and d.usable]
         # A backlog of large segments already parallelizes across rails
         # greedily (one whole segment per idle NIC); stripping the head
         # would hog every DMA engine and starve the rest.
+        size = request.payload.size
         if len(self._large) == 1:
-            chunks = self._plan_chunks(engine, idle, seg.size)
+            chunks = self._plan_chunks(engine, idle, size)
             if chunks is not None:
                 return chunks
-        best = min(idle, key=lambda d: self._predict_whole(engine, d, seg.size))
-        return [(best.rail_index, 0, seg.size)]
+        best = min(idle, key=lambda d: self._predict_whole(engine, d, size))
+        return [(best.rail_index, 0, size)]

@@ -66,10 +66,6 @@ class Host:
     def attach_nic(self, nic: "NIC") -> None:
         self.nics.append(nic)
 
-    def memcpy_us(self, nbytes: int) -> float:
-        """CPU time to copy ``nbytes`` through host memory."""
-        return self.spec.memcpy_us(nbytes)
-
     # -- parallel-PIO worker pool (the paper's §4 future work) -----------
     @property
     def has_pio_workers(self) -> bool:

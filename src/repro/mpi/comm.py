@@ -53,6 +53,8 @@ class Communicator:
 
     def endpoint(self, rank: int) -> "CommEndpoint":
         """The per-rank handle used inside that rank's process."""
+        if type(rank) is not int:  # a bool or a float too: not a rank
+            raise ApiError(f"rank must be an int, got {rank!r}")
         if not 0 <= rank < self.size:
             raise ApiError(f"rank {rank} out of range [0,{self.size})")
         ep = self._endpoints.get(rank)
@@ -65,6 +67,8 @@ class Communicator:
         return Communicator(self.session, name=name or f"{self.name}.dup")
 
     def _core_tag(self, user_tag: int) -> int:
+        if type(user_tag) is not int:  # 1.0 would hit the cached tag of 1
+            raise ApiError(f"tag must be an int, got {user_tag!r}")
         tag = self._core_tags.get(user_tag)
         if tag is None:
             if not 0 <= user_tag <= MAX_USER_TAG:

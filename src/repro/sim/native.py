@@ -16,6 +16,7 @@ toolchain) or let ``auto`` pick it up.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional
 
 from .engine import SimulationError, Simulator
@@ -46,9 +47,8 @@ class NativeSimulator(Simulator):
         self.step = core.step
 
     # ------------------------------------------------------------------ #
-    @property
-    def now(self) -> float:
-        return self._core.now
+    # the C core's clock through a C getter: no Python frame per read
+    now = property(attrgetter("_core.now"), doc="Current simulated time in microseconds.")
 
     @property
     def pending(self) -> int:

@@ -12,8 +12,10 @@ Supported yield values
 a *waitable* — any object with ``wait(callback)`` / ``unwait(callback)``
     Suspend until it calls ``callback(value)``; the ``yield`` expression
     returns ``value``.  ``unwait`` withdraws a callback that has not run
-    (no-op otherwise).  :meth:`Process._arm` knows nothing else; three
-    classes speak it: :class:`Signal` (the value given to ``fire``),
+    (no-op otherwise).  :meth:`Process._advance` hands its resume to
+    ``wait`` directly, :meth:`Process._arm` (combinator children) does the
+    same, and neither knows anything else; three classes speak it:
+    :class:`Signal` (the value given to ``fire``),
     :class:`Process` (the child's ``return`` value; ``wait`` is ``on_done``)
     and :class:`repro.core.request.Request` (the request itself).  A
     waitable may call back at once, inside ``wait`` (a finished process
@@ -276,7 +278,11 @@ class Process:
                 self.sim.schedule(yielded.dt, self._resume, None)
                 return
             self._sync = _ARMING
-            self._arm(yielded, self._resume)
+            wait = getattr(yielded, "wait", None)
+            if wait is not None:  # a waitable: no _arm frame in between
+                wait(self._resume)
+            else:
+                self._arm(yielded, self._resume)
             send_value, self._sync = self._sync, _IDLE
             if send_value is _ARMING:  # armed: a later callback resumes us
                 return

@@ -113,3 +113,49 @@ def test_interface_properties(plat2):
     iface = session.interface(1)
     assert iface.node_id == 1
     assert iface.sim is session.sim
+
+
+# --- ill-typed input is refused at the call, in one ApiError line ---------
+def _refused(call):
+    """The one-line ApiError ``call`` raises."""
+    with pytest.raises(ApiError) as info:
+        call()
+    message = str(info.value)
+    assert "\n" not in message
+    return message
+
+
+def test_float_node_id_refused_at_the_call(plat2):
+    """``isend(1.0, ...)`` was accepted, then raised ``TypeError: list
+    indices must be integers`` from ``Fabric.nic_of`` inside the run."""
+    session = Session(plat2)
+    assert "node id" in _refused(lambda: session.interface(0).isend(1.0, 1, 64))
+    assert "node id" in _refused(lambda: session.interface(1).irecv(0.0, 1))
+    assert "node id" in _refused(lambda: session.interface(0).isend(True, 1, 64))
+    session.run_until_idle()  # nothing was queued
+    assert session.engine(0)._seq_out == {} and session.engine(0).strategy.backlog == 0
+
+
+def test_bool_size_refused_at_the_call(plat2):
+    """``isend(1, 1, True)`` sent a 1-byte virtual payload."""
+    session = Session(plat2)
+    assert "bool" in _refused(lambda: session.interface(0).isend(1, 1, True))
+    assert "float" in _refused(lambda: session.interface(0).isend(1, 1, 64.0))
+    assert session.counters(0)["segments_submitted"] == 0
+
+
+def test_float_tag_refused_at_the_call(plat2):
+    """A float tag silently matched the equal int tag."""
+    session = Session(plat2)
+    recv = session.interface(1).irecv(0, 1)
+    assert "tag" in _refused(lambda: session.interface(0).isend(1, 1.0, 8))
+    assert "tag" in _refused(lambda: session.interface(1).irecv(0, 1.0))
+    session.run_until_idle()
+    assert not recv.done
+
+
+def test_str_tag_refused_at_the_call(plat2):
+    """``isend(1, "x", 8)`` raised a bare ``TypeError`` from ``"x" < 0``."""
+    session = Session(plat2)
+    assert "tag" in _refused(lambda: session.interface(0).isend(1, "x", 8))
+    assert "tag" in _refused(lambda: session.interface(1).irecv(0, "x"))

@@ -1,10 +1,7 @@
-"""Unit tests for segments and the send side of the channel table."""
+"""Unit tests for the send side of the channel table."""
 
 from repro import Session, paper_platform
-from repro.core.gate import Segment
 from repro.core.packet import Payload
-from repro.core.request import SendRequest
-from repro.sim import Simulator
 
 
 def test_seq_monotonic_per_tag():
@@ -20,16 +17,3 @@ def test_seq_monotonic_per_tag():
     assert submit(1, 5) == 3
     assert engine._seq_out == {(1, 5): 4, (1, 6): 1, (2, 5): 1}
 
-
-def test_segment_size():
-    sim = Simulator()
-    payload = Payload.of(b"abcd")
-    seg = Segment(
-        dst_node=1,
-        tag=0,
-        seq=0,
-        payload=payload,
-        request=SendRequest(sim, 1, 0, 0, payload),
-        submitted_at=0.0,
-    )
-    assert seg.size == 4

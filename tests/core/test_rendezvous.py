@@ -3,7 +3,6 @@
 import pytest
 
 from repro import Session, paper_platform
-from repro.core.gate import Segment
 from repro.core.packet import Payload, RdvAck
 from repro.core.request import SendRequest
 from repro.util.errors import ProtocolError
@@ -20,9 +19,8 @@ def engine(plat2):
 
 
 def make_segment(engine, size=100_000, tag=3):
-    payload = Payload.virtual(size)
-    req = SendRequest(engine.sim, 1, tag, 0, payload)
-    return Segment(dst_node=1, tag=tag, seq=0, payload=payload, request=req, submitted_at=0.0)
+    """A segment for node 1: its send request, as a strategy queues it."""
+    return SendRequest(engine.sim, 1, tag, 0, Payload.virtual(size))
 
 
 class TestInitiate:
@@ -53,7 +51,7 @@ class TestAck:
 
     def test_duplicate_ack_rejected(self, engine):
         seg = make_segment(engine)
-        req = engine.rdv.initiate(seg, [(0, 0, seg.size)])
+        req = engine.rdv.initiate(seg, [(0, 0, seg.payload.size)])
         engine.rdv.on_ack(RdvAck(req_id=req.req_id))
         with pytest.raises(ProtocolError, match="duplicate"):
             engine.rdv.on_ack(RdvAck(req_id=req.req_id))
@@ -66,7 +64,7 @@ class TestAck:
         engine.sim.run_until_idle()
         assert not engine.driver(0).nic.dma_busy
         assert not engine.driver(1).nic.dma_busy
-        assert seg.request.done
+        assert seg.done
         assert engine.rdv.outstanding_out == 0
 
 

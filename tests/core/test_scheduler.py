@@ -372,16 +372,16 @@ def test_strategies_that_never_go_quiet_are_consulted_on_every_sweep(plat2):
             super().__init__()
             self.queue, self.consults = [], 0
 
-        def pack(self, engine, segment):
-            self.queue.append(segment)
+        def pack(self, engine, request):
+            self.queue.append(request)
 
         def try_and_commit(self, engine, driver):
             self.consults += 1
             if not self.queue:
                 return None
-            seg = self.queue.pop(0)
-            pw = driver.new_wrapper(seg.dst_node)
-            self.append_segment(pw, seg)
+            request = self.queue.pop(0)
+            pw = driver.new_wrapper(request.peer)
+            self.append_segment(pw, request)
             return pw
 
         backlog = property(lambda self: len(self.queue))

@@ -27,9 +27,9 @@ class TestWildcardBasics:
         table = MatchingTable()
         r = any_req(sim)
         assert table.post_recv(ANY_SOURCE, 1, r).kind == "posted"
-        actions = table.arrive(peer=3, tag=1, seq=0, kind="eager", payload=Payload.of(b"x"))
-        assert len(actions) == 1
-        assert actions[0].request is r
+        matches = table.arrive(peer=3, tag=1, seq=0, kind="eager", payload=Payload.of(b"x"))
+        [(request, payload, rdv_req)] = matches  # a plain (request, payload, rdv) tuple
+        assert request is r and payload.data == b"x" and rdv_req is None
         assert r.peer == 3 and r.seq == 0  # source learned at match time
 
     def test_arrive_then_post(self, sim):
@@ -51,9 +51,10 @@ class TestWildcardBasics:
         table = MatchingTable()
         r = any_req(sim)
         table.post_recv(ANY_SOURCE, 1, r)
-        actions = table.arrive(2, 1, 0, "rdv", rdv=rdv())
-        assert actions[0].kind == "rdv" and actions[0].src == 2
-        assert r.peer == 2
+        announced = rdv()
+        [(request, payload, rdv_req)] = table.arrive(2, 1, 0, "rdv", rdv=announced)
+        assert request is r and payload is None and rdv_req is announced
+        assert r.peer == 2  # the source the engine acknowledges
 
     def test_wildcard_hit_counter(self, sim):
         table = MatchingTable()
@@ -69,10 +70,10 @@ class TestNonOvertakingPerSource:
         r = any_req(sim)
         table.post_recv(ANY_SOURCE, 1, r)
         assert table.arrive(2, 1, 1, "eager", payload=Payload.of(b"second")) == []
-        actions = table.arrive(2, 1, 0, "eager", payload=Payload.of(b"first"))
+        matches = table.arrive(2, 1, 0, "eager", payload=Payload.of(b"first"))
         # the gap-filler releases the chain: seq 0 matches r
-        assert len(actions) == 1
-        assert actions[0].payload.data == b"first"
+        assert len(matches) == 1
+        assert matches[0][1].data == b"first"
 
     def test_chain_release_matches_multiple_wildcards(self, sim):
         table = MatchingTable()
@@ -81,9 +82,9 @@ class TestNonOvertakingPerSource:
             table.post_recv(ANY_SOURCE, 1, r)
         table.arrive(2, 1, 2, "eager", payload=Payload.of(b"c"))
         table.arrive(2, 1, 1, "eager", payload=Payload.of(b"b"))
-        actions = table.arrive(2, 1, 0, "eager", payload=Payload.of(b"a"))
-        assert [a.payload.data for a in actions] == [b"a", b"b", b"c"]
-        assert [a.request for a in actions] == [r0, r1, r2]
+        matches = table.arrive(2, 1, 0, "eager", payload=Payload.of(b"a"))
+        assert [payload.data for _, payload, _ in matches] == [b"a", b"b", b"c"]
+        assert [request for request, _, _ in matches] == [r0, r1, r2]
 
     def test_stashed_arrivals_counted_unexpected(self, sim):
         table = MatchingTable()

@@ -101,3 +101,26 @@ def test_sendrecv_exchanges(session):
 
     run_procs(session, rank(0, 1), rank(1, 0))
     assert got == {0: b"\x01", 1: b"\x00"}
+
+
+def test_float_rank_refused_at_the_call(session):
+    """``Communicator.endpoint(1.0)`` raised a raw ``TypeError``."""
+    comm = Communicator(session)
+    for rank in (1.0, True):
+        with pytest.raises(ApiError, match="rank must be an int") as info:
+            comm.endpoint(rank)
+        assert "\n" not in str(info.value)
+
+
+def test_float_tag_refused_at_the_call(session):
+    """``ep.isend(8, 1, tag=1.5)`` raised a raw ``TypeError``; ``tag=1.0``
+    would have reused tag 1's channel once that one was cached."""
+    comm = Communicator(session)
+    ep = comm.endpoint(0)
+    ep.irecv(1, tag=1)  # caches user tag 1
+    for tag in (1.5, 1.0, "1"):
+        with pytest.raises(ApiError, match="tag must be an int") as info:
+            ep.isend(8, 1, tag=tag)
+        assert "\n" not in str(info.value)
+        with pytest.raises(ApiError, match="tag must be an int"):
+            ep.irecv(1, tag=tag)

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Session, paper_platform
-from repro.core.gate import Segment
 from repro.core.packet import EagerEntry, PacketWrapper, Payload, RdvAck, RdvReq
 from repro.core.request import SendRequest
 from repro.hardware.presets import GIGE_TCP, MYRI_10G, MYRINET_2000, QUADRICS_QM500, SCI_D33X
@@ -102,10 +101,7 @@ def test_fill_with_eager_visits_each_taken_segment_once(backlog):
     strategy = engine.strategy
     driver = engine.drivers[strategy.fastest_index]
     payloads = [_CountingPayload(8) for _ in range(backlog)]
-    queue = deque(
-        Segment(1, 5, seq, p, SendRequest(session.sim, 1, 5, seq, p), 0.0)
-        for seq, p in enumerate(payloads)
-    )
+    queue = deque(SendRequest(session.sim, 1, 5, seq, p) for seq, p in enumerate(payloads))
     pw = driver.new_wrapper(1)
     taken = strategy.fill_with_eager(pw, driver, queue)
     assert taken == backlog and not queue  # 256 x (8+16) B fits one 16 KB packet

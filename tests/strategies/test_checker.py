@@ -3,7 +3,6 @@
 import pytest
 
 from repro import Session, run_pingpong
-from repro.core.gate import Segment
 from repro.core.packet import EagerEntry, Payload
 from repro.core.strategies import CheckedStrategy, GreedyStrategy, available_strategies
 from repro.util.errors import StrategyError
@@ -85,7 +84,7 @@ def test_checker_catches_dropped_segments(plat2):
     class BlackHole(GreedyStrategy):
         name = "black_hole"
 
-        def pack(self, engine, segment):
+        def pack(self, engine, request):
             pass  # silently discards everything
 
     session = Session(plat2, strategy=CheckedStrategy.wrapping(BlackHole))
@@ -100,8 +99,8 @@ class _FalselyQuiet(GreedyStrategy):
 
     name = "falsely_quiet"
 
-    def pack(self, engine, segment):
-        super().pack(engine, segment)
+    def pack(self, engine, request):
+        super().pack(engine, request)
         self.quiet = True
 
 
