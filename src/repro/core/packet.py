@@ -22,12 +22,17 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Optional, Union
 
+from ..obs.spans import rail_track
 from ..util.errors import ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .request import SendRequest
+
+#: sort key of a ``(rail_index, offset, length)`` chunk: its offset
+_by_offset = itemgetter(1)
 
 __all__ = [
     "Payload",
@@ -130,50 +135,70 @@ class EagerEntry:
         return header_bytes + self.payload.size
 
 
-@dataclass(frozen=True)
 class RdvReq:
     """Rendezvous request: announces a large segment and its chunking.
 
     ``chunks`` is a tuple of ``(rail_index, offset, length)`` covering
-    ``[0, total_length)`` without gaps or overlaps (validated).
+    ``[0, total_length)`` without gaps or overlaps (validated).  Like every
+    control entry it is a plain slotted record: nothing assigns to it once
+    it is built.
     """
 
-    req_id: int
-    tag: int
-    seq: int
-    total_length: int
-    chunks: tuple[tuple[int, int, int], ...]
+    __slots__ = ("req_id", "tag", "seq", "total_length", "chunks")
 
-    def __post_init__(self) -> None:
-        if not self.chunks:
-            raise ProtocolError(f"rdv {self.req_id}: empty chunk list")
+    def __init__(
+        self,
+        req_id: int,
+        tag: int,
+        seq: int,
+        total_length: int,
+        chunks: tuple[tuple[int, int, int], ...],
+    ):
+        if not chunks:
+            raise ProtocolError(f"rdv {req_id}: empty chunk list")
         covered = 0
-        for rail_index, offset, length in sorted(self.chunks, key=lambda c: c[1]):
+        for rail_index, offset, length in sorted(chunks, key=_by_offset):
             if rail_index < 0 or length <= 0:
-                raise ProtocolError(f"rdv {self.req_id}: bad chunk {(rail_index, offset, length)}")
+                raise ProtocolError(f"rdv {req_id}: bad chunk {(rail_index, offset, length)}")
             if offset != covered:
                 raise ProtocolError(
-                    f"rdv {self.req_id}: chunks leave a gap/overlap at offset {covered}"
+                    f"rdv {req_id}: chunks leave a gap/overlap at offset {covered}"
                 )
             covered += length
-        if covered != self.total_length:
+        if covered != total_length:
             raise ProtocolError(
-                f"rdv {self.req_id}: chunks cover {covered} of {self.total_length} bytes"
+                f"rdv {req_id}: chunks cover {covered} of {total_length} bytes"
             )
+        self.req_id = req_id
+        self.tag = tag
+        self.seq = seq
+        self.total_length = total_length
+        self.chunks = chunks
 
     def wire_size(self, ctrl_bytes: int) -> int:
         # one descriptor (8 B) per extra chunk beyond the first
         return ctrl_bytes + 8 * (len(self.chunks) - 1)
 
+    def __repr__(self) -> str:  # pragma: no cover
+        return (
+            f"RdvReq(req_id={self.req_id}, tag={self.tag}, seq={self.seq},"
+            f" total_length={self.total_length}, chunks={self.chunks})"
+        )
 
-@dataclass(frozen=True)
+
 class RdvAck:
     """Receiver's clearance for a rendezvous request."""
 
-    req_id: int
+    __slots__ = ("req_id",)
+
+    def __init__(self, req_id: int):
+        self.req_id = req_id
 
     def wire_size(self, ctrl_bytes: int) -> int:
         return ctrl_bytes // 2
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"RdvAck(req_id={self.req_id})"
 
 
 Entry = Union[EagerEntry, RdvReq, RdvAck]
@@ -298,15 +323,105 @@ class PacketWrapper:
         )
 
 
-@dataclass(frozen=True)
 class DmaChunk:
-    """One rendezvous chunk landing at the receiver via DMA."""
+    """One rendezvous chunk: what lands at the receiver, and — while it is
+    in flight — everything its sender needs, so that launching, draining
+    and landing it are this record's own methods, not closures.
 
-    req_id: int
-    src_node: int
-    offset: int
-    payload: Payload
+    The receiver reads the wire fields ``req_id``, ``src_node``, ``offset``
+    and ``payload``, which the constructor sets.  :meth:`Driver.start_dma
+    <repro.drivers.base.Driver.start_dma>` sets the sender's: the sending
+    ``driver``, ``dst_node`` and its NIC ``dst_nic``, the flow ``path``,
+    the owner's ``on_drain(chunk)`` / ``on_lost(engine_reserved)``
+    callbacks; :meth:`launch` sets ``started_at``.
+    """
+
+    __slots__ = (
+        "req_id",
+        "src_node",
+        "offset",
+        "payload",
+        "driver",
+        "dst_node",
+        "dst_nic",
+        "path",
+        "on_drain",
+        "on_lost",
+        "started_at",
+    )
+
+    def __init__(self, req_id: int, src_node: int, offset: int, payload: Payload):
+        self.req_id = req_id
+        self.src_node = src_node
+        self.offset = offset
+        self.payload = payload
 
     @property
     def length(self) -> int:
         return self.payload.size
+
+    # -- the sender's side: one flow per chunk -----------------------------
+    def launch(self) -> None:
+        """The DMA descriptor is posted: start the flow (a kernel event)."""
+        driver = self.driver
+        faults = driver.faults
+        if faults is None:
+            landed = self.landed
+        else:
+            # the injector rules on the chunk now and when it lands
+            landed = faults.chunk_leaves(
+                driver.rail_index, self.dst_nic, self, self.on_lost
+            )
+            if landed is None:
+                return
+        self.started_at = driver.sim.now
+        platform = driver.platform
+        platform.flownet.start_flow(
+            path=self.path,
+            size=self.payload.size + driver.spec.header_bytes,
+            on_complete=landed,
+            # read at the launch: the wire as it is when the chunk leaves
+            extra_latency=platform.wire_latency_us(
+                driver.rail_index, driver.node_id, self.dst_node
+            ),
+            tag=(driver.spec.name, self.req_id, self.offset),
+            on_drain=self.drained,
+        )
+
+    def drained(self, _flow: Any) -> None:
+        """The last byte left the sending NIC."""
+        driver = self.driver
+        spans = driver.spans
+        if spans is not None and spans.enabled:
+            spans.add(
+                driver.node_id,
+                rail_track(driver.name),
+                "dma",
+                "dma",
+                self.started_at,
+                driver.sim.now,
+                {
+                    "rail": driver.name,
+                    "bytes": self.payload.size,
+                    "req_id": self.req_id,
+                    "offset": self.offset,
+                    "dst": self.dst_node,
+                },
+            )
+        observer = driver.observer
+        if observer is not None:
+            observer.observe(
+                driver.rail_index, "dma", self.payload.size, self.started_at, driver.sim.now
+            )
+        if self.on_drain is not None:
+            self.on_drain(self)
+
+    def landed(self, _flow: Any) -> None:
+        """The chunk reached the destination NIC (fault-free runs)."""
+        self.dst_nic.deliver(self)
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return (
+            f"DmaChunk(req_id={self.req_id}, src_node={self.src_node},"
+            f" offset={self.offset}, {self.payload!r})"
+        )

@@ -36,7 +36,6 @@ rendezvous (``_done_in``) instead of raising.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Optional
 
 from ..obs.spans import TRACK_FAULTS
@@ -115,7 +114,9 @@ class RdvManager:
 
     def __init__(self, engine: "NodeEngine"):
         self.engine = engine
-        self._req_ids = itertools.count(1)
+        #: the last RDV_REQ id handed out; ids run 1, 2, ... per node and
+        #: only a rendezvous that was initiated takes one
+        self._last_req_id = 0
         self._out: dict[int, RdvSendState] = {}
         self._in: dict[tuple[int, int], RdvRecvState] = {}
         #: completed send states, retained only while faults are active so
@@ -136,26 +137,34 @@ class RdvManager:
         """Reserve rails and build the RDV_REQ control entry.
 
         ``chunks`` is ``[(rail_index, offset, length), ...]``; rails must be
-        distinct (one DMA engine each) and currently idle.
+        distinct (one DMA engine each), exist and be DMA-idle.  All or
+        nothing: a plan that fails any check reserves no engine and takes
+        no request id.
         """
-        rails = [c[0] for c in chunks]
-        if len(set(rails)) != len(rails):
-            raise ProtocolError(f"rendezvous uses a rail twice: {rails}")
-        req = RdvReq(
-            req_id=next(self._req_ids),
-            tag=request.tag,
-            seq=request.seq,
-            total_length=request.payload.size,
-            chunks=tuple(chunks),
-        )
-        for rail_index in rails:
-            self.engine.driver(rail_index).nic.reserve_dma()
-        self._out[req.req_id] = RdvSendState(req.req_id, request, req.chunks, self.engine.sim.now)
+        drivers = self.engine.drivers
+        if len(chunks) > 1 and len({c[0] for c in chunks}) != len(chunks):
+            raise ProtocolError(f"rendezvous uses a rail twice: {[c[0] for c in chunks]}")
+        for rail_index, _off, _length in chunks:
+            if not 0 <= rail_index < len(drivers):
+                raise ProtocolError(
+                    f"rendezvous chunk on rail {rail_index}: node"
+                    f" {self.engine.node_id} has {len(drivers)} rails"
+                )
+            if drivers[rail_index].nic.dma_busy:
+                raise ProtocolError(
+                    f"rendezvous chunk on rail {rail_index}"
+                    f" ({drivers[rail_index].name}): its DMA engine is busy"
+                )
+        req_id = self._last_req_id + 1
+        req = RdvReq(req_id, request.tag, request.seq, request.payload.size, tuple(chunks))
+        self._last_req_id = req_id
+        for rail_index, _off, length in chunks:
+            drivers[rail_index].nic.reserve_dma()
+            self.bytes_by_rail[rail_index] = self.bytes_by_rail.get(rail_index, 0) + length
+        self._out[req_id] = RdvSendState(req_id, request, req.chunks, self.engine.sim.now)
         self.initiated += 1
         if len(chunks) > 1:
             self.split_count += 1
-        for rail_index, _off, length in chunks:
-            self.bytes_by_rail[rail_index] = self.bytes_by_rail.get(rail_index, 0) + length
         return req
 
     def on_ack(self, ack: RdvAck) -> float:
@@ -171,18 +180,19 @@ class RdvManager:
             raise ProtocolError(f"duplicate RDV_ACK for request {ack.req_id}")
         state.acked = True
         request = state.request
+        payload = request.payload
+        drivers = self.engine.drivers
         faulted = self.engine.session.faults is not None
         cost = 0.0
         for rail_index, offset, length in state.chunks:
-            drv = self.engine.driver(rail_index)
-            chunk_payload = request.payload.slice(offset, length)
-            cost += drv.start_dma(
+            cost += drivers[rail_index].start_dma(
                 dst_node=request.peer,
                 req_id=state.req_id,
                 offset=offset,
-                payload=chunk_payload,
+                # an unsplit segment travels as it is (payloads are values)
+                payload=payload if length == payload.size else payload.slice(offset, length),
                 delay=cost,
-                on_drain=lambda _f, s=state, r=rail_index, o=offset: self._chunk_drained(s, r, o),
+                on_drain=self._chunk_drained,
                 on_lost=self._make_on_lost(state, rail_index, offset, length) if faulted else None,
             )
         return cost
@@ -192,8 +202,14 @@ class RdvManager:
             state, offset, length, rail_index, engine_reserved
         )
 
-    def _chunk_drained(self, state: RdvSendState, rail_index: int, offset: int) -> None:
-        self.engine.driver(rail_index).nic.release_dma()
+    def _chunk_drained(self, chunk: DmaChunk) -> None:
+        """One chunk left its NIC: free the engine, maybe complete the send."""
+        chunk.driver.nic.release_dma()
+        state = self._out.get(chunk.req_id)
+        if state is None:
+            # a retried chunk drained after its rendezvous completed
+            state = self._out_done[chunk.req_id]
+        offset = chunk.offset
         if offset in state.drained_offsets:
             # retry of a chunk lost *after* its first drain: only the
             # engine release matters, completion was already counted
@@ -288,7 +304,7 @@ class RdvManager:
                     offset=offset,
                     payload=state.request.payload.slice(offset, length),
                     delay=0.0,
-                    on_drain=lambda _f, s=state, r=idx, o=offset: self._chunk_drained(s, r, o),
+                    on_drain=self._chunk_drained,
                     on_lost=self._make_on_lost(state, idx, offset, length),
                 )
                 return
@@ -311,7 +327,7 @@ class RdvManager:
         if key in self._in:
             raise ProtocolError(f"duplicate rendezvous {key}")
         self._in[key] = RdvRecvState(src_node, rdv.req_id, request, rdv.total_length)
-        self.engine.post_ctrl(src_node, RdvAck(req_id=rdv.req_id))
+        self.engine.post_ctrl(src_node, RdvAck(rdv.req_id))
 
     def on_chunk(self, chunk: DmaChunk) -> Optional[RecvRequest]:
         """A DMA chunk landed; returns the receive request if now complete.

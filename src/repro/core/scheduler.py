@@ -17,7 +17,9 @@ per-node pump process runs in relationship with **NIC activity**:
    idle ... sends the first available segment on the corresponding
    network") while still letting aggregation pack many segments into that
    single wrapper.  A strategy that has said it holds nothing
-   (``Strategy.quiet``) is not asked again until something is packed:
+   (``Strategy.quiet``) is not asked again until something is packed,
+   nor is one that has said all it holds waits for a DMA engine
+   (``Strategy.dma_bound``) asked for a rail whose DMA engine is busy:
    the paper queries the scheduler when a NIC becomes idle *and there is
    something to send*, not on every turn of the loop.
 
@@ -34,6 +36,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Optional
 
+from ..drivers.base import Driver
 from ..drivers.registry import make_driver
 from ..obs.metrics import Counters
 from ..obs.spans import TRACK_FAULTS, TRACK_PUMP
@@ -45,7 +48,6 @@ from .rendezvous import RdvManager
 from .request import RecvRequest, SendRequest
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..drivers.base import Driver
     from .session import Session
 
 __all__ = ["NodeEngine"]
@@ -346,22 +348,37 @@ class NodeEngine:
 
     def _pump_loop(self):
         # per-engine constants, read once; ``tracing`` cannot change while
-        # the pump runs (the recorder is fixed at session construction)
+        # the pump runs (the recorder is fixed at session construction),
+        # nor can a host's PIO worker count or a rail's poll cost
         spans = self.spans
         tracing = spans.enabled
         node = self.node_id
         session = self.session
         sim = self.sim
         host = self.host
+        pio_workers = host.has_pio_workers
         strategy = self.strategy
         observer = self._observer
         memcpy_MBps = self._memcpy_MBps
         faulted = session.faults is not None
         counts = self.counters.counts
-        rails = [(idx, self.drivers[idx], self.drivers[idx].nic) for idx in self._order]
-        n_rails = len(rails)
         inst = self._inst
-        poll_idle_us = inst.poll_idle_us
+        drivers = self.drivers
+        rails = [
+            (idx, drivers[idx], drivers[idx].nic, drivers[idx].spec.poll_cost_us,
+             inst.poll_idle_us[idx])
+            for idx in self._order
+        ]
+        n_rails = len(rails)
+        # drivers that keep the base ``poll`` are polled inline while their
+        # receive queue is empty: the same count and cost, without a frame
+        inline_poll = all(type(driver).poll is Driver.poll for driver in drivers)
+        # Untraced and unfaulted, with no PIO worker, a strategy with
+        # nothing askable — quiet, or DMA-bound with every DMA engine
+        # taken — leaves the commit phase nothing to do: no rail is asked,
+        # and no NIC's eager path can still be busy (the pump waited out
+        # its own last PIO copy, and the polls since took time).
+        lean = not (tracing or faulted or pio_workers) and sum(r[3] for r in rails) > 0
         # --- parking: active-set scheduling ---------------------------
         # An idle pump blocks on the host's activity signal, at zero
         # cost in events, until a submit, a packet or a DMA release
@@ -375,7 +392,7 @@ class NodeEngine:
         while not self._stopped:
             if idle:
                 # park unless a packet is already waiting on some NIC
-                for _, _, nic in rails:
+                for _, _, nic, _, _ in rails:
                     if nic.rx_queue:
                         break
                 else:
@@ -393,14 +410,22 @@ class NodeEngine:
             if tracing:
                 sweep = spans.begin(node, TRACK_PUMP, "sweep", "sweep", sweep_t0)
             # --- poll phase -------------------------------------------
-            arrived: list[tuple["Driver", Any]] = []
-            for idx, driver, _ in rails:
-                cost, pkts = driver.poll()
-                if pkts:
-                    for pkt in pkts:
-                        arrived.append((driver, pkt))
+            arrived: Optional[list[tuple["Driver", Any]]] = None
+            for _, driver, nic, poll_cost, idle_us in rails:
+                if nic.rx_queue or not inline_poll:
+                    cost, pkts = driver.poll()
+                    if pkts:
+                        if arrived is None:
+                            arrived = []
+                        for pkt in pkts:
+                            arrived.append((driver, pkt))
+                    else:
+                        idle_us.value += cost
                 else:
-                    poll_idle_us[idx].value += cost
+                    # Driver.poll of an empty queue
+                    driver.polls += 1
+                    idle_us.value += poll_cost
+                    cost, pkts = poll_cost, ()
                 if tracing:
                     span = spans.begin(
                         node, TRACK_PUMP, "poll", "poll", sim.now,
@@ -411,7 +436,7 @@ class NodeEngine:
                 if tracing:
                     spans.end(span, sim.now)
             # --- handle phase -----------------------------------------
-            for driver, pkt in arrived:
+            for driver, pkt in arrived or ():
                 cost, matches = self._handle_packet(driver, pkt)
                 if tracing:
                     span = spans.begin(
@@ -432,7 +457,14 @@ class NodeEngine:
                         self.rdv.accept(request.peer, rdv, request)
                 progressed = True
             # --- commit phase (one wrapper per driver per sweep) -------
-            for idx, driver, nic in rails:
+            # (skipped whole when nothing is askable: see ``lean``)
+            for idx, driver, nic, _, _ in (
+                ()
+                if lean
+                and not self._retrans
+                and (strategy.quiet or (strategy.dma_bound and host.dma_busy == n_rails))
+                else rails
+            ):
                 if faulted and not driver.usable:
                     # detected-down rail: never consulted, never posted to
                     continue
@@ -441,18 +473,22 @@ class NodeEngine:
                     # path; revisit when it frees
                     sim.at(nic.tx_busy_until, host.wake)
                     continue
-                # a quiet strategy found every queue empty when last
-                # consulted and nothing was packed since: its answer is
-                # still None, so it is not asked (the decision is recorded)
+                # ask only who can answer: a quiet strategy's answer is None
+                # for every driver, a DMA-bound one's for a driver whose DMA
+                # engine is taken — neither is asked, nor its backlog read
+                # (the decision is still recorded).  Retransmissions pending,
+                # the pump asks as it always did.
                 retrans = self._retrans
-                quiet = strategy.quiet and not retrans
-                backlog = 0 if quiet else strategy.backlog
+                ask = retrans or not (strategy.quiet or (strategy.dma_bound and nic.dma_busy))
+                if not (ask or tracing):
+                    continue
+                backlog = 0 if strategy.quiet and not retrans else strategy.backlog
                 # failover retransmissions jump the strategy queue: these
                 # entries were already scheduled once and must reach the
                 # wire before fresh traffic widens the reorder window.
                 pw = self._build_retrans(driver) if retrans else None
                 if pw is None:
-                    if not quiet:
+                    if ask:
                         pw = strategy.try_and_commit(self, driver)
                     if tracing:
                         spans.instant(
@@ -483,9 +519,7 @@ class NodeEngine:
                 # §4 future work: offload the PIO copy to a worker thread
                 post, copy = driver.eager_cost_parts(pw)
                 post_t0 = sim.now
-                offloaded = host.has_pio_workers and host.try_claim_pio_worker(
-                    post_t0 + post, copy
-                )
+                offloaded = pio_workers and host.try_claim_pio_worker(post_t0 + post, copy)
                 self._stamp_first_commits(pw, idx, post_t0)
                 wire_bytes = pw.wire_bytes
                 inst.wrapper_bytes[idx].observe(wire_bytes)

@@ -269,7 +269,7 @@ class FeedbackStrategy(SplitBalanceStrategy):
         self._advance_epochs(engine.sim.now)
         pw = super().try_and_commit(engine, driver)
         # a consultation also turns the epoch clock: never skip one
-        self.quiet = False
+        self.quiet = self.dma_bound = False
         return pw
 
 

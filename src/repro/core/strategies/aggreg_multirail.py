@@ -75,26 +75,30 @@ class AggregMultirailStrategy(Strategy):
             if self._small is NO_SEGMENTS:
                 self._small = deque()
             self._small.append(request)
+            self.quiet = self.dma_bound = False
         else:
+            # a large segment leaves only by DMA: the DMA clause still holds
             if self._large is NO_SEGMENTS:
                 self._large = deque()
             self._large.append(request)
-        self.quiet = False
+            self.quiet = False
 
     def try_and_commit(
         self, engine: "NodeEngine", driver: "Driver"
     ) -> Optional[PacketWrapper]:
         if self._ctrl_pending:
             return self.commit_ctrl(engine, driver)
-        if not (self._small or self._large):
-            self.quiet = True
-            return None
+        small = self._small
+        if not small:
+            if not self._large:
+                self.quiet = True
+                return None
+            # only large segments: nothing to say to a DMA-busy driver
+            self.dma_bound = True
         # small messages: only on the fastest usable rail, aggregated
-        if self._small and driver.rail_index == self.usable_rail_index(
-            engine, self.fastest_index
-        ):
-            pw = driver.new_wrapper(self._small[0].peer)
-            if self.fill_with_eager(pw, driver, self._small) == 0:
+        elif driver.rail_index == self.usable_rail_index(engine, self.fastest_index):
+            pw = driver.new_wrapper(small[0].peer)
+            if self.fill_with_eager(pw, driver, small) == 0:
                 # failover rail with a smaller eager limit than the head
                 # segment needs: wait for a rail that can carry it
                 return None

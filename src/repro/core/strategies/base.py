@@ -23,15 +23,27 @@ Contract for ``try_and_commit(engine, driver)``:
 * large segments are not emitted directly: the strategy picks a chunking
   and hands it to :meth:`Strategy.commit_rdv`, which initiates the
   rendezvous (reserving the DMA engines) and returns the RDV_REQ wrapper;
-* **the quiet clause** — a strategy may set :attr:`Strategy.quiet` when a
-  consultation finds *every* queue it owns empty (control included).
-  While the flag reads true the pump does not consult it for any driver;
-  whoever accepts work (:meth:`Strategy.pack`, :meth:`Strategy.pack_ctrl`,
-  and any override of them) must reset it.  The flag is optional: a
-  strategy that never sets it is consulted as described above, and one
-  whose consultations do more than look (an epoch clock, a candidate
-  race) must not set it.  :class:`~.checker.CheckedStrategy` verifies the
-  clause (``quiet-with-work``).
+* **ask only who can answer** — two optional flags let a strategy say in
+  advance that its answer is ``None``, so that the pump does not consult
+  it, nor read its ``backlog``, where that answer is known:
+
+  ==================  ==========================================  ==========================
+  flag                set by a consultation that finds            pump skips, while it holds
+  ==================  ==========================================  ==========================
+  :attr:`quiet`       *every* queue empty (control included)      every driver
+  :attr:`dma_bound`   control and small queues empty: all it      every driver whose DMA
+                      holds waits for a DMA engine                engine is busy
+  ==================  ==========================================  ==========================
+
+  Whoever accepts work that could change the answer must reset the flag:
+  :meth:`Strategy.pack_ctrl` resets both, :meth:`Strategy.pack` (and any
+  override) resets ``quiet``, and ``dma_bound`` too unless the segment
+  itself can only leave by DMA.  The flags are optional: a strategy that
+  never sets them is consulted as described above, and one whose
+  consultations do more than look (an epoch clock, a candidate race) must
+  not set them.  :class:`~.checker.CheckedStrategy` still consults a
+  flagged strategy and verifies both clauses (``quiet-with-work``,
+  ``dma-bound-with-work``).
 
 Control entries (RDV_ACKs queued by the engine) are kept in a per-peer
 queue here in the base class; every concrete strategy emits pending
@@ -80,8 +92,13 @@ class Strategy(ABC):
     wants_observations = False
 
     #: "every queue was empty when last consulted and nothing has been
-    #: packed since" — see the quiet clause in the module docstring.
+    #: packed since" — see "ask only who can answer" in the module docstring.
     quiet = False
+
+    #: "no control entry and no small segment was queued when last
+    #: consulted, nor since: the answer for a driver whose DMA engine is
+    #: busy is None" — the DMA clause, next to :attr:`quiet`.
+    dma_bound = False
 
     def __init__(self) -> None:
         self.engine: Optional["NodeEngine"] = None
@@ -89,6 +106,10 @@ class Strategy(ABC):
         #: control entries queued and not yet emitted — lets a strategy
         #: with nothing to send say so without scanning ``_ctrl``.
         self._ctrl_pending = 0
+        # the flags' class defaults are what a strategy that never sets
+        # them reads; made instance attributes here, setting one later
+        # does not give every instance a dictionary of its own
+        self.quiet = self.dma_bound = False
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -111,7 +132,7 @@ class Strategy(ABC):
         """Queue a control entry (e.g. RDV_ACK) for ``dst_node``."""
         self._ctrl.setdefault(dst_node, deque()).append(entry)
         self._ctrl_pending += 1
-        self.quiet = False
+        self.quiet = self.dma_bound = False
 
     def observe(
         self, rail_index: int, kind: str, nbytes: int, start_us: float, end_us: float

@@ -18,6 +18,10 @@ validated against the strategy contract of
 * a strategy that reads ``quiet`` has nothing to send: the pump would not
   have consulted it, so the checker does, and the consultation must
   return ``None`` and change nothing;
+* a strategy that reads ``dma_bound`` holds no control entry and no small
+  segment (one the fastest rail could carry eagerly), and consulted for a
+  driver whose DMA engine is busy — which the pump would not do — it
+  returns ``None`` and changes nothing;
 * for adaptive strategies (:mod:`repro.core.strategies.adaptive`):
   completion observations arrive monotonically in sim time, and split
   ratios only change when the strategy's epoch index advances — a
@@ -64,8 +68,8 @@ class Violation:
     #: which invariant broke: "rail-binding", "oversize", "tally-mismatch",
     #: "empty-wrapper", "eager-eligibility", "unknown-segment",
     #: "send-request-mismatch", "stranded-segments", "dropped-ctrl",
-    #: "nonmonotone-observation", "mid-epoch-ratio-change" or
-    #: "quiet-with-work".
+    #: "nonmonotone-observation", "mid-epoch-ratio-change",
+    #: "quiet-with-work" or "dma-bound-with-work".
     invariant: str
     message: str
     #: offending segment/rail details as sorted (key, value) pairs.
@@ -91,6 +95,9 @@ class CheckedStrategy(Strategy):
         #: packed segments not yet seen in a wrapper, by (dst, tag, seq)
         self._outstanding: dict[tuple[int, int, int], Any] = {}
         self._packed_total = 0
+        #: largest "small" payload: what the fastest rail carries eagerly
+        #: (fixed at bind, as the two-queue strategies fix theirs)
+        self._small_max = -1
         self._ctrl_queued = 0
         self._ctrl_emitted = 0
         #: adaptive-strategy invariants: observation end times must be
@@ -116,6 +123,9 @@ class CheckedStrategy(Strategy):
     def bind(self, engine: "NodeEngine") -> None:
         super().bind(engine)
         self.inner.bind(engine)
+        if engine.drivers:
+            fastest = min(engine.drivers, key=lambda d: d.latency_us)
+            self._small_max = fastest.max_eager_payload
 
     def pack(self, engine: "NodeEngine", request: SendRequest) -> None:
         self._outstanding[(request.peer, request.tag, request.seq)] = request
@@ -186,12 +196,22 @@ class CheckedStrategy(Strategy):
     ) -> Optional[PacketWrapper]:
         self._check_epoch_ratios("before commit")
         inner = self.inner
-        # the checker itself never reads quiet, so the pump always asks;
-        # a quiet inner strategy is held to what the pump would assume
+        # the checker itself never reads quiet or dma_bound, so the pump
+        # always asks; a flagged inner strategy is held to what the pump
+        # would assume
         before = self._work_state() if inner.quiet else None
+        dma_before = None
+        if inner.dma_bound:
+            self._check_dma_bound_holds(driver)
+            if not driver.dma_idle:
+                dma_before = self._work_state()
         pw = inner.try_and_commit(engine, driver)
         if before is not None and (pw is not None or self._work_state() != before):
-            self._fail_quiet(driver, pw, before)
+            self._fail_flagged("quiet-with-work", "read quiet", driver, pw, before)
+        if dma_before is not None and (pw is not None or self._work_state() != dma_before):
+            self._fail_flagged(
+                "dma-bound-with-work", "read dma_bound", driver, pw, dma_before
+            )
         self._check_epoch_ratios("after commit")
         if pw is None:
             return None
@@ -199,15 +219,38 @@ class CheckedStrategy(Strategy):
         return pw
 
     def _work_state(self) -> dict[str, int]:
-        """What consulting a quiet strategy must leave untouched."""
+        """What consulting a flagged strategy must leave untouched."""
         inner = self.inner
         return {
             "ctrl_pending": inner._ctrl_pending,
             "backlog": inner.backlog,
         }
 
-    def _fail_quiet(
-        self, driver: "Driver", pw: Optional[PacketWrapper], before: dict[str, int]
+    def _check_dma_bound_holds(self, driver: "Driver") -> None:
+        """A DMA-bound strategy holds no control entry and no small segment."""
+        small = sorted(
+            key for key, request in self._outstanding.items()
+            if request.payload.size <= self._small_max
+        )
+        ctrl = self.inner._ctrl_pending
+        if small or ctrl:
+            self._fail(
+                "dma-bound-with-work",
+                f"strategy {self.inner.name!r} read dma_bound when consulted for"
+                f" {driver.name} — the pump would skip every DMA-busy rail — yet"
+                f" it holds {ctrl} control entries and {len(small)} small segments",
+                rail=driver.name,
+                ctrl_pending=ctrl,
+                small_segments=tuple(small[:8]),
+            )
+
+    def _fail_flagged(
+        self,
+        invariant: str,
+        flag: str,
+        driver: "Driver",
+        pw: Optional[PacketWrapper],
+        before: dict[str, int],
     ) -> None:
         context: dict[str, Any] = {"rail": driver.name}
         if pw is not None and pw.entries:
@@ -222,8 +265,8 @@ class CheckedStrategy(Strategy):
             if now != before[key]:
                 context[key] = f"{before[key]}->{now}"
         self._fail(
-            "quiet-with-work",
-            f"strategy {self.inner.name!r} read quiet when consulted for"
+            invariant,
+            f"strategy {self.inner.name!r} {flag} when consulted for"
             f" {driver.name} — the pump would have skipped it — yet it "
             + ("returned a wrapper" if pw is not None else "changed its queues"),
             **context,

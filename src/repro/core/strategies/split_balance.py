@@ -156,5 +156,7 @@ class SplitBalanceStrategy(AggregMultirailStrategy):
             chunks = self._plan_chunks(engine, idle, size)
             if chunks is not None:
                 return chunks
+        if len(idle) == 1:  # nothing to choose between
+            return [(idle[0].rail_index, 0, size)]
         best = min(idle, key=lambda d: self._predict_whole(engine, d, size))
         return [(best.rail_index, 0, size)]

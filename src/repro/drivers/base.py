@@ -5,8 +5,8 @@ behind three operations, mirroring the paper's Figure 1 (PIO/RDV/put-get
 tracks):
 
 * :meth:`poll` — progress the NIC; returns its per-sweep CPU cost and any
-  arrived packets.  The pump calls this for *every* registered driver on
-  every sweep — the cost of polling a rail you are not even using is the
+  arrived packets.  The pump polls *every* registered driver on every
+  sweep — the cost of polling a rail you are not even using is the
   multi-rail penalty of Fig 6.
 * :meth:`post_eager` — emit a packet wrapper via programmed I/O.  The
   returned CPU cost (request post + the PIO copy itself) is charged to the
@@ -42,7 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..hardware.nic import NIC
     from ..hardware.platform import Platform
     from ..hardware.spec import RailSpec
-    from ..sim.flows import Flow
 
 __all__ = ["Driver"]
 
@@ -139,6 +138,9 @@ class Driver:
 
         Four polls in five find nothing; those return one shared empty
         sequence instead of draining an empty queue into a fresh list.
+        The pump does what this method does for an empty queue itself —
+        count the poll, charge its cost — without entering it, unless a
+        driver class overrides it.
         """
         self.polls += 1
         nic = self.nic
@@ -239,7 +241,7 @@ class Driver:
         offset: int,
         payload: Payload,
         delay: float,
-        on_drain: Optional[Callable[["Flow"], None]] = None,
+        on_drain: Optional[Callable[[DmaChunk], None]] = None,
         on_lost: Optional[Callable[[bool], None]] = None,
     ) -> float:
         """Launch one rendezvous chunk as a flow.
@@ -247,74 +249,37 @@ class Driver:
         ``delay`` postpones the start (CPU costs of chunks posted earlier in
         the same handler).  Returns this chunk's own CPU post cost.  On
         completion the data lands at the destination NIC as a
-        :class:`~repro.core.packet.DmaChunk`.
+        :class:`~repro.core.packet.DmaChunk` — the one record of this chunk,
+        whose own methods launch, drain and land it.
 
+        ``on_drain(chunk)`` fires when the last byte has left this NIC.
         ``on_lost(engine_reserved)`` — required when a fault injector is
         active — fires (after the detection delay) if the chunk dies: the
         launch hit a dead NIC, the rail was cut mid-transfer, or the data
         was lost in the propagation window after draining.  The flag says
         whether this NIC's DMA engine is still held by the dead transfer.
         """
-        if payload.size <= 0:
+        size = payload.size
+        if size <= 0:
             raise DriverError(f"{self.name}: empty DMA chunk")
-        cost = self.dma_post_cost()
-        wire_bytes = payload.size + self.spec.header_bytes
-        chunk = DmaChunk(req_id=req_id, src_node=self.node_id, offset=offset, payload=payload)
-        dst_nic = self.platform.nic(self.rail_index, dst_node)
-        path = self.platform.dma_path(self.rail_index, self.node_id, dst_node)
+        spec = self.spec
+        cost = spec.post_cost_us + spec.rdv_setup_us  # what dma_post_cost() returns
+        platform = self.platform
+        rail_index = self.rail_index
+        chunk = DmaChunk(req_id, self.node_id, offset, payload)
+        # what the chunk's own methods need while it is in flight
+        chunk.driver = self
+        chunk.dst_node = dst_node
+        chunk.dst_nic = platform.nic(rail_index, dst_node)
+        chunk.path = platform.dma_path(rail_index, self.node_id, dst_node)
+        chunk.on_drain = on_drain
+        chunk.on_lost = on_lost
         self.dma_started += 1
-        self.dma_bytes += payload.size
-        self.nic.tx_dma_transfers += 1
-        self.nic.tx_dma_bytes += payload.size
-
-        def launch() -> None:
-            faults = self.faults
-            if faults is None:
-                landed = lambda _f: dst_nic.deliver(chunk)  # noqa: E731
-            else:
-                # the injector rules on the chunk now and when it lands
-                landed = faults.chunk_leaves(self.rail_index, dst_nic, chunk, on_lost)
-                if landed is None:
-                    return
-            start = self.sim.now
-
-            def drained(flow: "Flow") -> None:
-                if self.spans is not None and self.spans.enabled:
-                    self.spans.add(
-                        self.node_id,
-                        rail_track(self.name),
-                        "dma",
-                        "dma",
-                        start,
-                        self.sim.now,
-                        {
-                            "rail": self.name,
-                            "bytes": payload.size,
-                            "req_id": req_id,
-                            "offset": offset,
-                            "dst": dst_node,
-                        },
-                    )
-                if self.observer is not None:
-                    self.observer.observe(
-                        self.rail_index, "dma", payload.size, start, self.sim.now
-                    )
-                if on_drain is not None:
-                    on_drain(flow)
-
-            self.platform.flownet.start_flow(
-                path=path,
-                size=wire_bytes,
-                on_complete=landed,
-                # read at the launch: the wire as it is when the chunk leaves
-                extra_latency=self.platform.wire_latency_us(
-                    self.rail_index, self.node_id, dst_node
-                ),
-                tag=(self.name, req_id, offset),
-                on_drain=drained,
-            )
-
-        self.sim.schedule(delay + cost, launch)
+        self.dma_bytes += size
+        nic = self.nic
+        nic.tx_dma_transfers += 1
+        nic.tx_dma_bytes += size
+        self.sim.schedule(delay + cost, chunk.launch)
         return cost
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -43,6 +43,9 @@ class Host:
         #: busy-until times of the extra PIO threads (future-work mode).
         self._pio_worker_busy = [0.0] * spec.pio_workers
         self.pio_offloads = 0
+        #: DMA engines of this node's NICs claimed right now (kept by
+        #: :meth:`NIC.reserve_dma` / :meth:`NIC.release_dma`).
+        self.dma_busy = 0
         #: one-shot hook run on the first wake of this host; the session
         #: uses it to build the node's engine on demand (lazy engines),
         #: so a packet landing on a never-touched node still finds a pump.

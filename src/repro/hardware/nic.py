@@ -104,12 +104,14 @@ class NIC:
         if self.dma_busy:
             raise DriverError(f"{self.name}: DMA engine already busy")
         self.dma_busy = True
+        self.host.dma_busy += 1
 
     def release_dma(self) -> None:
         """Free the DMA engine (last byte drained, or rendezvous aborted)."""
         if not self.dma_busy:
             raise DriverError(f"{self.name}: releasing idle DMA engine")
         self.dma_busy = False
+        self.host.dma_busy -= 1
         # A freed DMA engine is a scheduling opportunity: wake the pump so
         # the strategy is consulted again ("when some NICs become idle ...
         # the optimizing scheduler is queried for some new packet").

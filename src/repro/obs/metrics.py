@@ -26,7 +26,7 @@ microseconds of *simulated* time.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left
 from collections import defaultdict
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
@@ -422,13 +422,17 @@ class Histogram:
         self.vmax: Optional[float] = None
 
     def observe(self, value: Number) -> None:
-        self.counts[bisect.bisect_left(self.edges, value)] += 1
-        self.count += 1
+        self.counts[bisect_left(self.edges, value)] += 1
         self.total += value
-        if self.vmin is None or value < self.vmin:
-            self.vmin = value
-        if self.vmax is None or value > self.vmax:
-            self.vmax = value
+        if self.count:
+            # vmin <= vmax: a new minimum cannot also be a new maximum
+            if value < self.vmin:
+                self.vmin = value
+            elif value > self.vmax:
+                self.vmax = value
+        else:
+            self.vmin = self.vmax = value
+        self.count += 1
 
     @property
     def mean(self) -> float:

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .engine import EventHandle, SimulationError, Simulator
@@ -81,6 +82,9 @@ class FlowError(SimulationError):
 #: ``Link.active_flows`` of a link no flow has crossed yet (shared, hence
 #: immutable); :meth:`FlowNetwork.start_flow` replaces it with a set.
 _NO_FLOWS: frozenset = frozenset()
+
+#: a flow's path: the allocation table's key is the tuple of these
+_path_of = attrgetter("path")
 
 
 class Link:
@@ -339,7 +343,15 @@ class FlowNetwork:
         to now — and must: a flow settled in fewer, longer steps reaches
         a ``remaining`` that differs in the last ulp, and with it every
         completion time downstream.
+
+        When one link of ``origin``'s path carries every active flow (the
+        host bus of a 2-node flood does), the component is all of them
+        and the walk is skipped.
         """
+        n_flows = len(self._flows)
+        for link in origin.path:
+            if len(link.active_flows) == n_flows:
+                return list(self._flows)
         seen_links: set[Link] = set(origin.path)
         member: set[Flow] = set()
         stack: list[Link] = list(origin.path)
@@ -383,7 +395,7 @@ class FlowNetwork:
         table = self._rate_table
         rates = shape = None
         if len(affected) <= _RATE_TABLE_FLOWS:
-            shape = tuple([f.path for f in affected])
+            shape = tuple(map(_path_of, affected))
             rates = table.get(shape)
         if rates is None:
             by_flow = max_min_rates(affected)

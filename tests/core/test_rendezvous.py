@@ -38,6 +38,24 @@ class TestInitiate:
         with pytest.raises(ProtocolError, match="twice"):
             engine.rdv.initiate(seg, [(0, 0, 50_000), (0, 50_000, 50_000)])
 
+    def test_unknown_rail_rejected_before_anything_is_reserved(self, engine):
+        seg = make_segment(engine)
+        with pytest.raises(ProtocolError, match="rail 2: node 0 has 2 rails"):
+            engine.rdv.initiate(seg, [(0, 0, 60_000), (2, 60_000, 40_000)])
+        assert not engine.driver(0).nic.dma_busy
+        assert engine.rdv.outstanding_out == 0 and engine.rdv.bytes_by_rail == {}
+
+    def test_busy_rail_rejected_before_anything_is_reserved(self, engine):
+        """All or nothing: a plan naming one DMA-busy rail reserves none of
+        the others, and takes no request id."""
+        engine.driver(1).nic.reserve_dma()
+        seg = make_segment(engine)
+        with pytest.raises(ProtocolError, match=r"rail 1 \(qsnet2\): its DMA engine is busy"):
+            engine.rdv.initiate(seg, [(0, 0, 60_000), (1, 60_000, 40_000)])
+        assert not engine.driver(0).nic.dma_busy
+        assert engine.rdv.outstanding_out == 0 and engine.rdv.initiated == 0
+        assert engine.rdv.initiate(seg, [(0, 0, seg.payload.size)]).req_id == 1
+
     def test_bytes_by_rail_accounting(self, engine):
         seg = make_segment(engine)
         engine.rdv.initiate(seg, [(0, 0, 60_000), (1, 60_000, 40_000)])

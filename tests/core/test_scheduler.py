@@ -270,20 +270,23 @@ def tally(monkeypatch):
     ask_first.samples()  # sampling runs sessions of its own: not counted
     seen = {
         "consults": 0, "consults_while_quiet": 0, "found_empty": 0, "quiet_spells": 0,
-        "drains": 0, "polls": 0, "polls_with_packets": 0, "activity_fires": 0,
+        "consults_while_dma_bound": 0, "dma_bound_spells": 0,
+        "drains": 0, "poll_frames": 0, "polls_with_packets": 0, "activity_fires": 0,
     }
 
     def watch_consults(cls):
         inner = cls.try_and_commit
 
         def try_and_commit(self, engine, driver):
-            was_quiet = self.quiet
+            was_quiet, was_dma_bound = self.quiet, self.dma_bound
             empty = not (self._ctrl_pending or self.backlog)
             seen["consults"] += 1
             seen["consults_while_quiet"] += was_quiet
+            seen["consults_while_dma_bound"] += was_dma_bound and not driver.dma_idle
             seen["found_empty"] += empty
             pw = inner(self, engine, driver)
             seen["quiet_spells"] += self.quiet and not was_quiet
+            seen["dma_bound_spells"] += self.dma_bound and not was_dma_bound
             assert not (empty and pw is not None)
             return pw
 
@@ -301,7 +304,7 @@ def tally(monkeypatch):
 
     def counted_poll(self):
         cost, pkts = poll(self)
-        seen["polls"] += 1
+        seen["poll_frames"] += 1
         seen["polls_with_packets"] += bool(pkts)
         return cost, pkts
 
@@ -321,9 +324,11 @@ def test_skipped_work_is_counted_exactly_as_at_the_parent(scenario, tally):
     # every counter a user can read: driver.polls, Session.counters(),
     # active_health(), the metrics snapshot (idle-poll microseconds too)
     assert ask_first.counted(session) == PARENT[scenario]["counted"]
-    # an empty queue is not drained, yet every poll is still a poll
-    assert tally["drains"] == tally["polls_with_packets"] < tally["polls"]
-    assert tally["polls"] == sum(sum(row) for row in PARENT[scenario]["counted"]["driver_polls"])
+    # an empty queue is not drained — the pump does not even enter
+    # Driver.poll for it — yet every poll is still a poll, counted and
+    # charged (driver.polls and engine.poll.idle_us above)
+    polls = sum(sum(row) for row in PARENT[scenario]["counted"]["driver_polls"])
+    assert tally["drains"] == tally["polls_with_packets"] == tally["poll_frames"] < polls
     # Signal.fire runs only when a pump is parked; fire_count says all wakes
     wakeups = session.active_health()["pump_wakeups"]
     assert tally["activity_fires"] == wakeups
@@ -332,6 +337,10 @@ def test_skipped_work_is_counted_exactly_as_at_the_parent(scenario, tally):
     # of a quiet spell finds every queue empty
     assert tally["consults_while_quiet"] == 0
     assert 0 < tally["found_empty"] == tally["quiet_spells"]
+    # nor is a DMA-bound strategy consulted for a rail whose DMA engine
+    # is taken; only the rendezvous flood holds nothing but large segments
+    assert tally["consults_while_dma_bound"] == 0
+    assert (tally["dma_bound_spells"] > 0) == (scenario == "rdv_flood")
 
 
 @pytest.mark.parametrize("scenario", sorted(ask_first.SCENARIOS))

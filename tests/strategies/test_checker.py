@@ -4,7 +4,12 @@ import pytest
 
 from repro import Session, run_pingpong
 from repro.core.packet import EagerEntry, Payload
-from repro.core.strategies import CheckedStrategy, GreedyStrategy, available_strategies
+from repro.core.strategies import (
+    AggregMultirailStrategy,
+    CheckedStrategy,
+    GreedyStrategy,
+    available_strategies,
+)
 from repro.util.errors import StrategyError
 from repro.util.units import KB, MB
 
@@ -136,6 +141,70 @@ def test_unchecked_quiet_strategy_is_not_consulted(plat2):
     send = session.interface(0).isend(1, 7, b"x")
     session.run_until_idle()
     assert not send.done and session.engine(0).strategy.backlog == 1
+
+
+class _FalselyDmaBound(AggregMultirailStrategy):
+    """Claims that all it holds waits for a DMA engine, small segments too."""
+
+    name = "falsely_dma_bound"
+
+    def pack(self, engine, request):
+        super().pack(engine, request)
+        self.dma_bound = True
+
+
+def _small_behind_a_rendezvous(session):
+    """A 2 MB segment takes the fastest rail's DMA engine, then a small
+    segment is queued while that engine is busy."""
+    sends = []
+    session.interface(1).irecv(0, 1)
+
+    def app():
+        sends.append(session.interface(0).isend(1, 1, 2 * MB))
+        yield 5.0
+        sends.append(session.interface(0).isend(1, 7, b"x"))
+
+    session.spawn(app())
+    session.run(until=50.0)
+    assert session.engine(0).driver(1).nic.dma_busy  # qsnet2, the fastest
+    return sends
+
+
+def test_checker_catches_dma_bound_with_work(plat2):
+    """The pump skips a DMA-bound strategy for a DMA-busy rail; the checker
+    consults it anyway and reports the small segment the pump would have
+    left waiting for the DMA engine."""
+    session = Session(
+        plat2, strategy=CheckedStrategy.wrapping(_FalselyDmaBound, record_only=True)
+    )
+    _, small = _small_behind_a_rendezvous(session)
+    assert small.done  # under the checker the segment still leaves
+    violations = session.engine(0).strategy.violations
+    assert {v.invariant for v in violations} == {"dma-bound-with-work"}
+    holds = [v for v in violations if "small segments" in v.message]
+    answered = [v for v in violations if "returned a wrapper" in v.message]
+    assert holds and dict(holds[0].context)["small_segments"] == ((1, 7, 0),)
+    assert len(answered) == 1
+    assert dict(answered[0].context) == {
+        "rail": "qsnet2", "dst": 1, "entry": "EagerEntry", "tag": 7, "seq": 0,
+        "backlog": "1->0",
+    }
+
+
+def test_dma_bound_with_work_raises_at_the_consultation(plat2):
+    session = Session(plat2, strategy=CheckedStrategy.wrapping(_FalselyDmaBound))
+    with pytest.raises(StrategyError, match=r"dma-bound-with-work.*small_segments"):
+        _small_behind_a_rendezvous(session)
+
+
+def test_unchecked_dma_bound_strategy_is_not_consulted_for_a_busy_rail(plat2):
+    """What the clause guards against: without the checker the small
+    segment waits for the fastest rail's DMA engine to drain 2 MB."""
+    session = Session(plat2, strategy=_FalselyDmaBound)
+    _, small = _small_behind_a_rendezvous(session)
+    assert not small.done and session.engine(0).strategy.backlog == 1
+    session.run_until_idle()
+    assert small.done
 
 
 def test_factory_returning_non_strategy_rejected():
