@@ -118,16 +118,16 @@ def run_pingpong(
                 timing["t0"] = sim.now
             sends = yield from submit_all(iface_a, node_b)
             recvs = [iface_a.irecv(node_b, tag) for _ in seg_sizes]
-            yield AllOf([r.completion for r in recvs] + [s.completion for s in sends])
+            yield AllOf(recvs + sends)
         timing["t1"] = sim.now
         return None
 
     def pong() -> object:
         for _ in range(warmup + reps):
             recvs = [iface_b.irecv(node_a, tag) for _ in seg_sizes]
-            yield AllOf([r.completion for r in recvs])
+            yield AllOf(recvs)
             sends = yield from submit_all(iface_b, node_a)
-            yield AllOf([s.completion for s in sends])
+            yield AllOf(sends)
         return None
 
     ping_proc = spawn(sim, ping(), name="pingpong.ping")

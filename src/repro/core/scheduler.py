@@ -19,7 +19,8 @@ per-node pump process runs in relationship with **NIC activity**:
    single wrapper.  A strategy that has said it holds nothing
    (``Strategy.quiet``) is not asked again until something is packed,
    nor is one that has said all it holds waits for a DMA engine
-   (``Strategy.dma_bound``) asked for a rail whose DMA engine is busy:
+   (``Strategy.dma_bound``) asked for a rail whose DMA engine is busy,
+   nor one pinned to some rails (``Strategy.rails``) about any other:
    the paper queries the scheduler when a NIC becomes idle *and there is
    something to send*, not on every turn of the loop.
 
@@ -38,6 +39,7 @@ from typing import TYPE_CHECKING, Any, Deque, Optional
 
 from ..drivers.base import Driver
 from ..drivers.registry import make_driver
+from ..obs.instruments import FOLD_AT
 from ..obs.metrics import Counters
 from ..obs.spans import TRACK_FAULTS, TRACK_PUMP
 from ..sim.process import Process, spawn
@@ -332,19 +334,21 @@ class NodeEngine:
         commit is the wrapper carrying its RDV_REQ control entry (none
         rides a wrapper of eager data only).
         """
-        lat = self._inst.commit_latency_us[rail_idx]
+        hist = self._inst.commit_latency_us[rail_idx]
+        pending = hist.pending
         for req in pw.send_requests:
             if req.first_commit_at is None:
                 req.first_commit_at = now
-                lat.observe(now - req.submitted_at)
-        if pw.data_count == len(pw.entries):
-            return
-        for entry in pw.entries:
-            if isinstance(entry, RdvReq):
-                sreq = self.rdv.send_request(entry.req_id)
-                if sreq is not None and sreq.first_commit_at is None:
-                    sreq.first_commit_at = now
-                    lat.observe(now - sreq.submitted_at)
+                pending.append(now - req.submitted_at)
+        if pw.data_count != len(pw.entries):
+            for entry in pw.entries:
+                if isinstance(entry, RdvReq):
+                    sreq = self.rdv.send_request(entry.req_id)
+                    if sreq is not None and sreq.first_commit_at is None:
+                        sreq.first_commit_at = now
+                        pending.append(now - sreq.submitted_at)
+        if len(pending) >= FOLD_AT:
+            hist.fold()
 
     def _pump_loop(self):
         # per-engine constants, read once; ``tracing`` cannot change while
@@ -372,13 +376,22 @@ class NodeEngine:
         n_rails = len(rails)
         # drivers that keep the base ``poll`` are polled inline while their
         # receive queue is empty: the same count and cost, without a frame
-        inline_poll = all(type(driver).poll is Driver.poll for driver in drivers)
+        inline_poll = {type(driver).poll for driver in drivers} == {Driver.poll}
         # Untraced and unfaulted, with no PIO worker, a strategy with
         # nothing askable — quiet, or DMA-bound with every DMA engine
         # taken — leaves the commit phase nothing to do: no rail is asked,
         # and no NIC's eager path can still be busy (the pump waited out
         # its own last PIO copy, and the polls since took time).
-        lean = not (tracing or faulted or pio_workers) and sum(r[3] for r in rails) > 0
+        lean = not (tracing or faulted or pio_workers) and sum([r[3] for r in rails]) > 0
+        # Lean, a strategy pinned to some rails (``Strategy.rails``) is
+        # asked only about those: its answer for any other is None.  (A
+        # loop, not a comprehension: one would give every pump a cell.)
+        commit_rails = rails
+        if lean and strategy.rails is not None:
+            commit_rails = []
+            for rail in rails:
+                if rail[0] in strategy.rails:
+                    commit_rails.append(rail)
         # --- parking: active-set scheduling ---------------------------
         # An idle pump blocks on the host's activity signal, at zero
         # cost in events, until a submit, a packet or a DMA release
@@ -397,9 +410,11 @@ class NodeEngine:
                         break
                 else:
                     counts["pump_parks"] += 1
-                    session._pump_parked()
+                    session._active_pumps -= 1
                     yield host.activity
-                    session._pump_woke()
+                    session._active_pumps += 1
+                    if session._active_pumps > session._peak_active:
+                        session._peak_active = session._active_pumps
                     counts["pump_wakeups"] += 1
                     if self._stopped:
                         break
@@ -463,7 +478,7 @@ class NodeEngine:
                 if lean
                 and not self._retrans
                 and (strategy.quiet or (strategy.dma_bound and host.dma_busy == n_rails))
-                else rails
+                else commit_rails
             ):
                 if faulted and not driver.usable:
                     # detected-down rail: never consulted, never posted to
@@ -522,9 +537,20 @@ class NodeEngine:
                 offloaded = pio_workers and host.try_claim_pio_worker(post_t0 + post, copy)
                 self._stamp_first_commits(pw, idx, post_t0)
                 wire_bytes = pw.wire_bytes
-                inst.wrapper_bytes[idx].observe(wire_bytes)
-                inst.poll_gap_us.observe(post_t0 - sweep_t0)
-                inst.window_depth.observe(backlog)
+                # one append per histogram (``Histogram.pending``), no frame;
+                # one local for all three keeps every pump's frame small
+                hist = inst.wrapper_bytes[idx]
+                hist.pending.append(wire_bytes)
+                if len(hist.pending) >= FOLD_AT:
+                    hist.fold()
+                hist = inst.poll_gap_us
+                hist.pending.append(post_t0 - sweep_t0)
+                if len(hist.pending) >= FOLD_AT:
+                    hist.fold()
+                hist = inst.window_depth
+                hist.pending.append(backlog)
+                if len(hist.pending) >= FOLD_AT:
+                    hist.fold()
                 cost = driver.post_eager(pw, copy_offloaded=offloaded)
                 counts["packets_committed"] += 1
                 if offloaded:

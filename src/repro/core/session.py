@@ -30,6 +30,7 @@ from ..sim.process import Process, spawn
 from ..util.errors import ConfigError
 from .sampling import SampleTable
 from .scheduler import NodeEngine
+from .strategies.base import Strategy
 from .strategies.registry import make_strategy
 
 __all__ = ["Session"]
@@ -72,9 +73,9 @@ class _EngineList:
         for i in range(len(self._engines)):
             yield self[i]
 
-    def built(self):
+    def built(self) -> list[NodeEngine]:
         """Only the engines that exist — zero cost for idle nodes."""
-        return (e for e in self._engines if e is not None)
+        return [e for e in self._engines if e is not None]
 
 
 class Session:
@@ -112,8 +113,6 @@ class Session:
         self.metrics = MetricsRegistry()
         #: what the pumps and :meth:`sync_kernel_metrics` write, resolved once
         self.instruments = EngineInstruments(self.metrics, spec.rails)
-        from .strategies.base import Strategy
-
         if isinstance(strategy, Strategy):
             raise ConfigError(
                 "pass a strategy name or class, not an instance: strategies"
@@ -169,6 +168,7 @@ class Session:
         """The collect-layer API of one node (cached per node)."""
         iface = self._interfaces.get(node_id)
         if iface is None:
+            # imported here: ``import repro.core.session`` loads no API module
             from ..api.sendrecv import Interface
 
             iface = self._interfaces[node_id] = Interface(self.engine(node_id))
@@ -206,26 +206,21 @@ class Session:
         sim = self.sim
         inst = self.instruments
         inst.heap_compactions.value = sim.heap_compactions
-        inst.tombstone_ratio.set(sim.tombstone_ratio)
+        inst.tombstone_ratio.value = sim.tombstone_ratio
         health = self.active_health()
         inst.sweeps.value = health["total_sweeps"]
-        engines = list(self.engines.built())
-        for idx, (polls, commits) in enumerate(zip(inst.poll_count, inst.commit_count)):
-            polls.value = sum(e.drivers[idx].polls for e in engines)
-            commits.value = inst.wrapper_bytes[idx].count
+        polls = [0] * len(inst.poll_count)
+        for engine in self.engines.built():
+            for idx, driver in enumerate(engine.drivers):
+                polls[idx] += driver.polls
+        for idx, counter in enumerate(inst.poll_count):
+            counter.value = polls[idx]
+            inst.commit_count[idx].value = inst.wrapper_bytes[idx].count
         for gauge, field in inst.active:
-            gauge.set(health[field])
+            gauge.value = health[field]
 
-    # -- active-set accounting (called by the engine pumps) ---------------
+    # -- active-set accounting (the pumps park and wake inline) -----------
     def _pump_started(self) -> None:
-        self._active_pumps += 1
-        if self._active_pumps > self._peak_active:
-            self._peak_active = self._active_pumps
-
-    def _pump_parked(self) -> None:
-        self._active_pumps -= 1
-
-    def _pump_woke(self) -> None:
         self._active_pumps += 1
         if self._active_pumps > self._peak_active:
             self._peak_active = self._active_pumps
@@ -243,11 +238,15 @@ class Session:
         1.0 on a mostly-idle large platform, 0.0 when every node is as
         busy as the busiest.
         """
-        bags = [e.counters for e in self.engines.built()]
-        sweeps = [c["sweeps"] for c in bags]
-        total_sweeps = sum(sweeps)
-        max_sweeps = max(sweeps, default=0)
-        pump_wakeups = sum(c["pump_wakeups"] for c in bags)
+        total_sweeps = max_sweeps = pump_parks = pump_wakeups = 0
+        for engine in self.engines.built():
+            counts = engine.counters.counts
+            sweeps = counts.get("sweeps", 0)
+            total_sweeps += sweeps
+            if sweeps > max_sweeps:
+                max_sweeps = sweeps
+            pump_parks += counts.get("pump_parks", 0)
+            pump_wakeups += counts.get("pump_wakeups", 0)
         n = self.spec.n_nodes
         events = self.sim.events_executed
         return {
@@ -255,7 +254,7 @@ class Session:
             "engines_built": self.engines.built_count,
             "peak_active_nodes": self._peak_active,
             "active_nodes_now": self._active_pumps,
-            "pump_parks": sum(c["pump_parks"] for c in bags),
+            "pump_parks": pump_parks,
             "pump_wakeups": pump_wakeups,
             "wakeups_per_event": pump_wakeups / events if events else 0.0,
             "total_sweeps": total_sweeps,

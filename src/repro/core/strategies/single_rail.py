@@ -56,9 +56,13 @@ class SingleRailStrategy(Strategy):
 
     def __init__(self, rail: Union[str, int, None] = None):
         super().__init__()
+        if isinstance(rail, bool):  # an int to isinstance, but no rail
+            raise StrategyError(f"rail must be a rail name or index, not {rail!r}")
         self._rail_opt = rail
         #: the pinned rail; None consults every rail (``greedy``).
         self._rail_index: Optional[int] = None
+        #: ``(pinned rail,)`` once bound (``Strategy.rails``)
+        self.rails = None
         self._queue: Deque[SendRequest] = NO_SEGMENTS
 
     # ------------------------------------------------------------------ #
@@ -73,6 +77,7 @@ class SingleRailStrategy(Strategy):
             self._rail_index = opt
         else:
             self._rail_index = engine.platform.spec.rail_index(opt)
+        self.rails = (self._rail_index,)
 
     @property
     def rail_index(self) -> int:

@@ -1,9 +1,11 @@
-"""Metrics registry: counters, gauges and fixed-bucket histograms.
+"""Metrics registry: the schema, the per-node counter bag and the
+session's instrument bundle.
 
 Every :class:`~repro.core.session.Session` owns one
-:class:`MetricsRegistry`; the engines resolve their instruments once at
-construction time (``registry.histogram(...)`` is get-or-create) so the
-hot paths only pay a method call and an increment per observation.
+:class:`MetricsRegistry`; the engines resolve their instruments (the
+counters, gauges and histograms of :mod:`repro.obs.instruments`, all
+re-exported here) once at construction time, so the hot paths pay an
+increment per count and one list append per histogram observation.
 
 Every metric name used by the engine is declared in :data:`SCHEMA`, and
 every name of the per-node :class:`Counters` bag in
@@ -26,9 +28,10 @@ microseconds of *simulated* time.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import defaultdict
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence
+
+from .instruments import Counter, Gauge, Histogram, _checked_edges, render_labels
 
 __all__ = [
     "Counter",
@@ -41,17 +44,6 @@ __all__ = [
     "ENGINE_COUNTER_NAMES",
     "render_labels",
 ]
-
-Number = Union[int, float]
-
-
-def render_labels(name: str, labels: tuple[tuple[str, str], ...]) -> str:
-    """``("rail","myri10g")`` label pairs rendered Prometheus-style."""
-    if not labels:
-        return name
-    inner = ",".join(f"{k}={v}" for k, v in labels)
-    return f"{name}{{{inner}}}"
-
 
 class MetricSpec:
     """Declared shape of one metric family."""
@@ -341,151 +333,6 @@ class Counters:
         return f"Counters({dict(sorted(self.counts.items()))})"
 
 
-class Counter:
-    """A monotonically increasing number (float-friendly: time counters)."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: tuple[tuple[str, str], ...] = ()):
-        self.name = name
-        self.labels = labels
-        self.value: Number = 0
-
-    def add(self, amount: Number = 1) -> None:
-        self.value += amount
-
-    @property
-    def full_name(self) -> str:
-        return render_labels(self.name, self.labels)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Counter {self.full_name}={self.value}>"
-
-
-class Gauge:
-    """A value that can go up and down (e.g. current backlog depth)."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: tuple[tuple[str, str], ...] = ()):
-        self.name = name
-        self.labels = labels
-        self.value: Number = 0
-
-    def set(self, value: Number) -> None:
-        self.value = value
-
-    def add(self, amount: Number = 1) -> None:
-        self.value += amount
-
-    @property
-    def full_name(self) -> str:
-        return render_labels(self.name, self.labels)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Gauge {self.full_name}={self.value}>"
-
-
-class Histogram:
-    """Fixed-bucket histogram with ``le`` (less-or-equal) semantics.
-
-    ``counts[i]`` counts observations ``v <= edges[i]``; the final bucket
-    (``counts[-1]``) is the +inf overflow.  Edge values land in the bucket
-    they name, Prometheus-style::
-
-        >>> h = Histogram("t", edges=(1.0, 10.0))
-        >>> for v in (0.5, 1.0, 1.5, 10.0, 11.0): h.observe(v)
-        >>> h.counts
-        [2, 2, 1]
-    """
-
-    __slots__ = ("name", "labels", "edges", "counts", "count", "total", "vmin", "vmax")
-
-    def __init__(
-        self,
-        name: str,
-        edges: Sequence[float],
-        labels: tuple[tuple[str, str], ...] = (),
-    ):
-        if not edges:
-            raise ValueError(f"histogram {name!r} needs at least one bucket edge")
-        e = tuple(float(x) for x in edges)
-        if list(e) != sorted(set(e)):
-            raise ValueError(f"histogram {name!r} edges must be strictly increasing: {edges}")
-        self.name = name
-        self.labels = labels
-        self.edges = e
-        self.counts = [0] * (len(e) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.vmin: Optional[float] = None
-        self.vmax: Optional[float] = None
-
-    def observe(self, value: Number) -> None:
-        self.counts[bisect_left(self.edges, value)] += 1
-        self.total += value
-        if self.count:
-            # vmin <= vmax: a new minimum cannot also be a new maximum
-            if value < self.vmin:
-                self.vmin = value
-            elif value > self.vmax:
-                self.vmax = value
-        else:
-            self.vmin = self.vmax = value
-        self.count += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Linearly interpolated quantile (Prometheus-style).
-
-        The winning bucket is the first one whose cumulative count
-        reaches ``q * count``; the estimate interpolates within it
-        assuming uniform distribution, with the bucket bounds tightened
-        by the observed ``vmin``/``vmax`` (so ``quantile(0.0)`` is the
-        true minimum and ``quantile(1.0)`` the true maximum).  Accuracy
-        inside a bucket is still limited by the bucket width — values are
-        not retained individually, only ``vmin``/``vmax`` sharpen the
-        first/last populated buckets.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile {q} outside [0, 1]")
-        if self.count == 0:
-            return 0.0
-        assert self.vmin is not None and self.vmax is not None
-        rank = q * self.count
-        seen = 0
-        for i, c in enumerate(self.counts):
-            if not c:
-                continue
-            if seen + c >= rank:
-                lo = self.vmin if i == 0 else max(self.edges[i - 1], self.vmin)
-                hi = self.vmax if i == len(self.edges) else min(self.edges[i], self.vmax)
-                fraction = (rank - seen) / c
-                return min(max(lo + (hi - lo) * fraction, self.vmin), self.vmax)
-            seen += c
-        return self.vmax
-
-    @property
-    def full_name(self) -> str:
-        return render_labels(self.name, self.labels)
-
-    def snapshot(self) -> dict:
-        return {
-            "edges": list(self.edges),
-            "counts": list(self.counts),
-            "count": self.count,
-            "total": self.total,
-            "min": self.vmin,
-            "max": self.vmax,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Histogram {self.full_name} n={self.count} mean={self.mean:.2f}>"
-
-
 class EngineInstruments:
     """Every instrument the pumps and ``sync_kernel_metrics`` write,
     resolved once per session.
@@ -495,12 +342,34 @@ class EngineInstruments:
     them all: an engine constructor does no registry look-up, and
     publishing after a run does none either.  Per-rail lists are indexed
     by rail index.
+
+    The bundle's ``(key, class, edges)`` list depends on the rail names
+    only: it is resolved once per tuple of names and then built straight
+    into the registry (:meth:`MetricsRegistry._build`), so a session pays
+    one constructor call per instrument, not a name, label and edge
+    look-up each.
     """
 
     __slots__ = (
         "poll_idle_us", "commit_latency_us", "wrapper_bytes", "poll_gap_us",
         "window_depth", "handshake_us", "poll_count", "commit_count",
         "heap_compactions", "tombstone_ratio", "sweeps", "active",
+    )
+
+    #: every family of the bundle, in registration order:
+    #: ``(slot, kind, name, one per rail)``
+    _FAMILIES = (
+        ("poll_idle_us", Counter, "engine.poll.idle_us", True),
+        ("commit_latency_us", Histogram, "engine.commit.latency_us", True),
+        ("wrapper_bytes", Histogram, "engine.commit.wrapper_bytes", True),
+        ("poll_gap_us", Histogram, "engine.commit.poll_gap_us", False),
+        ("window_depth", Histogram, "engine.window.depth", False),
+        ("handshake_us", Histogram, "engine.rdv.handshake_us", False),
+        ("poll_count", Counter, "engine.poll.count", True),
+        ("commit_count", Counter, "engine.commit.count", True),
+        ("heap_compactions", Counter, "engine.heap_compactions", False),
+        ("tombstone_ratio", Gauge, "engine.tombstone_ratio", False),
+        ("sweeps", Counter, "engine.sweeps", False),
     )
 
     #: ``active.*`` gauge -> the ``Session.active_health`` field it shows
@@ -511,26 +380,48 @@ class EngineInstruments:
         ("active.pump_wakeups", "pump_wakeups"),
         ("active.idle_skip_ratio", "idle_skip_ratio"),
     )
+    _ACTIVE_FIELDS = tuple(field for _, field in _ACTIVE)
+
+    #: rail names -> the bundle's ``(key, class, edges)`` triples (a memo
+    #: of :meth:`_layout`, which depends on nothing else)
+    _layouts: dict[tuple[str, ...], tuple] = {}
 
     def __init__(self, metrics: "MetricsRegistry", rails: Sequence):
-        def per_rail(make, name):
-            return [make(name, rail=rail.name) for rail in rails]
+        names = tuple([str(rail.name) for rail in rails])
+        layout = self._layouts.get(names)
+        if layout is None:
+            layout = self._layouts[names] = self._layout(names)
+        made = metrics._build(layout)
+        n_rails = len(names)
+        at = 0
+        for slot, _, _, per_rail in self._FAMILIES:
+            if per_rail:
+                setattr(self, slot, made[at:at + n_rails])
+                at += n_rails
+            else:
+                setattr(self, slot, made[at])
+                at += 1
+        self.active = list(zip(made[at:], self._ACTIVE_FIELDS))
 
-        self.poll_idle_us = per_rail(metrics.counter, "engine.poll.idle_us")
-        self.commit_latency_us = per_rail(metrics.histogram, "engine.commit.latency_us")
-        self.wrapper_bytes = per_rail(metrics.histogram, "engine.commit.wrapper_bytes")
-        self.poll_gap_us = metrics.histogram("engine.commit.poll_gap_us")
-        self.window_depth = metrics.histogram("engine.window.depth")
-        self.handshake_us = metrics.histogram("engine.rdv.handshake_us")
-        self.poll_count = per_rail(metrics.counter, "engine.poll.count")
-        self.commit_count = per_rail(metrics.counter, "engine.commit.count")
-        self.heap_compactions = metrics.counter("engine.heap_compactions")
-        self.tombstone_ratio = metrics.gauge("engine.tombstone_ratio")
-        self.sweeps = metrics.counter("engine.sweeps")
-        self.active = [(metrics.gauge(name), field) for name, field in self._ACTIVE]
+    @classmethod
+    def _layout(cls, names: tuple[str, ...]) -> tuple:
+        layout = []
+        for _, kind, name, per_rail in cls._FAMILIES:
+            edges = SCHEMA[name].buckets if kind is Histogram else None
+            if per_rail:
+                layout += [((name, (("rail", rail),)), kind, edges) for rail in names]
+            else:
+                layout.append(((name, ()), kind, edges))
+        layout += [((name, ()), Gauge, None) for name, _ in cls._ACTIVE]
+        return tuple(layout)
 
 
 def _label_key(labels: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
+    if not labels:
+        return ()
+    if len(labels) == 1:
+        for k, v in labels.items():
+            return ((str(k), str(v)),)
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
@@ -556,12 +447,48 @@ class MetricsRegistry:
             if self.strict and name not in SCHEMA:
                 raise KeyError(f"metric {name!r} is not declared in obs.metrics.SCHEMA")
             inst = self._metrics[key] = cls(name, *args, labels=key[1])
-        elif not isinstance(inst, cls):
+        else:
+            self._check_kind(inst, cls, name, *args)
+        return inst
+
+    @staticmethod
+    def _check_kind(inst, cls, name: str, edges: Optional[Sequence[float]] = None) -> None:
+        """Refuse a second registration of ``name`` as another kind, or as
+        a histogram with other edges."""
+        if not isinstance(inst, cls):
             raise TypeError(
                 f"metric {name!r} already registered as {type(inst).__name__},"
                 f" not {cls.__name__}"
             )
-        return inst
+        if edges is not None:
+            wanted = _checked_edges(name, edges)
+            if inst.edges != wanted:
+                raise ValueError(
+                    f"histogram {name!r} already registered with edges"
+                    f" {inst.edges}, not {wanted}"
+                )
+
+    def _build(self, layout: Sequence) -> list:
+        """The instruments of ``(key, class, edges)`` triples, in order:
+        made straight into the registry where the key is new, else the
+        registered one (kind and edges checked as :meth:`_get` does)."""
+        metrics = self._metrics
+        if self.strict:
+            for (name, _), _, _ in layout:
+                if name not in SCHEMA:
+                    raise KeyError(f"metric {name!r} is not declared in obs.metrics.SCHEMA")
+        made = []
+        for key, cls, edges in layout:
+            inst = metrics.get(key)
+            if inst is None:
+                if edges is None:
+                    inst = metrics[key] = cls(key[0], labels=key[1])
+                else:
+                    inst = metrics[key] = cls(key[0], edges, key[1])
+            else:
+                self._check_kind(inst, cls, key[0], edges)
+            made.append(inst)
+        return made
 
     def counter(self, name: str, **labels: str) -> Counter:
         return self._get(Counter, name, labels)
@@ -617,19 +544,7 @@ class MetricsRegistry:
                 else:
                     mine = self._metrics[key] = type(inst)(inst.name, labels=key[1])
             if isinstance(inst, Histogram):
-                assert isinstance(mine, Histogram)
-                if mine.edges != inst.edges:
-                    raise ValueError(f"cannot merge {inst.full_name}: bucket edges differ")
-                for i, c in enumerate(inst.counts):
-                    mine.counts[i] += c
-                mine.count += inst.count
-                mine.total += inst.total
-                for v in (inst.vmin, inst.vmax):
-                    if v is not None:
-                        if mine.vmin is None or v < mine.vmin:
-                            mine.vmin = v
-                        if mine.vmax is None or v > mine.vmax:
-                            mine.vmax = v
+                mine.merge_inplace(inst)  # type: ignore[union-attr]
             elif isinstance(inst, Counter):
                 mine.add(inst.value)  # type: ignore[union-attr]
             else:

@@ -13,8 +13,9 @@ a *waitable* — any object with ``wait(callback)`` / ``unwait(callback)``
     Suspend until it calls ``callback(value)``; the ``yield`` expression
     returns ``value``.  ``unwait`` withdraws a callback that has not run
     (no-op otherwise).  :meth:`Process._advance` hands its resume to
-    ``wait`` directly, :meth:`Process._arm` (combinator children) does the
-    same, and neither knows anything else; three classes speak it:
+    ``wait`` directly, an :class:`AllOf` its per-child callback, and
+    :meth:`Process._arm` (any other combinator child) does the same;
+    none knows anything else.  Three classes speak it:
     :class:`Signal` (the value given to ``fire``),
     :class:`Process` (the child's ``return`` value; ``wait`` is ``on_done``)
     and :class:`repro.core.request.Request` (the request itself).  A
@@ -312,7 +313,11 @@ class Process:
         children = allof.children
         join = _Join(len(children), resume)
         for i, child in enumerate(children):
-            self._arm(child, _Arm(join, i))
+            wait = getattr(child, "wait", None)
+            if wait is not None:  # a waitable: no _arm frame in between
+                wait(_Arm(join, i))
+            else:
+                self._arm(child, _Arm(join, i))
 
     def _arm_any(self, anyof: AnyOf, resume: Callable[[Any], None]) -> None:
         armed: list = []  # (child, callback) registered so far; the winner empties it

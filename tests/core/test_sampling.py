@@ -188,7 +188,8 @@ def test_a_run_loads_what_it_uses():
         "loaded = heavy & (set(sys.modules) - before)\n"
         "assert not loaded, sorted(loaded)\n"
         "ours = sorted(m for m in sys.modules if m.startswith('repro.'))\n"
-        "allowed = {'repro.obs.metrics', 'repro.obs.spans', 'repro.bench.pingpong'}\n"
+        "allowed = {'repro.obs.metrics', 'repro.obs.instruments', 'repro.obs.spans',\n"
+        "           'repro.bench.pingpong'}\n"
         "extra = [m for m in ours if m.startswith(('repro.obs.', 'repro.bench.'))\n"
         "         and m not in allowed]\n"
         "assert not extra, extra\n"

@@ -40,16 +40,46 @@ and three frozen-dataclass records.
 The ceilings sit at least 30 calls (rendezvous) or 12 calls (eager) under
 "before" and leave room for interpreter differences (3.12 inlines
 comprehensions, which can only lower a count).
+
+**Set-up and a figure point.**  ``Session()`` on ``paper_platform()`` with
+``aggreg_multirail`` and on ``single_rail_platform(MYRI_10G)`` with
+``aggreg`` (the spec built outside the count, after one session of the
+same rail set), and a figure point: a fresh 2-node session plus
+``run_pingpong(segments=2, reps=3, warmup=1)`` at 4 B and 64 KB:
+
+    kernel   what                 before   now     ceiling
+    native   Session, 2 rails     293      113     140
+    native   Session, 1 rail      220      86      115
+    native   point, 4 B           1 357    999     1 150
+    native   point, 64 KB         3 402    2 928   3 150
+    heap     Session, 2 rails     288      108     135
+    heap     Session, 1 rail      215      81      110
+    heap     point, 4 B           1 588    1 233   1 400
+    heap     point, 64 KB         5 003    4 526   4 750
+
+"before" registered every instrument through ``counter()`` /
+``histogram()`` (label sort, edge check and registry walk each), entered
+``Histogram.observe`` four times per commit, a ``Session`` method per
+park and per wake-up, and ``Process._arm`` per ``AllOf`` child.  And
+an eager flood's ``run_until_idle`` enters the metrics modules
+(``obs/metrics.py``, ``obs/instruments.py``) only to fold a batch of
+:data:`~repro.obs.instruments.FOLD_AT` observations and to read ``count``
+when it publishes — never per commit.
 """
 
+import collections
 import functools
+import os
 import random
 import sys
 from collections import deque
 
 import pytest
 
-from repro import Session, paper_platform, sample_rails
+from repro import (
+    MYRI_10G, Session, paper_platform, run_pingpong, sample_rails, single_rail_platform,
+)
+from repro.obs.instruments import FOLD_AT, Histogram
 from repro.sim.backend import available_backends
 
 CEILING = {"native": 34.0, "heap": 38.0}
@@ -61,6 +91,13 @@ KB = 1024
 RDV_CEILING = {"native": 205.0, "heap": 375.0}
 RDV_MESSAGES = 1_000
 RDV_WINDOW = 8
+
+#: ``Session()`` calls: (two rails, aggreg_multirail), (one rail, aggreg)
+SESSION_CEILING = {"native": (140, 115), "heap": (135, 110)}
+#: figure-point calls at 4 B and 64 KB
+POINT_CEILING = {"native": (1150, 3150), "heap": (1400, 4750)}
+POINT_SIZES = (4, 64 * KB)
+METRICS_FILES = (os.path.join("obs", "metrics.py"), os.path.join("obs", "instruments.py"))
 
 
 @functools.lru_cache(maxsize=1)
@@ -160,3 +197,82 @@ def test_a_rendezvous_message_stays_under_its_call_budget(backend):
         f"{per_message:.2f} Python calls per rendezvous message on {backend}"
         f" (ceiling {RDV_CEILING[backend]})"
     )
+
+
+def _session_calls(backend):
+    """Calls of building each of the two sessions, after a first one."""
+    counted = []
+    for spec, strategy in (
+        (paper_platform(), "aggreg_multirail"),
+        (single_rail_platform(MYRI_10G), "aggreg"),
+    ):
+        Session(spec, strategy=strategy, backend=backend)
+        calls, _ = _calls(lambda: Session(spec, strategy=strategy, backend=backend))
+        counted.append(calls)
+    return counted
+
+
+def _point_calls(backend, size):
+    """Calls of one figure point: a fresh session and its ping-pong."""
+    spec = paper_platform()
+
+    def point():
+        session = Session(spec, strategy="aggreg_multirail", backend=backend)
+        return run_pingpong(session, size, segments=2, reps=3, warmup=1)
+
+    point()
+    calls, result = _calls(point)
+    assert result.one_way_us > 0
+    return calls
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_a_session_build_stays_under_its_call_budget(backend):
+    for calls, ceiling, what in zip(
+        _session_calls(backend), SESSION_CEILING[backend], ("two-rail", "one-rail")
+    ):
+        assert calls > 50, "the profiler did not see the build"
+        assert calls <= ceiling, (
+            f"{calls} Python calls to build a {what} Session on {backend}"
+            f" (ceiling {ceiling})"
+        )
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_a_figure_point_stays_under_its_call_budget(backend):
+    for size, ceiling in zip(POINT_SIZES, POINT_CEILING[backend]):
+        calls = _point_calls(backend, size)
+        assert calls > 500, "the profiler did not see the point"
+        assert calls <= ceiling, (
+            f"{calls} Python calls for a {size} B figure point on {backend}"
+            f" (ceiling {ceiling})"
+        )
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_an_eager_flood_enters_the_metrics_module_per_batch_only(backend):
+    """No metrics-module frame per commit: the pump appends to each
+    histogram's batch itself, and the run enters the module only to fold
+    a full batch, and to read each rail's commit count when it publishes."""
+    sizes = random.Random(7).choices((8, 64, 512, 2048, 4096), k=MESSAGES)
+    session = Session(paper_platform(), strategy="aggreg_multirail", backend=backend)
+    run = _flood(session, sizes, WINDOW)
+    frames = collections.Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.endswith(METRICS_FILES):
+            frames[frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    hists = [inst for inst in session.metrics if isinstance(inst, Histogram)]
+    observations = sum(h.count for h in hists)
+    commits = sum(session.counters(n)["packets_committed"] for n in (0, 1))
+    assert commits > 100 and observations > 3 * commits
+    assert set(frames) <= {"fold", "count"}, frames
+    assert frames["count"] == len(session.spec.rails)  # sync_kernel_metrics
+    assert frames["fold"] <= observations // FOLD_AT + len(hists), frames

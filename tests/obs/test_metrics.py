@@ -116,6 +116,40 @@ class TestRegistry:
         with pytest.raises(TypeError):
             reg.gauge("engine.sweeps")
 
+    def test_histogram_edge_mismatch_raises(self):
+        """Asking again with other edges names both sets; it used to hand
+        back the first histogram silently."""
+        reg = MetricsRegistry()
+        h = reg.histogram("custom.h", edges=(1.0, 2.0, 3.0))
+        assert reg.histogram("custom.h", edges=(1, 2, 3)) is h  # equal edges
+        with pytest.raises(ValueError, match=r"\(1\.0, 2\.0, 3\.0\).*\(10\.0, 20\.0\)"):
+            reg.histogram("custom.h", edges=(10, 20))
+        reg.histogram("engine.window.depth")
+        with pytest.raises(ValueError, match="already registered with edges"):
+            reg.histogram("engine.window.depth", edges=(5.0,))
+
+    def test_session_bundle_keeps_strict_and_kind_checks(self, plat2):
+        """The per-rail-set layout builds straight into the registry, and
+        still refuses what ``_get`` refuses."""
+        from repro.obs.metrics import EngineInstruments
+
+        reg = MetricsRegistry()
+        reg.gauge("engine.sweeps")
+        with pytest.raises(TypeError, match="already registered as Gauge"):
+            EngineInstruments(reg, plat2.rails)
+        reg = MetricsRegistry()
+        reg.histogram("engine.window.depth", edges=(5.0,))
+        with pytest.raises(ValueError, match="already registered with edges"):
+            EngineInstruments(reg, plat2.rails)
+        reg = MetricsRegistry(strict=True)
+        first = EngineInstruments(reg, plat2.rails)
+        again = EngineInstruments(reg, plat2.rails)  # get, not create
+        assert again.wrapper_bytes == first.wrapper_bytes and len(reg) == 21
+        assert reg.names() <= set(SCHEMA)
+        fresh = MetricsRegistry()
+        EngineInstruments(fresh, plat2.rails)
+        assert list(fresh._metrics) == list(reg._metrics)  # same keys, same order
+
     def test_histogram_buckets_from_schema(self):
         reg = MetricsRegistry()
         h = reg.histogram("engine.commit.latency_us")

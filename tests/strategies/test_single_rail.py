@@ -35,6 +35,29 @@ def test_out_of_range_index_rejected(plat2):
         Session(plat2, strategy="single_rail", strategy_opts={"rail": 5})
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_is_not_a_rail(plat2, flag):
+    """``True == 1``: without the check, ``rail=True`` pinned rail 1 and
+    ``rail_index`` answered ``True``."""
+    with pytest.raises(StrategyError, match="rail name or index"):
+        Session(plat2, strategy="single_rail", strategy_opts={"rail": flag})
+    with pytest.raises(StrategyError, match="rail name or index"):
+        Session(plat2, strategy="aggreg", strategy_opts={"rail": flag})
+
+
+def test_a_pinned_strategy_names_its_rail(plat2):
+    """``Strategy.rails``: the pinned rail once bound, None for the
+    strategies that may answer on any rail."""
+    from repro.core.strategies import SingleRailStrategy
+
+    assert SingleRailStrategy(rail=1).rails is None  # not bound yet
+    pinned = Session(plat2, strategy="aggreg", strategy_opts={"rail": "qsnet2"})
+    assert pinned.engine(0).strategy.rails == (1,)
+    assert Session(plat2, strategy="single_rail").engine(0).strategy.rails == (0,)
+    for name in ("greedy", "aggreg_multirail", "split_balance"):
+        assert Session(plat2, strategy=name).engine(0).strategy.rails is None
+
+
 def test_rail_index_before_bind_raises():
     from repro.core.strategies import SingleRailStrategy
 
