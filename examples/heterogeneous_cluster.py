@@ -9,7 +9,7 @@ come from init-time sampling.  This example builds a 3-rail cluster
 * small messages ride the lowest-latency rail (SCI here),
 * large messages are stripped across the fast rails with sampled ratios,
 * the TCP rail is essentially ignored by the adaptive split (its fitted
-  bandwidth share is tiny and chunks below ``min_chunk`` are not worth a
+  bandwidth share is tiny and chunks below ``MIN_CHUNK`` are not worth a
   DMA) — graceful degradation, not a crash.
 
 Run:  python examples/heterogeneous_cluster.py

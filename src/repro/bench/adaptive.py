@@ -128,6 +128,7 @@ def run_adaptive_case(strategy: str, reps: int = 1) -> AdaptiveResult:
     """Run the degrade-recovery workload under ``strategy``, once per rep
     on a fresh simulator (see :func:`~repro.bench.scale.identical_reps`)."""
     from ..core.session import Session
+    from ..core.strategies.adaptive import TournamentStrategy
     from ..core.strategies.registry import available_strategies
     from ..faults.plan import FaultEvent, FaultPlan
     from ..hardware.presets import paper_platform
@@ -155,16 +156,16 @@ def run_adaptive_case(strategy: str, reps: int = 1) -> AdaptiveResult:
         workload_done_us = _workload(session)
 
         strat = session.engine(0).strategy
-        ratios = (
-            strat.current_ratios() if hasattr(strat, "current_ratios") else None
-        )
+        ratios = strat.current_ratios()
         return AdaptiveResult(
             strategy=strategy,
             elapsed_us=workload_done_us,
             events=int(session.sim.events_executed),
             steady_share=None if ratios is None else float(ratios[0]),
             resamples=int(session.metrics.snapshot().get("fault.resamples", 0)),
-            switches=len(strat.switches) if hasattr(strat, "switches") else None,
+            switches=(
+                len(strat.switches) if isinstance(strat, TournamentStrategy) else None
+            ),
         )
 
     return identical_reps(once, reps, f"adaptive.degrade_recovery {strategy}")

@@ -97,9 +97,7 @@ class NodeEngine:
         #: ``wants_observations`` and then see every finished PIO post and
         #: drained DMA chunk (repro.core.strategies.adaptive); None for
         #: static strategies, keeping the hooks zero-cost.
-        self._observer = (
-            strategy if getattr(strategy, "wants_observations", False) else None
-        )
+        self._observer = strategy if strategy.wants_observations else None
         faults = session.faults
         for drv in self.drivers:
             drv.spans = self.spans

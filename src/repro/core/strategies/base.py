@@ -155,6 +155,15 @@ class Strategy(ABC):
         state updates, so enabling them never perturbs the simulation.
         """
 
+    def epoch_index(self) -> object:
+        """The adaptation epoch an adaptive strategy is in, else ``None``."""
+        return None
+
+    def current_ratios(self) -> Optional[tuple[float, ...]]:
+        """An adaptive strategy's per-rail split weights, else ``None``;
+        they may change only when :meth:`epoch_index` does."""
+        return None
+
     # ------------------------------------------------------------------ #
     # scheduling side
     # ------------------------------------------------------------------ #

@@ -138,7 +138,7 @@ class CheckedStrategy(Strategy):
 
     @property
     def wants_observations(self) -> bool:
-        return bool(getattr(self.inner, "wants_observations", False))
+        return self.inner.wants_observations
 
     def observe(
         self, rail_index: int, kind: str, nbytes: int, start_us: float, end_us: float
@@ -160,22 +160,12 @@ class CheckedStrategy(Strategy):
             self._last_obs_end_us = end_us
         self.inner.observe(rail_index, kind, nbytes, start_us, end_us)
 
-    def _ratio_signature(self) -> Optional[tuple[Any, tuple[float, ...]]]:
-        """(epoch, ratios) of an adaptive inner strategy, else None."""
-        ratios_fn = getattr(self.inner, "current_ratios", None)
-        epoch_fn = getattr(self.inner, "epoch_index", None)
-        if ratios_fn is None or epoch_fn is None:
-            return None
-        ratios = ratios_fn()
-        if ratios is None:
-            return None
-        return (epoch_fn(), tuple(ratios))
-
     def _check_epoch_ratios(self, when: str) -> None:
         """Ratios may only change at epoch boundaries (PR 10 invariant)."""
-        sig = self._ratio_signature()
-        if sig is None:
+        ratios = self.inner.current_ratios()
+        if ratios is None:
             return
+        sig = (self.inner.epoch_index(), tuple(ratios))
         if self._last_ratio_sig is not None:
             last_epoch, last_ratios = self._last_ratio_sig
             epoch, ratios = sig

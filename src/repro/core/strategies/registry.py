@@ -7,6 +7,7 @@ once per node.
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, Callable, Type
 
 from ...util.errors import StrategyError
@@ -58,17 +59,34 @@ def make_strategy(spec: Any, **opts: Any) -> Strategy:
             raise StrategyError("cannot pass options with a strategy instance")
         return spec
     if isinstance(spec, type) and issubclass(spec, Strategy):
-        return spec(**opts)
+        return _build(spec, opts, spec.name)
     if isinstance(spec, str):
-        return strategy_class(spec)(**opts)
+        return _build(strategy_class(spec), opts, spec)
     if callable(spec):
-        built = spec(**opts)
+        built = _build(spec, opts)
         if not isinstance(built, Strategy):
             raise StrategyError(
                 f"factory {spec!r} returned {type(built).__name__}, not a Strategy"
             )
         return built
     raise StrategyError(f"cannot build a strategy from {spec!r}")
+
+
+def _build(factory: Callable[..., Any], opts: dict[str, Any], name: str = "") -> Any:
+    """``factory(**opts)``; an option it does not take is one StrategyError
+    line.  A ``TypeError`` raised inside the constructor passes unchanged."""
+    try:
+        return factory(**opts)
+    except TypeError:
+        # the failure path only: a build reads no signature
+        params = inspect.signature(factory).parameters
+        rejected = sorted(set(opts) - set(params))
+        if not rejected or any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            raise
+        raise StrategyError(
+            f"strategy {name or factory!r} takes no option {', '.join(rejected)};"
+            f" its options: {', '.join(params) or 'none'}"
+        ) from None
 
 
 def available_strategies() -> list[str]:

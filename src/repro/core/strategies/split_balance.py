@@ -39,9 +39,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sampling import SampleTable
     from ..scheduler import NodeEngine
 
-__all__ = ["SplitBalanceStrategy"]
+__all__ = ["MIN_CHUNK", "SplitBalanceStrategy"]
 
 _RATIO_MODES = ("sampled", "iso", "spec")
+
+#: smallest chunk a split may give a rail: below it, the chunk's DMA setup
+#: costs more than it saves, so the segment goes whole.
+MIN_CHUNK = 8192
 
 
 class SplitBalanceStrategy(AggregMultirailStrategy):
@@ -53,21 +57,20 @@ class SplitBalanceStrategy(AggregMultirailStrategy):
         self,
         ratio_mode: str = "sampled",
         split_decision: Union[str, int] = "adaptive",
-        min_chunk: int = 8192,
     ):
         super().__init__()
         if ratio_mode not in _RATIO_MODES:
             raise StrategyError(f"ratio_mode must be one of {_RATIO_MODES}")
-        if isinstance(split_decision, int):
+        # a bool is an int to isinstance, but no byte count
+        if isinstance(split_decision, int) and not isinstance(split_decision, bool):
             if split_decision <= 0:
                 raise StrategyError("fixed split threshold must be positive")
         elif split_decision != "adaptive":
-            raise StrategyError("split_decision must be 'adaptive' or a byte count")
-        if min_chunk <= 0:
-            raise StrategyError("min_chunk must be positive")
+            raise StrategyError(
+                f"split_decision must be 'adaptive' or a byte count, not {split_decision!r}"
+            )
         self.ratio_mode = ratio_mode
         self.split_decision = split_decision
-        self.min_chunk = min_chunk
 
     # ------------------------------------------------------------------ #
     def bind(self, engine: "NodeEngine") -> None:
@@ -121,7 +124,7 @@ class SplitBalanceStrategy(AggregMultirailStrategy):
         )
         for i in range(remainder):
             lengths[fracs[i % len(drivers)]] += 1
-        if any(ln < self.min_chunk for ln in lengths):
+        if any(ln < MIN_CHUNK for ln in lengths):
             return None
         # split decision
         if isinstance(self.split_decision, int):

@@ -6,9 +6,16 @@ to, and whether it is aggregated or split (§3.1–3.4) — so where a policy
 has no choice to make, two rungs of the ladder must be the same run:
 
 1. on one rail, ``greedy`` is ``single_rail`` (there is no other NIC to
-   be greedy about) and ``split_balance`` is ``aggreg_multirail`` (there
-   is no second DMA engine to strip onto) — equal results, equal final
-   clock, equal event count, equal merged counters;
+   be greedy about), ``split_balance`` is ``aggreg_multirail`` (there
+   is no second DMA engine to strip onto), ``feedback`` is
+   ``split_balance`` (a measured model of one rail still has nothing to
+   split) and ``tournament`` is ``aggreg_multirail`` (each candidate's
+   policy is that rung on one rail) — equal results, equal final clock,
+   equal event count, equal merged counters.  The tournament alone may
+   run more kernel events (process resumptions) where it switches
+   candidates mid-flood: up to 18 on the floods of 64 KB and more, with
+   the same results, clock and counters (racing one candidate, it runs
+   none extra);
 2. on two identical rails, the sampled split ratio is the even one, so
    ``ratio_mode="iso"`` and the sampled split take the same time.
 """
@@ -32,7 +39,14 @@ from repro.util.units import KB, MB
 
 SIZES = (8, 4 * KB, 64 * KB, 1 * MB, 8 * MB)
 #: (rung, the rung it must equal when the platform has one rail)
-ONE_RAIL_PAIRS = (("greedy", "single_rail"), ("split_balance", "aggreg_multirail"))
+ONE_RAIL_PAIRS = (
+    ("greedy", "single_rail"),
+    ("split_balance", "aggreg_multirail"),
+    ("feedback", "split_balance"),
+    ("tournament", "aggreg_multirail"),
+)
+#: rungs held to every equality but the event count (see law 1)
+MORE_EVENTS = ("tournament",)
 
 
 def _pingpong(session, size):
@@ -56,6 +70,8 @@ def _run(spec, strategy, workload, size):
 def test_on_one_rail_a_rung_without_a_choice_is_the_rung_below(rail, pair, workload, size):
     spec = single_rail_platform(rail)
     rung, below = (_run(spec, name, workload, size) for name in pair)
+    if pair[0] in MORE_EVENTS:
+        rung, below = rung[:2] + rung[3:], below[:2] + below[3:]
     assert rung == below
 
 

@@ -16,7 +16,8 @@ from repro.core.strategies import (
     available_strategies,
     make_strategy,
 )
-from repro.core.strategies.adaptive import DEFAULT_CANDIDATES, RailEstimator
+from repro.core.strategies.adaptive import CANDIDATES, RailEstimator, ewma
+from repro.obs.metrics import MetricsRegistry
 from repro.util.errors import StrategyError
 from repro.util.units import MB
 
@@ -37,39 +38,42 @@ def test_adaptive_strategies_registered():
 
 
 def test_constructor_validation():
-    with pytest.raises(StrategyError, match="alpha"):
-        RailEstimator(0.0)
-    with pytest.raises(StrategyError, match="alpha"):
-        FeedbackStrategy(alpha=1.5)
-    with pytest.raises(StrategyError, match="epoch_us"):
-        FeedbackStrategy(epoch_us=0.0)
-    with pytest.raises(StrategyError, match="hysteresis"):
-        TournamentStrategy(hysteresis=-0.1)
-    with pytest.raises(StrategyError, match="at least one"):
-        TournamentStrategy(candidates=())
-    with pytest.raises(StrategyError, match="duplicate"):
-        TournamentStrategy(candidates=("greedy", "greedy"))
-    with pytest.raises(StrategyError, match="race itself"):
-        TournamentStrategy(candidates=("greedy", "tournament"))
+    """The adaptive pair takes no options: each former one is refused as
+    one StrategyError line naming the strategy and the key."""
+    for name, key, value in (
+        ("feedback", "alpha", 1.5),
+        ("feedback", "epoch_us", float("nan")),
+        ("feedback", "min_chunk", 0),
+        ("tournament", "hysteresis", float("nan")),
+        ("tournament", "epoch_us", float("inf")),
+        ("tournament", "candidates", ("greedy", "tournament")),
+    ):
+        with pytest.raises(StrategyError, match=f"'{name}' takes no option {key};"):
+            make_strategy(name, **{key: value})
 
 
 # --------------------------------------------------------------------- #
 # the estimator
 # --------------------------------------------------------------------- #
+def _estimator():
+    return RailEstimator((5.0, 100.0), MetricsRegistry(), "r")
+
+
 def test_estimator_initializes_to_first_observation():
-    est = RailEstimator(0.25)
-    rate = est.observe("dma", 1000, 2.0)
-    assert rate == 500.0
-    assert est.bw_MBps == est.bw_min == est.bw_max == 500.0
+    assert ewma(None, 500.0, 0.25) == 500.0
+    assert ewma(500.0, 100.0, 0.25) == 0.25 * 100.0 + 0.75 * 500.0
+    est = _estimator()
+    est.observe("dma", 1000, 2.0)
+    assert est.bw_MBps == 500.0
+    assert est.model == (5.0, 100.0), "the served model changes only at an epoch"
 
 
 def test_estimator_keeps_pio_and_dma_separate():
-    est = RailEstimator(0.5)
+    est = _estimator()
     est.observe("dma", 1000, 1.0)
     est.observe("pio", 10, 1.0)
     assert est.bw_MBps == 1000.0, "PIO must not pollute the DMA estimate"
-    assert est.pio_MBps == 10.0
-    assert (est.n_obs, est.n_pio_obs) == (1, 1)
+    assert est.m_obs.value == 2, "both kinds count as observations"
 
 
 # --------------------------------------------------------------------- #
@@ -83,7 +87,7 @@ def test_feedback_observes_and_serves_normalized_ratios(plat2):
     assert len(ratios) == plat2.n_rails
     assert all(r >= 0.0 for r in ratios)
     assert abs(sum(ratios) - 1.0) < 1e-9
-    assert any(est.n_obs > 0 for est in strat._est.values())
+    assert any(rail.bw_MBps is not None for rail in strat._rails)
     snap = session.metrics.snapshot()
     assert snap["adaptive.epochs"] > 0
     assert any(k.startswith("adaptive.observations") for k in snap)
@@ -118,10 +122,9 @@ def test_tournament_races_and_scores_candidates(plat2):
     session = Session(plat2, strategy="tournament")
     run_pingpong(session, 2 * MB, segments=2, reps=4)
     strat = session.engine(0).strategy
-    scores = strat.scores()
-    assert list(scores) == list(DEFAULT_CANDIDATES)
-    assert any(s is not None for s in scores.values())
-    assert strat.active_strategy.name in DEFAULT_CANDIDATES
+    assert [c.name for c in strat._candidates] == list(CANDIDATES)
+    assert any(s is not None for s in strat._scores)
+    assert strat.active_strategy.name in CANDIDATES
     snap = session.metrics.snapshot()
     assert snap["adaptive.epochs"] > 0
     assert "adaptive.active_strategy" in snap

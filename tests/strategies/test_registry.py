@@ -38,6 +38,33 @@ def test_make_with_options():
     assert s._rail_opt == "qsnet2"
 
 
+@pytest.mark.parametrize(
+    "name, opts, message",
+    (
+        ("split_balance", {"ratio": "iso"},
+         "'split_balance' takes no option ratio; its options: ratio_mode, split_decision"),
+        ("greedy", {"rail": 0}, "'greedy' takes no option rail; its options: none"),
+        ("tournament", {"alpha": 0.5, "hysteresis": 0.2},
+         "'tournament' takes no option alpha, hysteresis; its options: none"),
+    ),
+    ids=("split_balance", "greedy", "tournament"),
+)
+def test_unknown_option_is_one_strategy_error(name, opts, message):
+    with pytest.raises(StrategyError) as err:
+        make_strategy(name, **opts)
+    assert str(err.value) == f"strategy {message}"
+
+
+def test_type_error_inside_a_constructor_passes_unchanged():
+    class Broken(GreedyStrategy):
+        def __init__(self, depth=1):
+            super().__init__()
+            raise TypeError("depth is broken")
+
+    with pytest.raises(TypeError, match="^depth is broken$"):
+        make_strategy(Broken, depth=2)
+
+
 def test_make_from_class():
     assert isinstance(make_strategy(GreedyStrategy), GreedyStrategy)
 

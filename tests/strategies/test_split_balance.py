@@ -97,10 +97,23 @@ class TestAdaptiveThreshold:
         run_pingpong(session, 32 * KB, reps=1, warmup=0)
         assert session.engine(0).rdv.split_count == 1
 
-    def test_min_chunk_prevents_degenerate_split(self, plat2, samples):
-        session = make(plat2, samples, split_decision=1, min_chunk=64 * KB)
-        run_pingpong(session, 48 * KB, reps=1, warmup=0)
-        assert session.engine(0).rdv.split_count == 0
+    def test_min_chunk_prevents_degenerate_split(self, plat2):
+        """A 12:1 table gives the slow rail 1/13 of a segment: below
+        ``MIN_CHUNK`` that share is not worth a DMA setup."""
+        from repro.core.sampling import RailSample, SampleTable
+        from repro.core.strategies.split_balance import MIN_CHUNK
+
+        def fitted(name, bw):
+            points = ((65536, 65536 / bw), (1048576, 1048576 / bw))
+            return RailSample(name, points, overhead_us=0.0, bw_MBps=bw)
+
+        table = SampleTable(
+            {"myri10g": fitted("myri10g", 1200.0), "qsnet2": fitted("qsnet2", 100.0)}
+        )
+        for size, splits in ((12 * MIN_CHUNK, 0), (14 * MIN_CHUNK, 1)):
+            session = make(plat2, table, split_decision=1)
+            run_pingpong(session, size, reps=1, warmup=0)
+            assert session.engine(0).rdv.split_count == splits, size
 
     def test_backlog_disables_splitting(self, plat2, samples):
         """Multiple queued large segments balance greedily instead."""
@@ -155,9 +168,13 @@ class TestOptionValidation:
             SplitBalanceStrategy(split_decision="sometimes")
         with pytest.raises(StrategyError):
             SplitBalanceStrategy(split_decision=0)
+        # a bool is an int to isinstance, but no byte count
+        with pytest.raises(StrategyError, match="not True"):
+            SplitBalanceStrategy(split_decision=True)
 
     def test_bad_min_chunk(self):
-        from repro.core.strategies import SplitBalanceStrategy
+        """The smallest chunk is a constant, not an option."""
+        from repro.core.strategies import make_strategy
 
-        with pytest.raises(StrategyError):
-            SplitBalanceStrategy(min_chunk=0)
+        with pytest.raises(StrategyError, match="takes no option min_chunk;"):
+            make_strategy("split_balance", min_chunk=0)

@@ -1,5 +1,6 @@
 """Tables in the docs that a registry in the code owns must list what it holds."""
 
+import inspect
 import re
 from pathlib import Path
 
@@ -25,3 +26,14 @@ def test_design_strategy_table_equals_the_registry():
         if strategy_class(name).__module__.startswith("repro.core.strategies.")
     ]
     assert sorted(names) == shipped
+
+
+def test_design_strategy_table_names_each_constructor_option():
+    """A row names exactly its class's options (`name=`): an option cannot
+    be added, or come back, without the table saying so."""
+    section = _section(DESIGN.read_text(), "3. System inventory")
+    rows = re.findall(r"^\| `(\w+)` \|(.*)$", section, flags=re.MULTILINE)
+    assert rows
+    for name, row in rows:
+        named = set(re.findall(r"`(\w+)=", row))
+        assert named == set(inspect.signature(strategy_class(name)).parameters), name
