@@ -25,6 +25,7 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <math.h>
 
 /* ------------------------------------------------------------------ */
 /* module-level error classes (injected; fall back to RuntimeError)    */
@@ -68,6 +69,7 @@ typedef struct {
 struct CoreObject {
     PyObject_HEAD
     double now;
+    PyObject *now_obj; /* `now` as a float, built on first read; NULL after a change */
     long long seq;
     long long executed;
     long long live;
@@ -385,6 +387,27 @@ fifo_push(CoreObject *core, EventObject *ev)
 /* Core methods                                                        */
 /* ------------------------------------------------------------------ */
 
+/* The clock is one float per instant, as on the heap core: every read
+ * between two changes returns the same object.  A change is a change of
+ * bits, so -0.0 after 0.0 is a new instant to repr(), as it is there. */
+static void
+core_set_now(CoreObject *core, double t)
+{
+    if (t != core->now || signbit(t) != signbit(core->now)) {
+        core->now = t;
+        Py_CLEAR(core->now_obj);
+    }
+}
+
+static PyObject *
+core_get_now(CoreObject *self, void *c)
+{
+    if (!self->now_obj && !(self->now_obj = PyFloat_FromDouble(self->now)))
+        return NULL;
+    Py_INCREF(self->now_obj);
+    return self->now_obj;
+}
+
 static PyObject *
 core_at_impl(CoreObject *core, PyObject *time_obj, PyObject *const *cb,
              Py_ssize_t ncb)
@@ -393,7 +416,7 @@ core_at_impl(CoreObject *core, PyObject *time_obj, PyObject *const *cb,
     if (t == -1.0 && PyErr_Occurred())
         return NULL;
     if (!(t >= core->now)) {
-        PyObject *now_obj = PyFloat_FromDouble(core->now);
+        PyObject *now_obj = core_get_now(core, NULL);
         if (now_obj) {
             PyErr_Format(past_err(),
                          "cannot schedule at %R, current time is %R",
@@ -534,7 +557,7 @@ static int
 core_fire(CoreObject *core, EventObject *ev, double t)
 {
     /* consumes the caller's reference to ev */
-    core->now = t;
+    core_set_now(core, t);
     ev->fired = 1;
     core->live--;
     core->executed++;
@@ -600,7 +623,7 @@ core_run(CoreObject *core, PyObject *const *args, Py_ssize_t nargs)
         }
     }
     if (have_until && core->now < until)
-        core->now = until;
+        core_set_now(core, until);
     core->running = 0;
     Py_RETURN_NONE;
 }
@@ -673,13 +696,8 @@ core_dealloc(CoreObject *self)
     core_clear_impl(self);
     PyMem_Free(self->heap);
     PyMem_Free(self->fifo);
+    Py_XDECREF(self->now_obj);
     Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-static PyObject *
-core_get_now(CoreObject *self, void *c)
-{
-    return PyFloat_FromDouble(self->now);
 }
 
 static PyObject *

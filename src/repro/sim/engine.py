@@ -7,7 +7,9 @@ schedule events on a single :class:`Simulator`.
 Design notes
 ------------
 * Time is a ``float`` in **microseconds**.  With 1 MB/s == 1 B/us the
-  bandwidth constants of the paper can be used verbatim.
+  bandwidth constants of the paper can be used verbatim.  The clock holds a
+  float whatever number type a caller passes to :meth:`Simulator.at` or
+  ``run(until=...)``, as the native core's does.
 * The event queue is a binary heap keyed by ``(time, seq)``.  The
   monotonically increasing sequence number makes execution order fully
   deterministic for simultaneous events (FIFO among equal timestamps),
@@ -237,6 +239,8 @@ class Simulator:
             raise ScheduleInPastError(
                 f"cannot schedule at {time!r}, current time is {now!r}"
             )
+        if time.__class__ is not float:  # schedule() already passes a float
+            time = float(time)
         self._seq += 1
         self._live += 1
         if time == now:
@@ -371,7 +375,7 @@ class Simulator:
                 self._events_executed += 1
                 fn(*args)
             if until is not None and self._now < until:
-                self._now = until
+                self._now = float(until)
         finally:
             self._running = False
 

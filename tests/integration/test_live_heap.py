@@ -1,13 +1,15 @@
 """Live heap and the cyclic collector.
 
 The rule (DESIGN.md §6 "Live heap and the collector"): a completed message
-costs the heap the handle its caller keeps, nothing else — and the message
-path makes no reference cycles, so whatever the collector walks it walks
-for nothing.  Both halves are deterministic object counts, not timings.
+costs the heap the handle its caller keeps, nothing else — the same bytes
+on every event core — and the message path makes no reference cycles, so
+whatever the collector walks it walks for nothing.  Every check is a
+deterministic count (objects, ``tracemalloc`` bytes), not a timing.
 """
 
 import gc
 import sys
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -20,21 +22,22 @@ from repro.mpi.comm import Communicator
 from repro.sim.backend import available_backends
 
 TAG = 11
+EAGER_SIZES = (8, 64, 512, 2048, 4096)
+RDV_SIZES = (64 * 1024, 256 * 1024)
 
 
-def test_kept_requests_are_all_a_flood_leaves_on_the_heap(plat2):
-    """20 000 eager messages, window 32, waiting on the oldest send, every
-    request kept by the caller: two requests per message stay, and next to
-    nothing else (seven tracked objects per message before requests became
-    their own waitable and virtual payloads were shared)."""
-    count, window = 20_000, 32
-    session = Session(plat2, strategy="aggreg_multirail")
+def _flood(session, sizes, window, keep=True):
+    """Spawn a flood of ``sizes`` from node 0 to node 1 that waits on its
+    oldest send once ``window`` are in flight; the caller runs it.
+
+    ``keep``: every receive is pre-posted and every request is kept (in the
+    returned ``sends`` / ``recvs``), as hostbench's floods do.  Otherwise
+    each receive is posted once the last one is consumed and no handle
+    outlives its wait; ``got`` then sums the delivered bytes."""
     a, b = session.interface(0), session.interface(1)
-    sizes = [(8, 64, 512, 2048, 4096)[i % 5] for i in range(count)]
-    gc.collect()
-    before = len(gc.get_objects())
-    recvs = [b.irecv(0, TAG) for _ in sizes]
-    sends = []
+    recvs = [b.irecv(0, TAG) for _ in sizes] if keep else None
+    sends = [] if keep else None
+    got = [0]
 
     def sender():
         outstanding = deque()
@@ -43,16 +46,33 @@ def test_kept_requests_are_all_a_flood_leaves_on_the_heap(plat2):
                 oldest = outstanding.popleft()
                 if not oldest.done:
                     yield oldest.completion
-            sends.append(a.isend(1, TAG, size))
-            outstanding.append(sends[-1])
+            outstanding.append(a.isend(1, TAG, size))
+            if keep:
+                sends.append(outstanding[-1])
         for req in outstanding:
             yield req.completion
 
     def drain():
-        for req in recvs:
+        for i in range(len(sizes)):
+            req = recvs[i] if keep else b.irecv(0, TAG)
             yield req.completion
+            got[0] += req.payload.size
 
     procs = [session.spawn(sender()), session.spawn(drain())]
+    return procs, sends, recvs, got
+
+
+def test_kept_requests_are_all_a_flood_leaves_on_the_heap(plat2):
+    """20 000 eager messages, window 32, waiting on the oldest send, every
+    request kept by the caller: two requests per message stay, and next to
+    nothing else (seven tracked objects per message before requests became
+    their own waitable and virtual payloads were shared)."""
+    count = 20_000
+    session = Session(plat2, strategy="aggreg_multirail")
+    sizes = [EAGER_SIZES[i % 5] for i in range(count)]
+    gc.collect()
+    before = len(gc.get_objects())
+    procs, sends, recvs, _ = _flood(session, sizes, 32)
     session.run_until_idle()
     assert all(p.done for p in procs)
     assert all(r.done and r.payload.size == n for r, n in zip(recvs, sizes))
@@ -60,6 +80,65 @@ def test_kept_requests_are_all_a_flood_leaves_on_the_heap(plat2):
     grown = len(gc.get_objects()) - before
     assert grown <= 3 * count + 2_000, f"{grown / count:.2f} tracked objects per message"
     assert all(r._waiter is None for r in sends + recvs)
+
+
+def _traced_flood(backend, samples, sizes, window, strategy, keep=True):
+    """(bytes still held per message after the run, peak bytes during it),
+    both over what the built session held before it started."""
+    session = Session(paper_platform(), strategy=strategy, samples=samples, backend=backend)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        procs, _sends, _recvs, got = _flood(session, sizes, window, keep)
+        session.run_until_idle()
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(p.done for p in procs)
+    assert keep or got[0] == sum(sizes)
+    return (held - before) / len(sizes), peak - before
+
+
+#: tracemalloc bytes a kept message holds (two requests, their stamps, the
+#: caller's list slots), 3.11: eager 342.1 B, rendezvous 429.7 B on both
+#: cores.  The native core once made a float per clock read, so each kept
+#: message also held four private timestamps: 433.3 and 479.1 B.
+KEPT_BYTES_CEILING = {"eager": 360.0, "rdv": 455.0}
+
+
+@pytest.mark.parametrize(
+    "kind, sizes, window, strategy",
+    [
+        ("eager", [EAGER_SIZES[i % 5] for i in range(20_000)], 32, "aggreg_multirail"),
+        ("rdv", [RDV_SIZES[i % 2] for i in range(1_000)], 8, "split_balance"),
+    ],
+)
+def test_a_kept_message_costs_the_same_bytes_on_every_core(
+    kind, sizes, window, strategy, samples
+):
+    """What a caller keeps of a message is the same on both cores: the C
+    core hands out one float per instant, as the heap core's clock does,
+    so requests stamped at one instant share it."""
+    per_message = {
+        backend: _traced_flood(backend, samples, sizes, window, strategy)[0]
+        for backend in available_backends()  # heap first; native when it loads
+    }
+    heap = per_message.pop("heap")
+    assert heap <= KEPT_BYTES_CEILING[kind], f"heap: {heap:.1f} B per kept message"
+    for backend, got in per_message.items():
+        assert got <= heap * 1.02, f"{backend}: {got:.1f} B vs heap {heap:.1f} B"
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_a_flood_that_drops_its_handles_peaks_at_its_window(backend, samples):
+    """Without kept handles a flood is O(window): twice the messages, the
+    same peak (about 35 KB on 3.11 at either length, on both cores)."""
+    sizes = [EAGER_SIZES[i % 5] for i in range(4_000)]
+    _, peak = _traced_flood(backend, samples, sizes, 32, "aggreg_multirail", keep=False)
+    _, peak2 = _traced_flood(backend, samples, sizes * 2, 32, "aggreg_multirail", keep=False)
+    assert peak2 <= peak * 1.05, f"peak {peak} B at N, {peak2} B at 2N"
 
 
 class _Reclaimed:

@@ -13,7 +13,7 @@ observable trace is compared with ``==``.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator
+from repro.sim import ScheduleInPastError, Simulator
 from repro.sim.backend import available_backends
 
 # ---------------------------------------------------------------------- #
@@ -85,3 +85,70 @@ def test_pingpong_results_identical_across_backends():
     reference = results.pop("heap")
     for backend, got in results.items():
         assert got == reference, backend
+
+
+# ---------------------------------------------------------------------- #
+# the clock's shape: one float per instant
+# ---------------------------------------------------------------------- #
+
+# int and float times, a signed zero, zero delays
+_times = st.sampled_from([0, 0.0, -0.0, 1, 1.5, 2, 2.0, 3])
+_clock_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("at"), _times),
+        st.tuples(st.just("schedule"), _times),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=12)),
+        st.tuples(st.just("step"), st.none()),
+        st.tuples(st.just("run"), st.one_of(st.none(), _times)),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _clock_op(sim, handles, seen, op, arg):
+    """Apply one op; the outcome a reader could tell apart across cores."""
+
+    def cb():
+        now = sim.now
+        seen.append((repr(now), now is sim.now))
+
+    try:
+        if op == "at":
+            handles.append(sim.at(arg, cb))
+        elif op == "schedule":
+            handles.append(sim.schedule(arg, cb))
+        elif op == "cancel":
+            if arg < len(handles):
+                handles[arg].cancel()
+        elif op == "step":
+            sim.step()
+        else:
+            sim.run(until=arg)
+        error = None
+    except ScheduleInPastError as exc:  # the error is part of the outcome
+        error = str(exc)
+    return error, repr(sim.now), [repr(h.time) for h in handles], list(seen)
+
+
+@given(_clock_ops)
+@settings(max_examples=150, deadline=None)
+def test_the_clock_is_the_same_float_on_every_core(ops):
+    """After every step ``repr(sim.now)`` and every ``repr(ev.time)`` agree
+    across cores (an int time is stored as a float; ``at(-0.0)`` at 0.0
+    yields -0.0).  On the native core a read returns the one float of the
+    instant, and a new one appears once the clock's bits change."""
+    backends = available_backends()
+    sims = [Simulator(backend=b) for b in backends]
+    handles = [[] for _ in sims]
+    seen = [[] for _ in sims]
+    for op, arg in ops:
+        outcomes = []
+        for i, (backend, sim) in enumerate(zip(backends, sims)):
+            before = sim.now
+            outcomes.append(_clock_op(sim, handles[i], seen[i], op, arg))
+            if backend == "native":
+                now = sim.now
+                assert now is sim.now
+                assert (now is before) == (repr(now) == repr(before)), (op, arg)
+        assert outcomes[1:] == outcomes[:-1], (op, arg)

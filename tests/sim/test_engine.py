@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import ScheduleInPastError, SimulationError, Simulator
+from repro.sim.backend import available_backends
 
 
 def test_time_starts_at_zero():
@@ -98,6 +99,24 @@ def test_run_until_advances_clock_without_events():
     sim = Simulator()
     sim.run(until=42.0)
     assert sim.now == 42.0
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_the_clock_is_a_float_whatever_number_a_caller_passes(backend):
+    """An int time or ``until`` is stored as a float on every core, so
+    what a run stamps with the clock (a fault plan's ``"at_us": 20``
+    outage span, say) reads ``20.0`` whichever core ran it."""
+    sim = Simulator(backend=backend)
+    ev = sim.at(5, lambda: None)
+    assert repr(ev.time) == repr(sim.peek_next_time()) == "5.0"
+    sim.run()
+    assert repr(sim.now) == "5.0"
+    sim.run(until=10)
+    assert repr(sim.now) == "10.0"
+    assert repr(sim.schedule(1, lambda: None).time) == "11.0"
+    assert repr(sim.at(12, lambda: None).time) == "12.0"
+    sim.run()
+    assert repr(sim.now) == "12.0"
 
 
 def test_step_returns_false_when_empty():

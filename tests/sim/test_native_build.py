@@ -1,7 +1,10 @@
 """The C core's loader: what names a cached build, and what a cold and a
 warm start each need from the host."""
 
+import os
+import subprocess
 import sys
+import sysconfig
 
 import pytest
 
@@ -66,3 +69,17 @@ def test_unloadable_cached_file_falls_back_softly(tmp_path):
     (cache / f"_nativecore-{native_build._cache_key()}.so").write_bytes(b"not an ELF")
     out = _run_in_fresh_interpreter(REPORT, REPRO_NATIVE_CACHE=str(cache))
     assert out.startswith("heap False ImportError")
+
+
+def test_the_core_compiles_warning_free(tmp_path):
+    """``-Wall -Werror`` on top of the loader's flags: an undeclared
+    function or an unused variable fails here, not as a warning in some
+    later cold build.  The loader's own flags stay as they are."""
+    cc = native_build._find_cc()
+    include = sysconfig.get_path("include")
+    if cc is None or not os.path.exists(os.path.join(include, "Python.h")):
+        pytest.skip("no C compiler or Python headers")
+    cmd = [cc, "-Wall", "-Werror", "-O2", "-shared", "-fPIC", f"-I{include}",
+           native_build._SOURCE, "-o", str(tmp_path / "_nativecore.so")]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
