@@ -19,19 +19,28 @@
  * them to outlive the pop), allocated per schedule; the handle <-> core
  * reference cycle is GC-tracked and broken eagerly on fire/cancel.
  *
- * Error classes are injected from Python via _set_error_classes() so the
- * module never imports repro.* (no circular import at build time).
+ * A process resumes through a Resume, this core's twin of
+ * Process._advance (process.py): it sends into the generator itself, and
+ * a delay the generator yields becomes a heap entry with the Resume as its
+ * callback, with no Python frame in between.
+ *
+ * Error classes and Timeout are injected from Python via _set_classes()
+ * so the module never imports repro.* (no circular import at build time).
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <stddef.h>
 
 /* ------------------------------------------------------------------ */
 /* module-level error classes (injected; fall back to RuntimeError)    */
 static PyObject *SimulationError = NULL;
 static PyObject *ScheduleInPastError = NULL;
+static PyObject *TimeoutType = NULL;
 static PyObject *empty_tuple = NULL;
+static PyObject *none_args = NULL; /* (None,): what every delay resumes with */
+static PyObject *str_dt, *str_wait, *str_arm, *str_finish;
 
 static PyObject *
 sim_err(void)
@@ -408,38 +417,12 @@ core_get_now(CoreObject *self, void *c)
     return self->now_obj;
 }
 
-static PyObject *
-core_at_impl(CoreObject *core, PyObject *time_obj, PyObject *const *cb,
-             Py_ssize_t ncb)
+/* Queue fn(*args) at t, which the caller has checked is not in the past.
+ * Steals args; returns a new reference to the handle.  at(), schedule()
+ * and a Resume's delays all push through here. */
+static EventObject *
+core_push(CoreObject *core, double t, PyObject *fn, PyObject *args)
 {
-    double t = PyFloat_AsDouble(time_obj);
-    if (t == -1.0 && PyErr_Occurred())
-        return NULL;
-    if (!(t >= core->now)) {
-        PyObject *now_obj = core_get_now(core, NULL);
-        if (now_obj) {
-            PyErr_Format(past_err(),
-                         "cannot schedule at %R, current time is %R",
-                         time_obj, now_obj);
-            Py_DECREF(now_obj);
-        }
-        return NULL;
-    }
-    PyObject *fn = cb[0];
-    PyObject *args;
-    if (ncb == 1) {
-        args = empty_tuple;
-        Py_INCREF(args);
-    }
-    else {
-        args = PyTuple_New(ncb - 1);
-        if (!args)
-            return NULL;
-        for (Py_ssize_t i = 1; i < ncb; i++) {
-            Py_INCREF(cb[i]);
-            PyTuple_SET_ITEM(args, i - 1, cb[i]);
-        }
-    }
     EventObject *ev = PyObject_GC_New(EventObject, &EventType);
     if (!ev) {
         Py_DECREF(args);
@@ -468,7 +451,41 @@ core_at_impl(CoreObject *core, PyObject *time_obj, PyObject *const *cb,
         Py_DECREF((PyObject *)ev);
         return NULL;
     }
-    return (PyObject *)ev;
+    return ev;
+}
+
+/* the absolute time of a delay from now; -1 with an exception set on a
+ * non-number, a negative delay or NaN.  now + delay >= now, so a time
+ * made here is never in the past. */
+static int
+core_delay_time(CoreObject *core, PyObject *delay_obj, double *t)
+{
+    double delay = PyFloat_AsDouble(delay_obj);
+    if (delay == -1.0 && PyErr_Occurred())
+        return -1;
+    if (!(delay >= 0)) { /* rejects NaN too */
+        PyErr_Format(past_err(), "negative delay %R", delay_obj);
+        return -1;
+    }
+    *t = core->now + delay;
+    return 0;
+}
+
+static PyObject *
+core_args(PyObject *const *args, Py_ssize_t n)
+{
+    if (n == 0) {
+        Py_INCREF(empty_tuple);
+        return empty_tuple;
+    }
+    PyObject *tuple = PyTuple_New(n);
+    if (!tuple)
+        return NULL;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        Py_INCREF(args[i]);
+        PyTuple_SET_ITEM(tuple, i, args[i]);
+    }
+    return tuple;
 }
 
 static PyObject *
@@ -478,7 +495,23 @@ core_at(CoreObject *core, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_TypeError, "at(time, fn, *args)");
         return NULL;
     }
-    return core_at_impl(core, args[0], args + 1, nargs - 1);
+    double t = PyFloat_AsDouble(args[0]);
+    if (t == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (!(t >= core->now)) {
+        PyObject *now_obj = core_get_now(core, NULL);
+        if (now_obj) {
+            PyErr_Format(past_err(),
+                         "cannot schedule at %R, current time is %R",
+                         args[0], now_obj);
+            Py_DECREF(now_obj);
+        }
+        return NULL;
+    }
+    PyObject *cb_args = core_args(args + 2, nargs - 2);
+    if (!cb_args)
+        return NULL;
+    return (PyObject *)core_push(core, t, args[1], cb_args);
 }
 
 static PyObject *
@@ -488,19 +521,13 @@ core_schedule(CoreObject *core, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_TypeError, "schedule(delay, fn, *args)");
         return NULL;
     }
-    double delay = PyFloat_AsDouble(args[0]);
-    if (delay == -1.0 && PyErr_Occurred())
+    double t;
+    if (core_delay_time(core, args[0], &t) < 0)
         return NULL;
-    if (!(delay >= 0)) { /* rejects NaN too */
-        PyErr_Format(past_err(), "negative delay %R", args[0]);
+    PyObject *cb_args = core_args(args + 2, nargs - 2);
+    if (!cb_args)
         return NULL;
-    }
-    PyObject *time_obj = PyFloat_FromDouble(core->now + delay);
-    if (!time_obj)
-        return NULL;
-    PyObject *res = core_at_impl(core, time_obj, args + 1, nargs - 1);
-    Py_DECREF(time_obj);
-    return res;
+    return (PyObject *)core_push(core, t, args[1], cb_args);
 }
 
 /* pick the next event to fire; NULL when idle.  Caller owns the ref. */
@@ -650,6 +677,193 @@ core_peek_next_time(CoreObject *core, PyObject *Py_UNUSED(ignored))
 }
 
 /* ------------------------------------------------------------------ */
+/* Resume: a process's resume callable                                 */
+/* ------------------------------------------------------------------ */
+
+/* Process._advance in C, one per process (Core.resume makes it).  It
+ * sends into the generator; a plain delay it yields (a float >= 0 or a
+ * Timeout) is pushed as an event whose callback is the Resume itself,
+ * exactly the event sim.schedule(dt, resume, None) makes.  Anything else
+ * arms through the waitable's wait() or Process._arm, and a value
+ * delivered while arming is sent by the loop below, not by a nested
+ * call.  Process._advance is the reference: same sends, same events,
+ * same errors. */
+typedef struct {
+    PyObject_HEAD
+    vectorcallfunc vectorcall;
+    CoreObject *core;
+    PyObject *proc;
+    PyObject *gen;
+    PyObject *sent; /* the value a callback delivered while arming */
+    char arming;    /* left set by a failed arm, as _advance leaves _sync */
+} ResumeObject;
+
+static PyTypeObject ResumeType;
+
+static PyObject *
+resume_push(ResumeObject *self, double t)
+{
+    Py_INCREF(none_args);
+    EventObject *ev = core_push(self->core, t, (PyObject *)self, none_args);
+    if (!ev)
+        return NULL;
+    Py_DECREF((PyObject *)ev);
+    Py_RETURN_NONE;
+}
+
+/* sends `value` (a reference this steals) until the process waits */
+static PyObject *
+resume_loop(ResumeObject *self, PyObject *value)
+{
+    for (;;) {
+        PyObject *yielded;
+        PySendResult sent = PyIter_Send(self->gen, value, &yielded);
+        Py_DECREF(value);
+        if (sent == PYGEN_ERROR)
+            return NULL;
+        if (sent == PYGEN_RETURN) {
+            PyObject *res =
+                PyObject_CallMethodOneArg(self->proc, str_finish, yielded);
+            Py_DECREF(yielded);
+            return res;
+        }
+        if (PyFloat_CheckExact(yielded)) {
+            double dt = PyFloat_AS_DOUBLE(yielded);
+            if (dt >= 0.0) {
+                Py_DECREF(yielded);
+                return resume_push(self, self->core->now + dt);
+            }
+        }
+        else if ((PyObject *)Py_TYPE(yielded) == TimeoutType) {
+            double t;
+            PyObject *dt = PyObject_GetAttr(yielded, str_dt);
+            Py_DECREF(yielded);
+            if (!dt)
+                return NULL;
+            int rc = core_delay_time(self->core, dt, &t);
+            Py_DECREF(dt);
+            if (rc < 0)
+                return NULL;
+            return resume_push(self, t);
+        }
+        self->arming = 1;
+        PyObject *wait, *res;
+#if PY_VERSION_HEX >= 0x030D0000
+        int found = PyObject_GetOptionalAttr(yielded, str_wait, &wait);
+#else
+        int found = _PyObject_LookupAttr(yielded, str_wait, &wait);
+#endif
+        if (found > 0) { /* a waitable: no _arm frame in between */
+            res = PyObject_CallOneArg(wait, (PyObject *)self);
+            Py_DECREF(wait);
+        }
+        else if (found == 0)
+            res = PyObject_CallMethodObjArgs(self->proc, str_arm, yielded,
+                                             (PyObject *)self, NULL);
+        else
+            res = NULL;
+        Py_DECREF(yielded);
+        if (!res)
+            return NULL;
+        Py_DECREF(res);
+        self->arming = 0;
+        value = self->sent;
+        self->sent = NULL;
+        if (!value) /* armed: a later callback resumes us */
+            Py_RETURN_NONE;
+    }
+}
+
+static PyObject *
+resume_vectorcall(PyObject *callable, PyObject *const *args, size_t nargsf,
+                  PyObject *kwnames)
+{
+    ResumeObject *self = (ResumeObject *)callable;
+    if (PyVectorcall_NARGS(nargsf) != 1 ||
+        (kwnames && PyTuple_GET_SIZE(kwnames))) {
+        PyErr_SetString(PyExc_TypeError, "resume(value) takes one argument");
+        return NULL;
+    }
+    if (!self->gen) { /* defensive: the collector cleared a cycle */
+        PyErr_SetString(sim_err(), "resume of a collected process");
+        return NULL;
+    }
+    Py_INCREF(args[0]);
+    if (self->arming) { /* called back from inside wait() / _arm */
+        Py_XSETREF(self->sent, args[0]);
+        Py_RETURN_NONE;
+    }
+    Py_INCREF(callable); /* _finish drops the process's reference */
+    PyObject *res = resume_loop(self, args[0]);
+    Py_DECREF(callable);
+    return res;
+}
+
+static int
+resume_traverse(ResumeObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT((PyObject *)self->core);
+    Py_VISIT(self->proc);
+    Py_VISIT(self->gen);
+    Py_VISIT(self->sent);
+    return 0;
+}
+
+static int
+resume_clear(ResumeObject *self)
+{
+    Py_CLEAR(self->core);
+    Py_CLEAR(self->proc);
+    Py_CLEAR(self->gen);
+    Py_CLEAR(self->sent);
+    return 0;
+}
+
+static void
+resume_dealloc(ResumeObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    resume_clear(self);
+    PyObject_GC_Del(self);
+}
+
+static PyTypeObject ResumeType = {
+    PyVarObject_HEAD_INIT(NULL, 0).tp_name = "_nativecore.Resume",
+    .tp_basicsize = sizeof(ResumeObject),
+    .tp_dealloc = (destructor)resume_dealloc,
+    .tp_vectorcall_offset = offsetof(ResumeObject, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC |
+                Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_doc = "A process's resume callable (Process._advance in C).",
+    .tp_traverse = (traverseproc)resume_traverse,
+    .tp_clear = (inquiry)resume_clear,
+};
+
+static PyObject *
+core_resume(CoreObject *core, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "resume(process, generator)");
+        return NULL;
+    }
+    ResumeObject *self = PyObject_GC_New(ResumeObject, &ResumeType);
+    if (!self)
+        return NULL;
+    self->vectorcall = resume_vectorcall;
+    Py_INCREF((PyObject *)core);
+    self->core = core;
+    Py_INCREF(args[0]);
+    self->proc = args[0];
+    Py_INCREF(args[1]);
+    self->gen = args[1];
+    self->sent = NULL;
+    self->arming = 0;
+    PyObject_GC_Track((PyObject *)self);
+    return (PyObject *)self;
+}
+
+/* ------------------------------------------------------------------ */
 /* Core lifecycle                                                      */
 /* ------------------------------------------------------------------ */
 
@@ -763,6 +977,8 @@ static PyMethodDef core_methods[] = {
      "Execute the next event; False when idle."},
     {"peek_next_time", (PyCFunction)core_peek_next_time, METH_NOARGS,
      "Time of the next live event, or None."},
+    {"resume", (PyCFunction)core_resume, METH_FASTCALL,
+     "resume(process, generator) -> Resume"},
     {NULL},
 };
 
@@ -797,21 +1013,23 @@ static PyTypeObject CoreType = {
 /* ------------------------------------------------------------------ */
 
 static PyObject *
-mod_set_error_classes(PyObject *mod, PyObject *args)
+mod_set_classes(PyObject *mod, PyObject *args)
 {
-    PyObject *se, *spe;
-    if (!PyArg_ParseTuple(args, "OO", &se, &spe))
+    PyObject *se, *spe, *timeout;
+    if (!PyArg_ParseTuple(args, "OOO", &se, &spe, &timeout))
         return NULL;
     Py_INCREF(se);
     Py_XSETREF(SimulationError, se);
     Py_INCREF(spe);
     Py_XSETREF(ScheduleInPastError, spe);
+    Py_INCREF(timeout);
+    Py_XSETREF(TimeoutType, timeout);
     Py_RETURN_NONE;
 }
 
 static PyMethodDef module_methods[] = {
-    {"_set_error_classes", mod_set_error_classes, METH_VARARGS,
-     "Inject (SimulationError, ScheduleInPastError)."},
+    {"_set_classes", mod_set_classes, METH_VARARGS,
+     "Inject (SimulationError, ScheduleInPastError, Timeout)."},
     {NULL},
 };
 
@@ -826,10 +1044,17 @@ static struct PyModuleDef nativecore_module = {
 PyMODINIT_FUNC
 PyInit__nativecore(void)
 {
-    if (PyType_Ready(&EventType) < 0 || PyType_Ready(&CoreType) < 0)
+    if (PyType_Ready(&EventType) < 0 || PyType_Ready(&CoreType) < 0 ||
+        PyType_Ready(&ResumeType) < 0)
         return NULL;
     empty_tuple = PyTuple_New(0);
-    if (!empty_tuple)
+    none_args = PyTuple_Pack(1, Py_None);
+    str_dt = PyUnicode_InternFromString("dt");
+    str_wait = PyUnicode_InternFromString("wait");
+    str_arm = PyUnicode_InternFromString("_arm");
+    str_finish = PyUnicode_InternFromString("_finish");
+    if (!empty_tuple || !none_args || !str_dt || !str_wait || !str_arm ||
+        !str_finish)
         return NULL;
     PyObject *mod = PyModule_Create(&nativecore_module);
     if (!mod)
@@ -838,6 +1063,8 @@ PyInit__nativecore(void)
     PyModule_AddObject(mod, "NativeEvent", (PyObject *)&EventType);
     Py_INCREF(&CoreType);
     PyModule_AddObject(mod, "Core", (PyObject *)&CoreType);
+    Py_INCREF(&ResumeType);
+    PyModule_AddObject(mod, "Resume", (PyObject *)&ResumeType);
     PyModule_AddIntConstant(mod, "ABI_VERSION", 1);
     return mod;
 }

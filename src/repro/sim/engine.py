@@ -152,6 +152,10 @@ class Simulator:
     #: compact when dead entries exceed this fraction of the heap.
     COMPACT_RATIO = 0.5
 
+    #: ``(process, generator) -> resume`` of a core that resumes processes
+    #: itself; on this one a process resumes through ``Process._advance``.
+    _process_resume = None
+
     def __new__(cls, backend: Optional[str] = None) -> "Simulator":
         # Dispatch only on the base class: Simulator() returns whichever
         # backend is selected; subclasses construct directly.

@@ -45,6 +45,8 @@ class NativeSimulator(Simulator):
         self.at = core.at
         self.peek_next_time = core.peek_next_time
         self.step = core.step
+        # a process resumes through the core's Resume (Process._advance in C)
+        self._process_resume = core.resume
 
     # ------------------------------------------------------------------ #
     # the C core's clock through a C getter: no Python frame per read

@@ -126,8 +126,9 @@ def load_native_core():
             _build(so)
         mod = _load_from(so)
         from .engine import ScheduleInPastError, SimulationError
+        from .process import Timeout
 
-        mod._set_error_classes(SimulationError, ScheduleInPastError)
+        mod._set_classes(SimulationError, ScheduleInPastError, Timeout)
         _loaded = mod
         return mod
     except Exception as exc:  # noqa: BLE001 - soft-fail to pure Python

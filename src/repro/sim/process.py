@@ -12,8 +12,9 @@ Supported yield values
 a *waitable* — any object with ``wait(callback)`` / ``unwait(callback)``
     Suspend until it calls ``callback(value)``; the ``yield`` expression
     returns ``value``.  ``unwait`` withdraws a callback that has not run
-    (no-op otherwise).  :meth:`Process._advance` hands its resume to
-    ``wait`` directly, an :class:`AllOf` its per-child callback, and
+    (no-op otherwise).  A process hands its resume to ``wait`` directly
+    (:meth:`Process._advance`, or its twin in the native core), an
+    :class:`AllOf` its per-child callback, and
     :meth:`Process._arm` (any other combinator child) does the same;
     none knows anything else.  Three classes speak it:
     :class:`Signal` (the value given to ``fire``),
@@ -216,10 +217,15 @@ class Process:
         #: None, the one on_done callback, or a list once a second registers
         self._watchers: Any = None
         self._started = False
-        #: the one callable every wait registers and every delay schedules
-        #: (``_advance`` as the class has it now, so a wrapper installed on
-        #: the class sees every resume); ``_finish`` drops it.
-        self._resume: Optional[Callable[[Any], None]] = self._advance
+        #: the one callable every wait registers and every delay schedules;
+        #: ``_finish`` drops it.  The native core's own (``_advance`` in C),
+        #: unless ``_advance`` as the class has it now is not the one below
+        #: (a wrapper installed on the class sees every resume).
+        make = sim._process_resume
+        self._resume: Optional[Callable[[Any], None]] = (
+            self._advance if make is None or type(self)._advance is not _ADVANCE
+            else make(self, gen)
+        )
         #: ``_IDLE``; ``_ARMING`` while ``_arm`` runs; the value of a resume
         #: that arrived during ``_arm``, until ``_advance`` sends it.
         self._sync: Any = _IDLE
@@ -256,9 +262,10 @@ class Process:
         if self._started:
             raise ProcessError(f"process {self.name} started twice")
         self._started = True
-        self._advance(None)
+        self._resume(None)
 
     def _advance(self, send_value: Any) -> None:
+        # the reference resume; the native core runs the same in C
         if self._sync is not _IDLE:
             # called back from inside _arm (a finished child): the loop
             # below sends the value, so a run of such yields stays flat
@@ -357,6 +364,9 @@ class Process:
     def __repr__(self) -> str:  # pragma: no cover
         state = "done" if self._done else "running"
         return f"<Process {self.name} {state}>"
+
+
+_ADVANCE = Process._advance
 
 
 def spawn(sim: Simulator, gen: Generator, name: str = "proc", delay: float = 0.0) -> Process:

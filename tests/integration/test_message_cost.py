@@ -11,34 +11,39 @@ or loses a Python frame.
 ``aggreg_multirail``, 2 000 messages of 8 B–4 KB, a drain process on the
 receiving side.  Calls per message, CPython 3.11:
 
-    kernel   before   then    now     ceiling
-    native   46.80    29.50   28.95   34.0
-    heap     50.78    33.48   32.93   38.0
+    kernel   before   then    idle    now     ceiling
+    native   46.80    29.50   28.95   24.55   30.0
+    heap     50.78    33.48   32.93   31.46   38.0
 
 "before" is the path before a send request became its own segment: one
 ``Segment`` record per ``isend``, one match record per arrival, the
 clock read through a Python property five times a message, and one
-``_arm`` frame per wait.  "then" is that change; "now" also polls an
-empty receive queue without entering ``Driver.poll``.  The heap core pays
-four frames more per message than the native one: its
-``schedule``/``at``/``EventHandle`` and heap comparisons are Python.
+``_arm`` frame per wait.  "then" is that change; "idle" also polls an
+empty receive queue without entering ``Driver.poll``.  "now" resumes a
+native process in C: the core sends into the generator and pushes the
+delay it yields, with no ``Process._advance`` frame per resume (the heap
+core keeps that frame; its count moved with other changes).  The heap
+core pays seven frames more per message than the native one: its
+``schedule``/``at``/``EventHandle``, heap comparisons and resumes are
+Python.
 
 **Rendezvous**, in the shape of hostbench's ``flood_rdv``: window 8,
 ``split_balance`` with sampled ratios, 1 000 messages of 64 KB / 256 KB /
 1 MB:
 
-    kernel   before   now      ceiling
-    native   241.75   188.59   205.0
-    heap     411.95   358.81   375.0
+    kernel   before   then     now      ceiling
+    native   241.75   188.59   151.91   168.0
+    heap     411.95   358.81   345.88   375.0
 
 "before" asked the strategy for every rail on every sweep although all it
 held waited for a DMA engine (9.8 consultations, each with a ``backlog``
 and a ``dma_idle`` frame, for 2 posted wrappers), entered ``Driver.poll``
 for every empty receive queue, and carried a chunk through three closures
-and three frozen-dataclass records.
+and three frozen-dataclass records.  "then" is that change; "now" resumes
+a native process in C, as above.
 
-The ceilings sit at least 30 calls (rendezvous) or 12 calls (eager) under
-"before" and leave room for interpreter differences (3.12 inlines
+The native ceilings sit about 5 calls (eager) or 16 calls (rendezvous)
+over "now", far under "before", and leave room for interpreter differences (3.12 inlines
 comprehensions, which can only lower a count).
 
 **Set-up and a figure point.**  ``Session()`` on ``paper_platform()`` with
@@ -47,20 +52,21 @@ comprehensions, which can only lower a count).
 same rail set), and a figure point: a fresh 2-node session plus
 ``run_pingpong(segments=2, reps=3, warmup=1)`` at 4 B and 64 KB:
 
-    kernel   what                 before   now     ceiling
-    native   Session, 2 rails     293      113     140
-    native   Session, 1 rail      220      86      115
-    native   point, 4 B           1 357    999     1 150
-    native   point, 64 KB         3 402    2 928   3 150
-    heap     Session, 2 rails     288      108     135
-    heap     Session, 1 rail      215      81      110
-    heap     point, 4 B           1 588    1 233   1 400
-    heap     point, 64 KB         5 003    4 526   4 750
+    kernel   what                 before   then    now     ceiling
+    native   Session, 2 rails     293      113     114     140
+    native   Session, 1 rail      220      86      87      115
+    native   point, 4 B           1 357    999     922     1 075
+    native   point, 64 KB         3 402    2 928   2 637   2 860
+    heap     Session, 2 rails     288      108     109     135
+    heap     Session, 1 rail      215      81      82      110
+    heap     point, 4 B           1 588    1 233   1 241   1 400
+    heap     point, 64 KB         5 003    4 526   4 524   4 750
 
 "before" registered every instrument through ``counter()`` /
 ``histogram()`` (label sort, edge check and registry walk each), entered
 ``Histogram.observe`` four times per commit, a ``Session`` method per
-park and per wake-up, and ``Process._arm`` per ``AllOf`` child.  And
+park and per wake-up, and ``Process._arm`` per ``AllOf`` child; "now"
+resumes a native process in C.  And
 an eager flood's ``run_until_idle`` enters the metrics modules
 (``obs/metrics.py``, ``obs/instruments.py``) only to fold a batch of
 :data:`~repro.obs.instruments.FOLD_AT` observations and to read ``count``
@@ -82,20 +88,20 @@ from repro import (
 from repro.obs.instruments import FOLD_AT, Histogram
 from repro.sim.backend import available_backends
 
-CEILING = {"native": 34.0, "heap": 38.0}
+CEILING = {"native": 30.0, "heap": 38.0}
 MESSAGES = 2_000
 WINDOW = 32
 TAG = 11
 KB = 1024
 
-RDV_CEILING = {"native": 205.0, "heap": 375.0}
+RDV_CEILING = {"native": 168.0, "heap": 375.0}
 RDV_MESSAGES = 1_000
 RDV_WINDOW = 8
 
 #: ``Session()`` calls: (two rails, aggreg_multirail), (one rail, aggreg)
 SESSION_CEILING = {"native": (140, 115), "heap": (135, 110)}
 #: figure-point calls at 4 B and 64 KB
-POINT_CEILING = {"native": (1150, 3150), "heap": (1400, 4750)}
+POINT_CEILING = {"native": (1075, 2860), "heap": (1400, 4750)}
 POINT_SIZES = (4, 64 * KB)
 METRICS_FILES = (os.path.join("obs", "metrics.py"), os.path.join("obs", "instruments.py"))
 

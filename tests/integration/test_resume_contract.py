@@ -5,8 +5,14 @@ replacing ``Process._advance`` on the class with ``traced(proc, value)``,
 a function of exactly two positional parameters.  A resume that leaned on
 a defaulted argument would raise ``TypeError`` in every traced pass; one
 that bypassed the class attribute would go uncounted.  Each workload runs
-twice: under a strict wrapper of that shape, and unwrapped with a profile
-hook counting ``_advance`` frames.  Same run, same resumes.
+under a strict wrapper of that shape, and unwrapped with a profile hook
+counting ``_advance`` frames.  Same run, same resumes.
+
+The native core resumes a process in C (``Core.resume``) and enters no
+``_advance`` frame, unless ``_advance`` has been replaced on the class:
+then its processes resume through the wrapper, as on the heap core.  So
+on native the wrapper's count is checked against the heap run's frames,
+and the unwrapped native run against the heap run's clock and events.
 """
 
 import sys
@@ -87,10 +93,12 @@ def _strictly_wrapped(workload, backend, samples):
 @pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("workload", [_pingpong, _rdv_flood, _allreduce_p16])
 def test_a_strict_resume_wrapper_sees_every_resume(workload, backend, samples):
-    expected, plain = _unwrapped(workload, backend, samples)
+    expected, reference = _unwrapped(workload, "heap", samples)
+    frames, plain = _unwrapped(workload, backend, samples)
     calls, wrapped = _strictly_wrapped(workload, backend, samples)
     assert expected > 0
     assert calls == expected
-    assert (wrapped.sim.now, wrapped.sim.events_executed) == (
-        plain.sim.now, plain.sim.events_executed
-    )
+    assert frames == (expected if backend == "heap" else 0)
+    outcome = (reference.sim.now, reference.sim.events_executed)
+    assert (plain.sim.now, plain.sim.events_executed) == outcome
+    assert (wrapped.sim.now, wrapped.sim.events_executed) == outcome

@@ -304,3 +304,37 @@ def test_cancel_in_fifo_lane_does_not_count_as_heap_tombstone():
     sim.schedule(1.0, first)
     sim.run_until_idle()
     assert out == []
+
+
+#: (call, error type, message) at t = 5.0; a message given per core is
+#: the interpreter's own TypeError text, which differs between a Python
+#: comparison and the C core's float conversion
+_SCHEDULE_ERRORS = [
+    ("at", 1.0, ScheduleInPastError, "cannot schedule at 1.0, current time is 5.0"),
+    ("at", 1, ScheduleInPastError, "cannot schedule at 1, current time is 5.0"),
+    ("at", float("nan"), ScheduleInPastError, "cannot schedule at nan, current time is 5.0"),
+    ("schedule", -1.0, ScheduleInPastError, "negative delay -1.0"),
+    ("schedule", -3, ScheduleInPastError, "negative delay -3"),
+    ("schedule", float("nan"), ScheduleInPastError, "negative delay nan"),
+    ("schedule", float("-inf"), ScheduleInPastError, "negative delay -inf"),
+    ("at", "x", TypeError, {
+        "heap": "'>=' not supported between instances of 'str' and 'float'",
+        "native": "must be real number, not str",
+    }),
+    ("schedule", None, TypeError, {
+        "heap": "'>=' not supported between instances of 'NoneType' and 'int'",
+        "native": "must be real number, not NoneType",
+    }),
+]
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("method, when, error, message", _SCHEDULE_ERRORS)
+def test_schedule_errors_read_the_same(backend, method, when, error, message):
+    sim = Simulator(backend=backend)
+    sim.schedule(5, lambda: None)
+    sim.run()
+    with pytest.raises(error) as info:
+        getattr(sim, method)(when, lambda: None)
+    assert str(info.value) == (message[backend] if type(message) is dict else message)
+    assert sim.pending == 0 and sim.events_scheduled == 1

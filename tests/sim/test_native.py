@@ -135,3 +135,29 @@ class TestLifecycle:
         del sim, cb, sentinel
         gc.collect()
         assert ref() is None
+
+    def test_a_process_parked_forever_is_collected_with_its_session(self):
+        """A process waiting on a signal nobody fires is a cycle through
+        its C resume (process -> resume -> process, generator, core); once
+        the session is dropped the collector frees it and the generator's
+        ``finally`` runs."""
+        import gc
+
+        from repro import Session, paper_platform
+        from repro.sim import Signal
+
+        closed = []
+
+        def parked(signal):
+            try:
+                yield signal
+            finally:
+                closed.append(True)
+
+        session = Session(paper_platform(), backend="native")
+        proc = session.spawn(parked(Signal(session.sim)))
+        session.run_until_idle()
+        assert not proc.done and type(proc._resume).__name__ == "Resume"
+        del session, proc
+        gc.collect()
+        assert closed == [True]

@@ -466,7 +466,7 @@ def test_waiter_registered_during_fire_waits_for_the_next_one():
 # what a wait allocates: one resume callable per process, no closures
 # ---------------------------------------------------------------------- #
 def test_delays_of_one_process_schedule_one_callable():
-    sim = Simulator()
+    sim = Simulator(backend="heap")
     scheduled = []
     schedule = sim.schedule
 
@@ -483,6 +483,33 @@ def test_delays_of_one_process_schedule_one_callable():
     sim.run()
     assert p.done and sim.now == 3.0
     assert len(scheduled) == 2 and scheduled[0] is scheduled[1]
+
+
+def test_delays_of_one_native_process_resume_one_callable():
+    """The native core pushes a delay itself, with no ``schedule`` call to
+    spy on: the one resume is the process's ``_resume`` from start to
+    finish, and each delay is one event."""
+    from repro.sim.backend import native_available
+
+    if not native_available():
+        pytest.skip("native kernel unavailable")
+    sim = Simulator(backend="native")
+    resumes = []
+
+    def proc():
+        resumes.append(p._resume)
+        yield 1.0
+        resumes.append(p._resume)
+        yield Timeout(2.0)
+        resumes.append(p._resume)
+
+    p = spawn(sim, proc())
+    resume = p._resume
+    assert type(resume).__name__ == "Resume"
+    sim.run()
+    assert p.done and sim.now == 3.0
+    assert all(r is resume for r in resumes) and p._resume is None
+    assert sim.events_executed == 3  # the start and the two delays
 
 
 def _closures():
