@@ -62,7 +62,7 @@ from .drivers import available_drivers
 from .hardware.presets import PRESET_RAILS, paper_platform
 from .hardware.spec import PlatformSpec
 from .util.config import platform_from_json
-from .util.errors import BenchError, ConfigError
+from .util.errors import BenchError, ConfigError, StrategyError
 from .util.units import format_size, parse_size
 
 __all__ = ["main", "build_parser"]
@@ -1077,11 +1077,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _configure_logging(args)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, BenchError) as exc:
+    except (ConfigError, BenchError, StrategyError) as exc:
         # the CLI's one error boundary: the harness' own complaints about
         # what it was asked to do (a bad backend, platform file, figure id,
-        # trace target, repetition count, bench record, ...) are one line,
-        # never a traceback
+        # trace target, repetition count, bench record, strategy option,
+        # ...) are one line, never a traceback
         print(exc, file=sys.stderr)
         return 2
 

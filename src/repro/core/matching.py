@@ -109,10 +109,6 @@ class MatchingTable:
         self._any_posted: dict[int, Deque[RecvRequest]] = {}
         #: per-tag matching discipline, fixed by the first posted receive
         self._mode: dict[int, str] = {}
-        # statistics
-        self.unexpected_hits = 0
-        self.posted_hits = 0
-        self.wildcard_hits = 0
 
     # ------------------------------------------------------------------ #
     @property
@@ -196,7 +192,6 @@ class MatchingTable:
                 break
             request = queue.popleft()
             self._consume(arrival)
-            self.wildcard_hits += 1
             # a wildcard request learns its actual source and sequence
             request.peer = arrival.peer
             request.seq = arrival.seq
@@ -230,7 +225,6 @@ class MatchingTable:
             self._consume(arrival)
             if stash:
                 stash.pop(seq, None)
-            self.unexpected_hits += 1
             if arrival.kind == "eager":
                 return PostOutcome("eager", payload=arrival.payload)
             return PostOutcome("rdv", rdv=arrival.rdv, rdv_src=arrival.peer)
@@ -245,8 +239,6 @@ class MatchingTable:
         arrival = self._pop_ready(tag)
         if arrival is not None:
             self._consume(arrival)
-            self.unexpected_hits += 1
-            self.wildcard_hits += 1
             request.peer = arrival.peer
             request.seq = arrival.seq
             if arrival.kind == "eager":
@@ -284,7 +276,6 @@ class MatchingTable:
         request = self._posted.pop(key, None)
         if request is not None:
             # posted for exactly this key: peer and seq are already right
-            self.posted_hits += 1
             return [(request, payload, rdv)]
         # 2. in-order bookkeeping for the wildcard path
         arrival = _Arrival(peer, tag, seq, kind, payload, rdv)

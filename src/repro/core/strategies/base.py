@@ -44,9 +44,9 @@ Contract for ``try_and_commit(engine, driver)``:
   not set them.  :class:`~.checker.CheckedStrategy` still consults a
   flagged strategy and verifies both clauses (``quiet-with-work``,
   ``dma-bound-with-work``).
-* a strategy pinned to some rails names them in :attr:`Strategy.rails`
-  (fixed at ``bind``); untraced and unfaulted, the pump asks it about
-  those rails only.
+* which rails a strategy uses is its own rule: the pump asks it about
+  every usable rail, and a strategy pinned to one answers ``None`` for
+  the others.
 
 Control entries (RDV_ACKs queued by the engine) are kept in a per-peer
 queue here in the base class; every concrete strategy emits pending
@@ -102,13 +102,6 @@ class Strategy(ABC):
     #: consulted, nor since: the answer for a driver whose DMA engine is
     #: busy is None" — the DMA clause, next to :attr:`quiet`.
     dma_bound = False
-
-    #: the rail indices this strategy can ever answer for, fixed at
-    #: :meth:`bind`; ``None`` (the default) is every rail.  Untraced and
-    #: unfaulted, the pump asks a pinned strategy about its rails only.  A
-    #: strategy that pins sets it in its own constructor (as ``None``) and
-    #: fills it in ``bind``, so one that does not carries no instance slot.
-    rails: Optional[tuple[int, ...]] = None
 
     def __init__(self) -> None:
         self.engine: Optional["NodeEngine"] = None

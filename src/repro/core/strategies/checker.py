@@ -94,7 +94,6 @@ class CheckedStrategy(Strategy):
         self.violations: list[Violation] = []
         #: packed segments not yet seen in a wrapper, by (dst, tag, seq)
         self._outstanding: dict[tuple[int, int, int], Any] = {}
-        self._packed_total = 0
         #: largest "small" payload: what the fastest rail carries eagerly
         #: (fixed at bind, as the two-queue strategies fix theirs)
         self._small_max = -1
@@ -129,7 +128,6 @@ class CheckedStrategy(Strategy):
 
     def pack(self, engine: "NodeEngine", request: SendRequest) -> None:
         self._outstanding[(request.peer, request.tag, request.seq)] = request
-        self._packed_total += 1
         self.inner.pack(engine, request)
 
     def pack_ctrl(self, engine: "NodeEngine", dst_node: int, entry) -> None:
@@ -274,7 +272,7 @@ class CheckedStrategy(Strategy):
                 consulted_rail=driver.rail_index,
                 dst=pw.dst_node,
             )
-        size = driver.wire_size(pw)
+        size = pw.wire_bytes
         if size > driver.max_eager_bytes:
             self._fail(
                 "oversize",

@@ -61,8 +61,6 @@ class SingleRailStrategy(Strategy):
         self._rail_opt = rail
         #: the pinned rail; None consults every rail (``greedy``).
         self._rail_index: Optional[int] = None
-        #: ``(pinned rail,)`` once bound (``Strategy.rails``)
-        self.rails = None
         self._queue: Deque[SendRequest] = NO_SEGMENTS
 
     # ------------------------------------------------------------------ #
@@ -77,7 +75,6 @@ class SingleRailStrategy(Strategy):
             self._rail_index = opt
         else:
             self._rail_index = engine.platform.spec.rail_index(opt)
-        self.rails = (self._rail_index,)
 
     @property
     def rail_index(self) -> int:

@@ -136,11 +136,9 @@ class Driver:
     def poll(self) -> tuple[float, Sequence[Any]]:
         """One progress poll: ``(cpu_cost_us, arrived_packets)``.
 
-        Four polls in five find nothing; those return one shared empty
-        sequence instead of draining an empty queue into a fresh list.
-        The pump does what this method does for an empty queue itself —
-        count the poll, charge its cost — without entering it, unless a
-        driver class overrides it.
+        The pump enters it only for a non-empty receive queue: four
+        polls in five find nothing, and for those the pump does what this
+        method would do — count the poll, charge its cost — itself.
         """
         self.polls += 1
         nic = self.nic
@@ -158,10 +156,6 @@ class Driver:
         return PacketWrapper(
             self.node_id, dst_node, self.rail_index, spec.header_bytes, spec.ctrl_bytes
         )
-
-    def wire_size(self, pw: PacketWrapper) -> int:
-        """On-wire size of ``pw`` (the wrapper's running tally)."""
-        return pw.wire_bytes
 
     def eager_cost_parts(self, pw: PacketWrapper) -> tuple[float, float]:
         """``(post_cost, copy_cost)`` of emitting ``pw`` eagerly.
@@ -199,8 +193,6 @@ class Driver:
         post, copy = self.eager_cost_parts(pw)
         self.eager_posted += 1
         self.eager_bytes += size
-        self.nic.tx_eager_packets += 1
-        self.nic.tx_eager_bytes += size
         self.nic.tx_busy_until = now + post + copy
         # one wire.  An injector's verdict at the post is the guard the
         # fabric calls at the far end, or None: lost here, nothing to carry
@@ -230,10 +222,6 @@ class Driver:
     # ------------------------------------------------------------------ #
     # bulk (DMA) path
     # ------------------------------------------------------------------ #
-    def dma_post_cost(self) -> float:
-        """CPU cost of setting up one DMA chunk (registration + descriptor)."""
-        return self.spec.post_cost_us + self.spec.rdv_setup_us
-
     def start_dma(
         self,
         dst_node: int,
@@ -263,7 +251,7 @@ class Driver:
         if size <= 0:
             raise DriverError(f"{self.name}: empty DMA chunk")
         spec = self.spec
-        cost = spec.post_cost_us + spec.rdv_setup_us  # what dma_post_cost() returns
+        cost = spec.post_cost_us + spec.rdv_setup_us  # registration + descriptor
         platform = self.platform
         rail_index = self.rail_index
         chunk = DmaChunk(req_id, self.node_id, offset, payload)
@@ -276,9 +264,6 @@ class Driver:
         chunk.on_lost = on_lost
         self.dma_started += 1
         self.dma_bytes += size
-        nic = self.nic
-        nic.tx_dma_transfers += 1
-        nic.tx_dma_bytes += size
         self.sim.schedule(delay + cost, chunk.launch)
         return cost
 

@@ -59,12 +59,6 @@ class NIC:
         #: a PIO worker; with the single-threaded pump the copy itself
         #: blocks the engine, so the NIC can never be double-booked.
         self.tx_busy_until = 0.0
-        # --- statistics -------------------------------------------------
-        self.rx_packets = 0
-        self.tx_eager_packets = 0
-        self.tx_eager_bytes = 0
-        self.tx_dma_transfers = 0
-        self.tx_dma_bytes = 0
         host.attach_nic(self)
 
     @property
@@ -85,7 +79,6 @@ class NIC:
     def deliver(self, packet: Any) -> None:
         """Called by the fabric/flow completion: a packet landed here."""
         self.rx_queue.append(packet)
-        self.rx_packets += 1
         self.host.wake()
 
     def drain_rx(self) -> list[Any]:

@@ -51,7 +51,6 @@ class Fabric:
         #: switch-topology routing plan; None = the crossbar of the
         #: paper's testbed (zero extra hops between any pair).
         self.plan = plan
-        self.packets_carried = 0
         #: physical degradation of the rail (1.0 unless a fault plan says
         #: otherwise): multiplies every one-way latency.
         self.lat_factor = 1.0
@@ -108,7 +107,6 @@ class Fabric:
         if src_node == dst_node:
             raise PlatformError(f"rail {self.rail.name}: self-send from node {src_node}")
         dst = self.nic_of(dst_node)
-        self.packets_carried += 1
         when = send_done_delay + self.latency_us(src_node, dst_node)
         if lands is None:  # the class's function: no bound method per packet
             self.sim.schedule(when, NIC.deliver, dst, packet)

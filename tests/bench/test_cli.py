@@ -161,6 +161,10 @@ BAD_COMMAND_LINES = [
     ["figures", "fig4a", "--reps", "0"],
     ["--platform", "/nonexistent/platform.json", "pingpong"],
     ["analyze", "fig6", "--bins", "0"],
+    # a rail for a strategy that pins none, and a rail that does not exist
+    *(["pingpong", "--strategy", name, "--rail", "myri10g"]
+      for name in ("greedy", "aggreg_multirail", "split_balance", "feedback", "tournament")),
+    ["pingpong", "--strategy", "single_rail", "--rail", "nosuch"],
 ]
 
 _QSNET2 = '{"preset": "qsnet2"}'

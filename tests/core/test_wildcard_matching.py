@@ -56,12 +56,6 @@ class TestWildcardBasics:
         assert request is r and payload is None and rdv_req is announced
         assert r.peer == 2  # the source the engine acknowledges
 
-    def test_wildcard_hit_counter(self, sim):
-        table = MatchingTable()
-        table.post_recv(ANY_SOURCE, 1, any_req(sim))
-        table.arrive(2, 1, 0, "eager", payload=Payload.of(b"x"))
-        assert table.wildcard_hits == 1
-
 
 class TestNonOvertakingPerSource:
     def test_out_of_order_arrivals_wait_for_cursor(self, sim):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Session, run_pingpong
-from repro.util.errors import StrategyError
+from repro.util.errors import ConfigError, StrategyError
 
 
 def test_pins_all_traffic_to_rail(plat2):
@@ -26,7 +26,7 @@ def test_rail_by_index(plat2):
 
 
 def test_unknown_rail_name_rejected(plat2):
-    with pytest.raises(Exception):
+    with pytest.raises(ConfigError, match="unknown rail 'nope'"):
         Session(plat2, strategy="single_rail", strategy_opts={"rail": "nope"})
 
 
@@ -43,19 +43,6 @@ def test_a_bool_is_not_a_rail(plat2, flag):
         Session(plat2, strategy="single_rail", strategy_opts={"rail": flag})
     with pytest.raises(StrategyError, match="rail name or index"):
         Session(plat2, strategy="aggreg", strategy_opts={"rail": flag})
-
-
-def test_a_pinned_strategy_names_its_rail(plat2):
-    """``Strategy.rails``: the pinned rail once bound, None for the
-    strategies that may answer on any rail."""
-    from repro.core.strategies import SingleRailStrategy
-
-    assert SingleRailStrategy(rail=1).rails is None  # not bound yet
-    pinned = Session(plat2, strategy="aggreg", strategy_opts={"rail": "qsnet2"})
-    assert pinned.engine(0).strategy.rails == (1,)
-    assert Session(plat2, strategy="single_rail").engine(0).strategy.rails == (0,)
-    for name in ("greedy", "aggreg_multirail", "split_balance"):
-        assert Session(plat2, strategy=name).engine(0).strategy.rails is None
 
 
 def test_rail_index_before_bind_raises():

@@ -25,6 +25,11 @@ HERE = os.path.relpath(os.path.abspath(__file__), ROOT).replace(os.sep, "/")
 
 _CI = ".github/workflows/ci.yml"
 _RECORDS = ("CHANGES.md", "ROADMAP.md", "bench_results")
+#: the code, its tests and benchmarks, and the documents that describe it
+_CODE_AND_DOCS = (
+    "src", "tests", "benchmarks", "examples", "hostbench", ".github",
+    "DESIGN.md", "README.md", "EXPERIMENTS.md",
+)
 
 #: (patterns, searched paths or None, excluded paths)
 DELETED = [
@@ -68,6 +73,12 @@ DELETED = [
     (("_advance_epochs", "_refreeze", "_publish_ratios", "DEFAULT_CANDIDATES",
       "DEFAULT_EPOCH_US", r"\.last_end_us", r"\.refreezes"),
      None, (*_RECORDS, _CI)),
+    # one owner per fact: no unread tally, no second home for a pin or a cost
+    (("commit_rails", "inline_poll", r"[Ss]trategy\.rails\b",
+      r"\brx_packets\b", r"\btx_eager_(packets|bytes)\b", r"\btx_dma_(transfers|bytes)\b",
+      r"\bpackets_carried\b", r"\b(posted|unexpected|wildcard)_hits\b", r"\b_packed_total\b",
+      r"\bdma_post_cost\b", r"[Dd]river\.wire_size\b"),
+     _CODE_AND_DOCS, ()),
 ]
 
 
@@ -138,6 +149,20 @@ def test_deleted_names_stay_deleted():
 def test_a_planted_deleted_name_is_found(path, found):
     planted = [(path, "x = 1\nfrom repro.sim import CalendarSimulator\n")]
     assert offenders(planted) == ([(path, 2, "CalendarSimulator")] if found else [])
+
+
+@pytest.mark.parametrize("line, found", [
+    ("if lean and strategy.rails is not None:", r"[Ss]trategy\.rails\b"),
+    ("self.nic.tx_eager_packets += 1", r"\btx_eager_(packets|bytes)\b"),
+    ("table.wildcard_hits == 1", r"\b(posted|unexpected|wildcard)_hits\b"),
+    ("cost = driver.dma_post_cost()", r"\bdma_post_cost\b"),
+    ("size = driver.wire_size(pw)", r"[Dd]river\.wire_size\b"),
+    ("n = len(spec.rails)", None),
+    ("wire += entry.wire_size(header_bytes)", None),
+])
+def test_the_one_owner_names_are_specific(line, found):
+    planted = [("src/repro/core/scheduler.py", line + "\n")]
+    assert offenders(planted) == ([("src/repro/core/scheduler.py", 1, found)] if found else [])
 
 
 def test_a_group_limited_to_src_skips_the_rest():
