@@ -62,10 +62,6 @@ class Packer:
         self._sealed = True
         return MultiRequest(self._requests)
 
-    @property
-    def segment_count(self) -> int:
-        return len(self._requests)
-
 
 class Unpacker:
     """Incremental extraction of one incoming multi-segment message."""
@@ -93,7 +89,3 @@ class Unpacker:
             raise ApiError("end() on an empty message")
         self._sealed = True
         return MultiRequest(self._requests)
-
-    @property
-    def segment_count(self) -> int:
-        return len(self._requests)

@@ -14,16 +14,15 @@ waiting costs the heap nothing that outlives the wait; an application may
 keep every handle it was given and pay for the handles only.
 
 Multi-segment messages (the paper's "incremental message construction")
-are built with :mod:`repro.api.pack` or the ``send_msg``/``recv_msg``
-helpers.
+are built with :mod:`repro.api.pack`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Union
 
 from ..core.packet import Payload
-from ..core.request import MultiRequest, RecvRequest, SendRequest
+from ..core.request import RecvRequest, SendRequest
 from ..util.errors import ApiError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -71,19 +70,6 @@ class Interface:
     def irecv(self, src_node: int, tag: int) -> RecvRequest:
         """Post a receive for the next segment from ``src_node``/``tag``."""
         return self.engine.post_recv(src_node, tag)
-
-    # ------------------------------------------------------------------ #
-    def send_msg(self, dst_node: int, tag: int, segments: Sequence[Sendable]) -> MultiRequest:
-        """Submit a multi-segment message (one request per segment)."""
-        if not segments:
-            raise ApiError("empty message")
-        return MultiRequest([self.isend(dst_node, tag, s) for s in segments])
-
-    def recv_msg(self, src_node: int, tag: int, n_segments: int) -> MultiRequest:
-        """Post receives for an ``n_segments`` message."""
-        if n_segments < 1:
-            raise ApiError(f"need >= 1 segment, got {n_segments}")
-        return MultiRequest([self.irecv(src_node, tag) for _ in range(n_segments)])
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Interface node={self.node_id}>"

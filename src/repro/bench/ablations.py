@@ -46,10 +46,10 @@ __all__ = [
 
 def ablation_poll_cost(
     poll_costs_us: Sequence[float] = (0.0, 0.2, 0.35, 0.5, 1.0, 2.0),
-    size: int = 4,
     reps: int = 3,
 ) -> Table:
-    """Small-message multi-rail latency vs the idle Myri-10G poll cost."""
+    """Small-message (4 B) multi-rail latency vs the idle Myri-10G poll cost."""
+    size = 4
     base = paper_platform()
     elan = base.rails[1]
     ref = run_pingpong(
@@ -164,27 +164,24 @@ def ablation_window(
     return table
 
 
-def ablation_parallel_pio(
-    workers: Sequence[int] = (0, 1, 2),
-    sizes: Sequence[int] = (2 * KB, 8 * KB, 16 * KB),
-    reps: int = 3,
-) -> Table:
+def ablation_parallel_pio() -> Table:
     """Greedy 2-segment latency vs number of extra PIO threads (§4).
 
     With the paper's single-threaded engine (0 workers) PIO sends
     serialize on the CPU; each extra worker lets one more eager copy
     overlap, extending the multi-rail payoff into the PIO regime.
     """
+    sizes = (2 * KB, 8 * KB, 16 * KB)
     base = paper_platform()
     table = Table(
         ["pio workers"] + [f"greedy lat @{format_size(s)} (us)" for s in sizes],
         title="Ablation: parallel PIO threads (the paper's §4 future work)",
     )
-    for n in workers:
+    for n in (0, 1, 2):
         plat = dataclasses.replace(base, host=base.host.replace(pio_workers=n))
         row: list[object] = [n]
         for size in sizes:
-            res = run_pingpong(Session(plat, strategy="greedy"), size, segments=2, reps=reps)
+            res = run_pingpong(Session(plat, strategy="greedy"), size, segments=2, reps=3)
             row.append(res.one_way_us)
         table.add_row(*row)
     return table

@@ -11,7 +11,6 @@ repository's top-level ``EXPERIMENTS.md`` is produced by::
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional
 

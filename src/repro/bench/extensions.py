@@ -19,9 +19,9 @@ testbed; the simulation substrate can.  Three experiments:
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..core.sampling import SampleTable, sample_rails
+from ..core.sampling import sample_rails
 from ..core.session import Session
 from ..hardware.presets import GIGE_TCP, IB_DDR, MYRI_10G, PAPER_HOST, QUADRICS_QM500, SCI_D33X
 from ..hardware.spec import PlatformSpec
@@ -40,9 +40,8 @@ __all__ = [
 def ext_rail_scaling(
     size: int = 8 * MB,
     reps: int = 2,
-    bus_MBps: Optional[float] = None,
 ) -> Table:
-    """Aggregated bandwidth vs number of rails on a fixed I/O bus.
+    """Aggregated bandwidth vs number of rails on the paper host's I/O bus.
 
     Rails are added fastest-bandwidth first: Myri-10G, then Quadrics,
     then IB DDR (renamed to avoid driver-name collisions).  The table
@@ -53,7 +52,7 @@ def ext_rail_scaling(
         QUADRICS_QM500,
         IB_DDR.replace(name="ibddr2"),
     ]
-    host = PAPER_HOST if bus_MBps is None else PAPER_HOST.replace(bus_MBps=bus_MBps)
+    host = PAPER_HOST
     table = Table(
         ["rails", "split_balance bw (MB/s)", "sum of NICs (MB/s)", "bus (MB/s)"],
         title=f"Extension: rail-count scaling at {format_size(size)}",

@@ -57,21 +57,18 @@ def run_flood(
     size: int,
     count: int = 64,
     window: int = 8,
-    tag: int = FLOOD_TAG,
-    node_a: int = 0,
-    node_b: int = 1,
 ) -> FloodResult:
-    """Stream ``count`` messages of ``size`` bytes from A to B."""
+    """Stream ``count`` messages of ``size`` bytes from node 0 to node 1."""
     if count < 1 or window < 1:
         raise BenchError(f"bad count/window: {count}/{window}")
     if size < 0:
         raise BenchError(f"negative size {size}")
-    iface_a = session.interface(node_a)
-    iface_b = session.interface(node_b)
+    iface_a = session.interface(0)
+    iface_b = session.interface(1)
     sim = session.sim
     timing: dict[str, float] = {}
 
-    recvs = [iface_b.irecv(node_a, tag) for _ in range(count)]
+    recvs = [iface_b.irecv(0, FLOOD_TAG) for _ in range(count)]
 
     def sender():
         timing["t0"] = sim.now
@@ -80,7 +77,7 @@ def run_flood(
             while len(in_flight) >= window:
                 idx, _v = yield AnyOf([r.completion for r in in_flight])
                 in_flight = [r for r in in_flight if not r.done]
-            in_flight.append(iface_a.isend(node_b, tag, size))
+            in_flight.append(iface_a.isend(1, FLOOD_TAG, size))
         while in_flight:
             yield AnyOf([r.completion for r in in_flight])
             in_flight = [r for r in in_flight if not r.done]

@@ -8,7 +8,7 @@ optionally persist them next to the benchmark outputs.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable
 
 from ..util.errors import BenchError
 

@@ -109,7 +109,6 @@ def sweep_table(
     sweep: SweepResult,
     metric: Literal["latency", "bandwidth"],
     title: str,
-    precision: int = 2,
 ) -> Table:
     """Render a sweep as the paper-style table: size column + one column
     per curve (latency in µs or bandwidth in MB/s)."""
@@ -117,7 +116,6 @@ def sweep_table(
     table = Table(
         headers=["size"] + [f"{label} ({unit})" for label in sweep.curves],
         title=title,
-        precision=precision,
     )
     for size in sweep.sizes:
         row: list[object] = [format_size(size)]

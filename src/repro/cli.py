@@ -932,6 +932,9 @@ def _cmd_ledger(args) -> int:
     from .obs.ledger import DEFAULT_LEDGER_PATH, Ledger
 
     db = args.db or DEFAULT_LEDGER_PATH
+    if args.ledger_command != "ingest" and not os.path.exists(db):
+        # opening would create it: only ``ingest`` (and ``--ledger``) makes one
+        raise BenchError(f"{db}: no ledger there; `repro ledger ingest` creates one")
     try:
         ledger = Ledger(db)
     except OSError as exc:

@@ -289,21 +289,6 @@ class MatchingTable:
         # 3. waiting wildcard receives drain whatever just became eligible
         return self._drain_wildcards(tag)
 
-    # ------------------------------------------------------------------ #
-    # compatibility wrappers (exact-mode single-match semantics)
-    # ------------------------------------------------------------------ #
-    def match_eager(
-        self, peer: int, tag: int, seq: int, payload: Payload
-    ) -> Optional[RecvRequest]:
-        """Match arriving eager data; parks it as unexpected if unmatched."""
-        matches = self.arrive(peer, tag, seq, "eager", payload=payload)
-        return matches[0][0] if matches else None
-
-    def match_rdv(self, src: int, rdv: RdvReq) -> Optional[RecvRequest]:
-        """Match an arriving rendezvous request; parks it if unmatched."""
-        matches = self.arrive(src, rdv.tag, rdv.seq, "rdv", rdv=rdv)
-        return matches[0][0] if matches else None
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<MatchingTable posted={self.posted_count}"

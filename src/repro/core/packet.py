@@ -19,7 +19,6 @@ harness moves multi-megabyte messages without materializing them).
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -105,10 +104,6 @@ class Payload:
         if self.data is None:
             return _virtual(length)
         return Payload(length, self.data[offset : offset + length])
-
-    def checksum(self) -> int:
-        """CRC32 of the content (0 for virtual payloads)."""
-        return 0 if self.data is None else zlib.crc32(self.data)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Payload):
@@ -306,14 +301,6 @@ class PacketWrapper:
         if rdv:
             out["rdv"] = rdv
         return out
-
-    @property
-    def data_entries(self) -> list[EagerEntry]:
-        return [e for e in self.entries if isinstance(e, EagerEntry)]
-
-    @property
-    def ctrl_entries(self) -> list[Entry]:
-        return [e for e in self.entries if not isinstance(e, EagerEntry)]
 
     def __repr__(self) -> str:  # pragma: no cover
         kinds = ",".join(type(e).__name__ for e in self.entries)

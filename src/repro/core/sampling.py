@@ -11,11 +11,8 @@ runs short rendezvous-sized ping-pongs.  A linear transfer-time model
     ``t(size) = overhead_us + size / bw_MBps``
 
 is least-squares fitted to the measurements; the resulting
-:class:`SampleTable` answers the three questions the final strategy asks:
-
-* ``ratios(rails)``   — how to strip a segment across rails (∝ fitted bw);
-* ``predict(rail, s)`` — expected one-way time of ``s`` bytes on a rail;
-* ``best_rail(rails, s)`` — which single rail is fastest for ``s`` bytes.
+:class:`SampleTable` answers the question the final strategy asks,
+``ratios(rails)``: how to strip a segment across rails (∝ fitted bw).
 
 Nothing here is hard-coded to Myri-10G/Quadrics: the table is derived from
 whatever rails the platform declares, which is what makes the strategy
@@ -72,10 +69,6 @@ class RailSample:
             bw_MBps=1.0 / slope,
         )
 
-    def predict_us(self, size: int) -> float:
-        """Predicted one-way transfer time for ``size`` bytes."""
-        return self.overhead_us + size / self.bw_MBps
-
 
 class SampleTable:
     """Per-rail fitted samples for one platform."""
@@ -108,16 +101,6 @@ class SampleTable:
         bws = [self.get(n).bw_MBps for n in names]
         total = sum(bws)
         return {n: b / total for n, b in zip(names, bws)}
-
-    def predict_us(self, rail_name: str, size: int) -> float:
-        return self.get(rail_name).predict_us(size)
-
-    def best_rail(self, rail_names: Iterable[str], size: int) -> str:
-        """The single rail with the lowest predicted time for ``size``."""
-        names = list(rail_names)
-        if not names:
-            raise ConfigError("best_rail over an empty rail set")
-        return min(names, key=lambda n: self.predict_us(n, size))
 
     def __repr__(self) -> str:  # pragma: no cover
         parts = ", ".join(

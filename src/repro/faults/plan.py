@@ -246,8 +246,6 @@ def random_plan(
     seed: int,
     spec: "PlatformSpec",
     horizon_us: float = 5000.0,
-    max_events: int = 6,
-    allow_down: bool = True,
 ) -> FaultPlan:
     """Generate a seeded, replayable random fault plan for ``spec``.
 
@@ -263,15 +261,12 @@ def random_plan(
     rng = random.Random(seed)
     rails = [r.name for r in spec.rails]
     events: list[FaultEvent] = []
-    n_events = rng.randint(1, max_events)
+    n_events = rng.randint(1, 6)
     #: end time of the latest outage issued so far (downs never overlap).
     down_free_at = 0.0
     for _ in range(n_events):
         rail = rng.choice(rails)
-        kind = rng.choice(
-            ("down", "degrade", "drop", "dup", "flap") if allow_down
-            else ("degrade", "drop", "dup")
-        )
+        kind = rng.choice(("down", "degrade", "drop", "dup", "flap"))
         at = round(rng.uniform(0.05, 0.75) * horizon_us, 3)
         if kind == "down":
             duration = round(rng.uniform(0.02, 0.15) * horizon_us, 3)

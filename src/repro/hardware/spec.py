@@ -258,10 +258,6 @@ class HostSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "HostSpec":
         return cls(**_checked(cls, data, "host"))
 
-    def memcpy_us(self, nbytes: int) -> float:
-        """Time to copy ``nbytes`` through host memory."""
-        return nbytes / self.memcpy_MBps
-
 
 @dataclass(frozen=True)
 class PlatformSpec:

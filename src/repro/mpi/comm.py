@@ -118,21 +118,5 @@ class CommEndpoint:
         yield req.completion
         return req.payload
 
-    def sendrecv(
-        self,
-        data: Union[bytes, bytearray, int, Payload],
-        peer: int,
-        send_tag: int = 0,
-        recv_tag: Optional[int] = None,
-    ):
-        """Combined exchange with one peer; returns the received payload."""
-        from ..sim.process import AllOf
-
-        rtag = send_tag if recv_tag is None else recv_tag
-        sreq = self.isend(data, peer, send_tag)
-        rreq = self.irecv(peer, rtag)
-        yield AllOf([sreq.completion, rreq.completion])
-        return rreq.payload
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<CommEndpoint rank={self.rank}/{self.size} comm={self.comm.name}>"

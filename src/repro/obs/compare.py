@@ -221,15 +221,11 @@ def _headline_counters(base: Mapping[str, object], cur: Mapping[str, object]):
         )
 
 
-def delta_table(
-    report: CompareReport,
-    only_regressions: bool = False,
-    title: str = "Per-point deltas",
-) -> Table:
+def delta_table(report: CompareReport, only_regressions: bool = False) -> Table:
     """Render the comparison as a per-point delta table."""
     table = Table(
         ["bench", "point", "quantity", "baseline", "current", "delta", "gate", "ok"],
-        title=title,
+        title="Per-point deltas",
         precision=4,
     )
     for d in report.deltas:

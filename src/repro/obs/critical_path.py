@@ -159,11 +159,6 @@ class RequestAttribution:
         return self.completed_at - self.first_commit_at
 
     @property
-    def poll_tax_us(self) -> float:
-        """Idle-poll CPU time on the sending node during this request."""
-        return sum(self.poll_tax_by_rail.values())
-
-    @property
     def attributed_us(self) -> float:
         return sum(s.duration for s in self.segments)
 
@@ -173,25 +168,17 @@ class RequestAttribution:
             out[seg.category] += seg.duration
         return out
 
-    def by_rail(self) -> dict[str, float]:
-        """Critical-path time per rail (segments with no rail excluded)."""
-        out: dict[str, float] = {}
-        for seg in self.segments:
-            if seg.rail:
-                out[seg.rail] = out.get(seg.rail, 0.0) + seg.duration
-        return out
-
-    def connected(self, rel_tol: float = 1e-9) -> bool:
+    def connected(self) -> bool:
         """True when the segments form one gap-free chain over the
         request's whole lifetime (the partition guarantees it)."""
         if not self.segments:
             return self.total_us == 0.0
         if not math.isclose(
-            self.segments[0].t0, self.submitted_at, rel_tol=rel_tol, abs_tol=1e-9
+            self.segments[0].t0, self.submitted_at, rel_tol=1e-9, abs_tol=1e-9
         ):
             return False
         if not math.isclose(
-            self.segments[-1].t1, self.completed_at, rel_tol=rel_tol, abs_tol=1e-9
+            self.segments[-1].t1, self.completed_at, rel_tol=1e-9, abs_tol=1e-9
         ):
             return False
         return all(
@@ -473,15 +460,13 @@ def poll_tax_by_rail(rows: list[RequestAttribution]) -> dict[str, float]:
     return out
 
 
-def lifecycle_table(
-    rows: list[RequestAttribution], title: str = "Request lifecycle"
-) -> Table:
+def lifecycle_table(rows: list[RequestAttribution]) -> Table:
     """The coarse per-request view: total = queue + wire, poll tax per rail."""
     rails = sorted({rail for r in rows for rail in r.poll_tax_by_rail})
     table = Table(
         ["node", "peer", "tag#seq", "bytes", "total us", "queue us", "wire us"]
         + [f"poll {r} (us)" for r in rails],
-        title=title,
+        title="Request lifecycle",
         precision=2,
     )
     for r in rows:
@@ -732,7 +717,7 @@ class CriticalPathReport:
     def poll_tax_totals(self) -> dict[str, float]:
         return poll_tax_by_rail(self.attributions)
 
-    def verify(self, rel_tol: float = 1e-9) -> list[str]:
+    def verify(self) -> list[str]:
         """Invariant check: sum-to-total and connectivity, per request.
 
         Returns human-readable violations (empty = all good); ``repro
@@ -742,7 +727,7 @@ class CriticalPathReport:
         for attr in self.attributions:
             label = f"node{attr.node} {attr.tag}#{attr.seq}"
             if not math.isclose(
-                attr.attributed_us, attr.total_us, rel_tol=rel_tol, abs_tol=1e-6
+                attr.attributed_us, attr.total_us, rel_tol=1e-9, abs_tol=1e-6
             ):
                 problems.append(
                     f"{label}: attributed {attr.attributed_us} != total {attr.total_us}"

@@ -19,9 +19,9 @@ the Chrome file's ``otherData``.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Iterable, Optional, TextIO, Union
+from typing import TYPE_CHECKING, Any, Iterable, TextIO, Union
 
-from .spans import Span, SpanRecorder
+from .spans import SpanRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.session import Session
@@ -64,15 +64,11 @@ def _track_order(track: str) -> tuple[int, str]:
     return (2, track)
 
 
-def to_chrome_trace(
-    source: Union["Session", SpanRecorder],
-    metrics: Optional[dict[str, Any]] = None,
-) -> dict[str, Any]:
+def to_chrome_trace(source: Union["Session", SpanRecorder]) -> dict[str, Any]:
     """Serialize recorded spans to a Chrome trace-event JSON object."""
     rec = _recorder_of(source)
-    if metrics is None:
-        registry = getattr(source, "metrics", None)
-        metrics = registry.snapshot() if registry is not None else {}
+    registry = getattr(source, "metrics", None)
+    metrics = registry.snapshot() if registry is not None else {}
     events: list[dict[str, Any]] = []
     # stable tid assignment per (node, track)
     tids: dict[tuple[int, str], int] = {}
@@ -127,13 +123,9 @@ def to_chrome_trace(
     }
 
 
-def write_chrome_trace(
-    source: Union["Session", SpanRecorder],
-    path: str,
-    metrics: Optional[dict[str, Any]] = None,
-) -> int:
+def write_chrome_trace(source: Union["Session", SpanRecorder], path: str) -> int:
     """Write the Chrome trace JSON; returns the number of span events."""
-    doc = to_chrome_trace(source, metrics=metrics)
+    doc = to_chrome_trace(source)
     with open(path, "w") as fh:
         json.dump(doc, fh)
     return sum(1 for e in doc["traceEvents"] if e["ph"] == "X")

@@ -111,10 +111,10 @@ class Histogram:
     An observation is one append to :attr:`pending`; :meth:`fold` moves
     the batch into the buckets with C-level calls, once it holds
     :data:`FOLD_AT` values and before any reader (``counts``, ``count``,
-    ``total``, ``vmin``, ``vmax``, :meth:`quantile`, :meth:`snapshot`,
-    :meth:`merge_inplace`) looks.  The result is the per-value one bit for
-    bit, for any split into batches: ``total`` is the same left-to-right
-    float sum, and the first of equal extremes stays ``vmin`` / ``vmax``.
+    ``total``, :meth:`snapshot`, :meth:`merge_inplace`) looks.  The result
+    is the per-value one bit for bit, for any split into batches:
+    ``total`` is the same left-to-right float sum, and the first of equal
+    extremes stays the snapshot's ``min`` / ``max``.
     A hot path that owns a histogram appends to ``pending`` itself and
     calls :meth:`fold` once the list holds ``FOLD_AT`` values or more.
 
@@ -203,52 +203,9 @@ class Histogram:
         return self._total
 
     @property
-    def vmin(self) -> Optional[Number]:
-        if self.pending:
-            self.fold()
-        return self._vmin
-
-    @property
-    def vmax(self) -> Optional[Number]:
-        if self.pending:
-            self.fold()
-        return self._vmax
-
-    @property
     def mean(self) -> float:
         count = self.count
         return self._total / count if count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Linearly interpolated quantile (Prometheus-style).
-
-        The winning bucket is the first one whose cumulative count
-        reaches ``q * count``; the estimate interpolates within it
-        assuming uniform distribution, with the bucket bounds tightened
-        by the observed ``vmin``/``vmax`` (so ``quantile(0.0)`` is the
-        true minimum and ``quantile(1.0)`` the true maximum).  Accuracy
-        inside a bucket is still limited by the bucket width — values are
-        not retained individually, only ``vmin``/``vmax`` sharpen the
-        first/last populated buckets.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile {q} outside [0, 1]")
-        if self.count == 0:
-            return 0.0
-        vmin, vmax = self._vmin, self._vmax
-        assert vmin is not None and vmax is not None
-        rank = q * self._count
-        seen = 0
-        for i, c in enumerate(self._counts):
-            if not c:
-                continue
-            if seen + c >= rank:
-                lo = vmin if i == 0 else max(self.edges[i - 1], vmin)
-                hi = vmax if i == len(self.edges) else min(self.edges[i], vmax)
-                fraction = (rank - seen) / c
-                return min(max(lo + (hi - lo) * fraction, vmin), vmax)
-            seen += c
-        return vmax
 
     @property
     def full_name(self) -> str:

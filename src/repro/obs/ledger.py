@@ -242,12 +242,10 @@ class Ledger:
         self,
         report_or_cases: Union[Any, Sequence[Mapping[str, Any]]],
         run_id: Optional[str] = None,
-        git_sha: Optional[str] = None,
-        git_dirty: bool = False,
-        name: str = "chaos",
     ) -> str:
         """Ingest a :class:`~repro.faults.chaos.ChaosReport` (or raw case
         dicts, or a saved report JSON path)."""
+        git_sha, git_dirty = None, False
         if isinstance(report_or_cases, str):
             ((_, doc),) = read_json_objects(report_or_cases)
             cases = doc.get("cases", [])
@@ -258,8 +256,8 @@ class Ledger:
                     f"{report_or_cases}: 'cases' must be a list of case objects"
                 )
             run_id = run_id or doc.get("run_id")
-            git_sha = git_sha or doc.get("git_sha")
-            git_dirty = git_dirty or bool(doc.get("git_dirty", False))
+            git_sha = doc.get("git_sha")
+            git_dirty = bool(doc.get("git_dirty", False))
         else:
             cases = getattr(report_or_cases, "cases", report_or_cases)
             run_id = run_id or getattr(report_or_cases, "run_id", None)
@@ -269,7 +267,7 @@ class Ledger:
             git_sha, git_dirty = git_revision(os.path.dirname(os.path.abspath(__file__)))
         run_id = run_id or new_run_id()
         self._upsert_run(
-            run_id, "chaos", name=name, git_sha=git_sha, git_dirty=git_dirty,
+            run_id, "chaos", name="chaos", git_sha=git_sha, git_dirty=git_dirty,
             created_unix=time.time(),
             meta={"cases": len(cases)},
         )

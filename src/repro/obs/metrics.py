@@ -322,10 +322,6 @@ class Counters:
 
     __iadd__ = merge_inplace
 
-    def merge(self, other: "Counters") -> "Counters":
-        """A new bag with both contributions summed."""
-        return Counters().merge_inplace(self).merge_inplace(other)
-
     def __iter__(self) -> Iterator[tuple[str, int]]:
         return iter(sorted(self.counts.items()))
 

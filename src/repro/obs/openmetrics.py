@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from typing import Mapping, Union
 
-from .metrics import SCHEMA, Histogram, MetricsRegistry
+from .metrics import SCHEMA, MetricsRegistry
 
 __all__ = [
     "render_openmetrics",
@@ -94,10 +94,7 @@ def _format_le(edge: float) -> str:
 Snapshot = Mapping[str, object]
 
 
-def render_openmetrics(
-    snapshot: Union[Snapshot, MetricsRegistry],
-    prefix: str = "repro",
-) -> str:
+def render_openmetrics(snapshot: Union[Snapshot, MetricsRegistry]) -> str:
     """Render a metrics snapshot (or live registry) as OpenMetrics text."""
     if isinstance(snapshot, MetricsRegistry):
         snapshot = snapshot.snapshot()
@@ -116,7 +113,7 @@ def render_openmetrics(
             kind = spec.kind
         else:
             kind = "histogram" if is_histogram else "unknown"
-        name = sanitize_name(family, prefix)
+        name = sanitize_name(family)
         lines.append(f"# TYPE {name} {kind}")
         if spec is not None and spec.unit not in ("", "1") and name.endswith(f"_{spec.unit}"):
             lines.append(f"# UNIT {name} {spec.unit}")

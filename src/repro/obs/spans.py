@@ -225,11 +225,6 @@ class SpanRecorder:
     def by_node(self, node: int) -> list[Span]:
         return [s for s in self if s.node == node]
 
-    def by_cat(self, cat: str, node: Optional[int] = None) -> list[Span]:
-        return [
-            s for s in self if s.cat == cat and (node is None or s.node == node)
-        ]
-
     def by_name(self, name: str, node: Optional[int] = None) -> list[Span]:
         return [
             s for s in self if s.name == name and (node is None or s.node == node)

@@ -130,9 +130,8 @@ class StreamingTracer(SpanRecorder):
         path: str,
         window: int = 1024,
         sampler: Optional[SpanSampler] = None,
-        enabled: bool = True,
     ) -> None:
-        super().__init__(enabled=enabled)
+        super().__init__(enabled=True)
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.path = path
@@ -204,10 +203,6 @@ class StreamingTracer(SpanRecorder):
             self._fh.close()
             self._fh = None
         return self.path
-
-    @property
-    def closed(self) -> bool:
-        return self._fh is None
 
     def __enter__(self) -> "StreamingTracer":
         return self

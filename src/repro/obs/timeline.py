@@ -3,8 +3,7 @@
 :func:`rail_usage_table` condenses driver/NIC statistics of a finished
 session into a per-node, per-rail table — the quickest way to see *where
 the bytes actually went* (e.g. that the final strategy put ~58% of a
-stripped transfer on Myri-10G).  :func:`commit_timeline` turns a recorded
-trace into ``(time, node, rail, entries)`` rows.
+stripped transfer on Myri-10G).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "rail_usage_table",
     "rail_byte_shares",
-    "commit_timeline",
     "gantt",
     "busy_intervals",
     "merge_intervals",
@@ -65,20 +63,6 @@ def rail_byte_shares(session: "Session", node_id: int = 0) -> dict[str, float]:
     if grand == 0:
         return {name: 0.0 for name in totals}
     return {name: v / grand for name, v in totals.items()}
-
-
-def commit_timeline(session: "Session") -> list[tuple[float, int, str]]:
-    """Recorded commits as ``(time_us, node, detail)`` rows.
-
-    Read from the pump's ``commit`` spans: ``time_us`` is the span's
-    ``t0``, the instant the strategy handed the packet over (before the
-    aggregation copy and the NIC post).  Requires the session to have
-    been built with ``trace=True``; an untraced session has no rows.
-    """
-    return [
-        (s.t0, s.node, f"rail={s.args['rail']} entries={s.args['entries']}")
-        for s in session.spans.by_cat("commit")
-    ]
 
 
 def merge_intervals(

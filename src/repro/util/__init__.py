@@ -19,7 +19,6 @@ from .units import (
     PAPER_LATENCY_SIZES,
     bandwidth_MBps,
     format_size,
-    format_time_us,
     geometric_sizes,
     parse_size,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "MB",
     "parse_size",
     "format_size",
-    "format_time_us",
     "bandwidth_MBps",
     "geometric_sizes",
     "PAPER_LATENCY_SIZES",

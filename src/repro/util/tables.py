@@ -55,11 +55,12 @@ def render_table(
     return out.getvalue().rstrip("\n")
 
 
-def render_csv(headers: Sequence[str], rows: Iterable[Sequence[Any]], precision: int = 4) -> str:
-    """Render rows as CSV text (no quoting; values must be simple)."""
+def render_csv(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """Render rows as CSV text (no quoting; values must be simple), four
+    decimals a float."""
     lines = [",".join(str(h) for h in headers)]
     for row in rows:
-        lines.append(",".join(_fmt_cell(v, precision) for v in row))
+        lines.append(",".join(_fmt_cell(v, 4) for v in row))
     return "\n".join(lines)
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "MB",
     "parse_size",
     "format_size",
-    "format_time_us",
     "bandwidth_MBps",
     "geometric_sizes",
     "PAPER_LATENCY_SIZES",
@@ -76,15 +75,6 @@ def format_size(nbytes: int) -> str:
         if nbytes >= factor and nbytes % factor == 0:
             return f"{nbytes // factor}{suffix}"
     return str(nbytes)
-
-
-def format_time_us(us: float) -> str:
-    """Human-readable simulated duration."""
-    if us < 1e3:
-        return f"{us:.2f}us"
-    if us < 1e6:
-        return f"{us / 1e3:.2f}ms"
-    return f"{us / 1e6:.3f}s"
 
 
 def bandwidth_MBps(nbytes: int, elapsed_us: float) -> float:

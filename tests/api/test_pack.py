@@ -67,13 +67,6 @@ def test_unpack_after_end_rejected(session):
         up.unpack()
 
 
-def test_segment_count(session):
-    pk = Packer(session.interface(0), dst=1, tag=1)
-    pk.pack(b"a")
-    pk.pack(b"b")
-    assert pk.segment_count == 2
-
-
 def test_mixed_sizes_pack(session):
     """A pack mixing small and rendezvous-sized segments."""
     up = Unpacker(session.interface(1), src=0, tag=7)

@@ -66,24 +66,6 @@ def test_negative_tag_rejected(plat2):
         session.interface(0).irecv(1, -2)
 
 
-def test_send_msg_recv_msg(plat2):
-    session = Session(plat2, strategy="aggreg_multirail")
-    a, b = session.interface(0), session.interface(1)
-    incoming = b.recv_msg(0, 4, n_segments=3)
-    outgoing = a.send_msg(1, 4, [b"one", b"two", b"three"])
-    session.run_until_idle()
-    assert incoming.done and outgoing.done
-    assert [r.data for r in incoming] == [b"one", b"two", b"three"]
-
-
-def test_empty_message_rejected(plat2):
-    session = Session(plat2)
-    with pytest.raises(ApiError):
-        session.interface(0).send_msg(1, 1, [])
-    with pytest.raises(ApiError):
-        session.interface(1).recv_msg(0, 1, 0)
-
-
 def test_bidirectional_simultaneous_traffic(plat2):
     session = Session(plat2, strategy="split_balance")
     a, b = session.interface(0), session.interface(1)

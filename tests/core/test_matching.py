@@ -24,6 +24,11 @@ def rdv(tag=1, seq=0, req_id=1, length=100_000):
     return RdvReq(req_id=req_id, tag=tag, seq=seq, total_length=length, chunks=((0, 0, length),))
 
 
+def matched(matches):
+    """The requests an arrival's matches complete, in order."""
+    return [m[0] for m in matches]
+
+
 class TestPostFirst:
     def test_posted_then_matched(self, sim):
         table = MatchingTable()
@@ -31,8 +36,7 @@ class TestPostFirst:
         outcome = table.post_recv(0, 1, r)
         assert outcome.kind == "posted"
         assert r.seq == 0
-        matched = table.match_eager(0, 1, 0, Payload.of(b"hi"))
-        assert matched is r
+        assert matched(table.arrive(0, 1, 0, "eager", payload=Payload.of(b"hi"))) == [r]
         assert table.posted_count == 0
 
     def test_sequence_numbers_assigned_in_post_order(self, sim):
@@ -50,7 +54,7 @@ class TestPostFirst:
         for peer, tag, r in [(0, 1, r_a), (0, 2, r_b), (1, 1, r_c)]:
             table.post_recv(peer, tag, r)
         assert (r_a.seq, r_b.seq, r_c.seq) == (0, 0, 0)
-        assert table.match_eager(0, 2, 0, Payload.of(b"x")) is r_b
+        assert matched(table.arrive(0, 2, 0, "eager", payload=Payload.of(b"x"))) == [r_b]
 
     def test_out_of_order_arrival_matches_by_seq(self, sim):
         table = MatchingTable()
@@ -58,14 +62,14 @@ class TestPostFirst:
         table.post_recv(0, 1, r0)
         table.post_recv(0, 1, r1)
         # seq 1 arrives before seq 0 (multi-rail reordering)
-        assert table.match_eager(0, 1, 1, Payload.of(b"b")) is r1
-        assert table.match_eager(0, 1, 0, Payload.of(b"a")) is r0
+        assert matched(table.arrive(0, 1, 1, "eager", payload=Payload.of(b"b"))) == [r1]
+        assert matched(table.arrive(0, 1, 0, "eager", payload=Payload.of(b"a"))) == [r0]
 
 
 class TestArriveFirst:
     def test_unexpected_then_posted(self, sim):
         table = MatchingTable()
-        assert table.match_eager(0, 1, 0, Payload.of(b"early")) is None
+        assert table.arrive(0, 1, 0, "eager", payload=Payload.of(b"early")) == []
         assert table.unexpected_count == 1
         outcome = table.post_recv(0, 1, req(sim))
         assert outcome.kind == "eager"
@@ -74,14 +78,14 @@ class TestArriveFirst:
 
     def test_duplicate_unexpected_rejected(self, sim):
         table = MatchingTable()
-        table.match_eager(0, 1, 0, Payload.of(b"x"))
+        table.arrive(0, 1, 0, "eager", payload=Payload.of(b"x"))
         with pytest.raises(MatchingError):
-            table.match_eager(0, 1, 0, Payload.of(b"x"))
+            table.arrive(0, 1, 0, "eager", payload=Payload.of(b"x"))
 
     def test_rdv_then_posted(self, sim):
         table = MatchingTable()
         r = rdv(tag=1, seq=0)
-        assert table.match_rdv(0, r) is None
+        assert table.arrive(0, 1, 0, "rdv", rdv=r) == []
         assert table.pending_rdv_count == 1
         outcome = table.post_recv(0, 1, req(sim))
         assert outcome.kind == "rdv"
@@ -91,13 +95,13 @@ class TestArriveFirst:
         table = MatchingTable()
         r = req(sim)
         table.post_recv(0, 1, r)
-        assert table.match_rdv(0, rdv()) is r
+        assert matched(table.arrive(0, 1, 0, "rdv", rdv=rdv())) == [r]
 
     def test_duplicate_rdv_rejected(self, sim):
         table = MatchingTable()
-        table.match_rdv(0, rdv(req_id=1))
+        table.arrive(0, 1, 0, "rdv", rdv=rdv(req_id=1))
         with pytest.raises(MatchingError):
-            table.match_rdv(0, rdv(req_id=2))  # same (peer, tag, seq)
+            table.arrive(0, 1, 0, "rdv", rdv=rdv(req_id=2))  # same (peer, tag, seq)
 
 
 def arrivals_held(table):

@@ -77,11 +77,6 @@ class TestPayload:
         with pytest.raises(ProtocolError):
             Payload.of(b"abcdef").slice(off, length)
 
-    def test_checksum(self):
-        assert Payload.of(b"abc").checksum() == Payload.of(b"abc").checksum()
-        assert Payload.of(b"abc").checksum() != Payload.of(b"abd").checksum()
-        assert Payload.virtual(10).checksum() == 0
-
     def test_equality(self):
         assert Payload.of(b"x") == Payload.of(b"x")
         assert Payload.of(b"x") != Payload.of(b"y")
@@ -133,8 +128,7 @@ class TestPacketWrapper:
         e2 = RdvAck(req_id=3)
         pw.add(e1)
         pw.add(e2)
-        assert pw.data_entries == [e1]
-        assert pw.ctrl_entries == [e2]
+        assert pw.entries == [e1, e2]
         assert pw.data_bytes == 4 and pw.data_count == 1
 
     def test_wire_size(self):

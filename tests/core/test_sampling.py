@@ -17,10 +17,6 @@ class TestRailSampleFit:
         assert sample.overhead_us == pytest.approx(7.0)
         assert sample.bw_MBps == pytest.approx(500.0)
 
-    def test_predict(self):
-        sample = RailSample.fit("r", linear_points(5.0, 100.0))
-        assert sample.predict_us(1000) == pytest.approx(15.0)
-
     def test_negative_intercept_clamped(self):
         # decreasing overhead estimate below zero is clamped, bw kept
         points = [(1000, 0.9), (2000, 2.0), (4000, 4.0)]
@@ -73,20 +69,6 @@ class TestSampleTable:
         assert ratios["slow"] == pytest.approx(0.4)
         assert sum(ratios.values()) == pytest.approx(1.0)
 
-    def test_best_rail_depends_on_size(self, table):
-        # at tiny sizes 'fast' still wins here (lower overhead too)
-        assert table.best_rail(["fast", "slow"], 1000) == "fast"
-
-    def test_best_rail_crossover(self):
-        table = SampleTable(
-            {
-                "lowlat": RailSample.fit("lowlat", linear_points(1.0, 100.0)),
-                "highbw": RailSample.fit("highbw", linear_points(20.0, 1000.0)),
-            }
-        )
-        assert table.best_rail(["lowlat", "highbw"], 100) == "lowlat"
-        assert table.best_rail(["lowlat", "highbw"], 100_000) == "highbw"
-
     def test_unknown_rail(self, table):
         with pytest.raises(ConfigError):
             table.get("nope")
@@ -95,10 +77,6 @@ class TestSampleTable:
     def test_empty_table_rejected(self):
         with pytest.raises(ConfigError):
             SampleTable({})
-
-    def test_best_rail_empty_set_rejected(self, table):
-        with pytest.raises(ConfigError):
-            table.best_rail([], 10)
 
 
 class TestSampleRails:

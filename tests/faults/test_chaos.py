@@ -11,6 +11,7 @@ from repro.faults.chaos import (
     run_chaos,
     save_failing_plans,
 )
+from repro.faults.plan import FaultPlan
 from repro.util.errors import ConfigError
 
 
@@ -27,6 +28,16 @@ def test_case_is_deterministic():
     a = run_case(ChaosCase(strategy="aggreg_multirail", seed=5))
     b = run_case(ChaosCase(strategy="aggreg_multirail", seed=5))
     assert a["digest"] == b["digest"]
+
+
+@pytest.mark.parametrize("strategy", ["split_balance", "greedy", "aggreg_multirail"])
+def test_a_saved_plan_replays_bit_identically(tmp_path, strategy):
+    """What ``repro chaos --save-failing`` writes is a replay artifact:
+    the case run again under the loaded plan is the same run."""
+    case = ChaosCase(strategy=strategy, seed=3)
+    first = run_case(case)
+    path = FaultPlan.from_dict(first["plan"]).save(str(tmp_path / "plan.json"))
+    assert run_case(case, plan=FaultPlan.load(path)) == first
 
 
 def test_chaos_strategies_resolution():

@@ -89,9 +89,6 @@ class TestHostSpec:
         h = HostSpec()
         assert h.memcpy_MBps > 0 and h.bus_MBps > 0
 
-    def test_memcpy_us(self):
-        assert HostSpec(memcpy_MBps=1000.0).memcpy_us(500) == pytest.approx(0.5)
-
     @pytest.mark.parametrize("field", ["memcpy_MBps", "bus_MBps"])
     def test_invalid_rejected(self, field):
         with pytest.raises(ConfigError):

@@ -91,18 +91,6 @@ def test_self_send_rejected(session):
         comm.endpoint(1).irecv(1)
 
 
-def test_sendrecv_exchanges(session):
-    comm = Communicator(session)
-    got = {}
-
-    def rank(r, peer):
-        payload = yield from comm.endpoint(r).sendrecv(bytes([r]), peer=peer)
-        got[r] = payload.data
-
-    run_procs(session, rank(0, 1), rank(1, 0))
-    assert got == {0: b"\x01", 1: b"\x00"}
-
-
 def test_float_rank_refused_at_the_call(session):
     """``Communicator.endpoint(1.0)`` raised a raw ``TypeError``."""
     comm = Communicator(session)

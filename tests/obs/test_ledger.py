@@ -270,6 +270,17 @@ class TestHostileInputs:
         err = capsys.readouterr().err
         assert "notes.db: not a ledger database" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", [["query"], ["show", "r1"], ["gc"]])
+    def test_reading_a_missing_db_creates_nothing(self, tmp_path, capsys, command):
+        """``query``/``show``/``gc`` used to make the directory and an empty
+        ledger they were asked to read, then answer from it."""
+        db = tmp_path / "absent" / "x.db"
+        assert main(["ledger", "--db", str(db), *command]) == 2
+        err = capsys.readouterr().err
+        assert "x.db: no ledger there" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert not db.parent.exists()
+
     def test_a_chaos_report_that_is_not_json_names_the_file(self, ledger, tmp_path):
         path = tmp_path / "report.json"
         path.write_text("{not json")

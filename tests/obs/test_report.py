@@ -39,10 +39,9 @@ class TestLifecycle:
             assert row.total_us == pytest.approx(row.queue_us + row.wire_us)
             assert row.first_commit_at is not None
             assert row.submitted_at <= row.first_commit_at <= row.completed_at
-            assert row.poll_tax_us == pytest.approx(sum(row.poll_tax_by_rail.values()))
             # polling happens inside the request's lifetime, so the tax can
             # never exceed the total
-            assert row.poll_tax_us <= row.total_us + 1e-9
+            assert sum(row.poll_tax_by_rail.values()) <= row.total_us + 1e-9
 
     def test_node_filter(self, traced):
         all_rows = lifecycle_report(traced)
@@ -143,7 +142,6 @@ class TestHandBuiltOverlap:
         assert len(rows) == 1
         row = rows[0]
         assert row.poll_tax_by_rail == pytest.approx({"myri10g": 4.0, "qsnet2": 3.0})
-        assert row.poll_tax_us == pytest.approx(7.0)
         assert row.queue_us == pytest.approx(4.0)
         assert row.wire_us == pytest.approx(16.0)
         assert row.total_us == pytest.approx(20.0)
@@ -164,7 +162,6 @@ class TestHandBuiltOverlap:
         reqs = {0: [_request(0, 10.0, 11.0, 12.0)]}  # poll ends as it starts
         rows = lifecycle_report(_FakeSession(spans, reqs), node_id=0)
         assert rows[0].poll_tax_by_rail == {}
-        assert rows[0].poll_tax_us == 0.0
 
     def test_lifecycle_table_exact_cells(self):
         rows = lifecycle_report(self.make_session(), node_id=0)

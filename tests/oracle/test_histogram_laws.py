@@ -7,9 +7,9 @@ for any sequence of observations and any split of it into batches — by
 ``observe``, by the direct append a hot path makes, by an explicit
 ``fold`` or by a reader — every reading is the reference's, bit for bit:
 ``counts``, ``count``, ``total`` (the same left-to-right float sum, not
-``sum()``, which compensates on 3.12), ``vmin`` / ``vmax`` (the first of
-equal extremes: ``1`` vs ``1.0``, ``0.0`` vs ``-0.0``), ``quantile``,
-``snapshot`` and ``merge_inplace``.
+``sum()``, which compensates on 3.12), the snapshot's ``min`` / ``max``
+(the first of equal extremes: ``1`` vs ``1.0``, ``0.0`` vs ``-0.0``),
+the rest of ``snapshot`` and ``merge_inplace``.
 
 A NaN has no bucket (the reference put it in the first one and let it
 poison ``total`` and, arriving first, both extremes): the batched
@@ -59,22 +59,6 @@ class Reference:
             self.vmin = self.vmax = value
         self.count += 1
 
-    def quantile(self, q):
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for i, c in enumerate(self.counts):
-            if not c:
-                continue
-            if seen + c >= rank:
-                lo = self.vmin if i == 0 else max(self.edges[i - 1], self.vmin)
-                hi = self.vmax if i == len(self.edges) else min(self.edges[i], self.vmax)
-                fraction = (rank - seen) / c
-                return min(max(lo + (hi - lo) * fraction, self.vmin), self.vmax)
-            seen += c
-        return self.vmax
-
     def merge(self, other):
         for i, c in enumerate(other.counts):
             self.counts[i] += c
@@ -98,13 +82,11 @@ def assert_same(hist, ref):
     assert hist.counts == ref.counts
     assert hist.count == ref.count
     assert bits(hist.total) == bits(ref.total)
-    assert (hist.vmin is None) == (ref.vmin is None)
-    if ref.vmin is not None:
-        assert bits(hist.vmin) == bits(ref.vmin)
-        assert bits(hist.vmax) == bits(ref.vmax)
-    for q in (0.0, 0.1, 0.5, 0.9, 0.99, 1.0):
-        assert bits(hist.quantile(q)) == bits(ref.quantile(q))
     snap = hist.snapshot()
+    assert (snap["min"] is None) == (ref.vmin is None)
+    if ref.vmin is not None:
+        assert bits(snap["min"]) == bits(ref.vmin)
+        assert bits(snap["max"]) == bits(ref.vmax)
     assert snap["counts"] == ref.counts and snap["count"] == ref.count
     assert bits(snap["total"]) == bits(ref.total)
     assert snap["edges"] == list(ref.edges)
@@ -212,10 +194,12 @@ def test_first_of_equal_extremes_stays():
     for v in (1, 1.0, 0.0, -0.0):
         hist.pending.append(v)
     hist.fold()
-    assert bits(hist.vmax) == bits(1) and bits(hist.vmin) == bits(0.0)
+    snap = hist.snapshot()
+    assert bits(snap["max"]) == bits(1) and bits(snap["min"]) == bits(0.0)
     hist.observe(-0.0)
     hist.observe(1.0)
-    assert bits(hist.vmax) == bits(1) and bits(hist.vmin) == bits(0.0)
+    snap = hist.snapshot()
+    assert bits(snap["max"]) == bits(1) and bits(snap["min"]) == bits(0.0)
 
 
 def test_a_full_batch_folds_itself():

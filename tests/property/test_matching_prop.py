@@ -39,8 +39,7 @@ def test_nth_send_always_matches_nth_receive(scenario):
                 delivered[len(requests) - 1] = outcome.payload.data
         else:
             seq = next(arrivals)
-            matched = table.match_eager(0, 1, seq, Payload.of(bytes([seq])))
-            if matched is not None:
+            for matched, _, _ in table.arrive(0, 1, seq, "eager", payload=Payload.of(bytes([seq]))):
                 delivered[matched.seq] = bytes([seq])
     # every message delivered to the request with the same index
     assert len(delivered) == n

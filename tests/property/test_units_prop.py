@@ -48,4 +48,4 @@ def test_rail_sample_fit_recovers_linear_model(overhead, bw, sizes):
     assert math.isclose(sample.bw_MBps, bw, rel_tol=1e-6)
     assert math.isclose(sample.overhead_us, overhead, rel_tol=1e-4, abs_tol=1e-6)
     for s, t in points:
-        assert math.isclose(sample.predict_us(s), t, rel_tol=1e-9, abs_tol=1e-6)
+        assert math.isclose(sample.overhead_us + s / sample.bw_MBps, t, rel_tol=1e-9, abs_tol=1e-6)

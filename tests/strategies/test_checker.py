@@ -55,7 +55,7 @@ def test_checker_catches_oversized_wrapper(plat2):
 
         def try_and_commit(self, engine, driver):
             pw = super().try_and_commit(engine, driver)
-            if pw is not None and pw.data_entries:
+            if pw is not None and pw.data_count:
                 pw.add(EagerEntry(tag=99, seq=0, payload=Payload.virtual(64 * KB)))
             return pw
 

@@ -7,6 +7,8 @@ from pathlib import Path
 from repro.core.strategies import available_strategies, strategy_class
 
 DESIGN = Path(__file__).resolve().parents[1] / "DESIGN.md"
+#: DESIGN.md may shrink, never grow: a change that adds a section takes one out
+DESIGN_MAX_LINES = 1321
 
 
 def _section(text, heading):
@@ -37,3 +39,7 @@ def test_design_strategy_table_names_each_constructor_option():
     for name, row in rows:
         named = set(re.findall(r"`(\w+)=", row))
         assert named == set(inspect.signature(strategy_class(name)).parameters), name
+
+
+def test_design_stays_within_its_line_budget():
+    assert len(DESIGN.read_text().splitlines()) <= DESIGN_MAX_LINES

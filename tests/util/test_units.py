@@ -10,7 +10,6 @@ from repro.util.units import (
     PAPER_LATENCY_SIZES,
     bandwidth_MBps,
     format_size,
-    format_time_us,
     geometric_sizes,
     parse_size,
 )
@@ -59,13 +58,6 @@ class TestFormatSize:
     def test_roundtrip(self):
         for n in [1, 4, 100, 4096, 32 * KB, 8 * MB]:
             assert parse_size(format_size(n)) == n
-
-
-class TestFormatTime:
-    def test_ranges(self):
-        assert format_time_us(12.3456) == "12.35us"
-        assert format_time_us(12345.6) == "12.35ms"
-        assert format_time_us(3.2e6) == "3.200s"
 
 
 class TestBandwidth:
