@@ -57,11 +57,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "platform_hash",
         ),
         ".compare": ("CompareReport", "Delta", "compare_records", "delta_table"),
-        ".openmetrics": (
-            "render_openmetrics",
-            "parse_openmetrics",
-            "validate_openmetrics",
-        ),
+        ".openmetrics": ("render_openmetrics",),
         ".metrics": (
             "Counter",
             "Gauge",

@@ -1,6 +1,8 @@
 """Unit tests for payloads, packet wrappers and control entries."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.packet import (
     DmaChunk,
@@ -74,8 +76,29 @@ class TestPayload:
 
     @pytest.mark.parametrize("off,length", [(-1, 2), (0, 7), (5, 2)])
     def test_slice_out_of_range(self, off, length):
-        with pytest.raises(ProtocolError):
-            Payload.of(b"abcdef").slice(off, length)
+        for payload in (Payload.of(b"abcdef"), Payload.virtual(6)):
+            with pytest.raises(ProtocolError):
+                payload.slice(off, length)
+
+    @given(
+        size=st.integers(0, 64),
+        offset=st.integers(-4, 80),
+        length=st.integers(-4, 80),
+    )
+    def test_a_slice_is_inside_its_payload_or_refused(self, size, offset, length):
+        """Real and virtual alike: ``[offset, offset + length)`` inside
+        ``[0, size)`` is a payload of ``length`` bytes, anything else a
+        ``ProtocolError``."""
+        real = Payload.of(bytes(i % 256 for i in range(size)))
+        for payload in (real, Payload.virtual(size)):
+            if offset < 0 or length < 0 or offset + length > size:
+                with pytest.raises(ProtocolError):
+                    payload.slice(offset, length)
+                continue
+            part = payload.slice(offset, length)
+            assert part.size == length and part.is_virtual == payload.is_virtual
+            if not part.is_virtual:
+                assert part.data == real.data[offset : offset + length]
 
     def test_equality(self):
         assert Payload.of(b"x") == Payload.of(b"x")

@@ -104,3 +104,43 @@ def test_single_rail_platform_with_workers_still_serializes_per_nic(mt_plat):
         segments=2,
     ).one_way_us
     assert with_w == pytest.approx(base, rel=0.25)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_worker_is_claimed_from_the_end_of_the_post(plat2, workers):
+    """The descriptor post runs on the pump, so an offloaded copy holds its
+    worker for ``[post end, post end + copy)``; at most ``pio_workers``
+    such windows overlap."""
+    spec = dataclasses.replace(plat2, host=plat2.host.replace(pio_workers=workers))
+    session = Session(spec, strategy="greedy")
+    engine = session.engine(0)
+    asked, claims = [], []
+
+    def asking(cost_parts):
+        def recording(pw):
+            post, copy = cost_parts(pw)
+            asked.append((session.sim.now + post, copy))
+            return post, copy
+
+        return recording
+
+    for driver in engine.drivers:
+        driver.eager_cost_parts = asking(driver.eager_cost_parts)
+    claim = engine.host.try_claim_pio_worker
+
+    def claiming(start, duration):
+        claimed = claim(start, duration)
+        if claimed:
+            claims.append(((start, duration), asked[-1]))
+        return claimed
+
+    engine.host.try_claim_pio_worker = claiming
+    for i in range(24):
+        session.interface(1).irecv(0, i)
+        session.interface(0).isend(1, i, (2 + i % 4) * 2 * KB)
+    session.run_until_idle()
+    assert claims, "no copy was offloaded"
+    assert all(claimed == (post_end, copy) for claimed, (post_end, copy) in claims)
+    windows = [(start, start + copy) for _, (start, copy) in claims]
+    overlap = max(sum(s <= t < e for s, e in windows) for t, _ in windows)
+    assert overlap <= workers

@@ -3,8 +3,18 @@
 import pytest
 
 from repro import Session, paper_platform
-from repro.mpi import Communicator, allreduce, barrier, bcast, gather, reduce
+from repro.mpi import (
+    Communicator,
+    allreduce,
+    barrier,
+    bcast,
+    gather,
+    multilane_barrier,
+    nic_barrier,
+    reduce,
+)
 from repro.mpi.collectives import decode_value, encode_value
+from repro.sim.process import Timeout
 from repro.util.errors import ApiError
 
 
@@ -40,19 +50,29 @@ def test_decode_garbage_rejected():
         decode_value(Payload.virtual(8))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+#: ranks enter a barrier this many microseconds apart
+STAGGER_US = 5.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 64])
 def test_barrier_all_ranks_release(n):
-    session = make_session(n)
-    comm = Communicator(session)
-    release_times = run_ranks(
-        session, comm, lambda ep: _timed_barrier(ep, session)
-    )
-    assert len(release_times) == n
+    """No rank leaves a barrier before the last rank has entered it (the
+    property Yu et al. define a barrier by): rank r enters at r x
+    ``STAGGER_US``, so every rank leaves at ``(n - 1) x STAGGER_US`` or
+    later — for each of the three barriers."""
+    for algo in (barrier, multilane_barrier, nic_barrier):
+        session = make_session(n)
+        comm = Communicator(session)
 
+        def staggered(ep, algo=algo, session=session):
+            yield Timeout(ep.rank * STAGGER_US)
+            yield from algo(ep)
+            return session.sim.now
 
-def _timed_barrier(ep, session):
-    yield from barrier(ep)
-    return session.sim.now
+        release_times = run_ranks(session, comm, staggered)
+        assert sorted(release_times) == list(range(n))
+        first_out = min(release_times.values())
+        assert first_out >= (n - 1) * STAGGER_US, (algo.__name__, first_out)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7])

@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 
 from repro import Session, run_pingpong
+from repro.core.scheduler import NodeEngine
 from repro.obs import SCHEMA, Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.metrics import render_labels
-from repro.util.units import MB
+from repro.sim.process import Timeout
+from repro.util.units import KB, MB
 
 from . import instruments_capture
 
@@ -223,6 +225,44 @@ class TestEngineMetrics:
         assert hists and sum(h.count for h in hists) > 0
         for h in hists:
             assert sum(h.counts) == h.count
+
+    @pytest.mark.parametrize("size", [4 * KB, 256 * KB])
+    def test_a_commit_latency_lies_inside_its_request(self, plat2, monkeypatch, size):
+        """Each commit latency the pump records is never negative and never
+        longer than its request lived (``completed_at - submitted_at``).
+        A commit may stamp several requests, so each commit's latencies
+        must fit its requests' lifetimes one to one, smallest to smallest.
+        The sends start well after t = 0, eager at 4 KB and rendezvous at
+        256 KB."""
+        session = Session(plat2, strategy="aggreg_multirail")
+        sends, recorded = [], []
+        stamp = NodeEngine._stamp_first_commits
+
+        def stamping(engine, pw, rail_idx, now):
+            pending = engine._inst.commit_latency_us[rail_idx].pending
+            before, unstamped = len(pending), [r for r in sends if r.first_commit_at is None]
+            stamp(engine, pw, rail_idx, now)
+            stamped = [r for r in unstamped if r.first_commit_at is not None]
+            recorded.append((pending[before:], stamped))
+
+        monkeypatch.setattr(NodeEngine, "_stamp_first_commits", stamping)
+
+        def sender():
+            yield Timeout(250.0)
+            for tag in range(12):
+                sends.append(session.interface(0).isend(1, tag, size))
+                yield Timeout(3.0)
+
+        for tag in range(12):
+            session.interface(1).irecv(0, tag)
+        session.spawn(sender())
+        session.run_until_idle()
+        assert all(r.done for r in sends)
+        assert sum(len(stamped) for _, stamped in recorded) == len(sends)
+        for values, stamped in recorded:
+            lifetimes = sorted(r.completed_at - r.submitted_at for r in stamped)
+            assert len(values) == len(stamped)
+            assert all(0 <= v <= life for v, life in zip(sorted(values), lifetimes))
 
     def test_snapshot_round_trips_to_plain_data(self, session2):
         import json

@@ -4,11 +4,8 @@ import pytest
 
 from repro import Session, run_pingpong
 from repro.obs import MetricsRegistry, render_openmetrics
-from repro.obs.openmetrics import (
-    parse_openmetrics,
-    sanitize_name,
-    validate_openmetrics,
-)
+from repro.obs.openmetrics import sanitize_name
+from tests.obs.openmetrics_parse import parse_openmetrics, validate_openmetrics
 
 
 def _snapshot_scalars(snapshot):

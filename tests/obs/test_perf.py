@@ -223,7 +223,7 @@ class TestCli:
         assert main(["bench", "compare", str(path), str(path), "--gate"]) == 0
 
     def test_metrics_openmetrics_round_trip(self, capsys):
-        from repro.obs.openmetrics import validate_openmetrics
+        from tests.obs.openmetrics_parse import validate_openmetrics
 
         assert main(["metrics", "-f", "openmetrics"]) == 0
         text = capsys.readouterr().out

@@ -6,12 +6,12 @@ import urllib.request
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.obs.openmetrics import validate_openmetrics
 from repro.obs.server import (
     OPENMETRICS_CONTENT_TYPE,
     LiveMetricsServer,
     MetricsPublisher,
 )
+from tests.obs.openmetrics_parse import validate_openmetrics
 
 
 def _get(url):

@@ -23,7 +23,6 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HERE = os.path.relpath(os.path.abspath(__file__), ROOT).replace(os.sep, "/")
 
-_CI = ".github/workflows/ci.yml"
 _RECORDS = ("CHANGES.md", "ROADMAP.md", "bench_results")
 #: the code, its tests and benchmarks, and the documents that describe it
 _CODE_AND_DOCS = (
@@ -35,44 +34,44 @@ _CODE_AND_DOCS = (
 DELETED = [
     # one flow allocator: the vector one and its selector
     (("REPRO_SIM_FLOWS", "flows_vec", "--flows"),
-     None, ("CHANGES.md", "hostbench", _CI)),
+     None, ("CHANGES.md", "hostbench")),
     # the calendar event core; the event-log tracer
     (("calendar_queue", "CalendarSimulator", "NULL_TRACER"),
-     None, (*_RECORDS, _CI)),
+     None, _RECORDS),
     # one span pipeline; bench records hold simulated results only
     ((r"repro\.trace", r"from \.+trace", "wall_clock_s", "record_wall_clock",
       "--wall-reps", "--wall-tol", r"obs\.history"),
-     None, (*_RECORDS, "hostbench", _CI)),
+     None, (*_RECORDS, "hostbench")),
     # one loop over the bench suites; one figure table
     (("run_sweep_parallel", "run_engine_suite", "run_figure_suite",
       "run_scale_suite", "run_adaptive_suite", "def fig2a", "_plan_fig"),
-     None, (*_RECORDS, "hostbench", _CI)),
+     None, (*_RECORDS, "hostbench")),
     # one analysis over spans: no causal graph, no lifecycle report
     (("CausalGraph", "CausalEvent", "build_graph", r"obs\.report",
       "RequestLifecycle", "publish_critical_path", r"critpath\.", r"sim\.resources"),
-     None, (*_RECORDS, "hostbench", _CI)),
+     None, (*_RECORDS, "hostbench")),
     # no gate objects: a sequence number per (peer, tag) on the engine
     ((r"class Gate\b", r"\.gates\b", "note_submit", "next_seq"),
-     None, (*_RECORDS, "hostbench", _CI)),
+     None, (*_RECORDS, "hostbench")),
     # no numpy under src/
     (("import numpy", r"np\.polyfit"), ("src",), ()),
     # one wire for faulted and fault-free runs
     (("transmit_eager", "_deliver_eager", r"_attach\b"),
-     None, (*_RECORDS, "hostbench", _CI)),
+     None, (*_RECORDS, "hostbench")),
     # wrappers from the driver; one owner per count; no strategy-file copies
     (("make_pw", "segments_packed", "splits_done", "whole_sends",
       r"strategies/greedy\.py", r"strategies/aggreg\.py"),
-     None, (*_RECORDS, "hostbench", _CI)),
+     None, (*_RECORDS, "hostbench")),
     # the send request is the segment; a match is a plain tuple
     ((r"class Segment\b", "MatchAction", "_action_for"),
-     None, (*_RECORDS, _CI)),
+     None, _RECORDS),
     # an idle pump parks in its own frame
     (("_pump_parked", "_pump_woke"),
-     None, (*_RECORDS, _CI)),
+     None, _RECORDS),
     # the adaptive pair: one epoch clock, one record per rail, no knobs
     (("_advance_epochs", "_refreeze", "_publish_ratios", "DEFAULT_CANDIDATES",
       "DEFAULT_EPOCH_US", r"\.last_end_us", r"\.refreezes"),
-     None, (*_RECORDS, _CI)),
+     None, _RECORDS),
     # one owner per fact: no unread tally, no second home for a pin or a cost
     (("commit_rails", "inline_poll", r"[Ss]trategy\.rails\b",
       r"\brx_packets\b", r"\btx_eager_(packets|bytes)\b", r"\btx_dma_(transfers|bytes)\b",

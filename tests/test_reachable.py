@@ -10,8 +10,7 @@ are the code that runs without a test asking for it:
   imports, ``__all__`` and its ``lazy_exports`` table: a re-export is not
   a caller;
 * every Python file under ``examples/``, ``benchmarks/`` and
-  ``hostbench/``;
-* the words of ``.github/workflows/ci.yml``.
+  ``hostbench/``.
 
 A unit is *reached* when a root or a reached unit reads its name: an
 ``ast.Name``, ``ast.Attribute`` or import alias, or a string shaped like a
@@ -51,9 +50,7 @@ ALLOWED = {
 
 _SRC = "src/repro/"
 _ROOT_DIRS = ("examples/", "benchmarks/", "hostbench/")
-_CI = ".github/workflows/ci.yml"
 _IDENT = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
-_WORD = re.compile(r"[A-Za-z_]\w*")
 
 
 def _string_annotations(node):
@@ -162,9 +159,7 @@ def _parse(files):
     """``(units, root reads)`` of ``files``, ``(path, text)`` pairs."""
     units, roots = [], set()
     for path, text in files:
-        if path == _CI:
-            roots.update(_WORD.findall(text))
-        elif path.endswith(".py") and path.startswith(_ROOT_DIRS):
+        if path.endswith(".py") and path.startswith(_ROOT_DIRS):
             roots |= _reads(ast.parse(text, path))
         elif path.endswith(".py") and path.startswith(_SRC):
             tree = ast.parse(text, path)
@@ -237,7 +232,7 @@ def unused_imports(files):
 def _load(root, paths):
     """``(path, text)`` of the files among ``paths`` the gate reads."""
     for path in paths:
-        if path == _CI or (path.endswith(".py") and path.startswith((_SRC, *_ROOT_DIRS))):
+        if path.endswith(".py") and path.startswith((_SRC, *_ROOT_DIRS)):
             try:
                 with open(os.path.join(root, path), encoding="utf-8") as f:
                     yield path, f.read()
@@ -314,7 +309,6 @@ def test_a_public_def_with_no_caller_is_reported(tmp_path):
 @pytest.mark.parametrize("path, text", [
     ("examples/demo.py", "from repro.mod import orphan\norphan()\n"),
     ("hostbench/tracer.py", 'TARGETS = ("repro.mod.orphan",)\n'),
-    (_CI, "run: |\n  python - <<'EOF'\n  from repro.mod import orphan; orphan()\n  EOF\n"),
 ])
 def test_a_caller_outside_the_tests_reaches_it(tmp_path, path, text):
     files = _tree(tmp_path, {"src/repro/mod.py": _PLANTED, path: text})
