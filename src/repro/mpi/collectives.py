@@ -1,31 +1,31 @@
 """Point-to-point collective algorithms over :class:`CommEndpoint`.
 
-Classic algorithms, implemented as generator functions to ``yield from``
-inside a rank's process:
+Generator functions to ``yield from`` inside a rank's process.  Each
+shape is written once:
 
-* :func:`barrier` — dissemination barrier, ⌈log2 P⌉ rounds;
-* :func:`bcast` — binomial tree rooted anywhere;
-* :func:`gather` — linear gather to the root;
-* :func:`reduce` / :func:`allreduce` — binomial-tree reduce (+ bcast for
-  allreduce) over float values with an arbitrary associative operator;
-* :func:`multilane_allreduce` / :func:`multilane_barrier` — multi-lane
-  decompositions (Träff, arXiv:1910.13373): the vector splits into
-  contiguous lane chunks that run concurrent, independently-rooted
-  reduce+bcast trees, giving the engine parallel traffic to spread
-  across the rails;
-* :func:`nic_barrier` — k-ary combining-tree barrier in the style of the
-  NIC-based barriers of Yu et al. (arXiv:cs/0402027).
+* the binomial reduce :func:`_vec_reduce`; :func:`reduce` is its
+  one-element call;
+* reduce then bcast, :func:`_lane_allreduce`; :func:`allreduce` is its
+  one-element call at root 0;
+* the dissemination ring :func:`_lane_barrier`, ⌈log2 P⌉ rounds;
+  :func:`barrier` is that ring on its own tag;
+* the lane fan-out :func:`_fan_out`: :func:`multilane_allreduce` and
+  :func:`multilane_barrier` (Träff, arXiv:1910.13373) run one lane per
+  chunk as concurrent, independently-rooted child processes — parallel
+  traffic for the engine to spread across the rails.  One lane runs
+  inline, with no child.
 
-Scalar values travel as 8-byte IEEE doubles (:func:`encode_value`),
-vectors as packed double arrays (:func:`encode_vector`); byte payloads
-travel verbatim.  Collectives use reserved tags near the top of the user
-tag space so they never collide with application point-to-point traffic
-on the same communicator; each lane gets its own tag plane.
+:func:`bcast` is a binomial tree rooted anywhere; :func:`gather`,
+:func:`scatter` and :func:`alltoall` are linear, :func:`scan` a chain;
+:func:`nic_barrier` is a k-ary combining tree after the NIC-based
+barriers of Yu et al. (arXiv:cs/0402027).
 
-Every message is one request yielded as it is (a request is its own
-waitable), not an ``ep.send`` / ``ep.recv`` generator: a rank in flight
-holds its collective's frames and its pending requests, nothing per
-message besides.
+Scalars travel as 8-byte doubles (:func:`encode_value`, the same bytes
+as a one-element :func:`encode_vector`); byte payloads travel verbatim.
+Collectives use reserved tags at the top of the user tag space, one
+plane per lane.  Every message is one request yielded as it is (a
+request is its own waitable): a rank in flight holds its collective's
+frames and its pending requests, nothing per message besides.
 """
 
 from __future__ import annotations
@@ -101,17 +101,7 @@ def decode_vector(payload: Payload) -> list[float]:
 
 def barrier(ep: CommEndpoint):
     """Dissemination barrier: ``yield from barrier(ep)``."""
-    size, rank = ep.size, ep.rank
-    if size == 1:
-        return
-    k = 1
-    while k < size:
-        # send a token to rank + k, await one from rank - k (one peer at P=2)
-        yield AllOf([
-            ep.isend(b"\x00", (rank + k) % size, TAG_BARRIER),
-            ep.irecv((rank - k) % size, TAG_BARRIER),
-        ])
-        k *= 2
+    yield from _lane_barrier(ep, TAG_BARRIER)
 
 
 def bcast(
@@ -240,23 +230,8 @@ def reduce(
     root: int = 0,
 ):
     """Binomial-tree reduction of a scalar; the root returns the result."""
-    size = ep.size
-    vrank = (ep.rank - root) % size
-    acc = float(value)
-    k = 1
-    while k < size:
-        if vrank & k:
-            # send partial result to the parent and leave the tree
-            parent = vrank & ~k
-            yield ep.isend(encode_value(acc), (parent + root) % size, TAG_REDUCE)
-            return None
-        child = vrank | k
-        if child < size:
-            req = ep.irecv((child + root) % size, TAG_REDUCE)
-            yield req
-            acc = op(acc, decode_value(req.payload))
-        k *= 2
-    return acc
+    acc = yield from _vec_reduce(ep, [value], op, TAG_REDUCE, root)
+    return None if acc is None else acc[0]
 
 
 def allreduce(
@@ -265,17 +240,12 @@ def allreduce(
     op: Callable[[float, float], float] = lambda a, b: a + b,
 ):
     """Reduce to rank 0 then broadcast the result; every rank returns it."""
-    partial = yield from reduce(ep, value, op, root=0)
-    if ep.rank == 0:
-        payload = yield from bcast(ep, encode_value(partial), root=0)
-    else:
-        payload = yield from bcast(ep, None, root=0)
-    assert payload is not None
-    return decode_value(payload)
+    result = yield from _lane_allreduce(ep, [value], op, 0, TAG_REDUCE, TAG_BCAST)
+    return result[0]
 
 
 # --------------------------------------------------------------------- #
-# multi-lane collectives (Träff decomposition) + NIC-style barrier
+# the shapes, each written once; the multi-lane fan-out; the NIC barrier
 # --------------------------------------------------------------------- #
 def _resolve_lanes(ep: CommEndpoint, lanes: Optional[int], n_items: int) -> int:
     if lanes is None:
@@ -285,27 +255,15 @@ def _resolve_lanes(ep: CommEndpoint, lanes: Optional[int], n_items: int) -> int:
     return min(int(lanes), MAX_LANES, max(1, n_items))
 
 
-def _lane_bounds(n: int, lanes: int) -> list[tuple[int, int]]:
-    """Contiguous chunk boundaries: the first ``n % lanes`` lanes take one
-    extra element (the Träff layout)."""
-    base, extra = divmod(n, lanes)
-    bounds = []
-    lo = 0
-    for lane in range(lanes):
-        hi = lo + base + (1 if lane < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
-
-
 def _vec_reduce(
     ep: CommEndpoint,
     vec: Sequence[float],
     op: Callable[[float, float], float],
     tag: int,
-    root: int = 0,
+    root: int,
 ):
-    """Binomial-tree elementwise reduction of a vector to ``root``."""
+    """The binomial reduce: elementwise reduction of a vector to ``root``,
+    which returns it (every other rank returns None)."""
     size = ep.size
     vrank = (ep.rank - root) % size
     acc = [float(v) for v in vec]
@@ -329,19 +287,38 @@ def _vec_reduce(
     return acc
 
 
-def _lane_allreduce(ep, chunk, op, lane, out):
-    """One lane's allreduce (reduce to the lane root, then bcast); the
-    result lands in ``out[lane]`` so the parent can stitch lanes back."""
-    root = lane % ep.size
-    reduced = yield from _vec_reduce(ep, chunk, op, TAG_LANE_REDUCE - lane, root=root)
-    if ep.rank == root:
-        payload = yield from bcast(
-            ep, encode_vector(reduced), root=root, tag=TAG_LANE_BCAST - lane
-        )
-    else:
-        payload = yield from bcast(ep, None, root=root, tag=TAG_LANE_BCAST - lane)
-    assert payload is not None
-    out[lane] = decode_vector(payload)
+def _lane_allreduce(ep, chunk, op, root, reduce_tag, bcast_tag):
+    """Reduce then bcast: ``chunk`` reduced to ``root`` on ``reduce_tag``
+    and broadcast back on ``bcast_tag``; every rank returns the vector."""
+    reduced = yield from _vec_reduce(ep, chunk, op, reduce_tag, root)
+    payload = yield from bcast(
+        ep, None if reduced is None else encode_vector(reduced), root, bcast_tag
+    )
+    return decode_vector(payload)
+
+
+def _lane_barrier(ep: CommEndpoint, tag: int):
+    """The dissemination ring on ``tag``: in round k every rank sends a
+    token to rank + k and awaits one from rank - k, ⌈log2 P⌉ rounds."""
+    size, rank = ep.size, ep.rank
+    k = 1
+    while k < size:
+        # one peer at P=2
+        yield AllOf([
+            ep.isend(b"\x00", (rank + k) % size, tag),
+            ep.irecv((rank - k) % size, tag),
+        ])
+        k *= 2
+
+
+def _fan_out(ep: CommEndpoint, name: str, bodies: list) -> AllOf:
+    """Spawn one child process per lane body; yield the returned
+    :class:`AllOf` for the lanes' results, in lane order."""
+    sim = ep.iface.engine.sim
+    children = []
+    for lane, body in enumerate(bodies):
+        children.append(spawn(sim, body, name=f"{name}.lane{lane}.r{ep.rank}"))
+    return AllOf(children)
 
 
 def multilane_allreduce(
@@ -366,38 +343,24 @@ def multilane_allreduce(
     lanes = _resolve_lanes(ep, lanes, len(values))
     if ep.size == 1:
         return values
-    out: list[Optional[list[float]]] = [None] * lanes
     if lanes == 1:
-        yield from _lane_allreduce(ep, values, op, 0, out)
-    else:
-        # a loop, not a comprehension: one would cost a cell per local it reads
-        sim = ep.iface.engine.sim
-        children = []
-        for lane, (lo, hi) in enumerate(_lane_bounds(len(values), lanes)):
-            children.append(spawn(
-                sim,
-                _lane_allreduce(ep, values[lo:hi], op, lane, out),
-                name=f"allreduce.lane{lane}.r{ep.rank}",
-            ))
-        yield AllOf(children)
+        return (yield from _lane_allreduce(
+            ep, values, op, 0, TAG_LANE_REDUCE, TAG_LANE_BCAST
+        ))
+    # contiguous chunks, the first ``n % lanes`` one element longer (Träff's
+    # layout); a loop, not a comprehension: one would cost a cell per local
+    base, extra = divmod(len(values), lanes)
+    bodies, hi = [], 0
+    for lane in range(lanes):
+        lo, hi = hi, hi + base + (lane < extra)
+        bodies.append(_lane_allreduce(
+            ep, values[lo:hi], op, lane % ep.size,
+            TAG_LANE_REDUCE - lane, TAG_LANE_BCAST - lane,
+        ))
     result: list[float] = []
-    for chunk in out:
-        assert chunk is not None
+    for chunk in (yield _fan_out(ep, "allreduce", bodies)):
         result.extend(chunk)
     return result
-
-
-def _lane_barrier(ep: CommEndpoint, lane: int):
-    """One dissemination-barrier round set on lane ``lane``'s tag plane."""
-    size, rank = ep.size, ep.rank
-    tag = TAG_LANE_BARRIER - lane
-    k = 1
-    while k < size:
-        yield AllOf([
-            ep.isend(b"\x00", (rank + k) % size, tag),
-            ep.irecv((rank - k) % size, tag),
-        ])
-        k *= 2
 
 
 def multilane_barrier(ep: CommEndpoint, lanes: Optional[int] = None):
@@ -405,23 +368,21 @@ def multilane_barrier(ep: CommEndpoint, lanes: Optional[int] = None):
 
     Each lane is an independent dissemination barrier on its own tag
     plane; the barrier completes when every lane completes.  With one
-    lane this is exactly :func:`barrier`; with more, the concurrent
-    tokens give the engine simultaneous small messages to aggregate and
-    balance across rails (latency-driven rail selection, paper §2).
+    lane this is :func:`barrier` on the first lane plane; with more, the
+    concurrent tokens give the engine simultaneous small messages to
+    aggregate and balance across rails (latency-driven rail selection,
+    paper §2).
     """
     lanes = _resolve_lanes(ep, lanes, MAX_LANES)
     if ep.size == 1:
         return
     if lanes == 1:
-        yield from _lane_barrier(ep, 0)
+        yield from _lane_barrier(ep, TAG_LANE_BARRIER)
         return
-    sim = ep.iface.engine.sim
-    children = []
+    bodies = []
     for lane in range(lanes):
-        children.append(
-            spawn(sim, _lane_barrier(ep, lane), name=f"barrier.lane{lane}.r{ep.rank}")
-        )
-    yield AllOf(children)
+        bodies.append(_lane_barrier(ep, TAG_LANE_BARRIER - lane))
+    yield _fan_out(ep, "barrier", bodies)
 
 
 def nic_barrier(ep: CommEndpoint, arity: int = 4):

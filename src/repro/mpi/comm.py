@@ -2,8 +2,11 @@
 
 The paper's short-term plan was to port MPICH-Madeleine onto the
 multi-rail engine (§4); this module is the reproduction's stand-in: ranks,
-communicators with isolated tag spaces, blocking generator helpers, and
-(in :mod:`repro.mpi.collectives`) tree/dissemination collectives.
+communicators with isolated tag spaces, non-blocking ``isend`` / ``irecv``,
+and (in :mod:`repro.mpi.collectives`) tree/dissemination collectives.
+A request is its own waitable, so a rank's process blocks by yielding
+it: ``yield ep.isend(data, dest, tag)``, or ``req = ep.irecv(source,
+tag); yield req`` and then ``req.payload``.
 
 Because every communicator maps onto the *same* engines, segments from
 different communicators interleave in the engine's submission queues and
@@ -92,7 +95,6 @@ class CommEndpoint:
     def size(self) -> int:
         return self.comm.size
 
-    # -- non-blocking ------------------------------------------------------
     def isend(
         self, data: Union[bytes, bytearray, int, Payload], dest: int, tag: int = 0
     ) -> SendRequest:
@@ -104,19 +106,6 @@ class CommEndpoint:
         if source == self.rank:
             raise ApiError("self-receive is not supported")
         return self.iface.irecv(source, self.comm._core_tag(tag))
-
-    # -- blocking generator helpers (yield from inside a process) -----------
-    def send(self, data: Union[bytes, bytearray, int, Payload], dest: int, tag: int = 0):
-        """Blocking send: ``yield from ep.send(...)``."""
-        req = self.isend(data, dest, tag)
-        yield req.completion
-        return req
-
-    def recv(self, source: int, tag: int = 0):
-        """Blocking receive: ``payload = yield from ep.recv(...)``."""
-        req = self.irecv(source, tag)
-        yield req.completion
-        return req.payload
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<CommEndpoint rank={self.rank}/{self.size} comm={self.comm.name}>"

@@ -81,16 +81,23 @@ def test_data_integrity_with_offloaded_copies(mt_plat):
 
 
 def test_send_completion_waits_for_worker_copy(mt_plat):
-    """Offloaded sends must not report completion before the copy ends."""
+    """An offloaded send completes when the worker's copy ends: the
+    descriptor post runs on the pump from the commit, the copy after it,
+    at the costs the rail that carried the send quoted."""
     session = Session(mt_plat, strategy="greedy")
+    quoted = set()
+    for driver in session.engine(0).drivers:
+        def quoting(pw, name=driver.name, cost_parts=driver.eager_cost_parts):
+            parts = cost_parts(pw)
+            quoted.add((name, parts))
+            return parts
+
+        driver.eager_cost_parts = quoting
     req = session.interface(0).isend(1, 1, 8 * KB)
     session.run_until_idle()
-    assert req.done
-    post, copy = (
-        session.engine(0).drivers[1].spec.post_cost_us,
-        (8 * KB + 16) / session.engine(0).drivers[1].spec.pio_MBps,
-    )
-    assert req.elapsed_us >= copy
+    assert req.done and session.counters()["pio_offloads"] == 1
+    [(_, (post, copy))] = quoted  # one rail, one packet
+    assert req.completed_at == req.first_commit_at + post + copy
 
 
 def test_single_rail_platform_with_workers_still_serializes_per_nic(mt_plat):

@@ -231,10 +231,11 @@ def test_scan_prefix_sums(n):
 
         acc = float(ep.rank + 1)
         if ep.rank > 0:
-            payload = yield from ep.recv(ep.rank - 1, TAG_SCAN)
-            acc = decode_value(payload) + acc
+            req = ep.irecv(ep.rank - 1, TAG_SCAN)
+            yield req
+            acc = decode_value(req.payload) + acc
         if ep.rank + 1 < size:
-            yield from ep.send(encode_value(acc), ep.rank + 1, TAG_SCAN)
+            yield ep.isend(encode_value(acc), ep.rank + 1, TAG_SCAN)
         return acc
 
     results = run_ranks(session, comm, fn)

@@ -34,18 +34,23 @@ def test_endpoint_cached_and_validated(session):
 
 
 def test_blocking_send_recv(session):
+    """A yielded request resumes its process when the request completes."""
     comm = Communicator(session)
     got = {}
 
     def sender():
-        yield from comm.endpoint(0).send(b"payload", dest=1, tag=4)
+        req = comm.endpoint(0).isend(b"payload", dest=1, tag=4)
+        yield req
+        got["sent"] = (req.done, session.sim.now == req.completed_at)
 
     def receiver():
-        payload = yield from comm.endpoint(1).recv(source=0, tag=4)
-        got["data"] = payload.data
+        req = comm.endpoint(1).irecv(source=0, tag=4)
+        yield req
+        got["data"] = req.payload.data
+        got["received"] = (req.done, session.sim.now == req.completed_at)
 
     run_procs(session, sender(), receiver())
-    assert got["data"] == b"payload"
+    assert got == {"data": b"payload", "sent": (True, True), "received": (True, True)}
 
 
 def test_communicators_isolate_tags(session):
@@ -55,14 +60,17 @@ def test_communicators_isolate_tags(session):
     got = {}
 
     def sender():
-        yield comm_a.endpoint(0).isend(b"from A", 1, tag=7).completion
-        yield comm_b.endpoint(0).isend(b"from B", 1, tag=7).completion
+        yield comm_a.endpoint(0).isend(b"from A", 1, tag=7)
+        yield comm_b.endpoint(0).isend(b"from B", 1, tag=7)
 
     def receiver():
-        # post B's receive first: it must get B's message, not A's
-        payload_b = yield from comm_b.endpoint(1).recv(0, tag=7)
-        payload_a = yield from comm_a.endpoint(1).recv(0, tag=7)
-        got["a"], got["b"] = payload_a.data, payload_b.data
+        # post B's receive first and block on it: it must get B's message,
+        # not A's, which arrives first and waits unexpected
+        req_b = comm_b.endpoint(1).irecv(0, tag=7)
+        yield req_b
+        req_a = comm_a.endpoint(1).irecv(0, tag=7)
+        yield req_a
+        got["a"], got["b"] = req_a.payload.data, req_b.payload.data
 
     run_procs(session, sender(), receiver())
     assert got == {"a": b"from A", "b": b"from B"}

@@ -78,6 +78,11 @@ DELETED = [
       r"\bpackets_carried\b", r"\b(posted|unexpected|wildcard)_hits\b", r"\b_packed_total\b",
       r"\bdma_post_cost\b", r"[Dd]river\.wire_size\b"),
      _CODE_AND_DOCS, ()),
+    # a yielded request is the mpi layer's only wait; lane results are the
+    # fan-out's AllOf value, not a side list
+    ((r"def (send|recv)\(self", r"yield from \S+\.(send|recv)\(", r"\bep\.(send|recv)\b",
+      r"out\[lane\]"),
+     _CODE_AND_DOCS, ()),
 ]
 
 
