@@ -8,7 +8,8 @@ The package rebuilds the full stack the paper depends on:
   flow-level bandwidth sharing;
 * :mod:`repro.hardware` — hosts, NICs, I/O buses, rails (calibrated
   Myri-10G and Quadrics presets);
-* :mod:`repro.drivers` — the transmit layer (MX, Elan, SiSCI, TCP);
+* :mod:`repro.drivers` — the transmit layer: one driver per NIC, for
+  each of the five network APIs of §2 (Elan, GM-2, MX, SiSCI, TCP);
 * :mod:`repro.core` — the NewMadeleine engine: NIC-driven core scheduler,
   pluggable strategies (aggregation, greedy balancing, adaptive packet
   stripping), rendezvous, matching, init-time sampling;

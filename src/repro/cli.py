@@ -58,9 +58,8 @@ from .bench import scale as scale_mod
 from .core.sampling import sample_rails
 from .core.session import Session
 from .core.strategies import available_strategies
-from .drivers import available_drivers
 from .hardware.presets import PRESET_RAILS, paper_platform
-from .hardware.spec import PlatformSpec
+from .hardware.spec import DRIVER_APIS, PlatformSpec
 from .util.config import platform_from_json
 from .util.errors import BenchError, ConfigError, StrategyError
 from .util.units import format_size, parse_size
@@ -861,7 +860,7 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_list(args) -> int:
     print("strategies:", ", ".join(available_strategies()))
-    print("drivers:   ", ", ".join(available_drivers()))
+    print("drivers:   ", ", ".join(DRIVER_APIS))
     print("rails:")
     for name, rail in sorted(PRESET_RAILS.items()):
         print(

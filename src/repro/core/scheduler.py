@@ -4,7 +4,7 @@ This is the architectural heart of the paper (§2): request processing is
 disconnected from the API.  Application calls only enqueue segments; a
 per-node pump process runs in relationship with **NIC activity**:
 
-1. **poll phase** — every registered driver is polled (each poll costs
+1. **poll phase** — every rail's driver is polled (each poll costs
    CPU, even on rails carrying no traffic: that mandatory cost is the
    multi-rail latency penalty of Fig 6).  The pump counts and charges a
    poll of an empty queue itself and enters :meth:`Driver.poll` only for
@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Optional
 
-from ..drivers.registry import make_driver
+from ..drivers.base import Driver
 from ..obs.instruments import FOLD_AT
 from ..obs.metrics import Counters
 from ..obs.spans import TRACK_FAULTS, TRACK_PUMP
@@ -52,7 +52,6 @@ from .rendezvous import RdvManager
 from .request import RecvRequest, SendRequest
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..drivers.base import Driver
     from .session import Session
 
 __all__ = ["NodeEngine"]
@@ -76,8 +75,8 @@ class NodeEngine:
         #: the host's copy rate, read once: receive and aggregation copies
         #: cost ``bytes / memcpy_MBps`` µs
         self._memcpy_MBps = self.host.spec.memcpy_MBps
-        self.drivers: list["Driver"] = [
-            make_driver(self.platform, rail_index, node_id)
+        self.drivers: list[Driver] = [
+            Driver(self.platform, rail_index, node_id)
             for rail_index in range(self.platform.n_rails)
         ]
         #: commit/poll order: fastest (lowest-latency) rail first, so that

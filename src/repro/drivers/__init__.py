@@ -1,23 +1,5 @@
-"""Transmit layer: network drivers (MX, GM-2, Elan, SiSCI, TCP)."""
+"""Transmit layer: one :class:`Driver` per NIC, whatever API its rail speaks."""
 
 from .base import Driver
-from .elan import ElanDriver
-from .gm import GMDriver, MYRINET_2000
-from .mx import MXDriver
-from .registry import available_drivers, driver_class, make_driver, register_driver
-from .sisci import SisciDriver
-from .tcp import TCPDriver
 
-__all__ = [
-    "Driver",
-    "MXDriver",
-    "ElanDriver",
-    "GMDriver",
-    "MYRINET_2000",
-    "SisciDriver",
-    "TCPDriver",
-    "register_driver",
-    "driver_class",
-    "make_driver",
-    "available_drivers",
-]
+__all__ = ["Driver"]

@@ -5,7 +5,7 @@ behind three operations, mirroring the paper's Figure 1 (PIO/RDV/put-get
 tracks):
 
 * :meth:`poll` — progress the NIC; returns its per-sweep CPU cost and any
-  arrived packets.  The pump polls *every* registered driver on every
+  arrived packets.  The pump polls *every* rail's driver on every
   sweep — the cost of polling a rail you are not even using is the
   multi-rail penalty of Fig 6.
 * :meth:`post_eager` — emit a packet wrapper via programmed I/O.  The
@@ -26,8 +26,11 @@ along with the rail's detected ``health``) adds only its verdict on the
 packet when it leaves and when it lands; without one that is a single
 ``is None`` test per post and per launch.
 
-Concrete drivers (:mod:`repro.drivers.mx`, ``elan``, ``sisci``, ``tcp``)
-name the network API each preset rail speaks.
+One class serves every network API of the paper's §2 (Elan, GM-2, MX,
+SiSCI, TCP): which one a rail speaks is its ``RailSpec.driver``, checked
+against :data:`~repro.hardware.spec.DRIVER_APIS` where the platform is
+read, and what the strategies observe of it — latency, bandwidth, PIO
+threshold, poll and post costs — are the rail's other spec fields.
 """
 
 from __future__ import annotations
@@ -50,10 +53,7 @@ _NO_PACKETS: Sequence[Any] = ()
 
 
 class Driver:
-    """Base transmit-layer driver bound to one NIC of one node."""
-
-    #: short name of the low-level API this driver speaks.
-    api_name = "generic"
+    """The transmit-layer driver bound to one NIC of one node."""
 
     def __init__(self, platform: "Platform", rail_index: int, node_id: int):
         self.platform = platform

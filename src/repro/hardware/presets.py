@@ -117,7 +117,7 @@ MYRINET_2000 = RailSpec(
 #: InfiniBand DDR 4x (for heterogeneous-mix experiments beyond the paper).
 IB_DDR = RailSpec(
     name="ibddr",
-    driver="mx",  # modelled with the MX-style driver personality
+    driver="mx",  # §2 lists no verbs driver: it speaks the MX API
     lat_us=1.90,
     bw_MBps=1500.0,
     pio_MBps=900.0,

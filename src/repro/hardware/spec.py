@@ -33,7 +33,12 @@ from typing import Any, Iterator, Mapping, Sequence
 
 from ..util.errors import ConfigError
 
-__all__ = ["TopologySpec", "RailSpec", "HostSpec", "PlatformSpec"]
+__all__ = ["DRIVER_APIS", "TopologySpec", "RailSpec", "HostSpec", "PlatformSpec"]
+
+#: the network APIs NewMadeleine has drivers for (§2): Quadrics Elan,
+#: Myricom GM-2 and MX, Dolphinics SiSCI and the legacy socket API; one
+#: :class:`~repro.drivers.base.Driver` serves them all.
+DRIVER_APIS = ("elan", "gm", "mx", "sisci", "tcp")
 
 #: upper bound on cluster size — far above any workload here; catches the
 #: obvious misconfiguration (a byte count passed where a node count goes).
@@ -157,7 +162,7 @@ class TopologySpec:
 
 @dataclass(frozen=True)
 class RailSpec:
-    """One network rail (a NIC model + its driver personality)."""
+    """One network rail: a NIC model and the driver API it speaks."""
 
     name: str
     driver: str
@@ -186,6 +191,11 @@ class RailSpec:
         if not self.name:
             raise ConfigError("rail name must be non-empty")
         _require_finite(self, f"rail {self.name}")
+        if self.driver not in DRIVER_APIS:
+            raise ConfigError(
+                f"rail {self.name}: unknown driver {self.driver!r};"
+                f" choose from {', '.join(DRIVER_APIS)}"
+            )
         if self.lat_us < 0:
             raise ConfigError(f"rail {self.name}: negative latency")
         for attr in ("bw_MBps", "pio_MBps"):

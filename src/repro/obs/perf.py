@@ -253,7 +253,7 @@ def load_record(path: str) -> BenchRecord:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise BenchError(f"cannot read bench record {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise BenchError(f"bench record {path} is not valid JSON: {exc}") from exc

@@ -170,8 +170,9 @@ BAD_COMMAND_LINES = [
 _QSNET2 = '{"preset": "qsnet2"}'
 _MYRI = '{"rails": [{"preset": "myri10g", "overrides": %s}, ' + _QSNET2 + "]}"
 #: hand-written platform files: name → (document, the field the one line
-#: names).  At the parent the first six were tracebacks and the last two
-#: ran and printed a result (``2.7`` on 2 nodes).
+#: names).  Before the spec checked its fields the first six were
+#: tracebacks and the next two ran and printed a result (``2.7`` on 2
+#: nodes); an unknown driver API was a traceback from the engine build.
 HOSTILE_PLATFORMS = {
     "string-number": (_MYRI % '{"bw_MBps": "fast"}', "bw_MBps must be a number"),
     "unknown-override": (_MYRI % '{"nope": 1}', "unknown field 'nope'"),
@@ -184,6 +185,7 @@ HOSTILE_PLATFORMS = {
     "top-level-list": ("[1, 2]", "platform must be a mapping"),
     "string-node-count": ('{"n_nodes": "2", "rails": [%s]}' % _QSNET2, "n_nodes"),
     "float-node-count": ('{"n_nodes": 2.7, "rails": [%s]}' % _QSNET2, "n_nodes"),
+    "unknown-driver": (_MYRI % '{"driver": "verbs"}', "unknown driver 'verbs'"),
 }
 BAD_COMMAND_LINES += [
     ["--platform", f"hostile:{name}", "pingpong"] for name in HOSTILE_PLATFORMS
@@ -224,6 +226,15 @@ def test_non_finite_platform_value_is_one_line_and_exit_2(override, capsys, tmp_
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert "must be a finite number" in captured.err and captured.out == ""
+
+
+def test_non_utf8_platform_file_is_one_line_and_exit_2(capsys, tmp_path):
+    config = tmp_path / "platform.json"
+    config.write_bytes(b"\xff\xfe")
+    assert main(["--platform", str(config), "pingpong"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert f"cannot read platform config {config}" in captured.err and captured.out == ""
 
 
 def test_sample_command(capsys):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.packet import DmaChunk, EagerEntry, PacketWrapper, Payload
-from repro.drivers import make_driver
+from repro.drivers import Driver
 from repro.hardware import Platform
 from repro.hardware.presets import paper_platform
 from repro.sim import Simulator
@@ -17,12 +17,12 @@ def platform():
 
 @pytest.fixture()
 def mx(platform):
-    return make_driver(platform, 0, 0)
+    return Driver(platform, 0, 0)
 
 
 @pytest.fixture()
 def elan(platform):
-    return make_driver(platform, 1, 0)
+    return Driver(platform, 1, 0)
 
 
 def wrapper(payload_size, rail_index=0, dst=1):
@@ -43,8 +43,8 @@ class TestCapabilities:
         assert elan.latency_us < mx.latency_us
 
     def test_names(self, mx, elan):
-        assert mx.name == "myri10g" and mx.api_name == "mx"
-        assert elan.name == "qsnet2" and elan.api_name == "elan"
+        assert mx.name == "myri10g" and mx.spec.driver == "mx"
+        assert elan.name == "qsnet2" and elan.spec.driver == "elan"
 
 
 class TestPoll:

@@ -12,6 +12,7 @@ from repro.mpi import (
     multilane_barrier,
     nic_barrier,
     reduce,
+    scan,
 )
 from repro.mpi.collectives import decode_value, encode_value
 from repro.sim.process import Timeout
@@ -211,41 +212,15 @@ def test_alltoall_wrong_length():
         run_ranks(session, comm, fn)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_scan_prefix_sums(n):
-    from repro.mpi import scan
-
-    session = make_session(max(n, 2))
+    session = make_session(n)
     comm = Communicator(session)
-    active = n
-
-    def fn(ep):
-        if ep.rank >= active:
-            return None
-        value = yield from _scan_sub(ep, active)
-        return value
-
-    def _scan_sub(ep, size):
-        # run scan over the first `size` ranks only (chain algorithm)
-        from repro.mpi.collectives import TAG_SCAN, decode_value, encode_value
-
-        acc = float(ep.rank + 1)
-        if ep.rank > 0:
-            req = ep.irecv(ep.rank - 1, TAG_SCAN)
-            yield req
-            acc = decode_value(req.payload) + acc
-        if ep.rank + 1 < size:
-            yield ep.isend(encode_value(acc), ep.rank + 1, TAG_SCAN)
-        return acc
-
-    results = run_ranks(session, comm, fn)
-    for r in range(n):
-        assert results[r] == pytest.approx((r + 1) * (r + 2) / 2)
+    results = run_ranks(session, comm, lambda ep: scan(ep, float(ep.rank + 1)))
+    assert results == {r: (r + 1) * (r + 2) / 2 for r in range(n)}
 
 
 def test_scan_full_comm():
-    from repro.mpi import scan
-
     session = make_session(4)
     comm = Communicator(session)
     results = run_ranks(session, comm, lambda ep: scan(ep, float(ep.rank)))
@@ -253,8 +228,6 @@ def test_scan_full_comm():
 
 
 def test_scan_with_max_op():
-    from repro.mpi import scan
-
     session = make_session(3)
     comm = Communicator(session)
     values = {0: 5.0, 1: 2.0, 2: 9.0}

@@ -214,6 +214,14 @@ class TestCli:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert str(path) in captured.err and field in captured.err
 
+    def test_bench_compare_non_utf8_record_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "BENCH_bad.json"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["bench", "compare", str(path), str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert f"cannot read bench record {path}" in captured.err
+
     def test_bench_compare_ignores_unknown_record_keys(self, tmp_path, small_record):
         # the committed baseline carries a key this version no longer reads
         path = tmp_path / "BENCH_old.json"
