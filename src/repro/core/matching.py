@@ -7,6 +7,12 @@ send on a logical channel always matches the nth receive, no matter how
 packets were aggregated, split, reordered across rails, or delivered out
 of order.
 
+A channel is one int on both sides, ``tag * n_nodes + peer``: with
+``0 <= peer < n_nodes`` and ``tag >= 0`` it is injective (``divmod(chan,
+n_nodes)`` gives back ``(tag, peer)``), and a dict of int keys and int
+values is never tracked by the cyclic collector, where a dict of
+``(peer, tag)`` tuples is.
+
 Three arrival-vs-post races are handled:
 
 * receive posted first (the common ping-pong case);
@@ -46,7 +52,7 @@ __all__ = ["MatchingTable", "PostOutcome", "ANY_SOURCE"]
 ANY_SOURCE = -1
 
 Key = tuple[int, int, int]  # (peer node, tag, seq)
-Chan = tuple[int, int]  # (peer node, tag)
+Chan = int  # tag * n_nodes + peer node
 #: one match an arrival produced, a plain tuple ``(request, payload, rdv)``:
 #: deliver ``payload`` to ``request`` when ``rdv`` is None, else accept the
 #: rendezvous ``rdv`` from ``request.peer`` (the request's ``peer`` and
@@ -92,9 +98,15 @@ class _Arrival:
 
 
 class MatchingTable:
-    """Per-node receive matching state."""
+    """Per-node receive matching state.
 
-    def __init__(self) -> None:
+    ``n_nodes`` bounds the peers it hears from (node ids ``0 ..
+    n_nodes - 1``), which keeps the channel key injective; the default
+    fits a table that hears from node 0 only.
+    """
+
+    def __init__(self, n_nodes: int = 1) -> None:
+        self._n_nodes = n_nodes
         self._posted: dict[Key, RecvRequest] = {}
         self._recv_seq: dict[Chan, int] = {}
         #: unconsumed arrivals by exact key (the unexpected queue)
@@ -155,21 +167,26 @@ class MatchingTable:
         """An in-order arrival becomes visible to both matching paths (the
         wildcard one unless the tag's first receive ruled wildcards out)."""
         self._parked[arrival.key] = arrival
-        if self._mode.get(arrival.tag) != "exact":
-            self._ready.setdefault(arrival.tag, deque()).append(arrival)
+        tag = arrival.tag
+        if self._mode.get(tag) != "exact":
+            queue = self._ready.get(tag)
+            if queue is None:
+                queue = self._ready[tag] = deque()
+            queue.append(arrival)
 
-    def _advance_cursor(self, arrival: _Arrival) -> None:
-        """Record an in-order arrival and release any stashed successors."""
-        chan = (arrival.peer, arrival.tag)
-        self._cursor[chan] = arrival.seq + 1
+    def _advance_cursor(self, chan: Chan, arrival: _Arrival) -> None:
+        """Record an in-order arrival and release any stashed successors;
+        a stash emptied here goes with its last entry."""
+        cursor = arrival.seq + 1
         self._park(arrival)
         stash = self._stash.get(chan)
-        while stash:
-            nxt = stash.pop(self._cursor[chan], None)
-            if nxt is None:
-                break
-            self._cursor[chan] = nxt.seq + 1
-            self._park(nxt)
+        if stash is not None:
+            while (nxt := stash.pop(cursor, None)) is not None:
+                cursor += 1
+                self._park(nxt)
+            if not stash:
+                del self._stash[chan]
+        self._cursor[chan] = cursor
 
     def _pop_ready(self, tag: int) -> Optional[_Arrival]:
         queue = self._ready.get(tag)
@@ -211,10 +228,9 @@ class MatchingTable:
             return self._post_wildcard(tag, request)
         if self._mode.get(tag) != "exact":
             self._set_mode(tag, "exact")
-        chan = (peer, tag)
+        chan = tag * self._n_nodes + peer
         seq = self._recv_seq.get(chan, 0)
         self._recv_seq[chan] = seq + 1
-        request.seq = seq
         key = (peer, tag, seq)
         arrival = self._parked.get(key)
         stash = self._stash.get(chan)
@@ -223,13 +239,15 @@ class MatchingTable:
             arrival = stash.get(seq)
         if arrival is not None:
             self._consume(arrival)
-            if stash:
-                stash.pop(seq, None)
+            request.seq = arrival.seq  # the sender's int, not an equal copy
+            if stash and stash.pop(seq, None) is not None and not stash:
+                del self._stash[chan]
             if arrival.kind == "eager":
                 return PostOutcome("eager", payload=arrival.payload)
             return PostOutcome("rdv", rdv=arrival.rdv, rdv_src=arrival.peer)
         if key in self._posted:  # pragma: no cover - counter makes this impossible
             raise MatchingError(f"duplicate posted receive for {key}")
+        request.seq = seq
         self._posted[key] = request
         return _POSTED
 
@@ -244,7 +262,10 @@ class MatchingTable:
             if arrival.kind == "eager":
                 return PostOutcome("eager", payload=arrival.payload)
             return PostOutcome("rdv", rdv=arrival.rdv, rdv_src=arrival.peer)
-        self._any_posted.setdefault(tag, deque()).append(request)
+        queue = self._any_posted.get(tag)
+        if queue is None:
+            queue = self._any_posted[tag] = deque()
+        queue.append(request)
         return _POSTED
 
     # ------------------------------------------------------------------ #
@@ -267,7 +288,7 @@ class MatchingTable:
         fills the gap the channel cursor was stuck on.
         """
         key = (peer, tag, seq)
-        chan = (peer, tag)
+        chan = tag * self._n_nodes + peer
         stash = self._stash.get(chan)
         if key in self._parked or (stash and seq in stash):
             raise MatchingError(f"duplicate arrival for {key}")
@@ -275,15 +296,19 @@ class MatchingTable:
         #    the common case, which never needs an _Arrival record
         request = self._posted.pop(key, None)
         if request is not None:
-            # posted for exactly this key: peer and seq are already right
+            # posted for exactly this key: peer and seq are already right,
+            # and the seq becomes the sender's int (the request's is freed)
+            request.seq = seq
             return [(request, payload, rdv)]
         # 2. in-order bookkeeping for the wildcard path
         arrival = _Arrival(peer, tag, seq, kind, payload, rdv)
         cursor = self._cursor.get(chan, 0)
         if seq == cursor:
-            self._advance_cursor(arrival)
+            self._advance_cursor(chan, arrival)
         elif seq > cursor:
-            self._stash.setdefault(chan, {})[seq] = arrival
+            if stash is None:
+                stash = self._stash[chan] = {}
+            stash[seq] = arrival
         else:
             raise MatchingError(f"arrival {key} repeats a delivered sequence")
         # 3. waiting wildcard receives drain whatever just became eligible

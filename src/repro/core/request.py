@@ -126,7 +126,8 @@ class SendRequest(Request):
     into several chunks.  ``peer`` is the destination node and ``seq`` the
     segment's number on its ``(peer, tag)`` channel: a **gate** —
     NewMadeleine's connection to one peer — has no object here, only one
-    counter per channel on each side (``NodeEngine._seq_out`` for sends,
+    counter per channel on each side, keyed by the int ``tag * n_nodes +
+    peer`` (``NodeEngine._seq_out`` for sends,
     :class:`~repro.core.matching.MatchingTable` for receives), and the nth
     send on a channel matches the nth receive, which is what makes
     out-of-order multi-rail delivery safe.

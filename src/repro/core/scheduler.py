@@ -85,11 +85,11 @@ class NodeEngine:
             range(len(self.drivers)), key=lambda i: self.drivers[i].latency_us
         )
         self.strategy = strategy
-        self.matching = MatchingTable()
+        self.matching = MatchingTable(self._n_nodes)
         self.rdv = RdvManager(self)
-        #: next send sequence number per ``(peer, tag)`` channel, from its
-        #: first submit (the mirror of ``MatchingTable._recv_seq``)
-        self._seq_out: dict[tuple[int, int], int] = {}
+        #: next send sequence number per channel ``tag * n_nodes + peer``,
+        #: from its first submit (the mirror of ``MatchingTable._recv_seq``)
+        self._seq_out: dict[int, int] = {}
         self.counters = Counters()
         #: hot-path instruments, one set per session (sweeps, polls, commits
         #: and parks are counted by their owners, the bag and the drivers)
@@ -143,7 +143,7 @@ class NodeEngine:
             raise ApiError(f"node {self.node_id}: send to self is not supported")
         if not 0 <= dst_node < self._n_nodes:
             raise ApiError(f"no such node {dst_node}")
-        chan = (dst_node, tag)
+        chan = tag * self._n_nodes + dst_node
         seq = self._seq_out.get(chan, 0)
         self._seq_out[chan] = seq + 1
         size = payload.size

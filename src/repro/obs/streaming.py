@@ -279,20 +279,31 @@ def load_span_stream(path: str) -> SpanRecorder:
     rec = SpanRecorder(enabled=False)
     try:
         with open(path) as fh:
-            header = json.loads(fh.readline())
+            header = _stream_object(path, 1, fh.readline())
             schema = header.get("schema")
             if schema != STREAM_SCHEMA_VERSION:
                 raise SpanError(
                     f"{path}: unsupported span stream schema {schema!r}"
                     f" (want {STREAM_SCHEMA_VERSION!r})"
                 )
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rec.spans.append(Span.from_dict(json.loads(line)))
-    except OSError as exc:
+            for n, line in enumerate(fh, start=2):
+                if line.strip():
+                    span = _stream_object(path, n, line)
+                    try:
+                        rec.spans.append(Span.from_dict(span))
+                    except KeyError as exc:
+                        raise SpanError(f"{path}:{n}: span lacks field {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpanError(f"cannot read span stream {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpanError(f"{path} is not a valid span stream: {exc}") from exc
     rec.spans.sort(key=lambda s: s.sid)
     return rec
+
+
+def _stream_object(path: str, n: int, line: str) -> dict[str, Any]:
+    """Line ``n`` of a span stream as the JSON object it must be."""
+    doc = json.loads(line)
+    if not isinstance(doc, dict):
+        raise SpanError(f"{path}:{n}: expected a JSON object, got {type(doc).__name__}")
+    return doc

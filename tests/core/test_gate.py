@@ -5,7 +5,8 @@ from repro.core.packet import Payload
 
 
 def test_seq_monotonic_per_tag():
-    """Send sequence numbers count per (peer, tag) channel, from zero."""
+    """Send sequence numbers count per (peer, tag) channel, from zero, in
+    a table keyed by the one int ``tag * n_nodes + peer``."""
     engine = Session(paper_platform(n_nodes=3), strategy="aggreg").engine(0)
 
     def submit(peer, tag):
@@ -15,5 +16,5 @@ def test_seq_monotonic_per_tag():
     assert submit(1, 6) == 0  # independent channel: another tag
     assert submit(2, 5) == 0  # independent channel: another peer
     assert submit(1, 5) == 3
-    assert engine._seq_out == {(1, 5): 4, (1, 6): 1, (2, 5): 1}
+    assert engine._seq_out == {5 * 3 + 1: 4, 6 * 3 + 1: 1, 5 * 3 + 2: 1}
 

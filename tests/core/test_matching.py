@@ -10,6 +10,9 @@ from repro.core.request import RecvRequest
 from repro.sim import Simulator
 from repro.util.errors import MatchingError
 
+#: peers are node ids 0 .. N_NODES - 1
+N_NODES = 4
+
 
 @pytest.fixture()
 def sim():
@@ -31,7 +34,7 @@ def matched(matches):
 
 class TestPostFirst:
     def test_posted_then_matched(self, sim):
-        table = MatchingTable()
+        table = MatchingTable(N_NODES)
         r = req(sim)
         outcome = table.post_recv(0, 1, r)
         assert outcome.kind == "posted"
@@ -40,14 +43,14 @@ class TestPostFirst:
         assert table.posted_count == 0
 
     def test_sequence_numbers_assigned_in_post_order(self, sim):
-        table = MatchingTable()
+        table = MatchingTable(N_NODES)
         reqs = [req(sim) for _ in range(3)]
         for r in reqs:
             table.post_recv(0, 1, r)
         assert [r.seq for r in reqs] == [0, 1, 2]
 
     def test_channels_are_independent(self, sim):
-        table = MatchingTable()
+        table = MatchingTable(N_NODES)
         r_a = req(sim, peer=0, tag=1)
         r_b = req(sim, peer=0, tag=2)
         r_c = req(sim, peer=1, tag=1)
@@ -56,8 +59,25 @@ class TestPostFirst:
         assert (r_a.seq, r_b.seq, r_c.seq) == (0, 0, 0)
         assert matched(table.arrive(0, 2, 0, "eager", payload=Payload.of(b"x"))) == [r_b]
 
+    def test_a_delivered_receive_shares_its_senders_seq(self, sim):
+        """Posted first or parked first, a matched receive holds the
+        arrival's seq int, not an equal copy of its own (ints above 256
+        are not cached, so a kept receive would hold one more)."""
+        table = MatchingTable(N_NODES)
+        for _ in range(300):
+            table.post_recv(0, 1, req(sim))
+        posted, parked = req(sim), req(sim)
+        table.post_recv(0, 1, posted)
+        seq = int("300")  # a fresh object, as a packet's would be
+        assert matched(table.arrive(0, 1, seq, "eager", payload=Payload.of(b"x"))) == [posted]
+        assert posted.seq is seq
+        late = int("301")
+        assert table.arrive(0, 1, late, "eager", payload=Payload.of(b"y")) == []
+        assert table.post_recv(0, 1, parked).kind == "eager"
+        assert parked.seq is late
+
     def test_out_of_order_arrival_matches_by_seq(self, sim):
-        table = MatchingTable()
+        table = MatchingTable(N_NODES)
         r0, r1 = req(sim), req(sim)
         table.post_recv(0, 1, r0)
         table.post_recv(0, 1, r1)
@@ -68,7 +88,7 @@ class TestPostFirst:
 
 class TestArriveFirst:
     def test_unexpected_then_posted(self, sim):
-        table = MatchingTable()
+        table = MatchingTable(N_NODES)
         assert table.arrive(0, 1, 0, "eager", payload=Payload.of(b"early")) == []
         assert table.unexpected_count == 1
         outcome = table.post_recv(0, 1, req(sim))
@@ -77,13 +97,13 @@ class TestArriveFirst:
         assert table.unexpected_count == 0
 
     def test_duplicate_unexpected_rejected(self, sim):
-        table = MatchingTable()
+        table = MatchingTable(N_NODES)
         table.arrive(0, 1, 0, "eager", payload=Payload.of(b"x"))
         with pytest.raises(MatchingError):
             table.arrive(0, 1, 0, "eager", payload=Payload.of(b"x"))
 
     def test_rdv_then_posted(self, sim):
-        table = MatchingTable()
+        table = MatchingTable(N_NODES)
         r = rdv(tag=1, seq=0)
         assert table.arrive(0, 1, 0, "rdv", rdv=r) == []
         assert table.pending_rdv_count == 1
@@ -92,13 +112,13 @@ class TestArriveFirst:
         assert outcome.rdv is r and outcome.rdv_src == 0
 
     def test_posted_then_rdv(self, sim):
-        table = MatchingTable()
+        table = MatchingTable(N_NODES)
         r = req(sim)
         table.post_recv(0, 1, r)
         assert matched(table.arrive(0, 1, 0, "rdv", rdv=rdv())) == [r]
 
     def test_duplicate_rdv_rejected(self, sim):
-        table = MatchingTable()
+        table = MatchingTable(N_NODES)
         table.arrive(0, 1, 0, "rdv", rdv=rdv(req_id=1))
         with pytest.raises(MatchingError):
             table.arrive(0, 1, 0, "rdv", rdv=rdv(req_id=2))  # same (peer, tag, seq)
@@ -122,7 +142,7 @@ class TestConsumedArrivalsAreDropped:
     def test_exact_tag_keeps_no_consumed_arrival(self, sim):
         """Arrive-then-post on a specific-source tag used to leave every
         arrival in the wildcard ready queue, which nothing ever popped."""
-        table = MatchingTable()
+        table = MatchingTable(N_NODES)
         for seq in range(1000):
             assert table.arrive(0, 2, seq, "eager", Payload.virtual(8)) == []
             assert table.post_recv(0, 2, req(sim, tag=2)).kind == "eager"
@@ -130,7 +150,7 @@ class TestConsumedArrivalsAreDropped:
         assert table.unexpected_count == 0
 
     def test_arrivals_before_the_first_post_serve_either_discipline(self, sim):
-        exact, wild = MatchingTable(), MatchingTable()
+        exact, wild = MatchingTable(N_NODES), MatchingTable(N_NODES)
         for table in (exact, wild):
             for seq in range(3):
                 table.arrive(0, 2, seq, "eager", Payload.of(bytes([seq])))
@@ -141,7 +161,7 @@ class TestConsumedArrivalsAreDropped:
         assert arrivals_held(exact) == [] and arrivals_held(wild) == []
 
     def test_out_of_order_arrivals_on_an_exact_tag_are_dropped_too(self, sim):
-        table = MatchingTable()
+        table = MatchingTable(N_NODES)
         table.post_recv(0, 2, req(sim, tag=2))
         table.arrive(0, 2, 0, "eager", Payload.virtual(1))  # matches the post
         for seq in (3, 2, 1):  # stashed, then released in order by seq 1

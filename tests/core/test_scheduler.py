@@ -43,8 +43,11 @@ class TestSubmissionApi:
         engine = session.engine(0)
         assert engine._seq_out == {}
         engine.submit(1, 0, Payload.virtual(1))
-        assert engine._seq_out == {(1, 0): 1}
-        assert engine.counters["segments_submitted"] == 1
+        engine.submit(1, 2, Payload.virtual(1))
+        engine.submit(1, 2, Payload.virtual(1))
+        n = session.n_nodes  # a channel is ``tag * n_nodes + peer``
+        assert engine._seq_out == {0 * n + 1: 1, 2 * n + 1: 2}
+        assert engine.counters["segments_submitted"] == 3
 
 
 class TestPumpBehaviour:

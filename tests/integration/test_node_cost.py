@@ -9,17 +9,21 @@ session still alive: collector-tracked objects per node and
 Eight ``multilane_allreduce`` + one ``multilane_barrier`` on
 ``rail_optimized_platform(P)``, per node (objects / KB):
 
-    ======  ==============  ===========
-    P       parent (PR 21)  this tree
-    ======  ==============  ===========
-    64      85.6 / 22.1     51.1 / 12.7
-    256     90.3 / 23.4     50.3 / 13.1
-    1024    96.1 / 27.0     50.5 / 15.9
-    ======  ==============  ===========
+    ======  ===========  ==================  ================
+    P       state built  ``(peer, tag)``     one int channel
+            up front     channel keys        key (this tree)
+    ======  ===========  ==================  ================
+    64      85.6 / 22.1  48.3 / 12.4         48.2 / 11.5
+    256     90.3 / 23.4  47.3 / 12.8         47.2 / 11.6
+    1024    96.1 / 27.0  47.5 / 15.5         47.5 / 13.1
+    ======  ===========  ==================  ================
 
-(native core; the heap core reads within 0.5 KB.)  The step at P = 1024 is
-one dict resize: 26 channels per node outgrow a 32-slot table.  The
-ceilings sit 10 % above the P = 256 row.
+(native core, CPython 3.11; the heap core reads within 0.6 KB.)  An int
+channel key holds no tuple and no private copy of the peer's int, and a
+dict of ints is not tracked; the step at P = 1024 is one dict resize on
+each side: 26 channels per node outgrow a 32-slot table
+(``checks/test_node_cost_p1024.py`` gates that row).  The object ceiling
+sits 17 % above the P = 256 row, the byte ceiling 7 %, under the tuple keys.
 """
 
 import gc
@@ -37,7 +41,7 @@ from repro.sim import flows
 from repro.sim.backend import available_backends
 
 OBJECTS_PER_NODE = 55.5
-BYTES_PER_NODE = 14_500
+BYTES_PER_NODE = 12_400
 
 
 def _collectives(n_nodes, backend):

@@ -86,6 +86,31 @@ class TestWindow:
         with pytest.raises(SpanError, match="schema"):
             load_span_stream(str(path))
 
+    def test_load_refuses_a_file_that_is_not_utf8_in_one_line(self, tmp_path):
+        path = tmp_path / "binary.jsonl"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(SpanError, match="cannot read span stream") as info:
+            load_span_stream(str(path))
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("lines", [
+        ["[1]"],
+        [json.dumps({"schema": STREAM_SCHEMA_VERSION}), "[1]"],
+        [json.dumps({"schema": STREAM_SCHEMA_VERSION}), "7"],
+    ])
+    def test_load_refuses_a_line_that_is_not_an_object_in_one_line(self, tmp_path, lines):
+        path = tmp_path / "list.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SpanError, match=f":{len(lines)}: expected a JSON object") as info:
+            load_span_stream(str(path))
+        assert "\n" not in str(info.value)
+
+    def test_load_names_the_field_a_span_lacks(self, tmp_path):
+        path = tmp_path / "short.jsonl"
+        path.write_text(json.dumps({"schema": STREAM_SCHEMA_VERSION}) + '\n{"sid": 0}\n')
+        with pytest.raises(SpanError, match=":2: span lacks field 'node'"):
+            load_span_stream(str(path))
+
 
 class TestSampler:
     def test_rate_zero_drops_all_roots(self, tmp_path):

@@ -8,6 +8,9 @@ from repro.core.packet import Payload
 from repro.core.request import RecvRequest
 from repro.sim import Simulator
 
+#: peers are node ids 0 .. N_NODES - 1
+N_NODES = 3
+
 
 @st.composite
 def interleavings(draw):
@@ -26,7 +29,7 @@ def interleavings(draw):
 def test_nth_send_always_matches_nth_receive(scenario):
     n, order, arrival_order = scenario
     sim = Simulator()
-    table = MatchingTable()
+    table = MatchingTable(N_NODES)
     requests = []
     delivered = {}  # request index -> payload content
     arrivals = iter(arrival_order)
@@ -61,7 +64,7 @@ def test_channels_never_cross(channel_sequence):
     """Posting and arriving across multiple (peer, tag) channels keeps
     sequence counters fully independent."""
     sim = Simulator()
-    table = MatchingTable()
+    table = MatchingTable(N_NODES)
     per_channel_posts = {}
     for peer, tag in channel_sequence:
         req = RecvRequest(sim, peer, tag, -1)

@@ -89,6 +89,9 @@ DELETED = [
       "available_drivers", r"drivers\.registry", r"drivers\.(mx|gm|elan|sisci|tcp)\b",
       "api_name"),
      _CODE_AND_DOCS, ("tests/drivers/test_registry.py",)),
+    # a channel is one int, ``tag * n_nodes + peer``, on both sides
+    ((r"\bchan = \(", r"dict\[tuple\[int, int\], int\]", r"Chan = tuple"),
+     ("src/repro/core",), ()),
 ]
 
 
