@@ -176,9 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Chrome trace-event output file (open in Perfetto / chrome://tracing)",
     )
     t.add_argument(
-        "--jsonl", metavar="FILE", help="also dump raw spans as JSONL to FILE"
-    )
-    t.add_argument(
         "--no-report", action="store_true", help="skip the per-request latency report"
     )
     t.add_argument(
@@ -562,26 +559,17 @@ def _stream_summary(tracer) -> str:
 
 
 def _cmd_trace(args) -> int:
-    from .obs import (
-        lifecycle_report,
-        lifecycle_table,
-        poll_tax_by_rail,
-        write_chrome_trace,
-        write_jsonl,
-    )
+    from .obs import lifecycle_report, lifecycle_table, poll_tax_by_rail, write_chrome_trace
 
     tracer, session = _run_traced(args)
+    if tracer is not True:
+        tracer.close()  # what follows reads the spans back from the stream file
     try:
         n_events = write_chrome_trace(session, args.output)
-        n_lines = write_jsonl(session, args.jsonl) if args.jsonl else None
     except OSError as exc:
         print(f"cannot write trace: {exc}", file=sys.stderr)
         return 1
     sim = session.sim
-    stream_stats = None
-    if tracer is not True:
-        stream_stats = tracer.stats()
-        tracer.close()
     if args.json:
         import json
 
@@ -614,16 +602,11 @@ def _cmd_trace(args) -> int:
                 }
             ),
         }
-        if args.jsonl:
-            payload["trace"]["jsonl_path"] = args.jsonl
-            payload["trace"]["jsonl_records"] = n_lines
-        if stream_stats is not None:
-            payload["trace"]["stream"] = stream_stats
+        if tracer is not True:
+            payload["trace"]["stream"] = tracer.stats()
         print(json.dumps(payload, indent=1, sort_keys=True))
         return 0
     print(f"{args.output}: {n_events} span events (open in https://ui.perfetto.dev)")
-    if args.jsonl:
-        print(f"{args.jsonl}: {n_lines} JSONL span records")
     if tracer is not True:
         print(_stream_summary(tracer))
     print(

@@ -54,6 +54,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
+from ..util.config import read_json_objects
 from ..util.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -213,16 +214,6 @@ class FaultPlan:
         except (TypeError, ValueError) as exc:  # a missing or mistyped field
             raise ConfigError(f"malformed fault plan: {exc}") from None
 
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid fault-plan JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ConfigError("fault-plan JSON must be an object")
-        return cls.from_dict(data)
-
     def save(self, path: str) -> str:
         with open(path, "w") as fh:
             fh.write(self.to_json(indent=1) + "\n")
@@ -230,8 +221,11 @@ class FaultPlan:
 
     @classmethod
     def load(cls, path: str) -> "FaultPlan":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
+        ((where, data),) = read_json_objects(path, ConfigError)
+        try:
+            return cls.from_dict(data)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FaultPlan):

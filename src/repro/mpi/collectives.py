@@ -249,7 +249,7 @@ def allreduce(
 # --------------------------------------------------------------------- #
 def _resolve_lanes(ep: CommEndpoint, lanes: Optional[int], n_items: int) -> int:
     if lanes is None:
-        lanes = getattr(ep.iface.engine.platform, "n_rails", 1)
+        lanes = ep.iface.engine.platform.n_rails
     if lanes < 1:
         raise ApiError(f"need at least one lane, got {lanes}")
     return min(int(lanes), MAX_LANES, max(1, n_items))

@@ -101,13 +101,9 @@ class CommEndpoint:
     def isend(
         self, data: Union[bytes, bytearray, int, Payload], dest: int, tag: int = 0
     ) -> SendRequest:
-        if dest == self.rank:
-            raise ApiError("self-send is not supported")
         return self.iface.isend(dest, self.comm._core_tag(tag), data)
 
     def irecv(self, source: int, tag: int = 0) -> RecvRequest:
-        if source == self.rank:
-            raise ApiError("self-receive is not supported")
         return self.iface.irecv(source, self.comm._core_tag(tag))
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -11,8 +11,7 @@ The three pieces compose (see README "Observability"):
   and rendezvous handshakes;
 * :mod:`repro.obs.timeline` — text-mode summaries read from driver
   tallies and recorded spans (rail usage table, commit timeline, gantt);
-* :mod:`repro.obs.export` — Chrome-trace / Perfetto JSON and JSONL
-  serialization;
+* :mod:`repro.obs.export` — Chrome-trace / Perfetto JSON serialization;
 * :mod:`repro.obs.perf` / :mod:`repro.obs.compare` — the *across-run*
   layer: self-describing ``BENCH_*.json`` records of deterministic
   simulated results and the identity gate that diffs them against
@@ -71,8 +70,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "to_chrome_trace",
             "write_chrome_trace",
             "validate_chrome_trace",
-            "to_jsonl",
-            "write_jsonl",
         ),
         ".runner": ("resolve_jobs", "ordered_map"),
         ".critical_path": (

@@ -1,4 +1,4 @@
-"""Exporters: finished sessions → Chrome trace-event JSON / JSONL.
+"""Exporter: finished sessions → Chrome trace-event JSON.
 
 The Chrome trace-event format (the JSON flavour understood by Perfetto,
 ``chrome://tracing`` and speedscope) maps naturally onto the span model:
@@ -11,15 +11,14 @@ The Chrome trace-event format (the JSON flavour understood by Perfetto,
   ``dur`` — convenient, since the simulator's clock already runs in
   microseconds.
 
-JSONL export is one span per line (:meth:`repro.obs.spans.Span.to_dict`)
-for offline analysis with pandas/jq; the metrics snapshot rides along in
-the Chrome file's ``otherData``.
+The metrics snapshot rides along in the Chrome file's ``otherData``; raw
+spans, one per line, are the span stream of :mod:`repro.obs.streaming`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Iterable, TextIO, Union
+from typing import TYPE_CHECKING, Any, Union
 
 from .spans import SpanRecorder
 
@@ -30,8 +29,6 @@ __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
     "validate_chrome_trace",
-    "to_jsonl",
-    "write_jsonl",
 ]
 
 #: stable Chrome colour names per span category (Perfetto falls back
@@ -157,25 +154,3 @@ def validate_chrome_trace(doc: Any) -> list[str]:
             if not ev.get("name"):
                 problems.append(f"event {i}: missing name")
     return problems
-
-
-def to_jsonl(source: Union["Session", SpanRecorder]) -> Iterable[str]:
-    """Yield one JSON line per recorded (closed) span."""
-    for span in _recorder_of(source):
-        if not span.open:
-            yield json.dumps(span.to_dict())
-
-
-def write_jsonl(source: Union["Session", SpanRecorder], path_or_file: Union[str, TextIO]) -> int:
-    """Write spans as JSONL; returns the number of lines written."""
-    n = 0
-    if isinstance(path_or_file, str):
-        with open(path_or_file, "w") as fh:
-            for line in to_jsonl(source):
-                fh.write(line + "\n")
-                n += 1
-        return n
-    for line in to_jsonl(source):
-        path_or_file.write(line + "\n")
-        n += 1
-    return n

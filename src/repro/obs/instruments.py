@@ -49,7 +49,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (e.g. current backlog depth)."""
+    """A value that can go up and down (e.g. a rail's detected state)."""
 
     __slots__ = ("name", "labels", "value")
 

@@ -32,8 +32,9 @@ import sqlite3
 import time
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
+from ..util.config import read_json_objects
 from ..util.errors import BenchError, ConfigError
-from .log import EVENT_SCHEMA_VERSION, new_run_id, parse_events, read_json_objects
+from .log import EVENT_SCHEMA_VERSION, new_run_id, parse_events
 from .perf import POINT_KEY_FIELDS, SIM_FIELDS, point_key
 
 __all__ = ["LEDGER_SCHEMA_VERSION", "Ledger", "DEFAULT_LEDGER_PATH"]
@@ -247,7 +248,7 @@ class Ledger:
         dicts, or a saved report JSON path)."""
         git_sha, git_dirty = None, False
         if isinstance(report_or_cases, str):
-            ((_, doc),) = read_json_objects(report_or_cases)
+            ((_, doc),) = read_json_objects(report_or_cases, BenchError)
             cases = doc.get("cases", [])
             if not isinstance(cases, list) or not all(
                 isinstance(c, dict) and isinstance(c.get("digest", {}), dict) for c in cases
@@ -359,13 +360,13 @@ class Ledger:
         JSONL and fault-plan JSON are recognized by content, not name.
         """
         try:
-            with open(path) as fh:
+            with open(path, "rb") as fh:
                 first_line = fh.readline(4096)
-        except (OSError, UnicodeDecodeError) as exc:
+        except OSError as exc:
             raise BenchError(f"cannot read {path}: {exc}") from None
-        if f'"{EVENT_SCHEMA_VERSION}"' in first_line:
+        if f'"{EVENT_SCHEMA_VERSION}"'.encode() in first_line:
             return self.ingest_events(path, run_id=run_id)
-        ((_, doc),) = read_json_objects(path)
+        ((_, doc),) = read_json_objects(path, BenchError)
         schema = doc.get("schema")
         if isinstance(schema, str) and schema.startswith("repro.bench_record"):
             return [self.ingest_bench_record(path, run_id=run_id)]
@@ -375,9 +376,9 @@ class Ledger:
             from ..faults.plan import FaultPlan
 
             try:
-                FaultPlan.from_dict(doc)
+                FaultPlan.load(path)
             except ConfigError as exc:
-                raise BenchError(f"{path}: {exc}") from None
+                raise BenchError(str(exc)) from None
             rid = run_id or new_run_id()
             self._upsert_run(rid, "events")
             self.add_artifact(rid, "fault_plan", path)

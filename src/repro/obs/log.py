@@ -38,6 +38,7 @@ import time
 import uuid
 from typing import Any, Optional, TextIO
 
+from ..util.config import read_json_objects
 from ..util.errors import BenchError
 
 __all__ = [
@@ -48,7 +49,6 @@ __all__ = [
     "get_logger",
     "new_run_id",
     "parse_events",
-    "read_json_objects",
 ]
 
 #: bump when the event line layout changes incompatibly.
@@ -204,36 +204,10 @@ def get_logger(**bound: Any) -> EventLogger:
     return _LOGGER.bind(**bound) if bound else _LOGGER
 
 
-def read_json_objects(path: str, lines: bool = False) -> list[tuple[str, dict[str, Any]]]:
-    """The JSON object of a file — or, with ``lines``, one per non-blank
-    line — as ``(where, object)`` pairs, ``where`` naming the file (and
-    line).  Anything else is one :class:`BenchError` saying where: the
-    ledger's and the event log's readers all come through here."""
-    try:
-        with open(path) as fh:
-            texts = (
-                [(f"{path}:{i}", text) for i, text in enumerate(fh, start=1) if text.strip()]
-                if lines
-                else [(path, fh.read())]
-            )
-    except (OSError, UnicodeDecodeError) as exc:
-        raise BenchError(f"cannot read {path}: {exc}") from None
-    out = []
-    for where, text in texts:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise BenchError(f"{where}: invalid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise BenchError(f"{where}: expected a JSON object, got {type(doc).__name__}")
-        out.append((where, doc))
-    return out
-
-
 def parse_events(path: str) -> list[dict[str, Any]]:
     """Read an event-log JSONL file back into dicts (schema-checked)."""
     out: list[dict[str, Any]] = []
-    for where, record in read_json_objects(path, lines=True):
+    for where, record in read_json_objects(path, BenchError, lines=True):
         v = record.get("v")
         if v != EVENT_SCHEMA_VERSION:
             raise BenchError(

@@ -126,10 +126,6 @@ SCHEMA: dict[str, MetricSpec] = {
             buckets=_US_EDGES,
         ),
         MetricSpec(
-            "engine.backlog.depth", "gauge", "1",
-            "current strategy backlog of one node (last observed)",
-        ),
-        MetricSpec(
             "engine.heap_compactions", "counter", "1",
             "in-place event-heap rebuilds triggered by tombstone pressure"
             " (cancelled completion events piling up in the kernel heap)",

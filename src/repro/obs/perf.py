@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
+from ..util.config import read_json_objects
 from ..util.errors import BenchError
 
 __all__ = [
@@ -250,13 +251,7 @@ class BenchRecord:
 
 def load_record(path: str) -> BenchRecord:
     """Load a ``BENCH_*.json`` record from disk."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise BenchError(f"cannot read bench record {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BenchError(f"bench record {path} is not valid JSON: {exc}") from exc
+    ((_, data),) = read_json_objects(path, BenchError)
     try:
         return BenchRecord.from_dict(data)
     except BenchError as exc:

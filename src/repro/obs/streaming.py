@@ -37,6 +37,7 @@ import os
 import zlib
 from typing import Any, Iterator, Optional
 
+from ..util.config import read_json_objects
 from .spans import Span, SpanError, SpanRecorder
 
 __all__ = [
@@ -229,16 +230,7 @@ class StreamingTracer(SpanRecorder):
         if self.spilled:
             if self._fh is not None:
                 self._fh.flush()
-            with open(self.path) as fh:
-                first = True
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    if first:
-                        first = False
-                        continue  # schema header
-                    out.append(Span.from_dict(json.loads(line)))
+            out = load_span_stream(self.path).spans
         out.extend(self.spans)
         out.sort(key=lambda s: s.sid)
         return out
@@ -277,33 +269,17 @@ def load_span_stream(path: str) -> SpanRecorder:
     :class:`SpanRecorder` query; reopened streams are read-only.
     """
     rec = SpanRecorder(enabled=False)
-    try:
-        with open(path) as fh:
-            header = _stream_object(path, 1, fh.readline())
-            schema = header.get("schema")
-            if schema != STREAM_SCHEMA_VERSION:
-                raise SpanError(
-                    f"{path}: unsupported span stream schema {schema!r}"
-                    f" (want {STREAM_SCHEMA_VERSION!r})"
-                )
-            for n, line in enumerate(fh, start=2):
-                if line.strip():
-                    span = _stream_object(path, n, line)
-                    try:
-                        rec.spans.append(Span.from_dict(span))
-                    except KeyError as exc:
-                        raise SpanError(f"{path}:{n}: span lacks field {exc}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SpanError(f"cannot read span stream {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpanError(f"{path} is not a valid span stream: {exc}") from exc
+    objects = read_json_objects(path, SpanError, lines=True)
+    schema = objects[0][1].get("schema") if objects else None
+    if schema != STREAM_SCHEMA_VERSION:
+        raise SpanError(
+            f"{path}: unsupported span stream schema {schema!r}"
+            f" (want {STREAM_SCHEMA_VERSION!r})"
+        )
+    for where, span in objects[1:]:
+        try:
+            rec.spans.append(Span.from_dict(span))
+        except KeyError as exc:
+            raise SpanError(f"{where}: span lacks field {exc}") from None
     rec.spans.sort(key=lambda s: s.sid)
     return rec
-
-
-def _stream_object(path: str, n: int, line: str) -> dict[str, Any]:
-    """Line ``n`` of a span stream as the JSON object it must be."""
-    doc = json.loads(line)
-    if not isinstance(doc, dict):
-        raise SpanError(f"{path}:{n}: expected a JSON object, got {type(doc).__name__}")
-    return doc

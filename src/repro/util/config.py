@@ -27,7 +27,7 @@ from ..hardware.presets import PRESET_RAILS
 from ..hardware.spec import PlatformSpec
 from .errors import ConfigError
 
-__all__ = ["platform_from_dict", "platform_from_json"]
+__all__ = ["platform_from_dict", "platform_from_json", "read_json_objects"]
 
 
 def _expand_preset(entry: Any) -> Any:
@@ -62,11 +62,36 @@ def platform_from_dict(data: Mapping[str, Any]) -> PlatformSpec:
 
 def platform_from_json(path: str) -> PlatformSpec:
     """Load a platform config from a JSON file."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read platform config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    ((_, data),) = read_json_objects(path, ConfigError)
     return platform_from_dict(data)
+
+
+def read_json_objects(
+    path: str, error: type[Exception], lines: bool = False
+) -> list[tuple[str, dict[str, Any]]]:
+    """The JSON object of a file — or, with ``lines``, one per non-blank
+    line — as ``(where, object)`` pairs, ``where`` naming the file (and
+    line).  A file that cannot be opened or is not UTF-8, invalid JSON or
+    a document that is not an object is one ``error`` line saying where:
+    every JSON and JSONL file the program reads comes through here, each
+    reader passing the error class it raises (``ConfigError``,
+    ``BenchError``, ``SpanError``)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            texts = (
+                [(f"{path}:{i}", text) for i, text in enumerate(fh, start=1) if text.strip()]
+                if lines
+                else [(path, fh.read())]
+            )
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from None
+    out = []
+    for where, text in texts:
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise error(f"{where}: invalid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise error(f"{where}: expected a JSON object, got {type(doc).__name__}")
+        out.append((where, doc))
+    return out

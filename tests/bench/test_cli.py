@@ -182,7 +182,7 @@ HOSTILE_PLATFORMS = {
         "rail x: missing required field 'lat_us'",
     ),
     "unknown-host-field": ('{"host": {"zzz": 1}, "rails": [%s]}' % _QSNET2, "'zzz'"),
-    "top-level-list": ("[1, 2]", "platform must be a mapping"),
+    "top-level-list": ("[1, 2]", "expected a JSON object, got list"),
     "string-node-count": ('{"n_nodes": "2", "rails": [%s]}' % _QSNET2, "n_nodes"),
     "float-node-count": ('{"n_nodes": 2.7, "rails": [%s]}' % _QSNET2, "n_nodes"),
     "unknown-driver": (_MYRI % '{"driver": "verbs"}', "unknown driver 'verbs'"),
@@ -234,7 +234,7 @@ def test_non_utf8_platform_file_is_one_line_and_exit_2(capsys, tmp_path):
     assert main(["--platform", str(config), "pingpong"]) == 2
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-    assert f"cannot read platform config {config}" in captured.err and captured.out == ""
+    assert f"cannot read {config}" in captured.err and captured.out == ""
 
 
 def test_sample_command(capsys):
@@ -259,10 +259,12 @@ def test_flood_command(capsys):
 
 
 def test_trace_command(capsys, tmp_path):
+    from repro.obs import load_span_stream, to_chrome_trace
+
     trace = tmp_path / "fig6.json"
-    jsonl = tmp_path / "fig6.jsonl"
+    stream = tmp_path / "fig6.jsonl"
     assert main(
-        ["trace", "bench_fig6", "-o", str(trace), "--jsonl", str(jsonl)]
+        ["trace", "bench_fig6", "-o", str(trace), "--stream", str(stream)]
     ) == 0
     out = capsys.readouterr().out
     assert "span events" in out
@@ -270,7 +272,9 @@ def test_trace_command(capsys, tmp_path):
     assert "idle-poll tax" in out and "myri10g" in out
     doc = _valid_chrome_trace(trace)
     assert any(e["ph"] == "X" for e in doc["traceEvents"])
-    assert jsonl.read_text().strip()
+    # the span file reads back, to the trace written beside it
+    spans = load_span_stream(str(stream))
+    assert to_chrome_trace(spans)["traceEvents"] == doc["traceEvents"]
 
 
 def test_trace_no_report(capsys, tmp_path):

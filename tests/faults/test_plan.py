@@ -36,7 +36,7 @@ def test_plan_sorts_events_and_reports_rails():
     assert FaultPlan().empty
 
 
-def test_json_roundtrip_is_identity():
+def test_json_roundtrip_is_identity(tmp_path):
     plan = FaultPlan(
         [
             FaultEvent("down", 500.0, "myri10g", duration_us=400.0),
@@ -48,24 +48,27 @@ def test_json_roundtrip_is_identity():
         seed=42,
         detect_us=7.5,
     )
-    back = FaultPlan.from_json(plan.to_json())
+    back = FaultPlan.load(plan.save(str(tmp_path / "plan.json")))
     assert back == plan
     assert back.seed == 42 and back.detect_us == 7.5
 
 
-def test_default_detect_us_omitted_from_json():
+def test_default_detect_us_omitted_from_json(tmp_path):
     plan = FaultPlan([FaultEvent("drop", 1.0, "r", count=1)])
     assert "detect_us" not in plan.to_dict()
-    assert FaultPlan.from_json(plan.to_json()).detect_us == FaultPlan.DEFAULT_DETECT_US
+    back = FaultPlan.load(plan.save(str(tmp_path / "plan.json")))
+    assert back.detect_us == FaultPlan.DEFAULT_DETECT_US
 
 
-def test_unknown_json_fields_rejected():
+def test_unknown_json_fields_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown fault-event fields"):
         FaultPlan.from_dict(
             {"events": [{"kind": "drop", "at_us": 1.0, "rail": "r", "count": 1, "wat": 3}]}
         )
-    with pytest.raises(ConfigError, match="invalid fault-plan JSON"):
-        FaultPlan.from_json("{nope")
+    path = tmp_path / "plan.json"
+    path.write_text("{nope")
+    with pytest.raises(ConfigError, match="plan.json: invalid JSON"):
+        FaultPlan.load(str(path))
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -92,10 +92,11 @@ def test_tag_out_of_range(session):
 
 
 def test_self_send_rejected(session):
+    """A rank is its node: the engine's refusal is the one raised."""
     comm = Communicator(session)
-    with pytest.raises(ApiError):
+    with pytest.raises(ApiError, match="node 1: send to self is not supported"):
         comm.endpoint(1).isend(b"x", 1)
-    with pytest.raises(ApiError):
+    with pytest.raises(ApiError, match="node 1: receive from self is not supported"):
         comm.endpoint(1).irecv(1)
 
 

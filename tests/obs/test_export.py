@@ -1,4 +1,4 @@
-"""Round-trip tests of the Chrome trace-event and JSONL exporters."""
+"""Round-trip tests of the Chrome trace-event exporter."""
 
 import json
 
@@ -8,10 +8,8 @@ from repro import Session, run_pingpong
 from repro.obs import (
     SpanRecorder,
     to_chrome_trace,
-    to_jsonl,
     validate_chrome_trace,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.util.units import MB
 
@@ -89,20 +87,19 @@ class TestChromeTrace:
     def test_json_serializable(self, traced):
         json.dumps(to_chrome_trace(traced))
 
+    def test_a_span_stream_reads_back_to_the_same_trace(self, traced, tmp_path):
+        """The one span file: what a spilling tracer writes,
+        ``load_span_stream`` reads back to the same trace events."""
+        from repro import paper_platform
+        from repro.obs import StreamingTracer, load_span_stream
 
-class TestJsonl:
-    def test_write_and_parse(self, traced, tmp_path):
         path = str(tmp_path / "spans.jsonl")
-        n = write_jsonl(traced, path)
-        lines = open(path).read().splitlines()
-        assert len(lines) == n == len([s for s in traced.spans if not s.open])
-        rows = [json.loads(line) for line in lines]
-        assert all({"sid", "node", "track", "name", "cat", "t0", "t1"} <= set(r) for r in rows)
-
-    def test_to_jsonl_matches_spans(self, traced):
-        rows = [json.loads(line) for line in to_jsonl(traced)]
-        sids = [r["sid"] for r in rows]
-        assert len(sids) == len(set(sids))
+        with StreamingTracer(path, window=8) as tracer:
+            session = Session(paper_platform(), strategy="greedy", trace=tracer)
+            run_pingpong(session, 1 * MB, segments=2, reps=1, warmup=1)
+        assert tracer.spilled == len(traced.spans) > 8
+        events = to_chrome_trace(load_span_stream(path))["traceEvents"]
+        assert events == to_chrome_trace(traced.spans)["traceEvents"]
 
     def test_exporting_wrong_object_raises(self):
         with pytest.raises(TypeError):

@@ -1,6 +1,7 @@
 """Unit tests for the metrics registry (counters, gauges, histograms)."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -142,14 +143,14 @@ class TestRegistry:
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("engine.sweeps").add(2)
         b.counter("engine.sweeps").add(3)
-        b.gauge("engine.backlog.depth").set(7)
+        b.gauge("active.engines_built").set(7)
         ha = a.histogram("engine.window.depth")
         hb = b.histogram("engine.window.depth")
         ha.observe(1.0)
         hb.observe(100.0)
         a.merge_inplace(b)
         assert a.counter("engine.sweeps").value == 5
-        assert a.gauge("engine.backlog.depth").value == 7
+        assert a.gauge("active.engines_built").value == 7
         merged = a.histogram("engine.window.depth")
         assert merged.count == 2
         assert merged.snapshot()["min"] == 1.0 and merged.snapshot()["max"] == 100.0
@@ -174,6 +175,18 @@ class TestEngineMetrics:
         run_pingpong(session, 1 * MB, segments=2, reps=1)
         assert session.metrics.undeclared() == set()
         assert session.metrics.names() <= set(SCHEMA)
+
+    def test_every_declared_name_has_an_emitter(self):
+        """A ``SCHEMA`` name nothing emits is a dead metric: each one is in
+        the engines' instrument bundle or registered by its literal name."""
+        from repro.obs.metrics import EngineInstruments
+
+        src = Path(__file__).resolve().parents[2] / "src" / "repro"
+        text = "\n".join(path.read_text() for path in src.rglob("*.py"))
+        emitted = set(re.findall(r'\.(?:counter|gauge|histogram)\(\s*"([\w.]+)"', text))
+        emitted |= {name for _, _, name, _ in EngineInstruments._FAMILIES}
+        emitted |= {name for name, _ in EngineInstruments._ACTIVE}
+        assert set(SCHEMA) - emitted == set()
 
     def test_engine_bags_use_only_declared_counter_names(self, plat2):
         from repro import paper_platform, random_plan
@@ -273,7 +286,7 @@ class TestEngineMetrics:
         assert any(k.startswith("engine.sweeps") for k in snap)
 
     def test_gauge_set_and_add(self):
-        g = Gauge("engine.backlog.depth")
+        g = Gauge("active.engines_built")
         g.set(5)
         g.add(-2)
         assert g.value == 3

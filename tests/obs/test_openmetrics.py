@@ -28,10 +28,10 @@ class TestRender:
 
     def test_gauge_renders_bare(self):
         reg = MetricsRegistry()
-        reg.gauge("engine.backlog.depth").set(3)
+        reg.gauge("active.engines_built").set(3)
         text = render_openmetrics(reg)
-        assert "# TYPE repro_engine_backlog_depth gauge" in text
-        assert "\nrepro_engine_backlog_depth 3\n" in text
+        assert "# TYPE repro_active_engines_built gauge" in text
+        assert "\nrepro_active_engines_built 3\n" in text
 
     def test_labels_quoted_and_sorted(self):
         reg = MetricsRegistry()
@@ -85,7 +85,7 @@ class TestParseRoundTrip:
         reg = MetricsRegistry()
         reg.counter("engine.sweeps").add(11)
         reg.counter("engine.poll.idle_us", rail="myri10g").add(3.25)
-        reg.gauge("engine.backlog.depth").set(2)
+        reg.gauge("active.engines_built").set(2)
         families = parse_openmetrics(render_openmetrics(reg))
         assert families["repro_engine_sweeps"]["type"] == "counter"
         samples = {
@@ -95,7 +95,7 @@ class TestParseRoundTrip:
         }
         assert samples[("repro_engine_sweeps_total", ())] == 11
         assert samples[("repro_engine_poll_idle_us_total", (("rail", "myri10g"),))] == 3.25
-        assert samples[("repro_engine_backlog_depth", ())] == 2
+        assert samples[("repro_active_engines_built", ())] == 2
 
     def test_round_trip_histogram_reconstructs_counts(self):
         reg = MetricsRegistry()

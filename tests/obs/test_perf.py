@@ -220,7 +220,7 @@ class TestCli:
         assert main(["bench", "compare", str(path), str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-        assert f"cannot read bench record {path}" in captured.err
+        assert f"cannot read {path}" in captured.err
 
     def test_bench_compare_ignores_unknown_record_keys(self, tmp_path, small_record):
         # the committed baseline carries a key this version no longer reads

@@ -71,7 +71,7 @@ class TestHTTPServer:
     def test_metrics_endpoint_is_validator_clean(self, server):
         reg = MetricsRegistry()
         reg.counter("fault.retries", rail="myri10g").add(3)
-        reg.gauge("engine.backlog.depth").set(1)
+        reg.gauge("active.engines_built").set(1)
         server.publisher.publish_metrics(reg)
         server.publisher.publish_progress("chaos", 4, 10)
         status, ctype, body = _get(server.url + "/metrics")

@@ -30,6 +30,9 @@ _CODE_AND_DOCS = (
     "DESIGN.md", "README.md", "EXPERIMENTS.md",
 )
 
+#: a JSON decode, unless of one of the ledger's SQL JSON columns
+JSON_DECODE = r"json\.loads?\((?!\w+(\[|\.pop\()\"(meta|values|violations|fields)_json\")"
+
 #: (patterns, searched paths or None, excluded paths)
 DELETED = [
     # one flow allocator: the vector one and its selector
@@ -92,6 +95,12 @@ DELETED = [
     # a channel is one int, ``tag * n_nodes + peer``, on both sides
     ((r"\bchan = \(", r"dict\[tuple\[int, int\], int\]", r"Chan = tuple"),
      ("src/repro/core",), ()),
+    # one reader of JSON files, ``util/config.py::read_json_objects`` (the
+    # ledger's SQL JSON columns are not files) ...
+    ((JSON_DECODE, "UnicodeDecodeError", "JSONDecodeError"),
+     ("src/repro",), ("src/repro/util/config.py",)),
+    # ... and one span file, the span stream
+    (("to_jsonl", "write_jsonl", "--jsonl"), _CODE_AND_DOCS, ()),
 ]
 
 
@@ -176,6 +185,19 @@ def test_a_planted_deleted_name_is_found(path, found):
 def test_the_one_owner_names_are_specific(line, found):
     planted = [("src/repro/core/scheduler.py", line + "\n")]
     assert offenders(planted) == ([("src/repro/core/scheduler.py", 1, found)] if found else [])
+
+
+@pytest.mark.parametrize("path, line, found", [
+    ("src/repro/obs/perf.py", "data = json.load(fh)", True),
+    ("src/repro/faults/plan.py", "data = json.loads(text)", True),
+    ("src/repro/util/config.py", "doc = json.loads(text)", False),
+    ("src/repro/obs/ledger.py", 'meta = json.loads(row["meta_json"])', False),
+    ("src/repro/obs/ledger.py", 'd["meta"] = json.loads(d.pop("meta_json"))', False),
+    ("src/repro/obs/ledger.py", "doc = json.loads(first_line)", True),
+])
+def test_a_json_file_is_read_in_one_place(path, line, found):
+    planted = [(path, line + "\n")]
+    assert offenders(planted) == ([(path, 1, JSON_DECODE)] if found else [])
 
 
 def test_a_group_limited_to_src_skips_the_rest():

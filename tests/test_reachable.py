@@ -37,7 +37,6 @@ from tests.test_one_of_each import ROOT, _repo_paths
 ALLOWED = {
     "repro.api.pack.Packer": "the paper's section 2 pack interface",
     "repro.api.pack.Unpacker": "the paper's section 2 unpack interface",
-    "repro.obs.streaming.load_span_stream": "the reader of `repro trace --stream` files",
     "repro.faults.injector.FaultInjector.is_down": "the model's query of a rail's state",
     "repro.obs.export.validate_chrome_trace": "the schema check a user runs on an exported trace",
     "repro.hardware.topology.TopologyPlan.links_created": "test probe: links are built on first use",

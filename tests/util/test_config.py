@@ -4,10 +4,16 @@ import json
 
 import pytest
 
+from repro.cli import main
+from repro.faults.plan import FaultPlan
 from repro.hardware.presets import MYRI_10G, paper_platform
 from repro.hardware.spec import TopologySpec
+from repro.obs.log import parse_events
+from repro.obs.perf import load_record
+from repro.obs.spans import SpanError
+from repro.obs.streaming import load_span_stream
 from repro.util.config import platform_from_dict, platform_from_json
-from repro.util.errors import ConfigError
+from repro.util.errors import BenchError, ConfigError
 
 
 def test_full_rail_dicts():
@@ -80,3 +86,53 @@ def test_invalid_json_reported(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):
         platform_from_json(str(path))
+
+
+# --- one reader: every JSON / JSONL ingress refuses a hostile file alike ------
+#: name -> (reader, the error class it raises, whether it reads JSONL)
+READERS = {
+    "platform_from_json": (platform_from_json, ConfigError, False),
+    "load_record": (load_record, BenchError, False),
+    "FaultPlan.load": (FaultPlan.load, ConfigError, False),
+    "parse_events": (parse_events, BenchError, True),
+    "load_span_stream": (load_span_stream, SpanError, True),
+}
+
+#: hostile document -> (bytes, whether the refusal names its line)
+HOSTILE_FILES = {
+    "missing": (None, False),
+    "non-utf8": (b"\xff\xfe{}\n", False),
+    "invalid-json": (b'{"a": \n', True),
+    "not-an-object": (b"[1, 2]\n", True),
+}
+
+
+@pytest.mark.parametrize("hostile", sorted(HOSTILE_FILES))
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_every_reader_refuses_a_hostile_file_in_one_line(reader, hostile, tmp_path):
+    """Each reader raises its own error class, in one line naming the file
+    (and, in a JSONL file, the line: the hostile one follows a valid one)."""
+    read, error, lines = READERS[reader]
+    data, names_line = HOSTILE_FILES[hostile]
+    path = tmp_path / ("in.jsonl" if lines else "in.json")
+    if data is not None:
+        path.write_bytes(b"{}\n" + data if lines else data)
+    with pytest.raises(error) as info:
+        read(str(path))
+    message = str(info.value)
+    assert type(info.value) is error and "\n" not in message
+    assert (f"{path}:2: " if lines and names_line else str(path)) in message
+
+
+@pytest.mark.parametrize("hostile", sorted(HOSTILE_FILES))
+@pytest.mark.parametrize("command", [["--platform", "{}", "pingpong"],
+                                     ["bench", "compare", "{}", "{}"]], ids=" ".join)
+def test_a_hostile_file_on_the_command_line_exits_2(command, hostile, tmp_path, capsys):
+    data, _ = HOSTILE_FILES[hostile]
+    path = tmp_path / "in.json"
+    if data is not None:
+        path.write_bytes(data)
+    assert main([str(path) if arg == "{}" else arg for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert str(path) in captured.err and captured.out == ""
