@@ -12,7 +12,7 @@ relevant rail.  The returned session is finished and ready for
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from ..core.sampling import sample_rails
 from ..core.session import Session
@@ -32,8 +32,9 @@ class TraceTarget:
 
     name: str
     description: str
-    #: ``build(platform, trace)`` — ``trace`` as in :class:`Session`.
-    build: Callable[..., Session]
+    #: ``build(platform)``: the traced session, on the paper platform
+    #: when ``platform`` is ``None``.
+    build: Callable[[Optional[PlatformSpec]], Session]
     #: (total_bytes, segments, reps) ping-pong rounds pushed through the
     #: session; mixing an eager-sized and a rendezvous-sized round puts
     #: both PIO and DMA spans on the timeline.
@@ -41,18 +42,18 @@ class TraceTarget:
 
 
 def _two_rail(strategy: str):
-    def build(plat: Optional[PlatformSpec], trace=True) -> Session:
-        return Session(plat or paper_platform(), strategy=strategy, trace=trace)
+    def build(plat: Optional[PlatformSpec]) -> Session:
+        return Session(plat or paper_platform(), strategy=strategy, trace=True)
 
     return build
 
 
-def _split_balance(plat: Optional[PlatformSpec], trace=True) -> Session:
+def _split_balance(plat: Optional[PlatformSpec]) -> Session:
     plat = plat or paper_platform()
-    return Session(plat, strategy="split_balance", samples=sample_rails(plat), trace=trace)
+    return Session(plat, strategy="split_balance", samples=sample_rails(plat), trace=True)
 
 
-def _failover(plat: Optional[PlatformSpec], trace=True) -> Session:
+def _failover(plat: Optional[PlatformSpec]) -> Session:
     plat = plat or paper_platform()
     # all faults land inside the single bulk ping-pong round (the traced
     # workload runs each round to idle, so the schedule must overlap the
@@ -66,14 +67,14 @@ def _failover(plat: Optional[PlatformSpec], trace=True) -> Session:
             FaultEvent("down", 4000.0, plat.rails[0].name, duration_us=500.0),
         ]
     )
-    return Session(plat, strategy="aggreg_multirail", trace=trace, faults=plan)
+    return Session(plat, strategy="aggreg_multirail", trace=True, faults=plan)
 
 
 def _single_rail(rail_index: int):
-    def build(plat: Optional[PlatformSpec], trace=True) -> Session:
+    def build(plat: Optional[PlatformSpec]) -> Session:
         plat = plat or paper_platform()
         return Session(
-            single_rail_platform(plat.rails[rail_index]), strategy="aggreg", trace=trace
+            single_rail_platform(plat.rails[rail_index]), strategy="aggreg", trace=True
         )
 
     return build
@@ -147,18 +148,10 @@ def resolve_trace_target(name: str) -> TraceTarget:
     )
 
 
-def run_traced(
-    name: str, platform: Optional[PlatformSpec] = None, trace: Any = True
-) -> Session:
-    """Build the target's traced session, run its workload, return it.
-
-    ``trace`` defaults to an unbounded in-memory recorder; pass a ready
-    :class:`~repro.obs.spans.SpanRecorder` — e.g. a
-    :class:`~repro.obs.streaming.StreamingTracer` — to bound record-time
-    memory or sample spans (``repro trace --stream``).
-    """
+def run_traced(name: str, platform: Optional[PlatformSpec] = None) -> Session:
+    """Build the target's traced session, run its workload, return it."""
     target = resolve_trace_target(name)
-    session = target.build(platform, trace)
+    session = target.build(platform)
     for size, segments, reps in target.workload:
         run_pingpong(session, size, segments=segments, reps=reps, warmup=1)
     return session

@@ -71,13 +71,8 @@ def _add_stream_flags(p: argparse.ArgumentParser) -> None:
     """Streaming/sampled tracing flags shared by ``trace`` and ``analyze``."""
     p.add_argument(
         "--stream", metavar="JSONL",
-        help="record through a bounded-memory StreamingTracer spilling"
-        " spans to JSONL (replayable with 'repro ledger' artifacts /"
-        " load_span_stream)",
-    )
-    p.add_argument(
-        "--stream-window", type=int, default=1024, metavar="N",
-        help="max closed spans held in memory while streaming (default: 1024)",
+        help="write the (sampled) spans to a span stream file and analyse"
+        " just those (read back with load_span_stream)",
     )
     p.add_argument(
         "--sample-rate", type=float, default=1.0, metavar="R",
@@ -523,47 +518,50 @@ def _cmd_experiments(args) -> int:
 
 
 def _run_traced(args):
-    """What ``trace`` and ``analyze`` start with: the tracer the
-    ``--stream``/``--sample-*`` flags ask for (``True`` = unbounded
-    in-memory recorder) and the finished traced session of the target."""
+    """What ``trace`` and ``analyze`` start with: the finished traced
+    session of the target and, with ``--stream``, the summary of the span
+    stream written from it (``None`` without); the session then holds
+    just the spans the stream holds."""
+    from .obs.streaming import SpanSampler, sampled_spans, write_span_stream
+
+    if args.stream is None and (args.sample_rate != 1.0 or args.sample_head is not None):
+        raise BenchError("--sample-rate/--sample-head require --stream FILE")
     try:
-        if args.stream is not None:
-            from .obs.streaming import SpanSampler, StreamingTracer
-
-            sampler = SpanSampler(
-                rate=args.sample_rate, head=args.sample_head, seed=args.sample_seed
-            )
-            tracer = StreamingTracer(
-                args.stream, window=args.stream_window, sampler=sampler
-            )
-        elif args.sample_rate != 1.0 or args.sample_head is not None:
-            raise ValueError("--sample-rate/--sample-head require --stream FILE")
-        else:
-            tracer = True
-        session = run_traced(
-            args.target, _load_platform(args) if args.platform else None, trace=tracer
+        sampler = SpanSampler(
+            rate=args.sample_rate, head=args.sample_head, seed=args.sample_seed
         )
-    except (ValueError, OSError) as exc:
-        # a bad flag value or an unwritable stream file: main()'s one line
-        raise BenchError(str(exc)) from exc
-    return tracer, session
+    except ValueError as exc:
+        raise BenchError(str(exc)) from None
+    session = run_traced(args.target, _load_platform(args) if args.platform else None)
+    if args.stream is None:
+        return session, None
+    recorder = session.spans
+    kept = sampled_spans(recorder.spans, sampler)
+    try:
+        write_span_stream(args.stream, kept, sampler)
+    except OSError as exc:
+        raise BenchError(f"cannot write span stream: {exc}") from None
+    stream = {
+        "path": args.stream,
+        "spans": len(kept),
+        "sampled_out": len(recorder.spans) - len(kept),
+        "sampler": sampler.to_dict(),
+    }
+    recorder.spans = kept
+    return session, stream
 
 
-def _stream_summary(tracer) -> str:
-    s = tracer.stats()
+def _stream_summary(stream) -> str:
     return (
-        f"span stream {s['path']}: {s['spilled']} spilled,"
-        f" peak {s['peak_buffered']} buffered (window {s['window']}),"
-        f" {s['sampled_out']} sampled out"
+        f"span stream {stream['path']}: {stream['spans']} spans,"
+        f" {stream['sampled_out']} sampled out"
     )
 
 
 def _cmd_trace(args) -> int:
     from .obs import lifecycle_report, lifecycle_table, poll_tax_by_rail, write_chrome_trace
 
-    tracer, session = _run_traced(args)
-    if tracer is not True:
-        tracer.close()  # what follows reads the spans back from the stream file
+    session, stream = _run_traced(args)
     try:
         n_events = write_chrome_trace(session, args.output)
     except OSError as exc:
@@ -602,13 +600,13 @@ def _cmd_trace(args) -> int:
                 }
             ),
         }
-        if tracer is not True:
-            payload["trace"]["stream"] = tracer.stats()
+        if stream is not None:
+            payload["trace"]["stream"] = stream
         print(json.dumps(payload, indent=1, sort_keys=True))
         return 0
     print(f"{args.output}: {n_events} span events (open in https://ui.perfetto.dev)")
-    if tracer is not True:
-        print(_stream_summary(tracer))
+    if stream is not None:
+        print(_stream_summary(stream))
     print(
         f"kernel: {sim.backend} backend, {sim.events_executed} events executed,"
         f" {sim.heap_compactions} heap compactions,"
@@ -653,9 +651,7 @@ def _cmd_analyze(args) -> int:
     )
     from .obs.export import to_chrome_trace
 
-    tracer, session = _run_traced(args)
-    if tracer is not True:
-        tracer.close()
+    session, stream = _run_traced(args)
     report = analyze_session(session, node_id=args.node, bins=args.bins)
     violations = report.verify()
     if args.json:
@@ -672,8 +668,8 @@ def _cmd_analyze(args) -> int:
             print("idle-poll tax on the critical path, by rail:")
             for rail, us in sorted(tax.items()):
                 print(f"  {rail:>10}: {us:8.2f} us")
-        if tracer is not True:
-            print(_stream_summary(tracer))
+        if stream is not None:
+            print(_stream_summary(stream))
     if args.output:
         doc = to_chrome_trace(session)
         doc["traceEvents"].extend(critical_path_trace_events(report.attributions))

@@ -88,7 +88,7 @@ class Session:
         strategy_opts: Optional[Mapping[str, Any]] = None,
         samples: Optional[SampleTable] = None,
         sim: Optional[Simulator] = None,
-        trace: Any = False,
+        trace: bool = False,
         faults: Any = None,
         backend: Optional[str] = None,
     ):
@@ -100,15 +100,10 @@ class Session:
         self.sim = sim if sim is not None else Simulator(backend=backend)
         self.platform = Platform(self.sim, spec)
         self.samples = samples
+        if not isinstance(trace, bool):
+            raise ConfigError(f"trace must be a bool, got {type(trace).__name__}")
         #: span-based timeline (pump phases, per-rail PIO/DMA, rendezvous).
-        #: ``trace`` is either a bool (in-memory recorder, PR 1 behaviour)
-        #: or a ready :class:`SpanRecorder` — e.g. a bounded-memory
-        #: :class:`~repro.obs.streaming.StreamingTracer` — which the
-        #: session adopts as-is (engines cache it at construction).
-        if isinstance(trace, SpanRecorder):
-            self.spans = trace
-        else:
-            self.spans = SpanRecorder(enabled=bool(trace))
+        self.spans = SpanRecorder(enabled=trace)
         #: always-on counters/gauges/histograms (schema: repro.obs.metrics).
         self.metrics = MetricsRegistry()
         #: what the pumps and :meth:`sync_kernel_metrics` write, resolved once
@@ -283,12 +278,6 @@ class Session:
         for engine in self.engines.built():
             merged += engine.counters
         return merged
-
-    def lifecycle_report(self, node_id: Optional[int] = None):
-        """Per-request latency decomposition (requires ``trace=True``)."""
-        from ..obs.critical_path import lifecycle_report
-
-        return lifecycle_report(self, node_id)
 
     def __repr__(self) -> str:  # pragma: no cover
         rails = ",".join(r.name for r in self.spec.rails)

@@ -27,9 +27,9 @@ The three pieces compose (see README "Observability"):
 * :mod:`repro.obs.server` — stdlib live HTTP endpoint serving the
   OpenMetrics exposition (plus ``live.*`` gauges) while a sweep is in
   flight;
-* :mod:`repro.obs.streaming` — bounded-memory :class:`StreamingTracer`
-  that spills closed spans to a JSONL stream on disk, with deterministic
-  seeded span sampling (:class:`SpanSampler`);
+* :mod:`repro.obs.streaming` — the span stream file a run writes once
+  (:func:`write_span_stream`, read back by :func:`load_span_stream`), with
+  deterministic seeded span sampling (:class:`SpanSampler`);
 * :mod:`repro.obs.log` — schema-versioned structured event log
   (JSONL + human text) with ``run_id``/``point_id``/``case_id``
   correlation fields threaded through the runners;
@@ -90,8 +90,9 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         ".server": ("MetricsPublisher", "LiveMetricsServer", "OPENMETRICS_CONTENT_TYPE"),
         ".streaming": (
-            "StreamingTracer",
             "SpanSampler",
+            "sampled_spans",
+            "write_span_stream",
             "load_span_stream",
             "STREAM_SCHEMA_VERSION",
         ),

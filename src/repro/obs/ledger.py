@@ -35,7 +35,7 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 from ..util.config import read_json_objects
 from ..util.errors import BenchError, ConfigError
 from .log import EVENT_SCHEMA_VERSION, new_run_id, parse_events
-from .perf import POINT_KEY_FIELDS, SIM_FIELDS, point_key
+from .perf import POINT_KEY_FIELDS, SIM_FIELDS, load_record, point_key
 
 __all__ = ["LEDGER_SCHEMA_VERSION", "Ledger", "DEFAULT_LEDGER_PATH"]
 
@@ -209,8 +209,6 @@ class Ledger:
 
     def ingest_bench_record(self, record, run_id: Optional[str] = None) -> str:
         """Ingest a :class:`~repro.obs.perf.BenchRecord` (or its path)."""
-        from .perf import load_record
-
         if isinstance(record, str):
             record = load_record(record)
         run_id = run_id or getattr(record, "run_id", None) or new_run_id()
@@ -243,19 +241,22 @@ class Ledger:
         self,
         report_or_cases: Union[Any, Sequence[Mapping[str, Any]]],
         run_id: Optional[str] = None,
+        path: Optional[str] = None,
     ) -> str:
         """Ingest a :class:`~repro.faults.chaos.ChaosReport` (or raw case
-        dicts, or a saved report JSON path)."""
+        dicts, or a saved report: its JSON path, or its parsed document and
+        the ``path`` it was read from)."""
         git_sha, git_dirty = None, False
         if isinstance(report_or_cases, str):
-            ((_, doc),) = read_json_objects(report_or_cases, BenchError)
+            path = report_or_cases
+            ((_, report_or_cases),) = read_json_objects(path, BenchError)
+        if isinstance(report_or_cases, Mapping):
+            doc = report_or_cases
             cases = doc.get("cases", [])
             if not isinstance(cases, list) or not all(
                 isinstance(c, dict) and isinstance(c.get("digest", {}), dict) for c in cases
             ):
-                raise BenchError(
-                    f"{report_or_cases}: 'cases' must be a list of case objects"
-                )
+                raise BenchError(f"{path}: 'cases' must be a list of case objects")
             run_id = run_id or doc.get("run_id")
             git_sha = doc.get("git_sha")
             git_dirty = bool(doc.get("git_dirty", False))
@@ -369,16 +370,16 @@ class Ledger:
         ((_, doc),) = read_json_objects(path, BenchError)
         schema = doc.get("schema")
         if isinstance(schema, str) and schema.startswith("repro.bench_record"):
-            return [self.ingest_bench_record(path, run_id=run_id)]
+            return [self.ingest_bench_record(load_record(path, doc), run_id=run_id)]
         if "cases" in doc:
-            return [self.ingest_chaos_report(path, run_id=run_id)]
+            return [self.ingest_chaos_report(doc, run_id=run_id, path=path)]
         if schema is None and isinstance(doc.get("events"), list):  # FaultPlan.save
             from ..faults.plan import FaultPlan
 
             try:
-                FaultPlan.load(path)
+                FaultPlan.from_dict(doc)
             except ConfigError as exc:
-                raise BenchError(str(exc)) from None
+                raise BenchError(f"{path}: {exc}") from None
             rid = run_id or new_run_id()
             self._upsert_run(rid, "events")
             self.add_artifact(rid, "fault_plan", path)

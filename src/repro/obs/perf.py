@@ -249,9 +249,11 @@ class BenchRecord:
         return path
 
 
-def load_record(path: str) -> BenchRecord:
-    """Load a ``BENCH_*.json`` record from disk."""
-    ((_, data),) = read_json_objects(path, BenchError)
+def load_record(path: str, data: Optional[Mapping[str, Any]] = None) -> BenchRecord:
+    """Load a ``BENCH_*.json`` record from disk (``data``: the document
+    already parsed from ``path``)."""
+    if data is None:
+        ((_, data),) = read_json_objects(path, BenchError)
     try:
         return BenchRecord.from_dict(data)
     except BenchError as exc:

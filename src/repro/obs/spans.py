@@ -149,7 +149,7 @@ class SpanRecorder:
         parent = stack[-1].sid if stack else None
         span = Span(self._next_sid, parent, node, track, name, cat, t0, None, args)
         self._next_sid += 1
-        self._retain(span)
+        self.spans.append(span)
         stack.append(span)
         return span
 
@@ -167,7 +167,6 @@ class SpanRecorder:
             raise SpanError(f"span {span.name!r} ends at {t1} before start {span.t0}")
         stack.pop()
         span.t1 = t1
-        self._on_close(span)
 
     def add(
         self,
@@ -186,19 +185,8 @@ class SpanRecorder:
             raise SpanError(f"span {name!r} ends at {t1} before start {t0}")
         span = Span(self._next_sid, None, node, track, name, cat, t0, t1, args)
         self._next_sid += 1
-        self._retain(span)
-        self._on_close(span)
-        return span
-
-    # -- subclass hooks ------------------------------------------------------
-    def _retain(self, span: Span) -> None:
-        """Keep a freshly created span.  The base recorder buffers every
-        span in memory; :class:`~repro.obs.streaming.StreamingTracer`
-        overrides this (and :meth:`_on_close`) to bound the buffer."""
         self.spans.append(span)
-
-    def _on_close(self, span: Span) -> None:
-        """Called once when a span closes (``end`` or ``add``)."""
+        return span
 
     def instant(
         self, node: int, track: str, name: str, cat: str, t: float,
@@ -208,10 +196,6 @@ class SpanRecorder:
         return self.add(node, track, name, cat, t, t, args)
 
     # -- queries -------------------------------------------------------------
-    # All query helpers iterate ``self`` (not ``self.spans``) so subclasses
-    # that keep spans elsewhere — e.g. the spill-to-disk
-    # :class:`~repro.obs.streaming.StreamingTracer` — only override
-    # ``__iter__``/``__len__`` and every existing consumer keeps working.
     def __len__(self) -> int:
         return len(self.spans)
 
@@ -223,19 +207,19 @@ class SpanRecorder:
         return sum(len(s) for s in self._stacks.values())
 
     def by_node(self, node: int) -> list[Span]:
-        return [s for s in self if s.node == node]
+        return [s for s in self.spans if s.node == node]
 
     def by_name(self, name: str, node: Optional[int] = None) -> list[Span]:
         return [
-            s for s in self if s.name == name and (node is None or s.node == node)
+            s for s in self.spans if s.name == name and (node is None or s.node == node)
         ]
 
     def children(self, span: Span) -> list[Span]:
-        return [s for s in self if s.parent == span.sid]
+        return [s for s in self.spans if s.parent == span.sid]
 
     def tracks(self, node: Optional[int] = None) -> set[tuple[int, str]]:
         return {
-            (s.node, s.track) for s in self if node is None or s.node == node
+            (s.node, s.track) for s in self.spans if node is None or s.node == node
         }
 
     def clear(self) -> None:

@@ -268,6 +268,7 @@ def test_trace_command(capsys, tmp_path):
     ) == 0
     out = capsys.readouterr().out
     assert "span events" in out
+    assert f"span stream {stream}: 430 spans, 0 sampled out" in out
     assert "Request lifecycle" in out
     assert "idle-poll tax" in out and "myri10g" in out
     doc = _valid_chrome_trace(trace)

@@ -22,8 +22,8 @@ from repro.bench.tracing import run_traced
 from tests.core.ask_first_capture import allreduce_p16
 
 SCENARIOS = {
-    "pingpong_2node": lambda: run_traced("fig6", trace=False),
-    "faulted": lambda: run_traced("failover", trace=False),
+    "pingpong_2node": lambda: run_traced("fig6"),
+    "faulted": lambda: run_traced("failover"),
     "allreduce_p16": allreduce_p16,
 }
 

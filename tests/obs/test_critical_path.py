@@ -6,11 +6,14 @@ sum to the request's total latency (no float drift beyond tolerance) and
 the segments form one gap-free chain.  PR 21 rebuilt the analysis around
 one pass over the spans; ``TestParentIdentity`` holds every answer to the
 digests captured at the parent commit, ``TestOnePass`` shows by counting
-(windows per request, stream replays) that the work no longer grows with
+(windows per request, stream reads) that the work no longer grows with
 the length of the run; the partition's arithmetic on hand-built spans,
 no simulator in the loop, is in ``test_report.py``.
 """
 
+import builtins
+import contextlib
+import io
 import json
 import math
 import pathlib
@@ -23,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro import Session, paper_platform
 from repro.bench import run_traced
+from repro.cli import main
 from repro.obs import critical_path, to_chrome_trace, validate_chrome_trace
 from repro.obs.critical_path import (
     CATEGORIES,
@@ -38,14 +42,13 @@ from repro.obs.critical_path import (
     timeline_table,
 )
 from repro.obs.spans import SpanRecorder
-from repro.obs.streaming import StreamingTracer
 from repro.sim.backend import available_backends
 from tests.core.ask_first_capture import _flood
-from tests.obs import analysis_capture
+from tests.obs import analysis_capture, analyze_cli_capture
 
-PARENT = json.loads(
-    (pathlib.Path(__file__).parent / "data" / "analysis_parent.json").read_text()
-)
+DATA = pathlib.Path(__file__).parent / "data"
+PARENT = json.loads((DATA / "analysis_parent.json").read_text())
+CLI_PARENT = json.loads((DATA / "analyze_cli_parent.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +118,14 @@ class TestParentIdentity:
         monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
         assert analysis_capture.capture() == PARENT
 
+    @pytest.mark.parametrize("case", sorted(CLI_PARENT))
+    def test_the_cli_analysis_matches_the_parent_capture(self, case, tmp_path):
+        """``repro analyze T --json`` of every trace target, in memory and
+        through a ``--stream`` file (unsampled, rate- and head-sampled)."""
+        target, flags = case.split("/")
+        stdout = analyze_cli_capture.analyze_stdout(target, flags, str(tmp_path))
+        assert analyze_cli_capture.digest(stdout) == CLI_PARENT[case]
+
 
 def _flood_session(count):
     sizes = random.Random(20).choices((8, 64, 512, 2048, 4096), k=count)
@@ -142,21 +153,23 @@ class TestOnePass:
             means.append(sum(seen) / len(seen))
         assert means[1] == pytest.approx(means[0], rel=0.10)
 
-    def test_a_spilled_stream_is_replayed_once(self, tmp_path, monkeypatch):
-        replay, calls = StreamingTracer._replay, []
+    @pytest.mark.parametrize("command", ["trace", "analyze"])
+    def test_the_cli_reads_the_stream_it_wrote_0_times(self, command, tmp_path, monkeypatch):
+        real_open, opened = builtins.open, []
+        path = str(tmp_path / "spans.jsonl")
 
-        def counting(self):
-            calls.append(1)
-            return replay(self)
+        def watching(file, mode="r", *args, **kwargs):
+            if file == path:
+                opened.append(mode)
+            return real_open(file, mode, *args, **kwargs)
 
-        tracer = StreamingTracer(str(tmp_path / "spans.jsonl"), window=64)
-        session = run_traced("fig6", trace=tracer)
-        tracer.close()
-        monkeypatch.setattr(StreamingTracer, "_replay", counting)
-        streamed = analyze_session(session)
-        assert len(calls) == 1  # parent: 2 * nodes + 1
-        assert tracer.spilled > 0 and streamed.verify() == []
-        assert streamed.to_dict() == analyze_session(run_traced("fig6")).to_dict()
+        monkeypatch.setattr(builtins, "open", watching)
+        argv = [command, "fig6", "--stream", path, "--json"]
+        if command == "trace":
+            argv += ["-o", str(tmp_path / "trace.json")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert opened == ["w"]  # parent: then "r" twice for trace, once for analyze
 
     @given(
         st.lists(

@@ -88,16 +88,12 @@ class TestChromeTrace:
         json.dumps(to_chrome_trace(traced))
 
     def test_a_span_stream_reads_back_to_the_same_trace(self, traced, tmp_path):
-        """The one span file: what a spilling tracer writes,
+        """The one span file: what ``write_span_stream`` writes,
         ``load_span_stream`` reads back to the same trace events."""
-        from repro import paper_platform
-        from repro.obs import StreamingTracer, load_span_stream
+        from repro.obs import SpanSampler, load_span_stream, write_span_stream
 
         path = str(tmp_path / "spans.jsonl")
-        with StreamingTracer(path, window=8) as tracer:
-            session = Session(paper_platform(), strategy="greedy", trace=tracer)
-            run_pingpong(session, 1 * MB, segments=2, reps=1, warmup=1)
-        assert tracer.spilled == len(traced.spans) > 8
+        write_span_stream(path, traced.spans.spans, SpanSampler())
         events = to_chrome_trace(load_span_stream(path))["traceEvents"]
         assert events == to_chrome_trace(traced.spans)["traceEvents"]
 

@@ -77,6 +77,40 @@ class TestIngest:
         (rid,) = ledger.ingest_path(path)
         assert ledger.show(rid)["artifacts"] == [{"kind": "fault_plan", "path": path}]
 
+    @pytest.mark.parametrize("kind", ["bench", "chaos", "fault_plan", "events"])
+    def test_ingest_path_parses_each_file_once(self, ledger, tmp_path, monkeypatch, kind):
+        """Parent: twice for a bench record, a chaos report or a fault plan
+        (once to learn its kind, once more by the kind's own loader)."""
+        import repro.faults.plan
+        import repro.obs.log
+        import repro.obs.perf
+        from repro.obs import ledger as ledger_module
+        from repro.util.config import read_json_objects
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return read_json_objects(*args, **kwargs)
+
+        for module in (ledger_module, repro.obs.perf, repro.faults.plan, repro.obs.log):
+            monkeypatch.setattr(module, "read_json_objects", counting)
+        path = str(tmp_path / f"{kind}.json")
+        if kind == "bench":
+            _bench_record(run_id="r1").write(path)
+        elif kind == "chaos":
+            report = run_chaos(seeds=1, strategies="greedy", messages=2)
+            with open(path, "w") as fh:
+                json.dump(report.to_dict(), fh)
+        elif kind == "fault_plan":
+            random_plan(3, paper_platform()).save(path)
+        else:
+            log = EventLogger(level="info", path=path, run_id="r2")
+            log.info("x")
+            log.close()
+        (rid,) = ledger.ingest_path(path)
+        assert calls == [path] and ledger.show(rid)
+
     def test_reingest_replaces_not_duplicates(self, ledger):
         record = _bench_record(run_id="r-bench")
         ledger.ingest_bench_record(record)

@@ -81,8 +81,11 @@ class TestLifecycle:
         assert "total us" in text and "queue us" in text and "wire us" in text
         assert text.count("\n") >= len(rows)
 
-    def test_session_convenience_method(self, traced):
-        assert traced.lifecycle_report(0) == lifecycle_report(traced, 0)
+    def test_the_obs_facade_serves_the_lifecycle_report(self, traced):
+        from repro.obs import critical_path
+
+        assert lifecycle_report is critical_path.lifecycle_report
+        assert lifecycle_report(traced, 0) == lifecycle_report(traced, node_id=0) != []
 
 
 # --------------------------------------------------------------------- #

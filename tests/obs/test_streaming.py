@@ -1,4 +1,8 @@
-"""Streaming tracer: bounded window, spill/replay identity, sampling."""
+"""The span stream: sampling selection, the stream file and its reader.
+
+``TestWindow``, named for the spill window the stream once had, holds the
+stream file's writer and reader.
+"""
 
 import json
 
@@ -12,73 +16,42 @@ from repro.obs.spans import SpanError, SpanRecorder
 from repro.obs.streaming import (
     STREAM_SCHEMA_VERSION,
     SpanSampler,
-    StreamingTracer,
     load_span_stream,
+    sampled_spans,
+    write_span_stream,
 )
+from repro.util.errors import ConfigError
 
 
-def _span_dicts(recorder):
-    return [s.to_dict() for s in recorder]
+def _span_dicts(spans):
+    return [s.to_dict() for s in spans]
+
+
+def _fig6_kept(sampler):
+    return sampled_spans(run_traced("fig6").spans.spans, sampler)
 
 
 class TestWindow:
-    def test_peak_buffered_never_exceeds_window(self, tmp_path):
-        tracer = StreamingTracer(str(tmp_path / "s.jsonl"), window=16)
-        run_traced("fig6", trace=tracer)
-        assert tracer.peak_buffered <= 16
-        assert tracer.spilled > 0  # the workload overflows a 16-span window
-        assert len(tracer) == tracer.spilled + len(tracer.spans)
-
     def test_replay_identical_to_unbounded_recorder(self, tmp_path):
-        full = run_traced("fig6", trace=True).spans
-        tracer = StreamingTracer(str(tmp_path / "s.jsonl"), window=8)
-        run_traced("fig6", trace=tracer)
-        assert len(tracer) == len(full)
-        assert _span_dicts(tracer) == _span_dicts(full)
-        # query helpers ride on __iter__, so they agree too
-        assert [s.sid for s in tracer.by_node(0)] == [s.sid for s in full.by_node(0)]
-        assert tracer.tracks(0) == full.tracks(0)
-
-    def test_replay_survives_close_and_reload(self, tmp_path):
+        """Unsampled, the stream reads back to the in-memory recorder."""
+        full = run_traced("fig6").spans
         path = str(tmp_path / "s.jsonl")
-        tracer = StreamingTracer(path, window=8)
-        run_traced("fig6", trace=tracer)
-        before = _span_dicts(tracer)
-        tracer.close()
-        assert len(tracer.spans) == 0  # window flushed to disk
-        assert _span_dicts(tracer) == before
-        reloaded = load_span_stream(path)
-        assert _span_dicts(reloaded) == before
-
-    def test_recording_after_close_raises(self, tmp_path):
-        tracer = StreamingTracer(str(tmp_path / "s.jsonl"), window=4)
-        tracer.close()
-        with pytest.raises(SpanError, match="closed"):
-            tracer.add(0, "t", "n", "cat", 0.0, 1.0)
-
-    def test_clear_truncates_stream(self, tmp_path):
-        path = str(tmp_path / "s.jsonl")
-        tracer = StreamingTracer(path, window=2)
-        for i in range(10):
-            tracer.add(0, "t", f"n{i}", "cat", float(i), float(i) + 1.0)
-        tracer.clear()
-        assert len(tracer) == 0 and tracer.spilled == 0
-        assert tracer.peak_buffered == 0
-        header = json.loads(open(path).readline())
-        assert header["schema"] == STREAM_SCHEMA_VERSION
-
-    def test_bad_window_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="window"):
-            StreamingTracer(str(tmp_path / "s.jsonl"), window=0)
+        write_span_stream(path, sampled_spans(full.spans, SpanSampler()), SpanSampler())
+        reread = load_span_stream(path)
+        assert len(reread) == len(full)
+        assert _span_dicts(reread) == _span_dicts(full)
+        assert [s.sid for s in reread.by_node(0)] == [s.sid for s in full.by_node(0)]
+        assert reread.tracks(0) == full.tracks(0)
 
     def test_header_carries_schema_and_sampler(self, tmp_path):
         path = str(tmp_path / "s.jsonl")
-        StreamingTracer(
-            path, window=4, sampler=SpanSampler(rate=0.5, seed=3)
-        ).close()
-        header = json.loads(open(path).readline())
-        assert header["schema"] == STREAM_SCHEMA_VERSION
-        assert header["sampler"] == {"rate": 0.5, "head": None, "seed": 3}
+        write_span_stream(path, [], SpanSampler(rate=0.5, seed=3))
+        with open(path) as fh:
+            header = json.loads(fh.readline())
+        assert header == {
+            "schema": STREAM_SCHEMA_VERSION,
+            "sampler": {"rate": 0.5, "head": None, "seed": 3},
+        }
 
     def test_load_rejects_foreign_schema(self, tmp_path):
         path = tmp_path / "bogus.jsonl"
@@ -113,64 +86,42 @@ class TestWindow:
 
 
 class TestSampler:
-    def test_rate_zero_drops_all_roots(self, tmp_path):
-        tracer = StreamingTracer(
-            str(tmp_path / "s.jsonl"), window=8, sampler=SpanSampler(rate=0.0)
-        )
-        run_traced("fig6", trace=tracer)
-        assert len(tracer) == 0
-        assert tracer.sampled_out > 0
+    def test_rate_zero_drops_all_roots(self):
+        assert _fig6_kept(SpanSampler(rate=0.0)) == []
 
-    def test_rate_one_keeps_everything(self, tmp_path):
-        full = run_traced("fig6", trace=True).spans
-        tracer = StreamingTracer(
-            str(tmp_path / "s.jsonl"), window=8, sampler=SpanSampler(rate=1.0)
-        )
-        run_traced("fig6", trace=tracer)
-        assert tracer.sampled_out == 0
-        assert _span_dicts(tracer) == _span_dicts(full)
+    def test_rate_one_keeps_everything(self):
+        full = run_traced("fig6").spans
+        assert _span_dicts(_fig6_kept(SpanSampler(rate=1.0))) == _span_dicts(full)
 
-    def test_head_keeps_prefix_by_sid(self, tmp_path):
-        tracer = StreamingTracer(
-            str(tmp_path / "s.jsonl"), window=8, sampler=SpanSampler(head=5)
-        )
+    def test_head_keeps_prefix_by_sid(self):
+        recorder = SpanRecorder(enabled=True)
         for i in range(20):
-            tracer.add(0, "t", f"n{i}", "cat", float(i), float(i) + 1.0)
-        assert sorted(s.sid for s in tracer) == [0, 1, 2, 3, 4]
+            recorder.add(0, "t", f"n{i}", "cat", float(i), float(i) + 1.0)
+        kept = sampled_spans(recorder.spans, SpanSampler(head=5))
+        assert [s.sid for s in kept] == [0, 1, 2, 3, 4]
 
-    def test_children_inherit_root_decision(self, tmp_path):
-        tracer = StreamingTracer(
-            str(tmp_path / "s.jsonl"), window=64, sampler=SpanSampler(rate=0.5, seed=1)
-        )
-        session = Session(paper_platform(), strategy="aggreg", trace=tracer)
+    def test_children_inherit_root_decision(self):
+        session = Session(paper_platform(), strategy="aggreg", trace=True)
         run_pingpong(session, 64 * 1024, segments=2, reps=2, warmup=1)
-        kept = {s.sid for s in tracer}
-        for span in tracer:
+        spans = session.spans.spans
+        kept = sampled_spans(spans, SpanSampler(rate=0.5, seed=1))
+        sids = {s.sid for s in kept}
+        assert 0 < len(kept) < len(spans)
+        for span in spans:
             if span.parent is not None:
-                assert span.parent in kept, "kept child of a dropped root"
+                assert (span.sid in sids) == (span.parent in sids)
 
-    def test_same_seed_same_sample_across_runs(self, tmp_path):
-        def record(path):
-            tracer = StreamingTracer(
-                path, window=8, sampler=SpanSampler(rate=0.4, seed=11)
-            )
-            run_traced("fig6", trace=tracer)
-            return _span_dicts(tracer)
-
-        a = record(str(tmp_path / "a.jsonl"))
-        b = record(str(tmp_path / "b.jsonl"))
+    def test_same_seed_same_sample_across_runs(self):
+        a = _span_dicts(_fig6_kept(SpanSampler(rate=0.4, seed=11)))
+        b = _span_dicts(_fig6_kept(SpanSampler(rate=0.4, seed=11)))
         assert a == b and 0 < len(a)
 
-    def test_different_seed_different_sample(self, tmp_path):
-        samples = set()
-        for seed in range(4):
-            tracer = StreamingTracer(
-                str(tmp_path / f"s{seed}.jsonl"),
-                window=8,
-                sampler=SpanSampler(rate=0.4, seed=seed),
-            )
-            run_traced("fig6", trace=tracer)
-            samples.add(tuple(s.sid for s in tracer))
+    def test_different_seed_different_sample(self):
+        spans = run_traced("fig6").spans.spans
+        samples = {
+            tuple(s.sid for s in sampled_spans(spans, SpanSampler(rate=0.4, seed=seed)))
+            for seed in range(4)
+        }
         assert len(samples) > 1
 
     def test_invalid_rates_rejected(self):
@@ -179,21 +130,20 @@ class TestSampler:
         with pytest.raises(ValueError, match="head"):
             SpanSampler(head=-1)
 
-    def test_round_trip_and_off(self):
-        s = SpanSampler(rate=0.25, head=100, seed=9)
-        assert SpanSampler.from_dict(s.to_dict()).to_dict() == s.to_dict()
-        assert s.active and not SpanSampler.off().active
+    def test_open_spans_are_not_selected(self):
+        recorder = SpanRecorder(enabled=True)
+        recorder.begin(0, "pump", "sweep", "sweep", 0.0)  # never ended
+        recorder.add(0, "rdv", "rdv", "rdv", 0.0, 1.0)
+        assert [s.name for s in sampled_spans(recorder.spans, SpanSampler())] == ["rdv"]
 
 
 class TestSessionIntegration:
-    def test_session_adopts_recorder_instance(self, tmp_path):
-        tracer = StreamingTracer(str(tmp_path / "s.jsonl"), window=8)
-        session = Session(paper_platform(), trace=tracer)
-        assert session.spans is tracer
-        assert session.spans.enabled
-
     def test_bool_trace_still_builds_plain_recorder(self):
         session = Session(paper_platform(), trace=True)
         assert type(session.spans) is SpanRecorder and session.spans.enabled
         off = Session(paper_platform(), trace=False)
         assert not off.spans.enabled
+
+    def test_trace_takes_a_bool_only(self):
+        with pytest.raises(ConfigError, match="trace must be a bool, got SpanRecorder"):
+            Session(paper_platform(), trace=SpanRecorder(enabled=True))

@@ -1,14 +1,12 @@
-"""Property tests of streaming/sampled tracing (PR 7's core guarantees).
+"""Property tests of sampled span streams (PR 7's core guarantees).
 
 Across random workloads — ping-pong and flood, with and without a random
-fault plan — recording through a :class:`StreamingTracer` must
+fault plan — the span stream a run writes must
 
-* **bound memory**: the peak number of closed spans buffered in memory
-  never exceeds the configured window, whatever the workload emits;
-* **replay losslessly**: with sampling off, the streamed trace replays
-  bit-identically to the unbounded in-memory recorder of the same
-  (deterministic) workload, so every exporter and analyzer sees the
-  exact same spans;
+* **read back losslessly**: what :func:`load_span_stream` reads equals
+  what :func:`write_span_stream` wrote, and with sampling off that is
+  the in-memory recorder itself, so every exporter and analyzer sees
+  the exact same spans;
 * **sample coherently and safely**: children are never kept without
   their root, the decision is a pure function of span identity (same
   seed → same sample on a re-run), and the critical-path invariant
@@ -24,7 +22,12 @@ from repro import Session, paper_platform, run_pingpong
 from repro.bench.flood import run_flood
 from repro.faults.plan import random_plan
 from repro.obs.critical_path import analyze_session
-from repro.obs.streaming import SpanSampler, StreamingTracer
+from repro.obs.streaming import (
+    SpanSampler,
+    load_span_stream,
+    sampled_spans,
+    write_span_stream,
+)
 
 _SIZES = (64, 1024, 8 * 1024, 64 * 1024)
 _STRATEGIES = ("greedy", "aggreg", "aggreg_multirail")
@@ -44,11 +47,11 @@ def workloads(draw):
     return kind, strategy, size, shape, fault_seed
 
 
-def _run(workload, trace):
+def _run(workload):
     kind, strategy, size, shape, fault_seed = workload
     spec = paper_platform()
     faults = None if fault_seed is None else random_plan(fault_seed, spec)
-    session = Session(spec, strategy=strategy, trace=trace, faults=faults)
+    session = Session(spec, strategy=strategy, trace=True, faults=faults)
     if kind == "pingpong":
         segments, reps = shape
         run_pingpong(session, size, segments=segments, reps=reps, warmup=1)
@@ -58,24 +61,34 @@ def _run(workload, trace):
     return session
 
 
-@given(workloads(), st.sampled_from((1, 4, 32, 256)))
-@settings(max_examples=25, deadline=None)
-def test_peak_buffered_spans_bounded_by_window(tmp_path_factory, workload, window):
-    path = str(tmp_path_factory.mktemp("stream") / "s.jsonl")
-    tracer = StreamingTracer(path, window=window)
-    _run(workload, tracer)
-    assert tracer.peak_buffered <= window
-    assert len(tracer.spans) <= window
+def _dicts(spans):
+    return [s.to_dict() for s in spans]
 
 
 @given(workloads())
 @settings(max_examples=15, deadline=None)
 def test_streamed_replay_bit_identical_to_unbounded(tmp_path_factory, workload):
-    full = _run(workload, True).spans
+    full = _run(workload).spans
     path = str(tmp_path_factory.mktemp("stream") / "s.jsonl")
-    tracer = StreamingTracer(path, window=4)
-    _run(workload, tracer)
-    assert [s.to_dict() for s in tracer] == [s.to_dict() for s in full]
+    write_span_stream(path, sampled_spans(full.spans, SpanSampler()), SpanSampler())
+    assert _dicts(load_span_stream(path)) == _dicts(full)
+
+
+@given(
+    workloads(),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.one_of(st.none(), st.integers(0, 400)),
+    st.integers(0, 99),
+)
+@settings(max_examples=15, deadline=None)
+def test_a_stream_reads_back_to_what_was_written(
+    tmp_path_factory, workload, rate, head, seed
+):
+    sampler = SpanSampler(rate=rate, head=head, seed=seed)
+    kept = sampled_spans(_run(workload).spans.spans, sampler)
+    path = str(tmp_path_factory.mktemp("stream") / "s.jsonl")
+    write_span_stream(path, kept, sampler)
+    assert _dicts(load_span_stream(path)) == _dicts(kept)
 
 
 @given(
@@ -84,50 +97,28 @@ def test_streamed_replay_bit_identical_to_unbounded(tmp_path_factory, workload):
     st.integers(0, 99),
 )
 @settings(max_examples=20, deadline=None)
-def test_sampling_is_coherent_and_deterministic(
-    tmp_path_factory, workload, rate, seed
-):
-    base = tmp_path_factory.mktemp("stream")
-    sampler = SpanSampler(rate=rate, seed=seed)
-    tracer = StreamingTracer(str(base / "a.jsonl"), window=16, sampler=sampler)
-    _run(workload, tracer)
-    kept = {s.sid for s in tracer}
+def test_sampling_is_coherent_and_deterministic(workload, rate, seed):
+    kept = sampled_spans(_run(workload).spans.spans, SpanSampler(rate=rate, seed=seed))
+    sids = {s.sid for s in kept}
     # coherent subtrees: no kept span whose parent was dropped
-    for span in tracer:
+    for span in kept:
         if span.parent is not None:
-            assert span.parent in kept
+            assert span.parent in sids
     # pure function of identity: a second run keeps the same sample
-    again = StreamingTracer(
-        str(base / "b.jsonl"), window=16, sampler=SpanSampler(rate=rate, seed=seed)
-    )
-    _run(workload, again)
-    assert {s.sid for s in again} == kept
+    again = sampled_spans(_run(workload).spans.spans, SpanSampler(rate=rate, seed=seed))
+    assert _dicts(again) == _dicts(kept)
 
 
 @given(workloads(), st.floats(min_value=0.1, max_value=0.9), st.integers(0, 9))
 @settings(max_examples=15, deadline=None)
-def test_sampled_trace_verifies_like_full_trace(
-    tmp_path_factory, workload, rate, seed
-):
+def test_sampled_trace_verifies_like_full_trace(workload, rate, seed):
     """critical_path.verify() must agree on full vs sampled spans: the
     attribution invariants hold for any span subset, so a clean full
     trace implies a clean sampled one (and vice versa)."""
-    full_session = _run(workload, True)
-    full_verdict = analyze_session(full_session).verify()
-    path = str(tmp_path_factory.mktemp("stream") / "s.jsonl")
-    tracer = StreamingTracer(
-        path, window=16, sampler=SpanSampler(rate=rate, seed=seed)
+    session = _run(workload)
+    full_verdict = analyze_session(session).verify()
+    session.spans.spans = sampled_spans(
+        session.spans.spans, SpanSampler(rate=rate, seed=seed)
     )
-    sampled_session = _run(workload, tracer)
-    sampled_verdict = analyze_session(sampled_session).verify()
+    sampled_verdict = analyze_session(session).verify()
     assert sampled_verdict == full_verdict == []
-
-
-def test_ten_thousand_event_flood_holds_window(tmp_path):
-    """The acceptance flood: >=10k span events under a small window."""
-    tracer = StreamingTracer(str(tmp_path / "flood.jsonl"), window=128)
-    session = Session(paper_platform(), strategy="greedy", trace=tracer)
-    run_flood(session, 64 * 1024, count=256, window=8)
-    assert len(tracer) >= 10_000, "workload too small to exercise the bound"
-    assert tracer.peak_buffered <= 128
-    assert tracer.spilled >= len(tracer) - 128

@@ -11,7 +11,7 @@ from repro.hardware.spec import DRIVER_APIS, RailSpec
 ROOT = Path(__file__).resolve().parents[1]
 DESIGN = ROOT / "DESIGN.md"
 #: DESIGN.md may shrink, never grow: a change that adds a section takes one out
-DESIGN_MAX_LINES = 1320
+DESIGN_MAX_LINES = 1319
 
 
 def _section(text, heading):

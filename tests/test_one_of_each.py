@@ -101,6 +101,11 @@ DELETED = [
      ("src/repro",), ("src/repro/util/config.py",)),
     # ... and one span file, the span stream
     (("to_jsonl", "write_jsonl", "--jsonl"), _CODE_AND_DOCS, ()),
+    # one span recorder, in memory: a span stream is written once, after
+    # the run, and never spilled, replayed or adopted by a session
+    (("StreamingTracer", r"stream[-_]window", r"\b_retain\b", r"\b_on_close\b",
+      r"def lifecycle_report\(self"),
+     _CODE_AND_DOCS, ()),
 ]
 
 
