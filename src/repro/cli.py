@@ -20,7 +20,8 @@ Commands
 ``metrics``      run the canonical probe workload and print its metrics
                  (OpenMetrics or JSON)
 ``ledger``       queryable SQLite run ledger: ingest bench records, chaos
-                 reports, fault plans and event logs; query by git SHA
+                 reports, fault plans, event logs and span streams; query
+                 by git SHA
 ``topo``         describe the multi-switch topology presets (fat-tree,
                  dragonfly, rail-optimized) and their sample routes
 ``list``         show available strategies, drivers and rail presets

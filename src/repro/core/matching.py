@@ -13,6 +13,13 @@ n_nodes)`` gives back ``(tag, peer)``), and a dict of int keys and int
 values is never tracked by the cyclic collector, where a dict of
 ``(peer, tag)`` tuples is.
 
+A channel's waiting receives are one entry of ``_posted``: the
+:class:`RecvRequest` itself while one waits (an arrival matches it when
+``request.seq == seq``), else a deque covering seqs ``[_recv_seq[chan] -
+len(q), _recv_seq[chan])`` in order, ``None`` where a seq matched at post
+time; its head is never ``None``, and the entry goes once nothing waits.
+A waiting receive costs the table one 8-byte slot, and no key of its own.
+
 Three arrival-vs-post races are handled:
 
 * receive posted first (the common ping-pong case);
@@ -40,7 +47,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Literal, Optional
+from typing import Deque, Literal, Optional, Union
 
 from ..util.errors import MatchingError
 from .packet import Payload, RdvReq
@@ -53,6 +60,9 @@ ANY_SOURCE = -1
 
 Key = tuple[int, int, int]  # (peer node, tag, seq)
 Chan = int  # tag * n_nodes + peer node
+#: a channel's waiting receives: the one request, or a deque with ``None``
+#: for each seq that matched at post time (see the module docstring)
+Waiting = Union[RecvRequest, Deque[Optional[RecvRequest]]]
 #: one match an arrival produced, a plain tuple ``(request, payload, rdv)``:
 #: deliver ``payload`` to ``request`` when ``rdv`` is None, else accept the
 #: rendezvous ``rdv`` from ``request.peer`` (the request's ``peer`` and
@@ -107,7 +117,7 @@ class MatchingTable:
 
     def __init__(self, n_nodes: int = 1) -> None:
         self._n_nodes = n_nodes
-        self._posted: dict[Key, RecvRequest] = {}
+        self._posted: dict[Chan, Waiting] = {}
         self._recv_seq: dict[Chan, int] = {}
         #: unconsumed arrivals by exact key (the unexpected queue)
         self._parked: dict[Key, _Arrival] = {}
@@ -125,7 +135,11 @@ class MatchingTable:
     # ------------------------------------------------------------------ #
     @property
     def posted_count(self) -> int:
-        return len(self._posted) + sum(len(q) for q in self._any_posted.values())
+        exact = sum(
+            len(w) - w.count(None) if w.__class__ is deque else 1
+            for w in self._posted.values()
+        )
+        return exact + sum(len(q) for q in self._any_posted.values())
 
     @property
     def unexpected_count(self) -> int:
@@ -231,24 +245,33 @@ class MatchingTable:
         chan = tag * self._n_nodes + peer
         seq = self._recv_seq.get(chan, 0)
         self._recv_seq[chan] = seq + 1
-        key = (peer, tag, seq)
-        arrival = self._parked.get(key)
+        parked = self._parked
+        arrival = parked.get((peer, tag, seq)) if parked else None
         stash = self._stash.get(chan)
         if arrival is None and stash:
             # the arrival may still sit in the out-of-order stash
             arrival = stash.get(seq)
+        waiting = self._posted.get(chan)
         if arrival is not None:
             self._consume(arrival)
             request.seq = arrival.seq  # the sender's int, not an equal copy
             if stash and stash.pop(seq, None) is not None and not stash:
                 del self._stash[chan]
+            if waiting.__class__ is deque:
+                waiting.append(None)  # the queue covers every seq up to ours
             if arrival.kind == "eager":
                 return PostOutcome("eager", payload=arrival.payload)
             return PostOutcome("rdv", rdv=arrival.rdv, rdv_src=arrival.peer)
-        if key in self._posted:  # pragma: no cover - counter makes this impossible
-            raise MatchingError(f"duplicate posted receive for {key}")
         request.seq = seq
-        self._posted[key] = request
+        if waiting is None:
+            self._posted[chan] = request
+        elif waiting.__class__ is deque:
+            waiting.append(request)
+        else:
+            # a second receive waits: the seqs between the two matched at post
+            queue = self._posted[chan] = deque((waiting,))
+            queue.extend([None] * (seq - waiting.seq - 1))
+            queue.append(request)
         return _POSTED
 
     def _post_wildcard(self, tag: int, request: RecvRequest) -> PostOutcome:
@@ -287,19 +310,37 @@ class MatchingTable:
         entry; a wildcard tag may release a whole chain when this arrival
         fills the gap the channel cursor was stuck on.
         """
-        key = (peer, tag, seq)
         chan = tag * self._n_nodes + peer
+        parked = self._parked
         stash = self._stash.get(chan)
-        if key in self._parked or (stash and seq in stash):
-            raise MatchingError(f"duplicate arrival for {key}")
+        if (parked and (peer, tag, seq) in parked) or (stash and seq in stash):
+            raise MatchingError(f"duplicate arrival for {(peer, tag, seq)}")
         # 1. exact posted receive wins immediately (any order of seqs) —
         #    the common case, which never needs an _Arrival record
-        request = self._posted.pop(key, None)
-        if request is not None:
-            # posted for exactly this key: peer and seq are already right,
-            # and the seq becomes the sender's int (the request's is freed)
-            request.seq = seq
-            return [(request, payload, rdv)]
+        waiting = self._posted.get(chan)
+        if waiting is not None:
+            request = None
+            if waiting.__class__ is not deque:
+                if waiting.seq == seq:
+                    request = waiting
+                    del self._posted[chan]
+            else:
+                index = seq - self._recv_seq[chan] + len(waiting)
+                if index == 0:
+                    request = waiting.popleft()
+                    while waiting and waiting[0] is None:
+                        waiting.popleft()
+                    if not waiting:
+                        del self._posted[chan]
+                elif 0 < index < len(waiting):
+                    request = waiting[index]
+                    waiting[index] = None
+            if request is not None:
+                # posted for exactly this seq: peer and seq are already
+                # right, and the seq becomes the sender's int (the
+                # request's is freed)
+                request.seq = seq
+                return [(request, payload, rdv)]
         # 2. in-order bookkeeping for the wildcard path
         arrival = _Arrival(peer, tag, seq, kind, payload, rdv)
         cursor = self._cursor.get(chan, 0)
@@ -310,7 +351,9 @@ class MatchingTable:
                 stash = self._stash[chan] = {}
             stash[seq] = arrival
         else:
-            raise MatchingError(f"arrival {key} repeats a delivered sequence")
+            raise MatchingError(
+                f"arrival {(peer, tag, seq)} repeats a delivered sequence"
+            )
         # 3. waiting wildcard receives drain whatever just became eligible
         return self._drain_wildcards(tag)
 

@@ -36,6 +36,8 @@ from ..util.config import read_json_objects
 from ..util.errors import BenchError, ConfigError
 from .log import EVENT_SCHEMA_VERSION, new_run_id, parse_events
 from .perf import POINT_KEY_FIELDS, SIM_FIELDS, load_record, point_key
+from .spans import SpanError
+from .streaming import STREAM_SCHEMA_VERSION, load_span_stream
 
 __all__ = ["LEDGER_SCHEMA_VERSION", "Ledger", "DEFAULT_LEDGER_PATH"]
 
@@ -346,6 +348,11 @@ class Ledger:
         )
         self._db.commit()
 
+    def _add_loose_file(self, run_id: Optional[str], kind: str, path: str) -> str:
+        rid = run_id or new_run_id()
+        self.add_artifact(rid, kind, path)
+        return rid
+
     def _run_exists(self, run_id: str) -> bool:
         return (
             self._db.execute(
@@ -358,7 +365,10 @@ class Ledger:
         """Auto-detect and ingest one artifact file.
 
         ``BENCH_*.json`` bench records, chaos report JSON, event-log
-        JSONL and fault-plan JSON are recognized by content, not name.
+        JSONL, span-stream JSONL and fault-plan JSON are recognized by
+        content, not name.  A span stream or a fault plan is checked by
+        its own reader and kept as an artifact of ``run_id`` (or of a new
+        run).
         """
         try:
             with open(path, "rb") as fh:
@@ -367,6 +377,12 @@ class Ledger:
             raise BenchError(f"cannot read {path}: {exc}") from None
         if f'"{EVENT_SCHEMA_VERSION}"'.encode() in first_line:
             return self.ingest_events(path, run_id=run_id)
+        if f'"{STREAM_SCHEMA_VERSION}"'.encode() in first_line:
+            try:
+                load_span_stream(path)
+            except SpanError as exc:
+                raise BenchError(str(exc)) from None
+            return [self._add_loose_file(run_id, "span_stream", path)]
         ((_, doc),) = read_json_objects(path, BenchError)
         schema = doc.get("schema")
         if isinstance(schema, str) and schema.startswith("repro.bench_record"):
@@ -380,12 +396,10 @@ class Ledger:
                 FaultPlan.from_dict(doc)
             except ConfigError as exc:
                 raise BenchError(f"{path}: {exc}") from None
-            rid = run_id or new_run_id()
-            self._upsert_run(rid, "events")
-            self.add_artifact(rid, "fault_plan", path)
-            return [rid]
+            return [self._add_loose_file(run_id, "fault_plan", path)]
         raise BenchError(
-            f"{path}: not a bench record, chaos report, fault plan or event log"
+            f"{path}: not a bench record, chaos report, fault plan, event log"
+            " or span stream"
         )
 
     # -- queries -------------------------------------------------------------

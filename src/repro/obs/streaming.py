@@ -135,5 +135,7 @@ def load_span_stream(path: str) -> SpanRecorder:
             rec.spans.append(Span.from_dict(span))
         except KeyError as exc:
             raise SpanError(f"{where}: span lacks field {exc}") from None
+        if type(span["sid"]) is not int:  # the sort key below
+            raise SpanError(f"{where}: span sid {span['sid']!r} is not an int")
     rec.spans.sort(key=lambda s: s.sid)
     return rec

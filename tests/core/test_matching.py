@@ -86,6 +86,63 @@ class TestPostFirst:
         assert matched(table.arrive(0, 1, 0, "eager", payload=Payload.of(b"a"))) == [r0]
 
 
+def eager(table, seq, peer=0, tag=1):
+    """Deliver eager message ``seq``; the requests it completes."""
+    return matched(table.arrive(peer, tag, seq, "eager", payload=Payload.of(bytes([seq]))))
+
+
+class TestWaitingQueue:
+    """A channel's waiting receives: one request, or a deque whose slots
+    are seqs ``[_recv_seq - len, _recv_seq)``, ``None`` where a seq
+    matched at post time.  Each case below is one transition of that
+    queue; the law over random interleavings is
+    ``tests/property/test_matching_prop.py``."""
+
+    def test_a_post_that_matches_at_once_while_others_wait_keeps_its_slot(self, sim):
+        table = MatchingTable(N_NODES)
+        r0, r1 = req(sim), req(sim)
+        table.post_recv(0, 1, r0)
+        table.post_recv(0, 1, r1)
+        assert eager(table, 2) == []  # unexpected: parked
+        assert table.post_recv(0, 1, req(sim)).kind == "eager"  # seq 2, at once
+        r3 = req(sim)
+        table.post_recv(0, 1, r3)
+        assert table.posted_count == 3
+        # without seq 2's placeholder the queue would read r0 as seq 1
+        assert eager(table, 0) == [r0]
+        assert eager(table, 3) == [r3]
+        assert eager(table, 1) == [r1]
+        assert table.posted_count == 0 and table._posted == {}
+
+    def test_one_waiting_receive_becomes_a_queue_across_a_gap(self, sim):
+        table = MatchingTable(N_NODES)
+        r0 = req(sim)
+        table.post_recv(0, 1, r0)
+        assert eager(table, 1) == [] and eager(table, 2) == []
+        for _ in range(2):  # seqs 1 and 2 match at post time
+            assert table.post_recv(0, 1, req(sim)).kind == "eager"
+        r3 = req(sim)
+        table.post_recv(0, 1, r3)  # the second waiting receive, two seqs on
+        assert (r0.seq, r3.seq, table.posted_count) == (0, 3, 2)
+        assert eager(table, 3) == [r3]
+        assert eager(table, 0) == [r0]
+        assert table.posted_count == 0 and table._posted == {}
+
+    def test_an_out_of_order_arrival_inside_a_queue_frees_its_slot(self, sim):
+        table = MatchingTable(N_NODES)
+        reqs = [req(sim) for _ in range(3)]
+        for r in reqs:
+            table.post_recv(0, 1, r)
+        assert eager(table, 1) == [reqs[1]]
+        assert table.posted_count == 2
+        assert eager(table, 0) == [reqs[0]]
+        assert table.posted_count == 1
+        # a repeat of a seq before the queue's head completes no receive
+        assert eager(table, 0) == [] and table.posted_count == 1
+        assert eager(table, 2) == [reqs[2]]
+        assert table.posted_count == 0 and table._posted == {}
+
+
 class TestArriveFirst:
     def test_unexpected_then_posted(self, sim):
         table = MatchingTable(N_NODES)

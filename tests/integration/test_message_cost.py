@@ -5,7 +5,8 @@ counted: a Python frame entered or a generator resumed.  C calls are not
 events, so the C event core's ``schedule``, the clock (a ``property`` over
 ``attrgetter``) and a hit of the virtual-payload cache cost nothing here.
 The count is deterministic: it moves only when the per-message path gains
-or loses a Python frame.
+or loses a Python frame.  ``tests/callcount.py`` counts it by layer; both
+floods enter ``core.matching`` twice a message (the post, the arrival).
 
 **Eager**, in the shape of hostbench's ``flood_eager``: window 32,
 ``aggreg_multirail``, 2 000 messages of 8 B–4 KB, a drain process on the
@@ -77,7 +78,6 @@ import collections
 import functools
 import os
 import random
-import sys
 from collections import deque
 
 import pytest
@@ -87,6 +87,7 @@ from repro import (
 )
 from repro.obs.instruments import FOLD_AT, Histogram
 from repro.sim.backend import available_backends
+from tests.callcount import count_calls
 
 CEILING = {"native": 30.0, "heap": 38.0}
 MESSAGES = 2_000
@@ -147,62 +148,55 @@ def _flood(session, sizes, window):
 
 def _calls(run):
     """``(calls, result)``: Python ``call`` events while ``run()`` runs."""
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        result = run()
-    finally:
-        sys.setprofile(previous)
-    return calls, result
+    by_layer, result = count_calls(run)
+    return sum(by_layer.values()), result
 
 
-def calls_per_message(backend):
-    """Python ``call`` events per message of one eager flood."""
-    sizes = random.Random(7).choices((8, 64, 512, 2048, 4096), k=MESSAGES)
-    session = Session(paper_platform(), strategy="aggreg_multirail", backend=backend)
-    calls, recvs = _calls(_flood(session, sizes, WINDOW))
+def layer_calls_per_message(kind, backend):
+    """Python ``call`` events per message of one ``"eager"`` or ``"rdv"``
+    flood, by layer (``tests/callcount.py``)."""
+    if kind == "eager":
+        sizes = random.Random(7).choices((8, 64, 512, 2048, 4096), k=MESSAGES)
+        session = Session(paper_platform(), strategy="aggreg_multirail", backend=backend)
+        window = WINDOW
+    else:
+        sizes = random.Random(7).choices((64 * KB, 256 * KB, 1024 * KB), k=RDV_MESSAGES)
+        session = Session(
+            paper_platform(), strategy="split_balance", samples=_samples(), backend=backend
+        )
+        window = RDV_WINDOW
+    by_layer, recvs = count_calls(_flood(session, sizes, window))
     assert all(r.done and r.payload.size == n for r, n in zip(recvs, sizes))
-    assert session.counters(0)["aggregated_packets"] > 0  # the eager regime, aggregated
-    return calls / MESSAGES
-
-
-def calls_per_rdv_message(backend):
-    """Python ``call`` events per message of one rendezvous flood."""
-    sizes = random.Random(7).choices((64 * KB, 256 * KB, 1024 * KB), k=RDV_MESSAGES)
-    session = Session(
-        paper_platform(), strategy="split_balance", samples=_samples(), backend=backend
-    )
-    calls, recvs = _calls(_flood(session, sizes, RDV_WINDOW))
-    assert all(r.done and r.payload.size == n for r, n in zip(recvs, sizes))
-    assert session.counters(0)["packets_committed"] == RDV_MESSAGES  # one RDV_REQ each
-    return calls / RDV_MESSAGES
+    if kind == "eager":  # the eager regime, aggregated
+        assert session.counters(0)["aggregated_packets"] > 0
+    else:  # one RDV_REQ each
+        assert session.counters(0)["packets_committed"] == RDV_MESSAGES
+    return collections.Counter({name: n / len(sizes) for name, n in by_layer.items()})
 
 
 @pytest.mark.parametrize("backend", available_backends())
 def test_an_eager_message_stays_under_its_call_budget(backend):
-    per_message = calls_per_message(backend)
+    by_layer = layer_calls_per_message("eager", backend)
+    per_message = sum(by_layer.values())
     assert per_message > 10, "the profiler did not see the flood"
     assert per_message <= CEILING[backend], (
         f"{per_message:.2f} Python calls per eager message on {backend}"
         f" (ceiling {CEILING[backend]})"
     )
+    # one post_recv and one arrive a message; the first post fixes the tag's mode
+    assert by_layer["core.matching"] == pytest.approx(2 + 1 / MESSAGES)
 
 
 @pytest.mark.parametrize("backend", available_backends())
 def test_a_rendezvous_message_stays_under_its_call_budget(backend):
-    per_message = calls_per_rdv_message(backend)
+    by_layer = layer_calls_per_message("rdv", backend)
+    per_message = sum(by_layer.values())
     assert per_message > 100, "the profiler did not see the flood"
     assert per_message <= RDV_CEILING[backend], (
         f"{per_message:.2f} Python calls per rendezvous message on {backend}"
         f" (ceiling {RDV_CEILING[backend]})"
     )
+    assert by_layer["core.matching"] == pytest.approx(2 + 1 / RDV_MESSAGES)
 
 
 def _session_calls(backend):
@@ -262,19 +256,11 @@ def test_an_eager_flood_enters_the_metrics_module_per_batch_only(backend):
     a full batch, and to read each rail's commit count when it publishes."""
     sizes = random.Random(7).choices((8, 64, 512, 2048, 4096), k=MESSAGES)
     session = Session(paper_platform(), strategy="aggreg_multirail", backend=backend)
-    run = _flood(session, sizes, WINDOW)
-    frames = collections.Counter()
-
-    def count(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename.endswith(METRICS_FILES):
-            frames[frame.f_code.co_name] += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        run()
-    finally:
-        sys.setprofile(previous)
+    frames, _ = count_calls(
+        _flood(session, sizes, WINDOW),
+        lambda code: code.co_name if code.co_filename.endswith(METRICS_FILES) else None,
+    )
+    frames.pop(None, None)
     hists = [inst for inst in session.metrics if isinstance(inst, Histogram)]
     observations = sum(h.count for h in hists)
     commits = sum(session.counters(n)["packets_committed"] for n in (0, 1))

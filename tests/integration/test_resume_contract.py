@@ -15,8 +15,6 @@ on native the wrapper's count is checked against the heap run's frames,
 and the unwrapped native run against the heap run's clock and events.
 """
 
-import sys
-
 import pytest
 
 from repro import Session, paper_platform
@@ -26,6 +24,7 @@ from repro.mpi.collectives import multilane_allreduce
 from repro.mpi.comm import Communicator
 from repro.sim.backend import available_backends
 from repro.sim.process import Process
+from tests.callcount import count_calls
 
 
 def _pingpong(backend, samples):
@@ -58,19 +57,10 @@ def _allreduce_p16(backend, samples):
 
 def _unwrapped(workload, backend, samples):
     code = vars(Process)["_advance"].__code__
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code is code:
-            calls += 1
-
-    sys.setprofile(count)
-    try:
-        session = workload(backend, samples)
-    finally:
-        sys.setprofile(None)
-    return calls, session
+    frames, session = count_calls(
+        lambda: workload(backend, samples), lambda frame_code: frame_code is code
+    )
+    return frames[True], session
 
 
 def _strictly_wrapped(workload, backend, samples):

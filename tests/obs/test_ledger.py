@@ -13,6 +13,7 @@ from repro.faults.plan import random_plan
 from repro.hardware.presets import paper_platform
 from repro.obs.ledger import LEDGER_SCHEMA_VERSION, Ledger
 from repro.obs.log import EVENT_SCHEMA_VERSION, EventLogger
+from repro.obs.streaming import STREAM_SCHEMA_VERSION, SpanSampler, write_span_stream
 from repro.obs.perf import (
     POINT_KEY_FIELDS,
     BenchRecorder,
@@ -29,6 +30,14 @@ def _bench_record(run_id=None):
     pp = run_pingpong(session, 4096, segments=2, reps=1, warmup=1)
     rec.record_point(pingpong_point(pp, bench="unit.pp", curve="greedy"))
     return rec.finish()
+
+
+def _span_stream(path):
+    """A traced 2-node ping-pong's spans, written as a span stream."""
+    session = Session(paper_platform(), trace=True)
+    run_pingpong(session, 4096, reps=1, warmup=0)
+    write_span_stream(path, session.spans.spans, SpanSampler())
+    return path
 
 
 @pytest.fixture()
@@ -77,13 +86,26 @@ class TestIngest:
         (rid,) = ledger.ingest_path(path)
         assert ledger.show(rid)["artifacts"] == [{"kind": "fault_plan", "path": path}]
 
-    @pytest.mark.parametrize("kind", ["bench", "chaos", "fault_plan", "events"])
+    def test_a_span_stream_ingests_as_an_artifact(self, ledger, tmp_path):
+        path = _span_stream(str(tmp_path / "spans.jsonl"))
+        (rid,) = ledger.ingest_path(path)
+        assert ledger.show(rid)["artifacts"] == [{"kind": "span_stream", "path": path}]
+        ledger.ingest_bench_record(_bench_record(run_id="r-trace"))
+        assert ledger.ingest_path(path, run_id="r-trace") == ["r-trace"]
+        detail = ledger.show("r-trace")
+        assert detail["kind"] == "bench" and len(detail["points"]) == 1
+        assert detail["artifacts"] == [{"kind": "span_stream", "path": path}]
+
+    @pytest.mark.parametrize(
+        "kind", ["bench", "chaos", "fault_plan", "events", "span_stream"]
+    )
     def test_ingest_path_parses_each_file_once(self, ledger, tmp_path, monkeypatch, kind):
         """Parent: twice for a bench record, a chaos report or a fault plan
         (once to learn its kind, once more by the kind's own loader)."""
         import repro.faults.plan
         import repro.obs.log
         import repro.obs.perf
+        import repro.obs.streaming
         from repro.obs import ledger as ledger_module
         from repro.util.config import read_json_objects
 
@@ -93,7 +115,10 @@ class TestIngest:
             calls.append(args[0])
             return read_json_objects(*args, **kwargs)
 
-        for module in (ledger_module, repro.obs.perf, repro.faults.plan, repro.obs.log):
+        for module in (
+            ledger_module, repro.obs.perf, repro.faults.plan, repro.obs.log,
+            repro.obs.streaming,
+        ):
             monkeypatch.setattr(module, "read_json_objects", counting)
         path = str(tmp_path / f"{kind}.json")
         if kind == "bench":
@@ -104,6 +129,8 @@ class TestIngest:
                 json.dump(report.to_dict(), fh)
         elif kind == "fault_plan":
             random_plan(3, paper_platform()).save(path)
+        elif kind == "span_stream":
+            _span_stream(path)
         else:
             log = EventLogger(level="info", path=path, run_id="r2")
             log.info("x")
@@ -259,6 +286,18 @@ class TestCli:
             assert run["n_chaos_cases"] == 1 and run["n_events"] > 0
             assert any(a["kind"] == "event_log" for a in led.show(run["run_id"])["artifacts"])
 
+    def test_the_stream_analyze_writes_is_a_ledger_artifact(self, tmp_path, capsys):
+        """The parent parsed the stream as one JSON document: exit 2,
+        ``invalid JSON: Extra data``."""
+        db, stream = str(tmp_path / "ledger.db"), str(tmp_path / "spans.jsonl")
+        assert main(["analyze", "fig6", "--stream", stream]) == 0
+        capsys.readouterr()
+        assert main(["ledger", "--db", db, "ingest", stream]) == 0
+        rid = capsys.readouterr().out.split()[-1]
+        assert main(["ledger", "--db", db, "show", rid]) == 0
+        detail = json.loads(capsys.readouterr().out)
+        assert detail["artifacts"] == [{"kind": "span_stream", "path": stream}]
+
     def test_event_log_schema_line_is_ingestable(self, tmp_path):
         """The --log-file JSONL written by the CLI is schema-stamped."""
         ev = str(tmp_path / "e.jsonl")
@@ -270,6 +309,8 @@ class TestCli:
         assert first["v"] == EVENT_SCHEMA_VERSION
         assert first["run_id"]
 
+
+_STREAM_HEADER = json.dumps({"schema": STREAM_SCHEMA_VERSION, "sampler": {}}) + "\n"
 
 #: hand-written files that were tracebacks: (name, content, what the one line says)
 _HOSTILE = [
@@ -283,6 +324,20 @@ _HOSTILE = [
     ("cases_str.json", '{"cases": "zzz"}', "cases_str.json: 'cases' must be a list"),
     ("cases_int.json", '{"cases": [1]}', "cases_int.json: 'cases' must be a list"),
     ("plan.json", '{"events": [{"kind": "down"}]}', "plan.json: malformed fault plan"),
+    (
+        "cut.jsonl",
+        _STREAM_HEADER + '{"cat": "api", "name": "submit", "node": 0, "si',
+        "cut.jsonl:2: invalid JSON",
+    ),
+    (
+        "sids.jsonl",
+        _STREAM_HEADER + "".join(
+            json.dumps({"cat": "api", "name": "x", "node": 0, "sid": sid,
+                        "t0": 0.0, "t1": 1.0, "track": "pump"}) + "\n"
+            for sid in (1, "0")
+        ),
+        "sids.jsonl:3: span sid '0' is not an int",
+    ),
 ]
 
 

@@ -39,7 +39,6 @@ ALLOWED = {
     "repro.api.pack.Unpacker": "the paper's section 2 unpack interface",
     "repro.faults.injector.FaultInjector.is_down": "the model's query of a rail's state",
     "repro.obs.export.validate_chrome_trace": "the schema check a user runs on an exported trace",
-    "repro.obs.streaming.load_span_stream": "the one reader of the span stream file `--stream` writes",
     "repro.faults.plan.FaultPlan.load": "reads back a plan `FaultPlan.save` or `chaos --save-failing` wrote",
     "repro.hardware.topology.TopologyPlan.links_created": "test probe: links are built on first use",
     "repro.hardware.topology.TopologyPlan.routes_cached": "test probe: routes are memoised per pair",
