@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     li = lgsub.add_parser(
         "ingest",
         help="ingest BENCH_*.json / chaos reports / fault plans / event logs"
-        " (auto-detected by content)",
+        " / span streams (auto-detected by content)",
     )
     li.add_argument("paths", nargs="+", metavar="FILE")
     li.add_argument(

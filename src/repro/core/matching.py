@@ -341,6 +341,12 @@ class MatchingTable:
                 # request's is freed)
                 request.seq = seq
                 return [(request, payload, rdv)]
+        # a receive was posted for every seq below the channel's posting
+        # counter, and none waits for this one: it was delivered already
+        if seq < self._recv_seq.get(chan, 0):
+            raise MatchingError(
+                f"arrival {(peer, tag, seq)} repeats a delivered sequence"
+            )
         # 2. in-order bookkeeping for the wildcard path
         arrival = _Arrival(peer, tag, seq, kind, payload, rdv)
         cursor = self._cursor.get(chan, 0)

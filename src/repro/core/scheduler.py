@@ -84,13 +84,17 @@ class NodeEngine:
         self._order = sorted(
             range(len(self.drivers)), key=lambda i: self.drivers[i].latency_us
         )
+        #: polled first by every sweep, with no wait before: its poll tally
+        #: is the node's sweep count (see ``counters``)
+        self.lead_driver = self.drivers[self._order[0]]
         self.strategy = strategy
         self.matching = MatchingTable(self._n_nodes)
         self.rdv = RdvManager(self)
         #: next send sequence number per channel ``tag * n_nodes + peer``,
         #: from its first submit (the mirror of ``MatchingTable._recv_seq``)
         self._seq_out: dict[int, int] = {}
-        self.counters = Counters()
+        #: what the pump counts and no other state holds (see ``counters``)
+        self._counters = Counters()
         #: hot-path instruments, one set per session (sweeps, polls, commits
         #: and parks are counted by their owners, the bag and the drivers)
         self._inst = session.instruments
@@ -129,6 +133,35 @@ class NodeEngine:
     def driver(self, rail_index: int) -> "Driver":
         return self.drivers[rail_index]
 
+    @property
+    def counters(self) -> Counters:
+        """The node's counter bag.
+
+        Four of its keys are facts other state already holds, so the pump
+        does not count them; they are written in here, when read (and
+        only once non-zero, as an increment would have made them):
+        ``sweeps`` is :attr:`lead_driver`'s poll tally, ``polls`` that
+        times the rail count (every sweep polls every rail),
+        ``packets_committed`` the drivers' eager posts and
+        ``segments_submitted`` the send channels' sequence counters.
+        """
+        bag = self._counters
+        counts = bag.counts
+        drivers = self.drivers
+        sweeps = self.lead_driver.polls
+        committed = 0
+        for driver in drivers:
+            committed += driver.eager_posted
+        for name, value in (
+            ("sweeps", sweeps),
+            ("polls", sweeps * len(drivers)),
+            ("packets_committed", committed),
+            ("segments_submitted", sum(self._seq_out.values())),
+        ):
+            if value:
+                counts[name] = value
+        return bag
+
     # ------------------------------------------------------------------ #
     # collect layer entry points (called from application processes)
     # ------------------------------------------------------------------ #
@@ -145,12 +178,11 @@ class NodeEngine:
             raise ApiError(f"no such node {dst_node}")
         chan = tag * self._n_nodes + dst_node
         seq = self._seq_out.get(chan, 0)
-        self._seq_out[chan] = seq + 1
         size = payload.size
         request = SendRequest(self.sim, dst_node, tag, seq, payload)
-        counts = self.counters.counts
-        counts["segments_submitted"] += 1
-        counts["bytes_submitted"] += size
+        # the channel's counter is also the node's count of submitted segments
+        self._seq_out[chan] = seq + 1
+        self._counters.counts["bytes_submitted"] += size
         if self.spans.enabled:
             self.sent_log.append(request)
             self.spans.instant(
@@ -178,7 +210,7 @@ class NodeEngine:
         outcome = self.matching.post_recv(src_node, tag, request)
         if outcome.kind == "eager":
             # Data already sat in the unexpected queue.
-            self.counters.add("unexpected_matches")
+            self._counters.counts["unexpected_matches"] += 1
             assert outcome.payload is not None
             request._deliver(outcome.payload)
         elif outcome.kind == "rdv":
@@ -285,7 +317,7 @@ class NodeEngine:
         even when the arrival itself was eager data.
         """
         spec = driver.spec
-        counts = self.counters.counts
+        counts = self._counters.counts
         if isinstance(pkt, PacketWrapper):
             counts["packets_handled"] += 1
             cost = spec.handle_cost_us
@@ -365,7 +397,7 @@ class NodeEngine:
         observer = self._observer
         memcpy_MBps = self._memcpy_MBps
         faulted = session.faults is not None
-        counts = self.counters.counts
+        counts = self._counters.counts
         inst = self._inst
         drivers = self.drivers
         rails = [
@@ -410,8 +442,7 @@ class NodeEngine:
                     counts["pump_wakeups"] += 1
                     if self._stopped:
                         break
-            counts["sweeps"] += 1
-            counts["polls"] += n_rails
+            # a sweep and its polls are counted by the drivers' poll tallies
             progressed = False
             sweep_t0 = sim.now
             if tracing:
@@ -543,7 +574,6 @@ class NodeEngine:
                 if len(hist.pending) >= FOLD_AT:
                     hist.fold()
                 cost = driver.post_eager(pw, copy_offloaded=offloaded)
-                counts["packets_committed"] += 1
                 if offloaded:
                     counts["pio_offloads"] += 1
                 yield cost

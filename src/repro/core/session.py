@@ -235,8 +235,9 @@ class Session:
         """
         total_sweeps = max_sweeps = pump_parks = pump_wakeups = 0
         for engine in self.engines.built():
-            counts = engine.counters.counts
-            sweeps = counts.get("sweeps", 0)
+            # what ``NodeEngine.counters`` reads, without a frame per engine
+            sweeps = engine.lead_driver.polls
+            counts = engine._counters.counts
             total_sweeps += sweeps
             if sweeps > max_sweeps:
                 max_sweeps = sweeps

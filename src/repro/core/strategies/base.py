@@ -55,9 +55,10 @@ pump's fastest-first commit order, puts handshakes on the lowest-latency
 rail, like NewMadeleine does.
 
 A strategy keeps no statistics of its own: what it committed is counted
-once, by the engine (``Counters``: ``segments_submitted``,
-``packets_committed``, ``aggregated_segments``) and by the rendezvous
-manager (``RdvManager.initiated`` / ``split_count``).
+once, by the engine (``Counters``: ``aggregated_segments``; its
+``segments_submitted`` and ``packets_committed`` are read off the send
+channels and the drivers) and by the rendezvous manager
+(``RdvManager.initiated`` / ``split_count``).
 """
 
 from __future__ import annotations

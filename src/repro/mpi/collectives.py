@@ -30,6 +30,7 @@ frames and its pending requests, nothing per message besides.
 
 from __future__ import annotations
 
+import operator
 import struct
 from typing import Callable, Optional, Sequence
 
@@ -89,7 +90,7 @@ def decode_value(payload: Payload) -> float:
 
 def encode_vector(values: Sequence[float]) -> bytes:
     """Serialize a float vector (packed little-endian doubles)."""
-    return struct.pack(f"<{len(values)}d", *(float(v) for v in values))
+    return struct.pack(f"<{len(values)}d", *map(float, values))
 
 
 def decode_vector(payload: Payload) -> list[float]:
@@ -205,7 +206,7 @@ def alltoall(ep: CommEndpoint, data_per_peer):
 def scan(
     ep: CommEndpoint,
     value: float,
-    op: Callable[[float, float], float] = lambda a, b: a + b,
+    op: Callable[[float, float], float] = operator.add,
 ):
     """Inclusive prefix reduction along the rank chain.
 
@@ -226,7 +227,7 @@ def scan(
 def reduce(
     ep: CommEndpoint,
     value: float,
-    op: Callable[[float, float], float] = lambda a, b: a + b,
+    op: Callable[[float, float], float] = operator.add,
     root: int = 0,
 ):
     """Binomial-tree reduction of a scalar; the root returns the result."""
@@ -237,7 +238,7 @@ def reduce(
 def allreduce(
     ep: CommEndpoint,
     value: float,
-    op: Callable[[float, float], float] = lambda a, b: a + b,
+    op: Callable[[float, float], float] = operator.add,
 ):
     """Reduce to rank 0 then broadcast the result; every rank returns it."""
     result = yield from _lane_allreduce(ep, [value], op, 0, TAG_REDUCE, TAG_BCAST)
@@ -266,7 +267,7 @@ def _vec_reduce(
     which returns it (every other rank returns None)."""
     size = ep.size
     vrank = (ep.rank - root) % size
-    acc = [float(v) for v in vec]
+    acc = list(map(float, vec))
     k = 1
     while k < size:
         if vrank & k:
@@ -324,7 +325,7 @@ def _fan_out(ep: CommEndpoint, name: str, bodies: list) -> AllOf:
 def multilane_allreduce(
     ep: CommEndpoint,
     values: Sequence[float],
-    op: Callable[[float, float], float] = lambda a, b: a + b,
+    op: Callable[[float, float], float] = operator.add,
     lanes: Optional[int] = None,
 ):
     """Multi-lane elementwise allreduce of a float vector.
@@ -337,7 +338,7 @@ def multilane_allreduce(
     the engine's strategy spreads across the rails, which is the whole
     point of the Träff decomposition.  Returns the reduced vector.
     """
-    values = [float(v) for v in values]
+    values = list(map(float, values))
     if not values:
         raise ApiError("multilane_allreduce needs a non-empty vector")
     lanes = _resolve_lanes(ep, lanes, len(values))

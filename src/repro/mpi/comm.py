@@ -44,6 +44,8 @@ class Communicator:
     def __init__(self, session: "Session", name: str = "world"):
         self.session = session
         self.name = name
+        #: the rank count, read once: the collectives read it per message
+        self.size: int = session.n_nodes
         self.comm_id = next(_comm_ids)
         self._endpoints: dict[int, CommEndpoint] = {}
         #: user tag -> core tag, one int object per tag: every rank's
@@ -52,10 +54,6 @@ class Communicator:
         #: (without it a P=1024 node holds 255 B more after a collectives
         #: run, and the run's traced peak is 0.4 MB higher)
         self._core_tags: dict[int, int] = {}
-
-    @property
-    def size(self) -> int:
-        return self.session.n_nodes
 
     def endpoint(self, rank: int) -> "CommEndpoint":
         """The per-rank handle used inside that rank's process."""
@@ -73,6 +71,8 @@ class Communicator:
         return Communicator(self.session, name=name or f"{self.name}.dup")
 
     def _core_tag(self, user_tag: int) -> int:
+        """Check ``user_tag`` and cache its core tag (an endpoint reads
+        the cache first and comes here only on a miss)."""
         if type(user_tag) is not int:  # 1.0 would hit the cached tag of 1
             raise ApiError(f"tag must be an int, got {user_tag!r}")
         tag = self._core_tags.get(user_tag)
@@ -92,19 +92,26 @@ class CommEndpoint:
     def __init__(self, comm: Communicator, rank: int):
         self.comm = comm
         self.rank = rank
+        self.size: int = comm.size
         self.iface = comm.session.interface(rank)
-
-    @property
-    def size(self) -> int:
-        return self.comm.size
+        #: the communicator's core-tag cache, shared: only an int can hit
+        #: it (1.0 and True are equal to 1), anything else is a miss that
+        #: ``Communicator._core_tag`` checks and refuses
+        self._core_tags = comm._core_tags
 
     def isend(
         self, data: Union[bytes, bytearray, int, Payload], dest: int, tag: int = 0
     ) -> SendRequest:
-        return self.iface.isend(dest, self.comm._core_tag(tag), data)
+        core = self._core_tags.get(tag) if type(tag) is int else None
+        if core is None:
+            core = self.comm._core_tag(tag)
+        return self.iface.isend(dest, core, data)
 
     def irecv(self, source: int, tag: int = 0) -> RecvRequest:
-        return self.iface.irecv(source, self.comm._core_tag(tag))
+        core = self._core_tags.get(tag) if type(tag) is int else None
+        if core is None:
+            core = self.comm._core_tag(tag)
+        return self.iface.irecv(source, core)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<CommEndpoint rank={self.rank}/{self.size} comm={self.comm.name}>"

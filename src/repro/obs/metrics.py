@@ -14,10 +14,13 @@ an undeclared name, which is what keeps dashboards and the exporters
 honest as the system grows.
 
 One owner per count: the pump increments its node's :class:`Counters` bag
-and the per-driver tallies, nothing else; the registry instruments that
-restate them (``engine.sweeps``, ``engine.poll.count``,
-``engine.commit.count``, the ``active.*`` gauges) are *set* from those
-owners by ``Session.sync_kernel_metrics`` after every run (DESIGN.md §6i).
+and the per-driver tallies, nothing else, and each fact once — the bag's
+``sweeps``, ``polls``, ``packets_committed`` and ``segments_submitted``
+are derived on read from the driver tallies and the send channels
+(``NodeEngine.counters``); the registry instruments that restate them
+(``engine.sweeps``, ``engine.poll.count``, ``engine.commit.count``, the
+``active.*`` gauges) are *set* from those owners by
+``Session.sync_kernel_metrics`` after every run (DESIGN.md §6i).
 
 Naming convention
 -----------------

@@ -7,8 +7,9 @@ the event core up, in DESIGN's layer order (hostbench's ``LAYERS``)::
 
     PYTHONPATH=src python -m tests.callcount
 
-prints calls per message by layer for the eager and rendezvous floods of
-``tests/integration/test_message_cost.py`` on every core.
+prints calls per operation by layer on every core: per message of the
+eager and rendezvous floods of ``tests/integration/test_message_cost.py``,
+and per rank-collective of its P=64 collectives pass.
 """
 
 from __future__ import annotations
@@ -86,13 +87,22 @@ def count_calls(
 
 
 def report() -> None:
-    """Print calls per message by layer of both floods on every core."""
+    """Print calls per operation by layer on every core: per message of
+    the eager and rendezvous floods, per rank-collective of the P=64
+    collectives pass."""
     from repro.sim.backend import available_backends
-    from tests.integration.test_message_cost import layer_calls_per_message
+    from tests.integration.test_message_cost import (
+        layer_calls_per_collective, layer_calls_per_message,
+    )
 
-    for kind in ("eager", "rdv"):
+    rows = (
+        ("eager", functools.partial(layer_calls_per_message, "eager")),
+        ("rdv", functools.partial(layer_calls_per_message, "rdv")),
+        ("coll", layer_calls_per_collective),
+    )
+    for kind, per_op in rows:
         for backend in available_backends():
-            per = layer_calls_per_message(kind, backend)
+            per = per_op(backend)
             cells = "  ".join(
                 f"{name} {per[name]:.2f}" for name in (*LAYERS, OTHER, OUTSIDE) if per[name]
             )

@@ -138,7 +138,9 @@ class TestWaitingQueue:
         assert eager(table, 0) == [reqs[0]]
         assert table.posted_count == 1
         # a repeat of a seq before the queue's head completes no receive
-        assert eager(table, 0) == [] and table.posted_count == 1
+        with pytest.raises(MatchingError, match="repeats a delivered sequence"):
+            eager(table, 0)
+        assert table.posted_count == 1
         assert eager(table, 2) == [reqs[2]]
         assert table.posted_count == 0 and table._posted == {}
 
@@ -152,6 +154,25 @@ class TestArriveFirst:
         assert outcome.kind == "eager"
         assert outcome.payload.data == b"early"
         assert table.unexpected_count == 0
+
+    def test_a_repeat_of_a_delivered_seq_is_refused_and_not_parked(self, sim):
+        table = MatchingTable(N_NODES)
+        first, second, third = req(sim), req(sim), req(sim)
+        table.post_recv(0, 1, first)
+        assert matched(table.arrive(0, 1, 0, "eager", payload=Payload.of(b"a"))) == [first]
+        # delivered at arrival, nothing waits on the channel
+        with pytest.raises(MatchingError, match="repeats a delivered sequence"):
+            table.arrive(0, 1, 0, "eager", payload=Payload.of(b"a"))
+        # delivered at post time, while one receive waits for a later seq
+        table.arrive(0, 1, 1, "rdv", rdv=rdv(seq=1))
+        assert table.post_recv(0, 1, second).kind == "rdv"
+        table.post_recv(0, 1, third)
+        for seq in (0, 1):
+            with pytest.raises(MatchingError, match="repeats a delivered sequence"):
+                table.arrive(0, 1, seq, "rdv", rdv=rdv(seq=seq))
+        assert table.unexpected_count == table.pending_rdv_count == 0
+        assert table.posted_count == 1
+        assert matched(table.arrive(0, 1, 2, "eager", payload=Payload.of(b"c"))) == [third]
 
     def test_duplicate_unexpected_rejected(self, sim):
         table = MatchingTable(N_NODES)

@@ -72,6 +72,26 @@ an eager flood's ``run_until_idle`` enters the metrics modules
 (``obs/metrics.py``, ``obs/instruments.py``) only to fold a batch of
 :data:`~repro.obs.instruments.FOLD_AT` observations and to read ``count``
 when it publishes — never per commit.
+
+**A rank-collective**, in the shape of hostbench's ``collectives_p1024``
+at P=64: every rank runs 8 multilane allreduces of 8 doubles, a multilane
+barrier and a NIC barrier (``rail_optimized_platform``,
+``aggreg_multirail``); calls per rank-collective, in total and in the
+``mpi`` layer:
+
+    kernel   what     before   now      ceiling
+    native   total    339.75   295.17   310.0
+    native   mpi      74.86    36.97    40.0
+    heap     total    672.80   628.22   645.0
+    heap     mpi      74.86    36.97    40.0
+
+"before" read a communicator's size through a property chain down to
+``Session.n_nodes`` (three frames a read, several reads a message),
+validated the tag in ``Communicator._core_tag`` on every ``isend`` and
+``irecv``, reduced through a ``lambda`` frame per element and built
+each vector through a generator or comprehension frame; "now" reads
+plain attributes, hits the core-tag cache inline and maps ``float`` and
+``operator.add`` in C.
 """
 
 import collections
@@ -98,6 +118,11 @@ KB = 1024
 RDV_CEILING = {"native": 168.0, "heap": 375.0}
 RDV_MESSAGES = 1_000
 RDV_WINDOW = 8
+
+#: rank-collective calls (total, mpi layer), P=64
+COLL_CEILING = {"native": (310.0, 40.0), "heap": (645.0, 40.0)}
+COLL_NODES = 64
+COLL_ROUNDS = 8
 
 #: ``Session()`` calls: (two rails, aggreg_multirail), (one rail, aggreg)
 SESSION_CEILING = {"native": (140, 115), "heap": (135, 110)}
@@ -197,6 +222,56 @@ def test_a_rendezvous_message_stays_under_its_call_budget(backend):
         f" (ceiling {RDV_CEILING[backend]})"
     )
     assert by_layer["core.matching"] == pytest.approx(2 + 1 / RDV_MESSAGES)
+
+
+def layer_calls_per_collective(backend):
+    """Python ``call`` events per rank-collective of hostbench's
+    ``collectives_p1024`` pass at P=64, by layer: every rank runs
+    :data:`COLL_ROUNDS` multilane allreduces of 8 doubles, a multilane
+    barrier and a NIC barrier.  The session is built outside the count;
+    the engines are built inside it, lazily, as in hostbench."""
+    from repro.hardware.topology import rail_optimized_platform
+    from repro.mpi import collectives
+    from repro.mpi.comm import Communicator
+
+    session = Session(
+        rail_optimized_platform(COLL_NODES), strategy="aggreg_multirail", backend=backend
+    )
+    comm = Communicator(session, name="callcount")
+    bases = [[float((7 * r + i) % 1000) for i in range(8)] for r in range(COLL_ROUNDS)]
+
+    def rank_body(rank):
+        ep = comm.endpoint(rank)
+        for base in bases:
+            yield from collectives.multilane_allreduce(ep, [v + rank for v in base])
+        yield from collectives.multilane_barrier(ep)
+        yield from collectives.nic_barrier(ep)
+
+    def run():
+        procs = [session.spawn(rank_body(r)) for r in range(COLL_NODES)]
+        session.run_until_idle()
+        return procs
+
+    by_layer, procs = count_calls(run)
+    assert all(p.done for p in procs)
+    ops = COLL_NODES * (COLL_ROUNDS + 2)
+    return collections.Counter({name: n / ops for name, n in by_layer.items()})
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_a_rank_collective_stays_under_its_call_budget(backend):
+    by_layer = layer_calls_per_collective(backend)
+    per_op = sum(by_layer.values())
+    total_ceiling, mpi_ceiling = COLL_CEILING[backend]
+    assert per_op > 100, "the profiler did not see the collectives"
+    assert per_op <= total_ceiling, (
+        f"{per_op:.2f} Python calls per rank-collective on {backend}"
+        f" (ceiling {total_ceiling})"
+    )
+    assert by_layer["mpi"] <= mpi_ceiling, (
+        f"{by_layer['mpi']:.2f} mpi-layer calls per rank-collective on {backend}"
+        f" (ceiling {mpi_ceiling})"
+    )
 
 
 def _session_calls(backend):

@@ -1,5 +1,6 @@
 """Property-based tests for tag matching under arbitrary interleavings."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,6 +8,7 @@ from repro.core.matching import MatchingTable
 from repro.core.packet import Payload, RdvReq
 from repro.core.request import RecvRequest
 from repro.sim import Simulator
+from repro.util.errors import MatchingError
 
 #: peers are node ids 0 .. N_NODES - 1
 N_NODES = 3
@@ -81,8 +83,9 @@ REORDER_WINDOW = 8
 @st.composite
 def exact_traffic(draw):
     """Exact receives and arrivals over ≤ 3 peers × 2 tags: each message
-    eager or rendezvous, arrivals in send order moved by < 8 places, and
-    posts and arrivals interleaved at random."""
+    eager or rendezvous, arrivals in send order moved by < 8 places, up to
+    three arrivals repeated somewhere after their first, and posts and
+    arrivals interleaved at random."""
     n = draw(st.integers(min_value=1, max_value=40))
     channels = st.tuples(st.integers(0, N_NODES - 1), st.integers(1, 2))
     sent = draw(st.lists(channels, min_size=n, max_size=n))
@@ -94,8 +97,11 @@ def exact_traffic(draw):
         seqs.append(count[chan])
     order = sorted(range(n), key=lambda i: i + shift[i])
     arrivals = [sent[i] + (seqs[i], kinds[i]) for i in order]
+    for _ in range(draw(st.integers(0, 3))):
+        first = draw(st.integers(0, len(arrivals) - 1))
+        arrivals.insert(draw(st.integers(first + 1, len(arrivals))), arrivals[first])
     posts = draw(st.permutations(sent))
-    steps = draw(st.permutations(["post"] * n + ["arrive"] * n))
+    steps = draw(st.permutations(["post"] * n + ["arrive"] * len(arrivals)))
     return posts, arrivals, steps
 
 
@@ -103,13 +109,15 @@ def exact_traffic(draw):
 @settings(max_examples=400, deadline=None)
 def test_the_waiting_queue_is_a_table_of_exact_keys(traffic):
     """Against a reference ``{(peer, tag, seq): request}`` model: each
-    arrival completes the receive posted with its seq or parks, each post
-    takes the arrival parked with its seq or waits, ``posted_count``
-    agrees after every step, and once all have matched nothing waits."""
+    arrival completes the receive posted with its seq or parks, a repeat
+    of an arrival (parked or delivered) is refused and changes nothing,
+    each post takes the arrival parked with its seq or waits,
+    ``posted_count`` agrees after every step, and once all have matched
+    nothing waits."""
     posts, arrivals, steps = traffic
     sim = Simulator()
     table = MatchingTable(N_NODES)
-    waiting, parked = {}, {}  # the reference model
+    waiting, parked, arrived = {}, {}, set()  # the reference model
     post_seq = {}
     posts, arrivals = iter(posts), iter(arrivals)
     for step in steps:
@@ -135,6 +143,13 @@ def test_the_waiting_queue_is_a_table_of_exact_keys(traffic):
                        chunks=((0, 0, 1 << 16),))
                 if kind == "rdv" else None
             )
+            if (peer, tag, seq) in arrived:
+                with pytest.raises(MatchingError):
+                    table.arrive(peer, tag, seq, kind, payload=payload, rdv=rdv)
+                assert table.posted_count == len(waiting)
+                assert table.unexpected_count + table.pending_rdv_count == len(parked)
+                continue
+            arrived.add((peer, tag, seq))
             matches = table.arrive(peer, tag, seq, kind, payload=payload, rdv=rdv)
             request = waiting.pop((peer, tag, seq), None)
             if request is None:

@@ -106,6 +106,12 @@ DELETED = [
     (("StreamingTracer", r"stream[-_]window", r"\b_retain\b", r"\b_on_close\b",
       r"def lifecycle_report\(self"),
      _CODE_AND_DOCS, ()),
+    # each fact counted once: the bag derives what the drivers and the send
+    # channels hold, and a reduction's default ``op`` is ``operator.add``
+    ((r"counts\[\"(sweeps|polls|packets_committed|segments_submitted)\"\] \+=",
+      r"\.add\(\"(sweeps|polls|packets_committed|segments_submitted)\"",
+      r"lambda a, b: a \+ b"),
+     ("src",), ()),
 ]
 
 
@@ -208,3 +214,16 @@ def test_a_json_file_is_read_in_one_place(path, line, found):
 def test_a_group_limited_to_src_skips_the_rest():
     planted = [("src/repro/x.py", "import numpy\n"), ("benchmarks/x.py", "import numpy\n")]
     assert offenders(planted) == [("src/repro/x.py", 1, "import numpy")]
+
+
+@pytest.mark.parametrize("path, line, found", [
+    ("src/repro/core/scheduler.py", 'counts["sweeps"] += 1', True),
+    ("src/repro/core/scheduler.py", 'counts["polls"] += n_rails', True),
+    ("src/repro/core/scheduler.py", 'self.counters.add("packets_committed")', True),
+    ("src/repro/mpi/collectives.py", "op: Callable = lambda a, b: a + b,", True),
+    ("src/repro/core/scheduler.py", 'counts["bytes_submitted"] += size', False),
+    ("src/repro/core/scheduler.py", "counts[name] = value", False),
+    ("tests/core/test_scheduler.py", 'counts["sweeps"] += 1', False),
+])
+def test_a_fact_counted_twice_is_found_under_src_only(path, line, found):
+    assert bool(offenders([(path, line + "\n")])) is found
