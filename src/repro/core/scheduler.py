@@ -141,7 +141,8 @@ class NodeEngine:
         does not count them; they are written in here, when read (and
         only once non-zero, as an increment would have made them):
         ``sweeps`` is :attr:`lead_driver`'s poll tally, ``polls`` that
-        times the rail count (every sweep polls every rail),
+        times the rail count (every sweep polls every rail; mid-sweep, the
+        polls it announced, as the increment at its start counted them),
         ``packets_committed`` the drivers' eager posts and
         ``segments_submitted`` the send channels' sequence counters.
         """

@@ -95,8 +95,13 @@ class AggregMultirailStrategy(Strategy):
                 return None
             # only large segments: nothing to say to a DMA-busy driver
             self.dma_bound = True
-        # small messages: only on the fastest usable rail, aggregated
-        elif driver.rail_index == self.usable_rail_index(engine, self.fastest_index):
+        # small messages: only on the fastest usable rail, aggregated (the
+        # fastest rail itself unless a detected outage moved them off it)
+        elif driver.rail_index == (
+            self._fastest_index
+            if engine.drivers[self._fastest_index].usable
+            else self.usable_rail_index(engine, self.fastest_index)
+        ):
             pw = driver.new_wrapper(small[0].peer)
             if self.fill_with_eager(pw, driver, small) == 0:
                 # failover rail with a smaller eager limit than the head

@@ -85,6 +85,9 @@ class Driver:
         #: built, then follows its detection events, which trail the
         #: physical state by the plan's detection delay.
         self.health = "up"
+        #: largest segment payload one eager packet can carry; read per
+        #: commit, so kept as a value (the spec never changes)
+        self.max_eager_payload: int = self.spec.eager_threshold - self.spec.header_bytes
 
     # ------------------------------------------------------------------ #
     # capabilities
@@ -107,11 +110,6 @@ class Driver:
         """Largest wrapper this driver sends via PIO (incl. headers)."""
         return self.spec.eager_threshold
 
-    @property
-    def max_eager_payload(self) -> int:
-        """Largest segment payload one eager packet can carry."""
-        return self.spec.eager_threshold - self.spec.header_bytes
-
     def eager_eligible(self, nbytes: int) -> bool:
         """Can a segment of ``nbytes`` payload ride an eager packet?"""
         return nbytes + self.spec.header_bytes <= self.spec.eager_threshold
@@ -121,14 +119,18 @@ class Driver:
         return not self.nic.dma_busy
 
     @property
-    def usable(self) -> bool:
-        """False once the rail's outage has been *detected*.
+    def health(self) -> str:
+        return self._health
 
-        The engine stops consulting the strategy for an unusable rail and
-        failover routes around it; traffic already committed during the
-        detection window is recovered by retransmission instead.
-        """
-        return self.health != "down"
+    @health.setter
+    def health(self, value: str) -> None:
+        self._health = value
+        #: False once the rail's outage has been *detected*: the engine
+        #: stops consulting the strategy for an unusable rail and failover
+        #: routes around it; traffic already committed during the
+        #: detection window is recovered by retransmission instead.  A
+        #: value, set with the health: strategies read it per consultation.
+        self.usable = value != "down"
 
     # ------------------------------------------------------------------ #
     # progress
@@ -190,7 +192,8 @@ class Driver:
         now = self.sim.now
         if self.nic.tx_busy_until > now:
             raise DriverError(f"{self.name}: eager TX path busy")
-        post, copy = self.eager_cost_parts(pw)
+        spec = self.spec  # what eager_cost_parts quotes, without its frame
+        post, copy = spec.post_cost_us, size / spec.pio_MBps
         self.eager_posted += 1
         self.eager_bytes += size
         self.nic.tx_busy_until = now + post + copy

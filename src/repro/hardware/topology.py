@@ -105,8 +105,11 @@ class TopologyPlan:
         (that is what it was calibrated on), so only the extra hops pay
         ``hop_us`` each.
         """
-        _links, hops = self.route(src, dst)
-        return max(0, hops - 1) * self.topo.hop_us
+        per = self.hosts_per_switch
+        out = self._routes.get((src // per, dst // per))  # route()'s cache
+        if out is None:
+            out = self.route(src, dst)
+        return max(0, out[1] - 1) * self.topo.hop_us
 
     @property
     def links_created(self) -> int:

@@ -61,14 +61,6 @@ class Fabric:
         for nic in self._nics:
             nic.fabric = self
 
-    def nic_of(self, node_id: int) -> NIC:
-        try:
-            return self._nics[node_id]
-        except IndexError:
-            raise PlatformError(
-                f"rail {self.rail.name}: no NIC for node {node_id}"
-            ) from None
-
     def latency_us(self, src_node: int, dst_node: int) -> float:
         """One-way latency between two nodes as the wire is now: the rail's
         ``lat_us``, the route's extra switch hops, times the degradation."""
@@ -106,7 +98,12 @@ class Fabric:
         when a fault injector wants the last word on it."""
         if src_node == dst_node:
             raise PlatformError(f"rail {self.rail.name}: self-send from node {src_node}")
-        dst = self.nic_of(dst_node)
+        try:
+            dst = self._nics[dst_node]
+        except IndexError:
+            raise PlatformError(
+                f"rail {self.rail.name}: no NIC for node {dst_node}"
+            ) from None
         when = send_done_delay + self.latency_us(src_node, dst_node)
         if lands is None:  # the class's function: no bound method per packet
             self.sim.schedule(when, NIC.deliver, dst, packet)

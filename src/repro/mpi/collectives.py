@@ -250,7 +250,7 @@ def allreduce(
 # --------------------------------------------------------------------- #
 def _resolve_lanes(ep: CommEndpoint, lanes: Optional[int], n_items: int) -> int:
     if lanes is None:
-        lanes = ep.iface.engine.platform.n_rails
+        lanes = ep.n_rails
     if lanes < 1:
         raise ApiError(f"need at least one lane, got {lanes}")
     return min(int(lanes), MAX_LANES, max(1, n_items))

@@ -93,6 +93,9 @@ class CommEndpoint:
         self.comm = comm
         self.rank = rank
         self.size: int = comm.size
+        #: the default lane count of the multi-lane collectives (one lane
+        #: per rail), read once like ``size``
+        self.n_rails: int = comm.session.platform.n_rails
         self.iface = comm.session.interface(rank)
         #: the communicator's core-tag cache, shared: only an int can hit
         #: it (1.0 and True are equal to 1), anything else is a miss that

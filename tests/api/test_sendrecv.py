@@ -109,7 +109,7 @@ def _refused(call):
 
 def test_float_node_id_refused_at_the_call(plat2):
     """``isend(1.0, ...)`` was accepted, then raised ``TypeError: list
-    indices must be integers`` from ``Fabric.nic_of`` inside the run."""
+    indices must be integers`` from ``Fabric.transmit`` inside the run."""
     session = Session(plat2)
     assert "node id" in _refused(lambda: session.interface(0).isend(1.0, 1, 64))
     assert "node id" in _refused(lambda: session.interface(1).irecv(0.0, 1))

@@ -79,19 +79,25 @@ barrier and a NIC barrier (``rail_optimized_platform``,
 ``aggreg_multirail``); calls per rank-collective, in total and in the
 ``mpi`` layer:
 
-    kernel   what     before   now      ceiling
-    native   total    339.75   295.17   310.0
-    native   mpi      74.86    36.97    40.0
-    heap     total    672.80   628.22   645.0
-    heap     mpi      74.86    36.97    40.0
+    kernel   what     before   then     now      ceiling
+    native   total    339.75   295.17   262.93   275.0
+    native   mpi      74.86    36.97    36.97    40.0
+    heap     total    672.80   628.22   595.98   610.0
+    heap     mpi      74.86    36.97    36.97    40.0
 
 "before" read a communicator's size through a property chain down to
 ``Session.n_nodes`` (three frames a read, several reads a message),
 validated the tag in ``Communicator._core_tag`` on every ``isend`` and
 ``irecv``, reduced through a ``lambda`` frame per element and built
-each vector through a generator or comprehension frame; "now" reads
+each vector through a generator or comprehension frame; "then" reads
 plain attributes, hits the core-tag cache inline and maps ``float`` and
-``operator.add`` in C.
+``operator.add`` in C.  "now" also reads what a rail cannot change
+while it runs as values: ``Driver.usable`` (set with its ``health``)
+and ``Driver.max_eager_payload``, so asking the strategy about a rail
+enters no ``fastest_index`` / ``usable_rail_index`` / ``usable`` chain,
+and an endpoint's default lane count; an eager post quotes its cost
+without an ``eager_cost_parts`` frame, and a packet reaches its NIC and
+its route's hop count without ``Fabric.nic_of`` / ``TopologyPlan.route``.
 """
 
 import collections
@@ -120,7 +126,7 @@ RDV_MESSAGES = 1_000
 RDV_WINDOW = 8
 
 #: rank-collective calls (total, mpi layer), P=64
-COLL_CEILING = {"native": (310.0, 40.0), "heap": (645.0, 40.0)}
+COLL_CEILING = {"native": (275.0, 40.0), "heap": (610.0, 40.0)}
 COLL_NODES = 64
 COLL_ROUNDS = 8
 
